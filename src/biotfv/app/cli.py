@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O
-error while writing results.
+Exit codes: 0 success, 2 configuration error, 3 solver failure (including
+a fixed-stress run that stops at its iteration cap unconverged, after its
+outputs are written), 4 I/O error while writing results.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config)
         _apply_overrides(config, args)
+        reports = []
         if args.command == "run":
             artifacts = run_case(
                 config, out_dir=args.out, dump_system=args.dump_matrix
@@ -100,6 +102,7 @@ def main(argv=None) -> int:
             )
             for path in artifacts.paths:
                 print(f"wrote {path}")
+            reports.append(report)
         elif args.command == "convergence":
             grids = [token for token in args.grids.split(",") if token.strip()]
             try:
@@ -124,6 +127,7 @@ def main(argv=None) -> int:
                     f"mass defect {run.mass_defect:.3e}, final compartment averages "
                     f"{run.avg_dp_omega1[-1]:.6g} / {run.avg_dp_omega2[-1]:.6g} Pa"
                 )
+                reports.append(run.result.report)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
@@ -133,7 +137,14 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4
-    return 0
+    failed = [r for r in reports if not r.converged]
+    for report in failed:
+        print(
+            f"solver failure: {report.scheme} coupling not converged after "
+            f"{report.iterations} iterations",
+            file=sys.stderr,
+        )
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

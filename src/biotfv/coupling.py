@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError
 from .linsolve.precond import SolveReport, SolverOptions, TpsaSolver
-from .mesh import Mesh
+from .mesh import Mesh, per_cell
 from .tpfa import FlowProperties, FlowSources, FlowSystem
 from .tpsa import (
     ElasticProperties,
@@ -45,7 +45,6 @@ __all__ = [
     "SimulationResult",
     "AndersonState",
     "anderson_weights",
-    "anderson_step",
     "mech_rhs_from_pressure",
     "flow_source_from_mech",
     "CoupledSystem",
@@ -55,23 +54,13 @@ __all__ = [
 ]
 
 
-def _per_cell(value, n: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"expected scalar or ({n},) array, got shape {arr.shape}")
-    return arr
-
-
 @dataclass
 class PoroelasticProperties:
     """Per-cell material data of the coupled problem (scalars broadcast).
 
     Units: mu, lam in Pa; alpha dimensionless; c0 in 1/Pa; perm in m^2;
-    fluid_viscosity in Pa s; rho in kg/m^3; gravity in m/s^2.  rho, gravity
-    and p0 document the hydrostatic reference only; the unknown is the
-    pressure deviation, so they never enter the discretization.
+    fluid_viscosity in Pa s.  The flow unknown is the pressure deviation
+    from a hydrostatic reference, which never enters the discretization.
     """
 
     mu: np.ndarray | float
@@ -82,44 +71,40 @@ class PoroelasticProperties:
     fluid_viscosity: float = 1e-3
     boundary: MechBoundary | None = None
     f_u: np.ndarray | None = None
-    rho: float = 1000.0
-    gravity: float = 0.0
-    p0: np.ndarray | None = None
 
     def validate(self, mesh: Mesh) -> None:
-        n = mesh.n_cells
-        if np.any(_per_cell(self.mu, n) <= 0):
-            raise ConfigurationError("shear modulus must be positive")
-        if np.any(_per_cell(self.lam, n) <= 0):
-            raise ConfigurationError("Lame parameter lambda must be positive")
-        if np.any(_per_cell(self.alpha, n) < 0):
-            raise ConfigurationError("Biot coefficient must be nonnegative")
-        if np.any(_per_cell(self.c0, n) < 0):
-            raise ConfigurationError("storativity must be nonnegative")
-        if np.any(_per_cell(self.perm, n) < 0):
-            raise ConfigurationError("permeability must be nonnegative")
-        if self.fluid_viscosity <= 0:
-            raise ConfigurationError("fluid viscosity must be positive")
+        for name, value, positive in (
+            ("shear modulus", self.mu, True),
+            ("Lame parameter lambda", self.lam, True),
+            ("Biot coefficient", self.alpha, False),
+            ("storativity", self.c0, False),
+            ("permeability", self.perm, False),
+            ("fluid viscosity", self.fluid_viscosity, True),
+        ):
+            value = per_cell(value, mesh.n_cells)
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{name} must be finite")
+            if positive and np.any(value <= 0):
+                raise ConfigurationError(f"{name} must be positive")
+            if not positive and np.any(value < 0):
+                raise ConfigurationError(f"{name} must be nonnegative")
 
     def flow_properties(self, mesh: Mesh) -> FlowProperties:
         n = mesh.n_cells
-        alpha = _per_cell(self.alpha, n)
-        lam = _per_cell(self.lam, n)
+        alpha = per_cell(self.alpha, n)
+        lam = per_cell(self.lam, n)
         return FlowProperties(
-            perm=_per_cell(self.perm, n),
+            perm=per_cell(self.perm, n),
             viscosity=self.fluid_viscosity,
-            c0=_per_cell(self.c0, n),
+            c0=per_cell(self.c0, n),
             biot_storage=alpha**2 / lam,
-            rho=self.rho,
-            gravity=self.gravity,
-            p0=self.p0,
         )
 
     def elastic_properties(self, mesh: Mesh) -> ElasticProperties:
         boundary = self.boundary or MechBoundary.fixed(mesh)
         return ElasticProperties(
-            mu=_per_cell(self.mu, mesh.n_cells),
-            lam=_per_cell(self.lam, mesh.n_cells),
+            mu=per_cell(self.mu, mesh.n_cells),
+            lam=per_cell(self.lam, mesh.n_cells),
             boundary=boundary,
             f_u=self.f_u,
         )
@@ -148,8 +133,8 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError("time step must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigurationError("time step must be positive and finite")
         if self.n_steps < 1:
             raise ConfigurationError("need at least one time step")
 
@@ -235,10 +220,6 @@ class CouplingReport:
     residuals: list[float] = field(default_factory=list)
     converged: bool = True
 
-    def __post_init__(self):
-        if not all(np.isfinite(r) for r in self.residuals):
-            raise SolverError("coupling residual diverged", trace=self.residuals)
-
     @property
     def iterations(self) -> int:
         return len(self.residuals)
@@ -261,10 +242,10 @@ def mech_rhs_from_pressure(
 ) -> np.ndarray:
     """Effective-pressure row source density -(alpha/lam) * dp per cell."""
     n = mesh.n_cells
-    lam = _per_cell(props.lam, n)
+    lam = per_cell(props.lam, n)
     if np.any(lam <= 0):
         raise ConfigurationError("Lame parameter lambda must be positive")
-    return -_per_cell(props.alpha, n) / lam * dp
+    return -per_cell(props.alpha, n) / lam * dp
 
 
 def flow_source_from_mech(
@@ -278,8 +259,8 @@ def flow_source_from_mech(
     if dt <= 0:
         raise ValueError("time step must be positive")
     n = mesh.n_cells
-    alpha = _per_cell(props.alpha, n)
-    lam = _per_cell(props.lam, n)
+    alpha = per_cell(props.alpha, n)
+    lam = per_cell(props.lam, n)
     return -alpha / lam * (p_hat_now - p_hat_prev) / dt
 
 
@@ -363,17 +344,12 @@ class AndersonState:
         return mixed
 
 
-def anderson_step(state: AndersonState) -> np.ndarray:
-    return state.next_iterate()
-
-
 # -------------------------------------------------------------- engine
 
 
 @dataclass
 class EvalResult:
     psi: np.ndarray  # F(psi_in), shape (N, n)
-    dp: np.ndarray  # flow trajectory, shape (N+1, n)
     p_hat: np.ndarray  # effective pressure trajectory, shape (N+1, n)
     states: list[BiotState]
     mech_reports: list[SolveReport]
@@ -450,7 +426,7 @@ class CoupledSystem:
             ]
         )
         return EvalResult(
-            psi=new_psi, dp=dp, p_hat=p_hat, states=states, mech_reports=reports
+            psi=new_psi, p_hat=p_hat, states=states, mech_reports=reports
         )
 
     def weighted_norm(self, psi: np.ndarray) -> float:
@@ -537,6 +513,11 @@ def run_fixed_stress(
         scale = engine.weighted_norm(result.psi)
         residual = change / scale if scale > 0.0 else (0.0 if change == 0.0 else np.inf)
         residuals.append(residual)
+        if not math.isfinite(residual):
+            raise SolverError(
+                f"fixed-stress residual is not finite at iteration {len(residuals)}",
+                trace=residuals,
+            )
         if residual <= tol:
             converged = True
             psi = result.psi
@@ -565,7 +546,7 @@ def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:
     volume when there is one.
     """
     mesh = case.mesh
-    c0 = _per_cell(case.props.c0, mesh.n_cells)
+    c0 = per_cell(case.props.c0, mesh.n_cells)
     stored = float(
         np.sum(c0 * mesh.cell_volumes * (states[-1].dp - states[0].dp))
     )

@@ -149,12 +149,6 @@ class AmgHierarchy:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def aggregate_sizes(self, level: int = 0) -> np.ndarray:
-        p = self.levels[level].prolongator
-        if p is None:
-            raise ValueError("coarsest level has no aggregates")
-        return np.asarray((p != 0).sum(axis=0)).ravel()
-
     def vcycle(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
         x = np.zeros_like(rhs) if x0 is None else x0.copy()
         return self._cycle(0, rhs, x)

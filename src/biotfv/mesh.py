@@ -28,9 +28,19 @@ __all__ = [
     "Mesh",
     "build_cartesian",
     "build_barrier_mesh",
-    "normal_distance",
     "face_normal_distances",
+    "per_cell",
 ]
+
+
+def per_cell(value, n: int) -> np.ndarray:
+    """Broadcast a scalar or an (n,) value to a float array of length n."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return np.full(n, float(arr))
+    if arr.shape != (n,):
+        raise ValueError(f"expected scalar or ({n},) array, got shape {arr.shape}")
+    return arr
 
 
 @dataclass
@@ -81,21 +91,6 @@ class Mesh:
     @cached_property
     def boundary_faces(self) -> np.ndarray:
         return np.flatnonzero(self.is_boundary)
-
-    def orientation(self, cell: int, face: int) -> int:
-        """Return eps_ik = n_i . n_k for an adjacent (cell, face) pair."""
-        i, j = self.face_cells[face]
-        if cell == i:
-            return 1
-        if cell == j:
-            return -1
-        raise GeometryError(f"cell {cell} is not adjacent to face {face}")
-
-    def cell_faces(self, cell: int) -> list[tuple[int, int]]:
-        """All (face, eps_ik) incidences of one cell."""
-        out = [(int(k), 1) for k in np.flatnonzero(self.face_cells[:, 0] == cell)]
-        out += [(int(k), -1) for k in np.flatnonzero(self.face_cells[:, 1] == cell)]
-        return out
 
     def flow_components(self) -> np.ndarray:
         """Connected-component label per cell of the flow adjacency.
@@ -171,21 +166,6 @@ class Mesh:
         )
         if np.any(d1 <= 0):
             raise GeometryError("non-positive normal distance on secondary side")
-
-
-def normal_distance(mesh: Mesh, cell: int, face: int) -> float:
-    """Signed distance from cell center to face along the outward normal.
-
-    This is the delta_ik of the two-point stencils: eps_ik n_k . (x_k - x_i).
-    Positive for every valid adjacency on a star-shaped cell.
-    """
-    eps = mesh.orientation(cell, face)
-    d = eps * float(
-        np.dot(mesh.face_normals[face], mesh.face_centers[face] - mesh.cell_centers[cell])
-    )
-    if d <= 0:
-        raise GeometryError(f"degenerate geometry: delta <= 0 for cell {cell}, face {face}")
-    return d
 
 
 def face_normal_distances(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """Cell-centered two-point flux approximation for single-phase flow.
 
 The unknown is the fluid pressure deviation from a hydrostatic reference,
-so gravity never appears in the assembled operator.  All exterior
-boundaries are no-flow; sealing barriers are interior faces with zero
-transmissibility.  Time integration is backward Euler with the combined
-storage coefficient c0 + alpha^2/lambda.
+so the hydrostatic gradient never appears in the assembled operator.  All
+exterior boundaries are no-flow; sealing barriers are interior faces with
+zero transmissibility.  Time integration is backward Euler with the
+combined storage coefficient c0 + alpha^2/lambda.
 """
 
 from __future__ import annotations
@@ -16,26 +16,15 @@ from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
-from .mesh import Mesh, face_normal_distances
+from .mesh import Mesh, face_normal_distances, per_cell
 
 __all__ = [
     "FlowProperties",
-    "FlowState",
     "FlowSources",
     "effective_conductivity",
     "assemble_flow",
     "FlowSystem",
-    "step_flow",
 ]
-
-
-def _per_cell(value, n: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"expected scalar or ({n},) array, got shape {arr.shape}")
-    return arr
 
 
 @dataclass
@@ -47,30 +36,16 @@ class FlowProperties:
         viscosity: fluid viscosity [Pa s], scalar or per cell.
         c0: storativity [1/Pa], scalar or per cell.
         biot_storage: alpha^2/lambda [1/Pa], scalar or per cell.
-        rho: fluid density [kg/m^3], reference bookkeeping only.
-        gravity: gravitational acceleration magnitude [m/s^2], bookkeeping.
-        p0: per-cell reference pressure [Pa], bookkeeping only.
     """
 
     perm: np.ndarray
     viscosity: np.ndarray | float = 1.0
     c0: np.ndarray | float = 0.0
     biot_storage: np.ndarray | float = 0.0
-    rho: float = 1000.0
-    gravity: float = 0.0
-    p0: np.ndarray | None = None
 
     def storage(self, n: int) -> np.ndarray:
         """Combined storage coefficient c0 + alpha^2/lambda per cell."""
-        return _per_cell(self.c0, n) + _per_cell(self.biot_storage, n)
-
-
-@dataclass
-class FlowState:
-    """Pressure deviation field at one time."""
-
-    dp: np.ndarray
-    t: float = 0.0
+        return per_cell(self.c0, n) + per_cell(self.biot_storage, n)
 
 
 @dataclass
@@ -89,9 +64,9 @@ class FlowSources:
         """Total source per cell in m^3/s."""
         rate = np.zeros(mesh.n_cells)
         if self.f_p is not None:
-            rate += mesh.cell_volumes * _per_cell(self.f_p, mesh.n_cells)
+            rate += mesh.cell_volumes * per_cell(self.f_p, mesh.n_cells)
         if self.psi is not None:
-            rate += mesh.cell_volumes * _per_cell(self.psi, mesh.n_cells)
+            rate += mesh.cell_volumes * per_cell(self.psi, mesh.n_cells)
         for cell, q in self.wells:
             rate[cell] += q
         return rate
@@ -104,8 +79,8 @@ def effective_conductivity(mesh: Mesh, props: FlowProperties) -> np.ndarray:
     permeability simply zeroes the conductivity of its faces.
     """
     n = mesh.n_cells
-    perm = _per_cell(props.perm, n)
-    visc = _per_cell(props.viscosity, n)
+    perm = per_cell(props.perm, n)
+    visc = per_cell(props.viscosity, n)
     if np.any(perm < 0):
         raise ValueError("negative permeability")
     if np.any(visc <= 0):
@@ -165,15 +140,3 @@ class FlowSystem:
     def step(self, dp_old: np.ndarray, sources: FlowSources) -> np.ndarray:
         rhs = self.accumulation / self.dt * dp_old + sources.rate_vector(self.mesh)
         return self._lu.solve(rhs)
-
-
-def step_flow(
-    mesh: Mesh,
-    state: FlowState,
-    dt: float,
-    sources: FlowSources,
-    props: FlowProperties,
-) -> FlowState:
-    """Advance the pressure deviation by one backward-Euler step."""
-    system = FlowSystem(mesh, props, dt)
-    return FlowState(dp=system.step(state.dp, sources), t=state.t + dt)

@@ -32,18 +32,14 @@ from scipy.sparse import coo_matrix
 
 from .errors import GeometryError
 from .linsolve.blocks import SparseBlockSystem
-from .mesh import Mesh, face_normal_distances
+from .mesh import Mesh, face_normal_distances, per_cell
 
 __all__ = [
     "BoundaryKind",
     "MechBoundary",
     "ElasticProperties",
-    "MechState",
-    "FaceStencil",
     "FaceDuals",
     "skew",
-    "face_stencil",
-    "local_face_operator",
     "assemble_tpsa",
     "assemble_rhs",
     "recover_duals",
@@ -121,51 +117,15 @@ class ElasticProperties:
     boundary: MechBoundary
     f_u: np.ndarray | None = None
 
-    def per_cell(self, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-        n = mesh.n_cells
-        mu = np.broadcast_to(np.asarray(self.mu, dtype=float), (n,)).copy()
-        lam = np.broadcast_to(np.asarray(self.lam, dtype=float), (n,)).copy()
-        if np.any(mu <= 0) or np.any(lam <= 0):
+    def __post_init__(self):
+        if np.any(np.asarray(self.mu) <= 0) or np.any(np.asarray(self.lam) <= 0):
             raise ValueError("Lame parameters must be positive")
-        return mu, lam
 
     def body_force(self, mesh: Mesh) -> np.ndarray:
         if self.f_u is None:
             return np.zeros((mesh.n_cells, 3))
         f = np.asarray(self.f_u, dtype=float)
         return np.broadcast_to(f, (mesh.n_cells, 3)).copy()
-
-
-@dataclass
-class MechState:
-    """Displacement, rotation and solid pressure fields."""
-
-    u: np.ndarray
-    r: np.ndarray
-    p: np.ndarray
-
-
-@dataclass
-class FaceStencil:
-    """Coefficients of one face's dual quantities.
-
-    The operative entries are grad_u_coeff (two-point stress stiffness
-    2 mu_eff / delta_total), grad_p_coeff (stabilization over distance)
-    and the averaging pairs (inside, outside).  For traction-free faces
-    the raw fields w_out, delta_total and stab_weight are infinite and
-    mu_eff is reported as 0; the operative coefficients carry their
-    analytic limits.
-    """
-
-    w_in: float
-    w_out: float
-    delta_total: float
-    mu_eff: float
-    stab_weight: float
-    xi_tilde: tuple[float, float]
-    xi: tuple[float, float]
-    grad_u_coeff: float
-    grad_p_coeff: float
 
 
 def skew(a: np.ndarray) -> np.ndarray:
@@ -187,10 +147,12 @@ def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
     stab_weight, at_in, at_out (averages weighting own cells), b_in,
     b_out (opposite weights), g_u, g_p.  Outside values on boundary faces
     are homogeneous zero, so at_out and b_out are only used on interior
-    faces.
+    faces.  On traction-free faces w_out, delta_total and stab_weight are
+    infinite and mu_eff is 0; the operative coefficients (averages, g_u,
+    g_p) carry their analytic limits.
     """
     props.boundary.validate(mesh)
-    mu, _ = props.per_cell(mesh)
+    mu = per_cell(props.mu, mesh.n_cells)
     d_in, d_out = face_normal_distances(mesh)
     m = mesh.n_faces
     cin = mesh.face_cells[:, 0]
@@ -255,57 +217,9 @@ def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
     }
 
 
-def face_stencil(mesh: Mesh, face: int, props: ElasticProperties) -> FaceStencil:
-    """Stencil coefficients of a single face."""
-    arr = _stencil_arrays(mesh, props)
-    k = int(face)
-    return FaceStencil(
-        w_in=float(arr["w_in"][k]),
-        w_out=float(arr["w_out"][k]),
-        delta_total=float(arr["delta_total"][k]),
-        mu_eff=float(arr["mu_eff"][k]),
-        stab_weight=float(arr["stab_weight"][k]),
-        xi_tilde=(float(arr["at_in"][k]), float(arr["at_out"][k])),
-        xi=(float(arr["b_in"][k]), float(arr["b_out"][k])),
-        grad_u_coeff=float(arr["g_u"][k]),
-        grad_p_coeff=float(arr["g_p"][k]),
-    )
-
-
-def local_face_operator(mesh: Mesh, face: int, props: ElasticProperties) -> np.ndarray:
-    """Dense map from adjacent cell unknowns to (sigma, tau, v) of one face.
-
-    Rows are (sigma_x, sigma_y, sigma_z, tau_x, tau_y, tau_z, v).  Columns
-    are [u, r, p] of the inside cell, and of the outside cell for interior
-    faces: 7 x 14 interior, 7 x 7 boundary.
-    """
-    arr = _stencil_arrays(mesh, props)
-    k = int(face)
-    a = mesh.face_areas[k]
-    n = mesh.face_normals[k]
-    s = skew(n)
-    interior = not mesh.is_boundary[k]
-    ncols = 14 if interior else 7
-    L = np.zeros((7, ncols))
-
-    def fill(base, at, b, sign_grad):
-        # sign_grad: -1 for the inside cell, +1 for the outside cell
-        L[0:3, base : base + 3] += sign_grad * a * arr["g_u"][k] * np.eye(3)
-        L[0:3, base + 3 : base + 6] += -a * at * s
-        L[0:3, base + 6] += a * at * n
-        L[3:6, base : base + 3] += -a * b * s
-        L[6, base : base + 3] += a * b * n
-        L[6, base + 6] += sign_grad * a * arr["g_p"][k]
-
-    fill(0, arr["at_in"][k], arr["b_in"][k], -1.0)
-    if interior:
-        fill(7, arr["at_out"][k], arr["b_out"][k], +1.0)
-    return L
-
-
 def mean_shear_modulus(mesh: Mesh, props: ElasticProperties) -> float:
     """Volume-weighted average shear modulus, the rescaling pivot."""
-    mu, _ = props.per_cell(mesh)
+    mu = per_cell(props.mu, mesh.n_cells)
     return float(np.sum(mu * mesh.cell_volumes) / np.sum(mesh.cell_volumes))
 
 
@@ -318,7 +232,8 @@ def assemble_tpsa(mesh: Mesh, props: ElasticProperties) -> SparseBlockSystem:
     """
     arr = _stencil_arrays(mesh, props)
     n = mesh.n_cells
-    mu, lam = props.per_cell(mesh)
+    mu = per_cell(props.mu, n)
+    lam = per_cell(props.lam, n)
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []

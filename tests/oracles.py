@@ -1,10 +1,43 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written in plain scalar style, deliberately separate
-from the package's vectorized code paths.
+Everything here is written in plain scalar style, one cell or face at a
+time, deliberately separate from the package's vectorized code paths;
+local_face_operator reuses only the package's per-face stencil
+coefficients.
 """
 
 import numpy as np
+
+from biotfv.errors import GeometryError
+from biotfv.tpsa import _stencil_arrays
+
+
+def orientation(mesh, cell, face):
+    """eps_ik = n_i . n_k for an adjacent (cell, face) pair."""
+    i, j = mesh.face_cells[face]
+    if cell == i:
+        return 1
+    if cell == j:
+        return -1
+    raise GeometryError(f"cell {cell} is not adjacent to face {face}")
+
+
+def cell_faces(mesh, cell):
+    """All (face, eps_ik) incidences of one cell."""
+    out = [(int(k), 1) for k in np.flatnonzero(mesh.face_cells[:, 0] == cell)]
+    out += [(int(k), -1) for k in np.flatnonzero(mesh.face_cells[:, 1] == cell)]
+    return out
+
+
+def normal_distance(mesh, cell, face):
+    """delta_ik = eps_ik n_k . (x_k - x_i), the two-point stencil distance."""
+    eps = orientation(mesh, cell, face)
+    d = eps * float(
+        np.dot(mesh.face_normals[face], mesh.face_centers[face] - mesh.cell_centers[cell])
+    )
+    if d <= 0:
+        raise GeometryError(f"degenerate geometry: delta <= 0 for cell {cell}, face {face}")
+    return d
 
 
 def hand_skew(n):
@@ -146,3 +179,35 @@ def central_difference_curl(vec, x, step=1e-5):
         d_b_ua = (vec(x + eb)[:, a] - vec(x - eb)[:, a]) / (2 * step)
         out[:, c] = d_a_ub - d_b_ua
     return out
+
+
+def local_face_operator(mesh, face, props):
+    """Dense map from adjacent cell unknowns to (sigma, tau, v) of one face.
+
+    Rows are (sigma_x, sigma_y, sigma_z, tau_x, tau_y, tau_z, v).  Columns
+    are [u, r, p] of the inside cell, and of the outside cell for interior
+    faces: 7 x 14 interior, 7 x 7 boundary.  Built one face at a time from
+    the package's stencil coefficients, as the brute-force reference for
+    the vectorized global assembly.
+    """
+    arr = _stencil_arrays(mesh, props)
+    k = int(face)
+    a = mesh.face_areas[k]
+    n = mesh.face_normals[k]
+    s = hand_skew(n)
+    interior = not mesh.is_boundary[k]
+    L = np.zeros((7, 14 if interior else 7))
+
+    def fill(base, at, b, sign_grad):
+        # sign_grad: -1 for the inside cell, +1 for the outside cell
+        L[0:3, base : base + 3] += sign_grad * a * arr["g_u"][k] * np.eye(3)
+        L[0:3, base + 3 : base + 6] += -a * at * s
+        L[0:3, base + 6] += a * at * n
+        L[3:6, base : base + 3] += -a * b * s
+        L[6, base : base + 3] += a * b * n
+        L[6, base + 6] += sign_grad * a * arr["g_p"][k]
+
+    fill(0, arr["at_in"][k], arr["b_in"][k], -1.0)
+    if interior:
+        fill(7, arr["at_out"][k], arr["b_out"][k], +1.0)
+    return L

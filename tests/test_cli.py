@@ -137,6 +137,45 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_nan_permeability_exits_2_without_outputs(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        BARRIER_SMALL.replace("permeability = 100 mD", "permeability = nan mD")
+        + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert "permeability must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, summary, files",
+    [
+        (["run"], "1 coupling iterations",
+         {"small_series.csv", "small_psi.csv", "small_final.vtk"}),
+        (["barrier", "--schemes", "lagged,fixed"], "scheme fixed: 1 iterations",
+         {"barrier_summary.csv", "barrier_lagged.csv", "barrier_fixed.csv"}),
+    ],
+)
+def test_unconverged_fixed_stress_exits_3(
+    barrier_cfg, tmp_path, capsys, args, summary, files
+):
+    # one fixed-stress pass cannot reach tol = 1e-8 on the coupled case
+    barrier_cfg.write_text(
+        barrier_cfg.read_text().replace("max_iter = 40", "max_iter = 1")
+    )
+    out = tmp_path / "capped"
+    assert main([args[0], str(barrier_cfg), "--out", str(out), *args[1:]]) == 3
+    captured = capsys.readouterr()
+    assert summary in captured.out
+    assert captured.err.count("solver failure") == 1
+    assert (
+        "solver failure: fixed_stress coupling not converged after 1 iterations"
+        in captured.err
+    )
+    assert files <= {path.name for path in out.iterdir()}
+
+
 def test_unwritable_output_exits_4(barrier_cfg, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")

@@ -1,6 +1,7 @@
 """Config parsing: units, validation errors, round-trip stability."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from biotfv.mesh import build_cartesian
 from biotfv.tpsa import BoundaryKind
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
+README = CASES.parent / "README.md"
 
 MINIMAL = """
 [mesh]
@@ -99,6 +101,18 @@ def test_barrier_case_file_parses_with_si_values():
     assert well.rate == pytest.approx(100.0 / 86400.0)
     assert well.t_start == 0.0
     assert well.t_end == pytest.approx(360 * 86400.0)
+
+
+def test_readme_example_parses_and_builds():
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    cfg = parse_config_text(block)
+    assert cfg.name == "demo"
+    assert cfg.boundaries.default == "fixed"
+    assert cfg.scheme.kind == "fixed_stress"
+    assert cfg.solver.method == "auto"
+    case = cfg.build_case()
+    assert case.mesh.n_cells == 30 * 30 * 3
+    assert case.wells[0].cell == case.mesh.cell_index(7, 15, 1)
 
 
 def test_manufactured_case_file_parses():

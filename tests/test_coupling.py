@@ -9,11 +9,10 @@ from biotfv.coupling import (
     AndersonState,
     BiotCase,
     BiotState,
-    CouplingReport,
+    CoupledSystem,
     PoroelasticProperties,
     TimeGrid,
     Well,
-    anderson_step,
     anderson_weights,
     flow_source_from_mech,
     global_mass_check,
@@ -134,12 +133,12 @@ def test_anderson_state_first_steps_are_plain():
     psi0 = np.zeros(3)
     image0 = np.array([1.0, 2.0, 3.0])
     state.push(psi0, image0)
-    assert np.array_equal(anderson_step(state), image0)
+    assert np.array_equal(state.next_iterate(), image0)
     assert np.array_equal(state.beta, [1.0])
     image1 = np.array([0.5, 0.5, 0.5])
     state.push(image0, image1)
     # only one pair in the window: still the plain image
-    assert np.array_equal(anderson_step(state), image1)
+    assert np.array_equal(state.next_iterate(), image1)
     assert np.allclose(state.beta, [1.0])
 
 
@@ -148,7 +147,7 @@ def test_anderson_state_oracle_combination():
     state.push(np.array([9.0]), np.array([9.0]))  # dropped from the window
     state.push(np.array([0.0]), np.array([2.0]))  # residual 2
     state.push(np.array([1.0]), np.array([0.0]))  # residual -1
-    mixed = anderson_step(state)
+    mixed = state.next_iterate()
     assert mixed[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
     assert np.allclose(state.beta, [1.0 / 3.0, 2.0 / 3.0], atol=1e-14)
 
@@ -163,7 +162,7 @@ def test_anderson_state_window_cap():
 
 def test_anderson_state_requires_pairs():
     with pytest.raises(ValueError):
-        anderson_step(AndersonState(m0=3))
+        AndersonState(m0=3).next_iterate()
     with pytest.raises(ConfigurationError):
         AndersonState(m0=0)
 
@@ -178,10 +177,9 @@ def test_time_grid_times():
 
 
 def test_time_grid_validation():
-    with pytest.raises(ConfigurationError):
-        TimeGrid(dt=0.0, n_steps=1)
-    with pytest.raises(ConfigurationError):
-        TimeGrid(dt=1.0, n_steps=0)
+    for dt, n_steps in [(0.0, 1), (1.0, 0), (np.nan, 1), (np.inf, 1), (-np.inf, 1)]:
+        with pytest.raises(ConfigurationError):
+            TimeGrid(dt=dt, n_steps=n_steps)
 
 
 def test_well_schedule_half_open():
@@ -213,9 +211,32 @@ def test_case_rejects_bad_well_cell():
         _case(wells=[Well(cell=99, rate=1.0)])
 
 
-def test_report_rejects_nonfinite_residuals():
-    with pytest.raises(SolverError):
-        CouplingReport(scheme="fixed_stress", residuals=[1.0, np.nan])
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, np.array([1.0, 1.0, np.nan, 1.0])]
+)
+@pytest.mark.parametrize("field", ["mu", "lam", "alpha", "c0", "perm", "visc"])
+def test_case_rejects_nonfinite_properties(field, value):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        _case(**{field: value})
+
+
+def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
+    case = _case(wells=[Well(cell=0, rate=0.5)])
+    evaluate = CoupledSystem.evaluate
+    calls = []
+
+    def nan_evaluate(self, psi):
+        calls.append(psi)
+        result = evaluate(self, psi)
+        result.psi = np.full_like(result.psi, np.nan)
+        return result
+
+    monkeypatch.setattr(CoupledSystem, "evaluate", nan_evaluate)
+    with pytest.raises(SolverError, match="not finite") as excinfo:
+        run_fixed_stress(case, max_iter=25)
+    assert len(calls) == 1
+    assert len(excinfo.value.trace) == 1
+    assert not np.isfinite(excinfo.value.trace[0])
 
 
 # -------------------------------------------------------------- schemes

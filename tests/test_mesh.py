@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cell_faces, normal_distance, orientation
 
 from biotfv.errors import GeometryError
-from biotfv.mesh import Mesh, build_barrier_mesh, build_cartesian, normal_distance
+from biotfv.mesh import (
+    Mesh,
+    build_barrier_mesh,
+    build_cartesian,
+    face_normal_distances,
+    per_cell,
+)
 
 
 def _expected_face_count(nx, ny, nz):
@@ -64,9 +71,11 @@ def test_two_cell_mesh_geometry():
     i, j = mesh.face_cells[k]
     assert normal_distance(mesh, i, k) == pytest.approx(0.25)
     assert normal_distance(mesh, j, k) == pytest.approx(0.25)
+    d_in, d_out = face_normal_distances(mesh)
+    assert (d_in[k], d_out[k]) == pytest.approx((0.25, 0.25))
     # orientation signs are opposite across the face
-    assert mesh.orientation(int(i), k) == 1
-    assert mesh.orientation(int(j), k) == -1
+    assert orientation(mesh, int(i), k) == 1
+    assert orientation(mesh, int(j), k) == -1
 
 
 @pytest.mark.parametrize("dims", [(2, 1, 1), (3, 2, 1), (4, 3, 2), (5, 5, 5)])
@@ -81,14 +90,14 @@ def test_face_counts(dims):
 
 def test_stretched_spacing():
     mesh = build_cartesian(2, 2, 2, lengths=(1.0, 1.0, 10.0))
+    d_in, d_out = face_normal_distances(mesh)
     # z-normal interior faces sit 2.5 from each neighbor center
     for k in mesh.interior_faces:
-        i, j = mesh.face_cells[k]
         if abs(mesh.face_normals[k, 2]) > 0.5:
-            assert normal_distance(mesh, int(i), int(k)) == pytest.approx(2.5)
-            assert normal_distance(mesh, int(j), int(k)) == pytest.approx(2.5)
+            assert d_in[k] == pytest.approx(2.5)
+            assert d_out[k] == pytest.approx(2.5)
         else:
-            assert normal_distance(mesh, int(i), int(k)) == pytest.approx(0.25)
+            assert d_in[k] == pytest.approx(0.25)
 
 
 def test_cell_index_order():
@@ -104,10 +113,10 @@ def test_closed_surface_identity():
     mesh = build_cartesian(3, 3, 3, lengths=(2.0, 1.0, 0.5))
     for c in range(mesh.n_cells):
         acc = np.zeros(3)
-        for k, eps in mesh.cell_faces(c):
+        for k, eps in cell_faces(mesh, c):
             acc += eps * mesh.face_areas[k] * mesh.face_normals[k]
         assert np.linalg.norm(acc) <= 1e-12 * sum(
-            mesh.face_areas[k] for k, _ in mesh.cell_faces(c)
+            mesh.face_areas[k] for k, _ in cell_faces(mesh, c)
         )
 
 
@@ -126,11 +135,22 @@ def test_rejects_negative_length():
         build_cartesian(2, 2, 2, lengths=(1.0, -1.0, 1.0))
 
 
-def test_normal_distance_rejects_non_adjacent():
+def test_validate_catches_nonpositive_normal_distance():
+    # cell 0's center moved past its +x face: delta_ik <= 0 on that face
     mesh = build_cartesian(3, 1, 1)
-    far_face = [k for k, _ in mesh.cell_faces(2)][0]
-    with pytest.raises(GeometryError):
-        normal_distance(mesh, 0, far_face)
+    mesh.cell_centers[0, 0] += 1.0
+    with pytest.raises(GeometryError, match="normal distance"):
+        mesh.validate()
+
+
+def test_per_cell_broadcast():
+    assert np.array_equal(per_cell(2, 3), [2.0, 2.0, 2.0])
+    values = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(per_cell(values, 3), values)
+    assert per_cell([1, 2, 3], 3).dtype == float
+    for bad in (np.ones(2), np.ones((3, 1)), np.ones(1)):
+        with pytest.raises(ValueError, match="expected scalar or"):
+            per_cell(bad, 3)
 
 
 def test_barrier_smallest_split():
@@ -207,7 +227,9 @@ def test_geometry_properties(nx, ny, nz, lx, ly, lz):
     mesh = build_cartesian(nx, ny, nz, lengths=(lx, ly, lz))
     interior, boundary = _expected_face_count(nx, ny, nz)
     assert mesh.n_faces == interior + boundary
-    # delta_ik + delta_jk equals the center-to-center distance along n
+    # delta_ik + delta_jk equals the center-to-center distance along n, and
+    # the vectorized distances match the scalar oracle face by face
+    d_in, d_out = face_normal_distances(mesh)
     for k in mesh.interior_faces:
         i, j = mesh.face_cells[k]
         gap = abs(
@@ -215,4 +237,5 @@ def test_geometry_properties(nx, ny, nz, lx, ly, lz):
         )
         total = normal_distance(mesh, int(i), int(k)) + normal_distance(mesh, int(j), int(k))
         assert total == pytest.approx(gap, rel=1e-12)
+        assert d_in[k] + d_out[k] == pytest.approx(total, rel=1e-12)
     mesh.validate()

@@ -13,11 +13,9 @@ from biotfv.mesh import build_barrier_mesh, build_cartesian
 from biotfv.tpfa import (
     FlowProperties,
     FlowSources,
-    FlowState,
     FlowSystem,
     assemble_flow,
     effective_conductivity,
-    step_flow,
 )
 
 
@@ -85,19 +83,17 @@ def test_step_two_cell_oracle():
     # acc|cell|/dt = 1 each, T = 1, dp_old = (1, 0) -> (2/3, 1/3)
     mesh = build_cartesian(2, 1, 1)
     props = FlowProperties(perm=0.5, viscosity=1.0, c0=2.0)
-    state = FlowState(dp=np.array([1.0, 0.0]))
-    new = step_flow(mesh, state, 1.0, FlowSources(), props)
-    assert np.allclose(new.dp, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-13)
-    assert new.t == pytest.approx(1.0)
+    new = FlowSystem(mesh, props, 1.0).step(np.array([1.0, 0.0]), FlowSources())
+    assert np.allclose(new, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-13)
 
 
 def test_equilibrium_preserved():
     mesh = build_cartesian(3, 2, 2)
     props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=1e-8)
     dp = np.full(mesh.n_cells, 3.25e4)
-    new = step_flow(mesh, FlowState(dp=dp), 86400.0, FlowSources(), props)
+    new = FlowSystem(mesh, props, 86400.0).step(dp, FlowSources())
     # tolerance reflects the conditioning of the storage-vs-flux scales
-    assert np.allclose(new.dp, dp, rtol=1e-9)
+    assert np.allclose(new, dp, rtol=1e-9)
 
 
 def test_single_cell_well_closed_form():
@@ -105,10 +101,9 @@ def test_single_cell_well_closed_form():
     c0, sb, q, dt = 1e-8, 2e-9, 5e-4, 3600.0
     props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=c0, biot_storage=sb)
     sources = FlowSources(wells=[(0, q)])
-    state = FlowState(dp=np.zeros(1))
     system = FlowSystem(mesh, props, dt)
     expected_increment = q * dt / (8.0 * (c0 + sb))
-    dp = system.step(state.dp, sources)
+    dp = system.step(np.zeros(1), sources)
     assert dp[0] == pytest.approx(expected_increment, rel=1e-13)
     dp = system.step(dp, sources)
     assert dp[0] == pytest.approx(2 * expected_increment, rel=1e-13)

@@ -3,24 +3,23 @@
 The 2-cell operator is checked entrywise against an independent scalar
 hand assembly (tests/oracles.py), the vectorized assembly against a
 brute-force local-to-global construction, and the kernel and covariance
-properties against closed-form expectations.
+properties against closed-form expectations.  Face stencils are read from
+the per-face coefficient arrays the assembly itself uses.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hand_assembled_two_cell
+from oracles import cell_faces, hand_assembled_two_cell, local_face_operator
 
-from biotfv.mesh import build_cartesian
+from biotfv.mesh import build_cartesian, per_cell
 from biotfv.tpsa import (
-    BoundaryKind,
     ElasticProperties,
     MechBoundary,
+    _stencil_arrays,
     assemble_rhs,
     assemble_tpsa,
-    face_stencil,
-    local_face_operator,
     mean_shear_modulus,
     recover_duals,
     skew,
@@ -73,69 +72,75 @@ def test_skew_is_cross_product(a, b):
 # ---------------------------------------------------------- face stencils
 
 
+def _stencil(mesh, face, props):
+    """Stencil coefficients of one face, indexed from the per-face arrays."""
+    return {key: float(value[face]) for key, value in _stencil_arrays(mesh, props).items()}
+
+
 def test_interior_stencil_uniform():
     mesh = build_cartesian(2, 1, 1)
     props = _props(mesh, mu=1.0)
     k = int(mesh.interior_faces[0])
-    st_ = face_stencil(mesh, k, props)
-    assert st_.w_in == pytest.approx(0.25)
-    assert st_.w_out == pytest.approx(0.25)
-    assert st_.mu_eff == pytest.approx(1.0)
-    assert st_.delta_total == pytest.approx(0.5)
-    assert st_.stab_weight == pytest.approx(0.5 * 0.25 * 0.25 * 1.0)
-    assert st_.xi_tilde == pytest.approx((0.5, 0.5))
-    assert st_.xi == pytest.approx((0.5, 0.5))
-    assert st_.grad_u_coeff == pytest.approx(4.0)
-    assert st_.grad_p_coeff == pytest.approx(0.0625)
+    st_ = _stencil(mesh, k, props)
+    assert st_["w_in"] == pytest.approx(0.25)
+    assert st_["w_out"] == pytest.approx(0.25)
+    assert st_["mu_eff"] == pytest.approx(1.0)
+    assert st_["delta_total"] == pytest.approx(0.5)
+    assert st_["stab_weight"] == pytest.approx(0.5 * 0.25 * 0.25 * 1.0)
+    assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.5, 0.5))
+    assert (st_["b_in"], st_["b_out"]) == pytest.approx((0.5, 0.5))
+    assert st_["g_u"] == pytest.approx(4.0)
+    assert st_["g_p"] == pytest.approx(0.0625)
 
 
 def test_interior_stencil_heterogeneous():
     # mu = (1, 3), equal distances: weighted harmonic average 1.5
     mesh = build_cartesian(2, 1, 1)
     props = _props(mesh, mu=np.array([1.0, 3.0]))
-    st_ = face_stencil(mesh, int(mesh.interior_faces[0]), props)
-    assert st_.w_in == pytest.approx(0.25)
-    assert st_.w_out == pytest.approx(0.25 / 3.0)
-    assert st_.mu_eff == pytest.approx(1.5)
+    st_ = _stencil(mesh, int(mesh.interior_faces[0]), props)
+    assert st_["w_in"] == pytest.approx(0.25)
+    assert st_["w_out"] == pytest.approx(0.25 / 3.0)
+    assert st_["mu_eff"] == pytest.approx(1.5)
     # own-weight average leans toward the larger w
-    assert st_.xi_tilde == pytest.approx((0.75, 0.25))
-    assert st_.xi == pytest.approx((0.25, 0.75))
-    assert sum(st_.xi_tilde) == pytest.approx(1.0)
-    assert sum(st_.xi) == pytest.approx(1.0)
+    assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.75, 0.25))
+    assert (st_["b_in"], st_["b_out"]) == pytest.approx((0.25, 0.75))
+    assert st_["at_in"] + st_["at_out"] == pytest.approx(1.0)
+    assert st_["b_in"] + st_["b_out"] == pytest.approx(1.0)
 
 
 def test_fixed_boundary_stencil():
     mesh = build_cartesian(1, 1, 1)
     props = _props(mesh, mu=2.0)
     k = int(mesh.boundary_faces[0])
-    st_ = face_stencil(mesh, k, props)
-    assert st_.w_out == 0.0
-    assert st_.xi_tilde == pytest.approx((1.0, 0.0))  # takes the inside value
-    assert st_.xi == pytest.approx((0.0, 1.0))  # takes the outside value 0
-    assert st_.mu_eff == pytest.approx(2.0)
-    assert st_.stab_weight == 0.0
-    assert st_.grad_u_coeff == pytest.approx(2.0 * 2.0 / 0.5)
-    assert st_.grad_p_coeff == 0.0
+    st_ = _stencil(mesh, k, props)
+    assert st_["w_out"] == 0.0
+    # avg~ takes the inside value, avg the outside value 0
+    assert (st_["at_in"], st_["at_out"]) == pytest.approx((1.0, 0.0))
+    assert (st_["b_in"], st_["b_out"]) == pytest.approx((0.0, 1.0))
+    assert st_["mu_eff"] == pytest.approx(2.0)
+    assert st_["stab_weight"] == 0.0
+    assert st_["g_u"] == pytest.approx(2.0 * 2.0 / 0.5)
+    assert st_["g_p"] == 0.0
 
 
 def test_free_boundary_stencil():
     mesh = build_cartesian(1, 1, 1)
     props = _props(mesh, mu=2.0, boundary="free")
-    st_ = face_stencil(mesh, int(mesh.boundary_faces[0]), props)
-    assert np.isinf(st_.w_out)
-    assert st_.xi_tilde == pytest.approx((0.0, 1.0))
-    assert st_.xi == pytest.approx((1.0, 0.0))
-    assert st_.grad_u_coeff == 0.0
-    assert st_.grad_p_coeff == pytest.approx(0.5 * st_.w_in)
+    st_ = _stencil(mesh, int(mesh.boundary_faces[0]), props)
+    assert np.isinf(st_["w_out"])
+    assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.0, 1.0))
+    assert (st_["b_in"], st_["b_out"]) == pytest.approx((1.0, 0.0))
+    assert st_["g_u"] == 0.0
+    assert st_["g_p"] == pytest.approx(0.5 * st_["w_in"])
 
 
 def test_robin_boundary_stencil():
     mesh = build_cartesian(1, 1, 1)
     props = _props(mesh, mu=1.0, boundary="robin", delta=0.1, mu_r=2.0)
-    st_ = face_stencil(mesh, int(mesh.boundary_faces[0]), props)
-    assert st_.w_out == pytest.approx(0.05)
-    assert st_.delta_total == pytest.approx(0.6)
-    assert sum(st_.xi) == pytest.approx(1.0)
+    st_ = _stencil(mesh, int(mesh.boundary_faces[0]), props)
+    assert st_["w_out"] == pytest.approx(0.05)
+    assert st_["delta_total"] == pytest.approx(0.6)
+    assert st_["b_in"] + st_["b_out"] == pytest.approx(1.0)
 
 
 def test_stabilization_scales_with_h_squared():
@@ -143,9 +148,9 @@ def test_stabilization_scales_with_h_squared():
     fine = build_cartesian(4, 4, 4)
     pc = _props(coarse)
     pf = _props(fine)
-    sc = face_stencil(coarse, int(coarse.interior_faces[0]), pc)
-    sf = face_stencil(fine, int(fine.interior_faces[0]), pf)
-    assert sf.stab_weight == pytest.approx(sc.stab_weight / 4.0, rel=1e-12)
+    sc = _stencil(coarse, int(coarse.interior_faces[0]), pc)
+    sf = _stencil(fine, int(fine.interior_faces[0]), pf)
+    assert sf["stab_weight"] == pytest.approx(sc["stab_weight"] / 4.0, rel=1e-12)
 
 
 # ------------------------------------------------------ local operators
@@ -199,7 +204,7 @@ def test_local_operator_zero_state():
 def _global_from_local(mesh, props):
     """Brute-force reference: scatter local face operators plus mass."""
     n = mesh.n_cells
-    mu, lam = props.per_cell(mesh)
+    mu, lam = per_cell(props.mu, n), per_cell(props.lam, n)
     M = np.zeros((7 * n, 7 * n))
 
     def dofs(cell):
@@ -341,6 +346,13 @@ def test_mean_shear_modulus():
     assert mean_shear_modulus(mesh, props) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("field", ["mu", "lam"])
+def test_elastic_properties_reject_nonpositive_lame(field):
+    mesh = build_cartesian(2, 1, 1)
+    with pytest.raises(ValueError, match="Lame parameters must be positive"):
+        _props(mesh, **{field: np.array([1.0, 0.0])})
+
+
 # ------------------------------------------------------- dual recovery
 
 
@@ -366,7 +378,7 @@ def test_recover_duals_translation_closed_surface():
     for cell in range(n):
         acc_tau = np.zeros(3)
         acc_v = 0.0
-        for k, eps in mesh.cell_faces(cell):
+        for k, eps in cell_faces(mesh, cell):
             acc_tau += eps * duals.tau[k]
             acc_v += eps * duals.v[k]
         assert np.allclose(acc_tau, 0.0, atol=1e-12)
@@ -381,7 +393,7 @@ def test_recover_duals_consistent_with_assembly():
     x = rng.standard_normal(7 * mesh.n_cells)
     duals = recover_duals(mesh, props, x)
     n = mesh.n_cells
-    mu, lam = props.per_cell(mesh)
+    mu, lam = per_cell(props.mu, n), per_cell(props.lam, n)
     flux = system.matrix @ x
     # subtract mass terms to isolate the dual sums
     for c in range(3):
@@ -390,7 +402,7 @@ def test_recover_duals_consistent_with_assembly():
     scale = np.abs(flux).max()
     for cell in range(n):
         acc = np.zeros(7)
-        for k, eps in mesh.cell_faces(cell):
+        for k, eps in cell_faces(mesh, cell):
             acc[0:3] += eps * duals.sigma[k]
             acc[3:6] += eps * duals.tau[k]
             acc[6] += eps * duals.v[k]
