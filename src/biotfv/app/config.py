@@ -36,7 +36,6 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "serialize_config",
-    "write_config",
 ]
 
 DARCY = 9.869233e-13  # m^2
@@ -85,7 +84,7 @@ _ALLOWED_KEYS = {
     "boundaries": set(_SIDE_NAMES) | {"mechanics", "robin_delta", "robin_mu"},
     "time": {"dt", "n_steps", "t0"},
     "scheme": {"kind", "tol", "max_iter", "anderson_m0"},
-    "solver": {"rtol", "max_iter", "direct_threshold", "method"},
+    "solver": {"rtol", "max_iter", "method"},
     "output": {"directory", "vtk", "csv"},
 }
 _WELL_KEYS = {"cell", "rate", "start", "stop"}
@@ -161,11 +160,11 @@ class BoundarySpec:
             for name, kind in self.sides.items():
                 sel = bdry[side_of == _SIDE_NAMES.index(name)]
                 kinds[sel] = int(_BOUNDARY_KINDS[kind])
-        if np.any(kinds == BoundaryKind.ROBIN) and (
-            self.robin_delta <= 0 or self.robin_mu <= 0
+        if np.any(kinds == BoundaryKind.ROBIN) and not all(
+            math.isfinite(v) and v > 0 for v in (self.robin_delta, self.robin_mu)
         ):
             raise ConfigurationError(
-                "Robin boundaries need positive robin_delta and robin_mu"
+                "Robin boundaries need finite, positive robin_delta and robin_mu"
             )
         boundary = MechBoundary(
             kind=kinds,
@@ -279,19 +278,17 @@ def _key_lines(text: str) -> dict[tuple[str | None, str | None], int]:
 
 
 class _SectionReader:
-    """One section's key-value view with consumption tracking."""
+    """One section's key-value view with typed accessors."""
 
     def __init__(self, section: str, items: dict[str, str], lines):
         self.section = section
         self.items = items
         self.lines = lines
-        self.seen: set[str] = set()
 
     def line(self, key: str) -> int | None:
         return self.lines.get((self.section, key))
 
     def raw(self, key: str, default: str | None = None) -> str | None:
-        self.seen.add(key)
         return self.items.get(key, default)
 
     def require(self, key: str) -> str:
@@ -478,7 +475,6 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
     solver = SolverOptions(
         rtol=solver_r.quantity("rtol", "dimensionless", 1e-5),
         max_iter=solver_r.integer("max_iter", 500),
-        direct_threshold=solver_r.integer("direct_threshold", 30_000),
         method=method,
     )
 
@@ -614,7 +610,6 @@ def serialize_config(config: CaseConfig) -> str:
         [
             ("rtol", _fmt(config.solver.rtol)),
             ("max_iter", config.solver.max_iter),
-            ("direct_threshold", config.solver.direct_threshold),
             ("method", config.solver.method),
         ],
     )
@@ -637,7 +632,3 @@ def serialize_config(config: CaseConfig) -> str:
         ]
         section(f"well.{well.name}", pairs)
     return out.getvalue()
-
-
-def write_config(path, config: CaseConfig) -> None:
-    Path(path).write_text(serialize_config(config))

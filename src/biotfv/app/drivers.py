@@ -20,6 +20,7 @@ from ..coupling import (
 )
 from ..errors import ConfigurationError
 from ..mesh import Mesh, build_cartesian
+from ..tpsa import assemble_tpsa
 from .config import CaseConfig, SchemeSpec
 from .output import dump_matrix, save_source_history, write_csv, write_vtk
 
@@ -135,8 +136,8 @@ def run_case(
         write_vtk(vtk_path, case.mesh, result.final, title=name)
         paths.append(vtk_path)
     if dump_system:
-        engine = CoupledSystem(case, config.solver)
-        paths += dump_matrix(out / f"{name}_mech", engine.system.matrix)
+        system = assemble_tpsa(case.mesh, case.props.elastic_properties(case.mesh))
+        paths += dump_matrix(out / f"{name}_mech", system.matrix)
     return RunArtifacts(case=case, result=result, mass_defect=mass, paths=paths)
 
 

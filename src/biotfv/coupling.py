@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .linsolve.precond import SolveReport, SolverOptions, TpsaSolver
+from .linsolve.krylov import SolveReport
+from .linsolve.precond import SolverOptions, TpsaSolver
 from .mesh import Mesh, per_cell
 from .tpfa import FlowProperties, FlowSources, FlowSystem
 from .tpsa import (
@@ -118,6 +119,12 @@ class Well:
     rate: float  # m^3/s
     t_start: float = 0.0
     t_end: float = math.inf
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rate) and math.isfinite(self.t_start)):
+            raise ConfigurationError("well rate and start time must be finite")
+        if math.isnan(self.t_end):
+            raise ConfigurationError("well stop time must not be NaN")
 
     def active_at(self, t: float) -> bool:
         # backward Euler evaluates sources at the end of the step; a small
@@ -230,7 +237,6 @@ class SimulationResult:
     states: list[BiotState]
     history: SourceHistory
     report: CouplingReport
-    mech_reports: list[SolveReport] = field(default_factory=list)
 
     @property
     def final(self) -> BiotState:
@@ -352,7 +358,6 @@ class EvalResult:
     psi: np.ndarray  # F(psi_in), shape (N, n)
     p_hat: np.ndarray  # effective pressure trajectory, shape (N+1, n)
     states: list[BiotState]
-    mech_reports: list[SolveReport]
 
 
 class CoupledSystem:
@@ -391,7 +396,7 @@ class CoupledSystem:
             x0 = self._mech_warm[step - 1]
         report = self.mech.solve(rhs, x0=x0)
         self._mech_warm[step] = report.x
-        u, r, p_hat = self.mech.rescaled.system.split(report.x)
+        u, r, p_hat = self.system.split(report.x)
         state = BiotState(
             dp=dp.copy(), u=u, r=r, p_hat=p_hat, t=case.time.times[step]
         )
@@ -406,17 +411,15 @@ class CoupledSystem:
         p_hat = np.zeros((n_steps + 1, self.n_cells))
         p_hat[0] = initial.p_hat
         states = [initial]
-        reports = []
         for i in range(1, n_steps + 1):
             try:
-                state, report = self.mech_solve(dp[i], i)
+                state, _ = self.mech_solve(dp[i], i)
             except SolverError as err:
                 raise SolverError(
                     f"mechanics solve failed at step {i}: {err}", trace=err.trace
                 ) from err
             p_hat[i] = state.p_hat
             states.append(state)
-            reports.append(report)
         new_psi = np.stack(
             [
                 flow_source_from_mech(
@@ -425,9 +428,7 @@ class CoupledSystem:
                 for i in range(1, n_steps + 1)
             ]
         )
-        return EvalResult(
-            psi=new_psi, p_hat=p_hat, states=states, mech_reports=reports
-        )
+        return EvalResult(psi=new_psi, p_hat=p_hat, states=states)
 
     def weighted_norm(self, psi: np.ndarray) -> float:
         """Space-time L2 norm with cell-volume and time-step weights."""
@@ -451,7 +452,6 @@ def run_lagged(
     states = [initial]
     psi_hist = np.zeros((n_steps, n))
     p_hat_hist = np.zeros((n_steps, n))
-    reports = []
     dp_prev = initial.dp
     p_hat_two_back = initial.p_hat  # p_hat(t_{-1}) := p_hat(t_0)
     p_hat_back = initial.p_hat
@@ -461,13 +461,12 @@ def run_lagged(
         )
         try:
             dp = engine.flow.step(dp_prev, case.flow_sources_at(times[i], psi))
-            state, report = engine.mech_solve(dp, i)
+            state, _ = engine.mech_solve(dp, i)
         except SolverError as err:
             raise SolverError(
                 f"step {i} of the lagged scheme failed: {err}", trace=err.trace
             ) from err
         states.append(state)
-        reports.append(report)
         psi_hist[i - 1] = psi
         p_hat_hist[i - 1] = state.p_hat
         dp_prev = dp
@@ -476,7 +475,6 @@ def run_lagged(
         states=states,
         history=SourceHistory(psi=psi_hist, p_hat=p_hat_hist),
         report=CouplingReport(scheme="lagged"),
-        mech_reports=reports,
     )
 
 
@@ -497,8 +495,8 @@ def run_fixed_stress(
     evaluation at an (almost) fixed psi.  anderson_m0 = 0 keeps the plain
     iteration; anderson_m0 >= 1 mixes previous images.
     """
-    if tol <= 0:
-        raise ConfigurationError("fixed-stress tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigurationError("fixed-stress tolerance must be positive and finite")
     if max_iter < 1:
         raise ConfigurationError("fixed-stress iteration cap must be at least 1")
     engine = CoupledSystem(case, solver)
@@ -533,7 +531,6 @@ def run_fixed_stress(
         states=result.states,
         history=SourceHistory(psi=result.psi, p_hat=result.p_hat[1:]),
         report=report,
-        mech_reports=result.mech_reports,
     )
 
 

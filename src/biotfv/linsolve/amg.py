@@ -4,13 +4,13 @@ Classical SA setup: strength-of-connection filtering, greedy aggregation,
 a piecewise-constant tentative prolongator smoothed by one damped-Jacobi
 step, and Galerkin coarse operators.  The cycle is V(1,1) with a forward
 Gauss-Seidel pre-smoother and a backward post-smoother, so the cycle
-operator is symmetric for symmetric matrices.  Setup and solve are fully
+operator is symmetric for symmetric matrices.  Setup and cycle are fully
 deterministic (fixed-seed power iteration, index-ordered aggregation).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,13 +19,11 @@ from scipy.sparse.linalg import spsolve_triangular
 from ..errors import SolverError
 
 
-@dataclass
-class AmgOptions:
-    strength_threshold: float = 0.25
-    max_coarse: int = 64
-    max_levels: int = 25
-    power_iterations: int = 15
-    jacobi_damping: float = 2.0 / 3.0
+STRENGTH_THRESHOLD = 0.25
+MAX_COARSE = 64  # rows at which coarsening stops
+MAX_LEVELS = 25
+POWER_ITERATIONS = 15
+JACOBI_DAMPING = 2.0 / 3.0
 
 
 def strength_graph(matrix: sp.csr_matrix, threshold: float) -> sp.csr_matrix:
@@ -132,9 +130,11 @@ def smoothed_prolongator(
 
 @dataclass
 class AmgLevel:
+    """One level; the coarsest keeps only its matrix."""
+
     matrix: sp.csr_matrix
-    lower: sp.csr_matrix  # tril(A), Gauss-Seidel forward sweep
-    upper: sp.csr_matrix  # triu(A), backward sweep
+    lower: sp.csr_matrix | None = None  # tril(A), Gauss-Seidel forward sweep
+    upper: sp.csr_matrix | None = None  # triu(A), backward sweep
     prolongator: sp.csr_matrix | None = None
     restriction: sp.csr_matrix | None = None
 
@@ -143,13 +143,13 @@ class AmgLevel:
 class AmgHierarchy:
     levels: list[AmgLevel]
     coarse_inverse: np.ndarray
-    options: AmgOptions = field(default_factory=AmgOptions)
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
 
     def vcycle(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+        """One V-cycle from x0; from zero it is the preconditioner action."""
         x = np.zeros_like(rhs) if x0 is None else x0.copy()
         return self._cycle(0, rhs, x)
 
@@ -164,54 +164,22 @@ class AmgHierarchy:
         x += spsolve_triangular(level.upper, rhs - level.matrix @ x, lower=False)
         return x
 
-    def apply(self, residual: np.ndarray) -> np.ndarray:
-        """Preconditioner action: one V-cycle from a zero initial guess."""
-        return self.vcycle(residual)
 
-    def solve(
-        self,
-        rhs: np.ndarray,
-        rtol: float = 1e-8,
-        max_cycles: int = 100,
-        x0: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[float]]:
-        matrix = self.levels[0].matrix
-        x = np.zeros_like(rhs) if x0 is None else x0.copy()
-        norm0 = np.linalg.norm(rhs - matrix @ x)
-        trace = [norm0]
-        if norm0 == 0.0:
-            return x, trace
-        for _ in range(max_cycles):
-            x = self._cycle(0, rhs, x)
-            res = np.linalg.norm(rhs - matrix @ x)
-            trace.append(res)
-            if res <= rtol * norm0:
-                return x, trace
-        raise SolverError(
-            f"multigrid stalled at relative residual {trace[-1] / norm0:.3e} "
-            f"after {max_cycles} cycles",
-            trace=trace,
-        )
-
-
-def build_amg(matrix: sp.spmatrix, options: AmgOptions | None = None) -> AmgHierarchy:
-    options = options or AmgOptions()
+def build_amg(matrix: sp.spmatrix) -> AmgHierarchy:
     current = sp.csr_matrix(matrix)
     current.sort_indices()
     levels: list[AmgLevel] = []
-    while (
-        current.shape[0] > options.max_coarse and len(levels) < options.max_levels - 1
-    ):
+    while current.shape[0] > MAX_COARSE and len(levels) < MAX_LEVELS - 1:
         diag = current.diagonal()
         if np.any(diag == 0.0):
             raise SolverError("zero diagonal entry, cannot smooth")
         inv_diag = 1.0 / diag
-        strength = aggregation_graph(current, options.strength_threshold)
+        strength = aggregation_graph(current, STRENGTH_THRESHOLD)
         assign, n_agg = aggregate(strength)
         if n_agg >= current.shape[0]:
             break  # no reduction possible, treat this level as coarsest
-        rho = estimate_spectral_radius(current, inv_diag, options.power_iterations)
-        omega = options.jacobi_damping / rho
+        rho = estimate_spectral_radius(current, inv_diag, POWER_ITERATIONS)
+        omega = JACOBI_DAMPING / rho
         tentative = tentative_prolongator(assign, n_agg)
         prolongator = smoothed_prolongator(current, tentative, omega, inv_diag)
         restriction = prolongator.T.tocsr()
@@ -226,13 +194,7 @@ def build_amg(matrix: sp.spmatrix, options: AmgOptions | None = None) -> AmgHier
         )
         current = (restriction @ levels[-1].matrix @ prolongator).tocsr()
         current.sort_indices()
-    levels.append(
-        AmgLevel(
-            matrix=current,
-            lower=sp.tril(current, format="csr"),
-            upper=sp.triu(current, format="csr"),
-        )
-    )
+    levels.append(AmgLevel(matrix=current))
     # pseudo-inverse tolerates the singular modes of pure traction problems
     coarse_inverse = np.linalg.pinv(current.toarray())
-    return AmgHierarchy(levels=levels, coarse_inverse=coarse_inverse, options=options)
+    return AmgHierarchy(levels=levels, coarse_inverse=coarse_inverse)

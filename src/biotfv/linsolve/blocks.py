@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix, diags
 
 from ..errors import ConfigurationError
 
-__all__ = ["SparseBlockSystem", "RescaledSystem", "rescale"]
+__all__ = ["SparseBlockSystem", "rescale"]
 
 
 @dataclass
@@ -54,9 +54,6 @@ class SparseBlockSystem:
         r = np.stack([x[self.field_slice(3 + c)] for c in range(3)], axis=1)
         return u, r, x[6 * n :].copy()
 
-    def join(self, u: np.ndarray, r: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.concatenate([u[:, 0], u[:, 1], u[:, 2], r[:, 0], r[:, 1], r[:, 2], p])
-
     # block views used by the triangular preconditioner
 
     @cached_property
@@ -89,28 +86,16 @@ class SparseBlockSystem:
         return self.matrix[6 * n :, : 3 * n].tocsr()
 
 
-@dataclass
-class RescaledSystem:
-    """Symmetric diagonal rescaling M~ = L M L with L built from mu0.
+def rescale(
+    system: SparseBlockSystem, mu0: float
+) -> tuple[SparseBlockSystem, np.ndarray]:
+    """Symmetric diagonal rescaling M~ = L M L, so the diagonal blocks no
+    longer carry the modulus scale.
 
     Displacement dofs are scaled by mu0^(-1/2), rotation and pressure dofs
-    by mu0^(+1/2).  Solutions of the scaled system map back through
-    x = L x~, right-hand sides through b~ = L b.
+    by mu0^(+1/2).  Returns the scaled system and the diagonal of L:
+    right-hand sides map as b~ = L b and solutions back as x = L x~.
     """
-
-    system: SparseBlockSystem
-    scale: np.ndarray
-    mu0: float
-
-    def scale_rhs(self, b: np.ndarray) -> np.ndarray:
-        return self.scale * b
-
-    def unscale_solution(self, x_tilde: np.ndarray) -> np.ndarray:
-        return self.scale * x_tilde
-
-
-def rescale(system: SparseBlockSystem, mu0: float) -> RescaledSystem:
-    """Rescale so the diagonal blocks no longer carry the modulus scale."""
     if mu0 <= 0:
         raise ConfigurationError("average shear modulus must be positive")
     n = system.n_cells
@@ -123,4 +108,4 @@ def rescale(system: SparseBlockSystem, mu0: float) -> RescaledSystem:
         rhs=scale * system.rhs,
         n_cells=n,
     )
-    return RescaledSystem(system=scaled, scale=scale, mu0=float(mu0))
+    return scaled, scale

@@ -8,7 +8,7 @@ the solve fails with its trace attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,9 +26,16 @@ def _as_matvec(operator):
 
 
 @dataclass
-class KrylovResult:
+class SolveReport:
+    """One solve's solution and residual trace.
+
+    method is "bicgstab" (trace: residual norm per iteration) or "direct"
+    (trace: the single relative residual of the LU solve).
+    """
+
     x: np.ndarray
-    trace: list[float] = field(default_factory=list)
+    method: str
+    trace: list[float]
     restarted: bool = False
 
     @property
@@ -43,7 +50,7 @@ def bicgstab(
     rtol: float = 1e-5,
     max_iter: int = 500,
     x0: np.ndarray | None = None,
-) -> KrylovResult:
+) -> SolveReport:
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
     matvec = _as_matvec(operator)
@@ -52,12 +59,12 @@ def bicgstab(
     norm_b = np.linalg.norm(rhs)
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
     if norm_b == 0.0:
-        return KrylovResult(x=np.zeros_like(rhs), trace=[0.0])
+        return SolveReport(x=np.zeros_like(rhs), method="bicgstab", trace=[0.0])
 
     r = rhs - matvec(x)
     trace = [float(np.linalg.norm(r))]
     if trace[0] <= rtol * norm_b:
-        return KrylovResult(x=x, trace=trace)
+        return SolveReport(x=x, method="bicgstab", trace=trace)
 
     shadow = r.copy()
     rho = alpha = omega = 1.0
@@ -114,7 +121,7 @@ def bicgstab(
         x = x + alpha * p_hat
         trace.append(float(np.linalg.norm(s)))
         if trace[-1] <= rtol * norm_b and converged():
-            return KrylovResult(x=x, trace=trace, restarted=restarted)
+            return SolveReport(x=x, method="bicgstab", trace=trace, restarted=restarted)
         s_hat = apply_m(s)
         t = matvec(s_hat)
         tt = float(t @ t)
@@ -126,7 +133,7 @@ def bicgstab(
         r = s - omega * t
         trace[-1] = float(np.linalg.norm(r))
         if trace[-1] <= rtol * norm_b and converged():
-            return KrylovResult(x=x, trace=trace, restarted=restarted)
+            return SolveReport(x=x, method="bicgstab", trace=trace, restarted=restarted)
 
     raise SolverError(
         f"no convergence in {max_iter} iterations "

@@ -10,15 +10,20 @@ action is composed from the stored blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from ..errors import ConfigurationError
-from .amg import AmgHierarchy, AmgOptions, build_amg
-from .blocks import RescaledSystem, SparseBlockSystem, rescale
-from .krylov import KrylovResult, bicgstab
+from .amg import AmgHierarchy, build_amg
+from .blocks import SparseBlockSystem, rescale
+from .krylov import SolveReport, bicgstab
+
+# systems with at most this many unknowns are factored, larger ones go
+# through the preconditioned Krylov solve (method "auto")
+DIRECT_THRESHOLD = 30_000
 
 
 @dataclass
@@ -31,9 +36,7 @@ class BlockTriangularPreconditioner:
     pressure_displacement: "object"
 
     @classmethod
-    def from_system(
-        cls, system: SparseBlockSystem, amg_options: AmgOptions | None = None
-    ) -> "BlockTriangularPreconditioner":
+    def from_system(cls, system: SparseBlockSystem) -> "BlockTriangularPreconditioner":
         rotation_diagonal = system.rotation_diagonal
         if np.any(rotation_diagonal == 0.0):
             raise ConfigurationError(
@@ -43,10 +46,10 @@ class BlockTriangularPreconditioner:
         return cls(
             n_cells=system.n_cells,
             displacement_hierarchies=[
-                build_amg(block, amg_options) for block in system.displacement_blocks
+                build_amg(block) for block in system.displacement_blocks
             ],
             rotation_diagonal=rotation_diagonal,
-            pressure_hierarchy=build_amg(system.pressure_block, amg_options),
+            pressure_hierarchy=build_amg(system.pressure_block),
             rotation_displacement=system.rotation_displacement_block,
             pressure_displacement=system.pressure_displacement_block,
         )
@@ -56,12 +59,12 @@ class BlockTriangularPreconditioner:
         r_u, r_r, r_p = residual[: 3 * n], residual[3 * n : 6 * n], residual[6 * n :]
         y_u = np.concatenate(
             [
-                hier.apply(r_u[c * n : (c + 1) * n])
+                hier.vcycle(r_u[c * n : (c + 1) * n])
                 for c, hier in enumerate(self.displacement_hierarchies)
             ]
         )
         y_r = (r_r - self.rotation_displacement @ y_u) / self.rotation_diagonal
-        y_p = self.pressure_hierarchy.apply(r_p - self.pressure_displacement @ y_u)
+        y_p = self.pressure_hierarchy.vcycle(r_p - self.pressure_displacement @ y_u)
         return np.concatenate([y_u, y_r, y_p])
 
 
@@ -69,21 +72,7 @@ class BlockTriangularPreconditioner:
 class SolverOptions:
     rtol: float = 1e-5
     max_iter: int = 500
-    direct_threshold: int = 30_000
     method: str = "auto"  # auto | direct | iterative
-    amg: AmgOptions = field(default_factory=AmgOptions)
-
-
-@dataclass
-class SolveReport:
-    x: np.ndarray
-    method: str
-    trace: list[float]
-    restarted: bool = False
-
-    @property
-    def iterations(self) -> int:
-        return len(self.trace) - 1
 
 
 class TpsaSolver:
@@ -100,48 +89,41 @@ class TpsaSolver:
         mu0: float,
         options: SolverOptions | None = None,
     ):
-        self.options = options or SolverOptions()
-        if self.options.method not in ("auto", "direct", "iterative"):
-            raise ConfigurationError(f"unknown solver method '{self.options.method}'")
-        self.rescaled: RescaledSystem = rescale(system, mu0)
-        if self.options.method == "direct":
-            self.direct = True
-        elif self.options.method == "iterative":
-            self.direct = False
+        self.options = options = options or SolverOptions()
+        if options.method not in ("auto", "direct", "iterative"):
+            raise ConfigurationError(f"unknown solver method '{options.method}'")
+        if not (math.isfinite(options.rtol) and options.rtol > 0):
+            raise ConfigurationError("solver rtol must be positive and finite")
+        if options.max_iter < 1:
+            raise ConfigurationError("solver max_iter must be at least 1")
+        self.scaled, self.scale = rescale(system, mu0)
+        if options.method == "auto":
+            self.direct = system.n_dof <= DIRECT_THRESHOLD
         else:
-            self.direct = system.n_dof <= self.options.direct_threshold
+            self.direct = options.method == "direct"
         if self.direct:
-            self._lu = splu(self.rescaled.system.matrix.tocsc())
+            self._lu = splu(self.scaled.matrix.tocsc())
             self._precond = None
         else:
             self._lu = None
-            self._precond = BlockTriangularPreconditioner.from_system(
-                self.rescaled.system, self.options.amg
-            )
+            self._precond = BlockTriangularPreconditioner.from_system(self.scaled)
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> SolveReport:
-        scaled_rhs = self.rescaled.scale_rhs(rhs)
+        scaled_rhs = self.scale * rhs
         if self.direct:
             x_tilde = self._lu.solve(scaled_rhs)
-            x = self.rescaled.unscale_solution(x_tilde)
-            scale = max(np.linalg.norm(scaled_rhs), 1e-300)
-            res = np.linalg.norm(
-                scaled_rhs - self.rescaled.system.matrix @ x_tilde
+            norm = max(np.linalg.norm(scaled_rhs), 1e-300)
+            res = np.linalg.norm(scaled_rhs - self.scaled.matrix @ x_tilde)
+            return SolveReport(
+                x=self.scale * x_tilde, method="direct", trace=[float(res / norm)]
             )
-            return SolveReport(x=x, method="direct", trace=[float(res / scale)])
-        matrix = self.rescaled.system.matrix
-        x0_tilde = None if x0 is None else np.asarray(x0) / self.rescaled.scale
-        result: KrylovResult = bicgstab(
-            matrix,
+        report = bicgstab(
+            self.scaled.matrix,
             scaled_rhs,
             preconditioner=self._precond.apply,
             rtol=self.options.rtol,
             max_iter=self.options.max_iter,
-            x0=x0_tilde,
+            x0=None if x0 is None else np.asarray(x0) / self.scale,
         )
-        return SolveReport(
-            x=self.rescaled.unscale_solution(result.x),
-            method="bicgstab",
-            trace=result.trace,
-            restarted=result.restarted,
-        )
+        report.x = self.scale * report.x
+        return report

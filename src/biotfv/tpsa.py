@@ -11,9 +11,10 @@ and weighted averages,
     volume flux v_k     =  |f| (n_k . avg_k u + stab_k grad_k p)
 
 where grad_k is the difference over the total normal distance, S(n) the
-skew matrix with S(a) b = a x b, and the two averages use the weights
-w = delta / mu: avg~ weights each cell by its own w, avg by the opposite
-one.  The signs follow from the continuous fluxes: (S r) n = -S(n) r.
+cross-product matrix with S(a) b = a x b, and the two averages use
+the weights w = delta / mu: avg~ weights each cell by its own w, avg by
+the opposite one.  The signs follow from the continuous fluxes:
+(S r) n = -S(n) r.
 
 Cell balance rows are -sum_k eps_ik (sigma, tau, v)_k plus the mass
 terms |cell| (0, r/mu, p/lambda), with right-hand side |cell| f_u in the
@@ -39,7 +40,6 @@ __all__ = [
     "MechBoundary",
     "ElasticProperties",
     "FaceDuals",
-    "skew",
     "assemble_tpsa",
     "assemble_rhs",
     "recover_duals",
@@ -126,18 +126,6 @@ class ElasticProperties:
             return np.zeros((mesh.n_cells, 3))
         f = np.asarray(self.f_u, dtype=float)
         return np.broadcast_to(f, (mesh.n_cells, 3)).copy()
-
-
-def skew(a: np.ndarray) -> np.ndarray:
-    """Skew matrix of a vector: skew(a) @ b == cross(a, b)."""
-    a = np.asarray(a, dtype=float)
-    return np.array(
-        [
-            [0.0, -a[2], a[1]],
-            [a[2], 0.0, -a[0]],
-            [-a[1], a[0], 0.0],
-        ]
-    )
 
 
 def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
@@ -254,8 +242,8 @@ def assemble_tpsa(mesh: Mesh, props: ElasticProperties) -> SparseBlockSystem:
     inter = mesh.interior_faces
     allf = np.arange(mesh.n_faces)
 
-    # skew(n) index pattern: entries (c, d, sign, axis) with value sign * n[axis]
-    skew_entries = [
+    # S(n) index pattern: entries (c, d, sign, axis) with value sign * n[axis]
+    cross_entries = [
         (0, 1, -1.0, 2), (0, 2, +1.0, 1),
         (1, 0, +1.0, 2), (1, 2, -1.0, 0),
         (2, 0, -1.0, 1), (2, 1, +1.0, 0),
@@ -270,14 +258,14 @@ def assemble_tpsa(mesh: Mesh, props: ElasticProperties) -> SparseBlockSystem:
         for c in range(3):
             add(dof(c, row_cells), dof(c, col_cells), v_uu)
         # momentum rows, r columns: -eps * (-a at S) = eps a at S
-        for c, d, sgn, ax in skew_entries:
+        for c, d, sgn, ax in cross_entries:
             v = eps * a * at * sgn * nrm[faces, ax]
             add(dof(c, row_cells), dof(3 + d, col_cells), v)
         # momentum rows, p column: -eps * a at n_c
         for c in range(3):
             add(dof(c, row_cells), dof(6, col_cells), -eps * a * at * nrm[faces, c])
         # rotation rows, u columns: -eps * (-a b S) = eps a b S
-        for c, d, sgn, ax in skew_entries:
+        for c, d, sgn, ax in cross_entries:
             v = eps * a * b * sgn * nrm[faces, ax]
             add(dof(3 + c, row_cells), dof(d, col_cells), v)
         # pressure row, u columns: -eps * a b n_d

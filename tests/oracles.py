@@ -3,12 +3,13 @@
 Everything here is written in plain scalar style, one cell or face at a
 time, deliberately separate from the package's vectorized code paths;
 local_face_operator reuses only the package's per-face stencil
-coefficients.
+coefficients.  multigrid_solve iterates the package's V-cycle as a
+stand-alone solver, a second solve path the multigrid tests check.
 """
 
 import numpy as np
 
-from biotfv.errors import GeometryError
+from biotfv.errors import GeometryError, SolverError
 from biotfv.tpsa import _stencil_arrays
 
 
@@ -211,3 +212,28 @@ def local_face_operator(mesh, face, props):
     if interior:
         fill(7, arr["at_out"][k], arr["b_out"][k], +1.0)
     return L
+
+
+def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100, x0=None):
+    """Stationary V-cycle iteration to rtol relative to the first residual.
+
+    Returns (x, trace of residual norms); raises SolverError with the
+    trace when max_cycles cycles do not reach rtol.
+    """
+    matrix = hier.levels[0].matrix
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    norm0 = np.linalg.norm(rhs - matrix @ x)
+    trace = [norm0]
+    if norm0 == 0.0:
+        return x, trace
+    for _ in range(max_cycles):
+        x = hier.vcycle(rhs, x)
+        res = np.linalg.norm(rhs - matrix @ x)
+        trace.append(res)
+        if res <= rtol * norm0:
+            return x, trace
+    raise SolverError(
+        f"multigrid stalled at relative residual {trace[-1] / norm0:.3e} "
+        f"after {max_cycles} cycles",
+        trace=trace,
+    )

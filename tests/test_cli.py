@@ -148,6 +148,42 @@ def test_nan_permeability_exits_2_without_outputs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([NAN_RATE], "well rate"),
+        ([NAN_RATE, ("tol = 1e-8", "kind = lagged\ntol = 1e-8")], "well rate"),
+        ([("rate = 5 m3/day", "rate = 5 m3/day\nstart = nan day")], "start time"),
+        ([("rate = 5 m3/day", "rate = 5 m3/day\nstop = nan day")], "stop time"),
+        ([("[time]", "[solver]\nrtol = 0\nmethod = iterative\n\n[time]")], "rtol"),
+        ([("[time]", "[solver]\nmax_iter = 0\n\n[time]")], "max_iter"),
+        (
+            [("[time]", "[boundaries]\nmechanics = robin\nrobin_delta = nan m\n[time]")],
+            "robin_delta",
+        ),
+        ([("tol = 1e-8", "tol = nan")], "tolerance"),
+    ],
+    ids=[
+        "nan-rate", "nan-rate-lagged", "nan-start", "nan-stop", "zero-rtol",
+        "zero-max-iter", "nan-robin-delta", "nan-tol",
+    ],
+)
+def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
+    text = BARRIER_SMALL
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + f"\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "args, summary, files",
     [

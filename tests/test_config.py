@@ -138,13 +138,18 @@ def test_missing_section_is_reported():
 
 
 def test_unknown_key_names_key_and_line():
-    text = MINIMAL + "\n[solver]\nrtol = 1e-6\nshenanigans = 3\n"
-    line = text.splitlines().index("shenanigans = 3") + 1
-    with pytest.raises(ConfigurationError) as excinfo:
-        parse_config_text(text)
-    assert "shenanigans" in str(excinfo.value)
-    assert str(line) in str(excinfo.value)
-    assert excinfo.value.line == line
+    # the direct/iterative size switch is a constant, not a [solver] key
+    for key, entry in (
+        ("shenanigans", "shenanigans = 3"),
+        ("direct_threshold", "direct_threshold = 30000"),
+    ):
+        text = MINIMAL + f"\n[solver]\nrtol = 1e-6\n{entry}\n"
+        line = text.splitlines().index(entry) + 1
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_config_text(text)
+        assert key in str(excinfo.value)
+        assert str(line) in str(excinfo.value)
+        assert excinfo.value.line == line
 
 
 def test_unknown_section_rejected():
@@ -207,9 +212,12 @@ def test_boundary_spec_rejects_unknown_kind():
 
 def test_boundary_robin_needs_positive_parameters():
     mesh = build_cartesian(2, 2, 2)
-    spec = BoundarySpec(default="robin", robin_delta=0.0, robin_mu=1.0)
-    with pytest.raises(ConfigurationError, match="robin_delta"):
-        spec.build(mesh)
+    for delta, mu in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        spec = BoundarySpec(default="robin", robin_delta=delta, robin_mu=mu)
+        with pytest.raises(ConfigurationError, match="robin_delta"):
+            spec.build(mesh)
+    # the Robin values are not read where no face is Robin
+    BoundarySpec(default="fixed", robin_delta=math.nan).build(mesh)
 
 
 def test_build_case_generic_resolves_well():

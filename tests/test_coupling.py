@@ -190,6 +190,21 @@ def test_well_schedule_half_open():
     assert not well.active_at(25.0)
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        dict(rate=np.nan),
+        dict(rate=np.inf),
+        dict(rate=1.0, t_start=np.nan),
+        dict(rate=1.0, t_start=-np.inf),
+        dict(rate=1.0, t_end=np.nan),
+    ],
+)
+def test_well_rejects_nonfinite_schedule(schedule):
+    with pytest.raises(ConfigurationError):
+        Well(cell=0, **schedule)
+
+
 def test_injected_volume():
     case = _case(
         dt=1.0,
@@ -218,6 +233,13 @@ def test_case_rejects_bad_well_cell():
 def test_case_rejects_nonfinite_properties(field, value):
     with pytest.raises(ConfigurationError, match="must be finite"):
         _case(**{field: value})
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+def test_fixed_stress_rejects_bad_tolerance(tol):
+    case = _case(wells=[Well(cell=0, rate=0.5)])
+    with pytest.raises(ConfigurationError, match="tolerance"):
+        run_fixed_stress(case, tol=tol)
 
 
 def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from biotfv.errors import ConfigurationError
+from biotfv.linsolve import precond
 from biotfv.linsolve.blocks import SparseBlockSystem, rescale
 from biotfv.linsolve.precond import (
     BlockTriangularPreconditioner,
@@ -40,35 +41,39 @@ def _system(nx, ny, nz, mu=1.0, lam=1.0, seed=0):
 
 def test_rescale_identity_at_unit_modulus():
     _, _, system = _system(2, 1, 1)
-    scaled = rescale(system, 1.0)
-    assert np.allclose(scaled.system.matrix.toarray(), system.matrix.toarray())
-    assert np.allclose(scaled.system.rhs, system.rhs)
+    scaled, scale = rescale(system, 1.0)
+    assert np.all(scale == 1.0)
+    assert np.allclose(scaled.matrix.toarray(), system.matrix.toarray())
+    assert np.allclose(scaled.rhs, system.rhs)
 
 
 def test_rescale_roundtrip_involution():
     _, _, system = _system(2, 2, 1)
-    scaled = rescale(system, 7.3)
+    scaled, scale = rescale(system, 7.3)
+    n = system.n_cells
+    assert np.allclose(scale[: 3 * n], 7.3**-0.5)
+    assert np.allclose(scale[3 * n :], 7.3**0.5)
+    # M~ = L M L, so M~ (x / scale) == scale * (M x)
     x = np.random.default_rng(1).standard_normal(system.n_dof)
-    assert np.allclose(scaled.unscale_solution(x / scaled.scale), x, atol=1e-15)
+    expected = scale * (system.matrix @ x)
+    assert np.allclose(scaled.matrix @ (x / scale), expected, atol=1e-12)
 
 
 def test_rescale_equivalence_with_direct_solve():
     _, _, system = _system(2, 2, 2, mu=3.0, lam=8.0)
-    scaled = rescale(system, 3.0)
+    scaled, scale = rescale(system, 3.0)
     x_direct = np.linalg.solve(system.matrix.toarray(), system.rhs)
-    x_tilde = np.linalg.solve(
-        scaled.system.matrix.toarray(), scaled.scale_rhs(system.rhs)
-    )
-    x = scaled.unscale_solution(x_tilde)
+    x_tilde = np.linalg.solve(scaled.matrix.toarray(), scale * system.rhs)
+    x = scale * x_tilde
     err = np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct)
     assert err <= 1e-10
 
 
 def test_rescale_conditioning_improvement_stiff_modulus():
     _, _, system = _system(2, 1, 1, mu=1e10, lam=1e10)
-    scaled = rescale(system, 1e10)
+    scaled, _ = rescale(system, 1e10)
     cond_raw = np.linalg.cond(system.matrix.toarray())
-    cond_scaled = np.linalg.cond(scaled.system.matrix.toarray())
+    cond_scaled = np.linalg.cond(scaled.matrix.toarray())
     assert cond_raw / cond_scaled >= 1e6
 
 
@@ -183,11 +188,14 @@ def test_solver_warm_start_reuses_factorization():
     assert again.iterations <= 1
 
 
-def test_solver_threshold_switches_method():
+def test_solver_threshold_switches_method(monkeypatch):
     mesh, props, system = _system(2, 2, 2)
     mu0 = mean_shear_modulus(mesh, props)
-    small = TpsaSolver(system, mu0, SolverOptions(direct_threshold=10_000))
-    large = TpsaSolver(system, mu0, SolverOptions(direct_threshold=10))
+    assert precond.DIRECT_THRESHOLD == 30_000
+    monkeypatch.setattr(precond, "DIRECT_THRESHOLD", system.n_dof)
+    small = TpsaSolver(system, mu0)
+    monkeypatch.setattr(precond, "DIRECT_THRESHOLD", system.n_dof - 1)
+    large = TpsaSolver(system, mu0)
     assert small.direct and not large.direct
 
 
@@ -195,6 +203,23 @@ def test_solver_rejects_unknown_method():
     mesh, props, system = _system(2, 1, 1)
     with pytest.raises(ConfigurationError):
         TpsaSolver(system, 1.0, SolverOptions(method="magic"))
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        SolverOptions(rtol=0.0),
+        SolverOptions(rtol=-1e-6),
+        SolverOptions(rtol=float("nan")),
+        SolverOptions(rtol=float("inf")),
+        SolverOptions(max_iter=0),
+        SolverOptions(method="iterative", rtol=0.0),
+    ],
+)
+def test_solver_rejects_bad_tolerance_and_cap(options):
+    _, _, system = _system(2, 1, 1)
+    with pytest.raises(ConfigurationError):
+        TpsaSolver(system, 1.0, options)
 
 
 def test_small_instance_oracle_meshes():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cell_faces, hand_assembled_two_cell, local_face_operator
+from oracles import cell_faces, hand_assembled_two_cell, hand_skew, local_face_operator
 
 from biotfv.mesh import build_cartesian, per_cell
 from biotfv.tpsa import (
@@ -22,7 +22,6 @@ from biotfv.tpsa import (
     assemble_tpsa,
     mean_shear_modulus,
     recover_duals,
-    skew,
 )
 
 
@@ -42,21 +41,7 @@ def _props(mesh, mu=1.0, lam=1.0, boundary="fixed", **kw):
     )
 
 
-# ---------------------------------------------------------------- skew
-
-
-def test_skew_zero():
-    assert np.all(skew(np.zeros(3)) == 0.0)
-
-
-def test_skew_e3():
-    expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert np.array_equal(skew([0.0, 0.0, 1.0]), expected)
-
-
-def test_skew_antisymmetric():
-    s = skew([1.5, -2.0, 0.5])
-    assert np.array_equal(s, -s.T)
+# ----------------------------------------------------------- skew oracle
 
 
 @settings(max_examples=50, deadline=None)
@@ -66,7 +51,7 @@ def test_skew_antisymmetric():
 )
 def test_skew_is_cross_product(a, b):
     a, b = np.array(a), np.array(b)
-    assert np.allclose(skew(a) @ b, np.cross(a, b), atol=1e-12)
+    assert np.allclose(hand_skew(a) @ b, np.cross(a, b), atol=1e-12)
 
 
 # ---------------------------------------------------------- face stencils
@@ -167,7 +152,7 @@ def test_local_operator_translation():
     a = mesh.face_areas[k]
     n = mesh.face_normals[k]
     assert np.allclose(duals[0:3], 0.0, atol=1e-14)  # no stress
-    assert np.allclose(duals[3:6], -a * skew(n) @ c, atol=1e-14)
+    assert np.allclose(duals[3:6], -a * hand_skew(n) @ c, atol=1e-14)
     assert duals[6] == pytest.approx(a * np.dot(n, c))
 
 
