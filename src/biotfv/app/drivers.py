@@ -14,6 +14,7 @@ from ..coupling import (
     BiotCase,
     CoupledSystem,
     SimulationResult,
+    check_fixed_stress,
     global_mass_check,
     run_fixed_stress,
     run_lagged,
@@ -45,16 +46,17 @@ VARIABLES = ("dp", "u", "r", "p_hat")
 
 
 def scheme_from_token(token: str, base: SchemeSpec) -> SchemeSpec:
-    """Map a CLI scheme name onto concrete iteration settings."""
+    """Map a CLI scheme name onto concrete, checked iteration settings."""
     token = token.strip().lower()
     if token == "lagged":
         return replace(base, kind="lagged")
-    if token in ("fixed", "fixed_stress"):
-        return replace(base, kind="fixed_stress", anderson_m0=0)
+    if token not in ("fixed", "fixed_stress", "anderson"):
+        raise ConfigurationError(f"unknown scheme '{token}'")
+    check_fixed_stress(base.tol, base.max_iter)
     if token == "anderson":
         m0 = base.anderson_m0 if base.anderson_m0 >= 1 else 5
         return replace(base, kind="fixed_stress", anderson_m0=m0)
-    raise ConfigurationError(f"unknown scheme '{token}'")
+    return replace(base, kind="fixed_stress", anderson_m0=0)
 
 
 def run_with_scheme(case: BiotCase, scheme: SchemeSpec, solver=None) -> SimulationResult:
@@ -129,7 +131,7 @@ def run_case(
             rows,
         )
         psi_path = out / f"{name}_psi.csv"
-        save_source_history(psi_path, result.history.psi)
+        save_source_history(psi_path, result.psi)
         paths += [series, psi_path]
     if config.output.vtk:
         vtk_path = out / f"{name}_final.vtk"
@@ -180,8 +182,10 @@ def run_convergence_study(
     preconditioned Krylov path to record its residual trace.
     """
     grids = [int(n) for n in grids]
-    if len(grids) < 3:
-        raise ConfigurationError("convergence study needs at least 3 grids")
+    if len(set(grids)) < 3:
+        raise ConfigurationError(
+            "convergence study needs at least 3 grids of distinct sizes"
+        )
     if any(n < 2 for n in grids):
         raise ConfigurationError("convergence grids must have at least 2 cells")
     if config.problem != "manufactured":
@@ -283,15 +287,16 @@ def run_barrier_case(
 
     Writes one CSV of per-step compartment-average pressure deviations per
     scheme plus a summary table with iteration counts and the global mass
-    defect of each scheme.
+    defect of each scheme.  Every scheme is checked before the first runs,
+    so bad input writes no file.
     """
     case = config.build_case()
     masks = compartment_masks(case)
+    specs = [(token, scheme_from_token(token, config.scheme)) for token in schemes]
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output.directory)
     runs = []
-    for token in schemes:
-        scheme = scheme_from_token(token, config.scheme)
+    for token, scheme in specs:
         log.info("barrier case, scheme %s", token)
         result = run_with_scheme(case, scheme, config.solver)
         averages = []
@@ -317,7 +322,7 @@ def run_barrier_case(
                     for i, s in enumerate(result.states)
                 ],
             )
-            save_source_history(out / f"barrier_{token}_psi.csv", result.history.psi)
+            save_source_history(out / f"barrier_{token}_psi.csv", result.psi)
         if config.output.vtk:
             write_vtk(
                 out / f"barrier_{token}_final.vtk",

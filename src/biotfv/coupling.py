@@ -1,17 +1,24 @@
 """Splitting schemes coupling the flow and mechanics discretizations.
 
-The mechanics solve exposes the effective pressure p_hat = lam*div(u) -
-alpha*dp, which feeds the flow equation through the source psi =
--(alpha/lam) * d(p_hat)/dt.  Two couplings are implemented:
+Flow and mechanics share the cell centres, so the coupling needs no
+interpolation, only one coefficient per cell, alpha/lam: the pressure
+deviation dp enters the mechanics as the effective-pressure row source
+-(alpha/lam) * dp, and the effective pressure p_hat = lam*div(u) -
+alpha*dp feeds the flow through the source psi = -(alpha/lam) *
+d(p_hat)/dt.
 
-* lagged: one flow step and one mechanics solve per time step, with psi
-  built from the two previous mechanics states (no inner iterations);
-* fixed stress: a fixed-point iteration on the whole space-time source
-  field psi, where one evaluation F(psi) runs the full flow transient
-  followed by a mechanics solve at every step, optionally accelerated by
-  Anderson mixing of previous evaluations.
+Both schemes run the same time march (`CoupledSystem.evaluate`): one flow
+step, then one mechanics solve per time step.  They differ only in where
+the flow source psi of a step comes from:
 
-Both couplings reuse a single flow factorization and a single mechanics
+* lagged: built from the two previous mechanics states (no inner
+  iterations);
+* fixed stress: a given space-time field; one march maps it to F(psi),
+  the source rebuilt from the states it produced, and the scheme
+  iterates psi <- F(psi), optionally accelerated by Anderson mixing of
+  previous evaluations.
+
+Both reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time.
 """
 
@@ -41,14 +48,12 @@ __all__ = [
     "TimeGrid",
     "BiotCase",
     "BiotState",
-    "SourceHistory",
     "CouplingReport",
     "SimulationResult",
     "AndersonState",
     "anderson_weights",
-    "mech_rhs_from_pressure",
-    "flow_source_from_mech",
     "CoupledSystem",
+    "check_fixed_stress",
     "run_lagged",
     "run_fixed_stress",
     "global_mass_check",
@@ -210,18 +215,6 @@ class BiotCase:
 
 
 @dataclass
-class SourceHistory:
-    """Per-step coupling source and effective pressure, shapes (N, n)."""
-
-    psi: np.ndarray
-    p_hat: np.ndarray
-
-    def __post_init__(self):
-        if self.psi.shape != self.p_hat.shape:
-            raise ValueError("psi and p_hat histories must have equal shapes")
-
-
-@dataclass
 class CouplingReport:
     scheme: str
     residuals: list[float] = field(default_factory=list)
@@ -235,39 +228,12 @@ class CouplingReport:
 @dataclass
 class SimulationResult:
     states: list[BiotState]
-    history: SourceHistory
+    psi: np.ndarray  # flow source per step (N, n); F(psi) for fixed stress
     report: CouplingReport
 
     @property
     def final(self) -> BiotState:
         return self.states[-1]
-
-
-def mech_rhs_from_pressure(
-    dp: np.ndarray, props: PoroelasticProperties, mesh: Mesh
-) -> np.ndarray:
-    """Effective-pressure row source density -(alpha/lam) * dp per cell."""
-    n = mesh.n_cells
-    lam = per_cell(props.lam, n)
-    if np.any(lam <= 0):
-        raise ConfigurationError("Lame parameter lambda must be positive")
-    return -per_cell(props.alpha, n) / lam * dp
-
-
-def flow_source_from_mech(
-    p_hat_prev: np.ndarray,
-    p_hat_now: np.ndarray,
-    dt: float,
-    props: PoroelasticProperties,
-    mesh: Mesh,
-) -> np.ndarray:
-    """Coupling source psi = -(alpha/lam) * (p_hat_now - p_hat_prev)/dt."""
-    if dt <= 0:
-        raise ValueError("time step must be positive")
-    n = mesh.n_cells
-    alpha = per_cell(props.alpha, n)
-    lam = per_cell(props.lam, n)
-    return -alpha / lam * (p_hat_now - p_hat_prev) / dt
 
 
 # ------------------------------------------------------------- Anderson
@@ -353,13 +319,6 @@ class AndersonState:
 # -------------------------------------------------------------- engine
 
 
-@dataclass
-class EvalResult:
-    psi: np.ndarray  # F(psi_in), shape (N, n)
-    p_hat: np.ndarray  # effective pressure trajectory, shape (N+1, n)
-    states: list[BiotState]
-
-
 class CoupledSystem:
     """Assembled, factorized operators of one case, reused across solves."""
 
@@ -368,67 +327,67 @@ class CoupledSystem:
         mesh = case.mesh
         self.flow = FlowSystem(mesh, case.props.flow_properties(mesh), case.time.dt)
         self.elastic = case.props.elastic_properties(mesh)
-        system = assemble_tpsa(mesh, self.elastic)
-        self.system = system
+        self.system = assemble_tpsa(mesh, self.elastic)
         self.mech = TpsaSolver(
-            system, mean_shear_modulus(mesh, self.elastic), solver
+            self.system, mean_shear_modulus(mesh, self.elastic), solver
         )
         self.n_cells = mesh.n_cells
+        # the one per-cell coupling coefficient, in both directions
+        self.alpha_over_lam = per_cell(case.props.alpha, self.n_cells) / per_cell(
+            case.props.lam, self.n_cells
+        )
         self._mech_warm: list[np.ndarray | None] = [None] * (case.time.n_steps + 1)
 
-    def flow_transient(self, psi: np.ndarray) -> np.ndarray:
-        """Run all N backward-Euler steps with the given source history."""
-        case = self.case
-        times = case.time.times
-        dp = np.zeros((case.time.n_steps + 1, self.n_cells))
-        dp[0] = case.initial_state().dp
-        for i in range(1, case.time.n_steps + 1):
-            sources = case.flow_sources_at(times[i], psi[i - 1])
-            dp[i] = self.flow.step(dp[i - 1], sources)
-        return dp
+    def flow_source(self, p_hat_prev: np.ndarray, p_hat_now: np.ndarray) -> np.ndarray:
+        """Coupling source psi = -(alpha/lam) * (p_hat_now - p_hat_prev)/dt."""
+        return -self.alpha_over_lam * (p_hat_now - p_hat_prev) / self.case.time.dt
 
     def mech_solve(self, dp: np.ndarray, step: int) -> tuple[BiotState, SolveReport]:
+        """Mechanics at one step, loaded by the row source -(alpha/lam) * dp."""
         case = self.case
-        coupling = mech_rhs_from_pressure(dp, case.props, case.mesh)
-        rhs = assemble_rhs(case.mesh, self.elastic, pressure_coupling=coupling)
+        rhs = assemble_rhs(
+            case.mesh, self.elastic, pressure_coupling=-self.alpha_over_lam * dp
+        )
         x0 = self._mech_warm[step]
         if x0 is None and step > 0:
             x0 = self._mech_warm[step - 1]
         report = self.mech.solve(rhs, x0=x0)
         self._mech_warm[step] = report.x
         u, r, p_hat = self.system.split(report.x)
-        state = BiotState(
-            dp=dp.copy(), u=u, r=r, p_hat=p_hat, t=case.time.times[step]
-        )
+        state = BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=case.time.times[step])
         return state, report
 
-    def evaluate(self, psi: np.ndarray) -> EvalResult:
-        """One whole-simulation pass: flow transient, then mechanics."""
+    def evaluate(
+        self, psi: np.ndarray | None = None
+    ) -> tuple[list[BiotState], np.ndarray]:
+        """March all N steps: one flow step, then one mechanics solve.
+
+        The flow source of step i is psi[i-1] when psi is given (fixed
+        stress).  With psi None it is built from the two previous mechanics
+        states, with p_hat(t_{-1}) := p_hat(t_0) (lagged).  Returns the N+1
+        states and the (N, n) source the flow saw.
+        """
         case = self.case
-        n_steps = case.time.n_steps
-        dp = self.flow_transient(psi)
-        initial = case.initial_state()
-        p_hat = np.zeros((n_steps + 1, self.n_cells))
-        p_hat[0] = initial.p_hat
-        states = [initial]
-        for i in range(1, n_steps + 1):
+        times = case.time.times
+        lagged = psi is None
+        if lagged:
+            psi = np.zeros((case.time.n_steps, self.n_cells))
+        states = [case.initial_state()]
+        for i in range(1, case.time.n_steps + 1):
+            if lagged:
+                psi[i - 1] = self.flow_source(
+                    states[max(i - 2, 0)].p_hat, states[i - 1].p_hat
+                )
             try:
-                state, _ = self.mech_solve(dp[i], i)
+                sources = case.flow_sources_at(times[i], psi[i - 1])
+                dp = self.flow.step(states[i - 1].dp, sources)
+                state, _ = self.mech_solve(dp, i)
             except SolverError as err:
                 raise SolverError(
-                    f"mechanics solve failed at step {i}: {err}", trace=err.trace
+                    f"coupled step {i} failed: {err}", trace=err.trace
                 ) from err
-            p_hat[i] = state.p_hat
             states.append(state)
-        new_psi = np.stack(
-            [
-                flow_source_from_mech(
-                    p_hat[i - 1], p_hat[i], case.time.dt, case.props, case.mesh
-                )
-                for i in range(1, n_steps + 1)
-            ]
-        )
-        return EvalResult(psi=new_psi, p_hat=p_hat, states=states)
+        return states, psi
 
     def weighted_norm(self, psi: np.ndarray) -> float:
         """Space-time L2 norm with cell-volume and time-step weights."""
@@ -445,37 +404,16 @@ def run_lagged(
     case: BiotCase, solver: SolverOptions | None = None
 ) -> SimulationResult:
     """One-way coupling: each flow step sees the previous mechanics state."""
-    engine = CoupledSystem(case, solver)
-    n_steps, n = case.time.n_steps, engine.n_cells
-    times = case.time.times
-    initial = case.initial_state()
-    states = [initial]
-    psi_hist = np.zeros((n_steps, n))
-    p_hat_hist = np.zeros((n_steps, n))
-    dp_prev = initial.dp
-    p_hat_two_back = initial.p_hat  # p_hat(t_{-1}) := p_hat(t_0)
-    p_hat_back = initial.p_hat
-    for i in range(1, n_steps + 1):
-        psi = flow_source_from_mech(
-            p_hat_two_back, p_hat_back, case.time.dt, case.props, case.mesh
-        )
-        try:
-            dp = engine.flow.step(dp_prev, case.flow_sources_at(times[i], psi))
-            state, _ = engine.mech_solve(dp, i)
-        except SolverError as err:
-            raise SolverError(
-                f"step {i} of the lagged scheme failed: {err}", trace=err.trace
-            ) from err
-        states.append(state)
-        psi_hist[i - 1] = psi
-        p_hat_hist[i - 1] = state.p_hat
-        dp_prev = dp
-        p_hat_two_back, p_hat_back = p_hat_back, state.p_hat
-    return SimulationResult(
-        states=states,
-        history=SourceHistory(psi=psi_hist, p_hat=p_hat_hist),
-        report=CouplingReport(scheme="lagged"),
-    )
+    states, psi = CoupledSystem(case, solver).evaluate()
+    return SimulationResult(states, psi, CouplingReport(scheme="lagged"))
+
+
+def check_fixed_stress(tol: float, max_iter: int) -> None:
+    """Reject fixed-stress iteration controls that cannot end a run."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigurationError("fixed-stress tolerance must be positive and finite")
+    if max_iter < 1:
+        raise ConfigurationError("fixed-stress iteration cap must be at least 1")
 
 
 def run_fixed_stress(
@@ -487,28 +425,28 @@ def run_fixed_stress(
 ) -> SimulationResult:
     """Whole-simulation fixed-point iteration on the coupling source psi.
 
-    Every iteration evaluates F(psi): the full flow transient with the
-    current source history, then mechanics at each step.  The iteration
+    Every iteration evaluates F(psi): the time march with the current
+    source history, whose states give the new source.  The iteration
     stops when the fixed-point residual F(psi) - psi, in the volume/dt
     weighted space-time L2 norm relative to F(psi), drops below tol; the
     residual is measured before any mixing, so the converged result is the
     evaluation at an (almost) fixed psi.  anderson_m0 = 0 keeps the plain
-    iteration; anderson_m0 >= 1 mixes previous images.
+    iteration; anderson_m0 >= 1 mixes previous images.  The result holds
+    the last image F(psi).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigurationError("fixed-stress tolerance must be positive and finite")
-    if max_iter < 1:
-        raise ConfigurationError("fixed-stress iteration cap must be at least 1")
+    check_fixed_stress(tol, max_iter)
     engine = CoupledSystem(case, solver)
     psi = np.zeros((case.time.n_steps, engine.n_cells))
     anderson = AndersonState(m0=anderson_m0) if anderson_m0 >= 1 else None
     residuals: list[float] = []
     converged = False
-    result: EvalResult | None = None
     for _ in range(max_iter):
-        result = engine.evaluate(psi)
-        change = engine.weighted_norm(result.psi - psi)
-        scale = engine.weighted_norm(result.psi)
+        states, _ = engine.evaluate(psi)
+        image = np.stack(
+            [engine.flow_source(a.p_hat, b.p_hat) for a, b in zip(states, states[1:])]
+        )
+        change = engine.weighted_norm(image - psi)
+        scale = engine.weighted_norm(image)
         residual = change / scale if scale > 0.0 else (0.0 if change == 0.0 else np.inf)
         residuals.append(residual)
         if not math.isfinite(residual):
@@ -518,20 +456,15 @@ def run_fixed_stress(
             )
         if residual <= tol:
             converged = True
-            psi = result.psi
             break
         if anderson is not None:
-            anderson.push(psi, result.psi)
+            anderson.push(psi, image)
             psi = anderson.next_iterate()
         else:
-            psi = result.psi
+            psi = image
     scheme = "fixed_stress" if anderson is None else f"anderson[{anderson_m0}]"
     report = CouplingReport(scheme=scheme, residuals=residuals, converged=converged)
-    return SimulationResult(
-        states=result.states,
-        history=SourceHistory(psi=result.psi, p_hat=result.p_hat[1:]),
-        report=report,
-    )
+    return SimulationResult(states, image, report)
 
 
 def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:

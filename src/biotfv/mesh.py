@@ -151,20 +151,11 @@ class Mesh:
             )
 
     def _check_normal_distances(self) -> None:
-        d0 = np.einsum(
-            "kd,kd->k",
-            self.face_normals,
-            self.face_centers - self.cell_centers[self.face_cells[:, 0]],
-        )
-        if np.any(d0 <= 0):
+        d_in, d_out = face_normal_distances(self)
+        if np.any(d_in <= 0):
             raise GeometryError("non-positive normal distance on primary side")
-        inter = self.interior_faces
-        d1 = -np.einsum(
-            "kd,kd->k",
-            self.face_normals[inter],
-            self.face_centers[inter] - self.cell_centers[self.face_cells[inter, 1]],
-        )
-        if np.any(d1 <= 0):
+        # boundary faces carry d_out = inf and pass
+        if np.any(d_out <= 0):
             raise GeometryError("non-positive normal distance on secondary side")
 
 

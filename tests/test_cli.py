@@ -178,10 +178,11 @@ def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
         text = text.replace(old, new)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text + f"\n[output]\ndirectory = {tmp_path / 'out'}\n")
-    assert main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and message in err
-    assert not (tmp_path / "out").exists()
+    for command in ("run", "barrier"):
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -245,8 +246,11 @@ def test_barrier_subcommand(barrier_cfg, tmp_path, capsys):
     assert (out / "barrier_fixed.csv").exists()
 
 
-def test_barrier_rejects_unknown_scheme(barrier_cfg):
-    assert main(["barrier", str(barrier_cfg), "--schemes", "psychic"]) == 2
+def test_barrier_rejects_unknown_scheme(barrier_cfg, tmp_path, capsys):
+    # a valid scheme listed first must not run before the bad one is seen
+    assert main(["barrier", str(barrier_cfg), "--schemes", "lagged,psychic"]) == 2
+    assert "unknown scheme 'psychic'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("barrier_*"))
 
 
 def test_module_invocation_round_trip(barrier_cfg, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biotfv import coupling
 from biotfv.coupling import (
     AndersonState,
     BiotCase,
@@ -14,9 +15,7 @@ from biotfv.coupling import (
     TimeGrid,
     Well,
     anderson_weights,
-    flow_source_from_mech,
     global_mass_check,
-    mech_rhs_from_pressure,
     run_fixed_stress,
     run_lagged,
 )
@@ -45,53 +44,53 @@ def _case(
 # ------------------------------------------------------- source formulas
 
 
-def test_mech_rhs_zero_for_uncoupled():
+def _mech_row_source(monkeypatch, case, dp):
+    """The effective-pressure row source that mech_solve assembles for dp."""
+    seen = []
+    assemble = coupling.assemble_rhs
+
+    def spy(*args, pressure_coupling, **kwargs):
+        seen.append(pressure_coupling)
+        return assemble(*args, pressure_coupling=pressure_coupling, **kwargs)
+
+    monkeypatch.setattr(coupling, "assemble_rhs", spy)
+    CoupledSystem(case).mech_solve(dp, 1)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def test_mech_rhs_zero_for_uncoupled(monkeypatch):
     case = _case(alpha=0.0)
     dp = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.all(mech_rhs_from_pressure(dp, case.props, case.mesh) == 0.0)
+    assert np.all(_mech_row_source(monkeypatch, case, dp) == 0.0)
 
 
-def test_mech_rhs_reservoir_magnitude():
+def test_mech_rhs_reservoir_magnitude(monkeypatch):
     # alpha = 0.87, lambda = 4 GPa, pressure jump 1 MPa
     case = _case(alpha=0.87, lam=4.0e9)
     dp = np.full(4, 1.0e6)
-    rhs = mech_rhs_from_pressure(dp, case.props, case.mesh)
+    rhs = _mech_row_source(monkeypatch, case, dp)
     assert np.allclose(rhs, -2.175e-4, rtol=1e-12)
 
 
-def test_mech_rhs_zero_pressure():
+def test_mech_rhs_zero_pressure(monkeypatch):
     case = _case()
-    assert np.all(mech_rhs_from_pressure(np.zeros(4), case.props, case.mesh) == 0.0)
-
-
-def test_mech_rhs_rejects_bad_lambda():
-    case = _case()
-    case.props.lam = 0.0
-    with pytest.raises(ConfigurationError):
-        mech_rhs_from_pressure(np.ones(4), case.props, case.mesh)
+    assert np.all(_mech_row_source(monkeypatch, case, np.zeros(4)) == 0.0)
 
 
 def test_flow_source_constant_effective_pressure():
-    case = _case()
+    engine = CoupledSystem(_case(dt=7.0))
     p_hat = np.array([3.0, -1.0, 0.5, 2.0])
-    psi = flow_source_from_mech(p_hat, p_hat, 7.0, case.props, case.mesh)
-    assert np.all(psi == 0.0)
+    assert np.all(engine.flow_source(p_hat, p_hat) == 0.0)
 
 
 def test_flow_source_unit_rise():
     # p_hat rising by lam/alpha per step gives psi = -1/dt
-    case = _case(alpha=0.5, lam=2.0)
     dt = 3.0
+    engine = CoupledSystem(_case(alpha=0.5, lam=2.0, dt=dt))
     p0 = np.zeros(4)
     p1 = np.full(4, 2.0 / 0.5)
-    psi = flow_source_from_mech(p0, p1, dt, case.props, case.mesh)
-    assert np.allclose(psi, -1.0 / dt, rtol=1e-14)
-
-
-def test_flow_source_rejects_bad_dt():
-    case = _case()
-    with pytest.raises(ValueError):
-        flow_source_from_mech(np.zeros(4), np.zeros(4), 0.0, case.props, case.mesh)
+    assert np.allclose(engine.flow_source(p0, p1), -1.0 / dt, rtol=1e-14)
 
 
 # --------------------------------------------------------------- anderson
@@ -235,6 +234,14 @@ def test_case_rejects_nonfinite_properties(field, value):
         _case(**{field: value})
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.array([1.0, 1.0, 0.0, 1.0])])
+@pytest.mark.parametrize("field", ["mu", "lam"])
+def test_case_rejects_nonpositive_moduli(field, value):
+    # checked once here, so the coupling never divides by a zero lambda
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        _case(**{field: value})
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
 def test_fixed_stress_rejects_bad_tolerance(tol):
     case = _case(wells=[Well(cell=0, rate=0.5)])
@@ -247,11 +254,11 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
     evaluate = CoupledSystem.evaluate
     calls = []
 
-    def nan_evaluate(self, psi):
+    def nan_evaluate(self, psi=None):
         calls.append(psi)
-        result = evaluate(self, psi)
-        result.psi = np.full_like(result.psi, np.nan)
-        return result
+        states, psi = evaluate(self, psi)
+        states[-1].p_hat[:] = np.nan
+        return states, psi
 
     monkeypatch.setattr(CoupledSystem, "evaluate", nan_evaluate)
     with pytest.raises(SolverError, match="not finite") as excinfo:
@@ -270,7 +277,7 @@ def test_uncoupled_fixed_stress_converges_immediately():
     assert result.report.converged
     assert result.report.iterations == 1
     assert result.report.residuals == [0.0]
-    assert np.all(result.history.psi == 0.0)
+    assert np.all(result.psi == 0.0)
 
 
 def test_equilibrium_stays_at_rest_for_every_scheme():
@@ -291,14 +298,14 @@ def test_lagged_uncoupled_matches_flow_only():
     for state in result.states[1:]:
         dp = flow.step(dp, FlowSources(wells=[(0, 0.3)]))
         assert np.allclose(state.dp, dp, atol=1e-14)
-    assert np.all(result.history.psi == 0.0)
+    assert np.all(result.psi == 0.0)
 
 
 def test_first_lagged_step_has_zero_coupling_source():
     case = _case(n_steps=3, wells=[Well(cell=0, rate=0.2)])
     result = run_lagged(case)
-    assert np.all(result.history.psi[0] == 0.0)
-    assert np.any(result.history.psi[1] != 0.0)
+    assert np.all(result.psi[0] == 0.0)
+    assert np.any(result.psi[1] != 0.0)
 
 
 def test_fixed_stress_residuals_decrease():
@@ -314,13 +321,12 @@ def test_fixed_stress_history_consistent_with_states():
     case = _case(alpha=0.7, n_steps=4, wells=[Well(cell=0, rate=0.4)])
     result = run_fixed_stress(case, tol=1e-10)
     alpha_over_lam = 0.7 / 1.0
-    p_prev = np.zeros(case.mesh.n_cells)
+    assert result.psi.shape == (case.time.n_steps, case.mesh.n_cells)
+    assert np.all(result.states[0].p_hat == 0.0)
     for i in range(case.time.n_steps):
-        p_now = result.history.p_hat[i]
+        p_prev, p_now = result.states[i].p_hat, result.states[i + 1].p_hat
         expected = -alpha_over_lam * (p_now - p_prev) / case.time.dt
-        assert np.allclose(result.history.psi[i], expected, atol=1e-13)
-        assert np.allclose(result.states[i + 1].p_hat, p_now)
-        p_prev = p_now
+        assert np.allclose(result.psi[i], expected, atol=1e-13)
 
 
 def test_fixed_stress_hits_iteration_cap():

@@ -108,6 +108,8 @@ def test_convergence_study_validates_inputs():
     cfg = parse_config(CASES / "manufactured.cfg")
     with pytest.raises(ConfigurationError, match="at least 3 grids"):
         run_convergence_study(cfg, [4, 8])
+    with pytest.raises(ConfigurationError, match="distinct sizes"):
+        run_convergence_study(cfg, [3, 3, 3])
     generic = parse_config_text(TINY_BARRIER)
     with pytest.raises(ConfigurationError, match="manufactured"):
         run_convergence_study(generic, [4, 6, 8])
