@@ -3,9 +3,14 @@
 A case file has sections [case], [mesh], [properties], [boundaries],
 [time], [scheme], [solver], [output] and any number of [well.NAME]
 sections.  Values may carry a unit suffix ("3.5 GPa", "100 mD",
-"30 day", "100 m3/day"); bare numbers are SI.  Unknown sections, keys
-and units are rejected with the offending name and line number.
-parse -> serialize -> parse is the identity on the parsed form.
+"30 day", "100 m3/day"); bare numbers are SI.  One table, `_SECTIONS`
+plus `_WELL`, lists every key with its kind, whether it is required and
+the dataclass field it fills; an absent optional key keeps that field's
+default.  Parsing checks each section against the table and rejects
+unknown sections, keys, units and words, naming the offending key and
+line.  Serializing walks the same table and writes every key that holds
+a value, so parse(serialize(c)) == c for any config whose text values
+are single-line.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from io import StringIO
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,29 +73,6 @@ _BOUNDARY_KINDS = {
     "robin": BoundaryKind.ROBIN,
 }
 
-_ALLOWED_KEYS = {
-    "case": {"name", "problem"},
-    "mesh": {
-        "builder",
-        "nx",
-        "ny",
-        "nz",
-        "lx",
-        "ly",
-        "lz",
-        "barrier_axis",
-        "barrier_index",
-    },
-    "properties": {"mu", "lambda", "alpha", "c0", "permeability", "fluid_viscosity"},
-    "boundaries": set(_SIDE_NAMES) | {"mechanics", "robin_delta", "robin_mu"},
-    "time": {"dt", "n_steps", "t0"},
-    "scheme": {"kind", "tol", "max_iter", "anderson_m0"},
-    "solver": {"rtol", "max_iter", "method"},
-    "output": {"directory", "vtk", "csv"},
-}
-_WELL_KEYS = {"cell", "rate", "start", "stop"}
-
-
 def parse_quantity(
     text: str, kind: str, key: str = "", line: int | None = None
 ) -> float:
@@ -117,20 +100,24 @@ class MeshSpec:
     """Structured mesh request: builder name, cell counts and box lengths."""
 
     builder: str = "cartesian"
-    shape: tuple[int, int, int] = (1, 1, 1)
-    lengths: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    barrier_axis: int = 0
+    nx: int = 1
+    ny: int = 1
+    nz: int = 1
+    lx: float = 1.0
+    ly: float = 1.0
+    lz: float = 1.0
+    barrier_axis: str = "x"
     barrier_index: int | None = None
 
     def build(self) -> Mesh:
-        nx, ny, nz = self.shape
+        shape = (self.nx, self.ny, self.nz)
+        lengths = (self.lx, self.ly, self.lz)
         try:
             if self.builder == "cartesian":
-                return build_cartesian(nx, ny, nz, self.lengths)
+                return build_cartesian(*shape, lengths)
             if self.builder == "barrier":
-                return build_barrier_mesh(
-                    nx, ny, nz, self.lengths, self.barrier_axis, self.barrier_index
-                )
+                axis = "xyz".index(self.barrier_axis)
+                return build_barrier_mesh(*shape, lengths, axis, self.barrier_index)
         except GeometryError as err:
             raise ConfigurationError(str(err)) from err
         raise ConfigurationError(f"unknown mesh builder '{self.builder}'")
@@ -138,28 +125,40 @@ class MeshSpec:
 
 @dataclass
 class BoundarySpec:
-    """Mechanical closure per wall: a default plus per-side overrides."""
+    """Mechanical closure per wall: a default plus per-side overrides.
+
+    A side left at None takes the default.
+    """
 
     default: str = "fixed"
-    sides: dict[str, str] = field(default_factory=dict)
+    x_min: str | None = None
+    x_max: str | None = None
+    y_min: str | None = None
+    y_max: str | None = None
+    z_min: str | None = None
+    z_max: str | None = None
     robin_delta: float = 1.0
     robin_mu: float = 1.0
 
     def build(self, mesh: Mesh) -> MechBoundary:
-        for name in (self.default, *self.sides.values()):
+        sides = {
+            index: getattr(self, name)
+            for index, name in enumerate(_SIDE_NAMES)
+            if getattr(self, name) is not None
+        }
+        for name in (self.default, *sides.values()):
             if name not in _BOUNDARY_KINDS:
                 raise ConfigurationError(f"unknown boundary kind '{name}'")
         kinds = np.full(mesh.n_faces, int(BoundaryKind.INTERIOR), dtype=np.int8)
         bdry = mesh.boundary_faces
         kinds[bdry] = int(_BOUNDARY_KINDS[self.default])
-        if self.sides:
+        if sides:
             normals = mesh.face_normals[bdry]
             axis = np.argmax(np.abs(normals), axis=1)
             positive = normals[np.arange(bdry.size), axis] > 0
             side_of = 2 * axis + positive.astype(int)
-            for name, kind in self.sides.items():
-                sel = bdry[side_of == _SIDE_NAMES.index(name)]
-                kinds[sel] = int(_BOUNDARY_KINDS[kind])
+            for index, kind in sides.items():
+                kinds[bdry[side_of == index]] = int(_BOUNDARY_KINDS[kind])
         if np.any(kinds == BoundaryKind.ROBIN) and not all(
             math.isfinite(v) and v > 0 for v in (self.robin_delta, self.robin_mu)
         ):
@@ -256,6 +255,105 @@ class CaseConfig:
         )
 
 
+class _Key(NamedTuple):
+    """How one case-file key is read and which dataclass field it fills."""
+
+    kind: object  # a _UNITS kind, int, bool, str, "cell", or a tuple of allowed words
+    required: bool = False  # an absent optional key keeps its field's default
+    field: str | None = None  # set only where the field's name differs from the key
+
+
+class _Section(NamedTuple):
+    """One fixed section: the CaseConfig field it fills, its class and keys."""
+
+    field: str | None  # None: the keys are fields of CaseConfig itself
+    spec: type | None
+    keys: dict[str, _Key]
+
+
+# The case-file schema: checking, parsing and serializing all walk it.
+_SECTIONS = {
+    "case": _Section(None, None, {"name": _Key(str), "problem": _Key(str)}),
+    "mesh": _Section(
+        "mesh",
+        MeshSpec,
+        {
+            "builder": _Key(str),
+            "nx": _Key(int, required=True),
+            "ny": _Key(int, required=True),
+            "nz": _Key(int, required=True),
+            "lx": _Key("length"),
+            "ly": _Key("length"),
+            "lz": _Key("length"),
+            "barrier_axis": _Key(("x", "y", "z")),
+            "barrier_index": _Key(int),
+        },
+    ),
+    "properties": _Section(
+        "props",
+        PoroelasticProperties,
+        {
+            "mu": _Key("pressure", required=True),
+            "lambda": _Key("pressure", required=True, field="lam"),
+            "alpha": _Key("dimensionless", required=True),
+            "c0": _Key("compressibility", required=True),
+            "permeability": _Key("permeability", required=True, field="perm"),
+            "fluid_viscosity": _Key("viscosity"),
+        },
+    ),
+    "boundaries": _Section(
+        "boundaries",
+        BoundarySpec,
+        {
+            "mechanics": _Key(str, field="default"),
+            **{side: _Key(str) for side in _SIDE_NAMES},
+            "robin_delta": _Key("length"),
+            "robin_mu": _Key("pressure"),
+        },
+    ),
+    "time": _Section(
+        "time",
+        TimeGrid,
+        {
+            "dt": _Key("time", required=True),
+            "n_steps": _Key(int, required=True),
+            "t0": _Key("time"),
+        },
+    ),
+    "scheme": _Section(
+        "scheme",
+        SchemeSpec,
+        {
+            "kind": _Key(("fixed_stress", "lagged")),
+            "tol": _Key("dimensionless"),
+            "max_iter": _Key(int),
+            "anderson_m0": _Key(int),
+        },
+    ),
+    "solver": _Section(
+        "solver",
+        SolverOptions,
+        {
+            "rtol": _Key("dimensionless"),
+            "max_iter": _Key(int),
+            "method": _Key(("auto", "direct", "iterative")),
+        },
+    ),
+    "output": _Section(
+        "output",
+        OutputSpec,
+        {"directory": _Key(str), "vtk": _Key(bool), "csv": _Key(bool)},
+    ),
+}
+# the keys of each [well.NAME] section, one WellSpec per section
+_WELL = {
+    "cell": _Key("cell", required=True),
+    "rate": _Key("rate", required=True),
+    "start": _Key("time", field="t_start"),
+    "stop": _Key("time", field="t_end"),
+}
+
+
 def _key_lines(text: str) -> dict[tuple[str | None, str | None], int]:
     """Line number of every section header and key, for error reporting."""
     lines: dict[tuple[str | None, str | None], int] = {}
@@ -264,8 +362,9 @@ def _key_lines(text: str) -> dict[tuple[str | None, str | None], int]:
         stripped = raw.strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip()
+        header = configparser.ConfigParser.SECTCRE.match(stripped)
+        if header:
+            section = header.group("header")  # unstripped, as configparser keeps it
             lines.setdefault((section, None), i)
             continue
         if raw[:1].isspace():
@@ -277,76 +376,86 @@ def _key_lines(text: str) -> dict[tuple[str | None, str | None], int]:
     return lines
 
 
-class _SectionReader:
-    """One section's key-value view with typed accessors."""
-
-    def __init__(self, section: str, items: dict[str, str], lines):
-        self.section = section
-        self.items = items
-        self.lines = lines
-
-    def line(self, key: str) -> int | None:
-        return self.lines.get((self.section, key))
-
-    def raw(self, key: str, default: str | None = None) -> str | None:
-        return self.items.get(key, default)
-
-    def require(self, key: str) -> str:
-        value = self.raw(key)
+def _parse_value(text: str, kind, section: str, key: str, line: int | None):
+    """Read one value as its table kind; errors name the key and line."""
+    name = f"{section}.{key}"
+    if kind in _UNITS:
+        return parse_quantity(text, kind, key=name, line=line)
+    if kind is str:
+        return text
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ConfigurationError(
+                f"unknown {section} {key} '{text}' (one of {', '.join(kind)})",
+                key=name,
+                line=line,
+            )
+        return text
+    if kind is bool:
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
         if value is None:
             raise ConfigurationError(
-                f"missing required property {key}",
-                key=f"{self.section}.{key}",
-                line=self.lines.get((self.section, None)),
+                f"cannot parse boolean '{text}' for {name}", key=name, line=line
             )
         return value
-
-    def quantity(self, key: str, kind: str, default: float | None = None) -> float:
-        value = self.raw(key)
-        if value is None:
-            if default is None:
-                return self.require(key)  # raises
-            return default
-        return parse_quantity(value, kind, key=f"{self.section}.{key}", line=self.line(key))
-
-    def integer(self, key: str, default: int | None = None, required=False) -> int:
-        value = self.require(key) if required else self.raw(key)
-        if value is None:
-            return default
+    if kind is int:
         try:
-            return int(value)
+            return int(text)
         except ValueError:
             raise ConfigurationError(
-                f"cannot parse integer '{value}' for {self.section}.{key}",
-                key=f"{self.section}.{key}",
-                line=self.line(key),
+                f"cannot parse integer '{text}' for {name}", key=name, line=line
             ) from None
-
-    def boolean(self, key: str, default: bool) -> bool:
-        value = self.raw(key)
-        if value is None:
-            return default
-        lowered = value.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
+    # a well cell: a flat cell id or a structured (ix, iy, iz)
+    try:
+        indices = tuple(int(token) for token in text.split())
+    except ValueError:
         raise ConfigurationError(
-            f"cannot parse boolean '{value}' for {self.section}.{key}",
-            key=f"{self.section}.{key}",
-            line=self.line(key),
+            f"cannot parse cell '{text}' for {name}", key=name, line=line
+        ) from None
+    if len(indices) not in (1, 3):
+        raise ConfigurationError(
+            f"well cell needs 1 or 3 indices, got {len(indices)}", key=name, line=line
         )
+    return indices if len(indices) == 3 else indices[0]
 
-    def check_consumed(self, allowed: set[str]) -> None:
-        for key in self.items:
-            if key not in allowed:
-                line = self.line(key)
-                raise ConfigurationError(
-                    f"unknown key '{key}' in section [{self.section}]"
-                    + (f" (line {line})" if line else ""),
-                    key=f"{self.section}.{key}",
-                    line=line,
-                )
+
+def _read_section(parser, lines, section: str, keys: dict[str, _Key]) -> dict:
+    """Check one section against its keys; return its typed values by field."""
+    items = parser[section] if parser.has_section(section) else {}
+    for key in items:
+        if key not in keys:
+            line = lines.get((section, key))
+            raise ConfigurationError(
+                f"unknown key '{key}' in section [{section}]"
+                + (f" (line {line})" if line else ""),
+                key=f"{section}.{key}",
+                line=line,
+            )
+    values = {}
+    for key, spec in keys.items():
+        if key in items:
+            line = lines.get((section, key))
+            value = _parse_value(items[key], spec.kind, section, key, line)
+            values[spec.field or key] = value
+        elif spec.required:
+            if not parser.has_section(section):
+                raise ConfigurationError(f"missing required section [{section}]")
+            raise ConfigurationError(
+                f"missing required property {key}",
+                key=f"{section}.{key}",
+                line=lines.get((section, None)),
+            )
+    return values
+
+
+def _build(spec: type, values: dict, section: str, lines, **extra):
+    """The section's spec object; its own checks are reported at the header."""
+    try:
+        return spec(**values, **extra)
+    except ConfigurationError as err:
+        raise ConfigurationError(
+            str(err), key=section, line=lines.get((section, None))
+        ) from None
 
 
 def parse_config(path) -> CaseConfig:
@@ -359,7 +468,8 @@ def parse_config(path) -> CaseConfig:
 
 
 def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] header is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep key case so units and names survive
     try:
         parser.read_string(text)
@@ -367,268 +477,53 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
         raise ConfigurationError(f"malformed config: {err}") from None
     lines = _key_lines(text)
 
-    def reader(section: str) -> _SectionReader:
-        items = dict(parser[section]) if parser.has_section(section) else {}
-        return _SectionReader(section, items, lines)
-
-    for section in parser.sections():
-        if section not in _ALLOWED_KEYS and not section.startswith("well."):
-            raise ConfigurationError(
-                f"unknown section '[{section}]'"
-                + (f" (line {lines.get((section, None))})" if (section, None) in lines else ""),
-                key=section,
-                line=lines.get((section, None)),
-            )
-    for section, allowed in _ALLOWED_KEYS.items():
-        if parser.has_section(section):
-            reader(section).check_consumed(allowed)
-
-    for required in ("mesh", "properties", "time"):
-        if not parser.has_section(required):
-            raise ConfigurationError(f"missing required section [{required}]")
-
-    case_r = reader("case")
-    name = case_r.raw("name", default_name)
-    problem = case_r.raw("problem", "generic")
-
-    mesh_r = reader("mesh")
-    axis_name = mesh_r.raw("barrier_axis", "x")
-    if axis_name not in ("x", "y", "z"):
-        raise ConfigurationError(
-            f"barrier_axis must be x, y or z, got '{axis_name}'",
-            key="mesh.barrier_axis",
-            line=mesh_r.line("barrier_axis"),
-        )
-    mesh = MeshSpec(
-        builder=mesh_r.raw("builder", "cartesian"),
-        shape=(
-            mesh_r.integer("nx", required=True),
-            mesh_r.integer("ny", required=True),
-            mesh_r.integer("nz", required=True),
-        ),
-        lengths=(
-            mesh_r.quantity("lx", "length", 1.0),
-            mesh_r.quantity("ly", "length", 1.0),
-            mesh_r.quantity("lz", "length", 1.0),
-        ),
-        barrier_axis="xyz".index(axis_name),
-        barrier_index=mesh_r.integer("barrier_index", default=None),
-    )
-
-    props_r = reader("properties")
-    props = PoroelasticProperties(
-        mu=props_r.quantity("mu", "pressure"),
-        lam=props_r.quantity("lambda", "pressure"),
-        alpha=props_r.quantity("alpha", "dimensionless"),
-        c0=props_r.quantity("c0", "compressibility"),
-        perm=props_r.quantity("permeability", "permeability"),
-        fluid_viscosity=props_r.quantity("fluid_viscosity", "viscosity", 1e-3),
-    )
-
-    bdry_r = reader("boundaries")
-    sides = {}
-    for side in _SIDE_NAMES:
-        value = bdry_r.raw(side)
-        if value is not None:
-            sides[side] = value.strip()
-    boundaries = BoundarySpec(
-        default=bdry_r.raw("mechanics", "fixed").strip(),
-        sides=sides,
-        robin_delta=bdry_r.quantity("robin_delta", "length", 1.0),
-        robin_mu=bdry_r.quantity("robin_mu", "pressure", 1.0),
-    )
-
-    time_r = reader("time")
-    try:
-        time = TimeGrid(
-            dt=time_r.quantity("dt", "time"),
-            n_steps=time_r.integer("n_steps", required=True),
-            t0=time_r.quantity("t0", "time", 0.0),
-        )
-    except ConfigurationError as err:
-        raise ConfigurationError(
-            str(err), key="time", line=lines.get(("time", None))
-        ) from None
-
-    scheme_r = reader("scheme")
-    scheme = SchemeSpec(
-        kind=scheme_r.raw("kind", "fixed_stress").strip(),
-        tol=scheme_r.quantity("tol", "dimensionless", 1e-6),
-        max_iter=scheme_r.integer("max_iter", 25),
-        anderson_m0=scheme_r.integer("anderson_m0", 0),
-    )
-    if scheme.kind not in ("lagged", "fixed_stress"):
-        raise ConfigurationError(
-            f"unknown scheme kind '{scheme.kind}'",
-            key="scheme.kind",
-            line=scheme_r.line("kind"),
-        )
-
-    solver_r = reader("solver")
-    method = solver_r.raw("method", "auto").strip()
-    if method not in ("auto", "direct", "iterative"):
-        raise ConfigurationError(
-            f"unknown solver method '{method}'",
-            key="solver.method",
-            line=solver_r.line("method"),
-        )
-    solver = SolverOptions(
-        rtol=solver_r.quantity("rtol", "dimensionless", 1e-5),
-        max_iter=solver_r.integer("max_iter", 500),
-        method=method,
-    )
-
-    out_r = reader("output")
-    output = OutputSpec(
-        directory=out_r.raw("directory", "out").strip(),
-        vtk=out_r.boolean("vtk", True),
-        csv=out_r.boolean("csv", True),
-    )
-
     wells = []
     for section in parser.sections():
-        if not section.startswith("well."):
-            continue
-        well_r = reader(section)
-        well_r.check_consumed(_WELL_KEYS)
-        cell_text = well_r.require("cell").split()
-        try:
-            indices = [int(tok) for tok in cell_text]
-        except ValueError:
+        if section.startswith("well."):
+            values = _read_section(parser, lines, section, _WELL)
+            name = section[len("well.") :]
+            wells.append(_build(WellSpec, values, section, lines, name=name))
+        elif section not in _SECTIONS:
+            line = lines.get((section, None))
             raise ConfigurationError(
-                f"cannot parse cell '{' '.join(cell_text)}' for {section}.cell",
-                key=f"{section}.cell",
-                line=well_r.line("cell"),
-            ) from None
-        if len(indices) == 3:
-            cell: int | tuple[int, int, int] = tuple(indices)
-        elif len(indices) == 1:
-            cell = indices[0]
+                f"unknown section '[{section}]'" + (f" (line {line})" if line else ""),
+                key=section,
+                line=line,
+            )
+    fields = {"name": default_name}
+    for section, (attr, spec, keys) in _SECTIONS.items():
+        values = _read_section(parser, lines, section, keys)
+        if spec is None:
+            fields.update(values)
         else:
-            raise ConfigurationError(
-                f"well cell needs 1 or 3 indices, got {len(indices)}",
-                key=f"{section}.cell",
-                line=well_r.line("cell"),
-            )
-        stop_text = well_r.raw("stop")
-        t_end = math.inf
-        if stop_text is not None and stop_text.strip() != "inf":
-            t_end = parse_quantity(
-                stop_text, "time", key=f"{section}.stop", line=well_r.line("stop")
-            )
-        wells.append(
-            WellSpec(
-                name=section[len("well.") :],
-                cell=cell,
-                rate=well_r.quantity("rate", "rate"),
-                t_start=well_r.quantity("start", "time", 0.0),
-                t_end=t_end,
-            )
-        )
-    wells.sort(key=lambda w: w.name)
-
-    return CaseConfig(
-        name=name,
-        problem=problem,
-        mesh=mesh,
-        props=props,
-        boundaries=boundaries,
-        time=time,
-        scheme=scheme,
-        solver=solver,
-        output=output,
-        wells=wells,
-    )
+            fields[attr] = _build(spec, values, section, lines)
+    return CaseConfig(**fields, wells=sorted(wells, key=lambda w: w.name))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _format(value, kind) -> str:
+    if kind in _UNITS:
+        return repr(float(value))
+    if kind is bool:
+        return str(value).lower()
+    if isinstance(value, tuple):  # a structured well cell
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _write_section(out: StringIO, header: str, spec, keys: dict[str, _Key]) -> None:
+    out.write(f"[{header}]\n")
+    for key, entry in keys.items():
+        value = getattr(spec, entry.field or key)
+        if value is not None:  # None marks an optional key without a value
+            out.write(f"{key} = {_format(value, entry.kind)}\n")
+    out.write("\n")
 
 
 def serialize_config(config: CaseConfig) -> str:
-    """Canonical SI-unit INI text; parse(serialize(c)) == c."""
+    """Canonical SI-unit INI text of every key; parse(serialize(c)) == c."""
     out = StringIO()
-
-    def section(header: str, pairs):
-        out.write(f"[{header}]\n")
-        for key, value in pairs:
-            out.write(f"{key} = {value}\n")
-        out.write("\n")
-
-    section("case", [("name", config.name), ("problem", config.problem)])
-    mesh_pairs = [
-        ("builder", config.mesh.builder),
-        ("nx", config.mesh.shape[0]),
-        ("ny", config.mesh.shape[1]),
-        ("nz", config.mesh.shape[2]),
-        ("lx", _fmt(config.mesh.lengths[0])),
-        ("ly", _fmt(config.mesh.lengths[1])),
-        ("lz", _fmt(config.mesh.lengths[2])),
-    ]
-    if config.mesh.builder == "barrier":
-        mesh_pairs.append(("barrier_axis", "xyz"[config.mesh.barrier_axis]))
-        if config.mesh.barrier_index is not None:
-            mesh_pairs.append(("barrier_index", config.mesh.barrier_index))
-    section("mesh", mesh_pairs)
-    section(
-        "properties",
-        [
-            ("mu", _fmt(config.props.mu)),
-            ("lambda", _fmt(config.props.lam)),
-            ("alpha", _fmt(config.props.alpha)),
-            ("c0", _fmt(config.props.c0)),
-            ("permeability", _fmt(config.props.perm)),
-            ("fluid_viscosity", _fmt(config.props.fluid_viscosity)),
-        ],
-    )
-    bdry_pairs = [("mechanics", config.boundaries.default)]
-    bdry_pairs += [(side, config.boundaries.sides[side]) for side in _SIDE_NAMES if side in config.boundaries.sides]
-    bdry_pairs += [
-        ("robin_delta", _fmt(config.boundaries.robin_delta)),
-        ("robin_mu", _fmt(config.boundaries.robin_mu)),
-    ]
-    section("boundaries", bdry_pairs)
-    section(
-        "time",
-        [
-            ("dt", _fmt(config.time.dt)),
-            ("n_steps", config.time.n_steps),
-            ("t0", _fmt(config.time.t0)),
-        ],
-    )
-    section(
-        "scheme",
-        [
-            ("kind", config.scheme.kind),
-            ("tol", _fmt(config.scheme.tol)),
-            ("max_iter", config.scheme.max_iter),
-            ("anderson_m0", config.scheme.anderson_m0),
-        ],
-    )
-    section(
-        "solver",
-        [
-            ("rtol", _fmt(config.solver.rtol)),
-            ("max_iter", config.solver.max_iter),
-            ("method", config.solver.method),
-        ],
-    )
-    section(
-        "output",
-        [
-            ("directory", config.output.directory),
-            ("vtk", str(config.output.vtk).lower()),
-            ("csv", str(config.output.csv).lower()),
-        ],
-    )
+    for section, (attr, _, keys) in _SECTIONS.items():
+        _write_section(out, section, getattr(config, attr) if attr else config, keys)
     for well in config.wells:
-        cell = well.cell
-        cell_text = " ".join(str(i) for i in cell) if isinstance(cell, tuple) else str(cell)
-        pairs = [
-            ("cell", cell_text),
-            ("rate", _fmt(well.rate)),
-            ("start", _fmt(well.t_start)),
-            ("stop", "inf" if math.isinf(well.t_end) else _fmt(well.t_end)),
-        ]
-        section(f"well.{well.name}", pairs)
+        _write_section(out, f"well.{well.name}", well, _WELL)
     return out.getvalue()

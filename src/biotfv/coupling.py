@@ -128,8 +128,8 @@ class Well:
     def __post_init__(self):
         if not (math.isfinite(self.rate) and math.isfinite(self.t_start)):
             raise ConfigurationError("well rate and start time must be finite")
-        if math.isnan(self.t_end):
-            raise ConfigurationError("well stop time must not be NaN")
+        if not self.t_end > self.t_start:  # also catches a NaN stop
+            raise ConfigurationError("well stop time must be after its start time")
 
     def active_at(self, t: float) -> bool:
         # backward Euler evaluates sources at the end of the step; a small
@@ -149,6 +149,8 @@ class TimeGrid:
             raise ConfigurationError("time step must be positive and finite")
         if self.n_steps < 1:
             raise ConfigurationError("need at least one time step")
+        if not math.isfinite(self.t0):
+            raise ConfigurationError("start time t0 must be finite")
 
     @property
     def times(self) -> np.ndarray:

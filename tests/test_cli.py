@@ -165,10 +165,15 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
             "robin_delta",
         ),
         ([("tol = 1e-8", "tol = nan")], "tolerance"),
+        ([("n_steps = 3", "n_steps = 3\nt0 = nan day")], "t0"),
+        (
+            [("rate = 5 m3/day", "rate = 5 m3/day\nstart = 5 day\nstop = 1 day")],
+            "stop time",
+        ),
     ],
     ids=[
         "nan-rate", "nan-rate-lagged", "nan-start", "nan-stop", "zero-rtol",
-        "zero-max-iter", "nan-robin-delta", "nan-tol",
+        "zero-max-iter", "nan-robin-delta", "nan-tol", "nan-t0", "stop-before-start",
     ],
 )
 def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):

@@ -6,16 +6,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biotfv.app.config import (
+    _SECTIONS,
+    _WELL,
     BoundarySpec,
     CaseConfig,
+    MeshSpec,
+    OutputSpec,
+    SchemeSpec,
+    WellSpec,
     parse_config,
     parse_config_text,
     parse_quantity,
     serialize_config,
 )
+from biotfv.coupling import PoroelasticProperties, TimeGrid
 from biotfv.errors import ConfigurationError
+from biotfv.linsolve.precond import SolverOptions
 from biotfv.mesh import build_cartesian
 from biotfv.tpsa import BoundaryKind
 
@@ -71,8 +81,8 @@ def test_minimal_config_defaults():
     cfg = parse_config_text(MINIMAL)
     assert cfg.name == "case"
     assert cfg.problem == "generic"
-    assert cfg.mesh.shape == (2, 2, 2)
-    assert cfg.mesh.lengths == (1.0, 1.0, 1.0)
+    assert (cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.nz) == (2, 2, 2)
+    assert (cfg.mesh.lx, cfg.mesh.ly, cfg.mesh.lz) == (1.0, 1.0, 1.0)
     assert cfg.time.dt == 86400.0
     assert cfg.time.n_steps == 3
     assert cfg.scheme.kind == "fixed_stress"
@@ -85,9 +95,9 @@ def test_barrier_case_file_parses_with_si_values():
     cfg = parse_config(CASES / "barrier.cfg")
     assert cfg.name == "barrier"
     assert cfg.mesh.builder == "barrier"
-    assert cfg.mesh.shape == (30, 30, 3)
-    assert cfg.mesh.lengths == (300.0, 300.0, 30.0)
-    assert cfg.mesh.barrier_axis == 0
+    assert (cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.nz) == (30, 30, 3)
+    assert (cfg.mesh.lx, cfg.mesh.ly, cfg.mesh.lz) == (300.0, 300.0, 30.0)
+    assert cfg.mesh.barrier_axis == "x"
     assert cfg.mesh.barrier_index == 15
     assert cfg.props.mu == 3.5e9
     assert cfg.props.lam == 4e9
@@ -113,6 +123,13 @@ def test_readme_example_parses_and_builds():
     case = cfg.build_case()
     assert case.mesh.n_cells == 30 * 30 * 3
     assert case.wells[0].cell == case.mesh.cell_index(7, 15, 1)
+
+
+def test_readme_lists_every_key_once():
+    rows = re.findall(r"^\| `\[([\w.]+)\]` \| `(\w+)` \|", README.read_text(), re.M)
+    schema = [(name, key) for name, section in _SECTIONS.items() for key in section.keys]
+    schema += [("well.NAME", key) for key in _WELL]
+    assert sorted(rows) == sorted(schema)
 
 
 def test_manufactured_case_file_parses():
@@ -153,8 +170,15 @@ def test_unknown_key_names_key_and_line():
 
 
 def test_unknown_section_rejected():
-    with pytest.raises(ConfigurationError, match="unknown section"):
-        parse_config_text(MINIMAL + "\n[wells]\nfoo = 1\n")
+    # [DEFAULT] would copy its keys into every section; a padded header
+    # keeps its spaces in configparser's section name
+    for header in ("[wells]", "[DEFAULT]", "[ time ]"):
+        text = MINIMAL + f"\n{header}\nfoo = 1\n"
+        line = text.splitlines().index(header) + 1
+        with pytest.raises(ConfigurationError, match="unknown section") as excinfo:
+            parse_config_text(text)
+        assert excinfo.value.line == line
+        assert f"line {line}" in str(excinfo.value)
 
 
 def test_unknown_well_key_rejected():
@@ -193,9 +217,78 @@ def test_round_trip_minimal():
     assert parse_config_text(serialize_config(cfg)) == cfg
 
 
+words = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
+reals = st.floats(allow_nan=False, allow_infinity=False)
+counts = st.integers(-5, 10**6)
+side = st.none() | st.sampled_from(["fixed", "free", "robin"])
+
+
+@st.composite
+def case_configs(draw):
+    """Any config the parser can produce, on either mesh builder."""
+    mesh = MeshSpec(
+        builder=draw(st.sampled_from(["cartesian", "barrier"])),
+        nx=draw(counts),
+        ny=draw(counts),
+        nz=draw(counts),
+        lx=draw(reals),
+        ly=draw(reals),
+        lz=draw(reals),
+        barrier_axis=draw(st.sampled_from("xyz")),
+        barrier_index=draw(st.none() | counts),
+    )
+    wells = [
+        WellSpec(
+            name=name,
+            cell=draw(counts | st.tuples(counts, counts, counts)),
+            rate=draw(reals),
+            t_start=draw(reals),
+            t_end=draw(reals | st.just(math.inf)),
+        )
+        for name in sorted(draw(st.sets(words, max_size=3)))
+    ]
+    return CaseConfig(
+        name=draw(words),
+        problem=draw(st.sampled_from(["generic", "manufactured"])),
+        mesh=mesh,
+        props=PoroelasticProperties(*(draw(reals) for _ in range(6))),
+        boundaries=BoundarySpec(
+            draw(st.sampled_from(["fixed", "free", "robin"])),
+            *(draw(side) for _ in range(6)),
+            robin_delta=draw(reals),
+            robin_mu=draw(reals),
+        ),
+        time=TimeGrid(
+            dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+            n_steps=draw(st.integers(1, 10**6)),
+            t0=draw(reals),
+        ),
+        scheme=SchemeSpec(
+            draw(st.sampled_from(["fixed_stress", "lagged"])),
+            draw(reals),
+            draw(counts),
+            draw(counts),
+        ),
+        solver=SolverOptions(
+            draw(reals),
+            draw(counts),
+            draw(st.sampled_from(["auto", "direct", "iterative"])),
+        ),
+        output=OutputSpec(draw(words), draw(st.booleans()), draw(st.booleans())),
+        wells=wells,
+    )
+
+
+@given(case_configs())
+def test_round_trip_property(cfg):
+    text = serialize_config(cfg)
+    assert parse_config_text(text) == cfg
+    assert serialize_config(parse_config_text(text)) == text
+
+
 def test_boundary_spec_side_override():
     mesh = build_cartesian(2, 2, 2)
-    spec = BoundarySpec(default="fixed", sides={"z_max": "free"})
+    spec = BoundarySpec(default="fixed", z_max="free")
     boundary = spec.build(mesh)
     free = np.flatnonzero(boundary.kind == BoundaryKind.FREE)
     assert free.size == 4
@@ -234,7 +327,7 @@ def test_build_case_generic_resolves_well():
 
 def test_build_case_manufactured_attaches_sources():
     cfg = parse_config(CASES / "manufactured.cfg")
-    cfg.mesh.shape = (4, 4, 4)
+    cfg.mesh.nx = cfg.mesh.ny = cfg.mesh.nz = 4
     case = cfg.build_case()
     assert case.props.f_u.shape == (64, 3)
     assert case.f_p.shape == (64,)

@@ -176,9 +176,17 @@ def test_time_grid_times():
 
 
 def test_time_grid_validation():
-    for dt, n_steps in [(0.0, 1), (1.0, 0), (np.nan, 1), (np.inf, 1), (-np.inf, 1)]:
+    for dt, n_steps, t0 in [
+        (0.0, 1, 0.0),
+        (1.0, 0, 0.0),
+        (np.nan, 1, 0.0),
+        (np.inf, 1, 0.0),
+        (-np.inf, 1, 0.0),
+        (1.0, 1, np.nan),
+        (1.0, 1, np.inf),
+    ]:
         with pytest.raises(ConfigurationError):
-            TimeGrid(dt=dt, n_steps=n_steps)
+            TimeGrid(dt=dt, n_steps=n_steps, t0=t0)
 
 
 def test_well_schedule_half_open():
@@ -197,6 +205,8 @@ def test_well_schedule_half_open():
         dict(rate=1.0, t_start=np.nan),
         dict(rate=1.0, t_start=-np.inf),
         dict(rate=1.0, t_end=np.nan),
+        dict(rate=1.0, t_start=5.0, t_end=1.0),
+        dict(rate=1.0, t_start=5.0, t_end=5.0),
     ],
 )
 def test_well_rejects_nonfinite_schedule(schedule):
