@@ -113,14 +113,12 @@ class MeshSpec:
         shape = (self.nx, self.ny, self.nz)
         lengths = (self.lx, self.ly, self.lz)
         try:
-            if self.builder == "cartesian":
-                return build_cartesian(*shape, lengths)
             if self.builder == "barrier":
                 axis = "xyz".index(self.barrier_axis)
                 return build_barrier_mesh(*shape, lengths, axis, self.barrier_index)
+            return build_cartesian(*shape, lengths)
         except GeometryError as err:
             raise ConfigurationError(str(err)) from err
-        raise ConfigurationError(f"unknown mesh builder '{self.builder}'")
 
 
 @dataclass
@@ -146,9 +144,6 @@ class BoundarySpec:
             for index, name in enumerate(_SIDE_NAMES)
             if getattr(self, name) is not None
         }
-        for name in (self.default, *sides.values()):
-            if name not in _BOUNDARY_KINDS:
-                raise ConfigurationError(f"unknown boundary kind '{name}'")
         kinds = np.full(mesh.n_faces, int(BoundaryKind.INTERIOR), dtype=np.int8)
         bdry = mesh.boundary_faces
         kinds[bdry] = int(_BOUNDARY_KINDS[self.default])
@@ -247,8 +242,6 @@ class CaseConfig:
             case.wells = wells
             case.name = self.name
             return case
-        if self.problem != "generic":
-            raise ConfigurationError(f"unknown problem kind '{self.problem}'")
         props = replace(self.props, boundary=boundary)
         return BiotCase(
             mesh=mesh, props=props, time=self.time, wells=wells, name=self.name
@@ -273,12 +266,14 @@ class _Section(NamedTuple):
 
 # The case-file schema: checking, parsing and serializing all walk it.
 _SECTIONS = {
-    "case": _Section(None, None, {"name": _Key(str), "problem": _Key(str)}),
+    "case": _Section(
+        None, None, {"name": _Key(str), "problem": _Key(("generic", "manufactured"))}
+    ),
     "mesh": _Section(
         "mesh",
         MeshSpec,
         {
-            "builder": _Key(str),
+            "builder": _Key(("cartesian", "barrier")),
             "nx": _Key(int, required=True),
             "ny": _Key(int, required=True),
             "nz": _Key(int, required=True),
@@ -305,8 +300,8 @@ _SECTIONS = {
         "boundaries",
         BoundarySpec,
         {
-            "mechanics": _Key(str, field="default"),
-            **{side: _Key(str) for side in _SIDE_NAMES},
+            "mechanics": _Key(tuple(_BOUNDARY_KINDS), field="default"),
+            **{side: _Key(tuple(_BOUNDARY_KINDS)) for side in _SIDE_NAMES},
             "robin_delta": _Key("length"),
             "robin_mu": _Key("pressure"),
         },
@@ -358,21 +353,25 @@ def _key_lines(text: str) -> dict[tuple[str | None, str | None], int]:
     """Line number of every section header and key, for error reporting."""
     lines: dict[tuple[str | None, str | None], int] = {}
     section = None
+    key_indent = None  # indentation of the open key; None right after a header
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
+        indent = len(raw) - len(raw.lstrip())
+        if key_indent is not None and indent > key_indent:
+            continue  # configparser's rule: a continuation of the open key's value
         header = configparser.ConfigParser.SECTCRE.match(stripped)
         if header:
             section = header.group("header")  # unstripped, as configparser keeps it
             lines.setdefault((section, None), i)
+            key_indent = None
             continue
-        if raw[:1].isspace():
-            continue  # continuation line of the previous value
         cut = [pos for pos in (stripped.find("="), stripped.find(":")) if pos >= 0]
         if cut:
             key = stripped[: min(cut)].strip()
             lines.setdefault((section, key), i)
+            key_indent = indent
     return lines
 
 

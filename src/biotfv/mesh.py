@@ -1,13 +1,15 @@
 """Polyhedral cell-face mesh with Cartesian builders.
 
 The data model is deliberately minimal: cells carry centers and volumes,
-faces carry centers, areas and one canonical unit normal each.  Per-cell
-orientation is not stored on faces; it is recovered from the convention
-that the canonical normal points out of ``face_cells[k, 0]`` and into
+faces carry centers, areas and one canonical unit normal each.  The
+canonical normal points out of ``face_cells[k, 0]`` and into
 ``face_cells[k, 1]``, so the orientation sign of cell i at face k is
 
     eps_ik = +1 if i == face_cells[k, 0] else -1.
 
+``Mesh.divergence`` is the sparse (cells x faces) matrix of these signs
+and the only place that applies the convention: every cell balance,
+-sum_k eps_ik (flux)_k, is that matrix applied to a face quantity.
 Boundary faces have ``face_cells[k, 1] == -1`` and outward normals.
 Sealing barriers are flagged per face and affect flow transmissibility
 only; the elastic discretization treats them as ordinary interior faces.
@@ -15,11 +17,11 @@ only; the elastic discretization treats them as ordinary interior faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError
@@ -92,6 +94,17 @@ class Mesh:
     def boundary_faces(self) -> np.ndarray:
         return np.flatnonzero(self.is_boundary)
 
+    @cached_property
+    def divergence(self) -> csr_matrix:
+        """Signed cell-face incidence, (n_cells, n_faces): entry (i, k) is eps_ik."""
+        inter = self.interior_faces
+        cells = np.concatenate([self.face_cells[:, 0], self.face_cells[inter, 1]])
+        faces = np.concatenate([np.arange(self.n_faces), inter])
+        signs = np.concatenate([np.ones(self.n_faces), -np.ones(inter.size)])
+        return coo_matrix(
+            (signs, (cells, faces)), shape=(self.n_cells, self.n_faces)
+        ).tocsr()
+
     def flow_components(self) -> np.ndarray:
         """Connected-component label per cell of the flow adjacency.
 
@@ -136,14 +149,8 @@ class Mesh:
 
     def _check_closed_surfaces(self) -> None:
         # sum of eps_ik |face| n_k over each cell boundary must vanish
-        weighted = self.face_areas[:, None] * self.face_normals
-        acc = np.zeros((self.n_cells, 3))
-        np.add.at(acc, self.face_cells[:, 0], weighted)
-        inter = self.interior_faces
-        np.add.at(acc, self.face_cells[inter, 1], -weighted[inter])
-        scale = np.zeros(self.n_cells)
-        np.add.at(scale, self.face_cells[:, 0], self.face_areas)
-        np.add.at(scale, self.face_cells[inter, 1], self.face_areas[inter])
+        acc = self.divergence @ (self.face_areas[:, None] * self.face_normals)
+        scale = abs(self.divergence) @ self.face_areas
         rel = np.linalg.norm(acc, axis=1) / np.maximum(scale, 1e-300)
         if np.any(rel > 1e-12):
             raise GeometryError(
@@ -238,6 +245,8 @@ def build_cartesian(
     """
     if min(nx, ny, nz) < 1:
         raise GeometryError("cell counts must be at least 1 in every direction")
+    if not np.all(np.isfinite([*lengths, *origin])):
+        raise GeometryError("domain lengths and origin must be finite")
     if min(lengths) <= 0:
         raise GeometryError("domain lengths must be positive")
     nx, ny, nz = int(nx), int(ny), int(nz)

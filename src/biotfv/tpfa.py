@@ -3,7 +3,9 @@
 The unknown is the fluid pressure deviation from a hydrostatic reference,
 so the hydrostatic gradient never appears in the assembled operator.  All
 exterior boundaries are no-flow; sealing barriers are interior faces with
-zero transmissibility.  Time integration is backward Euler with the
+zero transmissibility.  The operator is div diag(T) div^T with the signed
+cell-face incidence ``Mesh.divergence``, the same one the elastic
+balances use.  Time integration is backward Euler with the
 combined storage coefficient c0 + alpha^2/lambda.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
@@ -100,18 +102,19 @@ def effective_conductivity(mesh: Mesh, props: FlowProperties) -> np.ndarray:
 
 
 def assemble_flow(mesh: Mesh, props: FlowProperties) -> csr_matrix:
-    """Symmetric positive semidefinite TPFA operator (volumetric flux form)."""
+    """Symmetric positive semidefinite TPFA operator (volumetric flux form).
+
+    The flux out of face_cells[k, 0] is T_k (div^T p)_k = T_k (p_in - p_out)
+    and each cell balance is div applied to the fluxes, so the operator is
+    div diag(T) div^T; boundary and barrier faces have T = 0 and leave no
+    entry.
+    """
     cond = effective_conductivity(mesh, props)
     d_in, d_out = face_normal_distances(mesh)
-    inter = mesh.interior_faces
-    trans = mesh.face_areas[inter] * cond[inter] / (d_in[inter] + d_out[inter])
-    i = mesh.face_cells[inter, 0]
-    j = mesh.face_cells[inter, 1]
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([trans, trans, -trans, -trans])
-    n = mesh.n_cells
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    # boundary faces: zero conductivity over an infinite distance
+    trans = mesh.face_areas * cond / (d_in + d_out)
+    div = mesh.divergence
+    return (div @ diags(trans) @ div.T).tocsr().sorted_indices()
 
 
 class FlowSystem:

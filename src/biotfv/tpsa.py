@@ -18,18 +18,22 @@ the opposite one.  The signs follow from the continuous fluxes:
 
 Cell balance rows are -sum_k eps_ik (sigma, tau, v)_k plus the mass
 terms |cell| (0, r/mu, p/lambda), with right-hand side |cell| f_u in the
-momentum rows.  Homogeneous boundary closures set the outside value to
-zero and choose w_out: clamped 0, spring (Robin) delta_out/mu_out, and
-traction-free the analytic limit w_out -> infinity.
+momentum rows.  With G the linear map from cell unknowns to the face
+duals and div the signed incidence ``Mesh.divergence``, the operator is
+mass - (I_7 x div) G; ``recover_duals`` applies the same G.
+
+Homogeneous boundary closures set the outside value to zero and choose
+w_out: clamped 0, spring (Robin) delta_out/mu_out, and traction-free the
+analytic limit w_out -> infinity.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix, diags, identity, kron
 
 from .errors import GeometryError
 from .linsolve.blocks import SparseBlockSystem
@@ -132,12 +136,13 @@ def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
     """Vectorized stencil coefficients for every face.
 
     Returns a dict of per-face arrays: w_in, w_out, delta_total, mu_eff,
-    stab_weight, at_in, at_out (averages weighting own cells), b_in,
-    b_out (opposite weights), g_u, g_p.  Outside values on boundary faces
-    are homogeneous zero, so at_out and b_out are only used on interior
-    faces.  On traction-free faces w_out, delta_total and stab_weight are
-    infinite and mu_eff is 0; the operative coefficients (averages, g_u,
-    g_p) carry their analytic limits.
+    stab_weight, at_in, at_out, g_u, g_p.  at_in and at_out weight each
+    side by its own w, so at_in r_in + at_out r_out is avg~ r; the other
+    average swaps them, avg u = at_out u_in + at_in u_out.  Outside values
+    on boundary faces are homogeneous zero.  On traction-free faces w_out,
+    delta_total and stab_weight are infinite and mu_eff is 0; the
+    operative coefficients (averages, g_u, g_p) carry their analytic
+    limits.
     """
     props.boundary.validate(mesh)
     mu = per_cell(props.mu, mesh.n_cells)
@@ -166,8 +171,6 @@ def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
     denom = w_in + w_out
     at_in = np.zeros(m)
     at_out = np.zeros(m)
-    b_in = np.zeros(m)
-    b_out = np.zeros(m)
     g_u = np.zeros(m)
     g_p = np.zeros(m)
     mu_eff = np.zeros(m)
@@ -175,8 +178,6 @@ def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
 
     at_in[finite] = w_in[finite] / denom[finite]
     at_out[finite] = w_out[finite] / denom[finite]
-    b_in[finite] = w_out[finite] / denom[finite]
-    b_out[finite] = w_in[finite] / denom[finite]
     g_u[finite] = 2.0 / denom[finite]
     g_p[finite] = 0.5 * w_in[finite] * w_out[finite] / denom[finite]
     mu_eff[finite] = delta_total[finite] / denom[finite]
@@ -185,7 +186,6 @@ def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
     # traction-free limit: averages collapse to outside/inside values,
     # the stress difference term vanishes, the stabilization tends to w_in/2
     at_out[free] = 1.0
-    b_in[free] = 1.0
     g_p[free] = 0.5 * w_in[free]
 
     if np.any(d_in <= 0):
@@ -198,11 +198,58 @@ def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
         "stab_weight": stab,
         "at_in": at_in,
         "at_out": at_out,
-        "b_in": b_in,
-        "b_out": b_out,
         "g_u": g_u,
         "g_p": g_p,
     }
+
+
+# S(n) as (row, column, sign, axis) entries: S(n)[row, column] = sign * n[axis]
+_CROSS_ENTRIES = (
+    (0, 1, -1.0, 2), (0, 2, +1.0, 1),
+    (1, 0, +1.0, 2), (1, 2, -1.0, 0),
+    (2, 0, -1.0, 1), (2, 1, +1.0, 0),
+)
+
+
+def _face_dual_map(mesh: Mesh, props: ElasticProperties) -> csr_matrix:
+    """The (7m x 7n) map G from cell unknowns to face duals [sigma | tau | v].
+
+    Rows are field-major like the unknowns: (sigma_x, sigma_y, sigma_z,
+    tau_x, tau_y, tau_z, v), each of length n_faces.  Each cell-face
+    incidence (i, k, eps_ik) of ``Mesh.divergence`` contributes one entry
+    set; the inside cell (eps = +1) enters differences with -1, takes
+    at_in in avg~ and at_out in avg, and the outside cell the reverse.
+    """
+    arr = _stencil_arrays(mesh, props)
+    n, m = mesh.n_cells, mesh.n_faces
+    inc = mesh.divergence.tocoo()
+    cell, face, eps = inc.row, inc.col, inc.data
+    inside = eps > 0
+    own = np.where(inside, arr["at_in"][face], arr["at_out"][face])
+    other = np.where(inside, arr["at_out"][face], arr["at_in"][face])
+    a = mesh.face_areas[face]
+    nrm = mesh.face_normals[face]
+
+    # (dual row field, unknown field, value per incidence)
+    entries = [(6, 6, -eps * a * arr["g_p"][face])]  # v from the p difference
+    for c in range(3):
+        entries += [
+            (c, c, -eps * a * arr["g_u"][face]),  # sigma from the u difference
+            (c, 6, a * own * nrm[:, c]),  # sigma from n avg~ p
+            (6, c, a * other * nrm[:, c]),  # v from n . avg u
+        ]
+    for c, d, sign, axis in _CROSS_ENTRIES:
+        entries += [
+            (c, 3 + d, -sign * a * own * nrm[:, axis]),  # sigma from -S(n) avg~ r
+            (3 + c, d, -sign * a * other * nrm[:, axis]),  # tau from -S(n) avg u
+        ]
+    rows = np.concatenate([fr * m + face for fr, _, _ in entries])
+    cols = np.concatenate([fc * n + cell for _, fc, _ in entries])
+    vals = np.concatenate([v for _, _, v in entries])
+    keep = vals != 0.0
+    return coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(7 * m, 7 * n)
+    ).tocsr()
 
 
 def mean_shear_modulus(mesh: Mesh, props: ElasticProperties) -> float:
@@ -215,86 +262,18 @@ def assemble_tpsa(mesh: Mesh, props: ElasticProperties) -> SparseBlockSystem:
     """Assemble the 7n x 7n elastic operator and the body-force rhs.
 
     Degrees of freedom are field-major: [u_x | u_y | u_z | r_x | r_y |
-    r_z | p], each of length n_cells.  Row blocks are the cell balances
-    -sum_k eps_ik (sigma, tau, v)_k plus mass terms.
+    r_z | p], each of length n_cells.  The operator is the mass diagonal
+    minus the per-field divergence of the face duals, M - (I_7 x div) G.
     """
-    arr = _stencil_arrays(mesh, props)
     n = mesh.n_cells
     mu = per_cell(props.mu, n)
     lam = per_cell(props.lam, n)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def dof(fld, cells):
-        return fld * n + cells
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    area = mesh.face_areas
-    nrm = mesh.face_normals
-    cin = mesh.face_cells[:, 0]
-    cout = mesh.face_cells[:, 1]
-    inter = mesh.interior_faces
-    allf = np.arange(mesh.n_faces)
-
-    # S(n) index pattern: entries (c, d, sign, axis) with value sign * n[axis]
-    cross_entries = [
-        (0, 1, -1.0, 2), (0, 2, +1.0, 1),
-        (1, 0, +1.0, 2), (1, 2, -1.0, 0),
-        (2, 0, -1.0, 1), (2, 1, +1.0, 0),
-    ]
-
-    # row side: (cells, eps); column side: (cells, own-average at, opposite
-    # average b, gradient sign)
-    def face_contrib(faces, row_cells, eps, col_cells, at, b, grad_sign):
-        a = area[faces]
-        # momentum rows, u columns: eps * (-1) * grad_sign * a * g_u, diagonal
-        v_uu = -eps * grad_sign * a * arr["g_u"][faces]
-        for c in range(3):
-            add(dof(c, row_cells), dof(c, col_cells), v_uu)
-        # momentum rows, r columns: -eps * (-a at S) = eps a at S
-        for c, d, sgn, ax in cross_entries:
-            v = eps * a * at * sgn * nrm[faces, ax]
-            add(dof(c, row_cells), dof(3 + d, col_cells), v)
-        # momentum rows, p column: -eps * a at n_c
-        for c in range(3):
-            add(dof(c, row_cells), dof(6, col_cells), -eps * a * at * nrm[faces, c])
-        # rotation rows, u columns: -eps * (-a b S) = eps a b S
-        for c, d, sgn, ax in cross_entries:
-            v = eps * a * b * sgn * nrm[faces, ax]
-            add(dof(3 + c, row_cells), dof(d, col_cells), v)
-        # pressure row, u columns: -eps * a b n_d
-        for d in range(3):
-            add(dof(6, row_cells), dof(d, col_cells), -eps * a * b * nrm[faces, d])
-        # pressure row, p column: -eps * grad_sign * a g_p
-        add(dof(6, row_cells), dof(6, col_cells), -eps * grad_sign * a * arr["g_p"][faces])
-
-    at_in, at_out = arr["at_in"], arr["at_out"]
-    b_in, b_out = arr["b_in"], arr["b_out"]
-
-    # inside-cell rows (eps = +1) against inside and outside columns
-    face_contrib(allf, cin[allf], +1.0, cin[allf], at_in[allf], b_in[allf], -1.0)
-    face_contrib(inter, cin[inter], +1.0, cout[inter], at_out[inter], b_out[inter], +1.0)
-    # outside-cell rows (eps = -1), interior faces only
-    face_contrib(inter, cout[inter], -1.0, cin[inter], at_in[inter], b_in[inter], -1.0)
-    face_contrib(inter, cout[inter], -1.0, cout[inter], at_out[inter], b_out[inter], +1.0)
-
-    # mass terms
-    cells = np.arange(n)
-    for c in range(3):
-        add(dof(3 + c, cells), dof(3 + c, cells), mesh.cell_volumes / mu)
-    add(dof(6, cells), dof(6, cells), mesh.cell_volumes / lam)
-
-    matrix = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(7 * n, 7 * n),
-    ).tocsr()
-    matrix.sum_duplicates()
+    mass = np.concatenate(
+        [np.zeros(3 * n), np.tile(mesh.cell_volumes / mu, 3), mesh.cell_volumes / lam]
+    )
+    balance = kron(identity(7), mesh.divergence, format="csr")
+    matrix = diags(mass) - balance @ _face_dual_map(mesh, props)
+    matrix = matrix.tocsr().sorted_indices()
     return SparseBlockSystem(matrix=matrix, rhs=assemble_rhs(mesh, props), n_cells=n)
 
 
@@ -326,38 +305,8 @@ class FaceDuals:
 def recover_duals(mesh: Mesh, props: ElasticProperties, x: np.ndarray) -> FaceDuals:
     """Evaluate (sigma, tau, v) on every face from a solution vector.
 
-    Post-processing path independent of the assembled matrix; re-summing
-    the duals per cell reproduces the flux part of the operator, which
-    the test suite uses to cross-check the assembly.
+    The same face map G the assembly applies the divergence to, so
+    -div of the duals plus the mass terms reproduces the operator.
     """
-    arr = _stencil_arrays(mesh, props)
-    n = mesh.n_cells
-    u = np.stack([x[c * n : (c + 1) * n] for c in range(3)], axis=1)
-    r = np.stack([x[(3 + c) * n : (4 + c) * n] for c in range(3)], axis=1)
-    p = x[6 * n :]
-
-    cin = mesh.face_cells[:, 0]
-    cout = mesh.face_cells[:, 1]
-    outside = (~mesh.is_boundary).astype(float)[:, None]
-    u_in, r_in, p_in = u[cin], r[cin], p[cin]
-    # homogeneous outside values on the boundary
-    u_out = u[cout] * outside
-    r_out = r[cout] * outside
-    p_out = p[cout] * outside[:, 0]
-
-    a = mesh.face_areas[:, None]
-    nrm = mesh.face_normals
-    at_in, at_out = arr["at_in"][:, None], arr["at_out"][:, None]
-    b_in, b_out = arr["b_in"][:, None], arr["b_out"][:, None]
-
-    sigma = a * (
-        arr["g_u"][:, None] * (u_out - u_in)
-        - np.cross(nrm, at_in * r_in + at_out * r_out)
-        + nrm * (at_in * p_in[:, None] + at_out * p_out[:, None])
-    )
-    tau = -a * np.cross(nrm, b_in * u_in + b_out * u_out)
-    v = mesh.face_areas * (
-        np.einsum("kd,kd->k", nrm, b_in * u_in + b_out * u_out)
-        + arr["g_p"] * (p_out - p_in)
-    )
-    return FaceDuals(sigma=sigma, tau=tau, v=v)
+    duals = (_face_dual_map(mesh, props) @ x).reshape(7, mesh.n_faces)
+    return FaceDuals(sigma=duals[0:3].T, tau=duals[3:6].T, v=duals[6])

@@ -1,9 +1,11 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written in plain scalar style, one cell or face at a
+Most of this is written in plain scalar style, one cell or face at a
 time, deliberately separate from the package's vectorized code paths;
-local_face_operator reuses only the package's per-face stencil
-coefficients.  multigrid_solve iterates the package's V-cycle as a
+face_duals is the face formulas vectorized over faces with np.cross,
+separate from the package's sparse face map.  local_face_operator and
+face_duals reuse only the package's per-face stencil coefficients.
+multigrid_solve iterates the package's V-cycle as a
 stand-alone solver, a second solve path the multigrid tests check.
 """
 
@@ -208,10 +210,55 @@ def local_face_operator(mesh, face, props):
         L[6, base : base + 3] += a * b * n
         L[6, base + 6] += sign_grad * a * arr["g_p"][k]
 
-    fill(0, arr["at_in"][k], arr["b_in"][k], -1.0)
+    # the opposite-weight average of a side uses the other side's weight
+    fill(0, arr["at_in"][k], arr["at_out"][k], -1.0)
     if interior:
-        fill(7, arr["at_out"][k], arr["b_out"][k], +1.0)
+        fill(7, arr["at_out"][k], arr["at_in"][k], +1.0)
     return L
+
+
+def face_duals(mesh, props, x):
+    """(sigma, tau, v) per face straight from the face formulas.
+
+    Vectorized over faces with np.cross, independent of the package's
+    sparse face map: gathers inside and outside cell values (zero outside
+    the boundary) and applies
+
+        sigma = a (g_u (u_out - u_in) - n x avg~ r + n avg~ p)
+        tau   = -a n x avg u
+        v     = a (n . avg u + g_p (p_out - p_in))
+
+    with avg~ = at_in (.)_in + at_out (.)_out and avg its swap.
+    """
+    arr = _stencil_arrays(mesh, props)
+    n = mesh.n_cells
+    u = np.stack([x[c * n : (c + 1) * n] for c in range(3)], axis=1)
+    r = np.stack([x[(3 + c) * n : (4 + c) * n] for c in range(3)], axis=1)
+    p = x[6 * n :]
+
+    cin = mesh.face_cells[:, 0]
+    cout = mesh.face_cells[:, 1]
+    outside = (~mesh.is_boundary).astype(float)[:, None]
+    u_in, r_in, p_in = u[cin], r[cin], p[cin]
+    u_out = u[cout] * outside
+    r_out = r[cout] * outside
+    p_out = p[cout] * outside[:, 0]
+
+    a = mesh.face_areas[:, None]
+    nrm = mesh.face_normals
+    at_in, at_out = arr["at_in"][:, None], arr["at_out"][:, None]
+    avg_u = at_out * u_in + at_in * u_out
+
+    sigma = a * (
+        arr["g_u"][:, None] * (u_out - u_in)
+        - np.cross(nrm, at_in * r_in + at_out * r_out)
+        + nrm * (at_in * p_in[:, None] + at_out * p_out[:, None])
+    )
+    tau = -a * np.cross(nrm, avg_u)
+    v = mesh.face_areas * (
+        np.einsum("kd,kd->k", nrm, avg_u) + arr["g_p"] * (p_out - p_in)
+    )
+    return sigma, tau, v
 
 
 def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100, x0=None):

@@ -170,10 +170,13 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
             [("rate = 5 m3/day", "rate = 5 m3/day\nstart = 5 day\nstop = 1 day")],
             "stop time",
         ),
+        ([("lx = 60 m", "lx = nan m")], "lengths and origin must be finite"),
+        ([("ly = 40 m", "ly = inf m")], "lengths and origin must be finite"),
     ],
     ids=[
         "nan-rate", "nan-rate-lagged", "nan-start", "nan-stop", "zero-rtol",
         "zero-max-iter", "nan-robin-delta", "nan-tol", "nan-t0", "stop-before-start",
+        "nan-length", "inf-length",
     ],
 )
 def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):

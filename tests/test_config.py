@@ -297,10 +297,42 @@ def test_boundary_spec_side_override():
     assert fixed.size == 24 - 4
 
 
+def _assert_word_rejected(text, entry, key):
+    """Parsing rejects the word in the line `entry`, naming key and line."""
+    word = entry.split("=")[1].strip()
+    with pytest.raises(ConfigurationError, match=f"'{word}' \\(one of") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.key == key
+    assert excinfo.value.line == text.splitlines().index(entry) + 1
+
+
 def test_boundary_spec_rejects_unknown_kind():
-    mesh = build_cartesian(2, 2, 2)
-    with pytest.raises(ConfigurationError, match="unknown boundary kind"):
-        BoundarySpec(default="slippery").build(mesh)
+    # the closure words are checked when the file is parsed, not when built
+    for entry, key in (
+        ("mechanics = slippery", "boundaries.mechanics"),
+        ("z_max = slippery", "boundaries.z_max"),
+    ):
+        _assert_word_rejected(MINIMAL + f"\n[boundaries]\n{entry}\n", entry, key)
+
+
+def test_unknown_builder_and_problem_rejected():
+    text = MINIMAL.replace("[mesh]\n", "[mesh]\nbuilder = hexagonal\n")
+    _assert_word_rejected(text, "builder = hexagonal", "mesh.builder")
+    text = MINIMAL + "\n[case]\nproblem = analytic\n"
+    _assert_word_rejected(text, "problem = analytic", "case.problem")
+
+
+def test_indented_key_after_header_keeps_its_line():
+    # configparser reads an indented line right after a header as a key; a
+    # line indented deeper than an open key continues that key's value
+    text = MINIMAL.replace("[mesh]\nnx = 2\n", "[mesh]\n  nx = two\n")
+    with pytest.raises(ConfigurationError, match="cannot parse integer") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.line == text.splitlines().index("  nx = two") + 1
+    text = MINIMAL + "\n[case]\n  name = a\n    problem = generic\nproblem = analytic\n"
+    with pytest.raises(ConfigurationError, match="analytic") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.line == text.splitlines().index("problem = analytic") + 1
 
 
 def test_boundary_robin_needs_positive_parameters():

@@ -120,6 +120,23 @@ def test_closed_surface_identity():
         )
 
 
+@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 2)])
+def test_divergence_is_signed_incidence(dims):
+    mesh = build_cartesian(*dims)
+    div = mesh.divergence
+    assert div.shape == (mesh.n_cells, mesh.n_faces)
+    # each interior face leaves one cell and enters the other; a boundary
+    # face only leaves its cell
+    columns = np.asarray(div.sum(axis=0)).ravel()
+    assert np.all(columns[mesh.interior_faces] == 0.0)
+    assert np.all(columns[mesh.boundary_faces] == 1.0)
+    dense = div.toarray()
+    for cell in range(mesh.n_cells):
+        for k, eps in cell_faces(mesh, cell):
+            assert dense[cell, k] == eps
+    assert div.nnz == mesh.n_faces + mesh.interior_faces.size
+
+
 def test_volume_sums_to_domain():
     mesh = build_cartesian(4, 3, 5, lengths=(2.0, 3.0, 0.25))
     assert mesh.cell_volumes.sum() == pytest.approx(2.0 * 3.0 * 0.25)
@@ -133,6 +150,16 @@ def test_rejects_zero_cell_count():
 def test_rejects_negative_length():
     with pytest.raises(GeometryError):
         build_cartesian(2, 2, 2, lengths=(1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_nonfinite_lengths_and_origin(bad):
+    with pytest.raises(GeometryError, match="must be finite"):
+        build_cartesian(2, 2, 2, lengths=(1.0, bad, 1.0))
+    with pytest.raises(GeometryError, match="must be finite"):
+        build_cartesian(2, 2, 2, origin=(0.0, 0.0, bad))
+    with pytest.raises(GeometryError, match="must be finite"):
+        build_barrier_mesh(4, 2, 2, lengths=(bad, 1.0, 1.0))
 
 
 def test_validate_catches_nonpositive_normal_distance():

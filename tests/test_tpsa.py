@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cell_faces, hand_assembled_two_cell, hand_skew, local_face_operator
+from oracles import (
+    cell_faces,
+    face_duals,
+    hand_assembled_two_cell,
+    hand_skew,
+    local_face_operator,
+)
 
-from biotfv.mesh import build_cartesian, per_cell
+from biotfv.mesh import build_barrier_mesh, build_cartesian, per_cell
+from biotfv.tpfa import FlowProperties, assemble_flow
 from biotfv.tpsa import (
     ElasticProperties,
     MechBoundary,
@@ -73,7 +80,6 @@ def test_interior_stencil_uniform():
     assert st_["delta_total"] == pytest.approx(0.5)
     assert st_["stab_weight"] == pytest.approx(0.5 * 0.25 * 0.25 * 1.0)
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.5, 0.5))
-    assert (st_["b_in"], st_["b_out"]) == pytest.approx((0.5, 0.5))
     assert st_["g_u"] == pytest.approx(4.0)
     assert st_["g_p"] == pytest.approx(0.0625)
 
@@ -86,11 +92,10 @@ def test_interior_stencil_heterogeneous():
     assert st_["w_in"] == pytest.approx(0.25)
     assert st_["w_out"] == pytest.approx(0.25 / 3.0)
     assert st_["mu_eff"] == pytest.approx(1.5)
-    # own-weight average leans toward the larger w
+    # own-weight average leans toward the larger w; the opposite-weight
+    # average takes the same two weights swapped
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.75, 0.25))
-    assert (st_["b_in"], st_["b_out"]) == pytest.approx((0.25, 0.75))
     assert st_["at_in"] + st_["at_out"] == pytest.approx(1.0)
-    assert st_["b_in"] + st_["b_out"] == pytest.approx(1.0)
 
 
 def test_fixed_boundary_stencil():
@@ -99,9 +104,8 @@ def test_fixed_boundary_stencil():
     k = int(mesh.boundary_faces[0])
     st_ = _stencil(mesh, k, props)
     assert st_["w_out"] == 0.0
-    # avg~ takes the inside value, avg the outside value 0
+    # avg~ takes the inside value, avg (weights swapped) the outside value 0
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((1.0, 0.0))
-    assert (st_["b_in"], st_["b_out"]) == pytest.approx((0.0, 1.0))
     assert st_["mu_eff"] == pytest.approx(2.0)
     assert st_["stab_weight"] == 0.0
     assert st_["g_u"] == pytest.approx(2.0 * 2.0 / 0.5)
@@ -113,8 +117,8 @@ def test_free_boundary_stencil():
     props = _props(mesh, mu=2.0, boundary="free")
     st_ = _stencil(mesh, int(mesh.boundary_faces[0]), props)
     assert np.isinf(st_["w_out"])
+    # avg~ takes the outside value 0, avg (weights swapped) the inside value
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.0, 1.0))
-    assert (st_["b_in"], st_["b_out"]) == pytest.approx((1.0, 0.0))
     assert st_["g_u"] == 0.0
     assert st_["g_p"] == pytest.approx(0.5 * st_["w_in"])
 
@@ -125,7 +129,8 @@ def test_robin_boundary_stencil():
     st_ = _stencil(mesh, int(mesh.boundary_faces[0]), props)
     assert st_["w_out"] == pytest.approx(0.05)
     assert st_["delta_total"] == pytest.approx(0.6)
-    assert st_["b_in"] + st_["b_out"] == pytest.approx(1.0)
+    assert st_["at_in"] + st_["at_out"] == pytest.approx(1.0)
+    assert st_["at_out"] == pytest.approx(0.05 / (0.5 + 0.05))
 
 
 def test_stabilization_scales_with_h_squared():
@@ -393,6 +398,35 @@ def test_recover_duals_consistent_with_assembly():
             acc[6] += eps * duals.v[k]
         expected = np.array([flux[f * n + cell] for f in range(7)])
         assert np.allclose(-acc, expected, atol=1e-12 * max(scale, 1.0))
+
+
+@pytest.mark.parametrize("boundary", ["fixed", "free", "robin"])
+def test_recover_duals_matches_face_formulas(boundary):
+    mesh = build_cartesian(3, 2, 2, lengths=(1.0, 0.7, 1.3))
+    rng = np.random.default_rng(11)
+    props = _props(
+        mesh, mu=rng.uniform(0.5, 3.0, mesh.n_cells), lam=1.4, boundary=boundary,
+        **({"delta": 0.1, "mu_r": 2.0} if boundary == "robin" else {}),
+    )
+    x = rng.standard_normal(7 * mesh.n_cells)
+    duals = recover_duals(mesh, props, x)
+    sigma, tau, v = face_duals(mesh, props, x)
+    assert duals.sigma.shape == sigma.shape and duals.tau.shape == tau.shape
+    scale = max(np.abs(sigma).max(), np.abs(tau).max(), np.abs(v).max())
+    for got, want in ((duals.sigma, sigma), (duals.tau, tau), (duals.v, v)):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+
+
+def test_operators_store_no_explicit_zeros():
+    for boundary in ("fixed", "free"):
+        mesh = build_cartesian(3, 2, 2)
+        props = _props(mesh, mu=np.linspace(0.5, 2.0, mesh.n_cells), boundary=boundary)
+        matrix = assemble_tpsa(mesh, props).matrix
+        assert np.all(matrix.data != 0.0), boundary
+    # sealed barrier faces carry zero transmissibility
+    mesh = build_barrier_mesh(6, 4, 2, axis=0, index=3)
+    matrix = assemble_flow(mesh, FlowProperties(perm=1.0))
+    assert np.all(matrix.data != 0.0)
 
 
 def test_rhs_assembly():
