@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 from ..errors import ConfigurationError, SolverError
 from .config import parse_config
@@ -68,12 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args) -> None:
-    # TpsaSolver validates the values, so a bad override exits 2 like a bad config
-    if args.rtol is not None:
-        config.solver.rtol = args.rtol
-    if args.max_iter is not None:
-        config.solver.max_iter = args.max_iter
+def _apply_overrides(config, args):
+    """The config with the solver overrides; SolverOptions checks them."""
+    overrides = {"rtol": args.rtol, "max_iter": args.max_iter}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    return replace(config, solver=replace(config.solver, **overrides))
 
 
 def main(argv=None) -> int:
@@ -83,8 +83,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = parse_config(args.config)
-        _apply_overrides(config, args)
+        config = _apply_overrides(parse_config(args.config), args)
         reports = []
         if args.command == "run":
             artifacts = run_case(

@@ -8,9 +8,12 @@ plus `_WELL`, lists every key with its kind, whether it is required and
 the dataclass field it fills; an absent optional key keeps that field's
 default.  Parsing checks each section against the table and rejects
 unknown sections, keys, units and words, naming the offending key and
-line.  Serializing walks the same table and writes every key that holds
-a value, so parse(serialize(c)) == c for any config whose text values
-are single-line.
+line.  [time], [scheme], [solver] and [well.NAME] build the records the
+run consumes (`TimeGrid`, `SchemeSpec`, `SolverOptions`, `Well`), whose
+own checks are reported with the section and its header line;
+`build_case` makes one `BiotCase`, which places the wells on the mesh.
+Serializing walks the same table and writes every key that holds a
+value, so parse(serialize(c)) == c for single-line text values.
 """
 
 from __future__ import annotations
@@ -24,9 +27,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..coupling import BiotCase, PoroelasticProperties, TimeGrid, Well
+from ..coupling import (
+    SCHEME_KINDS,
+    BiotCase,
+    PoroelasticProperties,
+    SchemeSpec,
+    TimeGrid,
+    Well,
+)
 from ..errors import ConfigurationError, GeometryError
-from ..linsolve.precond import SolverOptions
+from ..linsolve.precond import SOLVER_METHODS, SolverOptions
 from ..mesh import Mesh, build_barrier_mesh, build_cartesian
 from ..tpsa import BoundaryKind, MechBoundary
 from .manufactured import ManufacturedSolution
@@ -34,9 +44,7 @@ from .manufactured import ManufacturedSolution
 __all__ = [
     "MeshSpec",
     "BoundarySpec",
-    "SchemeSpec",
     "OutputSpec",
-    "WellSpec",
     "CaseConfig",
     "parse_quantity",
     "parse_config",
@@ -170,40 +178,10 @@ class BoundarySpec:
 
 
 @dataclass
-class SchemeSpec:
-    """Coupling scheme selection and fixed-stress iteration controls."""
-
-    kind: str = "fixed_stress"
-    tol: float = 1e-6
-    max_iter: int = 25
-    anderson_m0: int = 0
-
-
-@dataclass
 class OutputSpec:
     directory: str = "out"
     vtk: bool = True
     csv: bool = True
-
-
-@dataclass
-class WellSpec:
-    """Constant-rate well; cell is a linear id or structured (ix, iy, iz)."""
-
-    name: str
-    cell: int | tuple[int, int, int]
-    rate: float  # m^3/s
-    t_start: float = 0.0
-    t_end: float = math.inf
-
-    def resolve(self, mesh: Mesh) -> Well:
-        cell = self.cell
-        if isinstance(cell, tuple):
-            try:
-                cell = mesh.cell_index(*cell)
-            except GeometryError as err:
-                raise ConfigurationError(str(err)) from err
-        return Well(cell=cell, rate=self.rate, t_start=self.t_start, t_end=self.t_end)
 
 
 @dataclass
@@ -219,15 +197,15 @@ class CaseConfig:
     scheme: SchemeSpec = field(default_factory=SchemeSpec)
     solver: SolverOptions = field(default_factory=SolverOptions)
     output: OutputSpec = field(default_factory=OutputSpec)
-    wells: list[WellSpec] = field(default_factory=list)
+    wells: list[Well] = field(default_factory=list)
 
     def build_mesh(self) -> Mesh:
         return self.mesh.build()
 
     def build_case(self, mesh: Mesh | None = None) -> BiotCase:
+        """The case on the configured (or a given) mesh, built whole."""
         mesh = mesh if mesh is not None else self.build_mesh()
         boundary = self.boundaries.build(mesh)
-        wells = [w.resolve(mesh) for w in self.wells]
         if self.problem == "manufactured":
             sol = ManufacturedSolution(
                 mu=self.props.mu,
@@ -237,15 +215,9 @@ class CaseConfig:
                 perm=self.props.perm,
                 fluid_viscosity=self.props.fluid_viscosity,
             )
-            case = sol.as_case(mesh, self.time)
-            case.props.boundary = boundary
-            case.wells = wells
-            case.name = self.name
-            return case
+            return sol.as_case(mesh, self.time, boundary, self.wells, self.name)
         props = replace(self.props, boundary=boundary)
-        return BiotCase(
-            mesh=mesh, props=props, time=self.time, wells=wells, name=self.name
-        )
+        return BiotCase(mesh, props, self.time, self.wells, name=self.name)
 
 
 class _Key(NamedTuple):
@@ -319,7 +291,7 @@ _SECTIONS = {
         "scheme",
         SchemeSpec,
         {
-            "kind": _Key(("fixed_stress", "lagged")),
+            "kind": _Key(SCHEME_KINDS),
             "tol": _Key("dimensionless"),
             "max_iter": _Key(int),
             "anderson_m0": _Key(int),
@@ -331,7 +303,7 @@ _SECTIONS = {
         {
             "rtol": _Key("dimensionless"),
             "max_iter": _Key(int),
-            "method": _Key(("auto", "direct", "iterative")),
+            "method": _Key(SOLVER_METHODS),
         },
     ),
     "output": _Section(
@@ -340,7 +312,7 @@ _SECTIONS = {
         {"directory": _Key(str), "vtk": _Key(bool), "csv": _Key(bool)},
     ),
 }
-# the keys of each [well.NAME] section, one WellSpec per section
+# the keys of each [well.NAME] section, one Well per section
 _WELL = {
     "cell": _Key("cell", required=True),
     "rate": _Key("rate", required=True),
@@ -448,7 +420,7 @@ def _read_section(parser, lines, section: str, keys: dict[str, _Key]) -> dict:
 
 
 def _build(spec: type, values: dict, section: str, lines, **extra):
-    """The section's spec object; its own checks are reported at the header."""
+    """The section's record; its own checks are reported at the header."""
     try:
         return spec(**values, **extra)
     except ConfigurationError as err:
@@ -481,7 +453,7 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
         if section.startswith("well."):
             values = _read_section(parser, lines, section, _WELL)
             name = section[len("well.") :]
-            wells.append(_build(WellSpec, values, section, lines, name=name))
+            wells.append(_build(Well, values, section, lines, name=name))
         elif section not in _SECTIONS:
             line = lines.get((section, None))
             raise ConfigurationError(

@@ -13,23 +13,21 @@ import numpy as np
 from ..coupling import (
     BiotCase,
     CoupledSystem,
+    SchemeSpec,
     SimulationResult,
-    check_fixed_stress,
     global_mass_check,
-    run_fixed_stress,
-    run_lagged,
+    simulate,
 )
 from ..errors import ConfigurationError
 from ..mesh import Mesh, build_cartesian
 from ..tpsa import assemble_tpsa
-from .config import CaseConfig, SchemeSpec
+from .config import CaseConfig
 from .output import dump_matrix, save_source_history, write_csv, write_vtk
 
 log = logging.getLogger("biotfv")
 
 __all__ = [
     "scheme_from_token",
-    "run_with_scheme",
     "relative_l2",
     "RunArtifacts",
     "run_case",
@@ -46,29 +44,15 @@ VARIABLES = ("dp", "u", "r", "p_hat")
 
 
 def scheme_from_token(token: str, base: SchemeSpec) -> SchemeSpec:
-    """Map a CLI scheme name onto concrete, checked iteration settings."""
+    """Map a CLI scheme name onto the configured iteration settings."""
     token = token.strip().lower()
     if token == "lagged":
         return replace(base, kind="lagged")
-    if token not in ("fixed", "fixed_stress", "anderson"):
-        raise ConfigurationError(f"unknown scheme '{token}'")
-    check_fixed_stress(base.tol, base.max_iter)
     if token == "anderson":
-        m0 = base.anderson_m0 if base.anderson_m0 >= 1 else 5
-        return replace(base, kind="fixed_stress", anderson_m0=m0)
-    return replace(base, kind="fixed_stress", anderson_m0=0)
-
-
-def run_with_scheme(case: BiotCase, scheme: SchemeSpec, solver=None) -> SimulationResult:
-    if scheme.kind == "lagged":
-        return run_lagged(case, solver)
-    return run_fixed_stress(
-        case,
-        tol=scheme.tol,
-        max_iter=scheme.max_iter,
-        anderson_m0=scheme.anderson_m0,
-        solver=solver,
-    )
+        return replace(base, kind="fixed_stress", anderson_m0=base.anderson_m0 or 5)
+    if token in ("fixed", "fixed_stress"):
+        return replace(base, kind="fixed_stress", anderson_m0=0)
+    raise ConfigurationError(f"unknown scheme '{token}'")
 
 
 def relative_l2(mesh: Mesh, approx: np.ndarray, exact: np.ndarray) -> float:
@@ -103,7 +87,7 @@ def run_case(
         case.time.n_steps,
         config.scheme.kind,
     )
-    result = run_with_scheme(case, config.scheme, config.solver)
+    result = simulate(case, config.scheme, config.solver)
     mass = global_mass_check(case, result.states)
     log.info(
         "finished: %d coupling iterations, mass defect %.3e",
@@ -198,7 +182,7 @@ def run_convergence_study(
         t0 = _time.perf_counter()
         mesh = build_cartesian(n, n, n)
         case = config.build_case(mesh=mesh)
-        result = run_with_scheme(case, replace(config.scheme, kind="lagged"), config.solver)
+        result = simulate(case, replace(config.scheme, kind="lagged"), config.solver)
         exact = case.initial_state()  # steady solution, exact at t0
         final = result.final
         errors = {
@@ -298,7 +282,7 @@ def run_barrier_case(
     runs = []
     for token, scheme in specs:
         log.info("barrier case, scheme %s", token)
-        result = run_with_scheme(case, scheme, config.solver)
+        result = simulate(case, scheme, config.solver)
         averages = []
         for mask in masks:
             w = vol[mask]

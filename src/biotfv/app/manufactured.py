@@ -16,12 +16,14 @@ momentum and mass balances gives the steady body force and fluid source
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..coupling import BiotCase, BiotState, PoroelasticProperties, TimeGrid
+from ..coupling import BiotCase, BiotState, PoroelasticProperties, TimeGrid, Well
 from ..mesh import Mesh
+from ..tpsa import MechBoundary
 
 
 def _factors(x: np.ndarray):
@@ -123,8 +125,14 @@ class ManufacturedSolution:
             t=t,
         )
 
-    def as_case(self, mesh: Mesh, time: TimeGrid) -> BiotCase:
-        """Coupled case with steady sources and the exact initial state."""
+    def as_case(
+        self, mesh: Mesh, time: TimeGrid, boundary: MechBoundary | None = None,
+        wells: Sequence[Well] = (), name: str = "manufactured",
+    ) -> BiotCase:
+        """Coupled case with steady sources and the exact initial state.
+
+        The closed form holds on fixed walls (the default) without wells.
+        """
         centers = mesh.cell_centers
         props = PoroelasticProperties(
             mu=self.mu,
@@ -133,13 +141,15 @@ class ManufacturedSolution:
             c0=self.c0,
             perm=self.perm,
             fluid_viscosity=self.fluid_viscosity,
+            boundary=boundary,
             f_u=self.body_force(centers),
         )
         return BiotCase(
             mesh=mesh,
             props=props,
             time=time,
+            wells=wells,
             f_p=self.fluid_source(centers),
             initial=self.exact_state(mesh, t=time.t0),
-            name="manufactured",
+            name=name,
         )

@@ -20,20 +20,22 @@ the flow source psi of a step comes from:
 
 Both reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time.
+`simulate(case, scheme, solver)` runs either scheme; each of its three
+input records checks itself when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, GeometryError, SolverError
 from .linsolve.krylov import SolveReport
 from .linsolve.precond import SolverOptions, TpsaSolver
 from .mesh import Mesh, per_cell
-from .tpfa import FlowProperties, FlowSources, FlowSystem
+from .tpfa import FlowProperties, FlowSystem
 from .tpsa import (
     ElasticProperties,
     MechBoundary,
@@ -46,6 +48,7 @@ __all__ = [
     "PoroelasticProperties",
     "Well",
     "TimeGrid",
+    "SchemeSpec",
     "BiotCase",
     "BiotState",
     "CouplingReport",
@@ -53,9 +56,7 @@ __all__ = [
     "AndersonState",
     "anderson_weights",
     "CoupledSystem",
-    "check_fixed_stress",
-    "run_lagged",
-    "run_fixed_stress",
+    "simulate",
     "global_mass_check",
 ]
 
@@ -116,14 +117,18 @@ class PoroelasticProperties:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Well:
-    """Constant-rate source attached to one cell, active on (start, end]."""
+    """Constant-rate source on one cell, active on (start, end].
 
-    cell: int
+    The cell is a flat id or (ix, iy, iz); `BiotCase` places it on its mesh.
+    """
+
+    cell: int | tuple[int, int, int]
     rate: float  # m^3/s
     t_start: float = 0.0
     t_end: float = math.inf
+    name: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and math.isfinite(self.t_start)):
@@ -162,6 +167,34 @@ class TimeGrid:
         return self.t0 + self.dt * self.n_steps
 
 
+SCHEME_KINDS = ("fixed_stress", "lagged")
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """Coupling scheme and fixed-stress controls, checked for every kind.
+
+    anderson_m0 = 0 iterates plainly; >= 1 mixes that many previous images.
+    """
+
+    kind: str = "fixed_stress"
+    tol: float = 1e-6
+    max_iter: int = 25
+    anderson_m0: int = 0
+
+    def __post_init__(self):
+        if self.kind not in SCHEME_KINDS:
+            raise ConfigurationError(f"unknown scheme kind '{self.kind}'")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigurationError(
+                "fixed-stress tolerance must be positive and finite"
+            )
+        if self.max_iter < 1:
+            raise ConfigurationError("fixed-stress iteration cap must be at least 1")
+        if self.anderson_m0 < 0:
+            raise ConfigurationError("anderson_m0 must be 0 (plain) or at least 1")
+
+
 @dataclass
 class BiotState:
     """Coupled fields at one time point."""
@@ -194,25 +227,48 @@ class BiotCase:
 
     def __post_init__(self):
         self.props.validate(self.mesh)
-        for well in self.wells:
-            if not 0 <= well.cell < self.mesh.n_cells:
-                raise ConfigurationError(f"well cell {well.cell} out of range")
+        self.wells = [self._placed(well) for well in self.wells]
+
+    def _placed(self, well: Well) -> Well:
+        """The well with its cell resolved to a flat id on this mesh."""
+        key = f"well.{well.name}" if well.name else None
+        cell, n = well.cell, self.mesh.n_cells
+        if isinstance(cell, tuple):
+            try:
+                cell = self.mesh.cell_index(*cell)
+            except GeometryError as err:
+                raise ConfigurationError(str(err), key=key) from err
+        if not 0 <= cell < n:
+            raise ConfigurationError(f"well cell {cell} out of range 0..{n - 1}", key=key)
+        return replace(well, cell=cell)
 
     def initial_state(self) -> BiotState:
         if self.initial is not None:
             return self.initial
         return BiotState.equilibrium(self.mesh.n_cells, t=self.time.t0)
 
-    def flow_sources_at(self, t: float, psi: np.ndarray | None) -> FlowSources:
-        wells = [(w.cell, w.rate) for w in self.wells if w.active_at(t)]
-        return FlowSources(f_p=self.f_p, wells=wells, psi=psi)
+    def source_rate(self, t: float, psi: np.ndarray | None = None) -> np.ndarray:
+        """Flow source per cell at time t [m^3/s].
+
+        The rate densities f_p and psi [1/s] times the cell volumes, then
+        the wells active at t, summed in that order.
+        """
+        mesh = self.mesh
+        rate = np.zeros(mesh.n_cells)
+        if self.f_p is not None:
+            rate += mesh.cell_volumes * per_cell(self.f_p, mesh.n_cells)
+        if psi is not None:
+            rate += mesh.cell_volumes * per_cell(psi, mesh.n_cells)
+        for well in self.wells:
+            if well.active_at(t):
+                rate[well.cell] += well.rate
+        return rate
 
     def injected_volume(self) -> float:
         """Cumulative non-coupling source volume over the simulation [m^3]."""
         total = 0.0
         for t in self.time.times[1:]:
-            rates = self.flow_sources_at(t, None).rate_vector(self.mesh)
-            total += self.time.dt * rates.sum()
+            total += self.time.dt * self.source_rate(t).sum()
         return total
 
 
@@ -381,8 +437,8 @@ class CoupledSystem:
                     states[max(i - 2, 0)].p_hat, states[i - 1].p_hat
                 )
             try:
-                sources = case.flow_sources_at(times[i], psi[i - 1])
-                dp = self.flow.step(states[i - 1].dp, sources)
+                rate = case.source_rate(times[i], psi[i - 1])
+                dp = self.flow.step(states[i - 1].dp, rate)
                 state, _ = self.mech_solve(dp, i)
             except SolverError as err:
                 raise SolverError(
@@ -402,47 +458,34 @@ class CoupledSystem:
 # -------------------------------------------------------------- schemes
 
 
-def run_lagged(
-    case: BiotCase, solver: SolverOptions | None = None
-) -> SimulationResult:
-    """One-way coupling: each flow step sees the previous mechanics state."""
-    states, psi = CoupledSystem(case, solver).evaluate()
-    return SimulationResult(states, psi, CouplingReport(scheme="lagged"))
-
-
-def check_fixed_stress(tol: float, max_iter: int) -> None:
-    """Reject fixed-stress iteration controls that cannot end a run."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigurationError("fixed-stress tolerance must be positive and finite")
-    if max_iter < 1:
-        raise ConfigurationError("fixed-stress iteration cap must be at least 1")
-
-
-def run_fixed_stress(
+def simulate(
     case: BiotCase,
-    tol: float = 1e-6,
-    max_iter: int = 25,
-    anderson_m0: int = 0,
+    scheme: SchemeSpec | None = None,
     solver: SolverOptions | None = None,
 ) -> SimulationResult:
-    """Whole-simulation fixed-point iteration on the coupling source psi.
+    """Run a case under one coupling scheme (default: plain fixed stress).
 
-    Every iteration evaluates F(psi): the time march with the current
-    source history, whose states give the new source.  The iteration
-    stops when the fixed-point residual F(psi) - psi, in the volume/dt
-    weighted space-time L2 norm relative to F(psi), drops below tol; the
-    residual is measured before any mixing, so the converged result is the
-    evaluation at an (almost) fixed psi.  anderson_m0 = 0 keeps the plain
-    iteration; anderson_m0 >= 1 mixes previous images.  The result holds
-    the last image F(psi).
+    Lagged: one march, each flow step seeing the previous mechanics state.
+    Fixed stress: whole-simulation fixed-point iteration on the coupling
+    source psi.  Every iteration evaluates F(psi): the time march with the
+    current source history, whose states give the new source.  The
+    iteration stops when the fixed-point residual F(psi) - psi, in the
+    volume/dt weighted space-time L2 norm relative to F(psi), drops below
+    scheme.tol; the residual is measured before any mixing, so the
+    converged result is the evaluation at an (almost) fixed psi.  The
+    result holds the last image F(psi).
     """
-    check_fixed_stress(tol, max_iter)
+    scheme = scheme or SchemeSpec()
     engine = CoupledSystem(case, solver)
+    if scheme.kind == "lagged":
+        states, psi = engine.evaluate()
+        return SimulationResult(states, psi, CouplingReport(scheme="lagged"))
     psi = np.zeros((case.time.n_steps, engine.n_cells))
-    anderson = AndersonState(m0=anderson_m0) if anderson_m0 >= 1 else None
+    m0 = scheme.anderson_m0
+    anderson = AndersonState(m0=m0) if m0 >= 1 else None
     residuals: list[float] = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(scheme.max_iter):
         states, _ = engine.evaluate(psi)
         image = np.stack(
             [engine.flow_source(a.p_hat, b.p_hat) for a, b in zip(states, states[1:])]
@@ -456,7 +499,7 @@ def run_fixed_stress(
                 f"fixed-stress residual is not finite at iteration {len(residuals)}",
                 trace=residuals,
             )
-        if residual <= tol:
+        if residual <= scheme.tol:
             converged = True
             break
         if anderson is not None:
@@ -464,8 +507,8 @@ def run_fixed_stress(
             psi = anderson.next_iterate()
         else:
             psi = image
-    scheme = "fixed_stress" if anderson is None else f"anderson[{anderson_m0}]"
-    report = CouplingReport(scheme=scheme, residuals=residuals, converged=converged)
+    name = "fixed_stress" if anderson is None else f"anderson[{m0}]"
+    report = CouplingReport(scheme=name, residuals=residuals, converged=converged)
     return SimulationResult(states, image, report)
 
 

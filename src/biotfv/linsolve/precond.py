@@ -68,11 +68,24 @@ class BlockTriangularPreconditioner:
         return np.concatenate([y_u, y_r, y_p])
 
 
-@dataclass
+SOLVER_METHODS = ("auto", "direct", "iterative")
+
+
+@dataclass(frozen=True)
 class SolverOptions:
+    """Elastic solve settings, checked when built; "auto" picks by DIRECT_THRESHOLD."""
+
     rtol: float = 1e-5
     max_iter: int = 500
-    method: str = "auto"  # auto | direct | iterative
+    method: str = "auto"
+
+    def __post_init__(self):
+        if self.method not in SOLVER_METHODS:
+            raise ConfigurationError(f"unknown solver method '{self.method}'")
+        if not (math.isfinite(self.rtol) and self.rtol > 0):
+            raise ConfigurationError("solver rtol must be positive and finite")
+        if self.max_iter < 1:
+            raise ConfigurationError("solver max_iter must be at least 1")
 
 
 class TpsaSolver:
@@ -90,12 +103,6 @@ class TpsaSolver:
         options: SolverOptions | None = None,
     ):
         self.options = options = options or SolverOptions()
-        if options.method not in ("auto", "direct", "iterative"):
-            raise ConfigurationError(f"unknown solver method '{options.method}'")
-        if not (math.isfinite(options.rtol) and options.rtol > 0):
-            raise ConfigurationError("solver rtol must be positive and finite")
-        if options.max_iter < 1:
-            raise ConfigurationError("solver max_iter must be at least 1")
         self.scaled, self.scale = rescale(system, mu0)
         if options.method == "auto":
             self.direct = system.n_dof <= DIRECT_THRESHOLD

@@ -72,7 +72,6 @@ class Mesh:
     vertices: np.ndarray | None = None
     cell_nodes: np.ndarray | None = None
     shape: tuple[int, int, int] | None = None
-    lengths: tuple[float, float, float] | None = None
 
     @property
     def n_cells(self) -> int:
@@ -229,7 +228,7 @@ def _axis_faces(nx: int, ny: int, nz: int, axis: int, dx: np.ndarray, origin: np
     normals[low, axis] = -1.0
     cells[high, 0] = cid(minus_side[high])
     cells[high, 1] = -1
-    return centers, normals, cells, idx
+    return centers, normals, cells
 
 
 def build_cartesian(
@@ -266,7 +265,7 @@ def build_cartesian(
     fc, fn, fcell, areas = [], [], [], []
     area_by_axis = [dx[1] * dx[2], dx[0] * dx[2], dx[0] * dx[1]]
     for axis in range(3):
-        centers, normals, cells, _ = _axis_faces(nx, ny, nz, axis, dx, org)
+        centers, normals, cells = _axis_faces(nx, ny, nz, axis, dx, org)
         fc.append(centers)
         fn.append(normals)
         fcell.append(cells)
@@ -283,7 +282,6 @@ def build_cartesian(
         vertices=_cartesian_vertices(nx, ny, nz, dx, org),
         cell_nodes=_cartesian_cell_nodes(nx, ny, nz),
         shape=(nx, ny, nz),
-        lengths=tuple(float(v) for v in lengths),
     )
     mesh.validate()
     return mesh

@@ -6,12 +6,14 @@ exterior boundaries are no-flow; sealing barriers are interior faces with
 zero transmissibility.  The operator is div diag(T) div^T with the signed
 cell-face incidence ``Mesh.divergence``, the same one the elastic
 balances use.  Time integration is backward Euler with the
-combined storage coefficient c0 + alpha^2/lambda.
+combined storage coefficient c0 + alpha^2/lambda; a step takes the total
+source per cell as one rate vector in m^3/s (`BiotCase.source_rate`
+forms it from the rate densities and the wells).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -22,7 +24,6 @@ from .mesh import Mesh, face_normal_distances, per_cell
 
 __all__ = [
     "FlowProperties",
-    "FlowSources",
     "effective_conductivity",
     "assemble_flow",
     "FlowSystem",
@@ -48,30 +49,6 @@ class FlowProperties:
     def storage(self, n: int) -> np.ndarray:
         """Combined storage coefficient c0 + alpha^2/lambda per cell."""
         return per_cell(self.c0, n) + per_cell(self.biot_storage, n)
-
-
-@dataclass
-class FlowSources:
-    """Right-hand side of one flow step.
-
-    f_p and psi are volumetric rate densities [1/s]; wells carry absolute
-    rates [m^3/s] attached to single cells.
-    """
-
-    f_p: np.ndarray | None = None
-    wells: list[tuple[int, float]] = field(default_factory=list)
-    psi: np.ndarray | None = None
-
-    def rate_vector(self, mesh: Mesh) -> np.ndarray:
-        """Total source per cell in m^3/s."""
-        rate = np.zeros(mesh.n_cells)
-        if self.f_p is not None:
-            rate += mesh.cell_volumes * per_cell(self.f_p, mesh.n_cells)
-        if self.psi is not None:
-            rate += mesh.cell_volumes * per_cell(self.psi, mesh.n_cells)
-        for cell, q in self.wells:
-            rate[cell] += q
-        return rate
 
 
 def effective_conductivity(mesh: Mesh, props: FlowProperties) -> np.ndarray:
@@ -127,8 +104,6 @@ class FlowSystem:
     def __init__(self, mesh: Mesh, props: FlowProperties, dt: float):
         if dt <= 0:
             raise ValueError("time step must be positive")
-        self.mesh = mesh
-        self.props = props
         self.dt = float(dt)
         self.operator = assemble_flow(mesh, props)
         self.accumulation = props.storage(mesh.n_cells) * mesh.cell_volumes
@@ -140,6 +115,7 @@ class FlowSystem:
         matrix = (self.operator + diags(self.accumulation / self.dt)).tocsc()
         self._lu = splu(matrix)
 
-    def step(self, dp_old: np.ndarray, sources: FlowSources) -> np.ndarray:
-        rhs = self.accumulation / self.dt * dp_old + sources.rate_vector(self.mesh)
+    def step(self, dp_old: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """Pressure deviation after one step, given the (n,) source in m^3/s."""
+        rhs = self.accumulation / self.dt * dp_old + rate
         return self._lu.solve(rhs)

@@ -172,11 +172,12 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
         ),
         ([("lx = 60 m", "lx = nan m")], "lengths and origin must be finite"),
         ([("ly = 40 m", "ly = inf m")], "lengths and origin must be finite"),
+        ([("max_iter = 40", "max_iter = 40\nanderson_m0 = -1")], "anderson_m0"),
     ],
     ids=[
         "nan-rate", "nan-rate-lagged", "nan-start", "nan-stop", "zero-rtol",
         "zero-max-iter", "nan-robin-delta", "nan-tol", "nan-t0", "stop-before-start",
-        "nan-length", "inf-length",
+        "nan-length", "inf-length", "negative-anderson",
     ],
 )
 def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
@@ -191,6 +192,21 @@ def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cell", ["99999", "-1"])
+def test_manufactured_well_off_the_mesh_exits_2(tmp_path, capsys, cell):
+    # the manufactured case gets its wells when it is built, like any other
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        MANUFACTURED_SMALL
+        + f"\n[well.bad]\ncell = {cell}\nrate = 1 m3/day\n"
+        + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "out of range" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,12 @@ from biotfv.app.config import (
     CaseConfig,
     MeshSpec,
     OutputSpec,
-    SchemeSpec,
-    WellSpec,
     parse_config,
     parse_config_text,
     parse_quantity,
     serialize_config,
 )
-from biotfv.coupling import PoroelasticProperties, TimeGrid
+from biotfv.coupling import PoroelasticProperties, SchemeSpec, TimeGrid, Well
 from biotfv.errors import ConfigurationError
 from biotfv.linsolve.precond import SolverOptions
 from biotfv.mesh import build_cartesian
@@ -219,8 +218,24 @@ def test_round_trip_minimal():
 
 words = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
 reals = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 counts = st.integers(-5, 10**6)
 side = st.none() | st.sampled_from(["fixed", "free", "robin"])
+
+
+@st.composite
+def wells_named(draw, name):
+    """A well the parser accepts: finite rate and start, stop after start."""
+    t_start = draw(reals)
+    # after -0.0 the next float up is 0.0, which is not after it
+    after = st.floats(min_value=t_start, allow_nan=False).filter(lambda t: t > t_start)
+    return Well(
+        name=name,
+        cell=draw(counts | st.tuples(counts, counts, counts)),
+        rate=draw(reals),
+        t_start=t_start,
+        t_end=draw(after),
+    )
 
 
 @st.composite
@@ -237,16 +252,8 @@ def case_configs(draw):
         barrier_axis=draw(st.sampled_from("xyz")),
         barrier_index=draw(st.none() | counts),
     )
-    wells = [
-        WellSpec(
-            name=name,
-            cell=draw(counts | st.tuples(counts, counts, counts)),
-            rate=draw(reals),
-            t_start=draw(reals),
-            t_end=draw(reals | st.just(math.inf)),
-        )
-        for name in sorted(draw(st.sets(words, max_size=3)))
-    ]
+    names = sorted(draw(st.sets(words, max_size=3)))
+    wells = [draw(wells_named(name)) for name in names]
     return CaseConfig(
         name=draw(words),
         problem=draw(st.sampled_from(["generic", "manufactured"])),
@@ -259,19 +266,19 @@ def case_configs(draw):
             robin_mu=draw(reals),
         ),
         time=TimeGrid(
-            dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+            dt=draw(positive),
             n_steps=draw(st.integers(1, 10**6)),
             t0=draw(reals),
         ),
         scheme=SchemeSpec(
             draw(st.sampled_from(["fixed_stress", "lagged"])),
-            draw(reals),
-            draw(counts),
-            draw(counts),
+            draw(positive),
+            draw(st.integers(1, 10**6)),
+            draw(st.integers(0, 10**6)),
         ),
         solver=SolverOptions(
-            draw(reals),
-            draw(counts),
+            draw(positive),
+            draw(st.integers(1, 10**6)),
             draw(st.sampled_from(["auto", "direct", "iterative"])),
         ),
         output=OutputSpec(draw(words), draw(st.booleans()), draw(st.booleans())),
@@ -284,6 +291,36 @@ def test_round_trip_property(cfg):
     text = serialize_config(cfg)
     assert parse_config_text(text) == cfg
     assert serialize_config(parse_config_text(text)) == text
+
+
+@pytest.mark.parametrize(
+    "section, entries, message",
+    [
+        ("scheme", "tol = nan", "tolerance"),
+        ("scheme", "max_iter = 0", "iteration cap"),
+        ("scheme", "anderson_m0 = -1", "anderson_m0"),
+        ("solver", "rtol = 0", "rtol"),
+        ("solver", "max_iter = 0", "max_iter"),
+        ("well.w", "cell = 0\nrate = nan", "well rate"),
+        ("well.w", "cell = 0\nrate = 1\nstart = 2 day\nstop = 2 day", "stop time"),
+        ("well.w", "cell = 0\nrate = 1\nstart = 2 day\nstop = 1 day", "stop time"),
+    ],
+)
+def test_record_checks_name_section_and_header_line(section, entries, message):
+    # each section builds its record when parsed, and the record checks itself
+    text = MINIMAL + f"\n[{section}]\n{entries}\n"
+    with pytest.raises(ConfigurationError, match=message) as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.key == section
+    assert excinfo.value.line == text.splitlines().index(f"[{section}]") + 1
+
+
+def test_run_records_are_frozen():
+    cfg = parse_config_text(MINIMAL + "\n[well.w]\ncell = 0\nrate = 1\n")
+    records = ((cfg.scheme, "tol"), (cfg.solver, "rtol"), (cfg.wells[0], "rate"))
+    for record, name in records:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, -1.0)
 
 
 def test_boundary_spec_side_override():

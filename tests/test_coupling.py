@@ -12,16 +12,18 @@ from biotfv.coupling import (
     BiotState,
     CoupledSystem,
     PoroelasticProperties,
+    SchemeSpec,
     TimeGrid,
     Well,
     anderson_weights,
     global_mass_check,
-    run_fixed_stress,
-    run_lagged,
+    simulate,
 )
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.mesh import build_cartesian
-from biotfv.tpfa import FlowSources, FlowSystem
+from biotfv.tpfa import FlowSystem
+
+LAGGED = SchemeSpec(kind="lagged")
 
 
 def _case(
@@ -214,6 +216,21 @@ def test_well_rejects_nonfinite_schedule(schedule):
         Well(cell=0, **schedule)
 
 
+def test_source_rate_sums_densities_then_active_wells():
+    case = _case(
+        dt=1.0,
+        n_steps=4,
+        f_p=np.full(4, 2.0),
+        wells=[Well(cell=1, rate=3.0, t_end=2.0), Well(cell=1, rate=0.5)],
+    )
+    volumes = case.mesh.cell_volumes
+    psi = np.array([1.0, -1.0, 0.0, 4.0])
+    assert np.array_equal(case.source_rate(1.0), volumes * 2.0 + [0.0, 3.5, 0.0, 0.0])
+    assert np.array_equal(
+        case.source_rate(3.0, psi), volumes * 2.0 + volumes * psi + [0.0, 0.5, 0.0, 0.0]
+    )
+
+
 def test_injected_volume():
     case = _case(
         dt=1.0,
@@ -235,6 +252,22 @@ def test_case_rejects_bad_well_cell():
         _case(wells=[Well(cell=99, rate=1.0)])
 
 
+@pytest.mark.parametrize("cell", [4, -1, (2, 0, 0), (0, -1, 0)])
+def test_case_rejects_well_cell_off_the_mesh(cell):
+    with pytest.raises(ConfigurationError):
+        _case(wells=[Well(cell=cell, rate=1.0)])
+
+
+def test_case_resolves_structured_well_cell():
+    well = Well(cell=(1, 1, 0), rate=1.0, name="w")
+    case = _case(wells=[well])
+    assert case.wells == [Well(cell=3, rate=1.0, name="w")]
+    assert well.cell == (1, 1, 0)  # the input record is left as it was
+    with pytest.raises(ConfigurationError, match="out of range") as excinfo:
+        _case(wells=[Well(cell=-1, rate=1.0, name="w")])
+    assert excinfo.value.key == "well.w"
+
+
 @pytest.mark.parametrize(
     "value", [np.nan, np.inf, -np.inf, np.array([1.0, 1.0, np.nan, 1.0])]
 )
@@ -254,9 +287,22 @@ def test_case_rejects_nonpositive_moduli(field, value):
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
 def test_fixed_stress_rejects_bad_tolerance(tol):
-    case = _case(wells=[Well(cell=0, rate=0.5)])
     with pytest.raises(ConfigurationError, match="tolerance"):
-        run_fixed_stress(case, tol=tol)
+        SchemeSpec(tol=tol)
+
+
+@pytest.mark.parametrize(
+    "controls, message",
+    [
+        (dict(kind="monolithic"), "scheme kind"),
+        (dict(max_iter=0), "iteration cap"),
+        (dict(kind="lagged", tol=np.nan), "tolerance"),
+        (dict(anderson_m0=-1), "anderson_m0"),
+    ],
+)
+def test_scheme_spec_rejects_bad_controls(controls, message):
+    with pytest.raises(ConfigurationError, match=message):
+        SchemeSpec(**controls)
 
 
 def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
@@ -272,7 +318,7 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
 
     monkeypatch.setattr(CoupledSystem, "evaluate", nan_evaluate)
     with pytest.raises(SolverError, match="not finite") as excinfo:
-        run_fixed_stress(case, max_iter=25)
+        simulate(case, SchemeSpec(max_iter=25))
     assert len(calls) == 1
     assert len(excinfo.value.trace) == 1
     assert not np.isfinite(excinfo.value.trace[0])
@@ -283,7 +329,7 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
 
 def test_uncoupled_fixed_stress_converges_immediately():
     case = _case(alpha=0.0, wells=[Well(cell=0, rate=0.5)])
-    result = run_fixed_stress(case)
+    result = simulate(case)
     assert result.report.converged
     assert result.report.iterations == 1
     assert result.report.residuals == [0.0]
@@ -292,7 +338,7 @@ def test_uncoupled_fixed_stress_converges_immediately():
 
 def test_equilibrium_stays_at_rest_for_every_scheme():
     case = _case()
-    for result in (run_lagged(case), run_fixed_stress(case)):
+    for result in (simulate(case, LAGGED), simulate(case)):
         for state in result.states:
             assert np.all(state.dp == 0.0)
             assert np.all(state.u == 0.0)
@@ -302,25 +348,27 @@ def test_equilibrium_stays_at_rest_for_every_scheme():
 
 def test_lagged_uncoupled_matches_flow_only():
     case = _case(alpha=0.0, n_steps=5, wells=[Well(cell=0, rate=0.3)])
-    result = run_lagged(case)
+    result = simulate(case, LAGGED)
     flow = FlowSystem(case.mesh, case.props.flow_properties(case.mesh), case.time.dt)
     dp = np.zeros(case.mesh.n_cells)
+    rate = np.zeros(case.mesh.n_cells)
+    rate[0] = 0.3
     for state in result.states[1:]:
-        dp = flow.step(dp, FlowSources(wells=[(0, 0.3)]))
+        dp = flow.step(dp, rate)
         assert np.allclose(state.dp, dp, atol=1e-14)
     assert np.all(result.psi == 0.0)
 
 
 def test_first_lagged_step_has_zero_coupling_source():
     case = _case(n_steps=3, wells=[Well(cell=0, rate=0.2)])
-    result = run_lagged(case)
+    result = simulate(case, LAGGED)
     assert np.all(result.psi[0] == 0.0)
     assert np.any(result.psi[1] != 0.0)
 
 
 def test_fixed_stress_residuals_decrease():
     case = _case(alpha=0.8, c0=0.5, n_steps=4, wells=[Well(cell=0, rate=0.5)])
-    result = run_fixed_stress(case, tol=1e-8, max_iter=60)
+    result = simulate(case, SchemeSpec(tol=1e-8, max_iter=60))
     assert result.report.converged
     res = result.report.residuals
     assert len(res) >= 3
@@ -329,7 +377,7 @@ def test_fixed_stress_residuals_decrease():
 
 def test_fixed_stress_history_consistent_with_states():
     case = _case(alpha=0.7, n_steps=4, wells=[Well(cell=0, rate=0.4)])
-    result = run_fixed_stress(case, tol=1e-10)
+    result = simulate(case, SchemeSpec(tol=1e-10))
     alpha_over_lam = 0.7 / 1.0
     assert result.psi.shape == (case.time.n_steps, case.mesh.n_cells)
     assert np.all(result.states[0].p_hat == 0.0)
@@ -341,23 +389,23 @@ def test_fixed_stress_history_consistent_with_states():
 
 def test_fixed_stress_hits_iteration_cap():
     case = _case(alpha=0.9, c0=0.1, n_steps=4, wells=[Well(cell=0, rate=0.5)])
-    result = run_fixed_stress(case, tol=1e-30, max_iter=2)
+    result = simulate(case, SchemeSpec(tol=1e-30, max_iter=2))
     assert not result.report.converged
     assert result.report.iterations == 2
 
 
 def test_anderson_matches_plain_for_two_iterations():
     case = _case(alpha=0.8, c0=0.5, n_steps=4, wells=[Well(cell=0, rate=0.5)])
-    plain = run_fixed_stress(case, tol=1e-10, max_iter=8)
-    accel = run_fixed_stress(case, tol=1e-10, max_iter=8, anderson_m0=5)
+    plain = simulate(case, SchemeSpec(tol=1e-10, max_iter=8))
+    accel = simulate(case, SchemeSpec(tol=1e-10, max_iter=8, anderson_m0=5))
     assert plain.report.residuals[0] == accel.report.residuals[0]
     assert plain.report.residuals[1] == accel.report.residuals[1]
 
 
 def test_anderson_converges_at_least_as_fast():
     case = _case(alpha=0.9, c0=0.2, n_steps=4, wells=[Well(cell=0, rate=0.5)])
-    plain = run_fixed_stress(case, tol=1e-9, max_iter=25)
-    accel = run_fixed_stress(case, tol=1e-9, max_iter=25, anderson_m0=5)
+    plain = simulate(case, SchemeSpec(tol=1e-9, max_iter=25))
+    accel = simulate(case, SchemeSpec(tol=1e-9, max_iter=25, anderson_m0=5))
     assert accel.report.converged
     assert accel.report.iterations <= plain.report.iterations
 
@@ -367,15 +415,15 @@ def test_lagged_and_fixed_stress_agree_at_stationary_end():
         alpha=0.5, c0=1.0, n_steps=20,
         wells=[Well(cell=0, rate=0.1, t_end=3.0)],
     )
-    lagged = run_lagged(case)
-    fs = run_fixed_stress(case, tol=1e-10)
+    lagged = simulate(case, LAGGED)
+    fs = simulate(case, SchemeSpec(tol=1e-10))
     ref = np.linalg.norm(fs.final.dp)
     assert np.linalg.norm(lagged.final.dp - fs.final.dp) <= 1e-6 * ref
 
 
 def test_trajectory_timestamps():
     case = _case(dt=2.5, n_steps=3)
-    result = run_lagged(case)
+    result = simulate(case, LAGGED)
     assert [s.t for s in result.states] == [0.0, 2.5, 5.0, 7.5]
 
 
@@ -384,7 +432,7 @@ def test_trajectory_timestamps():
 
 def test_mass_check_no_injection_is_zero():
     case = _case()
-    result = run_fixed_stress(case)
+    result = simulate(case)
     assert global_mass_check(case, result.states) == 0.0
 
 
@@ -393,7 +441,7 @@ def test_mass_check_single_sealed_cell():
         nx=1, ny=1, nz=1, alpha=0.6, c0=2.0, n_steps=5,
         wells=[Well(cell=0, rate=0.25)],
     )
-    result = run_fixed_stress(case, tol=1e-12, max_iter=60)
+    result = simulate(case, SchemeSpec(tol=1e-12, max_iter=60))
     assert result.report.converged
     assert global_mass_check(case, result.states) <= 1e-10
 
@@ -403,7 +451,7 @@ def test_mass_check_coupled_multicell():
         nx=3, ny=2, nz=1, alpha=0.8, c0=0.5, n_steps=6,
         wells=[Well(cell=2, rate=0.4, t_end=3.0)],
     )
-    result = run_fixed_stress(case, tol=1e-12, max_iter=80)
+    result = simulate(case, SchemeSpec(tol=1e-12, max_iter=80))
     assert result.report.converged
     assert global_mass_check(case, result.states) <= 1e-9
 
@@ -415,6 +463,6 @@ def test_mass_check_lagged_has_visible_defect():
         nx=3, ny=2, nz=1, alpha=0.9, c0=0.1, n_steps=4,
         wells=[Well(cell=0, rate=0.5)],
     )
-    lagged = run_lagged(case)
-    fs = run_fixed_stress(case, tol=1e-12, max_iter=80)
+    lagged = simulate(case, LAGGED)
+    fs = simulate(case, SchemeSpec(tol=1e-12, max_iter=80))
     assert global_mass_check(case, fs.states) < global_mass_check(case, lagged.states)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biotfv.app.config import SchemeSpec, parse_config, parse_config_text
+from biotfv.app.config import parse_config, parse_config_text
 from biotfv.app.drivers import (
     ErrorReport,
     compartment_masks,
@@ -14,6 +14,7 @@ from biotfv.app.drivers import (
     run_convergence_study,
     scheme_from_token,
 )
+from biotfv.coupling import SchemeSpec
 from biotfv.errors import ConfigurationError
 from biotfv.mesh import build_cartesian
 from pathlib import Path

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biotfv.app.manufactured import ManufacturedSolution
-from biotfv.coupling import TimeGrid, run_lagged
+from biotfv.coupling import SchemeSpec, TimeGrid, simulate
 from biotfv.mesh import build_cartesian
 
 from oracles import (
@@ -137,7 +137,7 @@ def test_discrete_steady_error_is_small_on_coarse_grid():
     sol = _sol()
     mesh = build_cartesian(8, 8, 8)
     case = sol.as_case(mesh, TimeGrid(dt=4.32e6, n_steps=3))
-    result = run_lagged(case)
+    result = simulate(case, SchemeSpec(kind="lagged"))
     err = np.linalg.norm(result.final.dp - case.initial.dp) / np.linalg.norm(
         case.initial.dp
     )

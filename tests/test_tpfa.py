@@ -12,7 +12,6 @@ from biotfv.errors import SolverError
 from biotfv.mesh import build_barrier_mesh, build_cartesian
 from biotfv.tpfa import (
     FlowProperties,
-    FlowSources,
     FlowSystem,
     assemble_flow,
     effective_conductivity,
@@ -83,7 +82,7 @@ def test_step_two_cell_oracle():
     # acc|cell|/dt = 1 each, T = 1, dp_old = (1, 0) -> (2/3, 1/3)
     mesh = build_cartesian(2, 1, 1)
     props = FlowProperties(perm=0.5, viscosity=1.0, c0=2.0)
-    new = FlowSystem(mesh, props, 1.0).step(np.array([1.0, 0.0]), FlowSources())
+    new = FlowSystem(mesh, props, 1.0).step(np.array([1.0, 0.0]), np.zeros(2))
     assert np.allclose(new, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-13)
 
 
@@ -91,7 +90,7 @@ def test_equilibrium_preserved():
     mesh = build_cartesian(3, 2, 2)
     props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=1e-8)
     dp = np.full(mesh.n_cells, 3.25e4)
-    new = FlowSystem(mesh, props, 86400.0).step(dp, FlowSources())
+    new = FlowSystem(mesh, props, 86400.0).step(dp, np.zeros(mesh.n_cells))
     # tolerance reflects the conditioning of the storage-vs-flux scales
     assert np.allclose(new, dp, rtol=1e-9)
 
@@ -100,12 +99,12 @@ def test_single_cell_well_closed_form():
     mesh = build_cartesian(1, 1, 1, lengths=(2.0, 2.0, 2.0))
     c0, sb, q, dt = 1e-8, 2e-9, 5e-4, 3600.0
     props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=c0, biot_storage=sb)
-    sources = FlowSources(wells=[(0, q)])
+    rate = np.array([q])
     system = FlowSystem(mesh, props, dt)
     expected_increment = q * dt / (8.0 * (c0 + sb))
-    dp = system.step(np.zeros(1), sources)
+    dp = system.step(np.zeros(1), rate)
     assert dp[0] == pytest.approx(expected_increment, rel=1e-13)
-    dp = system.step(dp, sources)
+    dp = system.step(dp, rate)
     assert dp[0] == pytest.approx(2 * expected_increment, rel=1e-13)
 
 
@@ -118,17 +117,14 @@ def test_step_mass_balance_identity():
         c0=rng.uniform(1e-9, 1e-8, mesh.n_cells),
         biot_storage=2e-10,
     )
-    sources = FlowSources(
-        f_p=rng.standard_normal(mesh.n_cells) * 1e-9,
-        wells=[(5, 2e-6)],
-        psi=rng.standard_normal(mesh.n_cells) * 1e-10,
-    )
+    rate = mesh.cell_volumes * rng.standard_normal(mesh.n_cells) * 1e-9
+    rate[5] += 2e-6
     dt = 86400.0
     dp_old = rng.standard_normal(mesh.n_cells) * 1e3
     system = FlowSystem(mesh, props, dt)
-    dp_new = system.step(dp_old, sources)
+    dp_new = system.step(dp_old, rate)
     lhs = np.sum(system.accumulation * (dp_new - dp_old))
-    rhs = dt * sources.rate_vector(mesh).sum()
+    rhs = dt * rate.sum()
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -137,9 +133,10 @@ def test_barrier_compartments_decouple():
     props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=1e-8)
     comp = mesh.flow_components()
     well_cell = int(np.flatnonzero(comp == comp[0])[0])
-    sources = FlowSources(wells=[(well_cell, 1e-5)])
+    rate = np.zeros(mesh.n_cells)
+    rate[well_cell] = 1e-5
     system = FlowSystem(mesh, props, 3600.0)
-    dp = system.step(np.zeros(mesh.n_cells), sources)
+    dp = system.step(np.zeros(mesh.n_cells), rate)
     other = comp != comp[well_cell]
     assert np.all(dp[~other] > 0)
     assert np.allclose(dp[other], 0.0, atol=1e-30)
