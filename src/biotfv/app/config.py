@@ -146,6 +146,13 @@ class BoundarySpec:
     robin_delta: float = 1.0
     robin_mu: float = 1.0
 
+    @property
+    def all_fixed(self) -> bool:
+        """True when every wall is clamped."""
+        return all(
+            (getattr(self, side) or self.default) == "fixed" for side in _SIDE_NAMES
+        )
+
     def build(self, mesh: Mesh) -> MechBoundary:
         sides = {
             index: getattr(self, name)

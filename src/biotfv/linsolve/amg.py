@@ -2,10 +2,14 @@
 
 Classical SA setup: strength-of-connection filtering, greedy aggregation,
 a piecewise-constant tentative prolongator smoothed by one damped-Jacobi
-step, and Galerkin coarse operators.  The cycle is V(1,1) with a forward
-Gauss-Seidel pre-smoother and a backward post-smoother, so the cycle
-operator is symmetric for symmetric matrices.  Setup and cycle are fully
-deterministic (fixed-seed power iteration, index-ordered aggregation).
+step, and Galerkin coarse operators.  The cycle is V(1,1) with the same
+degree-3 Chebyshev polynomial in D^-1 A as pre- and post-smoother, so the
+cycle operator is symmetric for symmetric matrices (Adams, Brezina, Hu &
+Tuminaro, JCP 188, 2003).  The polynomial targets the interval
+[lam_max/30, lam_max] with lam_max = 1.1 rho(D^-1 A), where rho is the
+power-iteration estimate that also damps the prolongator.  Setup and
+cycle are fully deterministic (fixed-seed power iteration, index-ordered
+aggregation).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
 
 from ..errors import SolverError
 
@@ -24,6 +27,9 @@ MAX_COARSE = 64  # rows at which coarsening stops
 MAX_LEVELS = 25
 POWER_ITERATIONS = 15
 JACOBI_DAMPING = 2.0 / 3.0
+CHEBYSHEV_DEGREE = 3
+CHEBYSHEV_MARGIN = 1.1  # lam_max = margin * rho, covers a power-iteration underestimate
+CHEBYSHEV_RATIO = 30.0  # lam_min = lam_max / ratio, the part of the spectrum smoothed
 
 
 def strength_graph(matrix: sp.csr_matrix, threshold: float) -> sp.csr_matrix:
@@ -133,8 +139,8 @@ class AmgLevel:
     """One level; the coarsest keeps only its matrix."""
 
     matrix: sp.csr_matrix
-    lower: sp.csr_matrix | None = None  # tril(A), Gauss-Seidel forward sweep
-    upper: sp.csr_matrix | None = None  # triu(A), backward sweep
+    inv_diag: np.ndarray | None = None
+    lam_max: float = 0.0  # Chebyshev interval top, an upper bound on rho(D^-1 A)
     prolongator: sp.csr_matrix | None = None
     restriction: sp.csr_matrix | None = None
 
@@ -157,12 +163,38 @@ class AmgHierarchy:
         level = self.levels[depth]
         if level.prolongator is None:
             return self.coarse_inverse @ rhs
-        x += spsolve_triangular(level.lower, rhs - level.matrix @ x, lower=True)
+        chebyshev_smooth(level, rhs, x)
         coarse_rhs = level.restriction @ (rhs - level.matrix @ x)
         coarse = self._cycle(depth + 1, coarse_rhs, np.zeros_like(coarse_rhs))
         x += level.prolongator @ coarse
-        x += spsolve_triangular(level.upper, rhs - level.matrix @ x, lower=False)
+        chebyshev_smooth(level, rhs, x)
         return x
+
+
+def chebyshev_smooth(level: AmgLevel, rhs: np.ndarray, x: np.ndarray) -> None:
+    """Chebyshev iteration on D^-1 A x = D^-1 rhs, updating x in place.
+
+    Three-term recurrence of Saad, Iterative Methods, Alg. 12.1; the error
+    is multiplied by the degree-CHEBYSHEV_DEGREE polynomial p with p(0) = 1
+    whose largest magnitude on [lam_max/CHEBYSHEV_RATIO, lam_max] is
+    smallest.  p does not depend on x or rhs, so the smoother is one fixed
+    operator, symmetric in the A inner product.
+    """
+    lam_max = level.lam_max
+    lam_min = lam_max / CHEBYSHEV_RATIO
+    theta = 0.5 * (lam_max + lam_min)
+    delta = 0.5 * (lam_max - lam_min)
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    r = level.inv_diag * (rhs - level.matrix @ x)
+    d = r / theta
+    for _ in range(CHEBYSHEV_DEGREE - 1):
+        x += d
+        r -= level.inv_diag * (level.matrix @ d)
+        rho_next = 1.0 / (2.0 * sigma - rho)
+        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * r
+        rho = rho_next
+    x += d
 
 
 def build_amg(matrix: sp.spmatrix) -> AmgHierarchy:
@@ -186,8 +218,8 @@ def build_amg(matrix: sp.spmatrix) -> AmgHierarchy:
         levels.append(
             AmgLevel(
                 matrix=current,
-                lower=sp.tril(current, format="csr"),
-                upper=sp.triu(current, format="csr"),
+                inv_diag=inv_diag,
+                lam_max=CHEBYSHEV_MARGIN * rho,
                 prolongator=prolongator,
                 restriction=restriction,
             )

@@ -48,6 +48,7 @@ __all__ = [
     "assemble_rhs",
     "recover_duals",
     "mean_shear_modulus",
+    "stencil_arrays",
 ]
 
 
@@ -132,7 +133,7 @@ class ElasticProperties:
         return np.broadcast_to(f, (mesh.n_cells, 3)).copy()
 
 
-def _stencil_arrays(mesh: Mesh, props: ElasticProperties):
+def stencil_arrays(mesh: Mesh, props: ElasticProperties):
     """Vectorized stencil coefficients for every face.
 
     Returns a dict of per-face arrays: w_in, w_out, delta_total, mu_eff,
@@ -220,7 +221,7 @@ def _face_dual_map(mesh: Mesh, props: ElasticProperties) -> csr_matrix:
     set; the inside cell (eps = +1) enters differences with -1, takes
     at_in in avg~ and at_out in avg, and the outside cell the reverse.
     """
-    arr = _stencil_arrays(mesh, props)
+    arr = stencil_arrays(mesh, props)
     n, m = mesh.n_cells, mesh.n_faces
     inc = mesh.divergence.tocoo()
     cell, face, eps = inc.row, inc.col, inc.data

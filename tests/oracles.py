@@ -12,7 +12,7 @@ stand-alone solver, a second solve path the multigrid tests check.
 import numpy as np
 
 from biotfv.errors import GeometryError, SolverError
-from biotfv.tpsa import _stencil_arrays
+from biotfv.tpsa import stencil_arrays
 
 
 def orientation(mesh, cell, face):
@@ -193,7 +193,7 @@ def local_face_operator(mesh, face, props):
     the package's stencil coefficients, as the brute-force reference for
     the vectorized global assembly.
     """
-    arr = _stencil_arrays(mesh, props)
+    arr = stencil_arrays(mesh, props)
     k = int(face)
     a = mesh.face_areas[k]
     n = mesh.face_normals[k]
@@ -230,7 +230,7 @@ def face_duals(mesh, props, x):
 
     with avg~ = at_in (.)_in + at_out (.)_out and avg its swap.
     """
-    arr = _stencil_arrays(mesh, props)
+    arr = stencil_arrays(mesh, props)
     n = mesh.n_cells
     u = np.stack([x[c * n : (c + 1) * n] for c in range(3)], axis=1)
     r = np.stack([x[(3 + c) * n : (4 + c) * n] for c in range(3)], axis=1)

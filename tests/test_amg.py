@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import multigrid_solve
+from scipy.sparse.linalg import eigsh
 
 from biotfv.errors import SolverError
 from biotfv.linsolve.amg import (
     aggregate,
     aggregation_graph,
     build_amg,
+    chebyshev_smooth,
     smoothed_prolongator,
     strength_graph,
     tentative_prolongator,
@@ -139,6 +141,40 @@ def test_vcycle_contracts_poisson_3d():
         norms.append(np.linalg.norm(x))
     ratios = [b / a_ for a_, b in zip(norms, norms[1:])]
     assert max(ratios) <= 0.5
+
+
+def contrast_displacement_block(n, contrast):
+    """u_x block of TPSA on an n^3 cube, mu jumping by `contrast` at x = 1/2."""
+    mesh = build_cartesian(n, n, n)
+    mu = np.where(mesh.cell_centers[:, 0] < 0.5, 1.0, contrast)
+    props = ElasticProperties(
+        mu=mu, lam=np.ones(mesh.n_cells), boundary=MechBoundary.fixed(mesh)
+    )
+    return assemble_tpsa(mesh, props).displacement_blocks[0]
+
+
+@pytest.mark.parametrize(
+    "make_matrix",
+    [lambda: laplacian_3d(20), lambda: contrast_displacement_block(10, 1e4)],
+    ids=["poisson-3d", "tpsa-mu-contrast"],
+)
+def test_chebyshev_smoothing_never_raises_energy_error(make_matrix):
+    # with rhs = 0 the iterate is the error; the smoother must not grow its
+    # A-norm, which fails if lam_max undershoots rho(D^-1 A), so the dominant
+    # mode is probed next to the random errors
+    hier = build_amg(make_matrix())
+    assert hier.n_levels >= 2
+    rng = np.random.default_rng(21)
+    for level in hier.levels[:-1]:
+        a = level.matrix
+        half = sp.diags(np.sqrt(level.inv_diag))
+        start = rng.standard_normal(a.shape[0])
+        _, top = eigsh(half @ a @ half, k=1, which="LA", v0=start)
+        errors = [*rng.standard_normal((10, a.shape[0])), half @ top[:, 0]]
+        for e in errors:
+            x = e.copy()
+            chebyshev_smooth(level, np.zeros_like(e), x)
+            assert x @ (a @ x) <= e @ (a @ e)
 
 
 def test_solve_reaches_tolerance_and_traces():

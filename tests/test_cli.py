@@ -257,6 +257,29 @@ def test_convergence_rejects_two_grids(manufactured_cfg):
     assert main(["convergence", str(manufactured_cfg), "--grids", "4,8"]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("\n[well.w]\ncell = 0\nrate = 1e-3 m3/s\n", "takes no wells"),
+        ("\n[boundaries]\nmechanics = free\n", "fixed mechanics on every wall"),
+        ("\n[boundaries]\nz_max = robin\n", "fixed mechanics on every wall"),
+    ],
+    ids=["well", "free-walls", "robin-side"],
+)
+def test_convergence_rejects_what_the_closed_form_lacks(
+    tmp_path, capsys, extra, message
+):
+    # the manufactured solution holds only without wells and with clamped walls
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        MANUFACTURED_SMALL + extra + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    assert main(["convergence", str(cfg), "--grids", "3,4,5"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_barrier_subcommand(barrier_cfg, tmp_path, capsys):
     out = tmp_path / "bar"
     assert (

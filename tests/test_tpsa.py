@@ -24,11 +24,11 @@ from biotfv.tpfa import FlowProperties, assemble_flow
 from biotfv.tpsa import (
     ElasticProperties,
     MechBoundary,
-    _stencil_arrays,
     assemble_rhs,
     assemble_tpsa,
     mean_shear_modulus,
     recover_duals,
+    stencil_arrays,
 )
 
 
@@ -66,7 +66,7 @@ def test_skew_is_cross_product(a, b):
 
 def _stencil(mesh, face, props):
     """Stencil coefficients of one face, indexed from the per-face arrays."""
-    return {key: float(value[face]) for key, value in _stencil_arrays(mesh, props).items()}
+    return {key: float(value[face]) for key, value in stencil_arrays(mesh, props).items()}
 
 
 def test_interior_stencil_uniform():
