@@ -20,7 +20,6 @@ from ..coupling import (
 )
 from ..errors import ConfigurationError
 from ..mesh import Mesh, build_cartesian
-from ..tpsa import assemble_tpsa
 from .config import CaseConfig
 from .output import dump_matrix, save_source_history, write_csv, write_vtk
 
@@ -122,8 +121,7 @@ def run_case(
         write_vtk(vtk_path, case.mesh, result.final, title=name)
         paths.append(vtk_path)
     if dump_system:
-        system = assemble_tpsa(case.mesh, case.props.elastic_properties(case.mesh))
-        paths += dump_matrix(out / f"{name}_mech", system.matrix)
+        paths += dump_matrix(out / f"{name}_mech", result.system.matrix)
     return RunArtifacts(case=case, result=result, mass_defect=mass, paths=paths)
 
 
@@ -290,7 +288,9 @@ def run_barrier_case(
     runs = []
     for token, scheme in specs:
         log.info("barrier case, scheme %s", token)
-        result = simulate(case, scheme, config.solver)
+        # the runs are kept until the study ends; without the operator each
+        # scheme's copy of the same matrix would stay alive with them
+        result = replace(simulate(case, scheme, config.solver), system=None)
         averages = []
         for mask in masks:
             w = vol[mask]

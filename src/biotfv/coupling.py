@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, SolverError
+from .linsolve.blocks import SparseBlockSystem
 from .linsolve.krylov import SolveReport
 from .linsolve.precond import SolverOptions, TpsaSolver
 from .mesh import Mesh, per_cell
@@ -288,6 +289,7 @@ class SimulationResult:
     states: list[BiotState]
     psi: np.ndarray  # flow source per step (N, n); F(psi) for fixed stress
     report: CouplingReport
+    system: SparseBlockSystem | None  # unscaled elastic operator of the run
 
     @property
     def final(self) -> BiotState:
@@ -479,7 +481,9 @@ def simulate(
     engine = CoupledSystem(case, solver)
     if scheme.kind == "lagged":
         states, psi = engine.evaluate()
-        return SimulationResult(states, psi, CouplingReport(scheme="lagged"))
+        return SimulationResult(
+            states, psi, CouplingReport(scheme="lagged"), engine.system
+        )
     psi = np.zeros((case.time.n_steps, engine.n_cells))
     m0 = scheme.anderson_m0
     anderson = AndersonState(m0=m0) if m0 >= 1 else None
@@ -509,7 +513,7 @@ def simulate(
             psi = image
     name = "fixed_stress" if anderson is None else f"anderson[{m0}]"
     report = CouplingReport(scheme=name, residuals=residuals, converged=converged)
-    return SimulationResult(states, image, report)
+    return SimulationResult(states, image, report, engine.system)
 
 
 def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:

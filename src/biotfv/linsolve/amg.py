@@ -73,34 +73,45 @@ def aggregate(strength: sp.csr_matrix) -> tuple[np.ndarray, int]:
 
     First pass seeds an aggregate from every node whose strong neighbors
     are all unclaimed (isolated nodes become singletons); second pass
-    attaches leftovers to their most strongly connected aggregate.
+    attaches leftovers to their most strongly connected aggregate (the
+    first such neighbor in CSR order on a tie).  Strength rows are short,
+    so the loops run over Python lists: a numpy call per node would cost
+    more than the node's work.
     """
     n = strength.shape[0]
-    indptr, indices, data = strength.indptr, strength.indices, strength.data
-    assign = np.full(n, -1, dtype=np.int64)
+    indptr = strength.indptr.tolist()
+    indices = strength.indices.tolist()
+    data = strength.data.tolist()
+    assign = [-1] * n
     count = 0
     for i in range(n):
         if assign[i] != -1:
             continue
         nbrs = indices[indptr[i] : indptr[i + 1]]
-        if np.all(assign[nbrs] == -1):
+        for j in nbrs:
+            if assign[j] != -1:
+                break
+        else:
             assign[i] = count
-            assign[nbrs] = count
+            for j in nbrs:
+                assign[j] = count
             count += 1
     for i in range(n):
         if assign[i] != -1:
             continue
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        vals = data[indptr[i] : indptr[i + 1]]
-        claimed = assign[nbrs] != -1
-        if np.any(claimed):
-            best = np.argmax(np.where(claimed, vals, -np.inf))
-            assign[i] = assign[nbrs[best]]
+        best = -1
+        best_val = 0.0
+        for k in range(indptr[i], indptr[i + 1]):
+            j = indices[k]
+            if assign[j] != -1 and (best == -1 or data[k] > best_val):
+                best, best_val = j, data[k]
+        if best != -1:
+            assign[i] = assign[best]
     for i in range(n):
         if assign[i] == -1:  # unreachable in practice, kept as a guard
             assign[i] = count
             count += 1
-    return assign, count
+    return np.array(assign, dtype=np.int64), count
 
 
 def tentative_prolongator(assign: np.ndarray, n_aggregates: int) -> sp.csr_matrix:

@@ -7,6 +7,9 @@ separate from the package's sparse face map.  local_face_operator and
 face_duals reuse only the package's per-face stencil coefficients.
 multigrid_solve iterates the package's V-cycle as a
 stand-alone solver, a second solve path the multigrid tests check.
+greedy_aggregate is the greedy aggregation written with one numpy
+call per node, the reference the package's list-based loops must match
+exactly.
 """
 
 import numpy as np
@@ -284,3 +287,39 @@ def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100, x0=None):
         f"after {max_cycles} cycles",
         trace=trace,
     )
+
+
+def greedy_aggregate(strength):
+    """Greedy aggregation over a CSR strength graph, numpy per node.
+
+    First pass seeds an aggregate from every node whose neighbors are all
+    unclaimed; second pass attaches each leftover to the aggregate of its
+    strongest claimed neighbor (np.argmax: the first one on a tie); any
+    node still unassigned becomes a singleton.  Returns (assign, count).
+    """
+    n = strength.shape[0]
+    indptr, indices, data = strength.indptr, strength.indices, strength.data
+    assign = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for i in range(n):
+        if assign[i] != -1:
+            continue
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        if np.all(assign[nbrs] == -1):
+            assign[i] = count
+            assign[nbrs] = count
+            count += 1
+    for i in range(n):
+        if assign[i] != -1:
+            continue
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        vals = data[indptr[i] : indptr[i + 1]]
+        claimed = assign[nbrs] != -1
+        if np.any(claimed):
+            best = np.argmax(np.where(claimed, vals, -np.inf))
+            assign[i] = assign[nbrs[best]]
+    for i in range(n):
+        if assign[i] == -1:
+            assign[i] = count
+            count += 1
+    return assign, count

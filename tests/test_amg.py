@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import multigrid_solve
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import greedy_aggregate, multigrid_solve
 from scipy.sparse.linalg import eigsh
 
+from biotfv.app.manufactured import ManufacturedSolution
+from biotfv.coupling import TimeGrid, mean_shear_modulus
 from biotfv.errors import SolverError
+from biotfv.linsolve import amg
 from biotfv.linsolve.amg import (
     aggregate,
     aggregation_graph,
@@ -16,7 +21,8 @@ from biotfv.linsolve.amg import (
     strength_graph,
     tentative_prolongator,
 )
-from biotfv.mesh import build_cartesian
+from biotfv.linsolve.blocks import rescale
+from biotfv.mesh import build_barrier_mesh, build_cartesian
 from biotfv.tpsa import ElasticProperties, MechBoundary, assemble_tpsa
 
 
@@ -72,6 +78,75 @@ def test_aggregation_isolated_nodes_become_singletons():
     assign, count = aggregate(s)
     assert count == 4
     assert np.array_equal(np.sort(assign), np.arange(4))
+
+
+def solver_blocks(mesh, props):
+    """The four AMG blocks of the rescaled TPSA system, as the solver sees them."""
+    system, _ = rescale(assemble_tpsa(mesh, props), mean_shear_modulus(mesh, props))
+    return [*system.displacement_blocks, system.pressure_block]
+
+
+def manufactured_blocks():
+    mesh = build_cartesian(8, 8, 8)
+    case = ManufacturedSolution().as_case(mesh, TimeGrid(dt=1e6, n_steps=1))
+    return solver_blocks(mesh, case.props.elastic_properties(mesh))
+
+
+def barrier_contrast_blocks():
+    mesh = build_barrier_mesh(6, 6, 2, index=3)
+    mu = np.where(mesh.cell_centers[:, 0] < 0.5, 1.0, 1e4)
+    props = ElasticProperties(
+        mu=mu, lam=np.ones(mesh.n_cells), boundary=MechBoundary.fixed(mesh)
+    )
+    return solver_blocks(mesh, props)
+
+
+@pytest.mark.parametrize(
+    "make_blocks",
+    [manufactured_blocks, barrier_contrast_blocks, lambda: [laplacian_3d(10)]],
+    ids=["tpsa-manufactured-8", "tpsa-barrier-mu-contrast", "poisson-3d"],
+)
+def test_aggregation_matches_numpy_reference_on_every_level(make_blocks, monkeypatch):
+    compared = []
+
+    def checked(strength):
+        assign, count = aggregate(strength)
+        ref_assign, ref_count = greedy_aggregate(strength)
+        assert count == ref_count
+        assert assign.dtype == ref_assign.dtype
+        assert np.array_equal(assign, ref_assign)
+        compared.append(count)
+        return assign, count
+
+    monkeypatch.setattr(amg, "aggregate", checked)
+    for block in make_blocks():
+        build_amg(block)
+    assert compared
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Symmetric strength graphs with few distinct weights and isolated nodes."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(st.tuples(node, node, st.sampled_from([1.0, 2.0])), max_size=3 * n)
+    )
+    edges = {(min(i, j), max(i, j)): w for i, j, w in edges if i != j}
+    rows = [i for i, j in edges] + [j for i, j in edges]
+    cols = [j for i, j in edges] + [i for i, j in edges]
+    vals = list(edges.values()) * 2
+    graph = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    graph.sort_indices()
+    return graph
+
+
+@given(symmetric_graphs())
+def test_aggregation_matches_numpy_reference_on_random_graphs(graph):
+    assign, count = aggregate(graph)
+    ref_assign, ref_count = greedy_aggregate(graph)
+    assert count == ref_count
+    assert np.array_equal(assign, ref_assign)
 
 
 def test_tentative_prolongator_partition_of_unity():

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.io import mmread
 
+from biotfv import tpsa
 from biotfv.app.cli import main
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -99,6 +101,23 @@ def test_run_success(barrier_cfg, tmp_path, capsys):
 def test_run_dump_matrix(barrier_cfg, tmp_path):
     assert main(["run", str(barrier_cfg), "--dump-matrix"]) == 0
     assert (tmp_path / "out" / "small_mech.mtx").exists()
+
+
+def test_run_dump_matrix_assembles_once(barrier_cfg, tmp_path, monkeypatch):
+    original = tpsa.assemble_tpsa
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    for module in [m for k, m in sys.modules.items() if k.startswith("biotfv")]:
+        if getattr(module, "assemble_tpsa", None) is original:
+            monkeypatch.setattr(module, "assemble_tpsa", spy)
+    assert main(["run", str(barrier_cfg), "--dump-matrix"]) == 0
+    assert len(built) == 1
+    dumped = mmread(tmp_path / "out" / "small_mech.mtx")
+    assert (dumped != built[0].matrix).nnz == 0
 
 
 def test_run_is_deterministic(barrier_cfg, tmp_path):

@@ -7,6 +7,8 @@ and the backward-Euler update on one or two cells.
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
+from scipy.sparse.linalg import spsolve
 
 from biotfv.errors import SolverError
 from biotfv.mesh import build_barrier_mesh, build_cartesian
@@ -147,6 +149,41 @@ def test_singular_system_rejected():
     props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=0.0, biot_storage=0.0)
     with pytest.raises(SolverError, match="constant pressure"):
         FlowSystem(mesh, props, 1.0)
+
+
+@pytest.mark.parametrize("sealed_by", ["barrier", "zero-permeability"])
+def test_compartment_without_storage_rejected(sealed_by):
+    # storage elsewhere does not fix the level of a sealed, storage-free part
+    mesh = build_barrier_mesh(4, 2, 2, index=2)
+    if sealed_by == "barrier":
+        labels = mesh.flow_components()
+        props = FlowProperties(
+            perm=np.ones(16), c0=np.where(labels == labels[0], 1e-3, 0.0)
+        )
+    else:
+        perm = np.ones(16)
+        perm[5] = 0.0
+        c0 = np.full(16, 1e-3)
+        c0[5] = 0.0
+        props = FlowProperties(perm=perm, c0=c0)
+    with pytest.raises(SolverError, match="constant pressure"):
+        FlowSystem(mesh, props, 1.0)
+
+
+def test_step_matches_spsolve_at_high_contrast():
+    mesh = build_barrier_mesh(6, 5, 3, index=3)
+    rng = np.random.default_rng(17)
+    perm = 10.0 ** rng.uniform(-6.0, 0.0, mesh.n_cells)
+    perm[7] = 0.0
+    props = FlowProperties(perm=perm, c0=1e-3)
+    dt = 10.0
+    system = FlowSystem(mesh, props, dt)
+    dp_old = rng.standard_normal(mesh.n_cells)
+    rate = rng.standard_normal(mesh.n_cells)
+    matrix = (system.operator + diags(system.accumulation / dt)).tocsc()
+    reference = spsolve(matrix, system.accumulation / dt * dp_old + rate)
+    dp = system.step(dp_old, rate)
+    assert np.linalg.norm(dp - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_nonpositive_dt_rejected():
