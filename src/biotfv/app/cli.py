@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure (including
-a fixed-stress run that stops at its iteration cap unconverged, after its
-outputs are written), 4 I/O error while writing results.
+Exit codes: 0 success, 2 configuration error or any other invalid input
+(every package error that is not a solver failure), 3 solver failure
+(including a singular factorization, and a fixed-stress run that stops at
+its iteration cap unconverged, after its outputs are written), 4 I/O error
+while writing results.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import logging
 import sys
 from dataclasses import replace
 
-from ..errors import ConfigurationError, SolverError
+from ..errors import BiotfvError, ConfigurationError, SolverError
 from .config import parse_config
 from .drivers import run_barrier_case, run_case, run_convergence_study
 
@@ -130,6 +132,9 @@ def main(argv=None) -> int:
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
+    except BiotfvError as err:
+        print(f"invalid input: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4

@@ -28,20 +28,18 @@ __all__ = [
 ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """Header and rows through csv.writer, each line ending in CRLF.
+
+    csv.writer writes each value with str, which for Python floats and
+    numpy float64 is repr: the shortest text that reads back bit for bit.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, delimiter=",")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

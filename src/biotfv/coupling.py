@@ -7,8 +7,8 @@ deviation dp enters the mechanics as the effective-pressure row source
 alpha*dp feeds the flow through the source psi = -(alpha/lam) *
 d(p_hat)/dt.
 
-Both schemes run the same time march (`CoupledSystem.evaluate`): one flow
-step, then one mechanics solve per time step.  They differ only in where
+Both schemes run the same time march (`CoupledSystem.evaluate`), one
+flow step and one mechanics solve per time step.  They differ only in where
 the flow source psi of a step comes from:
 
 * lagged: built from the two previous mechanics states (no inner
@@ -16,7 +16,9 @@ the flow source psi of a step comes from:
 * fixed stress: a given space-time field; one march maps it to F(psi),
   the source rebuilt from the states it produced, and the scheme
   iterates psi <- F(psi), optionally accelerated by Anderson mixing of
-  previous evaluations.
+  previous evaluations.  A given psi frees the flow from the mechanics,
+  so the march runs the flow through every step first and then solves
+  the mechanics of all steps as one block.
 
 Both reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time.
@@ -402,51 +404,85 @@ class CoupledSystem:
         """Coupling source psi = -(alpha/lam) * (p_hat_now - p_hat_prev)/dt."""
         return -self.alpha_over_lam * (p_hat_now - p_hat_prev) / self.case.time.dt
 
-    def mech_solve(self, dp: np.ndarray, step: int) -> tuple[BiotState, SolveReport]:
-        """Mechanics at one step, loaded by the row source -(alpha/lam) * dp."""
+    def mech_solve(
+        self, dp: np.ndarray, step: int
+    ) -> tuple[BiotState, SolveReport] | tuple[list[BiotState], list[SolveReport]]:
+        """Mechanics loaded by the row source -(alpha/lam) * dp.
+
+        dp of shape (n,) is one step and gives (BiotState, SolveReport); a
+        (k, n) block holds steps step, ..., step + k - 1 and gives their
+        states and reports as two lists, all solved as one block.  The
+        iterative path starts each step from the previous pass's solution
+        at that step, else from the previous step's.
+        """
         case = self.case
-        rhs = assemble_rhs(
-            case.mesh, self.elastic, pressure_coupling=-self.alpha_over_lam * dp
-        )
-        x0 = self._mech_warm[step]
-        if x0 is None and step > 0:
-            x0 = self._mech_warm[step - 1]
-        report = self.mech.solve(rhs, x0=x0)
-        self._mech_warm[step] = report.x
-        u, r, p_hat = self.system.split(report.x)
-        state = BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=case.time.times[step])
-        return state, report
+        dps = np.atleast_2d(dp)
+        steps = range(step, step + len(dps))
+        rhs = np.empty((self.system.n_dof, len(dps)), order="F")
+        for j, d in enumerate(dps):
+            rhs[:, j] = assemble_rhs(
+                case.mesh, self.elastic, pressure_coupling=-self.alpha_over_lam * d
+            )
+        x0 = None
+        if not self.mech.direct:
+            # a None entry starts from the column before it
+            x0 = [self._mech_warm[s] for s in steps]
+            if x0[0] is None and step > 0:
+                x0[0] = self._mech_warm[step - 1]
+        reports = self.mech.solve(rhs, x0=x0)
+        states = []
+        for s, d, report in zip(steps, dps, reports):
+            if not self.mech.direct:
+                self._mech_warm[s] = report.x
+            u, r, p_hat = self.system.split(report.x)
+            states.append(BiotState(dp=d, u=u, r=r, p_hat=p_hat, t=case.time.times[s]))
+        if np.ndim(dp) == 1:
+            return states[0], reports[0]
+        return states, reports
+
+    def _mechanics(self, dps: np.ndarray, step: int) -> list[BiotState]:
+        """States of the (k, n) block of steps from `step` on; errors name the step."""
+        try:
+            states, _ = self.mech_solve(dps, step)
+        except SolverError as err:
+            failed = step + (err.column or 0)
+            raise SolverError(
+                f"coupled step {failed} failed: {err}", trace=err.trace
+            ) from err
+        return states
 
     def evaluate(
         self, psi: np.ndarray | None = None
     ) -> tuple[list[BiotState], np.ndarray]:
-        """March all N steps: one flow step, then one mechanics solve.
+        """March all N steps; return the N+1 states and the (N, n) source the flow saw.
 
-        The flow source of step i is psi[i-1] when psi is given (fixed
-        stress).  With psi None it is built from the two previous mechanics
-        states, with p_hat(t_{-1}) := p_hat(t_0) (lagged).  Returns the N+1
-        states and the (N, n) source the flow saw.
+        Fixed stress (psi given): the flow of step i sees psi[i-1] and never
+        waits on the mechanics, so the flow marches through every step
+        first and the N mechanics solves then run as one block.  Lagged
+        (psi None): step i's source is built from the two previous
+        mechanics states, with p_hat(t_{-1}) := p_hat(t_0), so each flow
+        step is followed by its own one-column mechanics solve.
         """
         case = self.case
         times = case.time.times
-        lagged = psi is None
-        if lagged:
-            psi = np.zeros((case.time.n_steps, self.n_cells))
+        n_steps = case.time.n_steps
         states = [case.initial_state()]
-        for i in range(1, case.time.n_steps + 1):
-            if lagged:
+        if psi is None:
+            psi = np.zeros((n_steps, self.n_cells))
+            for i in range(1, n_steps + 1):
                 psi[i - 1] = self.flow_source(
                     states[max(i - 2, 0)].p_hat, states[i - 1].p_hat
                 )
-            try:
                 rate = case.source_rate(times[i], psi[i - 1])
                 dp = self.flow.step(states[i - 1].dp, rate)
-                state, _ = self.mech_solve(dp, i)
-            except SolverError as err:
-                raise SolverError(
-                    f"coupled step {i} failed: {err}", trace=err.trace
-                ) from err
-            states.append(state)
+                states += self._mechanics(dp[None, :], i)
+            return states, psi
+        dps = np.empty((n_steps, self.n_cells))
+        dp = states[0].dp
+        for i in range(1, n_steps + 1):
+            rate = case.source_rate(times[i], psi[i - 1])
+            dp = dps[i - 1] = self.flow.step(dp, rate)
+        states += self._mechanics(dps, 1)
         return states, psi
 
     def weighted_norm(self, psi: np.ndarray) -> float:
@@ -490,6 +526,7 @@ def simulate(
     residuals: list[float] = []
     converged = False
     for _ in range(scheme.max_iter):
+        states = None  # free the last pass's states before the next one's solve
         states, _ = engine.evaluate(psi)
         image = np.stack(
             [engine.flow_source(a.p_hat, b.p_hat) for a, b in zip(states, states[1:])]

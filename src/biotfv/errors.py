@@ -27,9 +27,11 @@ class SolverError(BiotfvError):
     """A linear or nonlinear solve failed.
 
     Carries the residual trace of the failed solve when available so
-    callers can report diagnostics.
+    callers can report diagnostics, and, for a block of right-hand sides,
+    the column that failed.
     """
 
-    def __init__(self, message: str, trace=None):
+    def __init__(self, message: str, trace=None, column: int | None = None):
         super().__init__(message)
         self.trace = trace if trace is not None else []
+        self.column = column

@@ -48,11 +48,9 @@ class SparseBlockSystem:
         return slice(field * n, (field + 1) * n)
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vector -> (u (n,3), r (n,3), p (n,))."""
+        """Vector -> (u (n,3), r (n,3), p (n,)), views that share x's memory."""
         n = self.n_cells
-        u = np.stack([x[self.field_slice(c)] for c in range(3)], axis=1)
-        r = np.stack([x[self.field_slice(3 + c)] for c in range(3)], axis=1)
-        return u, r, x[6 * n :].copy()
+        return x[: 3 * n].reshape(3, n).T, x[3 * n : 6 * n].reshape(3, n).T, x[6 * n :]
 
     # block views used by the triangular preconditioner
 

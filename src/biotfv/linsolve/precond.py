@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SolverError
 from .amg import AmgHierarchy, build_amg
 from .blocks import SparseBlockSystem, rescale
 from .krylov import SolveReport, bicgstab
@@ -111,28 +111,61 @@ class TpsaSolver:
         if self.direct:
             # minimum degree on A^T + A: about 2.3x less fill than the default
             # COLAMD on the elastic matrix, which is structurally symmetric
-            self._lu = splu(self.scaled.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            try:
+                self._lu = splu(self.scaled.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+                raise SolverError(
+                    f"elastic (TPSA) factorization failed: {err}"
+                ) from err
             self._precond = None
         else:
             self._lu = None
             self._precond = BlockTriangularPreconditioner.from_system(self.scaled)
 
-    def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> SolveReport:
-        scaled_rhs = self.scale * rhs
+    def solve(self, rhs: np.ndarray, x0=None):
+        """Solve for one (7n,) right-hand side, or a (7n, k) block of them.
+
+        One vector gives one SolveReport, a block a list of one report per
+        column.  The direct path solves a block with one multi-column LU
+        solve, which runs at BLAS-3 speed.  The iterative path solves the
+        columns in order; column j starts from x0[j] when that is given,
+        else from the previous column's solution (the first from zero),
+        since the columns of a time march are consecutive steps.  A block
+        is scaled in place, so it is overwritten; a SolverError on column
+        j carries ``column = j``.
+        """
+        if rhs.ndim == 1:
+            block = np.array(rhs, dtype=float)[:, None]
+            return self.solve(block, None if x0 is None else [x0])[0]
+        rhs *= self.scale[:, None]
         if self.direct:
-            x_tilde = self._lu.solve(scaled_rhs)
-            norm = max(np.linalg.norm(scaled_rhs), 1e-300)
-            res = np.linalg.norm(scaled_rhs - self.scaled.matrix @ x_tilde)
-            return SolveReport(
-                x=self.scale * x_tilde, method="direct", trace=[float(res / norm)]
-            )
-        report = bicgstab(
-            self.scaled.matrix,
-            scaled_rhs,
-            preconditioner=self._precond.apply,
-            rtol=self.options.rtol,
-            max_iter=self.options.max_iter,
-            x0=None if x0 is None else np.asarray(x0) / self.scale,
-        )
-        report.x = self.scale * report.x
-        return report
+            x = self._lu.solve(rhs)
+            residuals = [
+                np.linalg.norm(b - self.scaled.matrix @ x_tilde)
+                / max(np.linalg.norm(b), 1e-300)
+                for b, x_tilde in zip(rhs.T, x.T)
+            ]
+            x *= self.scale[:, None]
+            return [
+                SolveReport(x=x[:, j], method="direct", trace=[float(res)])
+                for j, res in enumerate(residuals)
+            ]
+        reports: list[SolveReport] = []
+        for j in range(rhs.shape[1]):
+            start = None if x0 is None else x0[j]
+            if start is None and reports:
+                start = reports[-1].x
+            try:
+                report = bicgstab(
+                    self.scaled.matrix,
+                    rhs[:, j],
+                    preconditioner=self._precond.apply,
+                    rtol=self.options.rtol,
+                    max_iter=self.options.max_iter,
+                    x0=None if start is None else np.asarray(start) / self.scale,
+                )
+            except SolverError as err:
+                raise SolverError(str(err), trace=err.trace, column=j) from err
+            report.x = self.scale * report.x
+            reports.append(report)
+        return reports

@@ -123,12 +123,15 @@ class FlowSystem:
         # pivots and needs no pivoting.  Threshold pivoting would swap rows
         # and undo the minimum-degree ordering of A^T + A; without it the
         # factors have about half the fill of COLAMD's.
-        self._lu = splu(
-            matrix,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        try:
+            self._lu = splu(
+                matrix,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"flow (TPFA) factorization failed: {err}") from err
 
     def step(self, dp_old: np.ndarray, rate: np.ndarray) -> np.ndarray:
         """Pressure deviation after one step, given the (n,) source in m^3/s."""

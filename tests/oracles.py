@@ -9,13 +9,14 @@ multigrid_solve iterates the package's V-cycle as a
 stand-alone solver, a second solve path the multigrid tests check.
 greedy_aggregate is the greedy aggregation written with one numpy
 call per node, the reference the package's list-based loops must match
-exactly.
+exactly.  sequential_march is the fixed-stress time march with one
+mechanics solve per step, the reference for the package's block solve.
 """
 
 import numpy as np
 
 from biotfv.errors import GeometryError, SolverError
-from biotfv.tpsa import stencil_arrays
+from biotfv.tpsa import assemble_rhs, stencil_arrays
 
 
 def orientation(mesh, cell, face):
@@ -323,3 +324,28 @@ def greedy_aggregate(strength):
             assign[i] = count
             count += 1
     return assign, count
+
+
+def sequential_march(coupled, psi, warm):
+    """One fixed-stress pass with one single-vector mechanics solve per step.
+
+    Step i runs the flow under the source psi[i-1], then solves the
+    mechanics for its dp, starting from warm[i] (the previous pass at that
+    step) or else warm[i-1]; each solution is stored back in warm, a list
+    of N+1 entries the caller keeps across passes.  Returns the N
+    (dp, u, r, p_hat) tuples of steps 1..N.
+    """
+    case = coupled.case
+    times = case.time.times
+    dp = case.initial_state().dp
+    out = []
+    for i in range(1, case.time.n_steps + 1):
+        dp = coupled.flow.step(dp, case.source_rate(times[i], psi[i - 1]))
+        rhs = assemble_rhs(
+            case.mesh, coupled.elastic, pressure_coupling=-coupled.alpha_over_lam * dp
+        )
+        x0 = warm[i] if warm[i] is not None else warm[i - 1]
+        x = coupled.mech.solve(rhs, x0=x0).x
+        warm[i] = x
+        out.append((dp, *coupled.system.split(x)))
+    return out

@@ -8,7 +8,9 @@ import pytest
 from scipy.io import mmread
 
 from biotfv import tpsa
+from biotfv.app import cli
 from biotfv.app.cli import main
+from biotfv.errors import GeometryError
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -154,6 +156,37 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     )
     assert main(["run", str(cfg), "--max-iter", "1"]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, operator",
+    [
+        ("mu = 3.5 GPa", "mu = 1e-320 Pa", "elastic (TPSA) factorization failed"),
+        ("lz = 20 m", "lz = 1e-310 m", "flow (TPFA) factorization failed"),
+    ],
+    ids=["subnormal-mu", "subnormal-lz"],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_singular_factorization_exits_3(tmp_path, capsys, old, new, operator):
+    # both inputs pass validation; SuperLU then finds an exactly zero pivot
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(
+        BARRIER_SMALL.replace(old, new) + f"\n[output]\ndirectory = {tmp_path / 'o'}\n"
+    )
+    for command in ("run", "barrier"):
+        assert main([command, str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure" in err and operator in err
+
+
+def test_other_package_error_exits_2(barrier_cfg, monkeypatch, capsys):
+    def broken(*_args, **_kwargs):
+        raise GeometryError("degenerate face")
+
+    monkeypatch.setattr(cli, "run_case", broken)
+    assert main(["run", str(barrier_cfg)]) == 2
+    assert "invalid input: degenerate face" in capsys.readouterr().err
 
 
 def test_nan_permeability_exits_2_without_outputs(tmp_path, capsys):

@@ -20,8 +20,12 @@ from biotfv.coupling import (
     simulate,
 )
 from biotfv.errors import ConfigurationError, SolverError
+from biotfv.linsolve import precond
+from biotfv.linsolve.precond import SolverOptions, TpsaSolver
 from biotfv.mesh import build_cartesian
 from biotfv.tpfa import FlowSystem
+
+from oracles import sequential_march
 
 LAGGED = SchemeSpec(kind="lagged")
 
@@ -322,6 +326,96 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
     assert len(calls) == 1
     assert len(excinfo.value.trace) == 1
     assert not np.isfinite(excinfo.value.trace[0])
+
+
+# ------------------------------------------------- block mechanics solve
+
+
+def _block_case():
+    return _case(
+        nx=4, ny=3, nz=2, alpha=0.8, c0=0.5, lam=2.0, n_steps=5,
+        wells=[Well(cell=0, rate=0.5), Well(cell=17, rate=-0.2, t_end=3.0)],
+    )
+
+
+def _two_passes(case, options):
+    """States of two fixed-stress passes of evaluate, and the two sources."""
+    coupled = CoupledSystem(case, options)
+    psi0 = np.zeros((case.time.n_steps, coupled.n_cells))
+    first, _ = coupled.evaluate(psi0)
+    psi1 = np.stack(
+        [coupled.flow_source(a.p_hat, b.p_hat) for a, b in zip(first, first[1:])]
+    )
+    second, _ = coupled.evaluate(psi1)
+    return [first, second], [psi0, psi1]
+
+
+def test_block_solve_matches_per_step_lu_solves():
+    case = _block_case()
+    direct = SolverOptions(method="direct")
+    passes, sources = _two_passes(case, direct)
+    oracle = CoupledSystem(case, direct)
+    warm = [None] * (case.time.n_steps + 1)
+    for states, psi in zip(passes, sources):
+        expected = sequential_march(oracle, psi, warm)
+        for state, fields in zip(states[1:], expected):
+            for got, want in zip((state.dp, state.u, state.r, state.p_hat), fields):
+                scale = np.max(np.abs(want))
+                assert scale > 0.0
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_block_solve_iterative_path_is_bit_identical_to_per_step_solves():
+    # the second pass warm-starts every step from the first pass
+    case = _block_case()
+    iterative = SolverOptions(method="iterative", rtol=1e-8)
+    passes, sources = _two_passes(case, iterative)
+    oracle = CoupledSystem(case, iterative)
+    warm = [None] * (case.time.n_steps + 1)
+    for states, psi in zip(passes, sources):
+        expected = sequential_march(oracle, psi, warm)
+        for state, fields in zip(states[1:], expected):
+            for got, want in zip((state.dp, state.u, state.r, state.p_hat), fields):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("anderson_m0", [0, 3])
+def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, anderson_m0):
+    case = _block_case()
+    solve = TpsaSolver.solve
+    columns = []
+
+    def spy(self, rhs, x0=None):
+        columns.append(rhs.shape[1] if rhs.ndim == 2 else 1)
+        return solve(self, rhs, x0)
+
+    monkeypatch.setattr(TpsaSolver, "solve", spy)
+    direct = SolverOptions(method="direct")
+    result = simulate(case, SchemeSpec(tol=1e-10, anderson_m0=anderson_m0), direct)
+    assert result.report.converged and result.report.iterations >= 3
+    assert columns == [case.time.n_steps] * result.report.iterations
+    columns.clear()
+    simulate(case, LAGGED, direct)
+    assert columns == [1] * case.time.n_steps
+
+
+@pytest.mark.parametrize("scheme", [LAGGED, SchemeSpec()], ids=["lagged", "fixed"])
+def test_failed_block_column_names_its_step(monkeypatch, scheme):
+    bicgstab = precond.bicgstab
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SolverError("no convergence", trace=[1.0, 0.5])
+        return bicgstab(*args, **kwargs)
+
+    monkeypatch.setattr(precond, "bicgstab", third_fails)
+    iterative = SolverOptions(method="iterative")
+    message = "coupled step 3 failed: no convergence"
+    with pytest.raises(SolverError, match=message) as err:
+        simulate(_block_case(), scheme, iterative)
+    assert err.value.trace == [1.0, 0.5]
 
 
 # -------------------------------------------------------------- schemes
