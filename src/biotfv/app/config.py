@@ -360,6 +360,10 @@ def _parse_value(text: str, kind, section: str, key: str, line: int | None):
     if kind in _UNITS:
         return parse_quantity(text, kind, key=name, line=line)
     if kind is str:
+        if len(text.splitlines()) > 1:  # an indented next line continues the value
+            raise ConfigurationError(
+                f"{name} must be a single line", key=name, line=line
+            )
         return text
     if isinstance(kind, tuple):
         if text not in kind:

@@ -198,7 +198,7 @@ def run_convergence_study(
             "p_hat": relative_l2(mesh, final.p_hat, exact.p_hat),
         }
         probe = CoupledSystem(case, replace(config.solver, method="iterative"))
-        _, probe_report = probe.mech_solve(final.dp, case.time.n_steps)
+        _, (probe_report,) = probe.mech_solve(final.dp[None, :], case.time.n_steps)
         reports.append(
             ErrorReport(
                 n=n,
@@ -283,6 +283,8 @@ def run_barrier_case(
     case = config.build_case()
     masks = compartment_masks(case)
     specs = [(token, scheme_from_token(token, config.scheme)) for token in schemes]
+    if not specs:
+        raise ConfigurationError("barrier study needs at least one scheme")
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output.directory)
     runs = []

@@ -405,18 +405,16 @@ class CoupledSystem:
         return -self.alpha_over_lam * (p_hat_now - p_hat_prev) / self.case.time.dt
 
     def mech_solve(
-        self, dp: np.ndarray, step: int
-    ) -> tuple[BiotState, SolveReport] | tuple[list[BiotState], list[SolveReport]]:
-        """Mechanics loaded by the row source -(alpha/lam) * dp.
+        self, dps: np.ndarray, step: int
+    ) -> tuple[list[BiotState], list[SolveReport]]:
+        """Mechanics of steps step, ..., step + k - 1, loaded by -(alpha/lam) * dp.
 
-        dp of shape (n,) is one step and gives (BiotState, SolveReport); a
-        (k, n) block holds steps step, ..., step + k - 1 and gives their
-        states and reports as two lists, all solved as one block.  The
-        iterative path starts each step from the previous pass's solution
-        at that step, else from the previous step's.
+        dps is a (k, n) block, one row per step, solved as one block; gives
+        the k states and reports as two lists.  The iterative path starts
+        each step from the previous pass's solution at that step, else from
+        the previous step's.  A failed solve is raised again naming its step.
         """
         case = self.case
-        dps = np.atleast_2d(dp)
         steps = range(step, step + len(dps))
         rhs = np.empty((self.system.n_dof, len(dps)), order="F")
         for j, d in enumerate(dps):
@@ -429,27 +427,20 @@ class CoupledSystem:
             x0 = [self._mech_warm[s] for s in steps]
             if x0[0] is None and step > 0:
                 x0[0] = self._mech_warm[step - 1]
-        reports = self.mech.solve(rhs, x0=x0)
+        try:
+            reports = self.mech.solve(rhs, x0=x0)
+        except SolverError as err:
+            failed = step + (err.column or 0)
+            raise SolverError(
+                f"coupled step {failed} failed: {err}", trace=err.trace
+            ) from err
         states = []
         for s, d, report in zip(steps, dps, reports):
             if not self.mech.direct:
                 self._mech_warm[s] = report.x
             u, r, p_hat = self.system.split(report.x)
             states.append(BiotState(dp=d, u=u, r=r, p_hat=p_hat, t=case.time.times[s]))
-        if np.ndim(dp) == 1:
-            return states[0], reports[0]
         return states, reports
-
-    def _mechanics(self, dps: np.ndarray, step: int) -> list[BiotState]:
-        """States of the (k, n) block of steps from `step` on; errors name the step."""
-        try:
-            states, _ = self.mech_solve(dps, step)
-        except SolverError as err:
-            failed = step + (err.column or 0)
-            raise SolverError(
-                f"coupled step {failed} failed: {err}", trace=err.trace
-            ) from err
-        return states
 
     def evaluate(
         self, psi: np.ndarray | None = None
@@ -475,14 +466,14 @@ class CoupledSystem:
                 )
                 rate = case.source_rate(times[i], psi[i - 1])
                 dp = self.flow.step(states[i - 1].dp, rate)
-                states += self._mechanics(dp[None, :], i)
+                states += self.mech_solve(dp[None, :], i)[0]
             return states, psi
         dps = np.empty((n_steps, self.n_cells))
         dp = states[0].dp
         for i in range(1, n_steps + 1):
             rate = case.source_rate(times[i], psi[i - 1])
             dp = dps[i - 1] = self.flow.step(dp, rate)
-        states += self._mechanics(dps, 1)
+        states += self.mech_solve(dps, 1)[0]
         return states, psi
 
     def weighted_norm(self, psi: np.ndarray) -> float:

@@ -4,8 +4,12 @@ The preconditioner is the lower block triangle of the rescaled operator
 applied by forward substitution: multigrid V-cycles stand in for the
 inverses of the three displacement component blocks and of the pressure
 block, the rotation block is inverted exactly (it is diagonal), and the
-upper-diagonal coupling blocks are discarded.  Nothing is assembled; the
-action is composed from the stored blocks.
+upper-diagonal coupling blocks are discarded.  The preconditioner slices
+its five blocks out of the rescaled matrix once, when it is built;
+nothing is assembled, the action is composed from those blocks.
+
+`TpsaSolver` factors or preconditions the rescaled matrix once and takes
+its right-hand sides only as a (7n, k) block, one column per step.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from ..errors import ConfigurationError, SolverError
-from .amg import AmgHierarchy, build_amg
+from .amg import build_amg
 from .blocks import SparseBlockSystem, rescale
 from .krylov import SolveReport, bicgstab
 
@@ -26,33 +31,24 @@ from .krylov import SolveReport, bicgstab
 DIRECT_THRESHOLD = 30_000
 
 
-@dataclass
 class BlockTriangularPreconditioner:
-    n_cells: int
-    displacement_hierarchies: list[AmgHierarchy]
-    rotation_diagonal: np.ndarray
-    pressure_hierarchy: AmgHierarchy
-    rotation_displacement: "object"
-    pressure_displacement: "object"
+    """The lower block triangle of a rescaled 7n x 7n matrix, sliced once."""
 
-    @classmethod
-    def from_system(cls, system: SparseBlockSystem) -> "BlockTriangularPreconditioner":
-        rotation_diagonal = system.rotation_diagonal
-        if np.any(rotation_diagonal == 0.0):
+    def __init__(self, matrix: csr_matrix, n_cells: int):
+        n = self.n_cells = n_cells
+        self.rotation_diagonal = matrix.diagonal()[3 * n : 6 * n]
+        if np.any(self.rotation_diagonal == 0.0):
             raise ConfigurationError(
                 "rotation block has a zero diagonal entry "
                 "(shear modulus must be positive)"
             )
-        return cls(
-            n_cells=system.n_cells,
-            displacement_hierarchies=[
-                build_amg(block) for block in system.displacement_blocks
-            ],
-            rotation_diagonal=rotation_diagonal,
-            pressure_hierarchy=build_amg(system.pressure_block),
-            rotation_displacement=system.rotation_displacement_block,
-            pressure_displacement=system.pressure_displacement_block,
-        )
+        self.displacement_hierarchies = [
+            build_amg(matrix[c * n : (c + 1) * n, c * n : (c + 1) * n].tocsr())
+            for c in range(3)
+        ]
+        self.pressure_hierarchy = build_amg(matrix[6 * n :, 6 * n :].tocsr())
+        self.rotation_displacement = matrix[3 * n : 6 * n, : 3 * n].tocsr()
+        self.pressure_displacement = matrix[6 * n :, : 3 * n].tocsr()
 
     def apply(self, residual: np.ndarray) -> np.ndarray:
         n = self.n_cells
@@ -89,7 +85,7 @@ class SolverOptions:
 
 
 class TpsaSolver:
-    """Factorize-or-precondition once, then solve per right-hand side.
+    """Factorize-or-precondition once, then solve block after block.
 
     The elastic operator is constant in time, so the sparse LU (small
     systems) or the rescaled preconditioner (large systems) is built a
@@ -103,7 +99,7 @@ class TpsaSolver:
         options: SolverOptions | None = None,
     ):
         self.options = options = options or SolverOptions()
-        self.scaled, self.scale = rescale(system, mu0)
+        self.matrix, self.scale = rescale(system, mu0)
         if options.method == "auto":
             self.direct = system.n_dof <= DIRECT_THRESHOLD
         else:
@@ -112,7 +108,7 @@ class TpsaSolver:
             # minimum degree on A^T + A: about 2.3x less fill than the default
             # COLAMD on the elastic matrix, which is structurally symmetric
             try:
-                self._lu = splu(self.scaled.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                self._lu = splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
                 raise SolverError(
                     f"elastic (TPSA) factorization failed: {err}"
@@ -120,28 +116,24 @@ class TpsaSolver:
             self._precond = None
         else:
             self._lu = None
-            self._precond = BlockTriangularPreconditioner.from_system(self.scaled)
+            self._precond = BlockTriangularPreconditioner(self.matrix, system.n_cells)
 
-    def solve(self, rhs: np.ndarray, x0=None):
-        """Solve for one (7n,) right-hand side, or a (7n, k) block of them.
+    def solve(self, rhs: np.ndarray, x0=None) -> list[SolveReport]:
+        """Solve a (7n, k) block of right-hand sides; one report per column.
 
-        One vector gives one SolveReport, a block a list of one report per
-        column.  The direct path solves a block with one multi-column LU
-        solve, which runs at BLAS-3 speed.  The iterative path solves the
-        columns in order; column j starts from x0[j] when that is given,
-        else from the previous column's solution (the first from zero),
-        since the columns of a time march are consecutive steps.  A block
-        is scaled in place, so it is overwritten; a SolverError on column
-        j carries ``column = j``.
+        The direct path solves the block with one multi-column LU solve,
+        which runs at BLAS-3 speed.  The iterative path solves the columns
+        in order; column j starts from x0[j] when that is given, else from
+        the previous column's solution (the first from zero), since the
+        columns of a time march are consecutive steps.  The block is scaled
+        in place, so it is overwritten; a SolverError on column j carries
+        ``column = j``.
         """
-        if rhs.ndim == 1:
-            block = np.array(rhs, dtype=float)[:, None]
-            return self.solve(block, None if x0 is None else [x0])[0]
         rhs *= self.scale[:, None]
         if self.direct:
             x = self._lu.solve(rhs)
             residuals = [
-                np.linalg.norm(b - self.scaled.matrix @ x_tilde)
+                np.linalg.norm(b - self.matrix @ x_tilde)
                 / max(np.linalg.norm(b), 1e-300)
                 for b, x_tilde in zip(rhs.T, x.T)
             ]
@@ -157,7 +149,7 @@ class TpsaSolver:
                 start = reports[-1].x
             try:
                 report = bicgstab(
-                    self.scaled.matrix,
+                    self.matrix,
                     rhs[:, j],
                     preconditioner=self._precond.apply,
                     rtol=self.options.rtol,

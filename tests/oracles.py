@@ -327,25 +327,35 @@ def greedy_aggregate(strength):
 
 
 def sequential_march(coupled, psi, warm):
-    """One fixed-stress pass with one single-vector mechanics solve per step.
+    """One march with one single-column mechanics solve per step.
 
     Step i runs the flow under the source psi[i-1], then solves the
     mechanics for its dp, starting from warm[i] (the previous pass at that
     step) or else warm[i-1]; each solution is stored back in warm, a list
-    of N+1 entries the caller keeps across passes.  Returns the N
-    (dp, u, r, p_hat) tuples of steps 1..N.
+    of N+1 entries the caller keeps across passes.  With psi None the
+    source is the lagged one, built from the two previous steps' p_hat
+    (p_hat(t_{-1}) := p_hat(t_0)).  Returns the N (dp, u, r, p_hat)
+    tuples of steps 1..N.
     """
     case = coupled.case
     times = case.time.times
-    dp = case.initial_state().dp
+    initial = case.initial_state()
+    dp = initial.dp
+    p_hats = [initial.p_hat]
     out = []
     for i in range(1, case.time.n_steps + 1):
-        dp = coupled.flow.step(dp, case.source_rate(times[i], psi[i - 1]))
+        if psi is None:
+            source = coupled.flow_source(p_hats[max(i - 2, 0)], p_hats[i - 1])
+        else:
+            source = psi[i - 1]
+        dp = coupled.flow.step(dp, case.source_rate(times[i], source))
         rhs = assemble_rhs(
             case.mesh, coupled.elastic, pressure_coupling=-coupled.alpha_over_lam * dp
         )
         x0 = warm[i] if warm[i] is not None else warm[i - 1]
-        x = coupled.mech.solve(rhs, x0=x0).x
-        warm[i] = x
-        out.append((dp, *coupled.system.split(x)))
+        (report,) = coupled.mech.solve(rhs[:, None], x0=[x0])
+        warm[i] = report.x
+        u, r, p_hat = coupled.system.split(report.x)
+        p_hats.append(p_hat)
+        out.append((dp, u, r, p_hat))
     return out

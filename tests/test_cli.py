@@ -352,6 +352,13 @@ def test_barrier_rejects_unknown_scheme(barrier_cfg, tmp_path, capsys):
     assert not list(tmp_path.rglob("barrier_*"))
 
 
+@pytest.mark.parametrize("schemes", ["", " , "])
+def test_barrier_rejects_empty_scheme_list(barrier_cfg, tmp_path, capsys, schemes):
+    assert main(["barrier", str(barrier_cfg), "--schemes", schemes]) == 2
+    assert "at least one scheme" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_invocation_round_trip(barrier_cfg, tmp_path):
     proc = subprocess.run(
         [

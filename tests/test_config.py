@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from biotfv.app.config import (
     _SECTIONS,
     _WELL,
+    _key_lines,
     BoundarySpec,
     CaseConfig,
     MeshSpec,
@@ -367,9 +368,25 @@ def test_indented_key_after_header_keeps_its_line():
         parse_config_text(text)
     assert excinfo.value.line == text.splitlines().index("  nx = two") + 1
     text = MINIMAL + "\n[case]\n  name = a\n    problem = generic\nproblem = analytic\n"
-    with pytest.raises(ConfigurationError, match="analytic") as excinfo:
+    lines = _key_lines(text)
+    assert lines[("case", "problem")] == text.splitlines().index("problem = analytic") + 1
+    with pytest.raises(ConfigurationError, match="single line") as excinfo:
         parse_config_text(text)
-    assert excinfo.value.line == text.splitlines().index("problem = analytic") + 1
+    assert excinfo.value.line == text.splitlines().index("  name = a") + 1
+
+
+@pytest.mark.parametrize(
+    "section, entry", [("case", "name = barrier"), ("output", "directory = out")]
+)
+def test_text_value_continued_on_next_line_rejected(section, entry):
+    # configparser joins an indented next line onto the value: a name with
+    # a line break would split file names and the VTK header
+    text = MINIMAL + f"\n[{section}]\n{entry}\n  two\n"
+    key = f"{section}.{entry.split()[0]}"
+    with pytest.raises(ConfigurationError, match="single line") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.key == key
+    assert excinfo.value.line == text.splitlines().index(entry) + 1
 
 
 def test_boundary_robin_needs_positive_parameters():

@@ -60,7 +60,7 @@ def _mech_row_source(monkeypatch, case, dp):
         return assemble(*args, pressure_coupling=pressure_coupling, **kwargs)
 
     monkeypatch.setattr(coupling, "assemble_rhs", spy)
-    CoupledSystem(case).mech_solve(dp, 1)
+    CoupledSystem(case).mech_solve(dp[None, :], 1)
     assert len(seen) == 1
     return seen[0]
 
@@ -379,6 +379,18 @@ def test_block_solve_iterative_path_is_bit_identical_to_per_step_solves():
                 assert np.array_equal(got, want)
 
 
+def test_lagged_iterative_run_warm_starts_each_step_from_the_last():
+    # one pass, so every step starts from the step before it
+    case = _block_case()
+    iterative = SolverOptions(method="iterative", rtol=1e-8)
+    result = simulate(case, LAGGED, iterative)
+    warm = [None] * (case.time.n_steps + 1)
+    expected = sequential_march(CoupledSystem(case, iterative), None, warm)
+    for state, fields in zip(result.states[1:], expected):
+        for got, want in zip((state.dp, state.u, state.r, state.p_hat), fields):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("anderson_m0", [0, 3])
 def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, anderson_m0):
     case = _block_case()
@@ -386,7 +398,7 @@ def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, anderson_m0):
     columns = []
 
     def spy(self, rhs, x0=None):
-        columns.append(rhs.shape[1] if rhs.ndim == 2 else 1)
+        columns.append(rhs.shape[1])
         return solve(self, rhs, x0)
 
     monkeypatch.setattr(TpsaSolver, "solve", spy)
