@@ -38,7 +38,7 @@ from ..coupling import (
 from ..errors import ConfigurationError, GeometryError
 from ..linsolve.precond import SOLVER_METHODS, SolverOptions
 from ..mesh import Mesh, build_barrier_mesh, build_cartesian
-from ..tpsa import BoundaryKind, MechBoundary
+from ..tpsa import MechBoundary
 from .manufactured import ManufacturedSolution
 
 __all__ = [
@@ -75,11 +75,8 @@ _UNITS = {
 }
 
 _SIDE_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
-_BOUNDARY_KINDS = {
-    "fixed": BoundaryKind.FIXED,
-    "free": BoundaryKind.FREE,
-    "robin": BoundaryKind.ROBIN,
-}
+_BOUNDARY_KINDS = ("fixed", "free", "robin")
+
 
 def parse_quantity(
     text: str, kind: str, key: str = "", line: int | None = None
@@ -147,41 +144,35 @@ class BoundarySpec:
     robin_mu: float = 1.0
 
     @property
+    def walls(self) -> list[str]:
+        """The closure of each side, in `_SIDE_NAMES` order."""
+        return [getattr(self, side) or self.default for side in _SIDE_NAMES]
+
+    @property
     def all_fixed(self) -> bool:
         """True when every wall is clamped."""
-        return all(
-            (getattr(self, side) or self.default) == "fixed" for side in _SIDE_NAMES
-        )
+        return all(word == "fixed" for word in self.walls)
 
     def build(self, mesh: Mesh) -> MechBoundary:
-        sides = {
-            index: getattr(self, name)
-            for index, name in enumerate(_SIDE_NAMES)
-            if getattr(self, name) is not None
-        }
-        kinds = np.full(mesh.n_faces, int(BoundaryKind.INTERIOR), dtype=np.int8)
+        """Each boundary face's outside weight: fixed 0, free inf and
+        robin robin_delta / robin_mu."""
+        words = self.walls
+        weights = {"fixed": 0.0, "free": math.inf}
+        if "robin" in words:
+            if not all(
+                math.isfinite(v) and v > 0 for v in (self.robin_delta, self.robin_mu)
+            ):
+                raise ConfigurationError(
+                    "Robin boundaries need finite, positive robin_delta and robin_mu"
+                )
+            weights["robin"] = self.robin_delta / self.robin_mu
         bdry = mesh.boundary_faces
-        kinds[bdry] = int(_BOUNDARY_KINDS[self.default])
-        if sides:
-            normals = mesh.face_normals[bdry]
-            axis = np.argmax(np.abs(normals), axis=1)
-            positive = normals[np.arange(bdry.size), axis] > 0
-            side_of = 2 * axis + positive.astype(int)
-            for index, kind in sides.items():
-                kinds[bdry[side_of == index]] = int(_BOUNDARY_KINDS[kind])
-        if np.any(kinds == BoundaryKind.ROBIN) and not all(
-            math.isfinite(v) and v > 0 for v in (self.robin_delta, self.robin_mu)
-        ):
-            raise ConfigurationError(
-                "Robin boundaries need finite, positive robin_delta and robin_mu"
-            )
-        boundary = MechBoundary(
-            kind=kinds,
-            robin_delta=np.full(mesh.n_faces, float(self.robin_delta)),
-            robin_mu=np.full(mesh.n_faces, float(self.robin_mu)),
-        )
-        boundary.validate(mesh)
-        return boundary
+        normals = mesh.face_normals[bdry]
+        axis = np.argmax(np.abs(normals), axis=1)
+        side_of = 2 * axis + (normals[np.arange(bdry.size), axis] > 0)
+        w_out = np.zeros(mesh.n_faces)
+        w_out[bdry] = np.array([weights[word] for word in words])[side_of]
+        return MechBoundary(w_out)
 
 
 @dataclass
@@ -279,8 +270,8 @@ _SECTIONS = {
         "boundaries",
         BoundarySpec,
         {
-            "mechanics": _Key(tuple(_BOUNDARY_KINDS), field="default"),
-            **{side: _Key(tuple(_BOUNDARY_KINDS)) for side in _SIDE_NAMES},
+            "mechanics": _Key(_BOUNDARY_KINDS, field="default"),
+            **{side: _Key(_BOUNDARY_KINDS) for side in _SIDE_NAMES},
             "robin_delta": _Key("length"),
             "robin_mu": _Key("pressure"),
         },
@@ -357,13 +348,11 @@ def _key_lines(text: str) -> dict[tuple[str | None, str | None], int]:
 def _parse_value(text: str, kind, section: str, key: str, line: int | None):
     """Read one value as its table kind; errors name the key and line."""
     name = f"{section}.{key}"
+    if len(text.splitlines()) > 1:  # an indented next line continues the value
+        raise ConfigurationError(f"{name} must be a single line", key=name, line=line)
     if kind in _UNITS:
         return parse_quantity(text, kind, key=name, line=line)
     if kind is str:
-        if len(text.splitlines()) > 1:  # an indented next line continues the value
-            raise ConfigurationError(
-                f"{name} must be a single line", key=name, line=line
-            )
         return text
     if isinstance(kind, tuple):
         if text not in kind:

@@ -277,19 +277,24 @@ def run_barrier_case(
 
     Writes one CSV of per-step compartment-average pressure deviations per
     scheme plus a summary table with iteration counts and the global mass
-    defect of each scheme.  Every scheme is checked before the first runs,
-    so bad input writes no file.
+    defect of each scheme.  Files and summary rows carry the scheme's
+    stripped, lower-cased name.  Every scheme is checked before the first
+    runs, and a name listed twice is rejected, so bad input writes no file.
     """
     case = config.build_case()
     masks = compartment_masks(case)
-    specs = [(token, scheme_from_token(token, config.scheme)) for token in schemes]
-    if not specs:
+    names = [token.strip().lower() for token in schemes]
+    if not names:
         raise ConfigurationError("barrier study needs at least one scheme")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigurationError(f"scheme listed twice: {', '.join(repeated)}")
+    specs = [(name, scheme_from_token(name, config.scheme)) for name in names]
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output.directory)
     runs = []
-    for token, scheme in specs:
-        log.info("barrier case, scheme %s", token)
+    for name, scheme in specs:
+        log.info("barrier case, scheme %s", name)
         # the runs are kept until the study ends; without the operator each
         # scheme's copy of the same matrix would stay alive with them
         result = replace(simulate(case, scheme, config.solver), system=None)
@@ -300,7 +305,7 @@ def run_barrier_case(
                 np.array([float(w @ s.dp[mask] / w.sum()) for s in result.states])
             )
         run = BarrierRun(
-            scheme=token,
+            scheme=name,
             result=result,
             avg_dp_omega1=averages[0],
             avg_dp_omega2=averages[1],
@@ -309,24 +314,24 @@ def run_barrier_case(
         runs.append(run)
         if config.output.csv:
             write_csv(
-                out / f"barrier_{token}.csv",
+                out / f"barrier_{name}.csv",
                 ["step", "time", "avg_dp_omega1", "avg_dp_omega2"],
                 [
                     (i, s.t, run.avg_dp_omega1[i], run.avg_dp_omega2[i])
                     for i, s in enumerate(result.states)
                 ],
             )
-            save_source_history(out / f"barrier_{token}_psi.csv", result.psi)
+            save_source_history(out / f"barrier_{name}_psi.csv", result.psi)
         if config.output.vtk:
             write_vtk(
-                out / f"barrier_{token}_final.vtk",
+                out / f"barrier_{name}_final.vtk",
                 case.mesh,
                 result.final,
-                title=f"{case.name}:{token}",
+                title=f"{case.name}:{name}",
             )
         log.info(
             "scheme %s: %d iterations, mass defect %.3e, final averages %.4g / %.4g",
-            token,
+            name,
             result.report.iterations,
             run.mass_defect,
             run.avg_dp_omega1[-1],

@@ -253,12 +253,7 @@ def build_cartesian(
     dx = np.asarray(lengths, dtype=float) / dims
     org = np.asarray(origin, dtype=float)
 
-    ci = np.stack(
-        np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    # meshgrid(ij) varies z slowest in the last reshape axis; reorder to x-fastest
-    order = np.argsort(ci[:, 0] + nx * (ci[:, 1] + ny * ci[:, 2]), kind="stable")
-    ci = ci[order]
+    ci = _grid_indices(nx, ny, nz)
     cell_centers = org + (ci + 0.5) * dx
     cell_volumes = np.full(nx * ny * nz, float(np.prod(dx)))
 
@@ -279,39 +274,36 @@ def build_cartesian(
         face_areas=np.concatenate(areas),
         face_cells=np.concatenate(fcell),
         barrier=np.zeros(sum(c.shape[0] for c in fc), dtype=bool),
-        vertices=_cartesian_vertices(nx, ny, nz, dx, org),
-        cell_nodes=_cartesian_cell_nodes(nx, ny, nz),
+        vertices=org + _grid_indices(nx + 1, ny + 1, nz + 1) * dx,
+        cell_nodes=_cartesian_cell_nodes(ci, nx, ny),
         shape=(nx, ny, nz),
     )
     mesh.validate()
     return mesh
 
 
-def _cartesian_vertices(nx, ny, nz, dx, org):
-    vi = np.stack(
-        np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, 3)
-    order = np.argsort(vi[:, 0] + (nx + 1) * (vi[:, 1] + (ny + 1) * vi[:, 2]), kind="stable")
-    return org + vi[order] * dx
+def _grid_indices(nx, ny, nz):
+    """(ix, iy, iz) of every point of an nx x ny x nz grid, x fastest.
+
+    Row-major like every other mesh array: the sums over cells downstream
+    add in memory order.
+    """
+    return np.indices((nz, ny, nx)).reshape(3, -1)[::-1].T.copy()
 
 
-def _cartesian_cell_nodes(nx, ny, nz):
-    def nid(ix, iy, iz):
-        return ix + (nx + 1) * (iy + (ny + 1) * iz)
-
-    ci = np.stack(
-        np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    order = np.argsort(ci[:, 0] + nx * (ci[:, 1] + ny * ci[:, 2]), kind="stable")
-    ci = ci[order]
-    ix, iy, iz = ci[:, 0], ci[:, 1], ci[:, 2]
-    # VTK hexahedron corner ordering
-    corners = [
+# VTK hexahedron corner ordering, as index offsets from a cell's low corner
+_HEX_CORNERS = np.array(
+    [
         (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
         (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
     ]
-    return np.stack([nid(ix + a, iy + b, iz + c) for a, b, c in corners], axis=1)
+)
+
+
+def _cartesian_cell_nodes(ci, nx, ny):
+    """Node ids of each cell's eight corners, from the cell grid indices."""
+    corner = ci[:, None, :] + _HEX_CORNERS
+    return corner[..., 0] + (nx + 1) * (corner[..., 1] + (ny + 1) * corner[..., 2])
 
 
 def build_barrier_mesh(

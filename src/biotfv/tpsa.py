@@ -24,12 +24,12 @@ mass - (I_7 x div) G; ``recover_duals`` applies the same G.
 
 Homogeneous boundary closures set the outside value to zero and choose
 w_out: clamped 0, spring (Robin) delta_out/mu_out, and traction-free the
-analytic limit w_out -> infinity.
+analytic limit w_out -> infinity.  ``MechBoundary`` holds that one weight
+per face.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +40,6 @@ from .linsolve.blocks import SparseBlockSystem
 from .mesh import Mesh, face_normal_distances, per_cell
 
 __all__ = [
-    "BoundaryKind",
     "MechBoundary",
     "ElasticProperties",
     "FaceDuals",
@@ -52,61 +51,35 @@ __all__ = [
 ]
 
 
-class BoundaryKind(enum.IntEnum):
-    INTERIOR = 0
-    FIXED = 1
-    ROBIN = 2
-    FREE = 3
-
-
 @dataclass
 class MechBoundary:
-    """Mechanical boundary closure per face.
+    """Mechanical boundary closure: the outside weight w_out per face.
 
-    kind is BoundaryKind.INTERIOR on interior faces.  Robin faces carry a
-    positive spring distance and modulus defining w_out = delta / mu.
+    Only boundary faces read it.  A clamped face has w_out = 0, a Robin
+    spring of distance delta and modulus mu has delta / mu, and a
+    traction-free face the limit inf.
     """
 
-    kind: np.ndarray
-    robin_delta: np.ndarray
-    robin_mu: np.ndarray
+    w_out: np.ndarray
 
-    @classmethod
-    def uniform(cls, mesh: Mesh, kind: BoundaryKind, robin_delta=0.0, robin_mu=0.0):
-        kinds = np.full(mesh.n_faces, int(BoundaryKind.INTERIOR), dtype=np.int8)
-        kinds[mesh.boundary_faces] = int(kind)
-        return cls(
-            kind=kinds,
-            robin_delta=np.full(mesh.n_faces, float(robin_delta)),
-            robin_mu=np.full(mesh.n_faces, float(robin_mu)),
-        )
+    def __post_init__(self):
+        self.w_out = np.asarray(self.w_out, dtype=float)
+        if not np.all(self.w_out >= 0):  # also false for NaN
+            raise ValueError("boundary weights w_out must be non-negative, not NaN")
 
     @classmethod
     def fixed(cls, mesh: Mesh):
-        return cls.uniform(mesh, BoundaryKind.FIXED)
+        return cls(np.zeros(mesh.n_faces))
 
     @classmethod
     def free(cls, mesh: Mesh):
-        return cls.uniform(mesh, BoundaryKind.FREE)
+        return cls(np.full(mesh.n_faces, np.inf))
 
     @classmethod
     def robin(cls, mesh: Mesh, delta: float, mu: float):
         if delta <= 0 or mu <= 0:
             raise ValueError("Robin closure needs positive distance and modulus")
-        return cls.uniform(mesh, BoundaryKind.ROBIN, delta, mu)
-
-    def validate(self, mesh: Mesh) -> None:
-        kinds = self.kind
-        if np.any(kinds[mesh.interior_faces] != BoundaryKind.INTERIOR):
-            raise ValueError("interior faces must have INTERIOR boundary kind")
-        bdry = mesh.boundary_faces
-        if np.any(kinds[bdry] == BoundaryKind.INTERIOR):
-            raise ValueError("boundary face without a closure")
-        robin = kinds == BoundaryKind.ROBIN
-        if np.any(robin) and (
-            np.any(self.robin_delta[robin] <= 0) or np.any(self.robin_mu[robin] <= 0)
-        ):
-            raise ValueError("Robin faces need positive delta and mu")
+        return cls(np.full(mesh.n_faces, delta / mu))
 
 
 @dataclass
@@ -136,71 +109,32 @@ class ElasticProperties:
 def stencil_arrays(mesh: Mesh, props: ElasticProperties):
     """Vectorized stencil coefficients for every face.
 
-    Returns a dict of per-face arrays: w_in, w_out, delta_total, mu_eff,
-    stab_weight, at_in, at_out, g_u, g_p.  at_in and at_out weight each
-    side by its own w, so at_in r_in + at_out r_out is avg~ r; the other
-    average swaps them, avg u = at_out u_in + at_in u_out.  Outside values
-    on boundary faces are homogeneous zero.  On traction-free faces w_out,
-    delta_total and stab_weight are infinite and mu_eff is 0; the
-    operative coefficients (averages, g_u, g_p) carry their analytic
-    limits.
+    Returns a dict of per-face arrays: at_in, at_out, g_u, g_p.  With
+    w = delta / mu on each side (w_out from the boundary closure on
+    boundary faces) and W = w_in + w_out, at_in = w_in / W and at_out =
+    w_out / W weight each side by its own w, so at_in r_in + at_out r_out
+    is avg~ r; the other average swaps them, avg u = at_out u_in + at_in
+    u_out.  The differences are scaled by g_u = 2 mu_eff / delta_total =
+    2 / W and g_p = stab / delta_total = w_in w_out / (2 W), where
+    mu_eff = delta_total / W and stab = w_in w_out mu_eff / 2.  Outside
+    values on boundary faces are homogeneous zero.  On traction-free
+    faces (w_out = inf) the coefficients carry their analytic limits:
+    at_in 0, at_out 1, g_u 0, g_p w_in / 2.
     """
-    props.boundary.validate(mesh)
     mu = per_cell(props.mu, mesh.n_cells)
     d_in, d_out = face_normal_distances(mesh)
-    m = mesh.n_faces
-    cin = mesh.face_cells[:, 0]
-    cout = mesh.face_cells[:, 1]
-    kinds = props.boundary.kind
-
-    w_in = d_in / mu[cin]
-    w_out = np.zeros(m)
-    inter = ~mesh.is_boundary
-    w_out[inter] = d_out[inter] / mu[cout[inter]]
-    robin = kinds == BoundaryKind.ROBIN
-    w_out[robin] = props.boundary.robin_delta[robin] / props.boundary.robin_mu[robin]
-    free = kinds == BoundaryKind.FREE
-    # FIXED keeps w_out = 0; FREE is the w_out -> inf limit, taken analytically
-    w_out[free] = np.inf
-
-    delta_total = d_in.copy()
-    delta_total[inter] += d_out[inter]
-    delta_total[robin] += props.boundary.robin_delta[robin]
-    delta_total[free] = np.inf
-
-    finite = ~free
-    denom = w_in + w_out
-    at_in = np.zeros(m)
-    at_out = np.zeros(m)
-    g_u = np.zeros(m)
-    g_p = np.zeros(m)
-    mu_eff = np.zeros(m)
-    stab = np.full(m, np.inf)
-
-    at_in[finite] = w_in[finite] / denom[finite]
-    at_out[finite] = w_out[finite] / denom[finite]
-    g_u[finite] = 2.0 / denom[finite]
-    g_p[finite] = 0.5 * w_in[finite] * w_out[finite] / denom[finite]
-    mu_eff[finite] = delta_total[finite] / denom[finite]
-    stab[finite] = 0.5 * w_in[finite] * w_out[finite] * mu_eff[finite]
-
-    # traction-free limit: averages collapse to outside/inside values,
-    # the stress difference term vanishes, the stabilization tends to w_in/2
-    at_out[free] = 1.0
-    g_p[free] = 0.5 * w_in[free]
-
     if np.any(d_in <= 0):
         raise GeometryError("degenerate geometry: non-positive normal distance")
+    cin, cout = mesh.face_cells.T
+    w_in = d_in / mu[cin]
+    w_out = np.where(mesh.is_boundary, props.boundary.w_out, d_out / mu[cout])
+    finite = ~np.isinf(w_out)
+    denom = w_in + w_out
     return {
-        "w_in": w_in,
-        "w_out": w_out,
-        "delta_total": delta_total,
-        "mu_eff": mu_eff,
-        "stab_weight": stab,
-        "at_in": at_in,
-        "at_out": at_out,
-        "g_u": g_u,
-        "g_p": g_p,
+        "at_in": w_in / denom,  # 0 on free faces
+        "at_out": np.divide(w_out, denom, out=np.ones(mesh.n_faces), where=finite),
+        "g_u": 2.0 / denom,  # 0 on free faces: no stress difference term
+        "g_p": np.divide(0.5 * w_in * w_out, denom, out=0.5 * w_in, where=finite),
     }
 
 

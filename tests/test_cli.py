@@ -352,6 +352,26 @@ def test_barrier_rejects_unknown_scheme(barrier_cfg, tmp_path, capsys):
     assert not list(tmp_path.rglob("barrier_*"))
 
 
+def test_barrier_names_files_after_the_normalized_scheme(barrier_cfg, tmp_path):
+    out = tmp_path / "bar"
+    args = ["barrier", str(barrier_cfg), "--schemes", "lagged, Fixed", "--out", str(out)]
+    assert main(args) == 0
+    assert sorted(p.name for p in out.glob("barrier_fixed*")) == [
+        "barrier_fixed.csv",
+        "barrier_fixed_final.vtk",
+        "barrier_fixed_psi.csv",
+    ]
+    rows = (out / "barrier_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["lagged", "fixed"]
+
+
+@pytest.mark.parametrize("schemes", ["fixed,fixed", "lagged, FIXED ,fixed"])
+def test_barrier_rejects_a_repeated_scheme(barrier_cfg, tmp_path, capsys, schemes):
+    assert main(["barrier", str(barrier_cfg), "--schemes", schemes]) == 2
+    assert "scheme listed twice: fixed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("schemes", ["", " , "])
 def test_barrier_rejects_empty_scheme_list(barrier_cfg, tmp_path, capsys, schemes):
     assert main(["barrier", str(barrier_cfg), "--schemes", schemes]) == 2

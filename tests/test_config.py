@@ -27,7 +27,6 @@ from biotfv.coupling import PoroelasticProperties, SchemeSpec, TimeGrid, Well
 from biotfv.errors import ConfigurationError
 from biotfv.linsolve.precond import SolverOptions
 from biotfv.mesh import build_cartesian
-from biotfv.tpsa import BoundaryKind
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 README = CASES.parent / "README.md"
@@ -328,10 +327,11 @@ def test_boundary_spec_side_override():
     mesh = build_cartesian(2, 2, 2)
     spec = BoundarySpec(default="fixed", z_max="free")
     boundary = spec.build(mesh)
-    free = np.flatnonzero(boundary.kind == BoundaryKind.FREE)
+    bdry = mesh.boundary_faces
+    free = bdry[np.isinf(boundary.w_out[bdry])]
     assert free.size == 4
     assert np.all(mesh.face_centers[free, 2] == 1.0)
-    fixed = np.flatnonzero(boundary.kind == BoundaryKind.FIXED)
+    fixed = bdry[boundary.w_out[bdry] == 0.0]
     assert fixed.size == 24 - 4
 
 
@@ -375,13 +375,26 @@ def test_indented_key_after_header_keeps_its_line():
     assert excinfo.value.line == text.splitlines().index("  name = a") + 1
 
 
+# (section, entry, the indented next line configparser joins onto it)
+_CONTINUED = [
+    ("case", "name = barrier", "two"),
+    ("output", "directory = out", "two"),
+    ("boundaries", "robin_mu = 3.5", "GPa"),  # would read as 3.5 GPa
+    ("well.w", "cell = 1 1", "1"),  # would read as the cell (1, 1, 1)
+    ("scheme", "max_iter = 5", "0"),
+    ("solver", "method = iterative", "direct"),
+    ("output", "vtk = true", "false"),
+]
+
+
 @pytest.mark.parametrize(
-    "section, entry", [("case", "name = barrier"), ("output", "directory = out")]
+    "section, entry, more", _CONTINUED, ids=[f"{s}-{e}" for s, e, _ in _CONTINUED]
 )
-def test_text_value_continued_on_next_line_rejected(section, entry):
+def test_text_value_continued_on_next_line_rejected(section, entry, more):
     # configparser joins an indented next line onto the value: a name with
-    # a line break would split file names and the VTK header
-    text = MINIMAL + f"\n[{section}]\n{entry}\n  two\n"
+    # a line break would split file names and the VTK header, a number
+    # would take the next line as its unit or a cell as its last index
+    text = MINIMAL + f"\n[{section}]\n{entry}\n  {more}\n"
     key = f"{section}.{entry.split()[0]}"
     with pytest.raises(ConfigurationError, match="single line") as excinfo:
         parse_config_text(text)

@@ -19,7 +19,12 @@ from oracles import (
     local_face_operator,
 )
 
-from biotfv.mesh import build_barrier_mesh, build_cartesian, per_cell
+from biotfv.mesh import (
+    build_barrier_mesh,
+    build_cartesian,
+    face_normal_distances,
+    per_cell,
+)
 from biotfv.tpfa import FlowProperties, assemble_flow
 from biotfv.tpsa import (
     ElasticProperties,
@@ -70,28 +75,26 @@ def _stencil(mesh, face, props):
 
 
 def test_interior_stencil_uniform():
+    # w = delta / mu = 0.25 on both sides: delta_total 0.5, mu_eff 1 and
+    # stab = w_in w_out mu_eff / 2 = 1/32
     mesh = build_cartesian(2, 1, 1)
     props = _props(mesh, mu=1.0)
     k = int(mesh.interior_faces[0])
     st_ = _stencil(mesh, k, props)
-    assert st_["w_in"] == pytest.approx(0.25)
-    assert st_["w_out"] == pytest.approx(0.25)
-    assert st_["mu_eff"] == pytest.approx(1.0)
-    assert st_["delta_total"] == pytest.approx(0.5)
-    assert st_["stab_weight"] == pytest.approx(0.5 * 0.25 * 0.25 * 1.0)
+    assert set(st_) == {"at_in", "at_out", "g_u", "g_p"}
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.5, 0.5))
-    assert st_["g_u"] == pytest.approx(4.0)
-    assert st_["g_p"] == pytest.approx(0.0625)
+    assert st_["g_u"] == pytest.approx(2.0 * 1.0 / 0.5)  # 2 mu_eff / delta_total
+    assert st_["g_p"] == pytest.approx((0.5 * 0.25 * 0.25 * 1.0) / 0.5)  # stab / delta
 
 
 def test_interior_stencil_heterogeneous():
-    # mu = (1, 3), equal distances: weighted harmonic average 1.5
+    # mu = (1, 3), equal distances: w = (1/4, 1/12), weighted harmonic
+    # average mu_eff = delta_total / (w_in + w_out) = 1.5
     mesh = build_cartesian(2, 1, 1)
     props = _props(mesh, mu=np.array([1.0, 3.0]))
     st_ = _stencil(mesh, int(mesh.interior_faces[0]), props)
-    assert st_["w_in"] == pytest.approx(0.25)
-    assert st_["w_out"] == pytest.approx(0.25 / 3.0)
-    assert st_["mu_eff"] == pytest.approx(1.5)
+    assert st_["g_u"] == pytest.approx(2.0 * 1.5 / 0.5)
+    assert st_["g_p"] == pytest.approx(0.5 * 0.25 * (0.25 / 3.0) * 1.5 / 0.5)
     # own-weight average leans toward the larger w; the opposite-weight
     # average takes the same two weights swapped
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.75, 0.25))
@@ -99,48 +102,72 @@ def test_interior_stencil_heterogeneous():
 
 
 def test_fixed_boundary_stencil():
+    # w_out = 0: delta_total = d_in = 0.5, mu_eff = mu = 2, stab = 0
     mesh = build_cartesian(1, 1, 1)
     props = _props(mesh, mu=2.0)
     k = int(mesh.boundary_faces[0])
     st_ = _stencil(mesh, k, props)
-    assert st_["w_out"] == 0.0
     # avg~ takes the inside value, avg (weights swapped) the outside value 0
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((1.0, 0.0))
-    assert st_["mu_eff"] == pytest.approx(2.0)
-    assert st_["stab_weight"] == 0.0
     assert st_["g_u"] == pytest.approx(2.0 * 2.0 / 0.5)
     assert st_["g_p"] == 0.0
 
 
 def test_free_boundary_stencil():
+    # w_out -> inf: mu_eff -> 0 and stab / delta_total -> w_in / 2
     mesh = build_cartesian(1, 1, 1)
     props = _props(mesh, mu=2.0, boundary="free")
     st_ = _stencil(mesh, int(mesh.boundary_faces[0]), props)
-    assert np.isinf(st_["w_out"])
     # avg~ takes the outside value 0, avg (weights swapped) the inside value
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.0, 1.0))
     assert st_["g_u"] == 0.0
-    assert st_["g_p"] == pytest.approx(0.5 * st_["w_in"])
+    assert st_["g_p"] == pytest.approx(0.5 * (0.5 / 2.0))
 
 
 def test_robin_boundary_stencil():
+    # w_in = 0.5, w_out = delta / mu_r = 0.05, delta_total = 0.5 + 0.1
     mesh = build_cartesian(1, 1, 1)
     props = _props(mesh, mu=1.0, boundary="robin", delta=0.1, mu_r=2.0)
     st_ = _stencil(mesh, int(mesh.boundary_faces[0]), props)
-    assert st_["w_out"] == pytest.approx(0.05)
-    assert st_["delta_total"] == pytest.approx(0.6)
     assert st_["at_in"] + st_["at_out"] == pytest.approx(1.0)
     assert st_["at_out"] == pytest.approx(0.05 / (0.5 + 0.05))
+    mu_eff = 0.6 / (0.5 + 0.05)
+    assert st_["g_u"] == pytest.approx(2.0 * mu_eff / 0.6)
+    assert st_["g_p"] == pytest.approx(0.5 * 0.5 * 0.05 * mu_eff / 0.6)
 
 
 def test_stabilization_scales_with_h_squared():
-    coarse = build_cartesian(2, 2, 2)
-    fine = build_cartesian(4, 4, 4)
-    pc = _props(coarse)
-    pf = _props(fine)
-    sc = _stencil(coarse, int(coarse.interior_faces[0]), pc)
-    sf = _stencil(fine, int(fine.interior_faces[0]), pf)
-    assert sf["stab_weight"] == pytest.approx(sc["stab_weight"] / 4.0, rel=1e-12)
+    def stab(mesh):
+        k = int(mesh.interior_faces[0])
+        d_in, d_out = face_normal_distances(mesh)
+        return _stencil(mesh, k, _props(mesh))["g_p"] * (d_in[k] + d_out[k])
+
+    coarse = stab(build_cartesian(2, 2, 2))
+    fine = stab(build_cartesian(4, 4, 4))
+    assert fine == pytest.approx(coarse / 4.0, rel=1e-12)
+
+
+def test_large_outside_weight_approaches_free_operator():
+    # the traction-free closure is the analytic w_out -> inf limit
+    mesh = build_cartesian(3, 2, 2, lengths=(1.5, 1.0, 0.8))
+    mu = np.linspace(1.0, 2.0, mesh.n_cells)
+    lam = np.full(mesh.n_cells, 1.5)
+    free = assemble_tpsa(
+        mesh, ElasticProperties(mu=mu, lam=lam, boundary=MechBoundary.free(mesh))
+    ).matrix
+    big = MechBoundary(np.full(mesh.n_faces, 1e8))
+    near = assemble_tpsa(mesh, ElasticProperties(mu=mu, lam=lam, boundary=big)).matrix
+    assert abs(near - free).max() <= 1e-6 * abs(free).max()
+    assert abs(near - free).max() > 0.0  # a finite weight, not the limit itself
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
+def test_boundary_weight_rejects_nan_and_negative(bad):
+    mesh = build_cartesian(2, 1, 1)
+    w_out = np.zeros(mesh.n_faces)
+    w_out[mesh.boundary_faces[0]] = bad
+    with pytest.raises(ValueError, match="w_out"):
+        MechBoundary(w_out)
 
 
 # ------------------------------------------------------ local operators
