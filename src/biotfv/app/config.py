@@ -205,15 +205,8 @@ class CaseConfig:
         mesh = mesh if mesh is not None else self.build_mesh()
         boundary = self.boundaries.build(mesh)
         if self.problem == "manufactured":
-            sol = ManufacturedSolution(
-                mu=self.props.mu,
-                lam=self.props.lam,
-                alpha=self.props.alpha,
-                c0=self.props.c0,
-                perm=self.props.perm,
-                fluid_viscosity=self.props.fluid_viscosity,
-            )
-            return sol.as_case(mesh, self.time, boundary, self.wells, self.name)
+            solution = ManufacturedSolution(self.props)
+            return solution.as_case(mesh, self.time, boundary, self.wells, self.name)
         props = replace(self.props, boundary=boundary)
         return BiotCase(mesh, props, self.time, self.wells, name=self.name)
 

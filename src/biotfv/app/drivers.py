@@ -279,17 +279,27 @@ def run_barrier_case(
     scheme plus a summary table with iteration counts and the global mass
     defect of each scheme.  Files and summary rows carry the scheme's
     stripped, lower-cased name.  Every scheme is checked before the first
-    runs, and a name listed twice is rejected, so bad input writes no file.
+    runs, and two names that select the same scheme (a name listed twice,
+    or `fixed` and `fixed_stress`) are rejected, so bad input writes no
+    file.  The mass defect is NaN unless every wall is clamped
+    (`global_mass_check`).
     """
     case = config.build_case()
     masks = compartment_masks(case)
     names = [token.strip().lower() for token in schemes]
     if not names:
         raise ConfigurationError("barrier study needs at least one scheme")
-    repeated = sorted({name for name in names if names.count(name) > 1})
+    specs: list[tuple[str, SchemeSpec]] = []
+    repeated = set()
+    for name in names:
+        scheme = scheme_from_token(name, config.scheme)
+        first = next((seen for seen, spec in specs if spec == scheme), None)
+        if first is None:
+            specs.append((name, scheme))
+        else:
+            repeated.add(name if name == first else f"{name} (same as {first})")
     if repeated:
-        raise ConfigurationError(f"scheme listed twice: {', '.join(repeated)}")
-    specs = [(name, scheme_from_token(name, config.scheme)) for name in names]
+        raise ConfigurationError(f"scheme listed twice: {', '.join(sorted(repeated))}")
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output.directory)
     runs = []

@@ -17,7 +17,7 @@ momentum and mass balances gives the steady body force and fluid source
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,16 +40,19 @@ def _others(c: int) -> tuple[int, int]:
     return (c + 1) % 3, (c + 2) % 3
 
 
+def _default_props() -> PoroelasticProperties:
+    return PoroelasticProperties(
+        mu=0.01, lam=1.0, alpha=1.0, c0=0.01,
+        perm=9.869233e-13,  # 1 Darcy
+        fluid_viscosity=5e-4,
+    )
+
+
 @dataclass
 class ManufacturedSolution:
-    """Exact fields and sources parametrized by the material constants."""
+    """Exact fields and sources parametrized by scalar material constants."""
 
-    mu: float = 0.01
-    lam: float = 1.0
-    alpha: float = 1.0
-    c0: float = 0.01
-    perm: float = 9.869233e-13  # 1 Darcy
-    fluid_viscosity: float = 5e-4
+    props: PoroelasticProperties = field(default_factory=_default_props)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         s, _, _, _ = _factors(x)
@@ -82,11 +85,11 @@ class ManufacturedSolution:
             curl_c = s1[:, c] * (s1[:, a] * s[:, b] + s[:, a] * s1[:, b]) - s[
                 :, c
             ] * (s2[:, a] * s[:, b] + s[:, a] * s2[:, b])
-            out[:, c] = -self.mu * curl_c
+            out[:, c] = -self.props.mu * curl_c
         return out
 
     def effective_pressure(self, x: np.ndarray) -> np.ndarray:
-        return -self.alpha * self.phi(x)
+        return -self.props.alpha * self.phi(x)
 
     def _laplacian_displacement(self, x: np.ndarray) -> np.ndarray:
         s, s1, s2, s3 = _factors(x)
@@ -103,9 +106,8 @@ class ManufacturedSolution:
         return out
 
     def body_force(self, x: np.ndarray) -> np.ndarray:
-        return -self.mu * self._laplacian_displacement(x) + self.alpha * self.grad_phi(
-            x
-        )
+        mu, alpha = self.props.mu, self.props.alpha
+        return -mu * self._laplacian_displacement(x) + alpha * self.grad_phi(x)
 
     def fluid_source(self, x: np.ndarray) -> np.ndarray:
         s, _, s2, _ = _factors(x)
@@ -113,7 +115,7 @@ class ManufacturedSolution:
         for d in range(3):
             a, b = _others(d)
             lap += s2[:, d] * s[:, a] * s[:, b]
-        return -(self.perm / self.fluid_viscosity) * lap
+        return -(self.props.perm / self.props.fluid_viscosity) * lap
 
     def exact_state(self, mesh: Mesh, t: float = 0.0) -> BiotState:
         centers = mesh.cell_centers
@@ -134,19 +136,9 @@ class ManufacturedSolution:
         The closed form holds on fixed walls (the default) without wells.
         """
         centers = mesh.cell_centers
-        props = PoroelasticProperties(
-            mu=self.mu,
-            lam=self.lam,
-            alpha=self.alpha,
-            c0=self.c0,
-            perm=self.perm,
-            fluid_viscosity=self.fluid_viscosity,
-            boundary=boundary,
-            f_u=self.body_force(centers),
-        )
         return BiotCase(
             mesh=mesh,
-            props=props,
+            props=replace(self.props, boundary=boundary, f_u=self.body_force(centers)),
             time=time,
             wells=wells,
             f_p=self.fluid_source(centers),

@@ -118,14 +118,9 @@ def write_vtk(path, mesh: Mesh, state: BiotState, title: str = "biotfv") -> None
     path.write_text("\n".join(lines) + "\n")
 
 
-def dump_matrix(prefix, matrix, rhs: np.ndarray | None = None) -> list[Path]:
-    """MatrixMarket dump of a sparse operator and optional right-hand side."""
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    paths = [prefix.with_suffix(".mtx")]
-    mmwrite(paths[0], matrix.tocoo())
-    if rhs is not None:
-        rhs_path = prefix.parent / (prefix.name + "_rhs.mtx")
-        mmwrite(rhs_path, np.asarray(rhs).reshape(-1, 1))
-        paths.append(rhs_path)
-    return paths
+def dump_matrix(prefix, matrix) -> list[Path]:
+    """MatrixMarket dump of a sparse operator to <prefix>.mtx."""
+    path = Path(prefix).with_suffix(".mtx")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    mmwrite(path, matrix.tocoo())
+    return [path]

@@ -1,6 +1,9 @@
 """Splitting schemes coupling the flow and mechanics discretizations.
 
-Flow and mechanics share the cell centres, so the coupling needs no
+Flow and mechanics share the cell centres, so both read one material
+record, `PoroelasticProperties`, which `BiotCase` checks and broadcasts to
+per-cell arrays once; `CoupledSystem` builds the flow and elastic
+property records straight from those arrays.  The coupling needs no
 interpolation, only one coefficient per cell, alpha/lam: the pressure
 deviation dp enters the mechanics as the effective-pressure row source
 -(alpha/lam) * dp, and the effective pressure p_hat = lam*div(u) -
@@ -66,11 +69,14 @@ __all__ = [
 
 @dataclass
 class PoroelasticProperties:
-    """Per-cell material data of the coupled problem (scalars broadcast).
+    """Material data of the coupled problem, one record for flow and mechanics.
 
     Units: mu, lam in Pa; alpha dimensionless; c0 in 1/Pa; perm in m^2;
-    fluid_viscosity in Pa s.  The flow unknown is the pressure deviation
-    from a hydrostatic reference, which never enters the discretization.
+    fluid_viscosity in Pa s; f_u, a body-force density additional to the
+    hydrostatic reference, in N/m^3.  The flow unknown is the pressure
+    deviation from a hydrostatic reference, which never enters the
+    discretization.  Values may be scalars until `validate` places the
+    record on a mesh.
     """
 
     mu: np.ndarray | float
@@ -78,45 +84,44 @@ class PoroelasticProperties:
     alpha: np.ndarray | float
     c0: np.ndarray | float
     perm: np.ndarray | float
-    fluid_viscosity: float = 1e-3
+    fluid_viscosity: np.ndarray | float = 1e-3
     boundary: MechBoundary | None = None
     f_u: np.ndarray | None = None
 
-    def validate(self, mesh: Mesh) -> None:
-        for name, value, positive in (
-            ("shear modulus", self.mu, True),
-            ("Lame parameter lambda", self.lam, True),
-            ("Biot coefficient", self.alpha, False),
-            ("storativity", self.c0, False),
-            ("permeability", self.perm, False),
-            ("fluid viscosity", self.fluid_viscosity, True),
+    def validate(self, mesh: Mesh) -> PoroelasticProperties:
+        """The checked record on this mesh, every field broadcast once.
+
+        Gives a copy with the six material fields as (n,) arrays, f_u as
+        (n, 3) (zero when unset) and the walls clamped unless a boundary is
+        given.  Moduli and viscosity must be positive normal floats: a
+        subnormal one makes an operator singular.
+        """
+        n = mesh.n_cells
+        arrays = {}
+        for key, name, positive in (
+            ("mu", "shear modulus", True),
+            ("lam", "Lame parameter lambda", True),
+            ("alpha", "Biot coefficient", False),
+            ("c0", "storativity", False),
+            ("perm", "permeability", False),
+            ("fluid_viscosity", "fluid viscosity", True),
         ):
-            value = per_cell(value, mesh.n_cells)
+            value = arrays[key] = per_cell(getattr(self, key), n)
             if not np.all(np.isfinite(value)):
                 raise ConfigurationError(f"{name} must be finite")
-            if positive and np.any(value <= 0):
-                raise ConfigurationError(f"{name} must be positive")
+            if positive and np.any(value < np.finfo(float).tiny):
+                raise ConfigurationError(
+                    f"{name} must be positive and at least "
+                    f"{np.finfo(float).tiny:.4g} (not subnormal)"
+                )
             if not positive and np.any(value < 0):
                 raise ConfigurationError(f"{name} must be nonnegative")
-
-    def flow_properties(self, mesh: Mesh) -> FlowProperties:
-        n = mesh.n_cells
-        alpha = per_cell(self.alpha, n)
-        lam = per_cell(self.lam, n)
-        return FlowProperties(
-            perm=per_cell(self.perm, n),
-            viscosity=self.fluid_viscosity,
-            c0=per_cell(self.c0, n),
-            biot_storage=alpha**2 / lam,
-        )
-
-    def elastic_properties(self, mesh: Mesh) -> ElasticProperties:
-        boundary = self.boundary or MechBoundary.fixed(mesh)
-        return ElasticProperties(
-            mu=per_cell(self.mu, mesh.n_cells),
-            lam=per_cell(self.lam, mesh.n_cells),
-            boundary=boundary,
-            f_u=self.f_u,
+        f_u = np.zeros((n, 3)) if self.f_u is None else self.f_u
+        return replace(
+            self,
+            **arrays,
+            boundary=self.boundary or MechBoundary.fixed(mesh),
+            f_u=np.broadcast_to(np.asarray(f_u, dtype=float), (n, 3)).copy(),
         )
 
 
@@ -229,7 +234,9 @@ class BiotCase:
     name: str = ""
 
     def __post_init__(self):
-        self.props.validate(self.mesh)
+        self.props = self.props.validate(self.mesh)
+        if self.f_p is not None:
+            self.f_p = per_cell(self.f_p, self.mesh.n_cells)
         self.wells = [self._placed(well) for well in self.wells]
 
     def _placed(self, well: Well) -> Well:
@@ -259,9 +266,9 @@ class BiotCase:
         mesh = self.mesh
         rate = np.zeros(mesh.n_cells)
         if self.f_p is not None:
-            rate += mesh.cell_volumes * per_cell(self.f_p, mesh.n_cells)
+            rate += mesh.cell_volumes * self.f_p
         if psi is not None:
-            rate += mesh.cell_volumes * per_cell(psi, mesh.n_cells)
+            rate += mesh.cell_volumes * psi
         for well in self.wells:
             if well.active_at(t):
                 rate[well.cell] += well.rate
@@ -386,18 +393,24 @@ class CoupledSystem:
 
     def __init__(self, case: BiotCase, solver: SolverOptions | None = None):
         self.case = case
-        mesh = case.mesh
-        self.flow = FlowSystem(mesh, case.props.flow_properties(mesh), case.time.dt)
-        self.elastic = case.props.elastic_properties(mesh)
+        mesh, props = case.mesh, case.props
+        flow = FlowProperties(
+            perm=props.perm,
+            viscosity=props.fluid_viscosity,
+            c0=props.c0,
+            biot_storage=props.alpha**2 / props.lam,
+        )
+        self.flow = FlowSystem(mesh, flow, case.time.dt)
+        self.elastic = ElasticProperties(
+            mu=props.mu, lam=props.lam, boundary=props.boundary, f_u=props.f_u
+        )
         self.system = assemble_tpsa(mesh, self.elastic)
         self.mech = TpsaSolver(
             self.system, mean_shear_modulus(mesh, self.elastic), solver
         )
         self.n_cells = mesh.n_cells
         # the one per-cell coupling coefficient, in both directions
-        self.alpha_over_lam = per_cell(case.props.alpha, self.n_cells) / per_cell(
-            case.props.lam, self.n_cells
-        )
+        self.alpha_over_lam = props.alpha / props.lam
         self._mech_warm: list[np.ndarray | None] = [None] * (case.time.n_steps + 1)
 
     def flow_source(self, p_hat_prev: np.ndarray, p_hat_now: np.ndarray) -> np.ndarray:
@@ -547,15 +560,18 @@ def simulate(
 def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:
     """Defect of c0 * integral(dp(T)) against the injected volume.
 
-    Exact (to solver tolerances) for converged coupled solves on fixed
-    mechanical boundaries, where the coupling terms telescope away and the
-    boundary volume flux vanishes identically.  Normalized by the injected
-    volume when there is one.
+    Defined only for clamped walls: there the coupling terms telescope away
+    and the boundary volume flux vanishes identically, so the defect is
+    exact to solver tolerances for converged coupled solves.  Any Robin or
+    traction-free boundary face (w_out != 0) lets volume cross the walls,
+    and the check gives NaN.  Normalized by the injected volume when there
+    is one.
     """
     mesh = case.mesh
-    c0 = per_cell(case.props.c0, mesh.n_cells)
+    if np.any(case.props.boundary.w_out[mesh.boundary_faces] != 0.0):
+        return math.nan
     stored = float(
-        np.sum(c0 * mesh.cell_volumes * (states[-1].dp - states[0].dp))
+        np.sum(case.props.c0 * mesh.cell_volumes * (states[-1].dp - states[0].dp))
     )
     injected = case.injected_volume()
     defect = abs(stored - injected)

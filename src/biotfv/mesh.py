@@ -193,41 +193,26 @@ def _axis_faces(nx: int, ny: int, nz: int, axis: int, dx: np.ndarray, origin: np
     Returns (centers, normals, cells) where normals follow the canonical
     convention: +axis on interior and high-boundary faces, -axis on
     low-boundary faces, so the normal always points out of cells[:, 0].
+    Faces run in the order of their (ix, iy, iz) grid index, z fastest.
     """
     n = np.array([nx, ny, nz])
     counts = n.copy()
     counts[axis] += 1
-    idx = np.stack(
-        np.meshgrid(*[np.arange(c) for c in counts], indexing="ij"), axis=-1
-    ).reshape(-1, 3)
+    idx = np.indices(counts).reshape(3, -1).T
 
     centers = origin + (idx + 0.5) * dx
     centers[:, axis] = origin[axis] + idx[:, axis] * dx[axis]
 
     pos = idx[:, axis]
     low = pos == 0
-    high = pos == n[axis]
-
-    def cid(triple):
-        return triple[:, 0] + nx * (triple[:, 1] + ny * triple[:, 2])
-
-    plus_side = idx.copy()  # cell on the +axis side of the face
-    minus_side = idx.copy()
-    minus_side[:, axis] -= 1
-
-    cells = np.empty((idx.shape[0], 2), dtype=np.int64)
+    boundary = low | (pos == n[axis])
+    stride = np.array([1, nx, nx * ny])
+    plus = idx @ stride  # cell on the +axis side of the face
+    minus = plus - stride[axis]
+    # a boundary face's only cell is on its inner side, its normal outward
+    cells = np.stack([np.where(low, plus, minus), np.where(boundary, -1, plus)], axis=1)
     normals = np.zeros((idx.shape[0], 3))
-    normals[:, axis] = 1.0
-
-    interior = ~(low | high)
-    cells[interior, 0] = cid(minus_side[interior])
-    cells[interior, 1] = cid(plus_side[interior])
-    # low boundary: the only cell sits on the +axis side, outward normal -axis
-    cells[low, 0] = cid(plus_side[low])
-    cells[low, 1] = -1
-    normals[low, axis] = -1.0
-    cells[high, 0] = cid(minus_side[high])
-    cells[high, 1] = -1
+    normals[:, axis] = np.where(low, -1.0, 1.0)
     return centers, normals, cells
 
 
@@ -246,11 +231,14 @@ def build_cartesian(
         raise GeometryError("cell counts must be at least 1 in every direction")
     if not np.all(np.isfinite([*lengths, *origin])):
         raise GeometryError("domain lengths and origin must be finite")
-    if min(lengths) <= 0:
-        raise GeometryError("domain lengths must be positive")
     nx, ny, nz = int(nx), int(ny), int(nz)
     dims = np.array([nx, ny, nz])
     dx = np.asarray(lengths, dtype=float) / dims
+    if min(dx) < np.finfo(float).tiny:
+        raise GeometryError(
+            "domain lengths must be positive and at least "
+            f"{np.finfo(float).tiny:.4g} m per cell (not subnormal)"
+        )
     org = np.asarray(origin, dtype=float)
 
     ci = _grid_indices(nx, ny, nz)

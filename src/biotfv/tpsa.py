@@ -19,8 +19,9 @@ the opposite one.  The signs follow from the continuous fluxes:
 Cell balance rows are -sum_k eps_ik (sigma, tau, v)_k plus the mass
 terms |cell| (0, r/mu, p/lambda), with right-hand side |cell| f_u in the
 momentum rows.  With G the linear map from cell unknowns to the face
-duals and div the signed incidence ``Mesh.divergence``, the operator is
-mass - (I_7 x div) G; ``recover_duals`` applies the same G.
+duals (``_face_dual_map``) and div the signed incidence
+``Mesh.divergence``, the operator is mass - (I_7 x div) G; G applied to
+a solution gives the face duals themselves.
 
 Homogeneous boundary closures set the outside value to zero and choose
 w_out: clamped 0, spring (Robin) delta_out/mu_out, and traction-free the
@@ -37,15 +38,13 @@ from scipy.sparse import coo_matrix, csr_matrix, diags, identity, kron
 
 from .errors import GeometryError
 from .linsolve.blocks import SparseBlockSystem
-from .mesh import Mesh, face_normal_distances, per_cell
+from .mesh import Mesh, face_normal_distances
 
 __all__ = [
     "MechBoundary",
     "ElasticProperties",
-    "FaceDuals",
     "assemble_tpsa",
     "assemble_rhs",
-    "recover_duals",
     "mean_shear_modulus",
     "stencil_arrays",
 ]
@@ -86,8 +85,8 @@ class MechBoundary:
 class ElasticProperties:
     """Per-cell solid material data and boundary closures.
 
-    mu and lam are the Lame parameters [Pa], f_u a body-force density
-    [N/m^3] additional to the hydrostatic reference.
+    mu and lam are the (n,) Lame parameters [Pa], f_u an (n, 3) body-force
+    density [N/m^3] additional to the hydrostatic reference, or None.
     """
 
     mu: np.ndarray
@@ -98,12 +97,6 @@ class ElasticProperties:
     def __post_init__(self):
         if np.any(np.asarray(self.mu) <= 0) or np.any(np.asarray(self.lam) <= 0):
             raise ValueError("Lame parameters must be positive")
-
-    def body_force(self, mesh: Mesh) -> np.ndarray:
-        if self.f_u is None:
-            return np.zeros((mesh.n_cells, 3))
-        f = np.asarray(self.f_u, dtype=float)
-        return np.broadcast_to(f, (mesh.n_cells, 3)).copy()
 
 
 def stencil_arrays(mesh: Mesh, props: ElasticProperties):
@@ -121,13 +114,12 @@ def stencil_arrays(mesh: Mesh, props: ElasticProperties):
     faces (w_out = inf) the coefficients carry their analytic limits:
     at_in 0, at_out 1, g_u 0, g_p w_in / 2.
     """
-    mu = per_cell(props.mu, mesh.n_cells)
     d_in, d_out = face_normal_distances(mesh)
     if np.any(d_in <= 0):
         raise GeometryError("degenerate geometry: non-positive normal distance")
     cin, cout = mesh.face_cells.T
-    w_in = d_in / mu[cin]
-    w_out = np.where(mesh.is_boundary, props.boundary.w_out, d_out / mu[cout])
+    w_in = d_in / props.mu[cin]
+    w_out = np.where(mesh.is_boundary, props.boundary.w_out, d_out / props.mu[cout])
     finite = ~np.isinf(w_out)
     denom = w_in + w_out
     return {
@@ -189,8 +181,7 @@ def _face_dual_map(mesh: Mesh, props: ElasticProperties) -> csr_matrix:
 
 def mean_shear_modulus(mesh: Mesh, props: ElasticProperties) -> float:
     """Volume-weighted average shear modulus, the rescaling pivot."""
-    mu = per_cell(props.mu, mesh.n_cells)
-    return float(np.sum(mu * mesh.cell_volumes) / np.sum(mesh.cell_volumes))
+    return float(np.sum(props.mu * mesh.cell_volumes) / np.sum(mesh.cell_volumes))
 
 
 def assemble_tpsa(mesh: Mesh, props: ElasticProperties) -> SparseBlockSystem:
@@ -201,10 +192,9 @@ def assemble_tpsa(mesh: Mesh, props: ElasticProperties) -> SparseBlockSystem:
     minus the per-field divergence of the face duals, M - (I_7 x div) G.
     """
     n = mesh.n_cells
-    mu = per_cell(props.mu, n)
-    lam = per_cell(props.lam, n)
+    volumes = mesh.cell_volumes
     mass = np.concatenate(
-        [np.zeros(3 * n), np.tile(mesh.cell_volumes / mu, 3), mesh.cell_volumes / lam]
+        [np.zeros(3 * n), np.tile(volumes / props.mu, 3), volumes / props.lam]
     )
     balance = kron(identity(7), mesh.divergence, format="csr")
     matrix = diags(mass) - balance @ _face_dual_map(mesh, props)
@@ -220,28 +210,9 @@ def assemble_rhs(
     problem passes -(alpha/lambda) dp there)."""
     n = mesh.n_cells
     rhs = np.zeros(7 * n)
-    f_u = props.body_force(mesh)
-    for c in range(3):
-        rhs[c * n : (c + 1) * n] = mesh.cell_volumes * f_u[:, c]
+    if props.f_u is not None:
+        for c in range(3):
+            rhs[c * n : (c + 1) * n] = mesh.cell_volumes * props.f_u[:, c]
     if pressure_coupling is not None:
         rhs[6 * n :] = mesh.cell_volumes * pressure_coupling
     return rhs
-
-
-@dataclass
-class FaceDuals:
-    """Recovered dual quantities per face."""
-
-    sigma: np.ndarray
-    tau: np.ndarray
-    v: np.ndarray
-
-
-def recover_duals(mesh: Mesh, props: ElasticProperties, x: np.ndarray) -> FaceDuals:
-    """Evaluate (sigma, tau, v) on every face from a solution vector.
-
-    The same face map G the assembly applies the divergence to, so
-    -div of the duals plus the mass terms reproduces the operator.
-    """
-    duals = (_face_dual_map(mesh, props) @ x).reshape(7, mesh.n_faces)
-    return FaceDuals(sigma=duals[0:3].T, tau=duals[3:6].T, v=duals[6])

@@ -11,9 +11,13 @@ greedy_aggregate is the greedy aggregation written with one numpy
 call per node, the reference the package's list-based loops must match
 exactly.  sequential_march is the fixed-stress time march with one
 mechanics solve per step, the reference for the package's block solve.
+monolithic_march solves flow and mechanics of each step as one system,
+the limit the splitting schemes converge to.
 """
 
 import numpy as np
+from scipy.sparse import csr_matrix, diags, hstack, vstack
+from scipy.sparse.linalg import splu
 
 from biotfv.errors import GeometryError, SolverError
 from biotfv.tpsa import assemble_rhs, stencil_arrays
@@ -357,5 +361,48 @@ def sequential_march(coupled, psi, warm):
         warm[i] = report.x
         u, r, p_hat = coupled.system.split(report.x)
         p_hats.append(p_hat)
+        out.append((dp, u, r, p_hat))
+    return out
+
+
+def monolithic_march(coupled):
+    """Backward Euler on the fully coupled system, one LU for all steps.
+
+    The unknowns of a step are [dp | x], x the 7n elastic unknowns with
+    p_hat last.  With V the cell volumes, b = alpha/lam and A the TPFA
+    operator, step i solves
+
+        [A + acc/dt           (b V/dt on the p_hat columns)] [dp_i]
+        [(b V on the p rows)  TPSA                         ] [x_i ]
+
+          = [acc/dt dp_{i-1} + b V/dt p_hat_{i-1} + source_rate(t_i)]
+            [body-force rhs                                         ]
+
+    with acc = (c0 + alpha^2/lam) V: the flow sees the coupling source
+    psi = -b (p_hat_i - p_hat_{i-1})/dt of its own step, and the pressure
+    rows the load -b dp_i.  Returns the N (dp, u, r, p_hat) tuples of
+    steps 1..N.
+    """
+    case = coupled.case
+    n, dt = coupled.n_cells, case.time.dt
+    coupling = coupled.alpha_over_lam * case.mesh.cell_volumes
+    flow = coupled.flow.operator + diags(coupled.flow.accumulation / dt)
+    to_flow = hstack([flow, csr_matrix((n, 6 * n)), diags(coupling / dt)])
+    to_mech = vstack([csr_matrix((6 * n, n)), diags(coupling)])
+    matrix = vstack([to_flow, hstack([to_mech, coupled.system.matrix])]).tocsc()
+    lu = splu(matrix)
+    body = assemble_rhs(case.mesh, coupled.elastic)
+    initial = case.initial_state()
+    dp, p_hat = initial.dp, initial.p_hat
+    out = []
+    for t in case.time.times[1:]:
+        flow_rhs = (
+            coupled.flow.accumulation / dt * dp
+            + coupling / dt * p_hat
+            + case.source_rate(t)
+        )
+        solution = lu.solve(np.concatenate([flow_rhs, body]))
+        dp = solution[:n]
+        u, r, p_hat = coupled.system.split(solution[n:])
         out.append((dp, u, r, p_hat))
     return out

@@ -91,7 +91,10 @@ def solver_blocks(mesh, props):
 def manufactured_blocks():
     mesh = build_cartesian(8, 8, 8)
     case = ManufacturedSolution().as_case(mesh, TimeGrid(dt=1e6, n_steps=1))
-    return solver_blocks(mesh, case.props.elastic_properties(mesh))
+    props = case.props
+    return solver_blocks(
+        mesh, ElasticProperties(mu=props.mu, lam=props.lam, boundary=props.boundary)
+    )
 
 
 def barrier_contrast_blocks():

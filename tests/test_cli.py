@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from scipy.io import mmread
 
-from biotfv import tpsa
+from biotfv import tpfa, tpsa
 from biotfv.app import cli
 from biotfv.app.cli import main
 from biotfv.errors import GeometryError
+from biotfv.linsolve import precond
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -159,23 +160,23 @@ def test_solver_failure_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new, operator",
+    "module, operator",
     [
-        ("mu = 3.5 GPa", "mu = 1e-320 Pa", "elastic (TPSA) factorization failed"),
-        ("lz = 20 m", "lz = 1e-310 m", "flow (TPFA) factorization failed"),
+        (precond, "elastic (TPSA) factorization failed"),
+        (tpfa, "flow (TPFA) factorization failed"),
     ],
-    ids=["subnormal-mu", "subnormal-lz"],
+    ids=["elastic", "flow"],
 )
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_singular_factorization_exits_3(tmp_path, capsys, old, new, operator):
-    # both inputs pass validation; SuperLU then finds an exactly zero pivot
-    cfg = tmp_path / "singular.cfg"
-    cfg.write_text(
-        BARRIER_SMALL.replace(old, new) + f"\n[output]\ndirectory = {tmp_path / 'o'}\n"
-    )
+def test_singular_factorization_exits_3(
+    barrier_cfg, monkeypatch, capsys, module, operator
+):
+    # SuperLU's own error for an exactly zero pivot
+    def singular(*_args, **_kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(module, "splu", singular)
     for command in ("run", "barrier"):
-        assert main([command, str(cfg)]) == 3
+        assert main([command, str(barrier_cfg)]) == 3
         err = capsys.readouterr().err
         assert "solver failure" in err and operator in err
 
@@ -225,11 +226,23 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
         ([("lx = 60 m", "lx = nan m")], "lengths and origin must be finite"),
         ([("ly = 40 m", "ly = inf m")], "lengths and origin must be finite"),
         ([("max_iter = 40", "max_iter = 40\nanderson_m0 = -1")], "anderson_m0"),
+        # subnormal moduli, viscosity and lengths would make an operator singular
+        ([("mu = 3.5 GPa", "mu = 1e-320 Pa")], "shear modulus must be positive and at"),
+        (
+            [("lambda = 4 GPa", "lambda = 1e-310 Pa")],
+            "Lame parameter lambda must be positive and at",
+        ),
+        (
+            [("fluid_viscosity = 1 cP", "fluid_viscosity = 1e-315 Pa.s")],
+            "fluid viscosity must be positive and at",
+        ),
+        ([("lz = 20 m", "lz = 1e-310 m")], "domain lengths must be positive and at"),
     ],
     ids=[
         "nan-rate", "nan-rate-lagged", "nan-start", "nan-stop", "zero-rtol",
         "zero-max-iter", "nan-robin-delta", "nan-tol", "nan-t0", "stop-before-start",
         "nan-length", "inf-length", "negative-anderson",
+        "subnormal-mu", "subnormal-lambda", "subnormal-viscosity", "subnormal-lz",
     ],
 )
 def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
@@ -365,10 +378,24 @@ def test_barrier_names_files_after_the_normalized_scheme(barrier_cfg, tmp_path):
     assert [row.split(",")[0] for row in rows] == ["lagged", "fixed"]
 
 
-@pytest.mark.parametrize("schemes", ["fixed,fixed", "lagged, FIXED ,fixed"])
-def test_barrier_rejects_a_repeated_scheme(barrier_cfg, tmp_path, capsys, schemes):
+@pytest.mark.parametrize(
+    "schemes, repeated",
+    [
+        pytest.param("fixed,fixed", "fixed", id="fixed,fixed"),
+        pytest.param("lagged, FIXED ,fixed", "fixed", id="lagged, FIXED ,fixed"),
+        # two names for one scheme, which would otherwise run twice
+        pytest.param(
+            "fixed,fixed_stress",
+            "fixed_stress (same as fixed)",
+            id="fixed,fixed_stress",
+        ),
+    ],
+)
+def test_barrier_rejects_a_repeated_scheme(
+    barrier_cfg, tmp_path, capsys, schemes, repeated
+):
     assert main(["barrier", str(barrier_cfg), "--schemes", schemes]) == 2
-    assert "scheme listed twice: fixed" in capsys.readouterr().err
+    assert f"scheme listed twice: {repeated}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -23,9 +23,9 @@ from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import precond
 from biotfv.linsolve.precond import SolverOptions, TpsaSolver
 from biotfv.mesh import build_cartesian
-from biotfv.tpfa import FlowSystem
+from biotfv.tpfa import FlowProperties, FlowSystem
 
-from oracles import sequential_march
+from oracles import monolithic_march, sequential_march
 
 LAGGED = SchemeSpec(kind="lagged")
 
@@ -430,6 +430,31 @@ def test_failed_block_column_names_its_step(monkeypatch, scheme):
     assert err.value.trace == [1.0, 0.5]
 
 
+def _distance(states, reference, fields=range(4)):
+    """Largest max-norm gap over steps 1..N, relative to the reference field."""
+    gaps = []
+    for k in fields:
+        got = np.stack([(s.dp, s.u, s.r, s.p_hat)[k] for s in states[1:]])
+        want = np.stack([step[k] for step in reference])
+        gaps.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    return max(gaps)
+
+
+def test_fixed_stress_converges_to_the_monolithic_solution():
+    case = _block_case()
+    direct = SolverOptions(method="direct")
+    reference = monolithic_march(CoupledSystem(case, direct))
+    for tol in (1e-6, 1e-8, 1e-10):
+        for anderson_m0 in (0, 5):
+            scheme = SchemeSpec(tol=tol, max_iter=50, anderson_m0=anderson_m0)
+            result = simulate(case, scheme, direct)
+            assert result.report.converged
+            assert _distance(result.states, reference) <= 10 * tol, (tol, anderson_m0)
+    # the lagged scheme is a different time discretization: the oracle sees it
+    lagged = simulate(case, LAGGED, direct)
+    assert _distance(lagged.states, reference, fields=[0]) > 1e-2
+
+
 # -------------------------------------------------------------- schemes
 
 
@@ -455,7 +480,12 @@ def test_equilibrium_stays_at_rest_for_every_scheme():
 def test_lagged_uncoupled_matches_flow_only():
     case = _case(alpha=0.0, n_steps=5, wells=[Well(cell=0, rate=0.3)])
     result = simulate(case, LAGGED)
-    flow = FlowSystem(case.mesh, case.props.flow_properties(case.mesh), case.time.dt)
+    props = case.props  # alpha = 0: no Biot storage
+    flow = FlowSystem(
+        case.mesh,
+        FlowProperties(perm=props.perm, viscosity=props.fluid_viscosity, c0=props.c0),
+        case.time.dt,
+    )
     dp = np.zeros(case.mesh.n_cells)
     rate = np.zeros(case.mesh.n_cells)
     rate[0] = 0.3
@@ -560,6 +590,16 @@ def test_mass_check_coupled_multicell():
     result = simulate(case, SchemeSpec(tol=1e-12, max_iter=80))
     assert result.report.converged
     assert global_mass_check(case, result.states) <= 1e-9
+
+
+@pytest.mark.parametrize("w_out", [np.inf, 0.5])
+def test_mass_check_is_nan_unless_every_wall_is_clamped(w_out):
+    case = _case(wells=[Well(cell=0, rate=0.5)])
+    result = simulate(case, SchemeSpec(tol=1e-12, max_iter=80))
+    assert global_mass_check(case, result.states) <= 1e-9
+    # one free or Robin face lets volume cross the walls
+    case.props.boundary.w_out[case.mesh.boundary_faces[3]] = w_out
+    assert np.isnan(global_mass_check(case, result.states))
 
 
 def test_mass_check_lagged_has_visible_defect():

@@ -152,6 +152,39 @@ def test_barrier_case_runs_and_reports(tmp_path):
     assert (tmp_path / "barrier_summary.csv").exists()
 
 
+ROBIN_AND_FREE = """
+[boundaries]
+mechanics = robin
+robin_delta = 10 m
+robin_mu = 1 GPa
+z_max = free
+"""
+
+
+def test_barrier_mass_defect_is_nan_unless_every_wall_is_clamped(tmp_path):
+    # volume crosses Robin and traction-free walls; the identity needs clamped ones
+    runs, written = {}, {}
+    for walls, extra in (("fixed", ""), ("robin", ROBIN_AND_FREE)):
+        cfg = parse_config_text(TINY_BARRIER + extra)
+        cfg.output.vtk = False
+        out = tmp_path / walls
+        runs[walls] = run_barrier_case(cfg, ("lagged", "fixed"), out_dir=out)
+        rows = (out / "barrier_summary.csv").read_text().splitlines()
+        column = rows[0].split(",").index("mass_defect")
+        written[walls] = [row.split(",")[column] for row in rows[1:]]
+        assert written[walls] == [str(run.mass_defect) for run in runs[walls]]
+    assert all(np.isnan(run.mass_defect) for run in runs["robin"])
+    assert written["robin"] == ["nan", "nan"]
+    # clamped walls keep the defect of the stored against the injected volume
+    case = parse_config_text(TINY_BARRIER).build_case()
+    injected = case.injected_volume()
+    for run in runs["fixed"]:
+        change = run.result.states[-1].dp - run.result.states[0].dp
+        stored = np.sum(case.props.c0 * case.mesh.cell_volumes * change)
+        assert run.mass_defect == abs(stored - injected) / abs(injected)
+    assert runs["fixed"][1].mass_defect < 1e-8
+
+
 def test_compartment_masks_requires_two_components():
     cfg = parse_config_text(TINY_BARRIER)
     case = cfg.build_case()

@@ -1,5 +1,7 @@
 """Closed-form solution checked against central finite differences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ POINTS = 0.1 + 0.8 * RNG.random((40, 3))
 
 
 def _sol(**kw):
-    return ManufacturedSolution(**kw)
+    """The closed form with some of its default constants replaced."""
+    return ManufacturedSolution(replace(ManufacturedSolution().props, **kw))
 
 
 def test_phi_peak_and_boundary_values():
@@ -91,7 +94,7 @@ def test_body_force_matches_momentum_residual():
         ],
         axis=1,
     )
-    fd_force = -sol.mu * lap + sol.alpha * central_difference_gradient(
+    fd_force = -sol.props.mu * lap + sol.props.alpha * central_difference_gradient(
         sol.phi, POINTS
     )
     exact = sol.body_force(POINTS)
@@ -101,7 +104,7 @@ def test_body_force_matches_momentum_residual():
 
 def test_fluid_source_matches_diffusion_residual():
     sol = _sol(perm=2.5e-13, fluid_viscosity=5e-4)
-    fd = -(sol.perm / sol.fluid_viscosity) * central_difference_laplacian(
+    fd = -(sol.props.perm / sol.props.fluid_viscosity) * central_difference_laplacian(
         sol.phi, POINTS
     )
     exact = sol.fluid_source(POINTS)

@@ -152,6 +152,14 @@ def test_rejects_negative_length():
         build_cartesian(2, 2, 2, lengths=(1.0, -1.0, 1.0))
 
 
+@pytest.mark.parametrize("length", [0.0, 1e-310, 2.5 * np.finfo(float).tiny])
+def test_rejects_zero_and_subnormal_cell_sizes(length):
+    # a subnormal cell size makes the flow LU singular; 2.5 tiny / 3 is one
+    with pytest.raises(GeometryError, match="not subnormal"):
+        build_cartesian(2, 2, 3, lengths=(1.0, 1.0, length))
+    build_cartesian(2, 2, 3, lengths=(1.0, 1.0, 3 * np.finfo(float).tiny))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rejects_nonfinite_lengths_and_origin(bad):
     with pytest.raises(GeometryError, match="must be finite"):

@@ -23,7 +23,6 @@ from biotfv.mesh import (
     build_barrier_mesh,
     build_cartesian,
     face_normal_distances,
-    per_cell,
 )
 from biotfv.tpfa import FlowProperties, assemble_flow
 from biotfv.tpsa import (
@@ -31,8 +30,8 @@ from biotfv.tpsa import (
     MechBoundary,
     assemble_rhs,
     assemble_tpsa,
+    _face_dual_map,
     mean_shear_modulus,
-    recover_duals,
     stencil_arrays,
 )
 
@@ -221,7 +220,7 @@ def test_local_operator_zero_state():
 def _global_from_local(mesh, props):
     """Brute-force reference: scatter local face operators plus mass."""
     n = mesh.n_cells
-    mu, lam = per_cell(props.mu, n), per_cell(props.lam, n)
+    mu, lam = props.mu, props.lam
     M = np.zeros((7 * n, 7 * n))
 
     def dofs(cell):
@@ -373,13 +372,17 @@ def test_elastic_properties_reject_nonpositive_lame(field):
 # ------------------------------------------------------- dual recovery
 
 
+def _duals(mesh, props, x):
+    """(sigma, tau, v) per face: the assembly's face map G applied to x."""
+    duals = (_face_dual_map(mesh, props) @ x).reshape(7, mesh.n_faces)
+    return duals[0:3].T, duals[3:6].T, duals[6]
+
+
 def test_recover_duals_zero():
     mesh = build_cartesian(2, 2, 1)
     props = _props(mesh)
-    duals = recover_duals(mesh, props, np.zeros(7 * mesh.n_cells))
-    assert np.all(duals.sigma == 0.0)
-    assert np.all(duals.tau == 0.0)
-    assert np.all(duals.v == 0.0)
+    for dual in _duals(mesh, props, np.zeros(7 * mesh.n_cells)):
+        assert np.all(dual == 0.0)
 
 
 def test_recover_duals_translation_closed_surface():
@@ -389,15 +392,15 @@ def test_recover_duals_translation_closed_surface():
     x = np.zeros(7 * n)
     for c, val in enumerate([1.0, 2.0, -0.5]):
         x[c * n : (c + 1) * n] = val
-    duals = recover_duals(mesh, props, x)
-    assert np.allclose(duals.sigma, 0.0, atol=1e-13)
+    sigma, tau, v = _duals(mesh, props, x)
+    assert np.allclose(sigma, 0.0, atol=1e-13)
     # per-cell sums of signed duals vanish by the closed-surface identity
     for cell in range(n):
         acc_tau = np.zeros(3)
         acc_v = 0.0
         for k, eps in cell_faces(mesh, cell):
-            acc_tau += eps * duals.tau[k]
-            acc_v += eps * duals.v[k]
+            acc_tau += eps * tau[k]
+            acc_v += eps * v[k]
         assert np.allclose(acc_tau, 0.0, atol=1e-12)
         assert acc_v == pytest.approx(0.0, abs=1e-12)
 
@@ -408,9 +411,9 @@ def test_recover_duals_consistent_with_assembly():
     props = _props(mesh, mu=rng.uniform(0.5, 2.0, mesh.n_cells), lam=1.4)
     system = assemble_tpsa(mesh, props)
     x = rng.standard_normal(7 * mesh.n_cells)
-    duals = recover_duals(mesh, props, x)
+    sigma, tau, v = _duals(mesh, props, x)
     n = mesh.n_cells
-    mu, lam = per_cell(props.mu, n), per_cell(props.lam, n)
+    mu, lam = props.mu, props.lam
     flux = system.matrix @ x
     # subtract mass terms to isolate the dual sums
     for c in range(3):
@@ -420,9 +423,9 @@ def test_recover_duals_consistent_with_assembly():
     for cell in range(n):
         acc = np.zeros(7)
         for k, eps in cell_faces(mesh, cell):
-            acc[0:3] += eps * duals.sigma[k]
-            acc[3:6] += eps * duals.tau[k]
-            acc[6] += eps * duals.v[k]
+            acc[0:3] += eps * sigma[k]
+            acc[3:6] += eps * tau[k]
+            acc[6] += eps * v[k]
         expected = np.array([flux[f * n + cell] for f in range(7)])
         assert np.allclose(-acc, expected, atol=1e-12 * max(scale, 1.0))
 
@@ -436,12 +439,12 @@ def test_recover_duals_matches_face_formulas(boundary):
         **({"delta": 0.1, "mu_r": 2.0} if boundary == "robin" else {}),
     )
     x = rng.standard_normal(7 * mesh.n_cells)
-    duals = recover_duals(mesh, props, x)
-    sigma, tau, v = face_duals(mesh, props, x)
-    assert duals.sigma.shape == sigma.shape and duals.tau.shape == tau.shape
-    scale = max(np.abs(sigma).max(), np.abs(tau).max(), np.abs(v).max())
-    for got, want in ((duals.sigma, sigma), (duals.tau, tau), (duals.v, v)):
-        assert np.allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+    got = _duals(mesh, props, x)
+    want = face_duals(mesh, props, x)
+    scale = max(np.abs(dual).max() for dual in want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.allclose(g, w, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_operators_store_no_explicit_zeros():
