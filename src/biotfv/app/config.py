@@ -27,18 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..coupling import (
-    SCHEME_KINDS,
-    BiotCase,
-    PoroelasticProperties,
-    SchemeSpec,
-    TimeGrid,
-    Well,
-)
+from ..coupling import SCHEME_KINDS, BiotCase, SchemeSpec, TimeGrid, Well
 from ..errors import ConfigurationError, GeometryError
 from ..linsolve.precond import SOLVER_METHODS, SolverOptions
+from ..materials import PoroelasticProperties
 from ..mesh import Mesh, build_barrier_mesh, build_cartesian
-from ..tpsa import MechBoundary
 from .manufactured import ManufacturedSolution
 
 __all__ = [
@@ -153,9 +146,9 @@ class BoundarySpec:
         """True when every wall is clamped."""
         return all(word == "fixed" for word in self.walls)
 
-    def build(self, mesh: Mesh) -> MechBoundary:
-        """Each boundary face's outside weight: fixed 0, free inf and
-        robin robin_delta / robin_mu."""
+    def build(self, mesh: Mesh) -> np.ndarray:
+        """The outside weight w_out per face: on the boundary fixed 0, free
+        inf and robin robin_delta / robin_mu, on interior faces 0."""
         words = self.walls
         weights = {"fixed": 0.0, "free": math.inf}
         if "robin" in words:
@@ -172,7 +165,7 @@ class BoundarySpec:
         side_of = 2 * axis + (normals[np.arange(bdry.size), axis] > 0)
         w_out = np.zeros(mesh.n_faces)
         w_out[bdry] = np.array([weights[word] for word in words])[side_of]
-        return MechBoundary(w_out)
+        return w_out
 
 
 @dataclass
@@ -203,11 +196,11 @@ class CaseConfig:
     def build_case(self, mesh: Mesh | None = None) -> BiotCase:
         """The case on the configured (or a given) mesh, built whole."""
         mesh = mesh if mesh is not None else self.build_mesh()
-        boundary = self.boundaries.build(mesh)
+        w_out = self.boundaries.build(mesh)
         if self.problem == "manufactured":
             solution = ManufacturedSolution(self.props)
-            return solution.as_case(mesh, self.time, boundary, self.wells, self.name)
-        props = replace(self.props, boundary=boundary)
+            return solution.as_case(mesh, self.time, w_out, self.wells, self.name)
+        props = replace(self.props, w_out=w_out)
         return BiotCase(mesh, props, self.time, self.wells, name=self.name)
 
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..coupling import BiotCase, BiotState, PoroelasticProperties, TimeGrid, Well
+from ..coupling import BiotCase, BiotState, TimeGrid, Well
+from ..materials import PoroelasticProperties
 from ..mesh import Mesh
-from ..tpsa import MechBoundary
 
 
 def _factors(x: np.ndarray):
@@ -128,17 +128,18 @@ class ManufacturedSolution:
         )
 
     def as_case(
-        self, mesh: Mesh, time: TimeGrid, boundary: MechBoundary | None = None,
+        self, mesh: Mesh, time: TimeGrid, w_out: np.ndarray | float = 0.0,
         wells: Sequence[Well] = (), name: str = "manufactured",
     ) -> BiotCase:
         """Coupled case with steady sources and the exact initial state.
 
-        The closed form holds on fixed walls (the default) without wells.
+        The closed form holds on fixed walls (w_out = 0, the default)
+        without wells.
         """
         centers = mesh.cell_centers
         return BiotCase(
             mesh=mesh,
-            props=replace(self.props, boundary=boundary, f_u=self.body_force(centers)),
+            props=replace(self.props, w_out=w_out, f_u=self.body_force(centers)),
             time=time,
             wells=wells,
             f_p=self.fluid_source(centers),

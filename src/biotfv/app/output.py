@@ -21,9 +21,7 @@ from ..mesh import Mesh
 __all__ = [
     "write_vtk",
     "write_csv",
-    "read_csv",
     "save_source_history",
-    "load_source_history",
     "dump_matrix",
 ]
 
@@ -42,13 +40,6 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=",")
-        header = next(reader)
-        return header, [row for row in reader]
-
-
 def save_source_history(path, psi: np.ndarray) -> None:
     """Persist a coupling source history as (step, cell, psi) rows."""
     psi = np.asarray(psi)
@@ -60,18 +51,6 @@ def save_source_history(path, psi: np.ndarray) -> None:
         ["step", "cell", "psi"],
         zip(steps.tolist(), cells.tolist(), psi.ravel().tolist()),
     )
-
-
-def load_source_history(path) -> np.ndarray:
-    header, rows = read_csv(path)
-    if header != ["step", "cell", "psi"]:
-        raise ValueError(f"not a source history file: header {header}")
-    steps = np.array([int(r[0]) for r in rows])
-    cells = np.array([int(r[1]) for r in rows])
-    values = np.array([float(r[2]) for r in rows])
-    psi = np.zeros((steps.max() + 1, cells.max() + 1))
-    psi[steps, cells] = values
-    return psi
 
 
 def write_vtk(path, mesh: Mesh, state: BiotState, title: str = "biotfv") -> None:

@@ -1,9 +1,9 @@
 """Splitting schemes coupling the flow and mechanics discretizations.
 
 Flow and mechanics share the cell centres, so both read one material
-record, `PoroelasticProperties`, which `BiotCase` checks and broadcasts to
-per-cell arrays once; `CoupledSystem` builds the flow and elastic
-property records straight from those arrays.  The coupling needs no
+record, `PoroelasticProperties` (`materials.py`), which `BiotCase` checks
+and broadcasts to per-cell arrays once; `CoupledSystem` hands that record
+to the flow and the elastic assembly as it is.  The coupling needs no
 interpolation, only one coefficient per cell, alpha/lam: the pressure
 deviation dp enters the mechanics as the effective-pressure row source
 -(alpha/lam) * dp, and the effective pressure p_hat = lam*div(u) -
@@ -40,18 +40,12 @@ from .errors import ConfigurationError, GeometryError, SolverError
 from .linsolve.blocks import SparseBlockSystem
 from .linsolve.krylov import SolveReport
 from .linsolve.precond import SolverOptions, TpsaSolver
+from .materials import PoroelasticProperties
 from .mesh import Mesh, per_cell
-from .tpfa import FlowProperties, FlowSystem
-from .tpsa import (
-    ElasticProperties,
-    MechBoundary,
-    assemble_rhs,
-    assemble_tpsa,
-    mean_shear_modulus,
-)
+from .tpfa import FlowSystem
+from .tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
 
 __all__ = [
-    "PoroelasticProperties",
     "Well",
     "TimeGrid",
     "SchemeSpec",
@@ -65,64 +59,6 @@ __all__ = [
     "simulate",
     "global_mass_check",
 ]
-
-
-@dataclass
-class PoroelasticProperties:
-    """Material data of the coupled problem, one record for flow and mechanics.
-
-    Units: mu, lam in Pa; alpha dimensionless; c0 in 1/Pa; perm in m^2;
-    fluid_viscosity in Pa s; f_u, a body-force density additional to the
-    hydrostatic reference, in N/m^3.  The flow unknown is the pressure
-    deviation from a hydrostatic reference, which never enters the
-    discretization.  Values may be scalars until `validate` places the
-    record on a mesh.
-    """
-
-    mu: np.ndarray | float
-    lam: np.ndarray | float
-    alpha: np.ndarray | float
-    c0: np.ndarray | float
-    perm: np.ndarray | float
-    fluid_viscosity: np.ndarray | float = 1e-3
-    boundary: MechBoundary | None = None
-    f_u: np.ndarray | None = None
-
-    def validate(self, mesh: Mesh) -> PoroelasticProperties:
-        """The checked record on this mesh, every field broadcast once.
-
-        Gives a copy with the six material fields as (n,) arrays, f_u as
-        (n, 3) (zero when unset) and the walls clamped unless a boundary is
-        given.  Moduli and viscosity must be positive normal floats: a
-        subnormal one makes an operator singular.
-        """
-        n = mesh.n_cells
-        arrays = {}
-        for key, name, positive in (
-            ("mu", "shear modulus", True),
-            ("lam", "Lame parameter lambda", True),
-            ("alpha", "Biot coefficient", False),
-            ("c0", "storativity", False),
-            ("perm", "permeability", False),
-            ("fluid_viscosity", "fluid viscosity", True),
-        ):
-            value = arrays[key] = per_cell(getattr(self, key), n)
-            if not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"{name} must be finite")
-            if positive and np.any(value < np.finfo(float).tiny):
-                raise ConfigurationError(
-                    f"{name} must be positive and at least "
-                    f"{np.finfo(float).tiny:.4g} (not subnormal)"
-                )
-            if not positive and np.any(value < 0):
-                raise ConfigurationError(f"{name} must be nonnegative")
-        f_u = np.zeros((n, 3)) if self.f_u is None else self.f_u
-        return replace(
-            self,
-            **arrays,
-            boundary=self.boundary or MechBoundary.fixed(mesh),
-            f_u=np.broadcast_to(np.asarray(f_u, dtype=float), (n, 3)).copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -394,20 +330,9 @@ class CoupledSystem:
     def __init__(self, case: BiotCase, solver: SolverOptions | None = None):
         self.case = case
         mesh, props = case.mesh, case.props
-        flow = FlowProperties(
-            perm=props.perm,
-            viscosity=props.fluid_viscosity,
-            c0=props.c0,
-            biot_storage=props.alpha**2 / props.lam,
-        )
-        self.flow = FlowSystem(mesh, flow, case.time.dt)
-        self.elastic = ElasticProperties(
-            mu=props.mu, lam=props.lam, boundary=props.boundary, f_u=props.f_u
-        )
-        self.system = assemble_tpsa(mesh, self.elastic)
-        self.mech = TpsaSolver(
-            self.system, mean_shear_modulus(mesh, self.elastic), solver
-        )
+        self.flow = FlowSystem(mesh, props, case.time.dt)
+        self.system = assemble_tpsa(mesh, props)
+        self.mech = TpsaSolver(self.system, mean_shear_modulus(mesh, props), solver)
         self.n_cells = mesh.n_cells
         # the one per-cell coupling coefficient, in both directions
         self.alpha_over_lam = props.alpha / props.lam
@@ -432,7 +357,7 @@ class CoupledSystem:
         rhs = np.empty((self.system.n_dof, len(dps)), order="F")
         for j, d in enumerate(dps):
             rhs[:, j] = assemble_rhs(
-                case.mesh, self.elastic, pressure_coupling=-self.alpha_over_lam * d
+                case.mesh, case.props, pressure_coupling=-self.alpha_over_lam * d
             )
         x0 = None
         if not self.mech.direct:
@@ -564,15 +489,19 @@ def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:
     and the boundary volume flux vanishes identically, so the defect is
     exact to solver tolerances for converged coupled solves.  Any Robin or
     traction-free boundary face (w_out != 0) lets volume cross the walls,
-    and the check gives NaN.  Normalized by the injected volume when there
-    is one.
+    and the check gives NaN.  Normalized by the gross source volume, the
+    sum over steps of dt * sum |rate|, when there is one: a source that
+    injects and withdraws in equal parts nets roundoff, which would not
+    scale the defect.  With injection only, gross and net volume agree.
     """
-    mesh = case.mesh
-    if np.any(case.props.boundary.w_out[mesh.boundary_faces] != 0.0):
+    mesh, time = case.mesh, case.time
+    if np.any(case.props.w_out[mesh.boundary_faces] != 0.0):
         return math.nan
     stored = float(
         np.sum(case.props.c0 * mesh.cell_volumes * (states[-1].dp - states[0].dp))
     )
-    injected = case.injected_volume()
-    defect = abs(stored - injected)
-    return defect / abs(injected) if injected != 0.0 else defect
+    defect = abs(stored - case.injected_volume())
+    gross = 0.0
+    for t in time.times[1:]:
+        gross += time.dt * np.abs(case.source_rate(t)).sum()
+    return defect / gross if gross != 0.0 else defect

@@ -8,12 +8,13 @@ cell-face incidence ``Mesh.divergence``, the same one the elastic
 balances use.  Time integration is backward Euler with the
 combined storage coefficient c0 + alpha^2/lambda; a step takes the total
 source per cell as one rate vector in m^3/s (`BiotCase.source_rate`
-forms it from the rate densities and the wells).
+forms it from the rate densities and the wells).  Every function reads
+the material record `PoroelasticProperties` after its `validate`, so
+permeability, viscosity, c0, alpha and lambda arrive as checked (n,)
+arrays; a flow-only problem sets alpha = 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -21,51 +22,23 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
-from .mesh import Mesh, face_normal_distances, per_cell
+from .materials import PoroelasticProperties
+from .mesh import Mesh, face_normal_distances
 
 __all__ = [
-    "FlowProperties",
     "effective_conductivity",
     "assemble_flow",
     "FlowSystem",
 ]
 
 
-@dataclass
-class FlowProperties:
-    """Flow material data.
-
-    Attributes:
-        perm: per-cell absolute permeability [m^2].
-        viscosity: fluid viscosity [Pa s], scalar or per cell.
-        c0: storativity [1/Pa], scalar or per cell.
-        biot_storage: alpha^2/lambda [1/Pa], scalar or per cell.
-    """
-
-    perm: np.ndarray
-    viscosity: np.ndarray | float = 1.0
-    c0: np.ndarray | float = 0.0
-    biot_storage: np.ndarray | float = 0.0
-
-    def storage(self, n: int) -> np.ndarray:
-        """Combined storage coefficient c0 + alpha^2/lambda per cell."""
-        return per_cell(self.c0, n) + per_cell(self.biot_storage, n)
-
-
-def effective_conductivity(mesh: Mesh, props: FlowProperties) -> np.ndarray:
+def effective_conductivity(mesh: Mesh, props: PoroelasticProperties) -> np.ndarray:
     """Distance-weighted harmonic conductivity K/mu_w per face.
 
     Boundary faces (no-flow) and barrier faces get zero.  A cell with zero
     permeability simply zeroes the conductivity of its faces.
     """
-    n = mesh.n_cells
-    perm = per_cell(props.perm, n)
-    visc = per_cell(props.viscosity, n)
-    if np.any(perm < 0):
-        raise ValueError("negative permeability")
-    if np.any(visc <= 0):
-        raise ValueError("viscosity must be positive")
-
+    perm, visc = props.perm, props.fluid_viscosity
     d_in, d_out = face_normal_distances(mesh)
     cond = np.zeros(mesh.n_faces)
     inter = mesh.interior_faces
@@ -79,7 +52,7 @@ def effective_conductivity(mesh: Mesh, props: FlowProperties) -> np.ndarray:
     return cond
 
 
-def assemble_flow(mesh: Mesh, props: FlowProperties) -> csr_matrix:
+def assemble_flow(mesh: Mesh, props: PoroelasticProperties) -> csr_matrix:
     """Symmetric positive semidefinite TPFA operator (volumetric flux form).
 
     The flux out of face_cells[k, 0] is T_k (div^T p)_k = T_k (p_in - p_out)
@@ -102,12 +75,13 @@ class FlowSystem:
     factorized once and reused for every step and splitting iteration.
     """
 
-    def __init__(self, mesh: Mesh, props: FlowProperties, dt: float):
+    def __init__(self, mesh: Mesh, props: PoroelasticProperties, dt: float):
         if dt <= 0:
             raise ValueError("time step must be positive")
         self.dt = float(dt)
         self.operator = assemble_flow(mesh, props)
-        self.accumulation = props.storage(mesh.n_cells) * mesh.cell_volumes
+        storage = props.c0 + props.alpha**2 / props.lam
+        self.accumulation = storage * mesh.cell_volumes
         # every coupled set of cells (split by barriers and zero-permeability
         # cells) needs storage somewhere, or its level is undetermined
         _, labels = connected_components(self.operator, directed=False)

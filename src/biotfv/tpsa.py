@@ -25,24 +25,23 @@ a solution gives the face duals themselves.
 
 Homogeneous boundary closures set the outside value to zero and choose
 w_out: clamped 0, spring (Robin) delta_out/mu_out, and traction-free the
-analytic limit w_out -> infinity.  ``MechBoundary`` holds that one weight
-per face.
+analytic limit w_out -> infinity.  Every function reads the material
+record `PoroelasticProperties` after its `validate`: mu and lam as (n,)
+arrays, the body force f_u as (n, 3) and that one weight per face as
+the (n_faces,) array w_out.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, diags, identity, kron
 
 from .errors import GeometryError
 from .linsolve.blocks import SparseBlockSystem
+from .materials import PoroelasticProperties
 from .mesh import Mesh, face_normal_distances
 
 __all__ = [
-    "MechBoundary",
-    "ElasticProperties",
     "assemble_tpsa",
     "assemble_rhs",
     "mean_shear_modulus",
@@ -50,56 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class MechBoundary:
-    """Mechanical boundary closure: the outside weight w_out per face.
-
-    Only boundary faces read it.  A clamped face has w_out = 0, a Robin
-    spring of distance delta and modulus mu has delta / mu, and a
-    traction-free face the limit inf.
-    """
-
-    w_out: np.ndarray
-
-    def __post_init__(self):
-        self.w_out = np.asarray(self.w_out, dtype=float)
-        if not np.all(self.w_out >= 0):  # also false for NaN
-            raise ValueError("boundary weights w_out must be non-negative, not NaN")
-
-    @classmethod
-    def fixed(cls, mesh: Mesh):
-        return cls(np.zeros(mesh.n_faces))
-
-    @classmethod
-    def free(cls, mesh: Mesh):
-        return cls(np.full(mesh.n_faces, np.inf))
-
-    @classmethod
-    def robin(cls, mesh: Mesh, delta: float, mu: float):
-        if delta <= 0 or mu <= 0:
-            raise ValueError("Robin closure needs positive distance and modulus")
-        return cls(np.full(mesh.n_faces, delta / mu))
-
-
-@dataclass
-class ElasticProperties:
-    """Per-cell solid material data and boundary closures.
-
-    mu and lam are the (n,) Lame parameters [Pa], f_u an (n, 3) body-force
-    density [N/m^3] additional to the hydrostatic reference, or None.
-    """
-
-    mu: np.ndarray
-    lam: np.ndarray
-    boundary: MechBoundary
-    f_u: np.ndarray | None = None
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.mu) <= 0) or np.any(np.asarray(self.lam) <= 0):
-            raise ValueError("Lame parameters must be positive")
-
-
-def stencil_arrays(mesh: Mesh, props: ElasticProperties):
+def stencil_arrays(mesh: Mesh, props: PoroelasticProperties):
     """Vectorized stencil coefficients for every face.
 
     Returns a dict of per-face arrays: at_in, at_out, g_u, g_p.  With
@@ -119,7 +69,7 @@ def stencil_arrays(mesh: Mesh, props: ElasticProperties):
         raise GeometryError("degenerate geometry: non-positive normal distance")
     cin, cout = mesh.face_cells.T
     w_in = d_in / props.mu[cin]
-    w_out = np.where(mesh.is_boundary, props.boundary.w_out, d_out / props.mu[cout])
+    w_out = np.where(mesh.is_boundary, props.w_out, d_out / props.mu[cout])
     finite = ~np.isinf(w_out)
     denom = w_in + w_out
     return {
@@ -138,7 +88,7 @@ _CROSS_ENTRIES = (
 )
 
 
-def _face_dual_map(mesh: Mesh, props: ElasticProperties) -> csr_matrix:
+def _face_dual_map(mesh: Mesh, props: PoroelasticProperties) -> csr_matrix:
     """The (7m x 7n) map G from cell unknowns to face duals [sigma | tau | v].
 
     Rows are field-major like the unknowns: (sigma_x, sigma_y, sigma_z,
@@ -179,12 +129,12 @@ def _face_dual_map(mesh: Mesh, props: ElasticProperties) -> csr_matrix:
     ).tocsr()
 
 
-def mean_shear_modulus(mesh: Mesh, props: ElasticProperties) -> float:
+def mean_shear_modulus(mesh: Mesh, props: PoroelasticProperties) -> float:
     """Volume-weighted average shear modulus, the rescaling pivot."""
     return float(np.sum(props.mu * mesh.cell_volumes) / np.sum(mesh.cell_volumes))
 
 
-def assemble_tpsa(mesh: Mesh, props: ElasticProperties) -> SparseBlockSystem:
+def assemble_tpsa(mesh: Mesh, props: PoroelasticProperties) -> SparseBlockSystem:
     """Assemble the 7n x 7n elastic operator and the body-force rhs.
 
     Degrees of freedom are field-major: [u_x | u_y | u_z | r_x | r_y |
@@ -203,16 +153,17 @@ def assemble_tpsa(mesh: Mesh, props: ElasticProperties) -> SparseBlockSystem:
 
 
 def assemble_rhs(
-    mesh: Mesh, props: ElasticProperties, pressure_coupling: np.ndarray | None = None
+    mesh: Mesh,
+    props: PoroelasticProperties,
+    pressure_coupling: np.ndarray | None = None,
 ) -> np.ndarray:
     """Right-hand side: volume-scaled body force, zero rotation rows, and
     an optional volume-scaled density on the pressure rows (the coupled
     problem passes -(alpha/lambda) dp there)."""
     n = mesh.n_cells
     rhs = np.zeros(7 * n)
-    if props.f_u is not None:
-        for c in range(3):
-            rhs[c * n : (c + 1) * n] = mesh.cell_volumes * props.f_u[:, c]
+    for c in range(3):
+        rhs[c * n : (c + 1) * n] = mesh.cell_volumes * props.f_u[:, c]
     if pressure_coupling is not None:
         rhs[6 * n :] = mesh.cell_volumes * pressure_coupling
     return rhs

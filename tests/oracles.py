@@ -12,15 +12,53 @@ call per node, the reference the package's list-based loops must match
 exactly.  sequential_march is the fixed-stress time march with one
 mechanics solve per step, the reference for the package's block solve.
 monolithic_march solves flow and mechanics of each step as one system,
-the limit the splitting schemes converge to.
+the limit the splitting schemes converge to.  read_csv and
+load_source_history read back what the package's CSV writers wrote, and
+material builds the one validated material record every operator test
+assembles from.
 """
+
+import csv
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, hstack, vstack
 from scipy.sparse.linalg import splu
 
 from biotfv.errors import GeometryError, SolverError
+from biotfv.materials import PoroelasticProperties
 from biotfv.tpsa import assemble_rhs, stencil_arrays
+
+
+def material(
+    mesh, mu=1.0, lam=1.0, alpha=0.0, c0=0.0, perm=1.0, fluid_viscosity=1.0, **kw
+):
+    """The validated material record on mesh; alpha = 0 leaves the flow
+    without Biot storage, so flow-only tests need set nothing else."""
+    return PoroelasticProperties(
+        mu=mu, lam=lam, alpha=alpha, c0=c0, perm=perm,
+        fluid_viscosity=fluid_viscosity, **kw,
+    ).validate(mesh)
+
+
+def read_csv(path):
+    """Header and rows of a CSV file the package wrote, as strings."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle, delimiter=",")
+        header = next(reader)
+        return header, [row for row in reader]
+
+
+def load_source_history(path):
+    """The (n_steps, n_cells) source history written by save_source_history."""
+    header, rows = read_csv(path)
+    if header != ["step", "cell", "psi"]:
+        raise ValueError(f"not a source history file: header {header}")
+    steps = np.array([int(r[0]) for r in rows])
+    cells = np.array([int(r[1]) for r in rows])
+    values = np.array([float(r[2]) for r in rows])
+    psi = np.zeros((steps.max() + 1, cells.max() + 1))
+    psi[steps, cells] = values
+    return psi
 
 
 def orientation(mesh, cell, face):
@@ -354,7 +392,7 @@ def sequential_march(coupled, psi, warm):
             source = psi[i - 1]
         dp = coupled.flow.step(dp, case.source_rate(times[i], source))
         rhs = assemble_rhs(
-            case.mesh, coupled.elastic, pressure_coupling=-coupled.alpha_over_lam * dp
+            case.mesh, case.props, pressure_coupling=-coupled.alpha_over_lam * dp
         )
         x0 = warm[i] if warm[i] is not None else warm[i - 1]
         (report,) = coupled.mech.solve(rhs[:, None], x0=[x0])
@@ -391,7 +429,7 @@ def monolithic_march(coupled):
     to_mech = vstack([csr_matrix((6 * n, n)), diags(coupling)])
     matrix = vstack([to_flow, hstack([to_mech, coupled.system.matrix])]).tocsc()
     lu = splu(matrix)
-    body = assemble_rhs(case.mesh, coupled.elastic)
+    body = assemble_rhs(case.mesh, case.props)
     initial = case.initial_state()
     dp, p_hat = initial.dp, initial.p_hat
     out = []

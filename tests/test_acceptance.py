@@ -16,14 +16,8 @@ from biotfv.app.drivers import run_barrier_case, run_convergence_study
 from biotfv.coupling import CoupledSystem
 from biotfv.linsolve.precond import SolverOptions, TpsaSolver
 from biotfv.mesh import build_cartesian
-from biotfv.tpsa import (
-    ElasticProperties,
-    MechBoundary,
-    assemble_rhs,
-    assemble_tpsa,
-    mean_shear_modulus,
-)
-from oracles import hand_assembled_two_cell
+from biotfv.tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
+from oracles import hand_assembled_two_cell, material
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 VARIABLES = ("dp", "u", "r", "p_hat")
@@ -81,10 +75,11 @@ def test_criterion_2_rigid_translation_is_force_free_on_free_boundaries():
     # in the kernel row by row (closed-surface normal sums cancel exactly)
     mesh = build_cartesian(4, 3, 3, lengths=(1.2, 0.9, 1.0))
     rng = np.random.default_rng(2)
-    props = ElasticProperties(
+    props = material(
+        mesh,
         mu=rng.uniform(0.5, 3.0, mesh.n_cells),
         lam=rng.uniform(0.5, 5.0, mesh.n_cells),
-        boundary=MechBoundary.free(mesh),
+        w_out=np.inf,  # traction-free
     )
     system = assemble_tpsa(mesh, props)
     n = mesh.n_cells
@@ -104,11 +99,8 @@ def test_criterion_3_rescaled_solve_matches_dense_at_stiff_moduli():
     # mapping back agrees with a dense solve of the raw system
     mesh = build_cartesian(3, 3, 3)
     n = mesh.n_cells
-    props = ElasticProperties(
-        mu=np.full(n, 1e10),
-        lam=np.full(n, 1e10),
-        boundary=MechBoundary.fixed(mesh),
-        f_u=np.random.default_rng(3).standard_normal((n, 3)),
+    props = material(
+        mesh, mu=1e10, lam=1e10, f_u=np.random.default_rng(3).standard_normal((n, 3))
     )
     system = assemble_tpsa(mesh, props)
     b = assemble_rhs(mesh, props)
@@ -236,10 +228,10 @@ def test_criterion_8_small_instances_match_dense_and_hand_assembly():
         mesh = build_cartesian(nx, ny, nz, lengths=(float(nx), float(ny), float(nz)))
         n = mesh.n_cells
         rng = np.random.default_rng(80 + idx)
-        props = ElasticProperties(
+        props = material(
+            mesh,
             mu=rng.uniform(0.5, 4.0, n),
             lam=rng.uniform(0.2, 6.0, n),
-            boundary=MechBoundary.fixed(mesh),
             f_u=rng.standard_normal((n, 3)),
         )
         system = assemble_tpsa(mesh, props)
@@ -259,7 +251,7 @@ def test_criterion_8_small_instances_match_dense_and_hand_assembly():
     mu = np.array([1.3, 0.6])
     lam = np.array([2.0, 4.5])
     mesh2 = build_cartesian(2, 1, 1)
-    props2 = ElasticProperties(mu=mu, lam=lam, boundary=MechBoundary.fixed(mesh2))
+    props2 = material(mesh2, mu=mu, lam=lam)
     gap = float(
         np.abs(
             assemble_tpsa(mesh2, props2).matrix.toarray()

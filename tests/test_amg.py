@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import greedy_aggregate, multigrid_solve
+from oracles import greedy_aggregate, material, multigrid_solve
 from scipy.sparse.linalg import eigsh
 
 from biotfv.app.manufactured import ManufacturedSolution
@@ -23,7 +23,7 @@ from biotfv.linsolve.amg import (
 )
 from biotfv.linsolve.blocks import rescale
 from biotfv.mesh import build_barrier_mesh, build_cartesian
-from biotfv.tpsa import ElasticProperties, MechBoundary, assemble_tpsa
+from biotfv.tpsa import assemble_tpsa
 
 
 def laplacian_1d(n, dirichlet=True):
@@ -91,19 +91,13 @@ def solver_blocks(mesh, props):
 def manufactured_blocks():
     mesh = build_cartesian(8, 8, 8)
     case = ManufacturedSolution().as_case(mesh, TimeGrid(dt=1e6, n_steps=1))
-    props = case.props
-    return solver_blocks(
-        mesh, ElasticProperties(mu=props.mu, lam=props.lam, boundary=props.boundary)
-    )
+    return solver_blocks(mesh, case.props)
 
 
 def barrier_contrast_blocks():
     mesh = build_barrier_mesh(6, 6, 2, index=3)
     mu = np.where(mesh.cell_centers[:, 0] < 0.5, 1.0, 1e4)
-    props = ElasticProperties(
-        mu=mu, lam=np.ones(mesh.n_cells), boundary=MechBoundary.fixed(mesh)
-    )
-    return solver_blocks(mesh, props)
+    return solver_blocks(mesh, material(mesh, mu=mu))
 
 
 @pytest.mark.parametrize(
@@ -227,10 +221,8 @@ def contrast_displacement_block(n, contrast):
     """u_x block of TPSA on an n^3 cube, mu jumping by `contrast` at x = 1/2."""
     mesh = build_cartesian(n, n, n)
     mu = np.where(mesh.cell_centers[:, 0] < 0.5, 1.0, contrast)
-    props = ElasticProperties(
-        mu=mu, lam=np.ones(mesh.n_cells), boundary=MechBoundary.fixed(mesh)
-    )
-    return assemble_tpsa(mesh, props).matrix[: mesh.n_cells, : mesh.n_cells].tocsr()
+    matrix = assemble_tpsa(mesh, material(mesh, mu=mu)).matrix
+    return matrix[: mesh.n_cells, : mesh.n_cells].tocsr()
 
 
 @pytest.mark.parametrize(
@@ -301,10 +293,7 @@ def test_vcycle_linearity():
 def test_displacement_block_solve():
     mesh = build_cartesian(6, 6, 6)
     n = mesh.n_cells
-    props = ElasticProperties(
-        mu=np.full(n, 2.0), lam=np.full(n, 3.0), boundary=MechBoundary.fixed(mesh)
-    )
-    system = assemble_tpsa(mesh, props)
+    system = assemble_tpsa(mesh, material(mesh, mu=2.0, lam=3.0))
     block = system.matrix[:n, :n].tocsr()
     hier = build_amg(block)
     rng = np.random.default_rng(7)

@@ -23,9 +23,10 @@ from biotfv.app.config import (
     parse_quantity,
     serialize_config,
 )
-from biotfv.coupling import PoroelasticProperties, SchemeSpec, TimeGrid, Well
+from biotfv.coupling import SchemeSpec, TimeGrid, Well
 from biotfv.errors import ConfigurationError
 from biotfv.linsolve.precond import SolverOptions
+from biotfv.materials import PoroelasticProperties
 from biotfv.mesh import build_cartesian
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -326,12 +327,12 @@ def test_run_records_are_frozen():
 def test_boundary_spec_side_override():
     mesh = build_cartesian(2, 2, 2)
     spec = BoundarySpec(default="fixed", z_max="free")
-    boundary = spec.build(mesh)
+    w_out = spec.build(mesh)
     bdry = mesh.boundary_faces
-    free = bdry[np.isinf(boundary.w_out[bdry])]
+    free = bdry[np.isinf(w_out[bdry])]
     assert free.size == 4
     assert np.all(mesh.face_centers[free, 2] == 1.0)
-    fixed = bdry[boundary.w_out[bdry] == 0.0]
+    fixed = bdry[w_out[bdry] == 0.0]
     assert fixed.size == 24 - 4
 
 
@@ -420,7 +421,7 @@ def test_build_case_generic_resolves_well():
     assert well.cell == case.mesh.cell_index(7, 15, 1)
     assert well.rate == pytest.approx(100.0 / 86400.0)
     assert well.t_end == pytest.approx(360 * 86400.0)
-    assert case.props.boundary is not None
+    assert np.array_equal(case.props.w_out, np.zeros(case.mesh.n_faces))  # clamped
     assert case.f_p is None
 
 

@@ -11,7 +11,6 @@ from biotfv.coupling import (
     BiotCase,
     BiotState,
     CoupledSystem,
-    PoroelasticProperties,
     SchemeSpec,
     TimeGrid,
     Well,
@@ -22,8 +21,9 @@ from biotfv.coupling import (
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import precond
 from biotfv.linsolve.precond import SolverOptions, TpsaSolver
+from biotfv.materials import PoroelasticProperties
 from biotfv.mesh import build_cartesian
-from biotfv.tpfa import FlowProperties, FlowSystem
+from biotfv.tpfa import FlowSystem
 
 from oracles import monolithic_march, sequential_march
 
@@ -480,12 +480,8 @@ def test_equilibrium_stays_at_rest_for_every_scheme():
 def test_lagged_uncoupled_matches_flow_only():
     case = _case(alpha=0.0, n_steps=5, wells=[Well(cell=0, rate=0.3)])
     result = simulate(case, LAGGED)
-    props = case.props  # alpha = 0: no Biot storage
-    flow = FlowSystem(
-        case.mesh,
-        FlowProperties(perm=props.perm, viscosity=props.fluid_viscosity, c0=props.c0),
-        case.time.dt,
-    )
+    # alpha = 0: no Biot storage
+    flow = FlowSystem(case.mesh, case.props, case.time.dt)
     dp = np.zeros(case.mesh.n_cells)
     rate = np.zeros(case.mesh.n_cells)
     rate[0] = 0.3
@@ -598,7 +594,7 @@ def test_mass_check_is_nan_unless_every_wall_is_clamped(w_out):
     result = simulate(case, SchemeSpec(tol=1e-12, max_iter=80))
     assert global_mass_check(case, result.states) <= 1e-9
     # one free or Robin face lets volume cross the walls
-    case.props.boundary.w_out[case.mesh.boundary_faces[3]] = w_out
+    case.props.w_out[case.mesh.boundary_faces[3]] = w_out
     assert np.isnan(global_mass_check(case, result.states))
 
 

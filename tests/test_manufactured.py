@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biotfv.app.manufactured import ManufacturedSolution
-from biotfv.coupling import SchemeSpec, TimeGrid, simulate
+from biotfv.coupling import SchemeSpec, TimeGrid, global_mass_check, simulate
 from biotfv.mesh import build_cartesian
 
 from oracles import (
@@ -145,3 +145,14 @@ def test_discrete_steady_error_is_small_on_coarse_grid():
         case.initial.dp
     )
     assert err < 0.1
+
+
+def test_mass_defect_of_the_steady_source_is_at_roundoff():
+    # f_p nets roundoff over the cube against a gross volume of order one,
+    # so the defect is measured relative to the gross source volume
+    sol = _sol()
+    mesh = build_cartesian(4, 4, 4)
+    case = sol.as_case(mesh, TimeGrid(dt=4.32e6, n_steps=3))
+    result = simulate(case, SchemeSpec(kind="lagged"))
+    assert abs(case.injected_volume()) < 1e-12
+    assert global_mass_check(case, result.states) < 1e-8

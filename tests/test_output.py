@@ -5,14 +5,9 @@ import pytest
 from scipy.io import mmread
 from scipy.sparse import random as sparse_random
 
-from biotfv.app.output import (
-    dump_matrix,
-    load_source_history,
-    read_csv,
-    save_source_history,
-    write_csv,
-    write_vtk,
-)
+from oracles import load_source_history, read_csv
+
+from biotfv.app.output import dump_matrix, save_source_history, write_csv, write_vtk
 from biotfv.coupling import BiotState
 from biotfv.errors import GeometryError
 from biotfv.mesh import build_cartesian

@@ -13,24 +13,14 @@ from biotfv.linsolve.precond import (
     TpsaSolver,
 )
 from biotfv.mesh import build_cartesian
-from biotfv.tpsa import (
-    ElasticProperties,
-    MechBoundary,
-    assemble_rhs,
-    assemble_tpsa,
-    mean_shear_modulus,
-)
+from biotfv.tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
+from oracles import material
 
 
 def _system(nx, ny, nz, mu=1.0, lam=1.0, seed=0):
     mesh = build_cartesian(nx, ny, nz)
-    n = mesh.n_cells
-    props = ElasticProperties(
-        mu=np.broadcast_to(np.asarray(mu, dtype=float), (n,)).copy(),
-        lam=np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy(),
-        boundary=MechBoundary.fixed(mesh),
-        f_u=np.random.default_rng(seed).standard_normal((n, 3)),
-    )
+    f_u = np.random.default_rng(seed).standard_normal((mesh.n_cells, 3))
+    props = material(mesh, mu=mu, lam=lam, f_u=f_u)
     system = assemble_tpsa(mesh, props)
     system.rhs[:] = assemble_rhs(mesh, props)
     return mesh, props, system

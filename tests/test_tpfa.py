@@ -10,19 +10,16 @@ import pytest
 from scipy.sparse import diags
 from scipy.sparse.linalg import spsolve
 
+from oracles import material
+
 from biotfv.errors import SolverError
 from biotfv.mesh import build_barrier_mesh, build_cartesian
-from biotfv.tpfa import (
-    FlowProperties,
-    FlowSystem,
-    assemble_flow,
-    effective_conductivity,
-)
+from biotfv.tpfa import FlowSystem, assemble_flow, effective_conductivity
 
 
 def test_uniform_conductivity():
     mesh = build_cartesian(3, 2, 2)
-    props = FlowProperties(perm=2.5e-13, viscosity=5e-4)
+    props = material(mesh, perm=2.5e-13, fluid_viscosity=5e-4)
     cond = effective_conductivity(mesh, props)
     assert np.allclose(cond[mesh.interior_faces], 2.5e-13 / 5e-4)
     assert np.all(cond[mesh.boundary_faces] == 0.0)
@@ -30,7 +27,7 @@ def test_uniform_conductivity():
 
 def test_harmonic_average_two_cells():
     mesh = build_cartesian(2, 1, 1)
-    props = FlowProperties(perm=np.array([1.0, 2.0]), viscosity=1.0)
+    props = material(mesh, perm=np.array([1.0, 2.0]))
     cond = effective_conductivity(mesh, props)
     k = mesh.interior_faces[0]
     # 0.5 / (0.25/1 + 0.25/2) = 4/3
@@ -39,14 +36,14 @@ def test_harmonic_average_two_cells():
 
 def test_zero_permeability_cell():
     mesh = build_cartesian(3, 1, 1)
-    props = FlowProperties(perm=np.array([1.0, 0.0, 1.0]), viscosity=1.0)
+    props = material(mesh, perm=np.array([1.0, 0.0, 1.0]))
     cond = effective_conductivity(mesh, props)
     assert np.all(cond[mesh.interior_faces] == 0.0)
 
 
 def test_barrier_face_sealed():
     mesh = build_barrier_mesh(4, 1, 1, axis=0, index=2)
-    props = FlowProperties(perm=1.0, viscosity=1.0)
+    props = material(mesh, perm=1.0)
     cond = effective_conductivity(mesh, props)
     assert np.all(cond[mesh.barrier] == 0.0)
     open_faces = mesh.interior_faces[~mesh.barrier[mesh.interior_faces]]
@@ -55,7 +52,7 @@ def test_barrier_face_sealed():
 
 def test_two_cell_matrix():
     mesh = build_cartesian(2, 1, 1)
-    props = FlowProperties(perm=1.0, viscosity=1.0)
+    props = material(mesh, perm=1.0)
     A = assemble_flow(mesh, props).toarray()
     t = 1.0 * 1.0 / 0.5  # area * conductivity / distance
     assert np.allclose(A, [[t, -t], [-t, t]], atol=1e-14)
@@ -64,7 +61,9 @@ def test_two_cell_matrix():
 def test_matrix_symmetric_psd_zero_row_sums():
     mesh = build_cartesian(3, 3, 2, lengths=(1.0, 2.0, 0.5))
     rng = np.random.default_rng(7)
-    props = FlowProperties(perm=rng.uniform(0.5, 2.0, mesh.n_cells), viscosity=3e-4)
+    props = material(
+        mesh, perm=rng.uniform(0.5, 2.0, mesh.n_cells), fluid_viscosity=3e-4
+    )
     A = assemble_flow(mesh, props)
     dense = A.toarray()
     assert np.allclose(dense, dense.T, atol=1e-12 * np.abs(dense).max())
@@ -75,22 +74,22 @@ def test_matrix_symmetric_psd_zero_row_sums():
 
 def test_permeability_scaling_linearity():
     mesh = build_cartesian(2, 2, 2)
-    a1 = assemble_flow(mesh, FlowProperties(perm=1.0, viscosity=1.0)).toarray()
-    a2 = assemble_flow(mesh, FlowProperties(perm=2.0, viscosity=1.0)).toarray()
+    a1 = assemble_flow(mesh, material(mesh, perm=1.0)).toarray()
+    a2 = assemble_flow(mesh, material(mesh, perm=2.0)).toarray()
     assert np.allclose(a2, 2.0 * a1, rtol=1e-14)
 
 
 def test_step_two_cell_oracle():
     # acc|cell|/dt = 1 each, T = 1, dp_old = (1, 0) -> (2/3, 1/3)
     mesh = build_cartesian(2, 1, 1)
-    props = FlowProperties(perm=0.5, viscosity=1.0, c0=2.0)
+    props = material(mesh, perm=0.5, fluid_viscosity=1.0, c0=2.0)
     new = FlowSystem(mesh, props, 1.0).step(np.array([1.0, 0.0]), np.zeros(2))
     assert np.allclose(new, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-13)
 
 
 def test_equilibrium_preserved():
     mesh = build_cartesian(3, 2, 2)
-    props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=1e-8)
+    props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=1e-8)
     dp = np.full(mesh.n_cells, 3.25e4)
     new = FlowSystem(mesh, props, 86400.0).step(dp, np.zeros(mesh.n_cells))
     # tolerance reflects the conditioning of the storage-vs-flux scales
@@ -100,7 +99,10 @@ def test_equilibrium_preserved():
 def test_single_cell_well_closed_form():
     mesh = build_cartesian(1, 1, 1, lengths=(2.0, 2.0, 2.0))
     c0, sb, q, dt = 1e-8, 2e-9, 5e-4, 3600.0
-    props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=c0, biot_storage=sb)
+    # Biot storage alpha^2 / lambda = sb
+    props = material(
+        mesh, perm=1e-12, fluid_viscosity=1e-3, c0=c0, alpha=1.0, lam=1.0 / sb
+    )
     rate = np.array([q])
     system = FlowSystem(mesh, props, dt)
     expected_increment = q * dt / (8.0 * (c0 + sb))
@@ -113,11 +115,13 @@ def test_single_cell_well_closed_form():
 def test_step_mass_balance_identity():
     mesh = build_cartesian(4, 3, 2, lengths=(2.0, 1.5, 1.0))
     rng = np.random.default_rng(11)
-    props = FlowProperties(
+    props = material(
+        mesh,
         perm=rng.uniform(0.5, 2.0, mesh.n_cells) * 1e-13,
-        viscosity=1e-3,
+        fluid_viscosity=1e-3,
         c0=rng.uniform(1e-9, 1e-8, mesh.n_cells),
-        biot_storage=2e-10,
+        alpha=1.0,
+        lam=5e9,  # Biot storage alpha^2 / lambda = 2e-10
     )
     rate = mesh.cell_volumes * rng.standard_normal(mesh.n_cells) * 1e-9
     rate[5] += 2e-6
@@ -132,7 +136,7 @@ def test_step_mass_balance_identity():
 
 def test_barrier_compartments_decouple():
     mesh = build_barrier_mesh(4, 2, 1, axis=0, index=2)
-    props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=1e-8)
+    props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=1e-8)
     comp = mesh.flow_components()
     well_cell = int(np.flatnonzero(comp == comp[0])[0])
     rate = np.zeros(mesh.n_cells)
@@ -146,7 +150,7 @@ def test_barrier_compartments_decouple():
 
 def test_singular_system_rejected():
     mesh = build_cartesian(2, 2, 1)
-    props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=0.0, biot_storage=0.0)
+    props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=0.0)
     with pytest.raises(SolverError, match="constant pressure"):
         FlowSystem(mesh, props, 1.0)
 
@@ -157,15 +161,15 @@ def test_compartment_without_storage_rejected(sealed_by):
     mesh = build_barrier_mesh(4, 2, 2, index=2)
     if sealed_by == "barrier":
         labels = mesh.flow_components()
-        props = FlowProperties(
-            perm=np.ones(16), c0=np.where(labels == labels[0], 1e-3, 0.0)
+        props = material(
+            mesh, perm=np.ones(16), c0=np.where(labels == labels[0], 1e-3, 0.0)
         )
     else:
         perm = np.ones(16)
         perm[5] = 0.0
         c0 = np.full(16, 1e-3)
         c0[5] = 0.0
-        props = FlowProperties(perm=perm, c0=c0)
+        props = material(mesh, perm=perm, c0=c0)
     with pytest.raises(SolverError, match="constant pressure"):
         FlowSystem(mesh, props, 1.0)
 
@@ -175,7 +179,7 @@ def test_step_matches_spsolve_at_high_contrast():
     rng = np.random.default_rng(17)
     perm = 10.0 ** rng.uniform(-6.0, 0.0, mesh.n_cells)
     perm[7] = 0.0
-    props = FlowProperties(perm=perm, c0=1e-3)
+    props = material(mesh, perm=perm, c0=1e-3)
     dt = 10.0
     system = FlowSystem(mesh, props, dt)
     dp_old = rng.standard_normal(mesh.n_cells)
@@ -188,6 +192,6 @@ def test_step_matches_spsolve_at_high_contrast():
 
 def test_nonpositive_dt_rejected():
     mesh = build_cartesian(2, 1, 1)
-    props = FlowProperties(perm=1e-12, viscosity=1e-3, c0=1e-8)
+    props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=1e-8)
     with pytest.raises(ValueError):
         FlowSystem(mesh, props, 0.0)

@@ -17,6 +17,7 @@ from oracles import (
     hand_assembled_two_cell,
     hand_skew,
     local_face_operator,
+    material,
 )
 
 from biotfv.mesh import (
@@ -24,32 +25,14 @@ from biotfv.mesh import (
     build_cartesian,
     face_normal_distances,
 )
-from biotfv.tpfa import FlowProperties, assemble_flow
+from biotfv.tpfa import assemble_flow
 from biotfv.tpsa import (
-    ElasticProperties,
-    MechBoundary,
     assemble_rhs,
     assemble_tpsa,
     _face_dual_map,
     mean_shear_modulus,
     stencil_arrays,
 )
-
-
-def _props(mesh, mu=1.0, lam=1.0, boundary="fixed", **kw):
-    if boundary == "fixed":
-        bc = MechBoundary.fixed(mesh)
-    elif boundary == "free":
-        bc = MechBoundary.free(mesh)
-    else:
-        bc = MechBoundary.robin(mesh, kw.pop("delta"), kw.pop("mu_r"))
-    n = mesh.n_cells
-    return ElasticProperties(
-        mu=np.broadcast_to(np.asarray(mu, dtype=float), (n,)).copy(),
-        lam=np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy(),
-        boundary=bc,
-        **kw,
-    )
 
 
 # ----------------------------------------------------------- skew oracle
@@ -77,7 +60,7 @@ def test_interior_stencil_uniform():
     # w = delta / mu = 0.25 on both sides: delta_total 0.5, mu_eff 1 and
     # stab = w_in w_out mu_eff / 2 = 1/32
     mesh = build_cartesian(2, 1, 1)
-    props = _props(mesh, mu=1.0)
+    props = material(mesh, mu=1.0)
     k = int(mesh.interior_faces[0])
     st_ = _stencil(mesh, k, props)
     assert set(st_) == {"at_in", "at_out", "g_u", "g_p"}
@@ -90,7 +73,7 @@ def test_interior_stencil_heterogeneous():
     # mu = (1, 3), equal distances: w = (1/4, 1/12), weighted harmonic
     # average mu_eff = delta_total / (w_in + w_out) = 1.5
     mesh = build_cartesian(2, 1, 1)
-    props = _props(mesh, mu=np.array([1.0, 3.0]))
+    props = material(mesh, mu=np.array([1.0, 3.0]))
     st_ = _stencil(mesh, int(mesh.interior_faces[0]), props)
     assert st_["g_u"] == pytest.approx(2.0 * 1.5 / 0.5)
     assert st_["g_p"] == pytest.approx(0.5 * 0.25 * (0.25 / 3.0) * 1.5 / 0.5)
@@ -103,7 +86,7 @@ def test_interior_stencil_heterogeneous():
 def test_fixed_boundary_stencil():
     # w_out = 0: delta_total = d_in = 0.5, mu_eff = mu = 2, stab = 0
     mesh = build_cartesian(1, 1, 1)
-    props = _props(mesh, mu=2.0)
+    props = material(mesh, mu=2.0)
     k = int(mesh.boundary_faces[0])
     st_ = _stencil(mesh, k, props)
     # avg~ takes the inside value, avg (weights swapped) the outside value 0
@@ -115,7 +98,7 @@ def test_fixed_boundary_stencil():
 def test_free_boundary_stencil():
     # w_out -> inf: mu_eff -> 0 and stab / delta_total -> w_in / 2
     mesh = build_cartesian(1, 1, 1)
-    props = _props(mesh, mu=2.0, boundary="free")
+    props = material(mesh, mu=2.0, w_out=np.inf)
     st_ = _stencil(mesh, int(mesh.boundary_faces[0]), props)
     # avg~ takes the outside value 0, avg (weights swapped) the inside value
     assert (st_["at_in"], st_["at_out"]) == pytest.approx((0.0, 1.0))
@@ -126,7 +109,7 @@ def test_free_boundary_stencil():
 def test_robin_boundary_stencil():
     # w_in = 0.5, w_out = delta / mu_r = 0.05, delta_total = 0.5 + 0.1
     mesh = build_cartesian(1, 1, 1)
-    props = _props(mesh, mu=1.0, boundary="robin", delta=0.1, mu_r=2.0)
+    props = material(mesh, mu=1.0, w_out=0.1 / 2.0)
     st_ = _stencil(mesh, int(mesh.boundary_faces[0]), props)
     assert st_["at_in"] + st_["at_out"] == pytest.approx(1.0)
     assert st_["at_out"] == pytest.approx(0.05 / (0.5 + 0.05))
@@ -139,7 +122,7 @@ def test_stabilization_scales_with_h_squared():
     def stab(mesh):
         k = int(mesh.interior_faces[0])
         d_in, d_out = face_normal_distances(mesh)
-        return _stencil(mesh, k, _props(mesh))["g_p"] * (d_in[k] + d_out[k])
+        return _stencil(mesh, k, material(mesh))["g_p"] * (d_in[k] + d_out[k])
 
     coarse = stab(build_cartesian(2, 2, 2))
     fine = stab(build_cartesian(4, 4, 4))
@@ -151,22 +134,10 @@ def test_large_outside_weight_approaches_free_operator():
     mesh = build_cartesian(3, 2, 2, lengths=(1.5, 1.0, 0.8))
     mu = np.linspace(1.0, 2.0, mesh.n_cells)
     lam = np.full(mesh.n_cells, 1.5)
-    free = assemble_tpsa(
-        mesh, ElasticProperties(mu=mu, lam=lam, boundary=MechBoundary.free(mesh))
-    ).matrix
-    big = MechBoundary(np.full(mesh.n_faces, 1e8))
-    near = assemble_tpsa(mesh, ElasticProperties(mu=mu, lam=lam, boundary=big)).matrix
+    free = assemble_tpsa(mesh, material(mesh, mu=mu, lam=lam, w_out=np.inf)).matrix
+    near = assemble_tpsa(mesh, material(mesh, mu=mu, lam=lam, w_out=1e8)).matrix
     assert abs(near - free).max() <= 1e-6 * abs(free).max()
     assert abs(near - free).max() > 0.0  # a finite weight, not the limit itself
-
-
-@pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
-def test_boundary_weight_rejects_nan_and_negative(bad):
-    mesh = build_cartesian(2, 1, 1)
-    w_out = np.zeros(mesh.n_faces)
-    w_out[mesh.boundary_faces[0]] = bad
-    with pytest.raises(ValueError, match="w_out"):
-        MechBoundary(w_out)
 
 
 # ------------------------------------------------------ local operators
@@ -174,7 +145,7 @@ def test_boundary_weight_rejects_nan_and_negative(bad):
 
 def test_local_operator_translation():
     mesh = build_cartesian(2, 1, 1)
-    props = _props(mesh)
+    props = material(mesh)
     k = int(mesh.interior_faces[0])
     L = local_face_operator(mesh, k, props)
     c = np.array([0.3, -1.2, 2.0])
@@ -189,7 +160,7 @@ def test_local_operator_translation():
 
 def test_local_operator_pressure_jump():
     mesh = build_cartesian(2, 1, 1)
-    props = _props(mesh)
+    props = material(mesh)
     k = int(mesh.interior_faces[0])
     L = local_face_operator(mesh, k, props)
     # equal pressures: stress picks up n * p, volume flux sees no jump
@@ -208,7 +179,7 @@ def test_local_operator_pressure_jump():
 
 def test_local_operator_zero_state():
     mesh = build_cartesian(2, 1, 1)
-    props = _props(mesh)
+    props = material(mesh)
     for k in range(mesh.n_faces):
         L = local_face_operator(mesh, k, props)
         assert np.allclose(L @ np.zeros(L.shape[1]), 0.0)
@@ -243,7 +214,7 @@ def _global_from_local(mesh, props):
 def test_assembly_matches_local_operators():
     mesh = build_cartesian(2, 2, 2, lengths=(1.0, 2.0, 0.5))
     rng = np.random.default_rng(3)
-    props = _props(mesh, mu=rng.uniform(0.5, 3.0, mesh.n_cells), lam=2.0)
+    props = material(mesh, mu=rng.uniform(0.5, 3.0, mesh.n_cells), lam=2.0)
     system = assemble_tpsa(mesh, props)
     reference = _global_from_local(mesh, props)
     scale = np.abs(reference).max()
@@ -254,7 +225,7 @@ def test_assembly_matches_hand_oracle():
     mu = np.array([1.3, 0.6])
     lam = np.array([2.0, 4.5])
     mesh = build_cartesian(2, 1, 1)
-    props = _props(mesh, mu=mu, lam=lam)
+    props = material(mesh, mu=mu, lam=lam)
     system = assemble_tpsa(mesh, props)
     reference = hand_assembled_two_cell(mu, lam)
     scale = np.abs(reference).max()
@@ -281,7 +252,7 @@ def test_hand_oracle_frozen_entries():
 
 def test_single_cell_free_reduces_to_mass_plus_stabilization():
     mesh = build_cartesian(1, 1, 1)
-    props = _props(mesh, mu=2.0, lam=5.0, boundary="free")
+    props = material(mesh, mu=2.0, lam=5.0, w_out=np.inf)
     M = assemble_tpsa(mesh, props).matrix.toarray()
     expected = np.zeros((7, 7))
     for d in range(3):
@@ -295,7 +266,7 @@ def test_single_cell_free_reduces_to_mass_plus_stabilization():
 
 def test_translation_kernel_all_free():
     mesh = build_cartesian(3, 2, 2, lengths=(1.5, 1.0, 0.8))
-    props = _props(mesh, mu=1.7, lam=0.9, boundary="free")
+    props = material(mesh, mu=1.7, lam=0.9, w_out=np.inf)
     system = assemble_tpsa(mesh, props)
     n = mesh.n_cells
     x = np.zeros(7 * n)
@@ -309,14 +280,14 @@ def test_translation_kernel_all_free():
 
 def test_rigid_system_with_fixed_boundary_is_nonsingular():
     mesh = build_cartesian(2, 2, 2)
-    props = _props(mesh)
+    props = material(mesh)
     M = assemble_tpsa(mesh, props).matrix.toarray()
     assert np.linalg.matrix_rank(M) == M.shape[0]
 
 
 def test_block_structure():
     mesh = build_cartesian(2, 2, 1)
-    props = _props(mesh)
+    props = material(mesh)
     system = assemble_tpsa(mesh, props)
     M = system.matrix.toarray()
     n = mesh.n_cells
@@ -337,8 +308,8 @@ def test_scaling_covariance():
     rng = np.random.default_rng(5)
     f_u = rng.standard_normal((mesh.n_cells, 3))
     s = 7.0
-    p1 = _props(mesh, mu=1.3, lam=2.7, f_u=f_u)
-    p2 = _props(mesh, mu=1.3 * s, lam=2.7 * s, f_u=f_u * s)
+    p1 = material(mesh, mu=1.3, lam=2.7, f_u=f_u)
+    p2 = material(mesh, mu=1.3 * s, lam=2.7 * s, f_u=f_u * s)
     x1 = np.linalg.solve(assemble_tpsa(mesh, p1).matrix.toarray(), assemble_rhs(mesh, p1))
     x2 = np.linalg.solve(assemble_tpsa(mesh, p2).matrix.toarray(), assemble_rhs(mesh, p2))
     n = mesh.n_cells
@@ -348,9 +319,9 @@ def test_scaling_covariance():
 
 def test_robin_approaches_fixed():
     mesh = build_cartesian(2, 2, 2)
-    fixed = assemble_tpsa(mesh, _props(mesh, mu=1.0)).matrix.toarray()
+    fixed = assemble_tpsa(mesh, material(mesh, mu=1.0)).matrix.toarray()
     robin = assemble_tpsa(
-        mesh, _props(mesh, mu=1.0, boundary="robin", delta=1e-8 * 0.25, mu_r=1.0)
+        mesh, material(mesh, mu=1.0, w_out=1e-8 * 0.25 / 1.0)
     ).matrix.toarray()
     scale = np.abs(fixed).max()
     assert np.allclose(robin, fixed, atol=1e-6 * scale)
@@ -358,15 +329,8 @@ def test_robin_approaches_fixed():
 
 def test_mean_shear_modulus():
     mesh = build_cartesian(2, 1, 1)
-    props = _props(mesh, mu=np.array([1.0, 3.0]))
+    props = material(mesh, mu=np.array([1.0, 3.0]))
     assert mean_shear_modulus(mesh, props) == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("field", ["mu", "lam"])
-def test_elastic_properties_reject_nonpositive_lame(field):
-    mesh = build_cartesian(2, 1, 1)
-    with pytest.raises(ValueError, match="Lame parameters must be positive"):
-        _props(mesh, **{field: np.array([1.0, 0.0])})
 
 
 # ------------------------------------------------------- dual recovery
@@ -380,14 +344,14 @@ def _duals(mesh, props, x):
 
 def test_recover_duals_zero():
     mesh = build_cartesian(2, 2, 1)
-    props = _props(mesh)
+    props = material(mesh)
     for dual in _duals(mesh, props, np.zeros(7 * mesh.n_cells)):
         assert np.all(dual == 0.0)
 
 
 def test_recover_duals_translation_closed_surface():
     mesh = build_cartesian(2, 2, 2)
-    props = _props(mesh, boundary="free")
+    props = material(mesh, w_out=np.inf)
     n = mesh.n_cells
     x = np.zeros(7 * n)
     for c, val in enumerate([1.0, 2.0, -0.5]):
@@ -408,7 +372,7 @@ def test_recover_duals_translation_closed_surface():
 def test_recover_duals_consistent_with_assembly():
     mesh = build_cartesian(3, 2, 2, lengths=(1.0, 0.7, 1.3))
     rng = np.random.default_rng(9)
-    props = _props(mesh, mu=rng.uniform(0.5, 2.0, mesh.n_cells), lam=1.4)
+    props = material(mesh, mu=rng.uniform(0.5, 2.0, mesh.n_cells), lam=1.4)
     system = assemble_tpsa(mesh, props)
     x = rng.standard_normal(7 * mesh.n_cells)
     sigma, tau, v = _duals(mesh, props, x)
@@ -434,10 +398,9 @@ def test_recover_duals_consistent_with_assembly():
 def test_recover_duals_matches_face_formulas(boundary):
     mesh = build_cartesian(3, 2, 2, lengths=(1.0, 0.7, 1.3))
     rng = np.random.default_rng(11)
-    props = _props(
-        mesh, mu=rng.uniform(0.5, 3.0, mesh.n_cells), lam=1.4, boundary=boundary,
-        **({"delta": 0.1, "mu_r": 2.0} if boundary == "robin" else {}),
-    )
+    w_out = {"fixed": 0.0, "free": np.inf, "robin": 0.1 / 2.0}[boundary]
+    mu = rng.uniform(0.5, 3.0, mesh.n_cells)
+    props = material(mesh, mu=mu, lam=1.4, w_out=w_out)
     x = rng.standard_normal(7 * mesh.n_cells)
     got = _duals(mesh, props, x)
     want = face_duals(mesh, props, x)
@@ -448,21 +411,21 @@ def test_recover_duals_matches_face_formulas(boundary):
 
 
 def test_operators_store_no_explicit_zeros():
-    for boundary in ("fixed", "free"):
+    for w_out in (0.0, np.inf):  # fixed, free
         mesh = build_cartesian(3, 2, 2)
-        props = _props(mesh, mu=np.linspace(0.5, 2.0, mesh.n_cells), boundary=boundary)
+        props = material(mesh, mu=np.linspace(0.5, 2.0, mesh.n_cells), w_out=w_out)
         matrix = assemble_tpsa(mesh, props).matrix
-        assert np.all(matrix.data != 0.0), boundary
+        assert np.all(matrix.data != 0.0), w_out
     # sealed barrier faces carry zero transmissibility
     mesh = build_barrier_mesh(6, 4, 2, axis=0, index=3)
-    matrix = assemble_flow(mesh, FlowProperties(perm=1.0))
+    matrix = assemble_flow(mesh, material(mesh))
     assert np.all(matrix.data != 0.0)
 
 
 def test_rhs_assembly():
     mesh = build_cartesian(2, 1, 1)
     f_u = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    props = _props(mesh, f_u=f_u)
+    props = material(mesh, f_u=f_u)
     rhs = assemble_rhs(mesh, props, pressure_coupling=np.array([10.0, 20.0]))
     n = 2
     vol = 0.5
