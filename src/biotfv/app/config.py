@@ -12,8 +12,6 @@ line.  [time], [scheme], [solver] and [well.NAME] build the records the
 run consumes (`TimeGrid`, `SchemeSpec`, `SolverOptions`, `Well`), whose
 own checks are reported with the section and its header line;
 `build_case` makes one `BiotCase`, which places the wells on the mesh.
-Serializing walks the same table and writes every key that holds a
-value, so parse(serialize(c)) == c for single-line text values.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, replace
-from io import StringIO
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,7 +39,6 @@ __all__ = [
     "parse_quantity",
     "parse_config",
     "parse_config_text",
-    "serialize_config",
 ]
 
 DARCY = 9.869233e-13  # m^2
@@ -136,20 +132,10 @@ class BoundarySpec:
     robin_delta: float = 1.0
     robin_mu: float = 1.0
 
-    @property
-    def walls(self) -> list[str]:
-        """The closure of each side, in `_SIDE_NAMES` order."""
-        return [getattr(self, side) or self.default for side in _SIDE_NAMES]
-
-    @property
-    def all_fixed(self) -> bool:
-        """True when every wall is clamped."""
-        return all(word == "fixed" for word in self.walls)
-
     def build(self, mesh: Mesh) -> np.ndarray:
         """The outside weight w_out per face: on the boundary fixed 0, free
         inf and robin robin_delta / robin_mu, on interior faces 0."""
-        words = self.walls
+        words = [getattr(self, side) or self.default for side in _SIDE_NAMES]
         weights = {"fixed": 0.0, "free": math.inf}
         if "robin" in words:
             if not all(
@@ -220,7 +206,7 @@ class _Section(NamedTuple):
     keys: dict[str, _Key]
 
 
-# The case-file schema: checking, parsing and serializing all walk it.
+# The case-file schema: checking and parsing both walk it.
 _SECTIONS = {
     "case": _Section(
         None, None, {"name": _Key(str), "problem": _Key(("generic", "manufactured"))}
@@ -456,31 +442,3 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
             fields[attr] = _build(spec, values, section, lines)
     return CaseConfig(**fields, wells=sorted(wells, key=lambda w: w.name))
 
-
-def _format(value, kind) -> str:
-    if kind in _UNITS:
-        return repr(float(value))
-    if kind is bool:
-        return str(value).lower()
-    if isinstance(value, tuple):  # a structured well cell
-        return " ".join(map(str, value))
-    return str(value)
-
-
-def _write_section(out: StringIO, header: str, spec, keys: dict[str, _Key]) -> None:
-    out.write(f"[{header}]\n")
-    for key, entry in keys.items():
-        value = getattr(spec, entry.field or key)
-        if value is not None:  # None marks an optional key without a value
-            out.write(f"{key} = {_format(value, entry.kind)}\n")
-    out.write("\n")
-
-
-def serialize_config(config: CaseConfig) -> str:
-    """Canonical SI-unit INI text of every key; parse(serialize(c)) == c."""
-    out = StringIO()
-    for section, (attr, _, keys) in _SECTIONS.items():
-        _write_section(out, section, getattr(config, attr) if attr else config, keys)
-    for well in config.wells:
-        _write_section(out, f"well.{well.name}", well, _WELL)
-    return out.getvalue()

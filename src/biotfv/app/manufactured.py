@@ -66,9 +66,6 @@ class ManufacturedSolution:
             out[:, d] = s1[:, d] * s[:, a] * s[:, b]
         return out
 
-    def pressure(self, x: np.ndarray) -> np.ndarray:
-        return self.phi(x)
-
     def displacement(self, x: np.ndarray) -> np.ndarray:
         g = self.grad_phi(x)
         out = np.empty_like(g)
@@ -120,7 +117,7 @@ class ManufacturedSolution:
     def exact_state(self, mesh: Mesh, t: float = 0.0) -> BiotState:
         centers = mesh.cell_centers
         return BiotState(
-            dp=self.pressure(centers),
+            dp=self.phi(centers),
             u=self.displacement(centers),
             r=self.rotation(centers),
             p_hat=self.effective_pressure(centers),
@@ -137,12 +134,15 @@ class ManufacturedSolution:
         without wells.
         """
         centers = mesh.cell_centers
+        props = replace(
+            self.props, w_out=w_out,
+            f_u=self.body_force(centers), f_p=self.fluid_source(centers),
+        )
         return BiotCase(
             mesh=mesh,
-            props=replace(self.props, w_out=w_out, f_u=self.body_force(centers)),
+            props=props,
             time=time,
             wells=wells,
-            f_p=self.fluid_source(centers),
             initial=self.exact_state(mesh, t=time.t0),
             name=name,
         )

@@ -2,8 +2,11 @@
 
 Flow and mechanics share the cell centres, so both read one material
 record, `PoroelasticProperties` (`materials.py`), which `BiotCase` checks
-and broadcasts to per-cell arrays once; `CoupledSystem` hands that record
-to the flow and the elastic assembly as it is.  The coupling needs no
+and broadcasts to per-cell arrays once, the body force f_u and the fluid
+source density f_p included; `CoupledSystem` hands that record to the flow
+and the elastic assembly as it is.  A `BiotCase` is complete once built:
+it holds the validated record, the wells placed on its mesh and its
+initial state (rest at t0 unless given).  The coupling needs no
 interpolation, only one coefficient per cell, alpha/lam: the pressure
 deviation dp enters the mechanics as the effective-pressure row source
 -(alpha/lam) * dp, and the effective pressure p_hat = lam*div(u) -
@@ -41,7 +44,7 @@ from .linsolve.blocks import SparseBlockSystem
 from .linsolve.krylov import SolveReport
 from .linsolve.precond import SolverOptions, TpsaSolver
 from .materials import PoroelasticProperties
-from .mesh import Mesh, per_cell
+from .mesh import Mesh
 from .tpfa import FlowSystem
 from .tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
 
@@ -59,6 +62,8 @@ __all__ = [
     "simulate",
     "global_mass_check",
 ]
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,12 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigurationError("time step must be positive and finite")
+        # a subnormal step overflows the storage term accumulation / dt
+        if not (math.isfinite(self.dt) and self.dt >= _TINY):
+            raise ConfigurationError(
+                f"time step must be finite, positive and at least {_TINY:.4g} s "
+                "(not subnormal)"
+            )
         if self.n_steps < 1:
             raise ConfigurationError("need at least one time step")
         if not math.isfinite(self.t0):
@@ -105,10 +114,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """The N+1 time points including t0."""
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * self.n_steps
 
 
 SCHEME_KINDS = ("fixed_stress", "lagged")
@@ -149,31 +154,35 @@ class BiotState:
     p_hat: np.ndarray  # effective pressure lam*div(u) - alpha*dp (n,) [Pa]
     t: float = 0.0
 
-    @classmethod
-    def equilibrium(cls, n: int, t: float = 0.0) -> "BiotState":
-        return cls(
-            dp=np.zeros(n), u=np.zeros((n, 3)), r=np.zeros((n, 3)),
-            p_hat=np.zeros(n), t=t,
-        )
-
 
 @dataclass
 class BiotCase:
-    """A complete coupled problem: geometry, materials, sources, time grid."""
+    """A complete coupled problem: geometry, materials, sources, time grid.
+
+    Runs share the initial state and never write into its arrays.
+    """
 
     mesh: Mesh
     props: PoroelasticProperties
     time: TimeGrid
     wells: list[Well] = field(default_factory=list)
-    f_p: np.ndarray | None = None  # volumetric rate density [1/s]
     initial: BiotState | None = None
     name: str = ""
 
     def __post_init__(self):
         self.props = self.props.validate(self.mesh)
-        if self.f_p is not None:
-            self.f_p = per_cell(self.f_p, self.mesh.n_cells)
         self.wells = [self._placed(well) for well in self.wells]
+        if self.initial is None:
+            n = self.mesh.n_cells
+            self.initial = BiotState(
+                dp=np.zeros(n), u=np.zeros((n, 3)), r=np.zeros((n, 3)),
+                p_hat=np.zeros(n), t=self.time.t0,
+            )
+
+    @property
+    def clamped(self) -> bool:
+        """True when every wall is clamped (w_out = 0 on every boundary face)."""
+        return not np.any(self.props.w_out[self.mesh.boundary_faces] != 0.0)
 
     def _placed(self, well: Well) -> Well:
         """The well with its cell resolved to a flat id on this mesh."""
@@ -188,11 +197,6 @@ class BiotCase:
             raise ConfigurationError(f"well cell {cell} out of range 0..{n - 1}", key=key)
         return replace(well, cell=cell)
 
-    def initial_state(self) -> BiotState:
-        if self.initial is not None:
-            return self.initial
-        return BiotState.equilibrium(self.mesh.n_cells, t=self.time.t0)
-
     def source_rate(self, t: float, psi: np.ndarray | None = None) -> np.ndarray:
         """Flow source per cell at time t [m^3/s].
 
@@ -201,8 +205,7 @@ class BiotCase:
         """
         mesh = self.mesh
         rate = np.zeros(mesh.n_cells)
-        if self.f_p is not None:
-            rate += mesh.cell_volumes * self.f_p
+        rate += mesh.cell_volumes * self.props.f_p
         if psi is not None:
             rate += mesh.cell_volumes * psi
         for well in self.wells:
@@ -395,7 +398,7 @@ class CoupledSystem:
         case = self.case
         times = case.time.times
         n_steps = case.time.n_steps
-        states = [case.initial_state()]
+        states = [case.initial]
         if psi is None:
             psi = np.zeros((n_steps, self.n_cells))
             for i in range(1, n_steps + 1):
@@ -495,7 +498,7 @@ def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:
     scale the defect.  With injection only, gross and net volume agree.
     """
     mesh, time = case.mesh, case.time
-    if np.any(case.props.w_out[mesh.boundary_faces] != 0.0):
+    if not case.clamped:
         return math.nan
     stored = float(
         np.sum(case.props.c0 * mesh.cell_volumes * (states[-1].dp - states[0].dp))

@@ -127,8 +127,15 @@ class TpsaSolver:
         the previous column's solution (the first from zero), since the
         columns of a time march are consecutive steps.  The block is scaled
         in place, so it is overwritten; a SolverError on column j carries
-        ``column = j``.
+        ``column = j``, and a column with a non-finite entry fails before
+        anything is solved.
         """
+        finite = np.isfinite(rhs).all(axis=0)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise SolverError(
+                f"elastic right-hand side column {j} is not finite", column=j
+            )
         rhs *= self.scale[:, None]
         if self.direct:
             x = self._lu.solve(rhs)

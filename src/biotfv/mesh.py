@@ -31,18 +31,7 @@ __all__ = [
     "build_cartesian",
     "build_barrier_mesh",
     "face_normal_distances",
-    "per_cell",
 ]
-
-
-def per_cell(value, n: int) -> np.ndarray:
-    """Broadcast a scalar or an (n,) value to a float array of length n."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"expected scalar or ({n},) array, got shape {arr.shape}")
-    return arr
 
 
 @dataclass

@@ -13,17 +13,20 @@ exactly.  sequential_march is the fixed-stress time march with one
 mechanics solve per step, the reference for the package's block solve.
 monolithic_march solves flow and mechanics of each step as one system,
 the limit the splitting schemes converge to.  read_csv and
-load_source_history read back what the package's CSV writers wrote, and
+load_source_history read back what the package's CSV writers wrote,
 material builds the one validated material record every operator test
-assembles from.
+assembles from, and serialize_config writes a parsed case back as the
+canonical SI-unit text the round-trip tests parse again.
 """
 
 import csv
+from io import StringIO
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, hstack, vstack
 from scipy.sparse.linalg import splu
 
+from biotfv.app.config import _SECTIONS, _UNITS, _WELL
 from biotfv.errors import GeometryError, SolverError
 from biotfv.materials import PoroelasticProperties
 from biotfv.tpsa import assemble_rhs, stencil_arrays
@@ -381,7 +384,7 @@ def sequential_march(coupled, psi, warm):
     """
     case = coupled.case
     times = case.time.times
-    initial = case.initial_state()
+    initial = case.initial
     dp = initial.dp
     p_hats = [initial.p_hat]
     out = []
@@ -430,7 +433,7 @@ def monolithic_march(coupled):
     matrix = vstack([to_flow, hstack([to_mech, coupled.system.matrix])]).tocsc()
     lu = splu(matrix)
     body = assemble_rhs(case.mesh, case.props)
-    initial = case.initial_state()
+    initial = case.initial
     dp, p_hat = initial.dp, initial.p_hat
     out = []
     for t in case.time.times[1:]:
@@ -444,3 +447,36 @@ def monolithic_march(coupled):
         u, r, p_hat = coupled.system.split(solution[n:])
         out.append((dp, u, r, p_hat))
     return out
+
+
+def _format(value, kind):
+    if kind in _UNITS:
+        return repr(float(value))
+    if kind is bool:
+        return str(value).lower()
+    if isinstance(value, tuple):  # a structured well cell
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _write_section(out, header, spec, keys):
+    out.write(f"[{header}]\n")
+    for key, entry in keys.items():
+        value = getattr(spec, entry.field or key)
+        if value is not None:  # None marks an optional key without a value
+            out.write(f"{key} = {_format(value, entry.kind)}\n")
+    out.write("\n")
+
+
+def serialize_config(config):
+    """Canonical SI-unit INI text of every key that holds a value.
+
+    Walks the same key table the parser checks, so parse(serialize(c)) == c
+    for single-line text values.
+    """
+    out = StringIO()
+    for section, (attr, _, keys) in _SECTIONS.items():
+        _write_section(out, section, getattr(config, attr) if attr else config, keys)
+    for well in config.wells:
+        _write_section(out, f"well.{well.name}", well, _WELL)
+    return out.getvalue()

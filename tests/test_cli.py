@@ -237,12 +237,15 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
             "fluid viscosity must be positive and at",
         ),
         ([("lz = 20 m", "lz = 1e-310 m")], "domain lengths must be positive and at"),
+        # a subnormal step overflows the storage term accumulation / dt
+        ([("dt = 10 day", "dt = 1e-320 s")], "time step must be finite, positive and at"),
     ],
     ids=[
         "nan-rate", "nan-rate-lagged", "nan-start", "nan-stop", "zero-rtol",
         "zero-max-iter", "nan-robin-delta", "nan-tol", "nan-t0", "stop-before-start",
         "nan-length", "inf-length", "negative-anderson",
         "subnormal-mu", "subnormal-lambda", "subnormal-viscosity", "subnormal-lz",
+        "subnormal-dt",
     ],
 )
 def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
@@ -257,6 +260,31 @@ def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, kind, method",
+    [
+        ("run", "lagged", "auto"),
+        ("run", "lagged", "iterative"),
+        ("run", "fixed_stress", "auto"),
+        ("run", "fixed_stress", "iterative"),
+        ("barrier", "fixed_stress", "auto"),
+    ],
+)
+def test_overflowing_run_exits_3_naming_the_step(tmp_path, capsys, command, kind, method):
+    # a finite but huge rate overflows the first flow step to inf
+    text = BARRIER_SMALL.replace("rate = 5 m3/day", "rate = 1e308 m3/s").replace(
+        "tol = 1e-8", f"kind = {kind}\ntol = 1e-8"
+    )
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        text + f"\n[solver]\nmethod = {method}\n\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    assert main([command, str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: coupled step 1 failed" in err and "not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cell", ["99999", "-1"])

@@ -21,13 +21,14 @@ from biotfv.app.config import (
     parse_config,
     parse_config_text,
     parse_quantity,
-    serialize_config,
 )
 from biotfv.coupling import SchemeSpec, TimeGrid, Well
 from biotfv.errors import ConfigurationError
 from biotfv.linsolve.precond import SolverOptions
 from biotfv.materials import PoroelasticProperties
 from biotfv.mesh import build_cartesian
+
+from oracles import serialize_config
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 README = CASES.parent / "README.md"
@@ -220,6 +221,7 @@ def test_round_trip_minimal():
 words = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
 reals = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+normal = st.floats(min_value=np.finfo(float).tiny, allow_infinity=False)
 counts = st.integers(-5, 10**6)
 side = st.none() | st.sampled_from(["fixed", "free", "robin"])
 
@@ -267,7 +269,7 @@ def case_configs(draw):
             robin_mu=draw(reals),
         ),
         time=TimeGrid(
-            dt=draw(positive),
+            dt=draw(normal),  # a subnormal step is rejected
             n_steps=draw(st.integers(1, 10**6)),
             t0=draw(reals),
         ),
@@ -422,7 +424,8 @@ def test_build_case_generic_resolves_well():
     assert well.rate == pytest.approx(100.0 / 86400.0)
     assert well.t_end == pytest.approx(360 * 86400.0)
     assert np.array_equal(case.props.w_out, np.zeros(case.mesh.n_faces))  # clamped
-    assert case.f_p is None
+    assert np.array_equal(case.props.f_p, np.zeros(2700))
+    assert case.clamped
 
 
 def test_build_case_manufactured_attaches_sources():
@@ -430,8 +433,8 @@ def test_build_case_manufactured_attaches_sources():
     cfg.mesh.nx = cfg.mesh.ny = cfg.mesh.nz = 4
     case = cfg.build_case()
     assert case.props.f_u.shape == (64, 3)
-    assert case.f_p.shape == (64,)
-    assert case.initial is not None
+    assert case.props.f_p.shape == (64,)
+    assert case.initial.t == cfg.time.t0
     assert case.name == "manufactured"
 
 

@@ -129,9 +129,9 @@ def test_as_case_builds_consistent_sources():
     mesh = build_cartesian(4, 4, 4)
     case = sol.as_case(mesh, TimeGrid(dt=1e6, n_steps=2))
     assert case.props.f_u.shape == (64, 3)
-    assert case.f_p.shape == (64,)
+    assert case.props.f_p.shape == (64,)
     assert case.wells == []
-    assert np.allclose(case.initial_state().dp, sol.phi(mesh.cell_centers))
+    assert np.allclose(case.initial.dp, sol.phi(mesh.cell_centers))
 
 
 def test_discrete_steady_error_is_small_on_coarse_grid():

@@ -17,7 +17,6 @@ from biotfv.mesh import (
     build_barrier_mesh,
     build_cartesian,
     face_normal_distances,
-    per_cell,
 )
 
 
@@ -176,16 +175,6 @@ def test_validate_catches_nonpositive_normal_distance():
     mesh.cell_centers[0, 0] += 1.0
     with pytest.raises(GeometryError, match="normal distance"):
         mesh.validate()
-
-
-def test_per_cell_broadcast():
-    assert np.array_equal(per_cell(2, 3), [2.0, 2.0, 2.0])
-    values = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(per_cell(values, 3), values)
-    assert per_cell([1, 2, 3], 3).dtype == float
-    for bad in (np.ones(2), np.ones((3, 1)), np.ones(1)):
-        with pytest.raises(ValueError, match="expected scalar or"):
-            per_cell(bad, 3)
 
 
 def test_barrier_smallest_split():

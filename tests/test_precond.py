@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from biotfv.errors import ConfigurationError
+from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import precond
 from biotfv.linsolve.blocks import rescale
 from biotfv.linsolve.precond import (
@@ -175,6 +175,23 @@ def test_solver_warm_start_reuses_factorization():
     (first,) = solver.solve(system.rhs[:, None].copy())
     (again,) = solver.solve(system.rhs[:, None].copy(), x0=[first.x])
     assert again.iterations <= 1
+
+
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solver_names_the_first_nonfinite_column_before_solving(method, bad):
+    mesh, props, system = _system(3, 3, 3)
+    solver = TpsaSolver(
+        system, mean_shear_modulus(mesh, props), SolverOptions(method=method)
+    )
+    block = np.tile(system.rhs[:, None], (1, 3))
+    block[5, 1] = bad
+    block[0, 2] = np.nan
+    given = block.copy()
+    with pytest.raises(SolverError, match="column 1 is not finite") as failure:
+        solver.solve(block)
+    assert failure.value.column == 1
+    assert np.array_equal(block, given, equal_nan=True)  # not scaled
 
 
 def test_solver_threshold_switches_method(monkeypatch):

@@ -7,6 +7,8 @@ properties against closed-form expectations.  Face stencils are read from
 the per-face coefficient arrays the assembly itself uses.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from oracles import (
     material,
 )
 
+from biotfv.app.config import BoundarySpec, parse_config
+from biotfv.linsolve.blocks import rescale
 from biotfv.mesh import (
     build_barrier_mesh,
     build_cartesian,
@@ -301,6 +305,50 @@ def test_block_structure():
     assert np.allclose(rr, np.diag(np.diag(rr)))
     assert np.all(M[3 * n : 6 * n, 6 * n :] == 0.0)
     assert np.all(M[6 * n :, 3 * n : 6 * n] == 0.0)
+
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
+
+
+def _shipped(name, cells=None, boundaries=None):
+    """A shipped case, optionally on (nx, ny, nz) cells or other walls;
+    wells are dropped, since they leave the elastic matrix alone."""
+    cfg = parse_config(CASES / f"{name}.cfg")
+    if cells is not None:
+        cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.nz = cells
+        if cfg.mesh.barrier_index is not None:
+            cfg.mesh.barrier_index = cells[0] // 2
+    if boundaries is not None:
+        cfg.boundaries = boundaries
+    cfg.wells = []
+    return cfg.build_case()
+
+
+ROBIN_FREE_TOP = BoundarySpec("robin", z_max="free", robin_delta=10.0, robin_mu=1e9)
+
+
+@pytest.mark.parametrize(
+    "name, cells, boundaries",
+    [
+        ("barrier", None, None),
+        ("barrier", (6, 6, 2), None),
+        ("barrier", (6, 6, 2), ROBIN_FREE_TOP),
+        ("manufactured", (8, 8, 8), None),
+    ],
+    ids=["barrier", "barrier-6x6x2-clamped", "barrier-6x6x2-robin-free", "manufactured-8"],
+)
+def test_rescaled_displacement_blocks_are_identical(name, cells, boundaries):
+    # each displacement component sees the same scalar stencil, so one
+    # multigrid hierarchy could serve all three blocks
+    case = _shipped(name, cells, boundaries)
+    system = assemble_tpsa(case.mesh, case.props)
+    matrix, _ = rescale(system, mean_shear_modulus(case.mesh, case.props))
+    n = case.mesh.n_cells
+    blocks = [matrix[c * n : (c + 1) * n, c * n : (c + 1) * n].tocsr() for c in range(3)]
+    for block in blocks[1:]:
+        assert np.array_equal(block.indptr, blocks[0].indptr)
+        assert np.array_equal(block.indices, blocks[0].indices)
+        assert np.array_equal(block.data, blocks[0].data)
 
 
 def test_scaling_covariance():
