@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cell_faces, normal_distance, orientation
 
-from biotfv.errors import GeometryError
+from biotfv.errors import ConfigurationError, GeometryError
+from biotfv.materials import PoroelasticProperties
 from biotfv.mesh import (
     Mesh,
     build_barrier_mesh,
@@ -175,6 +176,23 @@ def test_validate_catches_nonpositive_normal_distance():
     mesh.cell_centers[0, 0] += 1.0
     with pytest.raises(GeometryError, match="normal distance"):
         mesh.validate()
+
+
+def test_per_cell_broadcast():
+    # per-cell material values are broadcast over the mesh's cells
+    mesh = build_cartesian(3, 1, 1)
+
+    def perm(value):
+        props = PoroelasticProperties(mu=1.0, lam=1.0, alpha=1.0, c0=0.0, perm=value)
+        return props.validate(mesh).perm
+
+    assert np.array_equal(perm(2), [2.0, 2.0, 2.0])
+    values = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(perm(values), values)
+    assert perm([1, 2, 3]).dtype == float
+    for bad in (np.ones(2), np.ones((3, 1)), np.ones(1)):
+        with pytest.raises(ConfigurationError, match="expected scalar or"):
+            perm(bad)
 
 
 def test_barrier_smallest_split():
