@@ -367,12 +367,10 @@ def _read_section(parser, lines, section: str, keys: dict[str, _Key]) -> dict:
     items = parser[section] if parser.has_section(section) else {}
     for key in items:
         if key not in keys:
-            line = lines.get((section, key))
             raise ConfigurationError(
-                f"unknown key '{key}' in section [{section}]"
-                + (f" (line {line})" if line else ""),
+                f"unknown key '{key}' in section [{section}]",
                 key=f"{section}.{key}",
-                line=line,
+                line=lines.get((section, key)),
             )
     values = {}
     for key, spec in keys.items():
@@ -417,7 +415,10 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
     try:
         parser.read_string(text)
     except configparser.Error as err:
-        raise ConfigurationError(f"malformed config: {err}") from None
+        # duplicates and a missing header carry lineno, ParsingError its errors
+        errors = getattr(err, "errors", None)
+        line = getattr(err, "lineno", None) or (errors[0][0] if errors else None)
+        raise ConfigurationError(f"malformed config: {err}", line=line) from None
     lines = _key_lines(text)
 
     wells = []
@@ -427,11 +428,10 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
             name = section[len("well.") :]
             wells.append(_build(Well, values, section, lines, name=name))
         elif section not in _SECTIONS:
-            line = lines.get((section, None))
             raise ConfigurationError(
-                f"unknown section '[{section}]'" + (f" (line {line})" if line else ""),
+                f"unknown section '[{section}]'",
                 key=section,
-                line=line,
+                line=lines.get((section, None)),
             )
     fields = {"name": default_name}
     for section, (attr, spec, keys) in _SECTIONS.items():

@@ -86,7 +86,8 @@ def run_case(
         case.time.n_steps,
         config.scheme.kind,
     )
-    result = simulate(case, config.scheme, config.solver)
+    engine = CoupledSystem(case, config.solver)
+    result = simulate(engine, config.scheme)
     mass = global_mass_check(case, result.states)
     log.info(
         "finished: %d coupling iterations, mass defect %.3e",
@@ -121,7 +122,7 @@ def run_case(
         write_vtk(vtk_path, case.mesh, result.final, title=name)
         paths.append(vtk_path)
     if dump_system:
-        paths += dump_matrix(out / f"{name}_mech", result.system.matrix)
+        paths += dump_matrix(out / f"{name}_mech", engine.system.matrix)
     return RunArtifacts(case=case, result=result, mass_defect=mass, paths=paths)
 
 
@@ -188,7 +189,8 @@ def run_convergence_study(
             raise ConfigurationError(
                 "convergence study needs fixed mechanics on every wall"
             )
-        result = simulate(case, replace(config.scheme, kind="lagged"), config.solver)
+        lagged = replace(config.scheme, kind="lagged")
+        result = simulate(CoupledSystem(case, config.solver), lagged)
         exact = case.initial  # steady solution, exact at t0
         final = result.final
         errors = {
@@ -198,7 +200,8 @@ def run_convergence_study(
             "p_hat": relative_l2(mesh, final.p_hat, exact.p_hat),
         }
         probe = CoupledSystem(case, replace(config.solver, method="iterative"))
-        _, (probe_report,) = probe.mech_solve(final.dp[None, :], case.time.n_steps)
+        warm = [None] * (case.time.n_steps + 1)  # fresh: the probe starts at 0
+        _, (probe_report,) = probe.mech_solve(final.dp[None, :], len(warm) - 1, warm)
         reports.append(
             ErrorReport(
                 n=n,
@@ -305,9 +308,7 @@ def run_barrier_case(
     runs = []
     for name, scheme in specs:
         log.info("barrier case, scheme %s", name)
-        # the runs are kept until the study ends; without the operator each
-        # scheme's copy of the same matrix would stay alive with them
-        result = replace(simulate(case, scheme, config.solver), system=None)
+        result = simulate(CoupledSystem(case, config.solver), scheme)
         averages = []
         for mask in masks:
             w = vol[mask]

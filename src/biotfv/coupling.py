@@ -27,9 +27,9 @@ the flow source psi of a step comes from:
   the mechanics of all steps as one block.
 
 Both reuse a single flow factorization and a single mechanics
-factorization/preconditioner, since the operators are constant in time.
-`simulate(case, scheme, solver)` runs either scheme; each of its three
-input records checks itself when it is built.
+factorization/preconditioner, since the operators are constant in time;
+`CoupledSystem` holds them, and `simulate(engine, scheme)` runs either
+scheme on it, each run with its own warm starts for the elastic solves.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, SolverError
-from .linsolve.blocks import SparseBlockSystem
 from .linsolve.krylov import SolveReport
 from .linsolve.precond import SolverOptions, TpsaSolver
 from .materials import PoroelasticProperties
@@ -85,10 +84,11 @@ class Well:
         if not self.t_end > self.t_start:  # also catches a NaN stop
             raise ConfigurationError("well stop time must be after its start time")
 
-    def active_at(self, t: float) -> bool:
-        # backward Euler evaluates sources at the end of the step; a small
-        # relative slack absorbs float accumulation of the grid times
-        slack = 1e-9 * max(abs(t), 1.0)
+    def active_at(self, t: float, dt: float) -> bool:
+        # backward Euler evaluates sources at the end of the step; a slack of
+        # a millionth of a step absorbs the rounding of the grid times
+        # t0 + i * dt (a few ulps of t) and never swallows a step
+        slack = 1e-6 * dt
         return self.t_start + slack < t <= self.t_end + slack
 
 
@@ -209,7 +209,7 @@ class BiotCase:
         if psi is not None:
             rate += mesh.cell_volumes * psi
         for well in self.wells:
-            if well.active_at(t):
+            if well.active_at(t, self.time.dt):
                 rate[well.cell] += well.rate
         return rate
 
@@ -237,7 +237,6 @@ class SimulationResult:
     states: list[BiotState]
     psi: np.ndarray  # flow source per step (N, n); F(psi) for fixed stress
     report: CouplingReport
-    system: SparseBlockSystem | None  # unscaled elastic operator of the run
 
     @property
     def final(self) -> BiotState:
@@ -339,21 +338,21 @@ class CoupledSystem:
         self.n_cells = mesh.n_cells
         # the one per-cell coupling coefficient, in both directions
         self.alpha_over_lam = props.alpha / props.lam
-        self._mech_warm: list[np.ndarray | None] = [None] * (case.time.n_steps + 1)
 
     def flow_source(self, p_hat_prev: np.ndarray, p_hat_now: np.ndarray) -> np.ndarray:
         """Coupling source psi = -(alpha/lam) * (p_hat_now - p_hat_prev)/dt."""
         return -self.alpha_over_lam * (p_hat_now - p_hat_prev) / self.case.time.dt
 
     def mech_solve(
-        self, dps: np.ndarray, step: int
+        self, dps: np.ndarray, step: int, warm: list[np.ndarray | None]
     ) -> tuple[list[BiotState], list[SolveReport]]:
         """Mechanics of steps step, ..., step + k - 1, loaded by -(alpha/lam) * dp.
 
         dps is a (k, n) block, one row per step, solved as one block; gives
         the k states and reports as two lists.  The iterative path starts
-        each step from the previous pass's solution at that step, else from
-        the previous step's.  A failed solve is raised again naming its step.
+        each step from warm[s] (the caller's previous pass), else from the
+        previous step's, and stores its solutions in warm.  A failed solve
+        is raised again naming its step.
         """
         case = self.case
         steps = range(step, step + len(dps))
@@ -365,9 +364,9 @@ class CoupledSystem:
         x0 = None
         if not self.mech.direct:
             # a None entry starts from the column before it
-            x0 = [self._mech_warm[s] for s in steps]
+            x0 = [warm[s] for s in steps]
             if x0[0] is None and step > 0:
-                x0[0] = self._mech_warm[step - 1]
+                x0[0] = warm[step - 1]
         try:
             reports = self.mech.solve(rhs, x0=x0)
         except SolverError as err:
@@ -378,13 +377,13 @@ class CoupledSystem:
         states = []
         for s, d, report in zip(steps, dps, reports):
             if not self.mech.direct:
-                self._mech_warm[s] = report.x
+                warm[s] = report.x
             u, r, p_hat = self.system.split(report.x)
             states.append(BiotState(dp=d, u=u, r=r, p_hat=p_hat, t=case.time.times[s]))
         return states, reports
 
     def evaluate(
-        self, psi: np.ndarray | None = None
+        self, psi: np.ndarray | None, warm: list[np.ndarray | None]
     ) -> tuple[list[BiotState], np.ndarray]:
         """March all N steps; return the N+1 states and the (N, n) source the flow saw.
 
@@ -407,14 +406,14 @@ class CoupledSystem:
                 )
                 rate = case.source_rate(times[i], psi[i - 1])
                 dp = self.flow.step(states[i - 1].dp, rate)
-                states += self.mech_solve(dp[None, :], i)[0]
+                states += self.mech_solve(dp[None, :], i, warm)[0]
             return states, psi
         dps = np.empty((n_steps, self.n_cells))
         dp = states[0].dp
         for i in range(1, n_steps + 1):
             rate = case.source_rate(times[i], psi[i - 1])
             dp = dps[i - 1] = self.flow.step(dp, rate)
-        states += self.mech_solve(dps, 1)[0]
+        states += self.mech_solve(dps, 1, warm)[0]
         return states, psi
 
     def weighted_norm(self, psi: np.ndarray) -> float:
@@ -429,11 +428,9 @@ class CoupledSystem:
 
 
 def simulate(
-    case: BiotCase,
-    scheme: SchemeSpec | None = None,
-    solver: SolverOptions | None = None,
+    engine: CoupledSystem, scheme: SchemeSpec | None = None
 ) -> SimulationResult:
-    """Run a case under one coupling scheme (default: plain fixed stress).
+    """Run the engine's case under one coupling scheme (default: plain fixed stress).
 
     Lagged: one march, each flow step seeing the previous mechanics state.
     Fixed stress: whole-simulation fixed-point iteration on the coupling
@@ -443,23 +440,22 @@ def simulate(
     volume/dt weighted space-time L2 norm relative to F(psi), drops below
     scheme.tol; the residual is measured before any mixing, so the
     converged result is the evaluation at an (almost) fixed psi.  The
-    result holds the last image F(psi).
+    result holds the last image F(psi).  The run keeps its own warm starts.
     """
     scheme = scheme or SchemeSpec()
-    engine = CoupledSystem(case, solver)
+    n_steps = engine.case.time.n_steps
+    warm: list[np.ndarray | None] = [None] * (n_steps + 1)
     if scheme.kind == "lagged":
-        states, psi = engine.evaluate()
-        return SimulationResult(
-            states, psi, CouplingReport(scheme="lagged"), engine.system
-        )
-    psi = np.zeros((case.time.n_steps, engine.n_cells))
+        states, psi = engine.evaluate(None, warm)
+        return SimulationResult(states, psi, CouplingReport(scheme="lagged"))
+    psi = np.zeros((n_steps, engine.n_cells))
     m0 = scheme.anderson_m0
     anderson = AndersonState(m0=m0) if m0 >= 1 else None
     residuals: list[float] = []
     converged = False
     for _ in range(scheme.max_iter):
         states = None  # free the last pass's states before the next one's solve
-        states, _ = engine.evaluate(psi)
+        states, _ = engine.evaluate(psi, warm)
         image = np.stack(
             [engine.flow_source(a.p_hat, b.p_hat) for a, b in zip(states, states[1:])]
         )
@@ -482,7 +478,7 @@ def simulate(
             psi = image
     name = "fixed_stress" if anderson is None else f"anderson[{m0}]"
     report = CouplingReport(scheme=name, residuals=residuals, converged=converged)
-    return SimulationResult(states, image, report, engine.system)
+    return SimulationResult(states, image, report)
 
 
 def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:

@@ -195,7 +195,8 @@ def test_criterion_7_krylov_iteration_counts_stay_bounded(study, barrier_runs):
     coupled = CoupledSystem(case, options)
     assert coupled.system.n_dof == 18_900
     dp = barrier_runs["fixed"].result.final.dp
-    _, (report,) = coupled.mech_solve(dp[None, :], case.time.n_steps)
+    n_steps = case.time.n_steps
+    _, (report,) = coupled.mech_solve(dp[None, :], n_steps, [None] * (n_steps + 1))
     probes = {r.n: r.probe_iterations for r in study.reports}
     ok = report.iterations <= 40 and probes[16] <= 2 * probes[8]
     _criterion(

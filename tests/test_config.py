@@ -166,7 +166,7 @@ def test_unknown_key_names_key_and_line():
         with pytest.raises(ConfigurationError) as excinfo:
             parse_config_text(text)
         assert key in str(excinfo.value)
-        assert str(line) in str(excinfo.value)
+        assert str(excinfo.value).count(f"line {line}") == 1
         assert excinfo.value.line == line
 
 
@@ -179,7 +179,7 @@ def test_unknown_section_rejected():
         with pytest.raises(ConfigurationError, match="unknown section") as excinfo:
             parse_config_text(text)
         assert excinfo.value.line == line
-        assert f"line {line}" in str(excinfo.value)
+        assert str(excinfo.value).count(f"line {line}") == 1
 
 
 def test_unknown_well_key_rejected():
@@ -454,6 +454,24 @@ def test_well_requires_rate():
 def test_malformed_ini_reported():
     with pytest.raises(ConfigurationError, match="malformed config"):
         parse_config_text("properties]\nmu 1\n[")
+
+
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        (MINIMAL + "\n[time]\nn_steps = 4\n", "[time]"),
+        (MINIMAL.replace("nx = 2\n", "nx = 2\nnx = 3\n"), "nx = 3"),
+        (MINIMAL.replace("nx = 2\n", "nx 2\n"), "nx 2"),
+        ("nz = 9\n" + MINIMAL, "nz = 9"),
+    ],
+    ids=["repeated-section", "repeated-key", "no-delimiter", "key-before-header"],
+)
+def test_malformed_case_file_reports_its_line(text, entry):
+    # the offending line is the last one reading `entry`
+    line = [i for i, raw in enumerate(text.splitlines(), 1) if raw == entry][-1]
+    with pytest.raises(ConfigurationError, match="malformed config") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.line == line
 
 
 def test_missing_file_reported(tmp_path):

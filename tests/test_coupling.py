@@ -59,7 +59,7 @@ def _mech_row_source(monkeypatch, case, dp):
         return assemble(*args, pressure_coupling=pressure_coupling, **kwargs)
 
     monkeypatch.setattr(coupling, "assemble_rhs", spy)
-    CoupledSystem(case).mech_solve(dp[None, :], 1)
+    CoupledSystem(case).mech_solve(dp[None, :], 1, [None] * (case.time.n_steps + 1))
     assert len(seen) == 1
     return seen[0]
 
@@ -197,10 +197,28 @@ def test_time_grid_validation():
 
 def test_well_schedule_half_open():
     well = Well(cell=0, rate=1.0, t_start=10.0, t_end=20.0)
-    assert not well.active_at(10.0)
-    assert well.active_at(15.0)
-    assert well.active_at(20.0)
-    assert not well.active_at(25.0)
+    assert not well.active_at(10.0, 5.0)
+    assert well.active_at(15.0, 5.0)
+    assert well.active_at(20.0, 5.0)
+    assert not well.active_at(25.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "t0, dt", [(0.0, 1.0), (0.0, 1e-9), (0.0, 1e-12), (0.0, 1e-300), (1e6, 0.1)]
+)
+def test_well_switches_on_at_every_step_size(t0, dt):
+    # one well from t0 feeds every step, one on (t0 + dt, t0 + 2 dt] step 2 only
+    wells = [
+        Well(cell=0, rate=2.0, t_start=t0),
+        Well(cell=1, rate=1.0, t_start=t0 + dt, t_end=t0 + 2 * dt),
+    ]
+    props = PoroelasticProperties(
+        mu=1.0, lam=1.0, alpha=0.0, c0=1.0, perm=1.0, fluid_viscosity=1.0
+    )
+    case = BiotCase(build_cartesian(2, 1, 1), props, TimeGrid(dt, 3, t0), wells)
+    rates = [case.source_rate(t).tolist() for t in case.time.times[1:]]
+    assert rates == [[2.0, 0.0], [2.0, 1.0], [2.0, 0.0]]
+    assert case.injected_volume() == pytest.approx(7.0 * dt, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -314,15 +332,15 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
     evaluate = CoupledSystem.evaluate
     calls = []
 
-    def nan_evaluate(self, psi=None):
+    def nan_evaluate(self, psi, warm):
         calls.append(psi)
-        states, psi = evaluate(self, psi)
+        states, psi = evaluate(self, psi, warm)
         states[-1].p_hat[:] = np.nan
         return states, psi
 
     monkeypatch.setattr(CoupledSystem, "evaluate", nan_evaluate)
     with pytest.raises(SolverError, match="not finite") as excinfo:
-        simulate(case, SchemeSpec(max_iter=25))
+        simulate(CoupledSystem(case), SchemeSpec(max_iter=25))
     assert len(calls) == 1
     assert len(excinfo.value.trace) == 1
     assert not np.isfinite(excinfo.value.trace[0])
@@ -341,12 +359,13 @@ def _block_case():
 def _two_passes(case, options):
     """States of two fixed-stress passes of evaluate, and the two sources."""
     coupled = CoupledSystem(case, options)
+    warm = [None] * (case.time.n_steps + 1)
     psi0 = np.zeros((case.time.n_steps, coupled.n_cells))
-    first, _ = coupled.evaluate(psi0)
+    first, _ = coupled.evaluate(psi0, warm)
     psi1 = np.stack(
         [coupled.flow_source(a.p_hat, b.p_hat) for a, b in zip(first, first[1:])]
     )
-    second, _ = coupled.evaluate(psi1)
+    second, _ = coupled.evaluate(psi1, warm)
     return [first, second], [psi0, psi1]
 
 
@@ -379,11 +398,28 @@ def test_block_solve_iterative_path_is_bit_identical_to_per_step_solves():
                 assert np.array_equal(got, want)
 
 
+def test_runs_on_one_engine_match_runs_on_fresh_engines():
+    # each run keeps its own warm starts, so on the iterative path neither
+    # the order of the schemes nor the runs before one change its result
+    case = _block_case()
+    iterative = SolverOptions(method="iterative", rtol=1e-8)
+    schemes = [LAGGED, SchemeSpec(tol=1e-8), SchemeSpec(tol=1e-8, anderson_m0=3)]
+    shared = CoupledSystem(case, iterative)
+    for scheme in schemes:
+        got = simulate(shared, scheme)
+        want = simulate(CoupledSystem(case, iterative), scheme)
+        assert got.report == want.report
+        assert np.array_equal(got.psi, want.psi)
+        for a, b in zip(got.states, want.states, strict=True):
+            for name in ("dp", "u", "r", "p_hat"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_lagged_iterative_run_warm_starts_each_step_from_the_last():
     # one pass, so every step starts from the step before it
     case = _block_case()
     iterative = SolverOptions(method="iterative", rtol=1e-8)
-    result = simulate(case, LAGGED, iterative)
+    result = simulate(CoupledSystem(case, iterative), LAGGED)
     warm = [None] * (case.time.n_steps + 1)
     expected = sequential_march(CoupledSystem(case, iterative), None, warm)
     for state, fields in zip(result.states[1:], expected):
@@ -403,11 +439,12 @@ def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, anderson_m0):
 
     monkeypatch.setattr(TpsaSolver, "solve", spy)
     direct = SolverOptions(method="direct")
-    result = simulate(case, SchemeSpec(tol=1e-10, anderson_m0=anderson_m0), direct)
+    scheme = SchemeSpec(tol=1e-10, anderson_m0=anderson_m0)
+    result = simulate(CoupledSystem(case, direct), scheme)
     assert result.report.converged and result.report.iterations >= 3
     assert columns == [case.time.n_steps] * result.report.iterations
     columns.clear()
-    simulate(case, LAGGED, direct)
+    simulate(CoupledSystem(case, direct), LAGGED)
     assert columns == [1] * case.time.n_steps
 
 
@@ -426,7 +463,7 @@ def test_failed_block_column_names_its_step(monkeypatch, scheme):
     iterative = SolverOptions(method="iterative")
     message = "coupled step 3 failed: no convergence"
     with pytest.raises(SolverError, match=message) as err:
-        simulate(_block_case(), scheme, iterative)
+        simulate(CoupledSystem(_block_case(), iterative), scheme)
     assert err.value.trace == [1.0, 0.5]
 
 
@@ -447,11 +484,11 @@ def test_fixed_stress_converges_to_the_monolithic_solution():
     for tol in (1e-6, 1e-8, 1e-10):
         for anderson_m0 in (0, 5):
             scheme = SchemeSpec(tol=tol, max_iter=50, anderson_m0=anderson_m0)
-            result = simulate(case, scheme, direct)
+            result = simulate(CoupledSystem(case, direct), scheme)
             assert result.report.converged
             assert _distance(result.states, reference) <= 10 * tol, (tol, anderson_m0)
     # the lagged scheme is a different time discretization: the oracle sees it
-    lagged = simulate(case, LAGGED, direct)
+    lagged = simulate(CoupledSystem(case, direct), LAGGED)
     assert _distance(lagged.states, reference, fields=[0]) > 1e-2
 
 
@@ -460,7 +497,7 @@ def test_fixed_stress_converges_to_the_monolithic_solution():
 
 def test_uncoupled_fixed_stress_converges_immediately():
     case = _case(alpha=0.0, wells=[Well(cell=0, rate=0.5)])
-    result = simulate(case)
+    result = simulate(CoupledSystem(case))
     assert result.report.converged
     assert result.report.iterations == 1
     assert result.report.residuals == [0.0]
@@ -469,7 +506,8 @@ def test_uncoupled_fixed_stress_converges_immediately():
 
 def test_equilibrium_stays_at_rest_for_every_scheme():
     case = _case()
-    for result in (simulate(case, LAGGED), simulate(case)):
+    engine = CoupledSystem(case)
+    for result in (simulate(engine, LAGGED), simulate(engine)):
         for state in result.states:
             assert np.all(state.dp == 0.0)
             assert np.all(state.u == 0.0)
@@ -479,7 +517,7 @@ def test_equilibrium_stays_at_rest_for_every_scheme():
 
 def test_lagged_uncoupled_matches_flow_only():
     case = _case(alpha=0.0, n_steps=5, wells=[Well(cell=0, rate=0.3)])
-    result = simulate(case, LAGGED)
+    result = simulate(CoupledSystem(case), LAGGED)
     # alpha = 0: no Biot storage
     flow = FlowSystem(case.mesh, case.props, case.time.dt)
     dp = np.zeros(case.mesh.n_cells)
@@ -493,14 +531,14 @@ def test_lagged_uncoupled_matches_flow_only():
 
 def test_first_lagged_step_has_zero_coupling_source():
     case = _case(n_steps=3, wells=[Well(cell=0, rate=0.2)])
-    result = simulate(case, LAGGED)
+    result = simulate(CoupledSystem(case), LAGGED)
     assert np.all(result.psi[0] == 0.0)
     assert np.any(result.psi[1] != 0.0)
 
 
 def test_fixed_stress_residuals_decrease():
     case = _case(alpha=0.8, c0=0.5, n_steps=4, wells=[Well(cell=0, rate=0.5)])
-    result = simulate(case, SchemeSpec(tol=1e-8, max_iter=60))
+    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-8, max_iter=60))
     assert result.report.converged
     res = result.report.residuals
     assert len(res) >= 3
@@ -509,7 +547,7 @@ def test_fixed_stress_residuals_decrease():
 
 def test_fixed_stress_history_consistent_with_states():
     case = _case(alpha=0.7, n_steps=4, wells=[Well(cell=0, rate=0.4)])
-    result = simulate(case, SchemeSpec(tol=1e-10))
+    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-10))
     alpha_over_lam = 0.7 / 1.0
     assert result.psi.shape == (case.time.n_steps, case.mesh.n_cells)
     assert np.all(result.states[0].p_hat == 0.0)
@@ -521,23 +559,27 @@ def test_fixed_stress_history_consistent_with_states():
 
 def test_fixed_stress_hits_iteration_cap():
     case = _case(alpha=0.9, c0=0.1, n_steps=4, wells=[Well(cell=0, rate=0.5)])
-    result = simulate(case, SchemeSpec(tol=1e-30, max_iter=2))
+    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-30, max_iter=2))
     assert not result.report.converged
     assert result.report.iterations == 2
 
 
 def test_anderson_matches_plain_for_two_iterations():
     case = _case(alpha=0.8, c0=0.5, n_steps=4, wells=[Well(cell=0, rate=0.5)])
-    plain = simulate(case, SchemeSpec(tol=1e-10, max_iter=8))
-    accel = simulate(case, SchemeSpec(tol=1e-10, max_iter=8, anderson_m0=5))
+    plain = simulate(CoupledSystem(case), SchemeSpec(tol=1e-10, max_iter=8))
+    accel = simulate(
+        CoupledSystem(case), SchemeSpec(tol=1e-10, max_iter=8, anderson_m0=5)
+    )
     assert plain.report.residuals[0] == accel.report.residuals[0]
     assert plain.report.residuals[1] == accel.report.residuals[1]
 
 
 def test_anderson_converges_at_least_as_fast():
     case = _case(alpha=0.9, c0=0.2, n_steps=4, wells=[Well(cell=0, rate=0.5)])
-    plain = simulate(case, SchemeSpec(tol=1e-9, max_iter=25))
-    accel = simulate(case, SchemeSpec(tol=1e-9, max_iter=25, anderson_m0=5))
+    plain = simulate(CoupledSystem(case), SchemeSpec(tol=1e-9, max_iter=25))
+    accel = simulate(
+        CoupledSystem(case), SchemeSpec(tol=1e-9, max_iter=25, anderson_m0=5)
+    )
     assert accel.report.converged
     assert accel.report.iterations <= plain.report.iterations
 
@@ -547,15 +589,15 @@ def test_lagged_and_fixed_stress_agree_at_stationary_end():
         alpha=0.5, c0=1.0, n_steps=20,
         wells=[Well(cell=0, rate=0.1, t_end=3.0)],
     )
-    lagged = simulate(case, LAGGED)
-    fs = simulate(case, SchemeSpec(tol=1e-10))
+    lagged = simulate(CoupledSystem(case), LAGGED)
+    fs = simulate(CoupledSystem(case), SchemeSpec(tol=1e-10))
     ref = np.linalg.norm(fs.final.dp)
     assert np.linalg.norm(lagged.final.dp - fs.final.dp) <= 1e-6 * ref
 
 
 def test_trajectory_timestamps():
     case = _case(dt=2.5, n_steps=3)
-    result = simulate(case, LAGGED)
+    result = simulate(CoupledSystem(case), LAGGED)
     assert [s.t for s in result.states] == [0.0, 2.5, 5.0, 7.5]
 
 
@@ -564,7 +606,7 @@ def test_trajectory_timestamps():
 
 def test_mass_check_no_injection_is_zero():
     case = _case()
-    result = simulate(case)
+    result = simulate(CoupledSystem(case))
     assert global_mass_check(case, result.states) == 0.0
 
 
@@ -573,7 +615,7 @@ def test_mass_check_single_sealed_cell():
         nx=1, ny=1, nz=1, alpha=0.6, c0=2.0, n_steps=5,
         wells=[Well(cell=0, rate=0.25)],
     )
-    result = simulate(case, SchemeSpec(tol=1e-12, max_iter=60))
+    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-12, max_iter=60))
     assert result.report.converged
     assert global_mass_check(case, result.states) <= 1e-10
 
@@ -583,7 +625,7 @@ def test_mass_check_coupled_multicell():
         nx=3, ny=2, nz=1, alpha=0.8, c0=0.5, n_steps=6,
         wells=[Well(cell=2, rate=0.4, t_end=3.0)],
     )
-    result = simulate(case, SchemeSpec(tol=1e-12, max_iter=80))
+    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-12, max_iter=80))
     assert result.report.converged
     assert global_mass_check(case, result.states) <= 1e-9
 
@@ -591,7 +633,7 @@ def test_mass_check_coupled_multicell():
 @pytest.mark.parametrize("w_out", [np.inf, 0.5])
 def test_mass_check_is_nan_unless_every_wall_is_clamped(w_out):
     case = _case(wells=[Well(cell=0, rate=0.5)])
-    result = simulate(case, SchemeSpec(tol=1e-12, max_iter=80))
+    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-12, max_iter=80))
     assert global_mass_check(case, result.states) <= 1e-9
     # one free or Robin face lets volume cross the walls
     case.props.w_out[case.mesh.boundary_faces[3]] = w_out
@@ -605,6 +647,6 @@ def test_mass_check_lagged_has_visible_defect():
         nx=3, ny=2, nz=1, alpha=0.9, c0=0.1, n_steps=4,
         wells=[Well(cell=0, rate=0.5)],
     )
-    lagged = simulate(case, LAGGED)
-    fs = simulate(case, SchemeSpec(tol=1e-12, max_iter=80))
+    lagged = simulate(CoupledSystem(case), LAGGED)
+    fs = simulate(CoupledSystem(case), SchemeSpec(tol=1e-12, max_iter=80))
     assert global_mass_check(case, fs.states) < global_mass_check(case, lagged.states)

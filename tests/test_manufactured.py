@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from biotfv.app.manufactured import ManufacturedSolution
-from biotfv.coupling import SchemeSpec, TimeGrid, global_mass_check, simulate
+from biotfv.coupling import (
+    CoupledSystem, SchemeSpec, TimeGrid, global_mass_check, simulate,
+)
 from biotfv.mesh import build_cartesian
 
 from oracles import (
@@ -140,7 +142,7 @@ def test_discrete_steady_error_is_small_on_coarse_grid():
     sol = _sol()
     mesh = build_cartesian(8, 8, 8)
     case = sol.as_case(mesh, TimeGrid(dt=4.32e6, n_steps=3))
-    result = simulate(case, SchemeSpec(kind="lagged"))
+    result = simulate(CoupledSystem(case), SchemeSpec(kind="lagged"))
     err = np.linalg.norm(result.final.dp - case.initial.dp) / np.linalg.norm(
         case.initial.dp
     )
@@ -153,6 +155,6 @@ def test_mass_defect_of_the_steady_source_is_at_roundoff():
     sol = _sol()
     mesh = build_cartesian(4, 4, 4)
     case = sol.as_case(mesh, TimeGrid(dt=4.32e6, n_steps=3))
-    result = simulate(case, SchemeSpec(kind="lagged"))
+    result = simulate(CoupledSystem(case), SchemeSpec(kind="lagged"))
     assert abs(case.injected_volume()) < 1e-12
     assert global_mass_check(case, result.states) < 1e-8
