@@ -399,6 +399,24 @@ def _build(spec: type, values: dict, section: str, lines, **extra):
         ) from None
 
 
+def _malformed(err: configparser.Error) -> ConfigurationError:
+    """What configparser rejected, without its own source and line text:
+    the error names the line once, as its ``line``."""
+    line = getattr(err, "lineno", None)
+    if isinstance(err, configparser.DuplicateOptionError):
+        what = f"option '{err.option}' in section '{err.section}' already exists"
+    elif isinstance(err, configparser.DuplicateSectionError):
+        what = f"section '{err.section}' already exists"
+    elif isinstance(err, configparser.MissingSectionHeaderError):
+        what = "key before the first section header"
+    elif isinstance(err, configparser.ParsingError):
+        line = err.errors[0][0]
+        what = "neither a section header nor a key = value pair"
+    else:
+        what = str(err)
+    return ConfigurationError(f"malformed config: {what}", line=line)
+
+
 def parse_config(path) -> CaseConfig:
     path = Path(path)
     try:
@@ -415,10 +433,7 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
     try:
         parser.read_string(text)
     except configparser.Error as err:
-        # duplicates and a missing header carry lineno, ParsingError its errors
-        errors = getattr(err, "errors", None)
-        line = getattr(err, "lineno", None) or (errors[0][0] if errors else None)
-        raise ConfigurationError(f"malformed config: {err}", line=line) from None
+        raise _malformed(err) from None
     lines = _key_lines(text)
 
     wells = []

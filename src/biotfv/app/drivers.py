@@ -169,6 +169,12 @@ def run_convergence_study(
         raise ConfigurationError(
             "convergence study needs at least 3 grids of distinct sizes"
         )
+    # a repeated size would be solved, written and weighted in the fit twice
+    repeated = sorted({n for n in grids if grids.count(n) > 1})
+    if repeated:
+        raise ConfigurationError(
+            f"grid size listed twice: {', '.join(map(str, repeated))}"
+        )
     if any(n < 2 for n in grids):
         raise ConfigurationError("convergence grids must have at least 2 cells")
     if config.problem != "manufactured":

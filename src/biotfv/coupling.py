@@ -5,8 +5,9 @@ record, `PoroelasticProperties` (`materials.py`), which `BiotCase` checks
 and broadcasts to per-cell arrays once, the body force f_u and the fluid
 source density f_p included; `CoupledSystem` hands that record to the flow
 and the elastic assembly as it is.  A `BiotCase` is complete once built:
-it holds the validated record, the wells placed on its mesh and its
-initial state (rest at t0 unless given).  The coupling needs no
+it holds the validated record, the wells placed on its mesh, its
+initial state (rest at t0 unless given) and its external source history
+`sources`, one row per step, built once.  The coupling needs no
 interpolation, only one coefficient per cell, alpha/lam: the pressure
 deviation dp enters the mechanics as the effective-pressure row source
 -(alpha/lam) * dp, and the effective pressure p_hat = lam*div(u) -
@@ -24,7 +25,7 @@ the flow source psi of a step comes from:
   iterates psi <- F(psi), optionally accelerated by Anderson mixing of
   previous evaluations.  A given psi frees the flow from the mechanics,
   so the march runs the flow through every step first and then solves
-  the mechanics of all steps as one block.
+  the mechanics of all steps as one block, one load column per step.
 
 Both reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
@@ -35,6 +36,7 @@ scheme on it, each run with its own warm starts for the elastic solves.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -159,7 +161,10 @@ class BiotState:
 class BiotCase:
     """A complete coupled problem: geometry, materials, sources, time grid.
 
-    Runs share the initial state and never write into its arrays.
+    `sources` is the external source history the flow sees, one (n,) row
+    per step in m^3/s: row i-1 holds the cell volumes times the fluid
+    source density f_p, then the wells active at times[i] added in list
+    order.  Runs share it and the initial state and never write into them.
     """
 
     mesh: Mesh
@@ -168,10 +173,17 @@ class BiotCase:
     wells: list[Well] = field(default_factory=list)
     initial: BiotState | None = None
     name: str = ""
+    sources: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.props = self.props.validate(self.mesh)
         self.wells = [self._placed(well) for well in self.wells]
+        times, dt = self.time.times[1:], self.time.dt
+        self.sources = np.zeros((self.time.n_steps, self.mesh.n_cells))
+        self.sources += self.mesh.cell_volumes * self.props.f_p
+        for well in self.wells:
+            active = [well.active_at(t, dt) for t in times]
+            self.sources[active, well.cell] += well.rate
         if self.initial is None:
             n = self.mesh.n_cells
             self.initial = BiotState(
@@ -196,29 +208,6 @@ class BiotCase:
         if not 0 <= cell < n:
             raise ConfigurationError(f"well cell {cell} out of range 0..{n - 1}", key=key)
         return replace(well, cell=cell)
-
-    def source_rate(self, t: float, psi: np.ndarray | None = None) -> np.ndarray:
-        """Flow source per cell at time t [m^3/s].
-
-        The rate densities f_p and psi [1/s] times the cell volumes, then
-        the wells active at t, summed in that order.
-        """
-        mesh = self.mesh
-        rate = np.zeros(mesh.n_cells)
-        rate += mesh.cell_volumes * self.props.f_p
-        if psi is not None:
-            rate += mesh.cell_volumes * psi
-        for well in self.wells:
-            if well.active_at(t, self.time.dt):
-                rate[well.cell] += well.rate
-        return rate
-
-    def injected_volume(self) -> float:
-        """Cumulative non-coupling source volume over the simulation [m^3]."""
-        total = 0.0
-        for t in self.time.times[1:]:
-            total += self.time.dt * self.source_rate(t).sum()
-        return total
 
 
 @dataclass
@@ -280,45 +269,26 @@ def anderson_weights(residuals: list[np.ndarray]) -> np.ndarray:
     return np.append(c, 1.0 - c.sum())
 
 
-@dataclass
 class AndersonState:
-    """Sliding window of (psi, F(psi)) pairs and the mixing weights.
+    """Sliding window of the last m0 (psi, F(psi)) pairs, kept as given.
 
-    The window used for the next iterate holds min(m0, pushes - 1) of the
-    most recent pairs, so the first two accelerated iterates coincide with
-    the plain fixed-point iterates exactly.
+    The caller never writes into a pushed pair, so the window holds the
+    arrays themselves.
     """
 
-    m0: int
-    psi_history: list[np.ndarray] = field(default_factory=list)
-    image_history: list[np.ndarray] = field(default_factory=list)
-    beta: np.ndarray | None = None
-    pushes: int = 0
-
-    def __post_init__(self):
-        if self.m0 < 1:
+    def __init__(self, m0: int):
+        if m0 < 1:
             raise ConfigurationError("Anderson window must hold at least one pair")
+        self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=m0)
 
     def push(self, psi: np.ndarray, image: np.ndarray) -> None:
-        self.psi_history.append(np.array(psi, dtype=float, copy=True))
-        self.image_history.append(np.array(image, dtype=float, copy=True))
-        self.pushes += 1
-        if len(self.psi_history) > self.m0:
-            self.psi_history.pop(0)
-            self.image_history.pop(0)
+        self.pairs.append((psi, image))
 
     def next_iterate(self) -> np.ndarray:
-        if self.pushes == 0:
-            raise ValueError("no stored pairs")
-        m = min(self.m0, self.pushes - 1)
-        if m < 1:
-            self.beta = np.array([1.0])
-            return self.image_history[-1].copy()
-        psis = self.psi_history[-m:]
-        images = self.image_history[-m:]
-        self.beta = anderson_weights([f - p for p, f in zip(psis, images)])
-        mixed = np.zeros_like(images[0])
-        for weight, image in zip(self.beta, images):
+        """The affine mix of the window's images with the smallest mixed residual."""
+        beta = anderson_weights([image - psi for psi, image in self.pairs])
+        mixed = np.zeros_like(self.pairs[0][1])
+        for weight, (_, image) in zip(beta, self.pairs):
             mixed += weight * image
         return mixed
 
@@ -356,11 +326,9 @@ class CoupledSystem:
         """
         case = self.case
         steps = range(step, step + len(dps))
-        rhs = np.empty((self.system.n_dof, len(dps)), order="F")
-        for j, d in enumerate(dps):
-            rhs[:, j] = assemble_rhs(
-                case.mesh, case.props, pressure_coupling=-self.alpha_over_lam * d
-            )
+        rhs = assemble_rhs(
+            case.mesh, case.props, pressure_coupling=-self.alpha_over_lam * dps
+        )
         x0 = None
         if not self.mech.direct:
             # a None entry starts from the column before it
@@ -395,7 +363,7 @@ class CoupledSystem:
         step is followed by its own one-column mechanics solve.
         """
         case = self.case
-        times = case.time.times
+        volumes = case.mesh.cell_volumes
         n_steps = case.time.n_steps
         states = [case.initial]
         if psi is None:
@@ -404,14 +372,14 @@ class CoupledSystem:
                 psi[i - 1] = self.flow_source(
                     states[max(i - 2, 0)].p_hat, states[i - 1].p_hat
                 )
-                rate = case.source_rate(times[i], psi[i - 1])
+                rate = case.sources[i - 1] + volumes * psi[i - 1]
                 dp = self.flow.step(states[i - 1].dp, rate)
                 states += self.mech_solve(dp[None, :], i, warm)[0]
             return states, psi
         dps = np.empty((n_steps, self.n_cells))
         dp = states[0].dp
         for i in range(1, n_steps + 1):
-            rate = case.source_rate(times[i], psi[i - 1])
+            rate = case.sources[i - 1] + volumes * psi[i - 1]
             dp = dps[i - 1] = self.flow.step(dp, rate)
         states += self.mech_solve(dps, 1, warm)[0]
         return states, psi
@@ -471,11 +439,12 @@ def simulate(
         if residual <= scheme.tol:
             converged = True
             break
-        if anderson is not None:
+        if anderson is None or len(residuals) == 1:
+            # the zero start's pair never enters the window: the first step is plain
+            psi = image
+        else:
             anderson.push(psi, image)
             psi = anderson.next_iterate()
-        else:
-            psi = image
     name = "fixed_stress" if anderson is None else f"anderson[{m0}]"
     report = CouplingReport(scheme=name, residuals=residuals, converged=converged)
     return SimulationResult(states, image, report)
@@ -493,14 +462,16 @@ def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:
     injects and withdraws in equal parts nets roundoff, which would not
     scale the defect.  With injection only, gross and net volume agree.
     """
-    mesh, time = case.mesh, case.time
+    mesh, dt = case.mesh, case.time.dt
     if not case.clamped:
         return math.nan
     stored = float(
         np.sum(case.props.c0 * mesh.cell_volumes * (states[-1].dp - states[0].dp))
     )
-    defect = abs(stored - case.injected_volume())
-    gross = 0.0
-    for t in time.times[1:]:
-        gross += time.dt * np.abs(case.source_rate(t)).sum()
+    # one step at a time: a 2-D or a compensated sum rounds differently
+    injected = gross = 0.0
+    for rates in case.sources:
+        injected += dt * rates.sum()
+        gross += dt * np.abs(rates).sum()
+    defect = abs(stored - injected)
     return defect / gross if gross != 0.0 else defect

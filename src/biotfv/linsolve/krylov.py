@@ -11,18 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import SolverError
 
 BREAKDOWN = 1e-30
-
-
-def _as_matvec(operator):
-    if callable(operator) and not sp.issparse(operator):
-        return operator
-    mat = operator if sp.issparse(operator) else np.asarray(operator)
-    return lambda v: mat @ v
 
 
 @dataclass
@@ -51,9 +43,9 @@ def bicgstab(
     max_iter: int = 500,
     x0: np.ndarray | None = None,
 ) -> SolveReport:
+    """Solve operator @ x = rhs; operator is a sparse or dense matrix."""
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
-    matvec = _as_matvec(operator)
     apply_m = preconditioner if preconditioner is not None else (lambda v: v)
     rhs = np.asarray(rhs, dtype=float)
     norm_b = np.linalg.norm(rhs)
@@ -61,7 +53,7 @@ def bicgstab(
     if norm_b == 0.0:
         return SolveReport(x=np.zeros_like(rhs), method="bicgstab", trace=[0.0])
 
-    r = rhs - matvec(x)
+    r = rhs - operator @ x
     trace = [float(np.linalg.norm(r))]
     if trace[0] <= rtol * norm_b:
         return SolveReport(x=x, method="bicgstab", trace=trace)
@@ -81,7 +73,7 @@ def bicgstab(
                 trace=trace,
             )
         restarted = True
-        r = rhs - matvec(x)
+        r = rhs - operator @ x
         shadow = r.copy()
         rho = alpha = omega = 1.0
         v = np.zeros_like(rhs)
@@ -90,7 +82,7 @@ def bicgstab(
     def converged() -> bool:
         # accept only on the true residual, refreshing r against drift
         nonlocal r
-        true_res = rhs - matvec(x)
+        true_res = rhs - operator @ x
         norm = float(np.linalg.norm(true_res))
         trace[-1] = norm
         if norm <= rtol * norm_b:
@@ -109,7 +101,7 @@ def bicgstab(
         rho = rho_next
         p = r + beta * (p - omega * v)
         p_hat = apply_m(p)
-        v = matvec(p_hat)
+        v = operator @ p_hat
         denom = float(shadow @ v)
         if abs(denom) < BREAKDOWN * max(
             np.linalg.norm(shadow) * np.linalg.norm(v), 1e-300
@@ -123,7 +115,7 @@ def bicgstab(
         if trace[-1] <= rtol * norm_b and converged():
             return SolveReport(x=x, method="bicgstab", trace=trace, restarted=restarted)
         s_hat = apply_m(s)
-        t = matvec(s_hat)
+        t = operator @ s_hat
         tt = float(t @ t)
         if tt < BREAKDOWN:
             restart_or_fail("stabilization direction vanished")

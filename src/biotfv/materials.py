@@ -6,8 +6,8 @@ coefficient, the storativity, the permeability, the fluid viscosity, the
 mechanical closure of the walls and the two loads, the body force f_u and
 the fluid source density f_p.  `validate` checks it once and broadcasts it
 to the mesh, so every per-cell input of a case passes this one check; the
-TPFA and TPSA assemblies and `BiotCase.source_rate` read the validated
-arrays directly.
+TPFA and TPSA assemblies and `BiotCase`, which builds its source history
+from f_p, read the validated arrays directly.
 
 A wall's closure enters the elastic stencil only through its outside
 weight w_out = delta / mu per boundary face: clamped 0, a Robin spring of

@@ -176,7 +176,7 @@ def face_normal_distances(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return d_in, d_out
 
 
-def _axis_faces(nx: int, ny: int, nz: int, axis: int, dx: np.ndarray, origin: np.ndarray):
+def _axis_faces(nx: int, ny: int, nz: int, axis: int, dx: np.ndarray):
     """Face data for all faces orthogonal to one axis of a Cartesian grid.
 
     Returns (centers, normals, cells) where normals follow the canonical
@@ -189,8 +189,8 @@ def _axis_faces(nx: int, ny: int, nz: int, axis: int, dx: np.ndarray, origin: np
     counts[axis] += 1
     idx = np.indices(counts).reshape(3, -1).T
 
-    centers = origin + (idx + 0.5) * dx
-    centers[:, axis] = origin[axis] + idx[:, axis] * dx[axis]
+    centers = (idx + 0.5) * dx
+    centers[:, axis] = idx[:, axis] * dx[axis]
 
     pos = idx[:, axis]
     low = pos == 0
@@ -210,16 +210,15 @@ def build_cartesian(
     ny: int,
     nz: int,
     lengths: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> Mesh:
-    """Uniform Cartesian hexahedral mesh on a box.
+    """Uniform Cartesian hexahedral mesh on the box [0, lx] x [0, ly] x [0, lz].
 
     Cell ids run x-fastest: id = ix + nx (iy + ny iz).
     """
     if min(nx, ny, nz) < 1:
         raise GeometryError("cell counts must be at least 1 in every direction")
-    if not np.all(np.isfinite([*lengths, *origin])):
-        raise GeometryError("domain lengths and origin must be finite")
+    if not np.all(np.isfinite(lengths)):
+        raise GeometryError("domain lengths must be finite")
     nx, ny, nz = int(nx), int(ny), int(nz)
     dims = np.array([nx, ny, nz])
     dx = np.asarray(lengths, dtype=float) / dims
@@ -228,16 +227,15 @@ def build_cartesian(
             "domain lengths must be positive and at least "
             f"{np.finfo(float).tiny:.4g} m per cell (not subnormal)"
         )
-    org = np.asarray(origin, dtype=float)
 
     ci = _grid_indices(nx, ny, nz)
-    cell_centers = org + (ci + 0.5) * dx
+    cell_centers = (ci + 0.5) * dx
     cell_volumes = np.full(nx * ny * nz, float(np.prod(dx)))
 
     fc, fn, fcell, areas = [], [], [], []
     area_by_axis = [dx[1] * dx[2], dx[0] * dx[2], dx[0] * dx[1]]
     for axis in range(3):
-        centers, normals, cells = _axis_faces(nx, ny, nz, axis, dx, org)
+        centers, normals, cells = _axis_faces(nx, ny, nz, axis, dx)
         fc.append(centers)
         fn.append(normals)
         fcell.append(cells)
@@ -251,7 +249,7 @@ def build_cartesian(
         face_areas=np.concatenate(areas),
         face_cells=np.concatenate(fcell),
         barrier=np.zeros(sum(c.shape[0] for c in fc), dtype=bool),
-        vertices=org + _grid_indices(nx + 1, ny + 1, nz + 1) * dx,
+        vertices=_grid_indices(nx + 1, ny + 1, nz + 1) * dx,
         cell_nodes=_cartesian_cell_nodes(ci, nx, ny),
         shape=(nx, ny, nz),
     )
@@ -290,7 +288,6 @@ def build_barrier_mesh(
     lengths: tuple[float, float, float] = (1.0, 1.0, 1.0),
     axis: int = 0,
     index: int | None = None,
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> Mesh:
     """Cartesian mesh with one sealing plane of interior faces.
 
@@ -305,8 +302,8 @@ def build_barrier_mesh(
         raise GeometryError(
             f"barrier plane index {index} must be interior, in [1, {counts[axis] - 1}]"
         )
-    mesh = build_cartesian(nx, ny, nz, lengths, origin)
-    plane = origin[axis] + lengths[axis] * index / counts[axis]
+    mesh = build_cartesian(nx, ny, nz, lengths)
+    plane = lengths[axis] * index / counts[axis]
     on_plane = (np.abs(mesh.face_normals[:, axis]) > 0.5) & (
         np.abs(mesh.face_centers[:, axis] - plane) < 1e-12 * max(lengths)
     )

@@ -7,9 +7,10 @@ zero transmissibility.  The operator is div diag(T) div^T with the signed
 cell-face incidence ``Mesh.divergence``, the same one the elastic
 balances use.  Time integration is backward Euler with the
 combined storage coefficient c0 + alpha^2/lambda; a step takes the total
-source per cell as one rate vector in m^3/s: `BiotCase.source_rate`
-forms it from the record's fluid source density f_p and the coupling
-density psi, both times the cell volumes, and the active wells.  Every function reads
+source per cell as one rate vector in m^3/s: `CoupledSystem.evaluate`
+adds the coupling density psi times the cell volumes to the step's row
+of `BiotCase.sources`, the record's fluid source density f_p times the
+cell volumes plus the active wells.  Every function reads
 the material record `PoroelasticProperties` after its `validate`, so
 permeability, viscosity, c0, alpha and lambda arrive as checked (n,)
 arrays; a flow-only problem sets alpha = 0.

@@ -158,12 +158,16 @@ def assemble_rhs(
     pressure_coupling: np.ndarray | None = None,
 ) -> np.ndarray:
     """Right-hand side: volume-scaled body force, zero rotation rows, and
-    an optional volume-scaled density on the pressure rows (the coupled
-    problem passes -(alpha/lambda) dp there)."""
+    optional volume-scaled densities on the pressure rows (the coupled
+    problem passes -(alpha/lambda) dp there).
+
+    An (n,) density or none gives the (7n,) vector; a (k, n) block, one
+    row per step, gives the (7n, k) block with one column per row.
+    """
     n = mesh.n_cells
-    rhs = np.zeros(7 * n)
-    for c in range(3):
-        rhs[c * n : (c + 1) * n] = mesh.cell_volumes * props.f_u[:, c]
-    if pressure_coupling is not None:
-        rhs[6 * n :] = mesh.cell_volumes * pressure_coupling
-    return rhs
+    volumes = mesh.cell_volumes
+    density = np.zeros(n) if pressure_coupling is None else pressure_coupling
+    rhs = np.zeros(density.shape[:-1] + (7 * n,))
+    rhs[..., : 3 * n] = (volumes[:, None] * props.f_u).T.ravel()  # u_x | u_y | u_z
+    rhs[..., 6 * n :] = volumes * density
+    return rhs.T

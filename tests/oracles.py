@@ -383,7 +383,7 @@ def sequential_march(coupled, psi, warm):
     tuples of steps 1..N.
     """
     case = coupled.case
-    times = case.time.times
+    volumes = case.mesh.cell_volumes
     initial = case.initial
     dp = initial.dp
     p_hats = [initial.p_hat]
@@ -393,7 +393,7 @@ def sequential_march(coupled, psi, warm):
             source = coupled.flow_source(p_hats[max(i - 2, 0)], p_hats[i - 1])
         else:
             source = psi[i - 1]
-        dp = coupled.flow.step(dp, case.source_rate(times[i], source))
+        dp = coupled.flow.step(dp, case.sources[i - 1] + volumes * source)
         rhs = assemble_rhs(
             case.mesh, case.props, pressure_coupling=-coupled.alpha_over_lam * dp
         )
@@ -416,8 +416,8 @@ def monolithic_march(coupled):
         [A + acc/dt           (b V/dt on the p_hat columns)] [dp_i]
         [(b V on the p rows)  TPSA                         ] [x_i ]
 
-          = [acc/dt dp_{i-1} + b V/dt p_hat_{i-1} + source_rate(t_i)]
-            [body-force rhs                                         ]
+          = [acc/dt dp_{i-1} + b V/dt p_hat_{i-1} + sources[i-1]]
+            [body-force rhs                                     ]
 
     with acc = (c0 + alpha^2/lam) V: the flow sees the coupling source
     psi = -b (p_hat_i - p_hat_{i-1})/dt of its own step, and the pressure
@@ -436,12 +436,8 @@ def monolithic_march(coupled):
     initial = case.initial
     dp, p_hat = initial.dp, initial.p_hat
     out = []
-    for t in case.time.times[1:]:
-        flow_rhs = (
-            coupled.flow.accumulation / dt * dp
-            + coupling / dt * p_hat
-            + case.source_rate(t)
-        )
+    for rates in case.sources:
+        flow_rhs = coupled.flow.accumulation / dt * dp + coupling / dt * p_hat + rates
         solution = lu.solve(np.concatenate([flow_rhs, body]))
         dp = solution[:n]
         u, r, p_hat = coupled.system.split(solution[n:])

@@ -223,8 +223,8 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
             [("rate = 5 m3/day", "rate = 5 m3/day\nstart = 5 day\nstop = 1 day")],
             "stop time",
         ),
-        ([("lx = 60 m", "lx = nan m")], "lengths and origin must be finite"),
-        ([("ly = 40 m", "ly = inf m")], "lengths and origin must be finite"),
+        ([("lx = 60 m", "lx = nan m")], "domain lengths must be finite"),
+        ([("ly = 40 m", "ly = inf m")], "domain lengths must be finite"),
         ([("max_iter = 40", "max_iter = 40\nanderson_m0 = -1")], "anderson_m0"),
         # subnormal moduli, viscosity and lengths would make an operator singular
         ([("mu = 3.5 GPa", "mu = 1e-320 Pa")], "shear modulus must be positive and at"),
@@ -348,6 +348,15 @@ def test_convergence_subcommand(manufactured_cfg, tmp_path, capsys):
 
 def test_convergence_rejects_two_grids(manufactured_cfg):
     assert main(["convergence", str(manufactured_cfg), "--grids", "4,8"]) == 2
+
+
+def test_convergence_rejects_a_repeated_grid(tmp_path, capsys):
+    # grid 5 would be solved twice, written twice and weigh twice in the fit
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(MANUFACTURED_SMALL + f"\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["convergence", str(cfg), "--grids", "3,4,5,5"]) == 2
+    assert "grid size listed twice: 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -456,7 +456,7 @@ def test_malformed_ini_reported():
         parse_config_text("properties]\nmu 1\n[")
 
 
-@pytest.mark.parametrize(
+MALFORMED = pytest.mark.parametrize(
     "text, entry",
     [
         (MINIMAL + "\n[time]\nn_steps = 4\n", "[time]"),
@@ -466,12 +466,28 @@ def test_malformed_ini_reported():
     ],
     ids=["repeated-section", "repeated-key", "no-delimiter", "key-before-header"],
 )
+
+
+def _offending_line(text, entry):
+    """The last line reading `entry`."""
+    return [i for i, raw in enumerate(text.splitlines(), 1) if raw == entry][-1]
+
+
+@MALFORMED
 def test_malformed_case_file_reports_its_line(text, entry):
-    # the offending line is the last one reading `entry`
-    line = [i for i, raw in enumerate(text.splitlines(), 1) if raw == entry][-1]
     with pytest.raises(ConfigurationError, match="malformed config") as excinfo:
         parse_config_text(text)
-    assert excinfo.value.line == line
+    assert excinfo.value.line == _offending_line(text, entry)
+
+
+@MALFORMED
+def test_malformed_case_file_names_its_line_once(text, entry):
+    # configparser's own source and line text is dropped
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_text(text)
+    message = str(excinfo.value)
+    assert message.count("line") == 1
+    assert message.endswith(f": line {_offending_line(text, entry)}")
 
 
 def test_missing_file_reported(tmp_path):

@@ -177,7 +177,9 @@ def test_barrier_mass_defect_is_nan_unless_every_wall_is_clamped(tmp_path):
     assert written["robin"] == ["nan", "nan"]
     # clamped walls keep the defect of the stored against the injected volume
     case = parse_config_text(TINY_BARRIER).build_case()
-    injected = case.injected_volume()
+    injected = 0.0
+    for rates in case.sources:  # step by step, as global_mass_check sums
+        injected += case.time.dt * rates.sum()
     for run in runs["fixed"]:
         change = run.result.states[-1].dp - run.result.states[0].dp
         stored = np.sum(case.props.c0 * case.mesh.cell_volumes * change)

@@ -111,9 +111,3 @@ def test_skew_system_breaks_down_after_one_restart():
     with pytest.raises(SolverError) as err:
         bicgstab(a, rhs, rtol=1e-10)
     assert "breakdown" in str(err.value)
-
-
-def test_callable_operator():
-    a = np.diag([1.0, 2.0, 5.0])
-    result = bicgstab(lambda v: a @ v, np.ones(3), rtol=1e-12)
-    assert np.allclose(result.x, [1.0, 0.5, 0.2], atol=1e-12)

@@ -481,3 +481,18 @@ def test_rhs_assembly():
         assert np.allclose(rhs[c * n : (c + 1) * n], vol * f_u[:, c])
     assert np.all(rhs[3 * n : 6 * n] == 0.0)
     assert np.allclose(rhs[6 * n :], vol * np.array([10.0, 20.0]))
+
+
+def test_rhs_block_matches_single_columns_bitwise():
+    # a (k, n) block of densities gives the k single-column right-hand sides
+    rng = np.random.default_rng(3)
+    mesh = build_cartesian(3, 2, 2, lengths=(1.0, 0.7, 1.3))
+    props = material(mesh, f_u=rng.standard_normal((mesh.n_cells, 3)))
+    block = rng.standard_normal((4, mesh.n_cells))
+    rhs = assemble_rhs(mesh, props, pressure_coupling=block)
+    assert rhs.shape == (7 * mesh.n_cells, 4)
+    columns = [assemble_rhs(mesh, props, pressure_coupling=row) for row in block]
+    assert np.array_equal(rhs, np.stack(columns, axis=1))
+    # no density is a zero density
+    zero = assemble_rhs(mesh, props, pressure_coupling=np.zeros(mesh.n_cells))
+    assert np.array_equal(assemble_rhs(mesh, props), zero)
