@@ -12,23 +12,16 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 
 from ..errors import BiotfvError, ConfigurationError, SolverError
 from .config import parse_config
 from .drivers import run_barrier_case, run_case, run_convergence_study
-
-log = logging.getLogger("biotfv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="case configuration file (INI)")
     common.add_argument("--out", help="output directory (default: from config)")
-    common.add_argument("--rtol", type=float, help="linear solver tolerance override")
-    common.add_argument(
-        "--max-iter", type=int, help="linear solver iteration cap override"
-    )
     common.add_argument(
         "--log-level",
         default="info",
@@ -71,13 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
-    """The config with the solver overrides; SolverOptions checks them."""
-    overrides = {"rtol": args.rtol, "max_iter": args.max_iter}
-    overrides = {key: value for key, value in overrides.items() if value is not None}
-    return replace(config, solver=replace(config.solver, **overrides))
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -85,7 +71,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _apply_overrides(parse_config(args.config), args)
+        config = parse_config(args.config)
         reports = []
         if args.command == "run":
             artifacts = run_case(

@@ -16,8 +16,9 @@ own checks are reported with the section and its header line;
 
 from __future__ import annotations
 
-import configparser
 import math
+import os
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -65,6 +66,8 @@ _UNITS = {
 
 _SIDE_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 _BOUNDARY_KINDS = ("fixed", "free", "robin")
+_BOOLEANS = dict.fromkeys(("1", "yes", "true", "on"), True)
+_BOOLEANS.update(dict.fromkeys(("0", "no", "false", "off"), False))
 
 
 def parse_quantity(
@@ -193,7 +196,7 @@ class CaseConfig:
 class _Key(NamedTuple):
     """How one case-file key is read and which dataclass field it fills."""
 
-    kind: object  # a _UNITS kind, int, bool, str, "cell", or a tuple of allowed words
+    kind: object  # a _UNITS kind, int, bool, str, "name", "cell", or a tuple of words
     required: bool = False  # an absent optional key keeps its field's default
     field: str | None = None  # set only where the field's name differs from the key
 
@@ -209,7 +212,7 @@ class _Section(NamedTuple):
 # The case-file schema: checking and parsing both walk it.
 _SECTIONS = {
     "case": _Section(
-        None, None, {"name": _Key(str), "problem": _Key(("generic", "manufactured"))}
+        None, None, {"name": _Key("name"), "problem": _Key(("generic", "manufactured"))}
     ),
     "mesh": _Section(
         "mesh",
@@ -291,40 +294,68 @@ _WELL = {
 }
 
 
-def _key_lines(text: str) -> dict[tuple[str | None, str | None], int]:
-    """Line number of every section header and key, for error reporting."""
-    lines: dict[tuple[str | None, str | None], int] = {}
-    section = None
+def _bad_line(what: str, line: int) -> ConfigurationError:
+    return ConfigurationError(f"malformed config: {what}", line=line)
+
+
+def _read_lines(text: str) -> dict[str, tuple[int, dict[str, tuple[str, int]]]]:
+    """Each section's header line and each of its keys' (value, line).
+
+    Lines are counted on "\n" only.  Blank lines and whole-line "#" or ";"
+    comments are skipped.  A key ends at its first "=" or ":"; a line
+    indented deeper than the key above it would continue that key's value
+    and is rejected, but a line right after a header is always a key.
+    """
+    sections = {}
+    keys = None  # the open section's keys
     key_indent = None  # indentation of the open key; None right after a header
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
         indent = len(raw) - len(raw.lstrip())
         if key_indent is not None and indent > key_indent:
-            continue  # configparser's rule: a continuation of the open key's value
-        header = configparser.ConfigParser.SECTCRE.match(stripped)
+            name = f"{section}.{key}"
+            raise ConfigurationError(
+                f"{name} must be a single line", key=name, line=keys[key][1]
+            )
+        header = re.match(r"\[(.+)\]", stripped)
         if header:
-            section = header.group("header")  # unstripped, as configparser keeps it
-            lines.setdefault((section, None), i)
-            key_indent = None
+            section = header[1]  # unstripped: "[ time ]" names " time "
+            if section in sections:
+                raise _bad_line(f"section '{section}' already exists", number)
+            keys, key_indent = {}, None
+            sections[section] = (number, keys)
             continue
-        cut = [pos for pos in (stripped.find("="), stripped.find(":")) if pos >= 0]
-        if cut:
-            key = stripped[: min(cut)].strip()
-            lines.setdefault((section, key), i)
-            key_indent = indent
-    return lines
+        if keys is None:
+            raise _bad_line("key before the first section header", number)
+        cuts = [pos for pos in (stripped.find("="), stripped.find(":")) if pos >= 0]
+        cut = min(cuts, default=0)  # no delimiter leaves no key
+        key = stripped[:cut].rstrip()
+        if not key:
+            raise _bad_line("neither a section header nor a key = value pair", number)
+        if key in keys:
+            raise _bad_line(
+                f"option '{key}' in section '{section}' already exists", number
+            )
+        keys[key] = (stripped[cut + 1 :].strip(), number)
+        key_indent = indent
+    return sections
 
 
 def _parse_value(text: str, kind, section: str, key: str, line: int | None):
     """Read one value as its table kind; errors name the key and line."""
     name = f"{section}.{key}"
-    if len(text.splitlines()) > 1:  # an indented next line continues the value
-        raise ConfigurationError(f"{name} must be a single line", key=name, line=line)
     if kind in _UNITS:
         return parse_quantity(text, kind, key=name, line=line)
     if kind is str:
+        return text
+    if kind == "name":  # names the output files, so it must stay in their directory
+        bad = text in (".", "..") or "/" in text or os.sep in text
+        if bad or not text.isprintable():
+            raise ConfigurationError(
+                f"{name} {text!r} must be a single path component", key=name, line=line
+            )
         return text
     if isinstance(kind, tuple):
         if text not in kind:
@@ -335,7 +366,7 @@ def _parse_value(text: str, kind, section: str, key: str, line: int | None):
             )
         return text
     if kind is bool:
-        value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+        value = _BOOLEANS.get(text.lower())
         if value is None:
             raise ConfigurationError(
                 f"cannot parse boolean '{text}' for {name}", key=name, line=line
@@ -362,98 +393,66 @@ def _parse_value(text: str, kind, section: str, key: str, line: int | None):
     return indices if len(indices) == 3 else indices[0]
 
 
-def _read_section(parser, lines, section: str, keys: dict[str, _Key]) -> dict:
+def _read_section(section: str, found, keys: dict[str, _Key]) -> dict:
     """Check one section against its keys; return its typed values by field."""
-    items = parser[section] if parser.has_section(section) else {}
-    for key in items:
+    header, items = found
+    for key, (_, line) in items.items():
         if key not in keys:
             raise ConfigurationError(
                 f"unknown key '{key}' in section [{section}]",
                 key=f"{section}.{key}",
-                line=lines.get((section, key)),
+                line=line,
             )
     values = {}
     for key, spec in keys.items():
         if key in items:
-            line = lines.get((section, key))
-            value = _parse_value(items[key], spec.kind, section, key, line)
+            text, line = items[key]
+            value = _parse_value(text, spec.kind, section, key, line)
             values[spec.field or key] = value
         elif spec.required:
-            if not parser.has_section(section):
+            if header is None:
                 raise ConfigurationError(f"missing required section [{section}]")
             raise ConfigurationError(
-                f"missing required property {key}",
-                key=f"{section}.{key}",
-                line=lines.get((section, None)),
+                f"missing required property {key}", key=f"{section}.{key}", line=header
             )
     return values
 
 
-def _build(spec: type, values: dict, section: str, lines, **extra):
+def _build(spec: type, values: dict, section: str, header: int | None, **extra):
     """The section's record; its own checks are reported at the header."""
     try:
         return spec(**values, **extra)
     except ConfigurationError as err:
-        raise ConfigurationError(
-            str(err), key=section, line=lines.get((section, None))
-        ) from None
-
-
-def _malformed(err: configparser.Error) -> ConfigurationError:
-    """What configparser rejected, without its own source and line text:
-    the error names the line once, as its ``line``."""
-    line = getattr(err, "lineno", None)
-    if isinstance(err, configparser.DuplicateOptionError):
-        what = f"option '{err.option}' in section '{err.section}' already exists"
-    elif isinstance(err, configparser.DuplicateSectionError):
-        what = f"section '{err.section}' already exists"
-    elif isinstance(err, configparser.MissingSectionHeaderError):
-        what = "key before the first section header"
-    elif isinstance(err, configparser.ParsingError):
-        line = err.errors[0][0]
-        what = "neither a section header nor a key = value pair"
-    else:
-        what = str(err)
-    return ConfigurationError(f"malformed config: {what}", line=line)
+        raise ConfigurationError(str(err), key=section, line=header) from None
 
 
 def parse_config(path) -> CaseConfig:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
+    try:  # as UTF-8 bytes, so that lines end at "\n" only, as in parse_config_text
+        text = path.read_bytes().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"cannot read config file {path}: {err}") from err
     return parse_config_text(text, default_name=path.stem)
 
 
 def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
-    # no default section: a [DEFAULT] header is an unknown section like any other
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    parser.optionxform = str  # keep key case so units and names survive
-    try:
-        parser.read_string(text)
-    except configparser.Error as err:
-        raise _malformed(err) from None
-    lines = _key_lines(text)
-
+    sections = _read_lines(text)
     wells = []
-    for section in parser.sections():
+    for section, found in sections.items():
         if section.startswith("well."):
-            values = _read_section(parser, lines, section, _WELL)
+            values = _read_section(section, found, _WELL)
             name = section[len("well.") :]
-            wells.append(_build(Well, values, section, lines, name=name))
+            wells.append(_build(Well, values, section, found[0], name=name))
         elif section not in _SECTIONS:
             raise ConfigurationError(
-                f"unknown section '[{section}]'",
-                key=section,
-                line=lines.get((section, None)),
+                f"unknown section '[{section}]'", key=section, line=found[0]
             )
     fields = {"name": default_name}
     for section, (attr, spec, keys) in _SECTIONS.items():
-        values = _read_section(parser, lines, section, keys)
+        found = sections.get(section, (None, {}))
+        values = _read_section(section, found, keys)
         if spec is None:
             fields.update(values)
         else:
-            fields[attr] = _build(spec, values, section, lines)
+            fields[attr] = _build(spec, values, section, found[0])
     return CaseConfig(**fields, wells=sorted(wells, key=lambda w: w.name))
-

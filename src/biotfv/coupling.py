@@ -318,11 +318,11 @@ class CoupledSystem:
     ) -> tuple[list[BiotState], list[SolveReport]]:
         """Mechanics of steps step, ..., step + k - 1, loaded by -(alpha/lam) * dp.
 
-        dps is a (k, n) block, one row per step, solved as one block; gives
-        the k states and reports as two lists.  The iterative path starts
-        each step from warm[s] (the caller's previous pass), else from the
-        previous step's, and stores its solutions in warm.  A failed solve
-        is raised again naming its step.
+        dps is a (k, n) block, one row per step (step >= 1), solved as one
+        block; gives the k states and reports as two lists.  The iterative
+        path starts each step from warm[s] (the caller's previous pass),
+        else from the previous step's, and stores its solutions in warm.  A
+        failed solve is raised again naming its step.
         """
         case = self.case
         steps = range(step, step + len(dps))
@@ -333,7 +333,7 @@ class CoupledSystem:
         if not self.mech.direct:
             # a None entry starts from the column before it
             x0 = [warm[s] for s in steps]
-            if x0[0] is None and step > 0:
+            if x0[0] is None:
                 x0[0] = warm[step - 1]
         try:
             reports = self.mech.solve(rhs, x0=x0)

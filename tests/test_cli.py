@@ -135,6 +135,9 @@ def test_run_is_deterministic(barrier_cfg, tmp_path):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     assert "configuration error" in capsys.readouterr().err
+    (tmp_path / "latin1.cfg").write_bytes(b"[case]\nname = d\xe9j\xe0\n")
+    assert main(["run", str(tmp_path / "latin1.cfg")]) == 2
+    assert "configuration error: cannot read config file" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_2(tmp_path):
@@ -143,9 +146,17 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
-def test_bad_cli_overrides_exit_2(barrier_cfg):
-    assert main(["run", str(barrier_cfg), "--rtol", "-1"]) == 2
-    assert main(["run", str(barrier_cfg), "--max-iter", "0"]) == 2
+def test_bad_cli_overrides_exit_2(barrier_cfg, tmp_path):
+    # the solver is set in the case file only
+    for flag in ("--rtol", "--max-iter"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(barrier_cfg), flag, "1"])
+        assert excinfo.value.code == 2
+    bad = tmp_path / "bad.cfg"
+    for entry in ("rtol = -1", "max_iter = 0"):
+        bad.write_text(BARRIER_SMALL + f"\n[solver]\n{entry}\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
     assert main(["convergence", str(barrier_cfg), "--grids", "a,b,c"]) == 2
 
 
@@ -153,9 +164,10 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     cfg = tmp_path / "hard.cfg"
     cfg.write_text(
         BARRIER_SMALL
-        + f"\n[solver]\nmethod = iterative\n[output]\ndirectory = {tmp_path / 'o'}\n"
+        + "\n[solver]\nmethod = iterative\nmax_iter = 1\n"
+        + f"[output]\ndirectory = {tmp_path / 'o'}\n"
     )
-    assert main(["run", str(cfg), "--max-iter", "1"]) == 3
+    assert main(["run", str(cfg)]) == 3
     assert "solver failure" in capsys.readouterr().err
 
 
@@ -328,6 +340,17 @@ def test_unconverged_fixed_stress_exits_3(
         in captured.err
     )
     assert files <= {path.name for path in out.iterdir()}
+
+
+def test_case_name_outside_the_output_directory_exits_2(tmp_path, capsys):
+    # "../escaped" would write escaped_series.csv and the rest next to --out
+    cfg = tmp_path / "escape.cfg"
+    cfg.write_text(BARRIER_SMALL.replace("name = small", "name = ../escaped"))
+    for command in ("run", "barrier"):
+        assert main([command, str(cfg), "--out", str(tmp_path / "out" / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "case.name" in err
+    assert [path.name for path in tmp_path.rglob("*")] == ["escape.cfg"]
 
 
 def test_unwritable_output_exits_4(barrier_cfg, tmp_path, capsys):

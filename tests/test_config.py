@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from biotfv.app.config import (
     _SECTIONS,
     _WELL,
-    _key_lines,
     BoundarySpec,
     CaseConfig,
     MeshSpec,
@@ -171,8 +170,8 @@ def test_unknown_key_names_key_and_line():
 
 
 def test_unknown_section_rejected():
-    # [DEFAULT] would copy its keys into every section; a padded header
-    # keeps its spaces in configparser's section name
+    # [DEFAULT] is no section of defaults, and a padded header keeps its
+    # spaces in the section name
     for header in ("[wells]", "[DEFAULT]", "[ time ]"):
         text = MINIMAL + f"\n{header}\nfoo = 1\n"
         line = text.splitlines().index(header) + 1
@@ -364,21 +363,19 @@ def test_unknown_builder_and_problem_rejected():
 
 
 def test_indented_key_after_header_keeps_its_line():
-    # configparser reads an indented line right after a header as a key; a
-    # line indented deeper than an open key continues that key's value
+    # an indented line right after a header is a key; a line indented
+    # deeper than an open key would continue that key's value
     text = MINIMAL.replace("[mesh]\nnx = 2\n", "[mesh]\n  nx = two\n")
     with pytest.raises(ConfigurationError, match="cannot parse integer") as excinfo:
         parse_config_text(text)
     assert excinfo.value.line == text.splitlines().index("  nx = two") + 1
     text = MINIMAL + "\n[case]\n  name = a\n    problem = generic\nproblem = analytic\n"
-    lines = _key_lines(text)
-    assert lines[("case", "problem")] == text.splitlines().index("problem = analytic") + 1
     with pytest.raises(ConfigurationError, match="single line") as excinfo:
         parse_config_text(text)
     assert excinfo.value.line == text.splitlines().index("  name = a") + 1
 
 
-# (section, entry, the indented next line configparser joins onto it)
+# (section, entry, an indented next line that would continue its value)
 _CONTINUED = [
     ("case", "name = barrier", "two"),
     ("output", "directory = out", "two"),
@@ -394,9 +391,9 @@ _CONTINUED = [
     "section, entry, more", _CONTINUED, ids=[f"{s}-{e}" for s, e, _ in _CONTINUED]
 )
 def test_text_value_continued_on_next_line_rejected(section, entry, more):
-    # configparser joins an indented next line onto the value: a name with
-    # a line break would split file names and the VTK header, a number
-    # would take the next line as its unit or a cell as its last index
+    # an indented next line would continue the value: a name with a line
+    # break would split file names and the VTK header, a number would take
+    # the next line as its unit or a cell as its last index
     text = MINIMAL + f"\n[{section}]\n{entry}\n  {more}\n"
     key = f"{section}.{entry.split()[0]}"
     with pytest.raises(ConfigurationError, match="single line") as excinfo:
@@ -482,7 +479,7 @@ def test_malformed_case_file_reports_its_line(text, entry):
 
 @MALFORMED
 def test_malformed_case_file_names_its_line_once(text, entry):
-    # configparser's own source and line text is dropped
+    # the message carries no source or line text of its own
     with pytest.raises(ConfigurationError) as excinfo:
         parse_config_text(text)
     message = str(excinfo.value)
@@ -490,9 +487,51 @@ def test_malformed_case_file_names_its_line_once(text, entry):
     assert message.endswith(f": line {_offending_line(text, entry)}")
 
 
+@pytest.mark.parametrize(
+    "char", ["\x0c", "\x85", "\r"], ids=["form-feed", "next-line", "lone-cr"]
+)
+def test_lines_are_counted_on_newlines_only(char, tmp_path):
+    # str.splitlines, and a file read with universal newlines, would also
+    # break at a form feed, NEL or lone CR
+    text = f"# fault {char} plane\n" + (CASES / "barrier.cfg").read_text()
+    text = text.replace("nx = 30\n", "nx = thirty\n")
+    path = tmp_path / "barrier.cfg"
+    path.write_bytes(text.encode())
+    for parse, source in ((parse_config_text, text), (parse_config, path)):
+        with pytest.raises(ConfigurationError, match="cannot parse integer") as excinfo:
+            parse(source)
+        assert excinfo.value.key == "mesh.nx"
+        assert excinfo.value.line == text.split("\n").index("nx = thirty") + 1 == 11
+
+
+def test_crlf_and_bom_case_file_parses_like_lf(tmp_path):
+    text = (CASES / "barrier.cfg").read_text()
+    assert parse_config_text(text.replace("\n", "\r\n")) == parse_config_text(text)
+    # a UTF-8 byte-order mark, as some editors write, is not part of line 1
+    path = tmp_path / "barrier.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    assert parse_config(path) == parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "name", ["../escaped", "sub/case", ".", "..", "nul\x00byte", "form\x0cfeed"]
+)
+def test_case_name_is_one_path_component(name):
+    # the name prefixes the output file names, so it must not leave their directory
+    text = MINIMAL + f"\n[case]\nname = {name}\n"
+    with pytest.raises(ConfigurationError, match="single path component") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.key == "case.name"
+    assert excinfo.value.line == text.split("\n").index(f"name = {name}") + 1
+
+
 def test_missing_file_reported(tmp_path):
     with pytest.raises(ConfigurationError, match="cannot read config file"):
         parse_config(tmp_path / "nope.cfg")
+    # a file that is not UTF-8 text cannot be read either
+    (tmp_path / "latin1.cfg").write_bytes(b"[case]\nname = d\xe9j\xe0\n")
+    with pytest.raises(ConfigurationError, match="cannot read config file"):
+        parse_config(tmp_path / "latin1.cfg")
 
 
 def test_config_equality_detects_changes():
