@@ -302,9 +302,10 @@ def _read_lines(text: str) -> dict[str, tuple[int, dict[str, tuple[str, int]]]]:
     """Each section's header line and each of its keys' (value, line).
 
     Lines are counted on "\n" only.  Blank lines and whole-line "#" or ";"
-    comments are skipped.  A key ends at its first "=" or ":"; a line
-    indented deeper than the key above it would continue that key's value
-    and is rejected, but a line right after a header is always a key.
+    comments are skipped.  A header line holds nothing after its last "]".
+    A key ends at its first "=" or ":"; a line indented deeper than the key
+    above it would continue that key's value and is rejected, but a line
+    right after a header is always a key.
     """
     sections = {}
     keys = None  # the open section's keys
@@ -321,6 +322,8 @@ def _read_lines(text: str) -> dict[str, tuple[int, dict[str, tuple[str, int]]]]:
             )
         header = re.match(r"\[(.+)\]", stripped)
         if header:
+            if header.end() < len(stripped):
+                raise _bad_line("text after a section header's ']'", number)
             section = header[1]  # unstripped: "[ time ]" names " time "
             if section in sections:
                 raise _bad_line(f"section '{section}' already exists", number)

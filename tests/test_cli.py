@@ -146,6 +146,15 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
+def test_header_with_trailing_text_exits_2_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(BARRIER_SMALL + "\n[solver] method = iterative\n")
+    line = bad.read_text().split("\n").index("[solver] method = iterative") + 1
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert f"line {line}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_cli_overrides_exit_2(barrier_cfg, tmp_path):
     # the solver is set in the case file only
     for flag in ("--rtol", "--max-iter"):

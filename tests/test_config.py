@@ -460,8 +460,17 @@ MALFORMED = pytest.mark.parametrize(
         (MINIMAL.replace("nx = 2\n", "nx = 2\nnx = 3\n"), "nx = 3"),
         (MINIMAL.replace("nx = 2\n", "nx 2\n"), "nx 2"),
         ("nz = 9\n" + MINIMAL, "nz = 9"),
+        (MINIMAL.replace("[mesh]\nnx = 2\n", "[mesh] nx = 2\n"), "[mesh] nx = 2"),
+        (MINIMAL.replace("[time]\n", "[time] ; monthly\n"), "[time] ; monthly"),
     ],
-    ids=["repeated-section", "repeated-key", "no-delimiter", "key-before-header"],
+    ids=[
+        "repeated-section",
+        "repeated-key",
+        "no-delimiter",
+        "key-before-header",
+        "key-after-header",
+        "comment-after-header",
+    ],
 )
 
 
@@ -485,6 +494,16 @@ def test_malformed_case_file_names_its_line_once(text, entry):
     message = str(excinfo.value)
     assert message.count("line") == 1
     assert message.endswith(f": line {_offending_line(text, entry)}")
+
+
+def test_header_with_trailing_key_is_rejected_not_dropped():
+    # "[solver] method = iterative" once parsed as "[solver]" and dropped
+    # the key without a word, leaving method = auto
+    entry = "[solver] method = iterative"
+    text = (CASES / "barrier.cfg").read_text().replace("[solver]", entry)
+    with pytest.raises(ConfigurationError, match=r"text after a section header") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.line == text.split("\n").index(entry) + 1
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,17 @@
 """Rescaling, block-triangular preconditioner, and solver dispatch tests."""
 
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from biotfv.app.config import parse_config_text
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import precond
-from biotfv.linsolve.blocks import rescale
+from biotfv.linsolve.blocks import cell_order, rescale
 from biotfv.linsolve.precond import (
     BlockTriangularPreconditioner,
     SolverOptions,
@@ -16,6 +21,12 @@ from biotfv.mesh import build_cartesian
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
 from oracles import material
 
+BARRIER = (Path(__file__).resolve().parent.parent / "cases" / "barrier.cfg").read_text()
+# the CI copy with Robin walls and a traction-free top
+ROBIN_FREE = BARRIER.replace(
+    "mechanics = fixed\n",
+    "mechanics = robin\nrobin_delta = 10 m\nrobin_mu = 1 GPa\nz_max = free\n",
+)
 
 def _system(nx, ny, nz, mu=1.0, lam=1.0, seed=0):
     mesh = build_cartesian(nx, ny, nz)
@@ -241,3 +252,86 @@ def test_small_instance_oracle_meshes():
         expected = np.linalg.solve(system.matrix.toarray(), system.rhs)
         err = np.linalg.norm(report.x - expected) / np.linalg.norm(expected)
         assert err <= 1e-8, dims
+
+
+# ------------------------------------------------- cell-blocked LU order
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (3, 2, 2)])
+def test_cell_order_is_a_permutation_keeping_each_cell_together(dims):
+    _, _, system = _system(*dims)
+    n = system.n_cells
+    order = cell_order(system.matrix, n)
+    assert np.array_equal(np.sort(order), np.arange(7 * n))
+    # row k holds the seven unknowns of the k-th cell, in field order
+    cells = order.reshape(n, 7)
+    assert np.array_equal(cells, cells[:, :1] + n * np.arange(7))
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1)])
+def test_direct_solve_of_one_and_two_cells_matches_dense(dims):
+    mesh, props, system = _system(*dims, mu=1.3, lam=2.9)
+    solver = TpsaSolver(system, mean_shear_modulus(mesh, props))
+    assert solver.direct
+    block = np.random.default_rng(5).standard_normal((system.n_dof, 3))
+    reports = solver.solve(block.copy())
+    expected = np.linalg.solve(system.matrix.toarray(), block)
+    for j, report in enumerate(reports):
+        assert np.allclose(report.x, expected[:, j], rtol=1e-10, atol=1e-12)
+        assert report.trace[0] <= 1e-12
+
+
+def test_factorization_is_the_one_precond_splu_call(monkeypatch):
+    # the cell graph's own SuperLU call stays out of precond.splu, which
+    # is the elastic factorization's only name
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(precond, "splu", counted)
+    mesh, props, system = _system(3, 3, 2)
+    TpsaSolver(system, mean_shear_modulus(mesh, props))
+    assert calls == ["NATURAL"]
+
+
+@pytest.fixture(scope="module", params=[BARRIER, ROBIN_FREE], ids=["clamped", "robin-free"])
+def shipped(request):
+    """The shipped barrier operator's direct solver and a plain-order LU."""
+    case = parse_config_text(request.param).build_case()
+    # clamped walls only on the shipped case, some traction-free faces on its copy
+    assert np.isinf(case.props.w_out).any() == (request.param is ROBIN_FREE)
+    system = assemble_tpsa(case.mesh, case.props)
+    solver = TpsaSolver(system, mean_shear_modulus(case.mesh, case.props))
+    plain = splu(solver.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return solver, plain
+
+
+def test_cell_order_fills_less_than_minimum_degree_on_unknowns(shipped):
+    solver, plain = shipped
+    assert solver.direct
+    fill = solver._lu.L.nnz + solver._lu.U.nnz
+    assert fill < plain.L.nnz + plain.U.nnz
+
+
+def test_cell_order_solution_matches_plain_order(shipped):
+    solver, plain = shipped
+    block = np.random.default_rng(6).standard_normal((solver.matrix.shape[0], 4))
+    expected = solver.scale[:, None] * plain.solve(solver.scale[:, None] * block)
+    reports = solver.solve(block.copy())
+    for j, report in enumerate(reports):
+        err = np.linalg.norm(report.x - expected[:, j]) / np.linalg.norm(expected[:, j])
+        assert err <= 1e-12
+
+
+def test_solver_logs_its_path_and_why(caplog):
+    mesh, props, system = _system(2, 2, 2)
+    mu0 = mean_shear_modulus(mesh, props)
+    with caplog.at_level(logging.INFO, logger="biotfv"):
+        TpsaSolver(system, mu0)
+        TpsaSolver(system, mu0, SolverOptions(method="iterative"))
+    text = caplog.text
+    assert f"sparse LU ({system.n_dof} unknowns <= DIRECT_THRESHOLD 30000)" in text
+    assert "factor entries stored, factored in" in text
+    assert "BiCGStab (method = iterative)" in text
