@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error or any other invalid input
-(every package error that is not a solver failure), 3 solver failure
+Exit codes: 0 success, 2 configuration error (every package error that is
+not a solver failure, invalid geometry included), 3 solver failure
 (including a singular factorization, and a fixed-stress run that stops at
 its iteration cap unconverged, after its outputs are written), 4 I/O error
 while writing results.
@@ -15,7 +15,7 @@ import sys
 
 from ..errors import BiotfvError, ConfigurationError, SolverError
 from .config import parse_config
-from .drivers import run_barrier_case, run_case, run_convergence_study
+from .drivers import VARIABLES, run_barrier_case, run_case, run_convergence_study
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,9 +96,9 @@ def main(argv=None) -> int:
                     f"--grids must be integers, got '{args.grids}'"
                 ) from None
             study = run_convergence_study(config, grids, out_dir=args.out)
-            print("n,h," + ",".join(f"err_{v}" for v in ("dp", "u", "r", "p_hat")))
+            print("n,h," + ",".join(f"err_{v}" for v in VARIABLES))
             for rep in study.reports:
-                errs = ",".join(repr(rep.errors[v]) for v in ("dp", "u", "r", "p_hat"))
+                errs = ",".join(repr(rep.errors[v]) for v in VARIABLES)
                 print(f"{rep.n},{rep.h!r},{errs}")
             for var, order in study.orders.items():
                 print(f"order {var}: {order:.3f}")
@@ -112,14 +112,11 @@ def main(argv=None) -> int:
                     f"{run.avg_dp_omega1[-1]:.6g} / {run.avg_dp_omega2[-1]:.6g} Pa"
                 )
                 reports.append(run.result.report)
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
     except BiotfvError as err:
-        print(f"invalid input: {err}", file=sys.stderr)
+        print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..coupling import SCHEME_KINDS, BiotCase, SchemeSpec, TimeGrid, Well
-from ..errors import ConfigurationError, GeometryError
+from ..errors import ConfigurationError
 from ..linsolve.precond import SOLVER_METHODS, SolverOptions
 from ..materials import PoroelasticProperties
 from ..mesh import Mesh, build_barrier_mesh, build_cartesian
@@ -109,13 +109,10 @@ class MeshSpec:
     def build(self) -> Mesh:
         shape = (self.nx, self.ny, self.nz)
         lengths = (self.lx, self.ly, self.lz)
-        try:
-            if self.builder == "barrier":
-                axis = "xyz".index(self.barrier_axis)
-                return build_barrier_mesh(*shape, lengths, axis, self.barrier_index)
-            return build_cartesian(*shape, lengths)
-        except GeometryError as err:
-            raise ConfigurationError(str(err)) from err
+        if self.builder == "barrier":
+            axis = "xyz".index(self.barrier_axis)
+            return build_barrier_mesh(*shape, lengths, axis, self.barrier_index)
+        return build_cartesian(*shape, lengths)
 
 
 @dataclass

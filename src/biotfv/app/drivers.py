@@ -200,10 +200,8 @@ def run_convergence_study(
         exact = case.initial  # steady solution, exact at t0
         final = result.final
         errors = {
-            "dp": relative_l2(mesh, final.dp, exact.dp),
-            "u": relative_l2(mesh, final.u, exact.u),
-            "r": relative_l2(mesh, final.r, exact.r),
-            "p_hat": relative_l2(mesh, final.p_hat, exact.p_hat),
+            v: relative_l2(mesh, getattr(final, v), getattr(exact, v))
+            for v in VARIABLES
         }
         probe = CoupledSystem(case, replace(config.solver, method="iterative"))
         warm = [None] * (case.time.n_steps + 1)  # fresh: the probe starts at 0

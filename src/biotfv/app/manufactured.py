@@ -17,7 +17,7 @@ momentum and mass balances gives the steady body force and fluid source
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,19 +40,11 @@ def _others(c: int) -> tuple[int, int]:
     return (c + 1) % 3, (c + 2) % 3
 
 
-def _default_props() -> PoroelasticProperties:
-    return PoroelasticProperties(
-        mu=0.01, lam=1.0, alpha=1.0, c0=0.01,
-        perm=9.869233e-13,  # 1 Darcy
-        fluid_viscosity=5e-4,
-    )
-
-
 @dataclass
 class ManufacturedSolution:
     """Exact fields and sources parametrized by scalar material constants."""
 
-    props: PoroelasticProperties = field(default_factory=_default_props)
+    props: PoroelasticProperties
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         s, _, _, _ = _factors(x)

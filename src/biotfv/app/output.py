@@ -53,53 +53,48 @@ def save_source_history(path, psi: np.ndarray) -> None:
     )
 
 
+# VTK name, BiotState field and components: 1 is SCALARS, 3 is VECTORS
+_VTK_FIELDS = (
+    ("pressure_deviation", "dp", 1),
+    ("displacement", "u", 3),
+    ("rotation", "r", 3),
+    ("effective_pressure", "p_hat", 1),
+)
+
+
+def _rows(array: np.ndarray) -> list[str]:
+    """One line per row (per entry of a 1-D array), each value as its repr."""
+    return [" ".join(map(repr, row)) for row in array.reshape(len(array), -1).tolist()]
+
+
 def write_vtk(path, mesh: Mesh, state: BiotState, title: str = "biotfv") -> None:
     """Legacy ASCII VTK unstructured grid with the four cell fields."""
     if mesh.vertices is None or mesh.cell_nodes is None:
         raise GeometryError("mesh has no vertex data, cannot write VTK")
     n = mesh.n_cells
-    for name, field, width in (
-        ("pressure deviation", state.dp, None),
-        ("displacement", state.u, 3),
-        ("rotation", state.r, 3),
-        ("effective pressure", state.p_hat, None),
-    ):
-        expected = (n,) if width is None else (n, width)
-        if np.shape(field) != expected:
-            raise ValueError(
-                f"{name} has shape {np.shape(field)}, expected {expected}"
-            )
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines += [f"POINTS {len(mesh.vertices)} double", *_rows(mesh.vertices)]
+    lines += [f"CELLS {n} {n * 9}", *["8 " + row for row in _rows(mesh.cell_nodes)]]
+    lines += [f"CELL_TYPES {n}", *["12"] * n, f"CELL_DATA {n}"]  # 12: hexahedron
+    for name, attr, width in _VTK_FIELDS:
+        values = np.asarray(getattr(state, attr), dtype=float)
+        expected = (n,) if width == 1 else (n, width)
+        if values.shape != expected:
+            label = name.replace("_", " ")
+            raise ValueError(f"{label} has shape {values.shape}, expected {expected}")
+        if width == 1:
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        else:
+            lines.append(f"VECTORS {name} double")
+        lines += _rows(values)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.vertices.shape[0]} double",
-    ]
-    lines += [" ".join(repr(float(c)) for c in v) for v in mesh.vertices]
-    lines.append(f"CELLS {n} {n * 9}")
-    lines += ["8 " + " ".join(str(i) for i in nodes) for nodes in mesh.cell_nodes]
-    lines.append(f"CELL_TYPES {n}")
-    lines += ["12"] * n  # VTK_HEXAHEDRON
-    lines.append(f"CELL_DATA {n}")
-    lines.append("SCALARS pressure_deviation double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines += [repr(float(v)) for v in state.dp]
-    lines.append("VECTORS displacement double")
-    lines += [" ".join(repr(float(c)) for c in row) for row in state.u]
-    lines.append("VECTORS rotation double")
-    lines += [" ".join(repr(float(c)) for c in row) for row in state.r]
-    lines.append("SCALARS effective_pressure double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines += [repr(float(v)) for v in state.p_hat]
     path.write_text("\n".join(lines) + "\n")
 
 
 def dump_matrix(prefix, matrix) -> list[Path]:
     """MatrixMarket dump of a sparse operator to <prefix>.mtx."""
-    path = Path(prefix).with_suffix(".mtx")
+    path = Path(f"{prefix}.mtx")
     path.parent.mkdir(parents=True, exist_ok=True)
     mmwrite(path, matrix.tocoo())
     return [path]

@@ -1,12 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The command line exits 3 on a
+SolverError and 2 on any other, which it prints as "configuration error:"."""
 
 
 class BiotfvError(Exception):
     """Base class for all package errors."""
-
-
-class GeometryError(BiotfvError):
-    """Mesh construction or validation failed."""
 
 
 class ConfigurationError(BiotfvError):
@@ -21,6 +18,10 @@ class ConfigurationError(BiotfvError):
         if line is not None:
             parts.append(f"line {line}")
         super().__init__(": ".join(parts) if len(parts) > 1 else message)
+
+
+class GeometryError(ConfigurationError):
+    """Mesh construction or validation failed."""
 
 
 class SolverError(BiotfvError):

@@ -74,9 +74,11 @@ def aggregate(strength: sp.csr_matrix) -> tuple[np.ndarray, int]:
     First pass seeds an aggregate from every node whose strong neighbors
     are all unclaimed (isolated nodes become singletons); second pass
     attaches leftovers to their most strongly connected aggregate (the
-    first such neighbor in CSR order on a tie).  Strength rows are short,
-    so the loops run over Python lists: a numpy call per node would cost
-    more than the node's work.
+    first such neighbor in CSR order on a tie).  The first pass leaves a
+    node only when a neighbor is claimed, and claims are never undone, so
+    the second pass finds one for every leftover.  Strength rows are
+    short, so the loops run over Python lists: a numpy call per node would
+    cost more than the node's work.
     """
     n = strength.shape[0]
     indptr = strength.indptr.tolist()
@@ -105,12 +107,7 @@ def aggregate(strength: sp.csr_matrix) -> tuple[np.ndarray, int]:
             j = indices[k]
             if assign[j] != -1 and (best == -1 or data[k] > best_val):
                 best, best_val = j, data[k]
-        if best != -1:
-            assign[i] = assign[best]
-    for i in range(n):
-        if assign[i] == -1:  # unreachable in practice, kept as a guard
-            assign[i] = count
-            count += 1
+        assign[i] = assign[best]
     return np.array(assign, dtype=np.int64), count
 
 
@@ -165,10 +162,9 @@ class AmgHierarchy:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def vcycle(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-        """One V-cycle from x0; from zero it is the preconditioner action."""
-        x = np.zeros_like(rhs) if x0 is None else x0.copy()
-        return self._cycle(0, rhs, x)
+    def vcycle(self, rhs: np.ndarray) -> np.ndarray:
+        """One V-cycle from zero: the preconditioner action."""
+        return self._cycle(0, rhs, np.zeros_like(rhs))
 
     def _cycle(self, depth: int, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
         level = self.levels[depth]

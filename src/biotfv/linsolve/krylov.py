@@ -21,12 +21,11 @@ BREAKDOWN = 1e-30
 class SolveReport:
     """One solve's solution and residual trace.
 
-    method is "bicgstab" (trace: residual norm per iteration) or "direct"
-    (trace: the single relative residual of the LU solve).
+    The trace holds the residual norm per BiCGStab iteration, or the single
+    relative residual of an LU solve.
     """
 
     x: np.ndarray
-    method: str
     trace: list[float]
     restarted: bool = False
 
@@ -51,12 +50,12 @@ def bicgstab(
     norm_b = np.linalg.norm(rhs)
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
     if norm_b == 0.0:
-        return SolveReport(x=np.zeros_like(rhs), method="bicgstab", trace=[0.0])
+        return SolveReport(x=np.zeros_like(rhs), trace=[0.0])
 
     r = rhs - operator @ x
     trace = [float(np.linalg.norm(r))]
     if trace[0] <= rtol * norm_b:
-        return SolveReport(x=x, method="bicgstab", trace=trace)
+        return SolveReport(x=x, trace=trace)
 
     shadow = r.copy()
     rho = alpha = omega = 1.0
@@ -113,7 +112,7 @@ def bicgstab(
         x = x + alpha * p_hat
         trace.append(float(np.linalg.norm(s)))
         if trace[-1] <= rtol * norm_b and converged():
-            return SolveReport(x=x, method="bicgstab", trace=trace, restarted=restarted)
+            return SolveReport(x=x, trace=trace, restarted=restarted)
         s_hat = apply_m(s)
         t = operator @ s_hat
         tt = float(t @ t)
@@ -125,7 +124,7 @@ def bicgstab(
         r = s - omega * t
         trace[-1] = float(np.linalg.norm(r))
         if trace[-1] <= rtol * norm_b and converged():
-            return SolveReport(x=x, method="bicgstab", trace=trace, restarted=restarted)
+            return SolveReport(x=x, trace=trace, restarted=restarted)
 
     raise SolverError(
         f"no convergence in {max_iter} iterations "

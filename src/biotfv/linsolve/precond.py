@@ -182,7 +182,7 @@ class TpsaSolver:
             x[order] = y
             x *= self.scale[:, None]
             return [
-                SolveReport(x=x[:, j], method="direct", trace=[float(res)])
+                SolveReport(x=x[:, j], trace=[float(res)])
                 for j, res in enumerate(residuals)
             ]
         reports: list[SolveReport] = []

@@ -6,10 +6,13 @@ face_duals is the face formulas vectorized over faces with np.cross,
 separate from the package's sparse face map.  local_face_operator and
 face_duals reuse only the package's per-face stencil coefficients.
 multigrid_solve iterates the package's V-cycle as a
-stand-alone solver, a second solve path the multigrid tests check.
+stand-alone solver by defect correction, a second solve path the
+multigrid tests check.
 greedy_aggregate is the greedy aggregation written with one numpy
 call per node, the reference the package's list-based loops must match
-exactly.  sequential_march is the fixed-stress time march with one
+exactly; its last pass, which makes a singleton of any node the first
+two left unassigned, has no counterpart in the package.
+sequential_march is the fixed-stress time march with one
 mechanics solve per step, the reference for the package's block solve.
 monolithic_march solves flow and mechanics of each step as one system,
 the limit the splitting schemes converge to.  read_csv and
@@ -310,20 +313,22 @@ def face_duals(mesh, props, x):
     return sigma, tau, v
 
 
-def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100, x0=None):
+def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100):
     """Stationary V-cycle iteration to rtol relative to the first residual.
 
     Returns (x, trace of residual norms); raises SolverError with the
     trace when max_cycles cycles do not reach rtol.
     """
     matrix = hier.levels[0].matrix
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    x = np.zeros_like(rhs)
     norm0 = np.linalg.norm(rhs - matrix @ x)
     trace = [norm0]
     if norm0 == 0.0:
         return x, trace
     for _ in range(max_cycles):
-        x = hier.vcycle(rhs, x)
+        # defect correction: the cycle's result is affine in its start, so
+        # a cycle started from x is x plus a cycle from zero on the residual
+        x = x + hier.vcycle(rhs - matrix @ x)
         res = np.linalg.norm(rhs - matrix @ x)
         trace.append(res)
         if res <= rtol * norm0:

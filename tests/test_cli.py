@@ -106,6 +106,23 @@ def test_run_dump_matrix(barrier_cfg, tmp_path):
     assert (tmp_path / "out" / "small_mech.mtx").exists()
 
 
+@pytest.mark.parametrize(
+    "file_name, name_line, stem",
+    [("small.cfg", "name = v1.2", "v1.2"), ("barrier.v2.cfg", "", "barrier.v2")],
+    ids=["case-name", "file-stem"],
+)
+def test_run_dump_matrix_keeps_a_dotted_case_name(tmp_path, file_name, name_line, stem):
+    # the text after a dot in the name is part of it, not a suffix to replace
+    cfg = tmp_path / file_name
+    cfg.write_text(
+        BARRIER_SMALL.replace("name = small", name_line)
+        + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(cfg), "--dump-matrix"]) == 0
+    dumps = sorted(path.name for path in (tmp_path / "out").glob("*.mtx"))
+    assert dumps == [f"{stem}_mech.mtx"]
+
+
 def test_run_dump_matrix_assembles_once(barrier_cfg, tmp_path, monkeypatch):
     original = tpsa.assemble_tpsa
     built = []
@@ -208,7 +225,7 @@ def test_other_package_error_exits_2(barrier_cfg, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_case", broken)
     assert main(["run", str(barrier_cfg)]) == 2
-    assert "invalid input: degenerate face" in capsys.readouterr().err
+    assert "configuration error: degenerate face" in capsys.readouterr().err
 
 
 def test_nan_permeability_exits_2_without_outputs(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Closed-form solution checked against central finite differences."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from biotfv.app.config import parse_config
 from biotfv.app.manufactured import ManufacturedSolution
 from biotfv.coupling import (
     CoupledSystem, SchemeSpec, TimeGrid, global_mass_check, simulate,
@@ -18,14 +20,17 @@ from oracles import (
     central_difference_laplacian,
 )
 
+PROPS = parse_config(
+    Path(__file__).resolve().parent.parent / "cases" / "manufactured.cfg"
+).props
 RNG = np.random.default_rng(7)
 # Interior points away from the boundary so FD stencils stay inside the cube.
 POINTS = 0.1 + 0.8 * RNG.random((40, 3))
 
 
 def _sol(**kw):
-    """The closed form with some of its default constants replaced."""
-    return ManufacturedSolution(replace(ManufacturedSolution().props, **kw))
+    """The closed form with some of the shipped case's constants replaced."""
+    return ManufacturedSolution(replace(PROPS, **kw))
 
 
 def test_phi_peak_and_boundary_values():

@@ -107,6 +107,52 @@ def test_vtk_cell_data_values_round_trip(tmp_path):
     assert np.array_equal(u, state.u)
 
 
+def _expected_vtk(mesh, state, title):
+    """The VTK text written one number at a time, each float as repr(float(v))."""
+
+    def row(values):
+        return " ".join(repr(float(v)) for v in np.atleast_1d(values))
+
+    n = mesh.n_cells
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines.append(f"POINTS {mesh.vertices.shape[0]} double")
+    lines += [row(v) for v in mesh.vertices]
+    lines.append(f"CELLS {n} {9 * n}")
+    lines += ["8 " + " ".join(str(int(i)) for i in nodes) for nodes in mesh.cell_nodes]
+    lines += [f"CELL_TYPES {n}", *["12"] * n, f"CELL_DATA {n}"]
+    for header, values in (
+        ("SCALARS pressure_deviation double 1\nLOOKUP_TABLE default", state.dp),
+        ("VECTORS displacement double", state.u),
+        ("VECTORS rotation double", state.r),
+        ("SCALARS effective_pressure double 1\nLOOKUP_TABLE default", state.p_hat),
+    ):
+        lines.append(header)
+        lines += [row(v) for v in values]
+    return "\n".join(lines) + "\n"
+
+
+def test_vtk_text_is_byte_exact(tmp_path):
+    # signed zero, the smallest subnormal, exponent forms, NaN, and the node
+    # ids of a 48 x 48 x 3 grid
+    mesh = build_cartesian(48, 48, 3, (0.1, 0.3, 7.0))
+    n = mesh.n_cells
+    special = np.array([-0.0, 5e-324, 1e-5, 1e16, np.nan, 1.0 / 3.0, -2.5e-300])
+    state = BiotState(
+        dp=np.resize(special, n),
+        u=np.resize(np.roll(special, 1), (n, 3)),
+        r=np.resize(np.roll(special, 2), (n, 3)),
+        p_hat=np.resize(np.roll(special, 3), n),
+    )
+    path = tmp_path / "exact.vtk"
+    write_vtk(path, mesh, state, title="exact")
+    expected = _expected_vtk(mesh, state, "exact")
+    assert path.read_bytes() == expected.encode("ascii")
+    lines = expected.splitlines()
+    for text in ("-0.0", "5e-324", "1e-05", "1e+16", "nan"):
+        assert text in lines
+    assert "9603" in lines[lines.index(f"CELLS {n} {9 * n}") + n].split()
+
+
 def test_vtk_rejects_mismatched_state(tmp_path):
     mesh = build_cartesian(2, 2, 2)
     with pytest.raises(ValueError, match="pressure deviation"):

@@ -158,7 +158,7 @@ def test_solver_direct_path_matches_dense():
     solver = TpsaSolver(system, mean_shear_modulus(mesh, props))
     assert solver.direct
     (report,) = solver.solve(system.rhs[:, None].copy())
-    assert report.method == "direct"
+    assert len(report.trace) == 1  # one LU solve, no Krylov iterations
     expected = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.allclose(report.x, expected, rtol=1e-9, atol=1e-12)
 
@@ -169,8 +169,8 @@ def test_solver_iterative_path_matches_direct():
     direct = TpsaSolver(system, mu0, SolverOptions(method="direct"))
     iterative = TpsaSolver(system, mu0, SolverOptions(method="iterative", rtol=1e-10))
     x_ref = direct.solve(system.rhs[:, None].copy())[0].x
+    assert direct.direct and not iterative.direct
     (report,) = iterative.solve(system.rhs[:, None].copy())
-    assert report.method == "bicgstab"
     assert report.iterations >= 1
     err = np.linalg.norm(report.x - x_ref) / np.linalg.norm(x_ref)
     assert err <= 1e-8
