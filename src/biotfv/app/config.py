@@ -35,7 +35,6 @@ from .manufactured import ManufacturedSolution
 __all__ = [
     "MeshSpec",
     "BoundarySpec",
-    "OutputSpec",
     "CaseConfig",
     "parse_quantity",
     "parse_config",
@@ -66,8 +65,6 @@ _UNITS = {
 
 _SIDE_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 _BOUNDARY_KINDS = ("fixed", "free", "robin")
-_BOOLEANS = dict.fromkeys(("1", "yes", "true", "on"), True)
-_BOOLEANS.update(dict.fromkeys(("0", "no", "false", "off"), False))
 
 
 def parse_quantity(
@@ -155,13 +152,6 @@ class BoundarySpec:
 
 
 @dataclass
-class OutputSpec:
-    directory: str = "out"
-    vtk: bool = True
-    csv: bool = True
-
-
-@dataclass
 class CaseConfig:
     """Everything needed to build and run one case."""
 
@@ -173,7 +163,7 @@ class CaseConfig:
     time: TimeGrid = None
     scheme: SchemeSpec = field(default_factory=SchemeSpec)
     solver: SolverOptions = field(default_factory=SolverOptions)
-    output: OutputSpec = field(default_factory=OutputSpec)
+    output_directory: str = "out"
     wells: list[Well] = field(default_factory=list)
 
     def build_mesh(self) -> Mesh:
@@ -193,7 +183,7 @@ class CaseConfig:
 class _Key(NamedTuple):
     """How one case-file key is read and which dataclass field it fills."""
 
-    kind: object  # a _UNITS kind, int, bool, str, "name", "cell", or a tuple of words
+    kind: object  # a _UNITS kind, int, str, "name", "cell", or a tuple of words
     required: bool = False  # an absent optional key keeps its field's default
     field: str | None = None  # set only where the field's name differs from the key
 
@@ -276,11 +266,7 @@ _SECTIONS = {
             "method": _Key(SOLVER_METHODS),
         },
     ),
-    "output": _Section(
-        "output",
-        OutputSpec,
-        {"directory": _Key(str), "vtk": _Key(bool), "csv": _Key(bool)},
-    ),
+    "output": _Section(None, None, {"directory": _Key(str, field="output_directory")}),
 }
 # the keys of each [well.NAME] section, one Well per section
 _WELL = {
@@ -348,6 +334,13 @@ def _parse_value(text: str, kind, section: str, key: str, line: int | None):
     name = f"{section}.{key}"
     if kind in _UNITS:
         return parse_quantity(text, kind, key=name, line=line)
+    if kind in (str, "name"):  # the output directory and the files' name prefix
+        try:  # checked now, not when the first file is written after the run
+            os.fsencode(text)
+        except UnicodeEncodeError:
+            raise ConfigurationError(
+                f"{name} {text!r} cannot be encoded as a file name", key=name, line=line
+            ) from None
     if kind is str:
         return text
     if kind == "name":  # names the output files, so it must stay in their directory
@@ -365,13 +358,6 @@ def _parse_value(text: str, kind, section: str, key: str, line: int | None):
                 line=line,
             )
         return text
-    if kind is bool:
-        value = _BOOLEANS.get(text.lower())
-        if value is None:
-            raise ConfigurationError(
-                f"cannot parse boolean '{text}' for {name}", key=name, line=line
-            )
-        return value
     if kind is int:
         try:
             return int(text)

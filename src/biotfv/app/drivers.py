@@ -78,7 +78,7 @@ def run_case(
 ) -> RunArtifacts:
     """Run one case per its configured scheme and write the outputs."""
     case = config.build_case()
-    out = Path(out_dir if out_dir is not None else config.output.directory)
+    out = Path(out_dir if out_dir is not None else config.output_directory)
     log.info(
         "running case '%s': %d cells, %d steps, scheme %s",
         case.name,
@@ -94,33 +94,29 @@ def run_case(
         result.report.iterations,
         mass,
     )
-    paths: list[Path] = []
     name = case.name or "case"
-    if config.output.csv:
-        series = out / f"{name}_series.csv"
-        rows = [
-            (
-                i,
-                state.t,
-                float(np.mean(state.dp)),
-                float(np.min(state.dp)),
-                float(np.max(state.dp)),
-                float(np.mean(state.p_hat)),
-            )
-            for i, state in enumerate(result.states)
-        ]
-        write_csv(
-            series,
-            ["step", "time", "mean_dp", "min_dp", "max_dp", "mean_p_hat"],
-            rows,
+    series = out / f"{name}_series.csv"
+    rows = [
+        (
+            i,
+            state.t,
+            float(np.mean(state.dp)),
+            float(np.min(state.dp)),
+            float(np.max(state.dp)),
+            float(np.mean(state.p_hat)),
         )
-        psi_path = out / f"{name}_psi.csv"
-        save_source_history(psi_path, result.psi)
-        paths += [series, psi_path]
-    if config.output.vtk:
-        vtk_path = out / f"{name}_final.vtk"
-        write_vtk(vtk_path, case.mesh, result.final, title=name)
-        paths.append(vtk_path)
+        for i, state in enumerate(result.states)
+    ]
+    write_csv(
+        series,
+        ["step", "time", "mean_dp", "min_dp", "max_dp", "mean_p_hat"],
+        rows,
+    )
+    psi_path = out / f"{name}_psi.npy"
+    save_source_history(psi_path, result.psi)
+    vtk_path = out / f"{name}_final.vtk"
+    write_vtk(vtk_path, case.mesh, result.final, title=name)
+    paths = [series, psi_path, vtk_path]
     if dump_system:
         paths += dump_matrix(out / f"{name}_mech", engine.system.matrix)
     return RunArtifacts(case=case, result=result, mass_defect=mass, paths=paths)
@@ -232,30 +228,22 @@ def run_convergence_study(
         "fitted orders: %s",
         ", ".join(f"{k} {v:.2f}" for k, v in orders.items()),
     )
-    if config.output.csv:
-        out = Path(out_dir if out_dir is not None else config.output.directory)
-        write_csv(
-            out / "convergence_errors.csv",
-            ["n", "h", "n_cells"] + [f"err_{v}" for v in VARIABLES],
-            [
-                (r.n, r.h, r.n_cells, *[r.errors[v] for v in VARIABLES])
-                for r in reports
-            ],
-        )
-        write_csv(
-            out / "convergence_orders.csv",
-            ["variable", "order"],
-            [(v, orders[v]) for v in VARIABLES],
-        )
-        write_csv(
-            out / "convergence_iterations.csv",
-            ["n", "iteration", "residual"],
-            [
-                (r.n, i, res)
-                for r in reports
-                for i, res in enumerate(r.probe_trace)
-            ],
-        )
+    out = Path(out_dir if out_dir is not None else config.output_directory)
+    write_csv(
+        out / "convergence_errors.csv",
+        ["n", "h", "n_cells"] + [f"err_{v}" for v in VARIABLES],
+        [(r.n, r.h, r.n_cells, *[r.errors[v] for v in VARIABLES]) for r in reports],
+    )
+    write_csv(
+        out / "convergence_orders.csv",
+        ["variable", "order"],
+        [(v, orders[v]) for v in VARIABLES],
+    )
+    write_csv(
+        out / "convergence_iterations.csv",
+        ["n", "iteration", "residual"],
+        [(r.n, i, res) for r in reports for i, res in enumerate(r.probe_trace)],
+    )
     return study
 
 
@@ -282,9 +270,10 @@ def run_barrier_case(
 ) -> list[BarrierRun]:
     """Run the sealed-barrier case under several coupling schemes.
 
-    Writes one CSV of per-step compartment-average pressure deviations per
-    scheme plus a summary table with iteration counts and the global mass
-    defect of each scheme.  Files and summary rows carry the scheme's
+    Writes, per scheme, a CSV of per-step compartment-average pressure
+    deviations, the source history psi as .npy and the final state as VTK,
+    then a summary table with iteration counts and the global mass defect
+    of each scheme.  Files and summary rows carry the scheme's
     stripped, lower-cased name.  Every scheme is checked before the first
     runs, and two names that select the same scheme (a name listed twice,
     or `fixed` and `fixed_stress`) are rejected, so bad input writes no
@@ -308,7 +297,7 @@ def run_barrier_case(
     if repeated:
         raise ConfigurationError(f"scheme listed twice: {', '.join(sorted(repeated))}")
     vol = case.mesh.cell_volumes
-    out = Path(out_dir if out_dir is not None else config.output.directory)
+    out = Path(out_dir if out_dir is not None else config.output_directory)
     runs = []
     for name, scheme in specs:
         log.info("barrier case, scheme %s", name)
@@ -327,23 +316,21 @@ def run_barrier_case(
             mass_defect=global_mass_check(case, result.states),
         )
         runs.append(run)
-        if config.output.csv:
-            write_csv(
-                out / f"barrier_{name}.csv",
-                ["step", "time", "avg_dp_omega1", "avg_dp_omega2"],
-                [
-                    (i, s.t, run.avg_dp_omega1[i], run.avg_dp_omega2[i])
-                    for i, s in enumerate(result.states)
-                ],
-            )
-            save_source_history(out / f"barrier_{name}_psi.csv", result.psi)
-        if config.output.vtk:
-            write_vtk(
-                out / f"barrier_{name}_final.vtk",
-                case.mesh,
-                result.final,
-                title=f"{case.name}:{name}",
-            )
+        write_csv(
+            out / f"barrier_{name}.csv",
+            ["step", "time", "avg_dp_omega1", "avg_dp_omega2"],
+            [
+                (i, s.t, run.avg_dp_omega1[i], run.avg_dp_omega2[i])
+                for i, s in enumerate(result.states)
+            ],
+        )
+        save_source_history(out / f"barrier_{name}_psi.npy", result.psi)
+        write_vtk(
+            out / f"barrier_{name}_final.vtk",
+            case.mesh,
+            result.final,
+            title=f"{case.name}:{name}",
+        )
         log.info(
             "scheme %s: %d iterations, mass defect %.3e, final averages %.4g / %.4g",
             name,
@@ -352,27 +339,26 @@ def run_barrier_case(
             run.avg_dp_omega1[-1],
             run.avg_dp_omega2[-1],
         )
-    if config.output.csv:
-        write_csv(
-            out / "barrier_summary.csv",
-            [
-                "scheme",
-                "iterations",
-                "converged",
-                "mass_defect",
-                "final_avg_dp_omega1",
-                "final_avg_dp_omega2",
-            ],
-            [
-                (
-                    r.scheme,
-                    r.result.report.iterations,
-                    int(r.result.report.converged),
-                    r.mass_defect,
-                    r.avg_dp_omega1[-1],
-                    r.avg_dp_omega2[-1],
-                )
-                for r in runs
-            ],
-        )
+    write_csv(
+        out / "barrier_summary.csv",
+        [
+            "scheme",
+            "iterations",
+            "converged",
+            "mass_defect",
+            "final_avg_dp_omega1",
+            "final_avg_dp_omega2",
+        ],
+        [
+            (
+                r.scheme,
+                r.result.report.iterations,
+                int(r.result.report.converged),
+                r.mass_defect,
+                r.avg_dp_omega1[-1],
+                r.avg_dp_omega2[-1],
+            )
+            for r in runs
+        ],
+    )
     return runs

@@ -1,9 +1,11 @@
-"""On-disk result formats: legacy VTK, CSV tables, source histories.
+"""On-disk result formats: CSV tables, .npy source histories, legacy VTK.
 
 CSV files use ',' as delimiter and '.' as decimal separator; floats are
-written with repr so a read-back reproduces them bit for bit.  VTK files
-are legacy ASCII (DataFile version 3.0) unstructured grids carrying the
-four cell fields of the coupled solution.
+written with repr so a read-back reproduces them bit for bit.  A source
+history is the (n_steps, n_cells) float64 array psi in NumPy's .npy
+format, which np.load reads back bit for bit.  VTK files are legacy ASCII
+(DataFile version 3.0) unstructured grids carrying the four cell fields
+of the coupled solution.
 """
 
 from __future__ import annotations
@@ -41,16 +43,14 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def save_source_history(path, psi: np.ndarray) -> None:
-    """Persist a coupling source history as (step, cell, psi) rows."""
+    """Persist a coupling source history as one .npy array at exactly path."""
     psi = np.asarray(psi)
     if psi.ndim != 2:
         raise ValueError("source history must have shape (n_steps, n_cells)")
-    steps, cells = np.divmod(np.arange(psi.size), psi.shape[1])
-    write_csv(
-        path,
-        ["step", "cell", "psi"],
-        zip(steps.tolist(), cells.tolist(), psi.ravel().tolist()),
-    )
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as handle:  # np.save(path) would append ".npy"
+        np.save(handle, psi, allow_pickle=False)
 
 
 # VTK name, BiotState field and components: 1 is SCALARS, 3 is VECTORS

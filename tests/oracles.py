@@ -15,11 +15,11 @@ two left unassigned, has no counterpart in the package.
 sequential_march is the fixed-stress time march with one
 mechanics solve per step, the reference for the package's block solve.
 monolithic_march solves flow and mechanics of each step as one system,
-the limit the splitting schemes converge to.  read_csv and
-load_source_history read back what the package's CSV writers wrote,
-material builds the one validated material record every operator test
-assembles from, and serialize_config writes a parsed case back as the
-canonical SI-unit text the round-trip tests parse again.
+the limit the splitting schemes converge to.  read_csv reads back
+what the package's CSV writer wrote (np.load reads the .npy source
+histories), material builds the one validated material record every
+operator test assembles from, and serialize_config writes a parsed case
+back as the canonical SI-unit text the round-trip tests parse again.
 """
 
 import csv
@@ -52,19 +52,6 @@ def read_csv(path):
         reader = csv.reader(handle, delimiter=",")
         header = next(reader)
         return header, [row for row in reader]
-
-
-def load_source_history(path):
-    """The (n_steps, n_cells) source history written by save_source_history."""
-    header, rows = read_csv(path)
-    if header != ["step", "cell", "psi"]:
-        raise ValueError(f"not a source history file: header {header}")
-    steps = np.array([int(r[0]) for r in rows])
-    cells = np.array([int(r[1]) for r in rows])
-    values = np.array([float(r[2]) for r in rows])
-    psi = np.zeros((steps.max() + 1, cells.max() + 1))
-    psi[steps, cells] = values
-    return psi
 
 
 def orientation(mesh, cell, face):
@@ -453,8 +440,6 @@ def monolithic_march(coupled):
 def _format(value, kind):
     if kind in _UNITS:
         return repr(float(value))
-    if kind is bool:
-        return str(value).lower()
     if isinstance(value, tuple):  # a structured well cell
         return " ".join(map(str, value))
     return str(value)

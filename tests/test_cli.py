@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -97,7 +98,7 @@ def test_run_success(barrier_cfg, tmp_path, capsys):
     assert main(["run", str(barrier_cfg)]) == 0
     out = capsys.readouterr().out
     assert "mass defect" in out
-    for name in ("small_series.csv", "small_psi.csv", "small_final.vtk"):
+    for name in ("small_series.csv", "small_psi.npy", "small_final.vtk"):
         assert (tmp_path / "out" / name).exists()
 
 
@@ -143,7 +144,7 @@ def test_run_dump_matrix_assembles_once(barrier_cfg, tmp_path, monkeypatch):
 def test_run_is_deterministic(barrier_cfg, tmp_path):
     assert main(["run", str(barrier_cfg), "--out", str(tmp_path / "a")]) == 0
     assert main(["run", str(barrier_cfg), "--out", str(tmp_path / "b")]) == 0
-    for name in ("small_series.csv", "small_psi.csv", "small_final.vtk"):
+    for name in ("small_series.csv", "small_psi.npy", "small_final.vtk"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
@@ -344,7 +345,7 @@ def test_manufactured_well_off_the_mesh_exits_2(tmp_path, capsys, cell):
     "args, summary, files",
     [
         (["run"], "1 coupling iterations",
-         {"small_series.csv", "small_psi.csv", "small_final.vtk"}),
+         {"small_series.csv", "small_psi.npy", "small_final.vtk"}),
         (["barrier", "--schemes", "lagged,fixed"], "scheme fixed: 1 iterations",
          {"barrier_summary.csv", "barrier_lagged.csv", "barrier_fixed.csv"}),
     ],
@@ -377,6 +378,28 @@ def test_case_name_outside_the_output_directory_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and "case.name" in err
     assert [path.name for path in tmp_path.rglob("*")] == ["escape.cfg"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="C-locale file names are ASCII on Linux")
+@pytest.mark.parametrize("key", ["case.name", "output.directory"])
+def test_name_the_file_system_cannot_encode_exits_2(tmp_path, key):
+    # under the C locale file names are ASCII, so the case file is rejected
+    # when parsed, before a study runs that could not write its first file
+    text, out = BARRIER_SMALL, tmp_path / "résultats"
+    if key == "case.name":
+        text, out = text.replace("name = small", "name = café"), tmp_path / "out"
+    cfg = tmp_path / "small.cfg"
+    cfg.write_bytes(f"{text}\n[output]\ndirectory = {out}\n".encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "biotfv.app.cli", "run", str(cfg)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and key in proc.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["small.cfg"]
 
 
 def test_unwritable_output_exits_4(barrier_cfg, tmp_path, capsys):
@@ -458,7 +481,7 @@ def test_barrier_names_files_after_the_normalized_scheme(barrier_cfg, tmp_path):
     assert sorted(p.name for p in out.glob("barrier_fixed*")) == [
         "barrier_fixed.csv",
         "barrier_fixed_final.vtk",
-        "barrier_fixed_psi.csv",
+        "barrier_fixed_psi.npy",
     ]
     rows = (out / "barrier_summary.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["lagged", "fixed"]

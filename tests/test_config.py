@@ -16,7 +16,6 @@ from biotfv.app.config import (
     BoundarySpec,
     CaseConfig,
     MeshSpec,
-    OutputSpec,
     parse_config,
     parse_config_text,
     parse_quantity,
@@ -87,7 +86,7 @@ def test_minimal_config_defaults():
     assert cfg.time.n_steps == 3
     assert cfg.scheme.kind == "fixed_stress"
     assert cfg.solver.rtol == 1e-5
-    assert cfg.output.vtk is True
+    assert cfg.output_directory == "out"
     assert cfg.wells == []
 
 
@@ -155,12 +154,15 @@ def test_missing_section_is_reported():
 
 
 def test_unknown_key_names_key_and_line():
-    # the direct/iterative size switch is a constant, not a [solver] key
-    for key, entry in (
-        ("shenanigans", "shenanigans = 3"),
-        ("direct_threshold", "direct_threshold = 30000"),
+    # the direct/iterative size switch is a constant, not a [solver] key,
+    # and every run writes every output file, so [output] has no switches
+    for known, key, entry in (
+        ("[solver]\nrtol = 1e-6", "shenanigans", "shenanigans = 3"),
+        ("[solver]\nrtol = 1e-6", "direct_threshold", "direct_threshold = 30000"),
+        ("[output]\ndirectory = out", "vtk", "vtk = true"),
+        ("[output]\ndirectory = out", "csv", "csv = true"),
     ):
-        text = MINIMAL + f"\n[solver]\nrtol = 1e-6\n{entry}\n"
+        text = MINIMAL + f"\n{known}\n{entry}\n"
         line = text.splitlines().index(entry) + 1
         with pytest.raises(ConfigurationError) as excinfo:
             parse_config_text(text)
@@ -187,11 +189,9 @@ def test_unknown_well_key_rejected():
         parse_config_text(text)
 
 
-def test_bad_integer_and_boolean():
+def test_bad_integer():
     with pytest.raises(ConfigurationError, match="cannot parse integer"):
         parse_config_text(MINIMAL.replace("nx = 2", "nx = two"))
-    with pytest.raises(ConfigurationError, match="cannot parse boolean"):
-        parse_config_text(MINIMAL + "\n[output]\nvtk = maybe\n")
 
 
 def test_bad_scheme_and_method_and_axis():
@@ -283,7 +283,7 @@ def case_configs(draw):
             draw(st.integers(1, 10**6)),
             draw(st.sampled_from(["auto", "direct", "iterative"])),
         ),
-        output=OutputSpec(draw(words), draw(st.booleans()), draw(st.booleans())),
+        output_directory=draw(words),
         wells=wells,
     )
 
@@ -383,7 +383,6 @@ _CONTINUED = [
     ("well.w", "cell = 1 1", "1"),  # would read as the cell (1, 1, 1)
     ("scheme", "max_iter = 5", "0"),
     ("solver", "method = iterative", "direct"),
-    ("output", "vtk = true", "false"),
 ]
 
 

@@ -135,9 +135,17 @@ def test_convergence_study_halving_ratio_and_outputs(tmp_path):
     assert len(lines) == 4
 
 
+def _assert_same_history(path, psi, cfg):
+    """The .npy file holds psi as float64 (n_steps, n_cells), bit for bit."""
+    written = np.load(path)
+    n_cells = cfg.mesh.nx * cfg.mesh.ny * cfg.mesh.nz
+    assert written.dtype == np.float64
+    assert written.shape == psi.shape == (cfg.time.n_steps, n_cells)
+    assert np.array_equal(written.view(np.int64), psi.view(np.int64))
+
+
 def test_barrier_case_runs_and_reports(tmp_path):
     cfg = parse_config_text(TINY_BARRIER)
-    cfg.output.vtk = False
     runs = run_barrier_case(cfg, schemes=("lagged", "fixed"), out_dir=tmp_path)
     assert [r.scheme for r in runs] == ["lagged", "fixed"]
     for run in runs:
@@ -146,6 +154,9 @@ def test_barrier_case_runs_and_reports(tmp_path):
         assert run.avg_dp_omega2[-1] > 0
         assert run.avg_dp_omega1[-1] > run.avg_dp_omega2[-1]
         assert (tmp_path / f"barrier_{run.scheme}.csv").exists()
+        assert (tmp_path / f"barrier_{run.scheme}_final.vtk").exists()
+        psi_path = tmp_path / f"barrier_{run.scheme}_psi.npy"
+        _assert_same_history(psi_path, run.result.psi, cfg)
     lagged, fixed = runs
     assert fixed.mass_defect < 1e-8
     assert lagged.mass_defect > fixed.mass_defect
@@ -166,7 +177,6 @@ def test_barrier_mass_defect_is_nan_unless_every_wall_is_clamped(tmp_path):
     runs, written = {}, {}
     for walls, extra in (("fixed", ""), ("robin", ROBIN_AND_FREE)):
         cfg = parse_config_text(TINY_BARRIER + extra)
-        cfg.output.vtk = False
         out = tmp_path / walls
         runs[walls] = run_barrier_case(cfg, ("lagged", "fixed"), out_dir=out)
         rows = (out / "barrier_summary.csv").read_text().splitlines()
@@ -205,13 +215,14 @@ def test_run_case_writes_artifacts(tmp_path):
     names = {p.name for p in artifacts.paths}
     assert names == {
         "tiny_series.csv",
-        "tiny_psi.csv",
+        "tiny_psi.npy",
         "tiny_final.vtk",
         "tiny_mech.mtx",
     }
     for p in artifacts.paths:
         assert p.exists()
     assert artifacts.mass_defect < 1e-8
+    _assert_same_history(tmp_path / "tiny_psi.npy", artifacts.result.psi, cfg)
     lines = (tmp_path / "tiny_series.csv").read_text().splitlines()
     assert lines[0] == "step,time,mean_dp,min_dp,max_dp,mean_p_hat"
     assert len(lines) == 2 + cfg.time.n_steps  # header + initial + steps

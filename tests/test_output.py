@@ -1,11 +1,11 @@
-"""Writers: CSV round-trips, VTK structure, source histories, matrix dumps."""
+"""Writers: CSV round-trips, .npy source histories, VTK structure, matrix dumps."""
 
 import numpy as np
 import pytest
 from scipy.io import mmread
 from scipy.sparse import random as sparse_random
 
-from oracles import load_source_history, read_csv
+from oracles import read_csv
 
 from biotfv.app.output import dump_matrix, save_source_history, write_csv, write_vtk
 from biotfv.coupling import BiotState
@@ -35,28 +35,25 @@ def test_csv_uses_comma_delimiter_and_point_decimal(tmp_path):
 
 def test_source_history_round_trip(tmp_path):
     psi = RNG.standard_normal((7, 13))
-    path = tmp_path / "psi.csv"
+    path = tmp_path / "psi.npy"
     save_source_history(path, psi)
-    back = load_source_history(path)
-    assert back.shape == psi.shape
-    assert np.array_equal(back, psi)
+    back = np.load(path)
+    assert back.dtype == np.float64 and back.shape == psi.shape
+    assert np.array_equal(back.view(np.int64), psi.view(np.int64))
 
 
-def test_source_history_header_layout(tmp_path):
-    path = tmp_path / "psi.csv"
-    save_source_history(path, np.array([[1.0, 2.0]]))
-    header, rows = read_csv(path)
-    assert header == ["step", "cell", "psi"]
-    assert rows[0][:2] == ["0", "0"]
-    assert rows[1][:2] == ["0", "1"]
+def test_source_history_writes_exactly_the_given_path(tmp_path):
+    # np.save(path) would append ".npy" to a path that does not end in it
+    save_source_history(tmp_path / "sub" / "psi.npy", np.zeros((2, 3)))
+    save_source_history(tmp_path / "psi.bin", np.zeros((2, 3)))
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*"))
+    assert written == ["psi.bin", "sub/psi.npy"]
 
 
-def test_source_history_rejects_wrong_shape_and_header(tmp_path):
-    with pytest.raises(ValueError):
-        save_source_history(tmp_path / "x.csv", np.zeros(5))
-    write_csv(tmp_path / "bad.csv", ["a", "b"], [(1, 2)])
-    with pytest.raises(ValueError, match="not a source history"):
-        load_source_history(tmp_path / "bad.csv")
+def test_source_history_rejects_wrong_shape(tmp_path):
+    with pytest.raises(ValueError, match="shape"):
+        save_source_history(tmp_path / "x.npy", np.zeros(5))
+    assert not (tmp_path / "x.npy").exists()
 
 
 def _state(n):
