@@ -15,11 +15,14 @@ from ..coupling import (
     CoupledSystem,
     SchemeSpec,
     SimulationResult,
+    elastic_load,
     global_mass_check,
     simulate,
 )
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SolverError
+from ..linsolve.precond import TpsaSolver
 from ..mesh import Mesh, build_cartesian
+from ..tpsa import assemble_tpsa, mean_shear_modulus
 from .config import CaseConfig
 from .output import dump_matrix, save_source_history, write_csv, write_vtk
 
@@ -86,7 +89,9 @@ def run_case(
         case.time.n_steps,
         config.scheme.kind,
     )
-    engine = CoupledSystem(case, config.solver)
+    # the dump needs the assembled operator, which the engine keeps only rescaled
+    elastic = assemble_tpsa(case.mesh, case.props) if dump_system else None
+    engine = CoupledSystem(case, config.solver, elastic)
     result = simulate(engine, config.scheme)
     mass = global_mass_check(case, result.states)
     log.info(
@@ -118,7 +123,7 @@ def run_case(
     write_vtk(vtk_path, case.mesh, result.final, title=name)
     paths = [series, psi_path, vtk_path]
     if dump_system:
-        paths += dump_matrix(out / f"{name}_mech", engine.system.matrix)
+        paths += dump_matrix(out / f"{name}_mech", elastic.matrix)
     return RunArtifacts(case=case, result=result, mass_defect=mass, paths=paths)
 
 
@@ -157,8 +162,10 @@ def run_convergence_study(
 
     Each grid solves the full transient with the lagged scheme starting
     from the exact solution, so the measured error is pure discretization
-    error.  One additional mechanics solve per grid is forced through the
-    preconditioned Krylov path to record its residual trace.
+    error.  A probe then records the residual trace of one more mechanics
+    solve per grid, forced through the preconditioned Krylov path: a cold
+    solve of the final step's load.  It builds only what that solve reads,
+    an elastic solver on its own assembly, and no flow system.
     """
     grids = [int(n) for n in grids]
     if len(set(grids)) < 3:
@@ -199,9 +206,18 @@ def run_convergence_study(
             v: relative_l2(mesh, getattr(final, v), getattr(exact, v))
             for v in VARIABLES
         }
-        probe = CoupledSystem(case, replace(config.solver, method="iterative"))
-        warm = [None] * (case.time.n_steps + 1)  # fresh: the probe starts at 0
-        _, (probe_report,) = probe.mech_solve(final.dp[None, :], len(warm) - 1, warm)
+        probe = TpsaSolver(
+            assemble_tpsa(mesh, case.props),
+            mean_shear_modulus(mesh, case.props),
+            replace(config.solver, method="iterative"),
+        )
+        try:
+            (probe_report,) = probe.solve(elastic_load(case, final.dp[None, :]))
+        except SolverError as err:
+            raise SolverError(
+                f"convergence probe on the {n}^3 grid failed: {err}", trace=err.trace
+            ) from err
+        del probe  # freed before the next grid's engine is built
         reports.append(
             ErrorReport(
                 n=n,

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, SolverError
+from .linsolve.blocks import SparseBlockSystem, split_fields
 from .linsolve.krylov import SolveReport
 from .linsolve.precond import SolverOptions, TpsaSolver
 from .materials import PoroelasticProperties
@@ -59,6 +60,7 @@ __all__ = [
     "SimulationResult",
     "AndersonState",
     "anderson_weights",
+    "elastic_load",
     "CoupledSystem",
     "simulate",
     "global_mass_check",
@@ -296,17 +298,38 @@ class AndersonState:
 # -------------------------------------------------------------- engine
 
 
-class CoupledSystem:
-    """Assembled, factorized operators of one case, reused across solves."""
+def elastic_load(case: BiotCase, dps: np.ndarray) -> np.ndarray:
+    """The (7n, k) elastic right-hand sides of a (k, n) block of pressure
+    deviations, one row per step: the body force, and -(alpha/lam) * dp on
+    the effective-pressure rows."""
+    props = case.props
+    return assemble_rhs(
+        case.mesh, props, pressure_coupling=-(props.alpha / props.lam) * dps
+    )
 
-    def __init__(self, case: BiotCase, solver: SolverOptions | None = None):
+
+class CoupledSystem:
+    """Assembled, factorized operators of one case, reused across solves.
+
+    The elastic operator is kept only by its solver, rescaled.  A caller
+    that needs the assembled one too (``run --dump-matrix``) assembles it
+    and passes it in as ``elastic``, so it is assembled once.
+    """
+
+    def __init__(
+        self,
+        case: BiotCase,
+        solver: SolverOptions | None = None,
+        elastic: SparseBlockSystem | None = None,
+    ):
         self.case = case
         mesh, props = case.mesh, case.props
         self.flow = FlowSystem(mesh, props, case.time.dt)
-        self.system = assemble_tpsa(mesh, props)
-        self.mech = TpsaSolver(self.system, mean_shear_modulus(mesh, props), solver)
+        if elastic is None:
+            elastic = assemble_tpsa(mesh, props)
+        self.mech = TpsaSolver(elastic, mean_shear_modulus(mesh, props), solver)
         self.n_cells = mesh.n_cells
-        # the one per-cell coupling coefficient, in both directions
+        # the one per-cell coupling coefficient; elastic_load forms it alike
         self.alpha_over_lam = props.alpha / props.lam
 
     def flow_source(self, p_hat_prev: np.ndarray, p_hat_now: np.ndarray) -> np.ndarray:
@@ -326,9 +349,7 @@ class CoupledSystem:
         """
         case = self.case
         steps = range(step, step + len(dps))
-        rhs = assemble_rhs(
-            case.mesh, case.props, pressure_coupling=-self.alpha_over_lam * dps
-        )
+        rhs = elastic_load(case, dps)
         x0 = None
         if not self.mech.direct:
             # a None entry starts from the column before it
@@ -346,7 +367,7 @@ class CoupledSystem:
         for s, d, report in zip(steps, dps, reports):
             if not self.mech.direct:
                 warm[s] = report.x
-            u, r, p_hat = self.system.split(report.x)
+            u, r, p_hat = split_fields(report.x, self.n_cells)
             states.append(BiotState(dp=d, u=u, r=r, p_hat=p_hat, t=case.time.times[s]))
         return states, reports
 

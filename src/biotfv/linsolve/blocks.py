@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu
 
 from ..errors import ConfigurationError
 
-__all__ = ["SparseBlockSystem", "cell_order", "rescale"]
+__all__ = ["SparseBlockSystem", "cell_order", "rescale", "split_fields"]
 
 
 @dataclass
@@ -47,10 +47,13 @@ class SparseBlockSystem:
     def n_dof(self) -> int:
         return 7 * self.n_cells
 
-    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vector -> (u (n,3), r (n,3), p (n,)), views that share x's memory."""
-        n = self.n_cells
-        return x[: 3 * n].reshape(3, n).T, x[3 * n : 6 * n].reshape(3, n).T, x[6 * n :]
+
+def split_fields(
+    x: np.ndarray, n_cells: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Field-major vector -> (u (n,3), r (n,3), p (n,)), views sharing x's memory."""
+    n = n_cells
+    return x[: 3 * n].reshape(3, n).T, x[3 * n : 6 * n].reshape(3, n).T, x[6 * n :]
 
 
 def rescale(system: SparseBlockSystem, mu0: float) -> tuple[csr_matrix, np.ndarray]:

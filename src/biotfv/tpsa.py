@@ -91,6 +91,19 @@ _CROSS_ENTRIES = (
 def _face_dual_map(mesh: Mesh, props: PoroelasticProperties) -> csr_matrix:
     """The (7m x 7n) map G from cell unknowns to face duals [sigma | tau | v].
 
+    G has no repeated (row, column), so its CSR holds exactly the nonzero
+    entries of ``_face_dual_entries``, in their order.  The entries are
+    made in their own call so that its per-incidence work arrays are
+    freed before the CSR conversion, which sets the assembly's peak.
+    """
+    vals, rows, cols = _face_dual_entries(mesh, props)
+    shape = (7 * mesh.n_faces, 7 * mesh.n_cells)
+    return coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def _face_dual_entries(mesh: Mesh, props: PoroelasticProperties):
+    """The nonzero entries of G as (values, rows, columns) arrays.
+
     Rows are field-major like the unknowns: (sigma_x, sigma_y, sigma_z,
     tau_x, tau_y, tau_z, v), each of length n_faces.  Each cell-face
     incidence (i, k, eps_ik) of ``Mesh.divergence`` contributes one entry
@@ -107,26 +120,29 @@ def _face_dual_map(mesh: Mesh, props: PoroelasticProperties) -> csr_matrix:
     a = mesh.face_areas[face]
     nrm = mesh.face_normals[face]
 
-    # (dual row field, unknown field, value per incidence)
-    entries = [(6, 6, -eps * a * arr["g_p"][face])]  # v from the p difference
+    def kept(row_field: int, col_field: int, values: np.ndarray):
+        # about half the values are zero normal components: only the rest
+        # become (value, row, column) entries, indexed in the incidence's dtype
+        nonzero = np.flatnonzero(values)
+        return (
+            values[nonzero],
+            row_field * m + face[nonzero],
+            col_field * n + cell[nonzero],
+        )
+
+    pieces = [kept(6, 6, -eps * a * arr["g_p"][face])]  # v from the p difference
     for c in range(3):
-        entries += [
-            (c, c, -eps * a * arr["g_u"][face]),  # sigma from the u difference
-            (c, 6, a * own * nrm[:, c]),  # sigma from n avg~ p
-            (6, c, a * other * nrm[:, c]),  # v from n . avg u
+        pieces += [
+            kept(c, c, -eps * a * arr["g_u"][face]),  # sigma from the u difference
+            kept(c, 6, a * own * nrm[:, c]),  # sigma from n avg~ p
+            kept(6, c, a * other * nrm[:, c]),  # v from n . avg u
         ]
     for c, d, sign, axis in _CROSS_ENTRIES:
-        entries += [
-            (c, 3 + d, -sign * a * own * nrm[:, axis]),  # sigma from -S(n) avg~ r
-            (3 + c, d, -sign * a * other * nrm[:, axis]),  # tau from -S(n) avg u
+        pieces += [
+            kept(c, 3 + d, -sign * a * own * nrm[:, axis]),  # sigma from -S(n) avg~ r
+            kept(3 + c, d, -sign * a * other * nrm[:, axis]),  # tau from -S(n) avg u
         ]
-    rows = np.concatenate([fr * m + face for fr, _, _ in entries])
-    cols = np.concatenate([fc * n + cell for _, fc, _ in entries])
-    vals = np.concatenate([v for _, _, v in entries])
-    keep = vals != 0.0
-    return coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(7 * m, 7 * n)
-    ).tocsr()
+    return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
 def mean_shear_modulus(mesh: Mesh, props: PoroelasticProperties) -> float:

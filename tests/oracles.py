@@ -3,8 +3,11 @@
 Most of this is written in plain scalar style, one cell or face at a
 time, deliberately separate from the package's vectorized code paths;
 face_duals is the face formulas vectorized over faces with np.cross,
-separate from the package's sparse face map.  local_face_operator and
-face_duals reuse only the package's per-face stencil coefficients.
+separate from the package's sparse face map; incidence_face_dual_map
+builds that map the plain way, every per-incidence entry array in full
+before the zeros go, and incidence_tpsa_matrix the operator on it.
+local_face_operator and face_duals reuse only the package's per-face
+stencil coefficients.
 multigrid_solve iterates the package's V-cycle as a
 stand-alone solver by defect correction, a second solve path the
 multigrid tests check.
@@ -13,7 +16,9 @@ call per node, the reference the package's list-based loops must match
 exactly; its last pass, which makes a singleton of any node the first
 two left unassigned, has no counterpart in the package.
 sequential_march is the fixed-stress time march with one
-mechanics solve per step, the reference for the package's block solve.
+mechanics solve per step, the reference for the package's block solve,
+and coupled_probe the convergence probe run through a whole coupled
+engine, the reference for the study's elastic-only probe.
 monolithic_march solves flow and mechanics of each step as one system,
 the limit the splitting schemes converge to.  read_csv reads back
 what the package's CSV writer wrote (np.load reads the .npy source
@@ -23,16 +28,19 @@ back as the canonical SI-unit text the round-trip tests parse again.
 """
 
 import csv
+from dataclasses import replace
 from io import StringIO
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, hstack, vstack
+from scipy.sparse import coo_matrix, csr_matrix, diags, hstack, identity, kron, vstack
 from scipy.sparse.linalg import splu
 
 from biotfv.app.config import _SECTIONS, _UNITS, _WELL
+from biotfv.coupling import CoupledSystem
 from biotfv.errors import GeometryError, SolverError
+from biotfv.linsolve.blocks import split_fields
 from biotfv.materials import PoroelasticProperties
-from biotfv.tpsa import assemble_rhs, stencil_arrays
+from biotfv.tpsa import assemble_rhs, assemble_tpsa, stencil_arrays
 
 
 def material(
@@ -300,6 +308,74 @@ def face_duals(mesh, props, x):
     return sigma, tau, v
 
 
+# S(n) as (row, column, sign, axis) entries: S(n)[row, column] = sign * n[axis]
+_CROSS = (
+    (0, 1, -1.0, 2), (0, 2, +1.0, 1),
+    (1, 0, +1.0, 2), (1, 2, -1.0, 0),
+    (2, 0, -1.0, 1), (2, 1, +1.0, 0),
+)
+
+
+def incidence_face_dual_map(mesh, props):
+    """The face-dual map G built from every full per-incidence entry array.
+
+    Each of the 22 (dual field, unknown field) pairs gets one value per
+    cell-face incidence, zeros included; the arrays are concatenated and
+    the zeros dropped only then.  The package builds the same entries in
+    the same order but keeps each array's nonzeros as it is made, so the
+    two CSRs must agree bit for bit.
+    """
+    arr = stencil_arrays(mesh, props)
+    n, m = mesh.n_cells, mesh.n_faces
+    inc = mesh.divergence.tocoo()
+    cell, face, eps = inc.row, inc.col, inc.data
+    inside = eps > 0
+    own = np.where(inside, arr["at_in"][face], arr["at_out"][face])
+    other = np.where(inside, arr["at_out"][face], arr["at_in"][face])
+    a = mesh.face_areas[face]
+    nrm = mesh.face_normals[face]
+    entries = [(6, 6, -eps * a * arr["g_p"][face])]
+    for c in range(3):
+        entries += [
+            (c, c, -eps * a * arr["g_u"][face]),
+            (c, 6, a * own * nrm[:, c]),
+            (6, c, a * other * nrm[:, c]),
+        ]
+    for c, d, sign, axis in _CROSS:
+        entries += [
+            (c, 3 + d, -sign * a * own * nrm[:, axis]),
+            (3 + c, d, -sign * a * other * nrm[:, axis]),
+        ]
+    rows = np.concatenate([fr * m + face for fr, _, _ in entries])
+    cols = np.concatenate([fc * n + cell for _, fc, _ in entries])
+    vals = np.concatenate([v for _, _, v in entries])
+    keep = vals != 0.0
+    return coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(7 * m, 7 * n)
+    ).tocsr()
+
+
+def incidence_tpsa_matrix(mesh, props):
+    """The elastic operator M - (I_7 x div) G on incidence_face_dual_map."""
+    volumes, n = mesh.cell_volumes, mesh.n_cells
+    mass = np.concatenate(
+        [np.zeros(3 * n), np.tile(volumes / props.mu, 3), volumes / props.lam]
+    )
+    balance = kron(identity(7), mesh.divergence, format="csr")
+    matrix = diags(mass) - balance @ incidence_face_dual_map(mesh, props)
+    return matrix.tocsr().sorted_indices()
+
+
+def coupled_probe(case, solver, dp):
+    """The convergence probe as a coupled step: one cold iterative solve of
+    the load of dp on a whole `CoupledSystem`, flow factorization included,
+    with a fresh warm list.  Returns its SolveReport."""
+    engine = CoupledSystem(case, replace(solver, method="iterative"))
+    warm = [None] * (case.time.n_steps + 1)
+    _, (report,) = engine.mech_solve(dp[None, :], len(warm) - 1, warm)
+    return report
+
+
 def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100):
     """Stationary V-cycle iteration to rtol relative to the first residual.
 
@@ -392,7 +468,7 @@ def sequential_march(coupled, psi, warm):
         x0 = warm[i] if warm[i] is not None else warm[i - 1]
         (report,) = coupled.mech.solve(rhs[:, None], x0=[x0])
         warm[i] = report.x
-        u, r, p_hat = coupled.system.split(report.x)
+        u, r, p_hat = split_fields(report.x, coupled.n_cells)
         p_hats.append(p_hat)
         out.append((dp, u, r, p_hat))
     return out
@@ -422,7 +498,9 @@ def monolithic_march(coupled):
     flow = coupled.flow.operator + diags(coupled.flow.accumulation / dt)
     to_flow = hstack([flow, csr_matrix((n, 6 * n)), diags(coupling / dt)])
     to_mech = vstack([csr_matrix((6 * n, n)), diags(coupling)])
-    matrix = vstack([to_flow, hstack([to_mech, coupled.system.matrix])]).tocsc()
+    # the engine keeps only the rescaled operator: assemble it again
+    elastic = assemble_tpsa(case.mesh, case.props).matrix
+    matrix = vstack([to_flow, hstack([to_mech, elastic])]).tocsc()
     lu = splu(matrix)
     body = assemble_rhs(case.mesh, case.props)
     initial = case.initial
@@ -432,7 +510,7 @@ def monolithic_march(coupled):
         flow_rhs = coupled.flow.accumulation / dt * dp + coupling / dt * p_hat + rates
         solution = lu.solve(np.concatenate([flow_rhs, body]))
         dp = solution[:n]
-        u, r, p_hat = coupled.system.split(solution[n:])
+        u, r, p_hat = split_fields(solution[n:], n)
         out.append((dp, u, r, p_hat))
     return out
 

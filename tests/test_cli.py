@@ -418,6 +418,20 @@ def test_convergence_subcommand(manufactured_cfg, tmp_path, capsys):
     assert (out / "convergence_orders.csv").exists()
 
 
+def test_convergence_probe_failure_exits_3(tmp_path, capsys):
+    # the lagged march factors its operator; only the probe iterates, and fails
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(
+        MANUFACTURED_SMALL
+        + "\n[solver]\nmethod = direct\nmax_iter = 1\nrtol = 1e-12\n"
+        + f"[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    assert main(["convergence", str(cfg), "--grids", "3,4,5"]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: convergence probe on the 3^3 grid failed: " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_convergence_rejects_two_grids(manufactured_cfg):
     assert main(["convergence", str(manufactured_cfg), "--grids", "4,8"]) == 2
 

@@ -1,8 +1,12 @@
 """Experiment drivers: scheme dispatch, error fitting, study outputs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import coupled_probe
 
+from biotfv import coupling
 from biotfv.app.config import parse_config, parse_config_text
 from biotfv.app.drivers import (
     ErrorReport,
@@ -14,8 +18,8 @@ from biotfv.app.drivers import (
     run_convergence_study,
     scheme_from_token,
 )
-from biotfv.coupling import SchemeSpec
-from biotfv.errors import ConfigurationError
+from biotfv.coupling import CoupledSystem, SchemeSpec, simulate
+from biotfv.errors import ConfigurationError, SolverError
 from biotfv.mesh import build_cartesian
 from pathlib import Path
 
@@ -61,7 +65,6 @@ cell = 1 2 1
 rate = 5 m3/day
 stop = 20 day
 """
-
 
 def test_scheme_token_mapping():
     base = SchemeSpec(kind="fixed_stress", tol=1e-7, max_iter=12, anderson_m0=0)
@@ -133,6 +136,44 @@ def test_convergence_study_halving_ratio_and_outputs(tmp_path):
     lines = (tmp_path / "convergence_errors.csv").read_text().splitlines()
     assert lines[0] == "n,h,n_cells,err_dp,err_u,err_r,err_p_hat"
     assert len(lines) == 4
+
+
+def test_convergence_study_builds_one_flow_system_per_grid(tmp_path, monkeypatch):
+    # the probe solves only the mechanics: its engine has no flow factorization
+    built = []
+
+    class CountedFlow(coupling.FlowSystem):
+        def __init__(self, mesh, *args, **kwargs):
+            built.append(mesh.n_cells)
+            super().__init__(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(coupling, "FlowSystem", CountedFlow)
+    run_convergence_study(parse_config(CASES / "manufactured.cfg"), [3, 4, 5], tmp_path)
+    assert built == [27, 64, 125]
+
+
+def test_convergence_probe_matches_a_probe_on_a_coupled_engine(tmp_path):
+    cfg = parse_config(CASES / "manufactured.cfg")
+    study = run_convergence_study(cfg, [3, 4, 5], out_dir=tmp_path)
+    lagged = replace(cfg.scheme, kind="lagged")
+    for report in study.reports:
+        n = report.n
+        case = cfg.build_case(mesh=build_cartesian(n, n, n))
+        final = simulate(CoupledSystem(case, cfg.solver), lagged).final
+        want = coupled_probe(case, cfg.solver, final.dp)
+        assert report.probe_iterations == want.iterations > 0
+        assert report.probe_trace == list(want.trace)
+
+
+def test_convergence_probe_failure_names_the_probe():
+    # the lagged march factors its operator; only the probe iterates
+    cfg = parse_config(CASES / "manufactured.cfg")
+    cfg.solver = replace(cfg.solver, method="direct", max_iter=1)
+    failed = r"^convergence probe on the 3\^3 grid failed: "
+    with pytest.raises(SolverError, match=failed) as err:
+        run_convergence_study(cfg, [3, 4, 5], out_dir="unused")
+    assert "coupled step" not in str(err.value)
+    assert len(err.value.trace) == 2  # the start and the one iteration allowed
 
 
 def _assert_same_history(path, psi, cfg):
