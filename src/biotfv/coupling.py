@@ -30,7 +30,11 @@ the flow source psi of a step comes from:
 Both reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
 `CoupledSystem` holds them, and `simulate(engine, scheme)` runs either
-scheme on it, each run with its own warm starts for the elastic solves.
+scheme on it, each run with its own starts for the iterative elastic
+solves: a march starts each step from its base guess (the previous
+pass at that step, else the step before) plus the correction the step
+before took (`MarchStarts`), so a march predicts by extrapolating in
+time and a later pass by carrying the previous pass's correction on.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 from .errors import ConfigurationError, GeometryError, SolverError
 from .linsolve.blocks import SparseBlockSystem, split_fields
 from .linsolve.krylov import SolveReport
-from .linsolve.precond import SolverOptions, TpsaSolver
+from .linsolve.precond import MarchStarts, SolverOptions, TpsaSolver
 from .materials import PoroelasticProperties
 from .mesh import Mesh
 from .tpfa import FlowSystem
@@ -337,27 +341,30 @@ class CoupledSystem:
         return -self.alpha_over_lam * (p_hat_now - p_hat_prev) / self.case.time.dt
 
     def mech_solve(
-        self, dps: np.ndarray, step: int, warm: list[np.ndarray | None]
+        self,
+        dps: np.ndarray,
+        step: int,
+        warm: list[np.ndarray | None],
+        march: MarchStarts | None = None,
     ) -> tuple[list[BiotState], list[SolveReport]]:
         """Mechanics of steps step, ..., step + k - 1, loaded by -(alpha/lam) * dp.
 
         dps is a (k, n) block, one row per step (step >= 1), solved as one
-        block; gives the k states and reports as two lists.  The iterative
-        path starts each step from warm[s] (the caller's previous pass),
-        else from the previous step's, and stores its solutions in warm.  A
-        failed solve is raised again naming its step.
+        block; gives the k states and reports as two lists.  On the
+        iterative path warm[s] is the caller's guess for step s (its
+        previous pass, or None), and `march` is the start rule of the march
+        this block continues: the lagged march passes one `MarchStarts`
+        through its one-column calls, so each step starts from the steps
+        before it; None begins a new march at `step`.  The solutions are
+        stored back in warm.  A failed solve is raised again naming its
+        step.
         """
         case = self.case
         steps = range(step, step + len(dps))
         rhs = elastic_load(case, dps)
-        x0 = None
-        if not self.mech.direct:
-            # a None entry starts from the column before it
-            x0 = [warm[s] for s in steps]
-            if x0[0] is None:
-                x0[0] = warm[step - 1]
+        x0 = None if self.mech.direct else [warm[s] for s in steps]
         try:
-            reports = self.mech.solve(rhs, x0=x0)
+            reports = self.mech.solve(rhs, x0=x0, march=march)
         except SolverError as err:
             failed = step + (err.column or 0)
             raise SolverError(
@@ -389,13 +396,14 @@ class CoupledSystem:
         states = [case.initial]
         if psi is None:
             psi = np.zeros((n_steps, self.n_cells))
+            march = MarchStarts()
             for i in range(1, n_steps + 1):
                 psi[i - 1] = self.flow_source(
                     states[max(i - 2, 0)].p_hat, states[i - 1].p_hat
                 )
                 rate = case.sources[i - 1] + volumes * psi[i - 1]
                 dp = self.flow.step(states[i - 1].dp, rate)
-                states += self.mech_solve(dp[None, :], i, warm)[0]
+                states += self.mech_solve(dp[None, :], i, warm, march)[0]
             return states, psi
         dps = np.empty((n_steps, self.n_cells))
         dp = states[0].dp
@@ -429,7 +437,8 @@ def simulate(
     volume/dt weighted space-time L2 norm relative to F(psi), drops below
     scheme.tol; the residual is measured before any mixing, so the
     converged result is the evaluation at an (almost) fixed psi.  The
-    result holds the last image F(psi).  The run keeps its own warm starts.
+    result holds the last image F(psi).  The run keeps its own starts: each
+    pass's solutions are the next pass's base guesses.
     """
     scheme = scheme or SchemeSpec()
     n_steps = engine.case.time.n_steps

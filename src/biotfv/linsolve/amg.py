@@ -164,28 +164,33 @@ class AmgHierarchy:
 
     def vcycle(self, rhs: np.ndarray) -> np.ndarray:
         """One V-cycle from zero: the preconditioner action."""
-        return self._cycle(0, rhs, np.zeros_like(rhs))
+        return self._cycle(0, rhs)
 
-    def _cycle(self, depth: int, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _cycle(self, depth: int, rhs: np.ndarray) -> np.ndarray:
+        """One V-cycle from zero on level `depth`."""
         level = self.levels[depth]
         if level.prolongator is None:
             return self.coarse_inverse @ rhs
-        chebyshev_smooth(level, rhs, x)
-        coarse_rhs = level.restriction @ (rhs - level.matrix @ x)
-        coarse = self._cycle(depth + 1, coarse_rhs, np.zeros_like(coarse_rhs))
+        x = np.zeros_like(rhs)
+        chebyshev_smooth(level, rhs, x, zero_start=True)
+        coarse = self._cycle(depth + 1, level.restriction @ (rhs - level.matrix @ x))
         x += level.prolongator @ coarse
         chebyshev_smooth(level, rhs, x)
         return x
 
 
-def chebyshev_smooth(level: AmgLevel, rhs: np.ndarray, x: np.ndarray) -> None:
+def chebyshev_smooth(
+    level: AmgLevel, rhs: np.ndarray, x: np.ndarray, zero_start: bool = False
+) -> None:
     """Chebyshev iteration on D^-1 A x = D^-1 rhs, updating x in place.
 
     Three-term recurrence of Saad, Iterative Methods, Alg. 12.1; the error
     is multiplied by the degree-CHEBYSHEV_DEGREE polynomial p with p(0) = 1
     whose largest magnitude on [lam_max/CHEBYSHEV_RATIO, lam_max] is
     smallest.  p does not depend on x or rhs, so the smoother is one fixed
-    operator, symmetric in the A inner product.
+    operator, symmetric in the A inner product.  With zero_start (x is
+    zero) the first residual is rhs itself: A @ 0 is +0.0 throughout and
+    rhs - (+0.0) is rhs, so skipping the product changes no bit.
     """
     lam_max = level.lam_max
     lam_min = lam_max / CHEBYSHEV_RATIO
@@ -193,13 +198,14 @@ def chebyshev_smooth(level: AmgLevel, rhs: np.ndarray, x: np.ndarray) -> None:
     delta = 0.5 * (lam_max - lam_min)
     sigma = theta / delta
     rho = 1.0 / sigma
-    r = level.inv_diag * (rhs - level.matrix @ x)
+    r = level.inv_diag * (rhs if zero_start else rhs - level.matrix @ x)
     d = r / theta
     for _ in range(CHEBYSHEV_DEGREE - 1):
         x += d
         r -= level.inv_diag * (level.matrix @ d)
         rho_next = 1.0 / (2.0 * sigma - rho)
-        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * r
+        d *= rho_next * rho
+        d += (2.0 * rho_next / delta) * r
         rho = rho_next
     x += d
 

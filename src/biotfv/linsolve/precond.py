@@ -12,6 +12,8 @@ nothing is assembled, the action is composed from those blocks.
 its right-hand sides only as a (7n, k) block, one column per step.  The
 factored matrix is the rescaled one permuted to `blocks.cell_order`, cell
 by cell; the solver's matrix, residuals and solutions stay field-major.
+`MarchStarts` is the iterative path's start rule: each step of a time
+march starts from its guess plus the correction the step before it took.
 """
 
 from __future__ import annotations
@@ -68,6 +70,36 @@ class BlockTriangularPreconditioner:
         y_r = (r_r - self.rotation_displacement @ y_u) / self.rotation_diagonal
         y_p = self.pressure_hierarchy.vcycle(r_p - self.pressure_displacement @ y_u)
         return np.concatenate([y_u, y_r, y_p])
+
+
+class MarchStarts:
+    """Where the iterative elastic solves of one time march start, in step order.
+
+    Step i's base guess g_i is the caller's guess for it (the previous
+    pass at that step) when there is one, else the solution x_{i-1} of
+    step i-1 in this march, else zero (None).  Step i starts from
+    g_i + (x_{i-1} - g_{i-1}), evaluated in that order, when step i-1 was
+    solved in this march from a nonzero guess, and from g_i otherwise.
+    Without a previous pass this is linear extrapolation in time; with
+    one, it is the previous pass plus the correction step i-1 just took.
+    The mechanics and each pass's correction to them change smoothly from
+    step to step, so the predicted start needs fewer Krylov iterations.
+    Every solve still stops on its true residual; only the start moves.
+    """
+
+    def __init__(self):
+        self.solution = self.guess = None  # x_{i-1} and g_{i-1}
+
+    def start(self, guess: np.ndarray | None) -> np.ndarray | None:
+        """The next step's start (None: zero) from the caller's guess for it."""
+        base = guess if guess is not None else self.solution
+        start = base if self.guess is None else base + (self.solution - self.guess)
+        self.guess = base
+        return start
+
+    def solved(self, x: np.ndarray) -> None:
+        """Record the solution of the step `start` was last asked for."""
+        self.solution = x
 
 
 SOLVER_METHODS = ("auto", "direct", "iterative")
@@ -144,18 +176,21 @@ class TpsaSolver:
         else:
             self._precond = BlockTriangularPreconditioner(self.matrix, system.n_cells)
 
-    def solve(self, rhs: np.ndarray, x0=None) -> list[SolveReport]:
+    def solve(
+        self, rhs: np.ndarray, x0=None, march: MarchStarts | None = None
+    ) -> list[SolveReport]:
         """Solve a (7n, k) block of right-hand sides; one report per column.
 
-        The direct path solves the block with one multi-column LU solve,
-        which runs at BLAS-3 speed.  The iterative path solves the columns
-        in order; column j starts from x0[j] when that is given, else from
-        the previous column's solution (the first from zero), since the
-        columns of a time march are consecutive steps.  The block is scaled
-        in place, so it is overwritten (the direct path leaves the solutions
-        in it, and its reports' x are its columns); a SolverError on column
-        j carries ``column = j``, and a column with a non-finite entry fails
-        before anything is solved.
+        The block is scaled in place and each column is overwritten with
+        its solution, which its report's x is a view of.  The direct path
+        solves the block with one multi-column LU solve, which runs at
+        BLAS-3 speed, and ignores starts.  The iterative path solves the
+        columns in order, since the columns of a time march are
+        consecutive steps: x0[j], when given, is the caller's guess for
+        column j (None entries allowed), and `march` (a new one when None)
+        turns the guesses and the columns solved before into each column's
+        start.  A SolverError on column j carries ``column = j``, and a
+        column with a non-finite entry fails before anything is solved.
         """
         finite = np.isfinite(rhs).all(axis=0)
         if not finite.all():
@@ -185,11 +220,11 @@ class TpsaSolver:
                 SolveReport(x=x[:, j], trace=[float(res)])
                 for j, res in enumerate(residuals)
             ]
+        if march is None:
+            march = MarchStarts()
         reports: list[SolveReport] = []
         for j in range(rhs.shape[1]):
-            start = None if x0 is None else x0[j]
-            if start is None and reports:
-                start = reports[-1].x
+            start = march.start(None if x0 is None else x0[j])
             try:
                 report = bicgstab(
                     self.matrix,
@@ -197,10 +232,13 @@ class TpsaSolver:
                     preconditioner=self._precond.apply,
                     rtol=self.options.rtol,
                     max_iter=self.options.max_iter,
-                    x0=None if start is None else np.asarray(start) / self.scale,
+                    x0=None if start is None else start / self.scale,
                 )
             except SolverError as err:
                 raise SolverError(str(err), trace=err.trace, column=j) from err
-            report.x = self.scale * report.x
+            x = rhs[:, j]
+            np.multiply(self.scale, report.x, out=x)
+            report.x = x
+            march.solved(x)
             reports.append(report)
         return reports

@@ -15,10 +15,14 @@ greedy_aggregate is the greedy aggregation written with one numpy
 call per node, the reference the package's list-based loops must match
 exactly; its last pass, which makes a singleton of any node the first
 two left unassigned, has no counterpart in the package.
+reference_vcycle is the V-cycle with every smoother residual formed
+explicitly, the reference the package's zero-start pre-smoother must
+match bit for bit.
 sequential_march is the fixed-stress time march with one
-mechanics solve per step, the reference for the package's block solve,
-and coupled_probe the convergence probe run through a whole coupled
-engine, the reference for the study's elastic-only probe.
+mechanics solve per step, the reference for the package's block solve
+and its start rule (with predict=False, the previous rule: no predicted
+correction), and coupled_probe the convergence probe run through a whole
+coupled engine, the reference for the study's elastic-only probe.
 monolithic_march solves flow and mechanics of each step as one system,
 the limit the splitting schemes converge to.  read_csv reads back
 what the package's CSV writer wrote (np.load reads the .npy source
@@ -38,6 +42,7 @@ from scipy.sparse.linalg import splu
 from biotfv.app.config import _SECTIONS, _UNITS, _WELL
 from biotfv.coupling import CoupledSystem
 from biotfv.errors import GeometryError, SolverError
+from biotfv.linsolve.amg import CHEBYSHEV_DEGREE, CHEBYSHEV_RATIO
 from biotfv.linsolve.blocks import split_fields
 from biotfv.materials import PoroelasticProperties
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, stencil_arrays
@@ -403,6 +408,40 @@ def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100):
     )
 
 
+def reference_vcycle(hier, rhs):
+    """One V(1,1) cycle from zero, each Chebyshev step from its explicit residual."""
+
+    def smooth(level, b, x):
+        lam_max = level.lam_max
+        lam_min = lam_max / CHEBYSHEV_RATIO
+        theta = 0.5 * (lam_max + lam_min)
+        delta = 0.5 * (lam_max - lam_min)
+        sigma = theta / delta
+        rho = 1.0 / sigma
+        r = level.inv_diag * (b - level.matrix @ x)
+        d = r / theta
+        for _ in range(CHEBYSHEV_DEGREE - 1):
+            x += d
+            r -= level.inv_diag * (level.matrix @ d)
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            d = (rho_next * rho) * d + (2.0 * rho_next / delta) * r
+            rho = rho_next
+        x += d
+
+    def cycle(depth, b):
+        level = hier.levels[depth]
+        if level.prolongator is None:
+            return hier.coarse_inverse @ b
+        x = np.zeros_like(b)
+        smooth(level, b, x)
+        coarse = cycle(depth + 1, level.restriction @ (b - level.matrix @ x))
+        x += level.prolongator @ coarse
+        smooth(level, b, x)
+        return x
+
+    return cycle(0, rhs)
+
+
 def greedy_aggregate(strength):
     """Greedy aggregation over a CSR strength graph, numpy per node.
 
@@ -439,12 +478,15 @@ def greedy_aggregate(strength):
     return assign, count
 
 
-def sequential_march(coupled, psi, warm):
+def sequential_march(coupled, psi, warm, predict=True):
     """One march with one single-column mechanics solve per step.
 
     Step i runs the flow under the source psi[i-1], then solves the
-    mechanics for its dp, starting from warm[i] (the previous pass at that
-    step) or else warm[i-1]; each solution is stored back in warm, a list
+    mechanics for its dp.  Its base guess is warm[i] (the previous pass at
+    that step), else step i-1's solution in this march, else zero; with
+    predict it starts from that guess plus the correction step i-1 took
+    from its own base guess, when that was not zero, and without predict
+    from the guess alone.  Each solution is stored back in warm, a list
     of N+1 entries the caller keeps across passes.  With psi None the
     source is the lagged one, built from the two previous steps' p_hat
     (p_hat(t_{-1}) := p_hat(t_0)).  Returns the N (dp, u, r, p_hat)
@@ -455,6 +497,7 @@ def sequential_march(coupled, psi, warm):
     initial = case.initial
     dp = initial.dp
     p_hats = [initial.p_hat]
+    x_prev = guess_prev = None
     out = []
     for i in range(1, case.time.n_steps + 1):
         if psi is None:
@@ -465,9 +508,14 @@ def sequential_march(coupled, psi, warm):
         rhs = assemble_rhs(
             case.mesh, case.props, pressure_coupling=-coupled.alpha_over_lam * dp
         )
-        x0 = warm[i] if warm[i] is not None else warm[i - 1]
-        (report,) = coupled.mech.solve(rhs[:, None], x0=[x0])
-        warm[i] = report.x
+        guess = warm[i] if warm[i] is not None else x_prev
+        start = guess
+        if predict and guess_prev is not None:
+            correction = x_prev - guess_prev
+            start = guess + correction
+        (report,) = coupled.mech.solve(rhs[:, None], x0=[start])
+        warm[i] = x_prev = report.x
+        guess_prev = guess
         u, r, p_hat = split_fields(report.x, coupled.n_cells)
         p_hats.append(p_hat)
         out.append((dp, u, r, p_hat))

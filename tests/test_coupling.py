@@ -1,11 +1,15 @@
 """Splitting-scheme and coupling-source tests."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biotfv import coupling
+from biotfv.app.config import parse_config_text
 from biotfv.coupling import (
     AndersonState,
     BiotCase,
@@ -28,6 +32,7 @@ from biotfv.tpfa import FlowSystem
 from oracles import monolithic_march, sequential_march
 
 LAGGED = SchemeSpec(kind="lagged")
+BARRIER = (Path(__file__).resolve().parent.parent / "cases" / "barrier.cfg").read_text()
 
 
 def _case(
@@ -378,7 +383,8 @@ def test_block_solve_matches_per_step_lu_solves():
 
 
 def test_block_solve_iterative_path_is_bit_identical_to_per_step_solves():
-    # the second pass warm-starts every step from the first pass
+    # the first pass extrapolates each start from the steps before it; the
+    # second starts from the first plus the correction the step before took
     case = _block_case()
     iterative = SolverOptions(method="iterative", rtol=1e-8)
     passes, sources = _two_passes(case, iterative)
@@ -409,7 +415,7 @@ def test_runs_on_one_engine_match_runs_on_fresh_engines():
 
 
 def test_lagged_iterative_run_warm_starts_each_step_from_the_last():
-    # one pass, so every step starts from the step before it
+    # one pass, so each start is extrapolated from the two steps before it
     case = _block_case()
     iterative = SolverOptions(method="iterative", rtol=1e-8)
     result = simulate(CoupledSystem(case, iterative), LAGGED)
@@ -420,15 +426,103 @@ def test_lagged_iterative_run_warm_starts_each_step_from_the_last():
             assert np.array_equal(got, want)
 
 
+def _small_barrier():
+    """The shipped barrier case on an 8 x 8 x 3 grid, on the iterative path."""
+    text = BARRIER
+    for old, new in [
+        ("nx = 30", "nx = 8"),
+        ("ny = 30", "ny = 8"),
+        ("barrier_index = 15", "barrier_index = 4"),
+        ("cell = 7 15 1", "cell = 2 4 1"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    config = parse_config_text(text)
+    options = replace(config.solver, method="iterative")
+    return config.build_case(), options, config.scheme
+
+
+def _counting_iterations(monkeypatch):
+    """BiCGStab iteration counts of every elastic solve from here on."""
+    counts = []
+    bicgstab = precond.bicgstab
+
+    def counted(*args, **kwargs):
+        report = bicgstab(*args, **kwargs)
+        counts.append(report.iterations)
+        return report
+
+    monkeypatch.setattr(precond, "bicgstab", counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["lagged", "fixed_stress"])
+def test_every_predicted_start_solve_meets_rtol_on_its_true_residual(monkeypatch, kind):
+    case, options, scheme = _small_barrier()
+    engine = CoupledSystem(case, options)
+    solve = TpsaSolver.solve
+    solved = []
+
+    def spy(self, rhs, x0=None, march=None):
+        given = rhs.copy()
+        reports = solve(self, rhs, x0, march)
+        solved.extend((given[:, j], report) for j, report in enumerate(reports))
+        return reports
+
+    monkeypatch.setattr(TpsaSolver, "solve", spy)
+    result = simulate(engine, replace(scheme, kind=kind))
+    assert result.report.converged
+    assert len(solved) == case.time.n_steps * max(result.report.iterations, 1)
+    mech = engine.mech
+    for rhs, report in solved:
+        b = mech.scale * rhs
+        residual = np.linalg.norm(b - mech.matrix @ (report.x / mech.scale))
+        assert residual <= options.rtol * np.linalg.norm(b)
+
+
+def test_predicted_starts_take_fewer_iterations_than_the_previous_rule(monkeypatch):
+    # the previous rule started each step from the previous pass at that
+    # step, else from the step before, with no predicted correction
+    case, options, scheme = _small_barrier()
+    counts = _counting_iterations(monkeypatch)
+    n_steps = case.time.n_steps
+    simulate(CoupledSystem(case, options), LAGGED)
+    lagged = sum(counts)
+    counts.clear()
+    fixed = simulate(CoupledSystem(case, options), scheme)
+    assert fixed.report.converged
+    predicted = [lagged, sum(counts)]
+
+    counts.clear()
+    engine = CoupledSystem(case, options)
+    sequential_march(engine, None, [None] * (n_steps + 1), predict=False)
+    previous = [sum(counts)]
+    counts.clear()
+    warm = [None] * (n_steps + 1)
+    psi = np.zeros((n_steps, engine.n_cells))
+    for _ in range(scheme.max_iter):
+        fields = sequential_march(engine, psi, warm, predict=False)
+        p_hats = [case.initial.p_hat] + [f[3] for f in fields]
+        image = np.stack([engine.flow_source(a, b) for a, b in zip(p_hats, p_hats[1:])])
+        residual = engine.weighted_norm(image - psi) / engine.weighted_norm(image)
+        psi = image
+        if residual <= scheme.tol:
+            break
+    else:
+        pytest.fail("the previous rule's fixed-stress run did not converge")
+    previous.append(sum(counts))
+    assert predicted[0] < previous[0] and predicted[1] < previous[1], (predicted, previous)
+
+
 @pytest.mark.parametrize("anderson_m0", [0, 3])
 def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, anderson_m0):
     case = _block_case()
     solve = TpsaSolver.solve
     columns = []
 
-    def spy(self, rhs, x0=None):
+    def spy(self, rhs, x0=None, march=None):
         columns.append(rhs.shape[1])
-        return solve(self, rhs, x0)
+        return solve(self, rhs, x0, march)
 
     monkeypatch.setattr(TpsaSolver, "solve", spy)
     direct = SolverOptions(method="direct")

@@ -14,6 +14,7 @@ from biotfv.linsolve import precond
 from biotfv.linsolve.blocks import cell_order, rescale
 from biotfv.linsolve.precond import (
     BlockTriangularPreconditioner,
+    MarchStarts,
     SolverOptions,
     TpsaSolver,
 )
@@ -186,6 +187,43 @@ def test_solver_warm_start_reuses_factorization():
     (first,) = solver.solve(system.rhs[:, None].copy())
     (again,) = solver.solve(system.rhs[:, None].copy(), x0=[first.x])
     assert again.iterations <= 1
+
+
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_solver_leaves_each_solution_in_its_block_column(method):
+    mesh, props, system = _system(4, 4, 4, mu=2.0, lam=5.0)
+    solver = TpsaSolver(
+        system,
+        mean_shear_modulus(mesh, props),
+        SolverOptions(method=method, rtol=1e-10),
+    )
+    block = np.asfortranarray(
+        np.random.default_rng(7).standard_normal((system.n_dof, 3))
+    )
+    given = block.copy()
+    reports = solver.solve(block)
+    expected = np.linalg.solve(system.matrix.toarray(), given)
+    for j, report in enumerate(reports):
+        assert np.shares_memory(report.x, block)
+        assert np.array_equal(report.x, block[:, j])
+        err = np.linalg.norm(report.x - expected[:, j]) / np.linalg.norm(expected[:, j])
+        assert err <= 1e-8
+
+
+def test_march_starts_extrapolate_and_carry_the_last_correction():
+    a, b, c, d = (np.array([v, 2.0 * v]) for v in (1.0, 3.0, 7.0, 10.0))
+    march = MarchStarts()
+    assert march.start(None) is None  # no guess and no step before: zero
+    march.solved(a)
+    assert march.start(None) is a  # step 1 started from zero: no correction
+    march.solved(b)
+    assert np.array_equal(march.start(None), b + (b - a))  # extrapolation
+    march.solved(c)
+    # a caller's guess replaces the previous solution as the base, and the
+    # correction is the one the step before took from its own base
+    assert np.array_equal(march.start(d), d + (c - b))
+    # a new march starts from the caller's guess as it is
+    assert MarchStarts().start(d) is d
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
