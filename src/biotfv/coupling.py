@@ -30,11 +30,12 @@ the flow source psi of a step comes from:
 Both reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
 `CoupledSystem` holds them, and `simulate(engine, scheme)` runs either
-scheme on it, each run with its own starts for the iterative elastic
-solves: a march starts each step from its base guess (the previous
-pass at that step, else the step before) plus the correction the step
-before took (`MarchStarts`), so a march predicts by extrapolating in
-time and a later pass by carrying the previous pass's correction on.
+scheme on it.  Each march hands its mechanics solves one start rule
+(`MarchStarts`), which only the elastic solver reads: each step starts
+from its base guess (the previous pass at that step, else the step
+before) plus the correction the step before took, so a march predicts by
+extrapolating in time and a later pass by carrying the previous pass's
+correction on.  A run keeps its last pass's solutions for the next one.
 """
 
 from __future__ import annotations
@@ -341,45 +342,30 @@ class CoupledSystem:
         return -self.alpha_over_lam * (p_hat_now - p_hat_prev) / self.case.time.dt
 
     def mech_solve(
-        self,
-        dps: np.ndarray,
-        step: int,
-        warm: list[np.ndarray | None],
-        march: MarchStarts | None = None,
+        self, dps: np.ndarray, step: int, starts: MarchStarts | None = None
     ) -> tuple[list[BiotState], list[SolveReport]]:
         """Mechanics of steps step, ..., step + k - 1, loaded by -(alpha/lam) * dp.
 
         dps is a (k, n) block, one row per step (step >= 1), solved as one
-        block; gives the k states and reports as two lists.  On the
-        iterative path warm[s] is the caller's guess for step s (its
-        previous pass, or None), and `march` is the start rule of the march
-        this block continues: the lagged march passes one `MarchStarts`
-        through its one-column calls, so each step starts from the steps
-        before it; None begins a new march at `step`.  The solutions are
-        stored back in warm.  A failed solve is raised again naming its
-        step.
+        block from `starts`; gives the k states and reports as two lists.
+        A failed solve is raised again naming its step.
         """
         case = self.case
-        steps = range(step, step + len(dps))
-        rhs = elastic_load(case, dps)
-        x0 = None if self.mech.direct else [warm[s] for s in steps]
         try:
-            reports = self.mech.solve(rhs, x0=x0, march=march)
+            reports = self.mech.solve(elastic_load(case, dps), starts)
         except SolverError as err:
             failed = step + (err.column or 0)
             raise SolverError(
                 f"coupled step {failed} failed: {err}", trace=err.trace
             ) from err
         states = []
-        for s, d, report in zip(steps, dps, reports):
-            if not self.mech.direct:
-                warm[s] = report.x
+        for s, (d, report) in enumerate(zip(dps, reports), step):
             u, r, p_hat = split_fields(report.x, self.n_cells)
             states.append(BiotState(dp=d, u=u, r=r, p_hat=p_hat, t=case.time.times[s]))
         return states, reports
 
     def evaluate(
-        self, psi: np.ndarray | None, warm: list[np.ndarray | None]
+        self, psi: np.ndarray | None, starts: MarchStarts
     ) -> tuple[list[BiotState], np.ndarray]:
         """March all N steps; return the N+1 states and the (N, n) source the flow saw.
 
@@ -388,7 +374,8 @@ class CoupledSystem:
         first and the N mechanics solves then run as one block.  Lagged
         (psi None): step i's source is built from the two previous
         mechanics states, with p_hat(t_{-1}) := p_hat(t_0), so each flow
-        step is followed by its own one-column mechanics solve.
+        step is followed by its own one-column mechanics solve.  Either
+        way the N solves start, in step order, from `starts`.
         """
         case = self.case
         volumes = case.mesh.cell_volumes
@@ -396,21 +383,20 @@ class CoupledSystem:
         states = [case.initial]
         if psi is None:
             psi = np.zeros((n_steps, self.n_cells))
-            march = MarchStarts()
             for i in range(1, n_steps + 1):
                 psi[i - 1] = self.flow_source(
                     states[max(i - 2, 0)].p_hat, states[i - 1].p_hat
                 )
                 rate = case.sources[i - 1] + volumes * psi[i - 1]
                 dp = self.flow.step(states[i - 1].dp, rate)
-                states += self.mech_solve(dp[None, :], i, warm, march)[0]
+                states += self.mech_solve(dp[None, :], i, starts)[0]
             return states, psi
         dps = np.empty((n_steps, self.n_cells))
         dp = states[0].dp
         for i in range(1, n_steps + 1):
             rate = case.sources[i - 1] + volumes * psi[i - 1]
             dp = dps[i - 1] = self.flow.step(dp, rate)
-        states += self.mech_solve(dps, 1, warm)[0]
+        states += self.mech_solve(dps, 1, starts)[0]
         return states, psi
 
     def weighted_norm(self, psi: np.ndarray) -> float:
@@ -437,23 +423,23 @@ def simulate(
     volume/dt weighted space-time L2 norm relative to F(psi), drops below
     scheme.tol; the residual is measured before any mixing, so the
     converged result is the evaluation at an (almost) fixed psi.  The
-    result holds the last image F(psi).  The run keeps its own starts: each
-    pass's solutions are the next pass's base guesses.
+    result holds the last image F(psi).  The run keeps its own starts:
+    each march gets a new `MarchStarts` over the run's list of the last
+    march's solutions, so a pass starts from the one before it.
     """
     scheme = scheme or SchemeSpec()
-    n_steps = engine.case.time.n_steps
-    warm: list[np.ndarray | None] = [None] * (n_steps + 1)
     if scheme.kind == "lagged":
-        states, psi = engine.evaluate(None, warm)
+        states, psi = engine.evaluate(None, MarchStarts())
         return SimulationResult(states, psi, CouplingReport(scheme="lagged"))
-    psi = np.zeros((n_steps, engine.n_cells))
+    psi = np.zeros((engine.case.time.n_steps, engine.n_cells))
+    last: list[np.ndarray] = []  # the last pass's elastic solutions
     m0 = scheme.anderson_m0
     anderson = AndersonState(m0=m0) if m0 >= 1 else None
     residuals: list[float] = []
     converged = False
     for _ in range(scheme.max_iter):
         states = None  # free the last pass's states before the next one's solve
-        states, _ = engine.evaluate(psi, warm)
+        states, _ = engine.evaluate(psi, MarchStarts(last))
         image = np.stack(
             [engine.flow_source(a.p_hat, b.p_hat) for a, b in zip(states, states[1:])]
         )

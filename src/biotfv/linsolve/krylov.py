@@ -42,13 +42,17 @@ def bicgstab(
     max_iter: int = 500,
     x0: np.ndarray | None = None,
 ) -> SolveReport:
-    """Solve operator @ x = rhs; operator is a sparse or dense matrix."""
+    """Solve operator @ x = rhs; operator is a sparse or dense matrix.
+
+    x0 is not copied: the iterate is only ever rebound, never written in
+    place, so an x0 that already meets rtol comes back as report.x.
+    """
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
     apply_m = preconditioner if preconditioner is not None else (lambda v: v)
     rhs = np.asarray(rhs, dtype=float)
     norm_b = np.linalg.norm(rhs)
-    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
     if norm_b == 0.0:
         return SolveReport(x=np.zeros_like(rhs), trace=[0.0])
 

@@ -12,8 +12,9 @@ nothing is assembled, the action is composed from those blocks.
 its right-hand sides only as a (7n, k) block, one column per step.  The
 factored matrix is the rescaled one permuted to `blocks.cell_order`, cell
 by cell; the solver's matrix, residuals and solutions stay field-major.
-`MarchStarts` is the iterative path's start rule: each step of a time
-march starts from its guess plus the correction the step before it took.
+`MarchStarts` is the iterative path's start rule, which only `solve`
+reads and updates: each column of a time march starts from its guess
+plus the correction the column before it took; the LU path ignores it.
 """
 
 from __future__ import annotations
@@ -73,33 +74,41 @@ class BlockTriangularPreconditioner:
 
 
 class MarchStarts:
-    """Where the iterative elastic solves of one time march start, in step order.
+    """Where the iterative elastic solves of one time march start, column by column.
 
-    Step i's base guess g_i is the caller's guess for it (the previous
-    pass at that step) when there is one, else the solution x_{i-1} of
-    step i-1 in this march, else zero (None).  Step i starts from
-    g_i + (x_{i-1} - g_{i-1}), evaluated in that order, when step i-1 was
-    solved in this march from a nonzero guess, and from g_i otherwise.
-    Without a previous pass this is linear extrapolation in time; with
-    one, it is the previous pass plus the correction step i-1 just took.
-    The mechanics and each pass's correction to them change smoothly from
-    step to step, so the predicted start needs fewer Krylov iterations.
-    Every solve still stops on its true residual; only the start moves.
+    `last` is the run's list of the previous march's solutions, 0-indexed
+    by column (a new one when None); this march's solutions overwrite it.
+    Column j's base guess g_j is last[j] when there is one, else the
+    solution x_{j-1} of column j-1 in this march, else zero (None).
+    Column j starts from g_j + (x_{j-1} - g_{j-1}), evaluated in that
+    order, when column j-1 started from a nonzero guess, and from g_j
+    otherwise.  Without a previous march this is linear extrapolation in
+    time; with one, it is the previous march plus the correction column
+    j-1 just took.  The mechanics and each pass's correction to them
+    change smoothly from step to step, so the predicted start needs fewer
+    Krylov iterations.  Every solve still stops on its true residual; only
+    the start moves.  A rule serves one march: g_{j-1} may be a view into
+    the previous march's block, which must not outlive the march.
     """
 
-    def __init__(self):
-        self.solution = self.guess = None  # x_{i-1} and g_{i-1}
+    def __init__(self, last: list[np.ndarray] | None = None):
+        self.last = [] if last is None else last
+        self.column = 0  # j, the next column
+        self.solution = self.guess = None  # x_{j-1} and g_{j-1}
 
-    def start(self, guess: np.ndarray | None) -> np.ndarray | None:
-        """The next step's start (None: zero) from the caller's guess for it."""
-        base = guess if guess is not None else self.solution
+    def start(self) -> np.ndarray | None:
+        """The next column's start (None: zero)."""
+        j = self.column
+        base = self.last[j] if j < len(self.last) else self.solution
         start = base if self.guess is None else base + (self.solution - self.guess)
         self.guess = base
         return start
 
     def solved(self, x: np.ndarray) -> None:
-        """Record the solution of the step `start` was last asked for."""
-        self.solution = x
+        """Record the solution of the column `start` was last asked for."""
+        j = self.column
+        self.last[j : j + 1] = [x]  # overwrites entry j, or appends it
+        self.solution, self.column = x, j + 1
 
 
 SOLVER_METHODS = ("auto", "direct", "iterative")
@@ -177,7 +186,7 @@ class TpsaSolver:
             self._precond = BlockTriangularPreconditioner(self.matrix, system.n_cells)
 
     def solve(
-        self, rhs: np.ndarray, x0=None, march: MarchStarts | None = None
+        self, rhs: np.ndarray, starts: MarchStarts | None = None
     ) -> list[SolveReport]:
         """Solve a (7n, k) block of right-hand sides; one report per column.
 
@@ -186,11 +195,11 @@ class TpsaSolver:
         solves the block with one multi-column LU solve, which runs at
         BLAS-3 speed, and ignores starts.  The iterative path solves the
         columns in order, since the columns of a time march are
-        consecutive steps: x0[j], when given, is the caller's guess for
-        column j (None entries allowed), and `march` (a new one when None)
-        turns the guesses and the columns solved before into each column's
-        start.  A SolverError on column j carries ``column = j``, and a
-        column with a non-finite entry fails before anything is solved.
+        consecutive steps: each starts from ``starts.start()`` and is
+        handed back through ``starts.solved(x)`` (a new `MarchStarts`
+        when None).  A SolverError on column j carries ``column = j``,
+        and a column with a non-finite entry fails before anything is
+        solved.
         """
         finite = np.isfinite(rhs).all(axis=0)
         if not finite.all():
@@ -220,11 +229,11 @@ class TpsaSolver:
                 SolveReport(x=x[:, j], trace=[float(res)])
                 for j, res in enumerate(residuals)
             ]
-        if march is None:
-            march = MarchStarts()
+        if starts is None:
+            starts = MarchStarts()
         reports: list[SolveReport] = []
         for j in range(rhs.shape[1]):
-            start = march.start(None if x0 is None else x0[j])
+            start = starts.start()
             try:
                 report = bicgstab(
                     self.matrix,
@@ -239,6 +248,6 @@ class TpsaSolver:
             x = rhs[:, j]
             np.multiply(self.scale, report.x, out=x)
             report.x = x
-            march.solved(x)
+            starts.solved(x)
             reports.append(report)
         return reports

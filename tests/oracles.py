@@ -20,9 +20,10 @@ explicitly, the reference the package's zero-start pre-smoother must
 match bit for bit.
 sequential_march is the fixed-stress time march with one
 mechanics solve per step, the reference for the package's block solve
-and its start rule (with predict=False, the previous rule: no predicted
-correction), and coupled_probe the convergence probe run through a whole
-coupled engine, the reference for the study's elastic-only probe.
+and its start rule, which it writes out on its own (with predict=False,
+the previous rule: no predicted correction), and coupled_probe the
+convergence probe run through a whole coupled engine, the reference for
+the study's elastic-only probe.
 monolithic_march solves flow and mechanics of each step as one system,
 the limit the splitting schemes converge to.  read_csv reads back
 what the package's CSV writer wrote (np.load reads the .npy source
@@ -374,10 +375,10 @@ def incidence_tpsa_matrix(mesh, props):
 def coupled_probe(case, solver, dp):
     """The convergence probe as a coupled step: one cold iterative solve of
     the load of dp on a whole `CoupledSystem`, flow factorization included,
-    with a fresh warm list.  Returns its SolveReport."""
+    as the last step of a march of its own (no starts given, so from zero).
+    Returns its SolveReport."""
     engine = CoupledSystem(case, replace(solver, method="iterative"))
-    warm = [None] * (case.time.n_steps + 1)
-    _, (report,) = engine.mech_solve(dp[None, :], len(warm) - 1, warm)
+    _, (report,) = engine.mech_solve(dp[None, :], case.time.n_steps)
     return report
 
 
@@ -478,6 +479,19 @@ def greedy_aggregate(strength):
     return assign, count
 
 
+class _GivenStart:
+    """A start state for one column: hands the solver the given start."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def start(self):
+        return self.x
+
+    def solved(self, x):
+        pass
+
+
 def sequential_march(coupled, psi, warm, predict=True):
     """One march with one single-column mechanics solve per step.
 
@@ -486,9 +500,11 @@ def sequential_march(coupled, psi, warm, predict=True):
     that step), else step i-1's solution in this march, else zero; with
     predict it starts from that guess plus the correction step i-1 took
     from its own base guess, when that was not zero, and without predict
-    from the guess alone.  Each solution is stored back in warm, a list
-    of N+1 entries the caller keeps across passes.  With psi None the
-    source is the lagged one, built from the two previous steps' p_hat
+    from the guess alone.  This rule is kept here, apart from the
+    package's `MarchStarts`: each column is handed its start through a
+    `_GivenStart`.  Each solution is stored back in warm, a list of N+1
+    entries the caller keeps across passes.  With psi None the source is
+    the lagged one, built from the two previous steps' p_hat
     (p_hat(t_{-1}) := p_hat(t_0)).  Returns the N (dp, u, r, p_hat)
     tuples of steps 1..N.
     """
@@ -513,7 +529,7 @@ def sequential_march(coupled, psi, warm, predict=True):
         if predict and guess_prev is not None:
             correction = x_prev - guess_prev
             start = guess + correction
-        (report,) = coupled.mech.solve(rhs[:, None], x0=[start])
+        (report,) = coupled.mech.solve(rhs[:, None], _GivenStart(start))
         warm[i] = x_prev = report.x
         guess_prev = guess
         u, r, p_hat = split_fields(report.x, coupled.n_cells)

@@ -1,5 +1,7 @@
 """Splitting-scheme and coupling-source tests."""
 
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from biotfv.coupling import (
 )
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import precond
-from biotfv.linsolve.precond import SolverOptions, TpsaSolver
+from biotfv.linsolve.precond import MarchStarts, SolverOptions, TpsaSolver
 from biotfv.materials import PoroelasticProperties
 from biotfv.mesh import build_cartesian
 from biotfv.tpfa import FlowSystem
@@ -64,7 +66,7 @@ def _mech_row_source(monkeypatch, case, dp):
         return assemble(*args, pressure_coupling=pressure_coupling, **kwargs)
 
     monkeypatch.setattr(coupling, "assemble_rhs", spy)
-    CoupledSystem(case).mech_solve(dp[None, :], 1, [None] * (case.time.n_steps + 1))
+    CoupledSystem(case).mech_solve(dp[None, :], 1)
     assert len(seen) == 1 and seen[0].shape == (1, dp.size)  # one block per solve
     return seen[0][0]
 
@@ -330,9 +332,9 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
     evaluate = CoupledSystem.evaluate
     calls = []
 
-    def nan_evaluate(self, psi, warm):
+    def nan_evaluate(self, psi, starts):
         calls.append(psi)
-        states, psi = evaluate(self, psi, warm)
+        states, psi = evaluate(self, psi, starts)
         states[-1].p_hat[:] = np.nan
         return states, psi
 
@@ -357,13 +359,13 @@ def _block_case():
 def _two_passes(case, options):
     """States of two fixed-stress passes of evaluate, and the two sources."""
     coupled = CoupledSystem(case, options)
-    warm = [None] * (case.time.n_steps + 1)
+    last = []
     psi0 = np.zeros((case.time.n_steps, coupled.n_cells))
-    first, _ = coupled.evaluate(psi0, warm)
+    first, _ = coupled.evaluate(psi0, MarchStarts(last))
     psi1 = np.stack(
         [coupled.flow_source(a.p_hat, b.p_hat) for a, b in zip(first, first[1:])]
     )
-    second, _ = coupled.evaluate(psi1, warm)
+    second, _ = coupled.evaluate(psi1, MarchStarts(last))
     return [first, second], [psi0, psi1]
 
 
@@ -398,7 +400,7 @@ def test_block_solve_iterative_path_is_bit_identical_to_per_step_solves():
 
 
 def test_runs_on_one_engine_match_runs_on_fresh_engines():
-    # each run keeps its own warm starts, so on the iterative path neither
+    # each run keeps its own starts, so on the iterative path neither
     # the order of the schemes nor the runs before one change its result
     case = _block_case()
     iterative = SolverOptions(method="iterative", rtol=1e-8)
@@ -412,6 +414,34 @@ def test_runs_on_one_engine_match_runs_on_fresh_engines():
         for a, b in zip(got.states, want.states, strict=True):
             for name in ("dp", "u", "r", "p_hat"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_no_pass_outlives_the_pass_after_it(monkeypatch, method):
+    # a march's starts may hold views into the previous pass's block, but
+    # once the next pass is done nothing the run keeps may reach it; on the
+    # direct path the starts are never read, so no solution is kept at all
+    evaluate = CoupledSystem.evaluate
+    roots, kept = [], []
+
+    def spy(self, psi, starts):
+        gc.collect()
+        if len(roots) >= 2:  # pass k-1 is done: pass k-2 must be gone
+            assert roots[-2]() is None, f"pass {len(roots) - 1} outlived its successor"
+        states, psi = evaluate(self, psi, starts)
+        root = states[1].u
+        while root.base is not None:
+            root = root.base
+        roots.append(weakref.ref(root))
+        kept.append(len(starts.last))
+        return states, psi
+
+    monkeypatch.setattr(CoupledSystem, "evaluate", spy)
+    case = _block_case()
+    options = SolverOptions(method=method, rtol=1e-8)
+    simulate(CoupledSystem(case, options), SchemeSpec(tol=1e-14, max_iter=3))
+    assert len(roots) == 3
+    assert kept == [0 if method == "direct" else case.time.n_steps] * 3
 
 
 def test_lagged_iterative_run_warm_starts_each_step_from_the_last():
@@ -463,9 +493,9 @@ def test_every_predicted_start_solve_meets_rtol_on_its_true_residual(monkeypatch
     solve = TpsaSolver.solve
     solved = []
 
-    def spy(self, rhs, x0=None, march=None):
+    def spy(self, rhs, starts=None):
         given = rhs.copy()
-        reports = solve(self, rhs, x0, march)
+        reports = solve(self, rhs, starts)
         solved.extend((given[:, j], report) for j, report in enumerate(reports))
         return reports
 
@@ -520,9 +550,9 @@ def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, anderson_m0):
     solve = TpsaSolver.solve
     columns = []
 
-    def spy(self, rhs, x0=None, march=None):
+    def spy(self, rhs, starts=None):
         columns.append(rhs.shape[1])
-        return solve(self, rhs, x0, march)
+        return solve(self, rhs, starts)
 
     monkeypatch.setattr(TpsaSolver, "solve", spy)
     direct = SolverOptions(method="direct")

@@ -76,8 +76,10 @@ def test_zero_rhs_returns_zero():
 def test_warm_start_with_exact_solution():
     a = np.diag([2.0, 3.0, 4.0])
     rhs = np.array([2.0, 6.0, 12.0])
-    result = bicgstab(a, rhs, rtol=1e-10, x0=np.array([1.0, 2.0, 3.0]))
+    x0 = np.array([1.0, 2.0, 3.0])
+    result = bicgstab(a, rhs, rtol=1e-10, x0=x0)
     assert result.iterations == 0
+    assert result.x is x0  # handed back as given, not copied
 
 
 def test_warm_start_speeds_convergence():
@@ -86,8 +88,10 @@ def test_warm_start_speeds_convergence():
     rhs = rng.standard_normal(40)
     cold = bicgstab(a, rhs, rtol=1e-10, max_iter=200)
     near = cold.x + 1e-8 * rng.standard_normal(40)
+    given = near.copy()
     warm = bicgstab(a, rhs, rtol=1e-10, max_iter=200, x0=near)
     assert warm.iterations <= cold.iterations
+    assert np.array_equal(near, given)  # the start is never written in place
 
 
 def test_invalid_rtol_rejected():

@@ -185,7 +185,7 @@ def test_solver_warm_start_reuses_factorization():
         SolverOptions(method="iterative", rtol=1e-8),
     )
     (first,) = solver.solve(system.rhs[:, None].copy())
-    (again,) = solver.solve(system.rhs[:, None].copy(), x0=[first.x])
+    (again,) = solver.solve(system.rhs[:, None].copy(), MarchStarts([first.x]))
     assert again.iterations <= 1
 
 
@@ -211,19 +211,25 @@ def test_solver_leaves_each_solution_in_its_block_column(method):
 
 
 def test_march_starts_extrapolate_and_carry_the_last_correction():
-    a, b, c, d = (np.array([v, 2.0 * v]) for v in (1.0, 3.0, 7.0, 10.0))
-    march = MarchStarts()
-    assert march.start(None) is None  # no guess and no step before: zero
+    a, b, c, d, e = (np.array([v, 2.0 * v]) for v in (1.0, 3.0, 7.0, 10.0, 16.0))
+    last = []
+    march = MarchStarts(last)
+    assert march.start() is None  # no previous march and no column before: zero
     march.solved(a)
-    assert march.start(None) is a  # step 1 started from zero: no correction
+    assert march.start() is a  # column 0 started from zero: no correction
     march.solved(b)
-    assert np.array_equal(march.start(None), b + (b - a))  # extrapolation
+    assert np.array_equal(march.start(), b + (b - a))  # extrapolation
     march.solved(c)
-    # a caller's guess replaces the previous solution as the base, and the
-    # correction is the one the step before took from its own base
-    assert np.array_equal(march.start(d), d + (c - b))
-    # a new march starts from the caller's guess as it is
-    assert MarchStarts().start(d) is d
+    assert last == [a, b, c]
+    # the next march's base guesses are this one's solutions, each corrected
+    # by what the column before took from its own base guess
+    march = MarchStarts(last)
+    assert march.start() is a
+    march.solved(d)
+    assert np.array_equal(march.start(), b + (d - a))
+    march.solved(e)
+    assert np.array_equal(march.start(), c + (e - b))
+    assert last[0] is d and last[1] is e  # overwritten in place
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
