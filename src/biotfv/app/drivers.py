@@ -123,7 +123,7 @@ def run_case(
     write_vtk(vtk_path, case.mesh, result.final, title=name)
     paths = [series, psi_path, vtk_path]
     if dump_system:
-        paths += dump_matrix(out / f"{name}_mech", elastic.matrix)
+        paths.append(dump_matrix(out / f"{name}_mech", elastic.matrix))
     return RunArtifacts(case=case, result=result, mass_defect=mass, paths=paths)
 
 

@@ -3,9 +3,10 @@
 CSV files use ',' as delimiter and '.' as decimal separator; floats are
 written with repr so a read-back reproduces them bit for bit.  A source
 history is the (n_steps, n_cells) float64 array psi in NumPy's .npy
-format, which np.load reads back bit for bit.  VTK files are legacy ASCII
-(DataFile version 3.0) unstructured grids carrying the four cell fields
-of the coupled solution.
+format, which np.load reads back bit for bit.  VTK files are legacy
+BINARY (DataFile version 3.0) unstructured grids carrying the four cell
+fields of the coupled solution: UTF-8 keyword lines, each followed by its
+data as one big-endian block (>f8 points and fields, >i4 cells and types).
 """
 
 from __future__ import annotations
@@ -62,39 +63,37 @@ _VTK_FIELDS = (
 )
 
 
-def _rows(array: np.ndarray) -> list[str]:
-    """One line per row (per entry of a 1-D array), each value as its repr."""
-    return [" ".join(map(repr, row)) for row in array.reshape(len(array), -1).tolist()]
-
-
 def write_vtk(path, mesh: Mesh, state: BiotState, title: str = "biotfv") -> None:
-    """Legacy ASCII VTK unstructured grid with the four cell fields."""
+    """Legacy binary VTK unstructured grid with the four cell fields."""
     if mesh.vertices is None or mesh.cell_nodes is None:
         raise GeometryError("mesh has no vertex data, cannot write VTK")
     n = mesh.n_cells
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    lines += [f"POINTS {len(mesh.vertices)} double", *_rows(mesh.vertices)]
-    lines += [f"CELLS {n} {n * 9}", *["8 " + row for row in _rows(mesh.cell_nodes)]]
-    lines += [f"CELL_TYPES {n}", *["12"] * n, f"CELL_DATA {n}"]  # 12: hexahedron
+    cells = np.column_stack((np.full(n, 8), mesh.cell_nodes))  # 8 corners, then ids
+    parts = ["# vtk DataFile Version 3.0", title, "BINARY", "DATASET UNSTRUCTURED_GRID"]
+    parts += [f"POINTS {len(mesh.vertices)} double", mesh.vertices.astype(">f8")]
+    parts += [f"CELLS {n} {n * 9}", cells.astype(">i4"), f"CELL_TYPES {n}"]
+    parts += [np.full(n, 12, dtype=">i4"), f"CELL_DATA {n}"]  # 12: hexahedron
     for name, attr, width in _VTK_FIELDS:
-        values = np.asarray(getattr(state, attr), dtype=float)
+        values = np.asarray(getattr(state, attr), dtype=">f8")
         expected = (n,) if width == 1 else (n, width)
         if values.shape != expected:
             label = name.replace("_", " ")
             raise ValueError(f"{label} has shape {values.shape}, expected {expected}")
         if width == 1:
-            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            parts += [f"SCALARS {name} double 1", "LOOKUP_TABLE default", values]
         else:
-            lines.append(f"VECTORS {name} double")
-        lines += _rows(values)
+            parts += [f"VECTORS {name} double", values]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "wb") as handle:  # after both checks: a rejection writes nothing
+        for part in parts:
+            handle.write(part.encode() if isinstance(part, str) else part.tobytes())
+            handle.write(b"\n")
 
 
-def dump_matrix(prefix, matrix) -> list[Path]:
+def dump_matrix(prefix, matrix) -> Path:
     """MatrixMarket dump of a sparse operator to <prefix>.mtx."""
     path = Path(f"{prefix}.mtx")
     path.parent.mkdir(parents=True, exist_ok=True)
     mmwrite(path, matrix.tocoo())
-    return [path]
+    return path

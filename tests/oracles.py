@@ -27,14 +27,16 @@ the study's elastic-only probe.
 monolithic_march solves flow and mechanics of each step as one system,
 the limit the splitting schemes converge to.  read_csv reads back
 what the package's CSV writer wrote (np.load reads the .npy source
-histories), material builds the one validated material record every
-operator test assembles from, and serialize_config writes a parsed case
-back as the canonical SI-unit text the round-trip tests parse again.
+histories) and read_vtk its legacy binary VTK files, material builds
+the one validated material record every operator test assembles from,
+and serialize_config writes a parsed case back as the canonical SI-unit
+text the round-trip tests parse again.
 """
 
 import csv
 from dataclasses import replace
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, diags, hstack, identity, kron, vstack
@@ -66,6 +68,63 @@ def read_csv(path):
         reader = csv.reader(handle, delimiter=",")
         header = next(reader)
         return header, [row for row in reader]
+
+
+# the keyword line of each cell field in a VTK file, and its BiotState field
+VTK_FIELDS = (
+    ("SCALARS pressure_deviation double 1", "dp"),
+    ("VECTORS displacement double", "u"),
+    ("VECTORS rotation double", "r"),
+    ("SCALARS effective_pressure double 1", "p_hat"),
+)
+
+
+def read_vtk(path):
+    """Leading lines and sections of a legacy binary VTK file the package wrote.
+
+    Returns the four lines before the first section (version, title,
+    BINARY, dataset) and a dict, in file order, from each section's keyword
+    line to its data read with np.frombuffer, shaped as written: big-endian
+    >f8 for POINTS and the cell fields, >i4 for CELLS and CELL_TYPES.
+    CELL_DATA holds no data of its own and maps to None.  Every line and
+    every data block must end in a newline.
+    """
+    data = Path(path).read_bytes()
+    at = 0
+
+    def take(size):
+        nonlocal at
+        chunk, at = data[at : at + size], at + size
+        assert len(chunk) == size, "the file ends inside a section"
+        return chunk
+
+    def line():
+        return take(data.index(b"\n", at) + 1 - at)[:-1].decode("utf-8")
+
+    head = [line() for _ in range(4)]
+    sections, n_cells = {}, None
+    while at < len(data):
+        keyword = line()
+        word, *rest = keyword.split(" ")
+        if word == "CELL_DATA":
+            sections[keyword], n_cells = None, int(rest[0])
+            continue
+        if word == "POINTS":
+            dtype, shape = ">f8", (int(rest[0]), 3)
+        elif word == "CELLS":
+            dtype, shape = ">i4", (int(rest[0]), int(rest[1]) // int(rest[0]))
+        elif word == "CELL_TYPES":
+            dtype, shape = ">i4", (int(rest[0]),)
+        elif word == "SCALARS":
+            assert line() == "LOOKUP_TABLE default"
+            dtype, shape = ">f8", (n_cells,)
+        else:
+            assert word == "VECTORS", f"unknown section {keyword!r}"
+            dtype, shape = ">f8", (n_cells, 3)
+        size = np.dtype(dtype).itemsize * int(np.prod(shape))
+        sections[keyword] = np.frombuffer(take(size), dtype=dtype).reshape(shape)
+        assert take(1) == b"\n", f"no newline after the {word} data"
+    return head, sections
 
 
 def orientation(mesh, cell, face):

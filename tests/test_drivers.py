@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import coupled_probe
+from oracles import VTK_FIELDS, coupled_probe, read_vtk
 
 from biotfv import coupling
 from biotfv.app.config import parse_config, parse_config_text
@@ -185,6 +185,15 @@ def _assert_same_history(path, psi, cfg):
     assert np.array_equal(written.view(np.int64), psi.view(np.int64))
 
 
+def _assert_same_final(path, final):
+    """The VTK file holds the four fields of final, bit for bit."""
+    _, sections = read_vtk(path)
+    for keyword, attr in VTK_FIELDS:
+        written, values = sections[keyword].astype(np.float64), getattr(final, attr)
+        assert written.shape == values.shape
+        assert np.array_equal(written.view(np.int64), values.view(np.int64))
+
+
 def test_barrier_case_runs_and_reports(tmp_path):
     cfg = parse_config_text(TINY_BARRIER)
     runs = run_barrier_case(cfg, schemes=("lagged", "fixed"), out_dir=tmp_path)
@@ -195,7 +204,7 @@ def test_barrier_case_runs_and_reports(tmp_path):
         assert run.avg_dp_omega2[-1] > 0
         assert run.avg_dp_omega1[-1] > run.avg_dp_omega2[-1]
         assert (tmp_path / f"barrier_{run.scheme}.csv").exists()
-        assert (tmp_path / f"barrier_{run.scheme}_final.vtk").exists()
+        _assert_same_final(tmp_path / f"barrier_{run.scheme}_final.vtk", run.result.final)
         psi_path = tmp_path / f"barrier_{run.scheme}_psi.npy"
         _assert_same_history(psi_path, run.result.psi, cfg)
     lagged, fixed = runs
@@ -264,6 +273,7 @@ def test_run_case_writes_artifacts(tmp_path):
         assert p.exists()
     assert artifacts.mass_defect < 1e-8
     _assert_same_history(tmp_path / "tiny_psi.npy", artifacts.result.psi, cfg)
+    _assert_same_final(tmp_path / "tiny_final.vtk", artifacts.result.final)
     lines = (tmp_path / "tiny_series.csv").read_text().splitlines()
     assert lines[0] == "step,time,mean_dp,min_dp,max_dp,mean_p_hat"
     assert len(lines) == 2 + cfg.time.n_steps  # header + initial + steps

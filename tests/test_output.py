@@ -1,11 +1,13 @@
 """Writers: CSV round-trips, .npy source histories, VTK structure, matrix dumps."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import mmread
 from scipy.sparse import random as sparse_random
 
-from oracles import read_csv
+from oracles import VTK_FIELDS, read_csv, read_vtk
 
 from biotfv.app.output import dump_matrix, save_source_history, write_csv, write_vtk
 from biotfv.coupling import BiotState
@@ -66,28 +68,35 @@ def _state(n):
     )
 
 
+def _bits(values):
+    """The float64 bit patterns of values, whatever their byte order."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
 def test_vtk_single_cell_structure(tmp_path):
     mesh = build_cartesian(1, 1, 1)
     path = tmp_path / "one.vtk"
     write_vtk(path, mesh, _state(1))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# vtk DataFile Version 3.0"
-    assert lines[2] == "ASCII"
-    assert lines[3] == "DATASET UNSTRUCTURED_GRID"
-    assert "POINTS 8 double" in lines
-    cells_at = lines.index("CELLS 1 9")
-    assert lines[cells_at + 1].startswith("8 ")
-    assert sorted(int(t) for t in lines[cells_at + 1].split()[1:]) == list(range(8))
-    types_at = lines.index("CELL_TYPES 1")
-    assert lines[types_at + 1] == "12"
-    assert "CELL_DATA 1" in lines
-    for name in (
-        "SCALARS pressure_deviation double 1",
-        "VECTORS displacement double",
-        "VECTORS rotation double",
-        "SCALARS effective_pressure double 1",
-    ):
-        assert name in lines
+    head, sections = read_vtk(path)
+    assert head == [
+        "# vtk DataFile Version 3.0",
+        "biotfv",
+        "BINARY",
+        "DATASET UNSTRUCTURED_GRID",
+    ]
+    assert list(sections) == [
+        "POINTS 8 double",
+        "CELLS 1 9",
+        "CELL_TYPES 1",
+        "CELL_DATA 1",
+        *(keyword for keyword, _ in VTK_FIELDS),
+    ]
+    cells = sections["CELLS 1 9"]
+    assert cells[0, 0] == 8
+    assert sorted(cells[0, 1:].tolist()) == list(range(8))
+    assert sections["CELL_TYPES 1"].tolist() == [12]  # hexahedron
+    assert sections["POINTS 8 double"].dtype == np.dtype(">f8")
+    assert cells.dtype == np.dtype(">i4")
 
 
 def test_vtk_cell_data_values_round_trip(tmp_path):
@@ -95,42 +104,44 @@ def test_vtk_cell_data_values_round_trip(tmp_path):
     state = _state(6)
     path = tmp_path / "grid.vtk"
     write_vtk(path, mesh, state)
-    lines = path.read_text().splitlines()
-    at = lines.index("SCALARS pressure_deviation double 1") + 2
-    dp = [float(v) for v in lines[at : at + 6]]
-    assert dp == state.dp.tolist()
-    at = lines.index("VECTORS displacement double") + 1
-    u = np.array([[float(c) for c in lines[at + i].split()] for i in range(6)])
-    assert np.array_equal(u, state.u)
+    _, sections = read_vtk(path)
+    assert np.array_equal(_bits(sections["POINTS 24 double"]), _bits(mesh.vertices))
+    assert np.array_equal(sections["CELLS 6 54"][:, 1:], mesh.cell_nodes)
+    for keyword, attr in VTK_FIELDS:
+        assert np.array_equal(_bits(sections[keyword]), _bits(getattr(state, attr)))
 
 
 def _expected_vtk(mesh, state, title):
-    """The VTK text written one number at a time, each float as repr(float(v))."""
+    """The VTK bytes packed one value at a time: ">d" per float, ">i" per int."""
 
-    def row(values):
-        return " ".join(repr(float(v)) for v in np.atleast_1d(values))
+    def text(*lines):
+        return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+    def doubles(values):
+        return b"".join(struct.pack(">d", float(v)) for v in np.ravel(values)) + b"\n"
+
+    def ints(values):
+        return b"".join(struct.pack(">i", int(i)) for i in values) + b"\n"
 
     n = mesh.n_cells
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    lines.append(f"POINTS {mesh.vertices.shape[0]} double")
-    lines += [row(v) for v in mesh.vertices]
-    lines.append(f"CELLS {n} {9 * n}")
-    lines += ["8 " + " ".join(str(int(i)) for i in nodes) for nodes in mesh.cell_nodes]
-    lines += [f"CELL_TYPES {n}", *["12"] * n, f"CELL_DATA {n}"]
+    out = text("# vtk DataFile Version 3.0", title, "BINARY", "DATASET UNSTRUCTURED_GRID")
+    out += text(f"POINTS {mesh.vertices.shape[0]} double") + doubles(mesh.vertices)
+    out += text(f"CELLS {n} {9 * n}")
+    out += ints(i for nodes in mesh.cell_nodes for i in (8, *nodes))
+    out += text(f"CELL_TYPES {n}") + ints([12] * n) + text(f"CELL_DATA {n}")
     for header, values in (
         ("SCALARS pressure_deviation double 1\nLOOKUP_TABLE default", state.dp),
         ("VECTORS displacement double", state.u),
         ("VECTORS rotation double", state.r),
         ("SCALARS effective_pressure double 1\nLOOKUP_TABLE default", state.p_hat),
     ):
-        lines.append(header)
-        lines += [row(v) for v in values]
-    return "\n".join(lines) + "\n"
+        out += text(header) + doubles(values)
+    return out
 
 
-def test_vtk_text_is_byte_exact(tmp_path):
-    # signed zero, the smallest subnormal, exponent forms, NaN, and the node
-    # ids of a 48 x 48 x 3 grid
+def test_vtk_bytes_are_exact(tmp_path):
+    # signed zero, the smallest subnormal, tiny and huge values, NaN, a
+    # repeating fraction, and the node ids of a 48 x 48 x 3 grid
     mesh = build_cartesian(48, 48, 3, (0.1, 0.3, 7.0))
     n = mesh.n_cells
     special = np.array([-0.0, 5e-324, 1e-5, 1e16, np.nan, 1.0 / 3.0, -2.5e-300])
@@ -142,25 +153,37 @@ def test_vtk_text_is_byte_exact(tmp_path):
     )
     path = tmp_path / "exact.vtk"
     write_vtk(path, mesh, state, title="exact")
-    expected = _expected_vtk(mesh, state, "exact")
-    assert path.read_bytes() == expected.encode("ascii")
-    lines = expected.splitlines()
-    for text in ("-0.0", "5e-324", "1e-05", "1e+16", "nan"):
-        assert text in lines
-    assert "9603" in lines[lines.index(f"CELLS {n} {9 * n}") + n].split()
+    assert path.read_bytes() == _expected_vtk(mesh, state, "exact")
+    _, sections = read_vtk(path)
+    for keyword, attr in VTK_FIELDS:  # NaN included, bit for bit
+        assert np.array_equal(_bits(sections[keyword]), _bits(getattr(state, attr)))
+    assert 9603 in sections[f"CELLS {n} {9 * n}"][-1, 1:]
+
+
+def test_vtk_title_is_utf8(tmp_path):
+    # a case name may hold any text the file system can encode
+    path = tmp_path / "cafe.vtk"
+    write_vtk(path, build_cartesian(1, 1, 1), _state(1), title="café:fixed")
+    assert path.read_bytes().split(b"\n")[1] == "café:fixed".encode("utf-8")
+    head, _ = read_vtk(path)
+    assert head[1] == "café:fixed"
 
 
 def test_vtk_rejects_mismatched_state(tmp_path):
     mesh = build_cartesian(2, 2, 2)
+    path = tmp_path / "bad.vtk"
     with pytest.raises(ValueError, match="pressure deviation"):
-        write_vtk(tmp_path / "bad.vtk", mesh, _state(7))
+        write_vtk(path, mesh, _state(7))
+    assert not path.exists()
 
 
 def test_vtk_requires_vertex_data(tmp_path):
     mesh = build_cartesian(1, 1, 1)
     mesh.vertices = None
+    path = tmp_path / "x.vtk"
     with pytest.raises(GeometryError, match="vertex data"):
-        write_vtk(tmp_path / "x.vtk", mesh, _state(1))
+        write_vtk(path, mesh, _state(1))
+    assert not path.exists()
 
 
 def test_vtk_unwritable_path_raises_oserror(tmp_path):
@@ -173,7 +196,7 @@ def test_vtk_unwritable_path_raises_oserror(tmp_path):
 
 def test_dump_matrix_round_trip(tmp_path):
     matrix = sparse_random(9, 9, density=0.4, random_state=3, format="csr")
-    paths = dump_matrix(tmp_path / "sub" / "sys", matrix)
-    assert paths == [tmp_path / "sub" / "sys.mtx"]
-    back = mmread(paths[0]).tocsr()
+    path = dump_matrix(tmp_path / "sub" / "sys", matrix)
+    assert path == tmp_path / "sub" / "sys.mtx"
+    back = mmread(path).tocsr()
     assert np.allclose(back.toarray(), matrix.toarray(), atol=0)
