@@ -13,6 +13,7 @@ import argparse
 import logging
 import sys
 
+from ..coupling import SCHEME_KINDS
 from ..errors import BiotfvError, ConfigurationError, SolverError
 from .config import parse_config
 from .drivers import VARIABLES, run_barrier_case, run_case, run_convergence_study
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bar_p.add_argument(
         "--schemes",
-        default="lagged,fixed,anderson",
+        default=",".join(SCHEME_KINDS),
         help="comma-separated coupling schemes to run",
     )
     return parser

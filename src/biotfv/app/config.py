@@ -254,7 +254,6 @@ _SECTIONS = {
             "kind": _Key(SCHEME_KINDS),
             "tol": _Key("dimensionless"),
             "max_iter": _Key(int),
-            "anderson_m0": _Key(int),
         },
     ),
     "solver": _Section(
@@ -352,8 +351,9 @@ def _parse_value(text: str, kind, section: str, key: str, line: int | None):
         return text
     if isinstance(kind, tuple):
         if text not in kind:
+            what = section if key == "kind" else f"{section} {key}"  # [scheme] kind
             raise ConfigurationError(
-                f"unknown {section} {key} '{text}' (one of {', '.join(kind)})",
+                f"unknown {what} '{text}' (one of {', '.join(kind)})",
                 key=name,
                 line=line,
             )
@@ -433,7 +433,7 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
             raise ConfigurationError(
                 f"unknown section '[{section}]'", key=section, line=found[0]
             )
-    fields = {"name": default_name}
+    fields = {}
     for section, (attr, spec, keys) in _SECTIONS.items():
         found = sections.get(section, (None, {}))
         values = _read_section(section, found, keys)
@@ -441,4 +441,6 @@ def parse_config_text(text: str, default_name: str = "case") -> CaseConfig:
             fields.update(values)
         else:
             fields[attr] = _build(spec, values, section, found[0])
+    if "name" not in fields:  # the file name then names the output files
+        fields["name"] = _parse_value(default_name, "name", "case", "name", None)
     return CaseConfig(**fields, wells=sorted(wells, key=lambda w: w.name))

@@ -13,7 +13,7 @@ import numpy as np
 from ..coupling import (
     BiotCase,
     CoupledSystem,
-    SchemeSpec,
+    SCHEME_KINDS,
     SimulationResult,
     elastic_load,
     global_mass_check,
@@ -29,7 +29,6 @@ from .output import dump_matrix, save_source_history, write_csv, write_vtk
 log = logging.getLogger("biotfv")
 
 __all__ = [
-    "scheme_from_token",
     "relative_l2",
     "RunArtifacts",
     "run_case",
@@ -43,18 +42,6 @@ __all__ = [
 ]
 
 VARIABLES = ("dp", "u", "r", "p_hat")
-
-
-def scheme_from_token(token: str, base: SchemeSpec) -> SchemeSpec:
-    """Map a CLI scheme name onto the configured iteration settings."""
-    token = token.strip().lower()
-    if token == "lagged":
-        return replace(base, kind="lagged")
-    if token == "anderson":
-        return replace(base, kind="fixed_stress", anderson_m0=base.anderson_m0 or 5)
-    if token in ("fixed", "fixed_stress"):
-        return replace(base, kind="fixed_stress", anderson_m0=0)
-    raise ConfigurationError(f"unknown scheme '{token}'")
 
 
 def relative_l2(mesh: Mesh, approx: np.ndarray, exact: np.ndarray) -> float:
@@ -282,40 +269,33 @@ def compartment_masks(case: BiotCase) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_barrier_case(
-    config: CaseConfig, schemes=("lagged", "fixed", "anderson"), out_dir=None
+    config: CaseConfig, schemes=SCHEME_KINDS, out_dir=None
 ) -> list[BarrierRun]:
     """Run the sealed-barrier case under several coupling schemes.
 
-    Writes, per scheme, a CSV of per-step compartment-average pressure
-    deviations, the source history psi as .npy and the final state as VTK,
-    then a summary table with iteration counts and the global mass defect
-    of each scheme.  Files and summary rows carry the scheme's
-    stripped, lower-cased name.  Every scheme is checked before the first
-    runs, and two names that select the same scheme (a name listed twice,
-    or `fixed` and `fixed_stress`) are rejected, so bad input writes no
-    file.  The mass defect is NaN unless every wall is clamped
-    (`global_mass_check`).
+    Each name, stripped and lower-cased, is one of `SCHEME_KINDS` and runs
+    the case's [scheme] settings as that kind.  Writes, per scheme, a CSV of
+    per-step compartment-average pressure deviations, the source history
+    psi as .npy and the final state as VTK, named after the scheme, then a
+    summary table with iteration counts and the global mass defect of each.
+    Every name is checked before the first runs, and an unknown or repeated
+    one is rejected, so bad input writes no file.  The mass defect is NaN
+    unless every wall is clamped (`global_mass_check`).
     """
     case = config.build_case()
     masks = compartment_masks(case)
     names = [token.strip().lower() for token in schemes]
     if not names:
         raise ConfigurationError("barrier study needs at least one scheme")
-    specs: list[tuple[str, SchemeSpec]] = []
-    repeated = set()
-    for name in names:
-        scheme = scheme_from_token(name, config.scheme)
-        first = next((seen for seen, spec in specs if spec == scheme), None)
-        if first is None:
-            specs.append((name, scheme))
-        else:
-            repeated.add(name if name == first else f"{name} (same as {first})")
+    # a repeated scheme would be run and written twice
+    repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
-        raise ConfigurationError(f"scheme listed twice: {', '.join(sorted(repeated))}")
+        raise ConfigurationError(f"scheme listed twice: {', '.join(repeated)}")
+    specs = [replace(config.scheme, kind=name) for name in names]
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output_directory)
     runs = []
-    for name, scheme in specs:
+    for name, scheme in zip(names, specs):
         log.info("barrier case, scheme %s", name)
         result = simulate(CoupledSystem(case, config.solver), scheme)
         averages = []

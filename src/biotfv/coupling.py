@@ -14,22 +14,23 @@ deviation dp enters the mechanics as the effective-pressure row source
 alpha*dp feeds the flow through the source psi = -(alpha/lam) *
 d(p_hat)/dt.
 
-Both schemes run the same time march (`CoupledSystem.evaluate`), one
-flow step and one mechanics solve per time step.  They differ only in where
-the flow source psi of a step comes from:
+The schemes of `SCHEME_KINDS` run the same time march
+(`CoupledSystem.evaluate`), one flow step and one mechanics solve per time
+step.  They differ only in where the flow source psi of a step comes from:
 
 * lagged: built from the two previous mechanics states (no inner
   iterations);
-* fixed stress: a given space-time field; one march maps it to F(psi),
-  the source rebuilt from the states it produced, and the scheme
-  iterates psi <- F(psi), optionally accelerated by Anderson mixing of
-  previous evaluations.  A given psi frees the flow from the mechanics,
+* fixed: fixed stress, a given space-time field; one march maps it to
+  F(psi), the source rebuilt from the states it produced, and the scheme
+  iterates psi <- F(psi).  A given psi frees the flow from the mechanics,
   so the march runs the flow through every step first and then solves
-  the mechanics of all steps as one block, one load column per step.
+  the mechanics of all steps as one block, one load column per step;
+* anderson: fixed stress whose next psi mixes the last ANDERSON_WINDOW
+  evaluations (`AndersonState`).
 
-Both reuse a single flow factorization and a single mechanics
+All reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
-`CoupledSystem` holds them, and `simulate(engine, scheme)` runs either
+`CoupledSystem` holds them, and `simulate(engine, scheme)` runs any
 scheme on it.  Each march hands its mechanics solves one start rule
 (`MarchStarts`), which only the elastic solver reads: each step starts
 from its base guess (the previous pass at that step, else the step
@@ -125,32 +126,29 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
-SCHEME_KINDS = ("fixed_stress", "lagged")
+SCHEME_KINDS = ("lagged", "fixed", "anderson")
+ANDERSON_WINDOW = 5  # (psi, F(psi)) pairs the anderson scheme mixes
 
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Coupling scheme and fixed-stress controls, checked for every kind.
+    """Coupling scheme and fixed-stress controls, checked for every kind."""
 
-    anderson_m0 = 0 iterates plainly; >= 1 mixes that many previous images.
-    """
-
-    kind: str = "fixed_stress"
+    kind: str = "fixed"
     tol: float = 1e-6
     max_iter: int = 25
-    anderson_m0: int = 0
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
-            raise ConfigurationError(f"unknown scheme kind '{self.kind}'")
+            raise ConfigurationError(
+                f"unknown scheme '{self.kind}' (one of {', '.join(SCHEME_KINDS)})"
+            )
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigurationError(
                 "fixed-stress tolerance must be positive and finite"
             )
         if self.max_iter < 1:
             raise ConfigurationError("fixed-stress iteration cap must be at least 1")
-        if self.anderson_m0 < 0:
-            raise ConfigurationError("anderson_m0 must be 0 (plain) or at least 1")
 
 
 @dataclass
@@ -413,28 +411,28 @@ class CoupledSystem:
 def simulate(
     engine: CoupledSystem, scheme: SchemeSpec | None = None
 ) -> SimulationResult:
-    """Run the engine's case under one coupling scheme (default: plain fixed stress).
+    """Run the engine's case under one coupling scheme (default: fixed).
 
     Lagged: one march, each flow step seeing the previous mechanics state.
-    Fixed stress: whole-simulation fixed-point iteration on the coupling
-    source psi.  Every iteration evaluates F(psi): the time march with the
-    current source history, whose states give the new source.  The
-    iteration stops when the fixed-point residual F(psi) - psi, in the
-    volume/dt weighted space-time L2 norm relative to F(psi), drops below
-    scheme.tol; the residual is measured before any mixing, so the
-    converged result is the evaluation at an (almost) fixed psi.  The
-    result holds the last image F(psi).  The run keeps its own starts:
-    each march gets a new `MarchStarts` over the run's list of the last
-    march's solutions, so a pass starts from the one before it.
+    Fixed and anderson: whole-simulation fixed-point iteration on the
+    coupling source psi, anderson mixing each new psi from its window.
+    Every iteration evaluates F(psi): the time march with the current
+    source history, whose states give the new source.  The iteration stops
+    when the fixed-point residual F(psi) - psi, in the volume/dt weighted
+    space-time L2 norm relative to F(psi), drops below scheme.tol; the
+    residual is measured before any mixing, so the converged result is the
+    evaluation at an (almost) fixed psi.  The result holds the last image
+    F(psi).  The run keeps its own starts: each march gets a new
+    `MarchStarts` over the run's list of the last march's solutions, so a
+    pass starts from the one before it.
     """
     scheme = scheme or SchemeSpec()
     if scheme.kind == "lagged":
         states, psi = engine.evaluate(None, MarchStarts())
-        return SimulationResult(states, psi, CouplingReport(scheme="lagged"))
+        return SimulationResult(states, psi, CouplingReport(scheme=scheme.kind))
     psi = np.zeros((engine.case.time.n_steps, engine.n_cells))
     last: list[np.ndarray] = []  # the last pass's elastic solutions
-    m0 = scheme.anderson_m0
-    anderson = AndersonState(m0=m0) if m0 >= 1 else None
+    anderson = AndersonState(ANDERSON_WINDOW) if scheme.kind == "anderson" else None
     residuals: list[float] = []
     converged = False
     for _ in range(scheme.max_iter):
@@ -461,8 +459,7 @@ def simulate(
         else:
             anderson.push(psi, image)
             psi = anderson.next_iterate()
-    name = "fixed_stress" if anderson is None else f"anderson[{m0}]"
-    report = CouplingReport(scheme=name, residuals=residuals, converged=converged)
+    report = CouplingReport(scheme=scheme.kind, residuals=residuals, converged=converged)
     return SimulationResult(states, image, report)
 
 

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import read_vtk
 from scipy.io import mmread
 
 from biotfv import tpfa, tpsa
@@ -264,7 +266,12 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
         ),
         ([("lx = 60 m", "lx = nan m")], "domain lengths must be finite"),
         ([("ly = 40 m", "ly = inf m")], "domain lengths must be finite"),
-        ([("max_iter = 40", "max_iter = 40\nanderson_m0 = -1")], "anderson_m0"),
+        # the anderson window is a constant: the key is unknown, whatever its value
+        (
+            [("max_iter = 40", "max_iter = 40\nanderson_m0 = -1")],
+            "unknown key 'anderson_m0' in section [scheme]: "
+            "key 'scheme.anderson_m0': line 30",
+        ),
         # subnormal moduli, viscosity and lengths would make an operator singular
         ([("mu = 3.5 GPa", "mu = 1e-320 Pa")], "shear modulus must be positive and at"),
         (
@@ -306,9 +313,9 @@ def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
     [
         ("run", "lagged", "auto"),
         ("run", "lagged", "iterative"),
-        ("run", "fixed_stress", "auto"),
-        ("run", "fixed_stress", "iterative"),
-        ("barrier", "fixed_stress", "auto"),
+        ("run", "fixed", "auto"),
+        ("run", "fixed", "iterative"),
+        ("barrier", "fixed", "auto"),
     ],
 )
 def test_overflowing_run_exits_3_naming_the_step(tmp_path, capsys, command, kind, method):
@@ -363,7 +370,7 @@ def test_unconverged_fixed_stress_exits_3(
     assert summary in captured.out
     assert captured.err.count("solver failure") == 1
     assert (
-        "solver failure: fixed_stress coupling not converged after 1 iterations"
+        "solver failure: fixed coupling not converged after 1 iterations"
         in captured.err
     )
     assert files <= {path.name for path in out.iterdir()}
@@ -484,8 +491,73 @@ def test_barrier_subcommand(barrier_cfg, tmp_path, capsys):
 def test_barrier_rejects_unknown_scheme(barrier_cfg, tmp_path, capsys):
     # a valid scheme listed first must not run before the bad one is seen
     assert main(["barrier", str(barrier_cfg), "--schemes", "lagged,psychic"]) == 2
-    assert "unknown scheme 'psychic'" in capsys.readouterr().err
+    assert UNKNOWN_PSYCHIC in capsys.readouterr().err
     assert not list(tmp_path.rglob("barrier_*"))
+
+
+UNKNOWN_PSYCHIC = "unknown scheme 'psychic' (one of lagged, fixed, anderson)"
+
+
+@pytest.mark.parametrize("command", ["run", "barrier"])
+def test_case_file_rejects_unknown_scheme_as_the_cli_does(barrier_cfg, capsys, command):
+    # one message for an unknown scheme, from the case file as from --schemes
+    text = barrier_cfg.read_text().replace("tol = 1e-8", "kind = psychic\ntol = 1e-8")
+    barrier_cfg.write_text(text)
+    line = text.splitlines().index("kind = psychic") + 1
+    assert main([command, str(barrier_cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{UNKNOWN_PSYCHIC}: key 'scheme.kind': line {line}" in err
+    assert not (barrier_cfg.parent / "out").exists()
+
+
+def test_fixed_stress_is_no_scheme_name(barrier_cfg, tmp_path, capsys):
+    # one name per scheme: the fixed-stress split is `fixed`, nothing else
+    assert main(["barrier", str(barrier_cfg), "--schemes", "fixed,fixed_stress"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scheme 'fixed_stress' (one of lagged, fixed, anderson)" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["lagged", "fixed", "anderson"])
+def test_one_name_means_one_scheme(barrier_cfg, tmp_path, capsys, kind):
+    # `kind = X` in the case file and `--schemes X` run the same scheme
+    text = barrier_cfg.read_text().replace("tol = 1e-8", f"kind = {kind}\ntol = 1e-8")
+    barrier_cfg.write_text(text)
+    run, bar = tmp_path / "run", tmp_path / "bar"
+    assert main(["run", str(barrier_cfg), "--out", str(run)]) == 0
+    assert f"scheme {kind}, " in capsys.readouterr().out
+    assert main(["barrier", str(barrier_cfg), "--schemes", kind, "--out", str(bar)]) == 0
+    assert f"scheme {kind}: " in capsys.readouterr().out
+    psi = np.load(run / "small_psi.npy")
+    assert _same_bits(psi, np.load(bar / f"barrier_{kind}_psi.npy"))
+    _, fields = read_vtk(run / "small_final.vtk")
+    _, bar_fields = read_vtk(bar / f"barrier_{kind}_final.vtk")
+    assert list(fields) == list(bar_fields)
+    for keyword, values in fields.items():
+        if values is None:  # CELL_DATA
+            assert bar_fields[keyword] is None
+        else:
+            assert _same_bits(values, bar_fields[keyword]), keyword
+
+
+def test_case_named_after_its_file_gets_the_name_check(tmp_path, capsys):
+    # with no [case] name the file name names the output files, so a file
+    # name of two lines is rejected when parsed, as `name = two\nlines` is
+    cfg = tmp_path / "two\nlines.cfg"
+    cfg.write_text(
+        BARRIER_SMALL.replace("name = small", "")
+        + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    for command in ("run", "barrier"):
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "case.name 'two\\nlines' must be a single path component" in err
+    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]
 
 
 def test_barrier_names_files_after_the_normalized_scheme(barrier_cfg, tmp_path):
@@ -506,12 +578,6 @@ def test_barrier_names_files_after_the_normalized_scheme(barrier_cfg, tmp_path):
     [
         pytest.param("fixed,fixed", "fixed", id="fixed,fixed"),
         pytest.param("lagged, FIXED ,fixed", "fixed", id="lagged, FIXED ,fixed"),
-        # two names for one scheme, which would otherwise run twice
-        pytest.param(
-            "fixed,fixed_stress",
-            "fixed_stress (same as fixed)",
-            id="fixed,fixed_stress",
-        ),
     ],
 )
 def test_barrier_rejects_a_repeated_scheme(

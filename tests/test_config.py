@@ -20,7 +20,7 @@ from biotfv.app.config import (
     parse_config_text,
     parse_quantity,
 )
-from biotfv.coupling import SchemeSpec, TimeGrid, Well
+from biotfv.coupling import SCHEME_KINDS, SchemeSpec, TimeGrid, Well
 from biotfv.errors import ConfigurationError
 from biotfv.linsolve.precond import SolverOptions
 from biotfv.materials import PoroelasticProperties
@@ -84,7 +84,7 @@ def test_minimal_config_defaults():
     assert (cfg.mesh.lx, cfg.mesh.ly, cfg.mesh.lz) == (1.0, 1.0, 1.0)
     assert cfg.time.dt == 86400.0
     assert cfg.time.n_steps == 3
-    assert cfg.scheme.kind == "fixed_stress"
+    assert cfg.scheme.kind == "fixed"
     assert cfg.solver.rtol == 1e-5
     assert cfg.output_directory == "out"
     assert cfg.wells == []
@@ -117,7 +117,7 @@ def test_readme_example_parses_and_builds():
     cfg = parse_config_text(block)
     assert cfg.name == "demo"
     assert cfg.boundaries.default == "fixed"
-    assert cfg.scheme.kind == "fixed_stress"
+    assert cfg.scheme.kind == "fixed"
     assert cfg.solver.method == "auto"
     case = cfg.build_case()
     assert case.mesh.n_cells == 30 * 30 * 3
@@ -161,6 +161,8 @@ def test_unknown_key_names_key_and_line():
         ("[solver]\nrtol = 1e-6", "direct_threshold", "direct_threshold = 30000"),
         ("[output]\ndirectory = out", "vtk", "vtk = true"),
         ("[output]\ndirectory = out", "csv", "csv = true"),
+        # the anderson scheme's window is a constant, not a [scheme] key
+        ("[scheme]\nkind = anderson", "anderson_m0", "anderson_m0 = -1"),
     ):
         text = MINIMAL + f"\n{known}\n{entry}\n"
         line = text.splitlines().index(entry) + 1
@@ -195,7 +197,8 @@ def test_bad_integer():
 
 
 def test_bad_scheme_and_method_and_axis():
-    with pytest.raises(ConfigurationError, match="unknown scheme kind"):
+    message = "unknown scheme 'magic' \\(one of lagged, fixed, anderson\\)"
+    with pytest.raises(ConfigurationError, match=message):
         parse_config_text(MINIMAL + "\n[scheme]\nkind = magic\n")
     with pytest.raises(ConfigurationError, match="unknown solver method"):
         parse_config_text(MINIMAL + "\n[solver]\nmethod = gauss\n")
@@ -273,10 +276,9 @@ def case_configs(draw):
             t0=draw(reals),
         ),
         scheme=SchemeSpec(
-            draw(st.sampled_from(["fixed_stress", "lagged"])),
+            draw(st.sampled_from(SCHEME_KINDS)),
             draw(positive),
             draw(st.integers(1, 10**6)),
-            draw(st.integers(0, 10**6)),
         ),
         solver=SolverOptions(
             draw(positive),
@@ -300,7 +302,6 @@ def test_round_trip_property(cfg):
     [
         ("scheme", "tol = nan", "tolerance"),
         ("scheme", "max_iter = 0", "iteration cap"),
-        ("scheme", "anderson_m0 = -1", "anderson_m0"),
         ("solver", "rtol = 0", "rtol"),
         ("solver", "max_iter = 0", "max_iter"),
         ("well.w", "cell = 0\nrate = nan", "well rate"),
@@ -353,6 +354,12 @@ def test_boundary_spec_rejects_unknown_kind():
         ("z_max = slippery", "boundaries.z_max"),
     ):
         _assert_word_rejected(MINIMAL + f"\n[boundaries]\n{entry}\n", entry, key)
+
+
+def test_fixed_stress_is_no_scheme_kind():
+    # one name per scheme: the fixed-stress split is `fixed`
+    text = MINIMAL + "\n[scheme]\nkind = fixed_stress\n"
+    _assert_word_rejected(text, "kind = fixed_stress", "scheme.kind")
 
 
 def test_unknown_builder_and_problem_rejected():

@@ -316,10 +316,9 @@ def test_fixed_stress_rejects_bad_tolerance(tol):
 @pytest.mark.parametrize(
     "controls, message",
     [
-        (dict(kind="monolithic"), "scheme kind"),
+        (dict(kind="fixed_stress"), "unknown scheme 'fixed_stress'"),
         (dict(max_iter=0), "iteration cap"),
         (dict(kind="lagged", tol=np.nan), "tolerance"),
-        (dict(anderson_m0=-1), "anderson_m0"),
     ],
 )
 def test_scheme_spec_rejects_bad_controls(controls, message):
@@ -404,7 +403,7 @@ def test_runs_on_one_engine_match_runs_on_fresh_engines():
     # the order of the schemes nor the runs before one change its result
     case = _block_case()
     iterative = SolverOptions(method="iterative", rtol=1e-8)
-    schemes = [LAGGED, SchemeSpec(tol=1e-8), SchemeSpec(tol=1e-8, anderson_m0=3)]
+    schemes = [LAGGED, SchemeSpec(tol=1e-8), SchemeSpec(kind="anderson", tol=1e-8)]
     shared = CoupledSystem(case, iterative)
     for scheme in schemes:
         got = simulate(shared, scheme)
@@ -486,7 +485,7 @@ def _counting_iterations(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("kind", ["lagged", "fixed_stress"])
+@pytest.mark.parametrize("kind", ["lagged", "fixed"])
 def test_every_predicted_start_solve_meets_rtol_on_its_true_residual(monkeypatch, kind):
     case, options, scheme = _small_barrier()
     engine = CoupledSystem(case, options)
@@ -544,8 +543,8 @@ def test_predicted_starts_take_fewer_iterations_than_the_previous_rule(monkeypat
     assert predicted[0] < previous[0] and predicted[1] < previous[1], (predicted, previous)
 
 
-@pytest.mark.parametrize("anderson_m0", [0, 3])
-def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, anderson_m0):
+@pytest.mark.parametrize("kind", ["fixed", "anderson"])
+def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, kind):
     case = _block_case()
     solve = TpsaSolver.solve
     columns = []
@@ -556,7 +555,7 @@ def test_direct_path_makes_one_elastic_solve_per_pass(monkeypatch, anderson_m0):
 
     monkeypatch.setattr(TpsaSolver, "solve", spy)
     direct = SolverOptions(method="direct")
-    scheme = SchemeSpec(tol=1e-10, anderson_m0=anderson_m0)
+    scheme = SchemeSpec(kind=kind, tol=1e-10)
     result = simulate(CoupledSystem(case, direct), scheme)
     assert result.report.converged and result.report.iterations >= 3
     assert columns == [case.time.n_steps] * result.report.iterations
@@ -599,11 +598,11 @@ def test_fixed_stress_converges_to_the_monolithic_solution():
     direct = SolverOptions(method="direct")
     reference = monolithic_march(CoupledSystem(case, direct))
     for tol in (1e-6, 1e-8, 1e-10):
-        for anderson_m0 in (0, 5):
-            scheme = SchemeSpec(tol=tol, max_iter=50, anderson_m0=anderson_m0)
+        for kind in ("fixed", "anderson"):
+            scheme = SchemeSpec(kind=kind, tol=tol, max_iter=50)
             result = simulate(CoupledSystem(case, direct), scheme)
             assert result.report.converged
-            assert _distance(result.states, reference) <= 10 * tol, (tol, anderson_m0)
+            assert _distance(result.states, reference) <= 10 * tol, (tol, kind)
     # the lagged scheme is a different time discretization: the oracle sees it
     lagged = simulate(CoupledSystem(case, direct), LAGGED)
     assert _distance(lagged.states, reference, fields=[0]) > 1e-2
@@ -684,9 +683,8 @@ def test_fixed_stress_hits_iteration_cap():
 def test_anderson_matches_plain_for_two_iterations():
     case = _case(alpha=0.8, c0=0.5, n_steps=4, wells=[Well(cell=0, rate=0.5)])
     plain = simulate(CoupledSystem(case), SchemeSpec(tol=1e-10, max_iter=8))
-    accel = simulate(
-        CoupledSystem(case), SchemeSpec(tol=1e-10, max_iter=8, anderson_m0=5)
-    )
+    anderson = SchemeSpec(kind="anderson", tol=1e-10, max_iter=8)
+    accel = simulate(CoupledSystem(case), anderson)
     assert plain.report.residuals[0] == accel.report.residuals[0]
     assert plain.report.residuals[1] == accel.report.residuals[1]
 
@@ -694,9 +692,8 @@ def test_anderson_matches_plain_for_two_iterations():
 def test_anderson_converges_at_least_as_fast():
     case = _case(alpha=0.9, c0=0.2, n_steps=4, wells=[Well(cell=0, rate=0.5)])
     plain = simulate(CoupledSystem(case), SchemeSpec(tol=1e-9, max_iter=25))
-    accel = simulate(
-        CoupledSystem(case), SchemeSpec(tol=1e-9, max_iter=25, anderson_m0=5)
-    )
+    anderson = SchemeSpec(kind="anderson", tol=1e-9, max_iter=25)
+    accel = simulate(CoupledSystem(case), anderson)
     assert accel.report.converged
     assert accel.report.iterations <= plain.report.iterations
 

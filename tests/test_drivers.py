@@ -7,6 +7,7 @@ import pytest
 from oracles import VTK_FIELDS, coupled_probe, read_vtk
 
 from biotfv import coupling
+from biotfv.app import drivers
 from biotfv.app.config import parse_config, parse_config_text
 from biotfv.app.drivers import (
     ErrorReport,
@@ -16,9 +17,8 @@ from biotfv.app.drivers import (
     run_barrier_case,
     run_case,
     run_convergence_study,
-    scheme_from_token,
 )
-from biotfv.coupling import CoupledSystem, SchemeSpec, simulate
+from biotfv.coupling import SCHEME_KINDS, CoupledSystem, SchemeSpec, simulate
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.mesh import build_cartesian
 from pathlib import Path
@@ -53,7 +53,7 @@ dt = 10 day
 n_steps = 3
 
 [scheme]
-kind = fixed_stress
+kind = fixed
 tol = 1e-8
 max_iter = 40
 
@@ -66,17 +66,26 @@ rate = 5 m3/day
 stop = 20 day
 """
 
-def test_scheme_token_mapping():
-    base = SchemeSpec(kind="fixed_stress", tol=1e-7, max_iter=12, anderson_m0=0)
-    assert scheme_from_token("lagged", base).kind == "lagged"
-    fixed = scheme_from_token("fixed", base)
-    assert fixed.kind == "fixed_stress" and fixed.anderson_m0 == 0
-    assert fixed.tol == 1e-7 and fixed.max_iter == 12
-    anderson = scheme_from_token("anderson", base)
-    assert anderson.anderson_m0 == 5  # default window when config has none
-    assert scheme_from_token("anderson", SchemeSpec(anderson_m0=3)).anderson_m0 == 3
-    with pytest.raises(ConfigurationError, match="unknown scheme"):
-        scheme_from_token("monolithic", base)
+def test_scheme_token_mapping(tmp_path, monkeypatch):
+    # each name runs the case's [scheme] settings as that kind
+    seen = []
+
+    def spy(engine, scheme):
+        seen.append(scheme)
+        return simulate(engine, scheme)
+
+    monkeypatch.setattr(drivers, "simulate", spy)
+    cfg = parse_config_text(TINY_BARRIER.replace("tol = 1e-8", "tol = 1e-7"))
+    runs = run_barrier_case(cfg, (" Lagged", "FIXED ", "anderson"), out_dir=tmp_path)
+    assert seen == [
+        SchemeSpec(kind=kind, tol=1e-7, max_iter=40) for kind in SCHEME_KINDS
+    ]
+    assert [run.scheme for run in runs] == list(SCHEME_KINDS)
+    assert [run.result.report.scheme for run in runs] == list(SCHEME_KINDS)
+    seen.clear()
+    with pytest.raises(ConfigurationError, match="unknown scheme 'monolithic'"):
+        run_barrier_case(cfg, ("lagged", "monolithic"), out_dir=tmp_path / "bad")
+    assert seen == [] and not (tmp_path / "bad").exists()
 
 
 def test_relative_l2_values():
