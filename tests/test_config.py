@@ -161,8 +161,6 @@ def test_unknown_key_names_key_and_line():
         ("[solver]\nrtol = 1e-6", "direct_threshold", "direct_threshold = 30000"),
         ("[output]\ndirectory = out", "vtk", "vtk = true"),
         ("[output]\ndirectory = out", "csv", "csv = true"),
-        # the anderson scheme's window is a constant, not a [scheme] key
-        ("[scheme]\nkind = anderson", "anderson_m0", "anderson_m0 = -1"),
     ):
         text = MINIMAL + f"\n{known}\n{entry}\n"
         line = text.splitlines().index(entry) + 1
@@ -360,6 +358,18 @@ def test_fixed_stress_is_no_scheme_kind():
     # one name per scheme: the fixed-stress split is `fixed`
     text = MINIMAL + "\n[scheme]\nkind = fixed_stress\n"
     _assert_word_rejected(text, "kind = fixed_stress", "scheme.kind")
+
+
+def test_anderson_window_is_no_scheme_key():
+    # the anderson scheme's window is a constant, so a window set in the
+    # case file is an unknown key, named at its own line
+    text = MINIMAL + "\n[scheme]\nkind = anderson\nanderson_m0 = -1\n"
+    line = text.splitlines().index("anderson_m0 = -1") + 1
+    with pytest.raises(ConfigurationError, match="anderson_m0") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.key == "scheme.anderson_m0"
+    assert excinfo.value.line == line
+    assert str(excinfo.value).count(f"line {line}") == 1
 
 
 def test_unknown_builder_and_problem_rejected():
