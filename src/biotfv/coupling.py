@@ -14,17 +14,30 @@ deviation dp enters the mechanics as the effective-pressure row source
 alpha*dp feeds the flow through the source psi = -(alpha/lam) *
 d(p_hat)/dt.
 
+The flow's storage coefficient is c0 + L, with L = alpha^2/lam, and psi
+is all the flow needs from the mechanics, unless every cell's coupling
+strength tau = alpha^2/(c0 K_dr), K_dr = lam + 2 mu/3 the drained bulk
+modulus, is below 1 (`coupling_strength`).  There the drained split,
+L = 0, is stable and takes fewer passes (Kim, Tchelepi & Juanes, CMAME
+200, 2011; Mikelic & Wheeler, Comput. Geosci. 17, 2013); the flow then
+sees psi less the storage it leaves out, (alpha^2/lam) * d(dp)/dt, taken
+from the previous pass for fixed stress and from the two previous steps
+for the lagged scheme.  At a fixed point that term cancels the missing
+storage, so the converged solution is the same.
+`CoupledSystem.flow_source` forms what the flow sees, and
+`CoupledSystem.coupling_source` the physical psi that results and output
+files hold.
+
 The schemes of `SCHEME_KINDS` run the same time march
 (`CoupledSystem.evaluate`), one flow step and one mechanics solve per time
 step.  They differ only in where the flow source psi of a step comes from:
 
-* lagged: built from the two previous mechanics states (no inner
-  iterations);
+* lagged: built from the two previous states (no inner iterations);
 * fixed: fixed stress, a given space-time field; one march maps it to
-  F(psi), the source rebuilt from the states it produced, and the scheme
-  iterates psi <- F(psi).  A given psi frees the flow from the mechanics,
-  so the march runs the flow through every step first and then solves
-  the mechanics of all steps as one block, one load column per step;
+  F(psi), the flow source rebuilt from the states it produced, and the
+  scheme iterates psi <- F(psi).  A given psi frees the flow from the
+  mechanics, so the march runs the flow through every step first and then
+  solves the mechanics of all steps as one block, one load column per step;
 * anderson: fixed stress whose next psi mixes the last ANDERSON_WINDOW
   evaluations (`AndersonState`).
 
@@ -41,6 +54,7 @@ correction on.  A run keeps its last pass's solutions for the next one.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -67,12 +81,15 @@ __all__ = [
     "AndersonState",
     "anderson_weights",
     "elastic_load",
+    "coupling_strength",
     "CoupledSystem",
     "simulate",
     "global_mass_check",
 ]
 
 _TINY = np.finfo(float).tiny
+
+log = logging.getLogger("biotfv")
 
 
 @dataclass(frozen=True)
@@ -229,7 +246,9 @@ class CouplingReport:
 @dataclass
 class SimulationResult:
     states: list[BiotState]
-    psi: np.ndarray  # flow source per step (N, n); F(psi) for fixed stress
+    # coupling source -(alpha/lam) * d(p_hat)/dt per step (N, n): from the
+    # states of the step (fixed stress) or of the two steps before (lagged)
+    psi: np.ndarray
     report: CouplingReport
 
     @property
@@ -311,12 +330,26 @@ def elastic_load(case: BiotCase, dps: np.ndarray) -> np.ndarray:
     )
 
 
+def coupling_strength(props: PoroelasticProperties) -> np.ndarray:
+    """Per-cell tau = alpha^2 / (c0 (lam + 2 mu/3)), infinite where c0 = 0."""
+    drained_modulus = props.lam + 2.0 * props.mu / 3.0
+    return np.divide(
+        props.alpha**2,
+        props.c0 * drained_modulus,
+        out=np.full(np.shape(props.c0), np.inf),
+        where=props.c0 > 0.0,
+    )
+
+
 class CoupledSystem:
     """Assembled, factorized operators of one case, reused across solves.
 
     The elastic operator is kept only by its solver, rescaled.  A caller
     that needs the assembled one too (``run --dump-matrix``) assembles it
-    and passes it in as ``elastic``, so it is assembled once.
+    and passes it in as ``elastic``, so it is assembled once.  The flow is
+    drained when every coupling strength is below 1 and alpha is not zero
+    everywhere; it then takes the Biot storage ``lagged_storage`` from the
+    previous iterate, which is None otherwise.
     """
 
     def __init__(
@@ -327,7 +360,17 @@ class CoupledSystem:
     ):
         self.case = case
         mesh, props = case.mesh, case.props
-        self.flow = FlowSystem(mesh, props, case.time.dt)
+        biot = props.alpha**2 / props.lam
+        strength = float(np.max(coupling_strength(props)))
+        # without Biot storage (alpha = 0) both splits build the same flow
+        self.drained = bool(np.any(biot) and strength < 1.0)
+        log.info(
+            "flow storage: %s (largest coupling strength tau %.3g)",
+            "c0, drained split" if self.drained else "c0 + alpha^2/lambda",
+            strength,
+        )
+        self.flow = FlowSystem(mesh, props, case.time.dt, drained=self.drained)
+        self.lagged_storage = biot if self.drained else None
         if elastic is None:
             elastic = assemble_tpsa(mesh, props)
         self.mech = TpsaSolver(elastic, mean_shear_modulus(mesh, props), solver)
@@ -335,9 +378,20 @@ class CoupledSystem:
         # the one per-cell coupling coefficient; elastic_load forms it alike
         self.alpha_over_lam = props.alpha / props.lam
 
-    def flow_source(self, p_hat_prev: np.ndarray, p_hat_now: np.ndarray) -> np.ndarray:
+    def coupling_source(self, prev: BiotState, now: BiotState) -> np.ndarray:
         """Coupling source psi = -(alpha/lam) * (p_hat_now - p_hat_prev)/dt."""
-        return -self.alpha_over_lam * (p_hat_now - p_hat_prev) / self.case.time.dt
+        return -self.alpha_over_lam * (now.p_hat - prev.p_hat) / self.case.time.dt
+
+    def flow_source(self, prev: BiotState, now: BiotState) -> np.ndarray:
+        """The source the flow takes from an iterate's states around a step.
+
+        psi, and for the drained flow psi less the storage it leaves out,
+        (alpha^2/lam) * (dp_now - dp_prev)/dt.
+        """
+        psi = self.coupling_source(prev, now)
+        if self.lagged_storage is not None:
+            psi -= self.lagged_storage * (now.dp - prev.dp) / self.case.time.dt
+        return psi
 
     def mech_solve(
         self, dps: np.ndarray, step: int, starts: MarchStarts | None = None
@@ -364,38 +418,35 @@ class CoupledSystem:
 
     def evaluate(
         self, psi: np.ndarray | None, starts: MarchStarts
-    ) -> tuple[list[BiotState], np.ndarray]:
-        """March all N steps; return the N+1 states and the (N, n) source the flow saw.
+    ) -> list[BiotState]:
+        """March all N steps; return the N+1 states.
 
-        Fixed stress (psi given): the flow of step i sees psi[i-1] and never
-        waits on the mechanics, so the flow marches through every step
-        first and the N mechanics solves then run as one block.  Lagged
-        (psi None): step i's source is built from the two previous
-        mechanics states, with p_hat(t_{-1}) := p_hat(t_0), so each flow
-        step is followed by its own one-column mechanics solve.  Either
-        way the N solves start, in step order, from `starts`.
+        Fixed stress (psi given): the flow of step i sees the flow source
+        psi[i-1] and never waits on the mechanics, so the flow marches
+        through every step first and the N mechanics solves then run as
+        one block.  Lagged (psi None): step i's flow source is built from
+        the two previous states, with state(t_{-1}) := state(t_0), so each
+        flow step is followed by its own one-column mechanics solve.
+        Either way the N solves start, in step order, from `starts`.
         """
         case = self.case
         volumes = case.mesh.cell_volumes
         n_steps = case.time.n_steps
         states = [case.initial]
         if psi is None:
-            psi = np.zeros((n_steps, self.n_cells))
             for i in range(1, n_steps + 1):
-                psi[i - 1] = self.flow_source(
-                    states[max(i - 2, 0)].p_hat, states[i - 1].p_hat
-                )
-                rate = case.sources[i - 1] + volumes * psi[i - 1]
+                source = self.flow_source(states[max(i - 2, 0)], states[i - 1])
+                rate = case.sources[i - 1] + volumes * source
                 dp = self.flow.step(states[i - 1].dp, rate)
                 states += self.mech_solve(dp[None, :], i, starts)[0]
-            return states, psi
+            return states
         dps = np.empty((n_steps, self.n_cells))
         dp = states[0].dp
         for i in range(1, n_steps + 1):
             rate = case.sources[i - 1] + volumes * psi[i - 1]
             dp = dps[i - 1] = self.flow.step(dp, rate)
         states += self.mech_solve(dps, 1, starts)[0]
-        return states, psi
+        return states
 
     def weighted_norm(self, psi: np.ndarray) -> float:
         """Space-time L2 norm with cell-volume and time-step weights."""
@@ -413,22 +464,24 @@ def simulate(
 ) -> SimulationResult:
     """Run the engine's case under one coupling scheme (default: fixed).
 
-    Lagged: one march, each flow step seeing the previous mechanics state.
-    Fixed and anderson: whole-simulation fixed-point iteration on the
-    coupling source psi, anderson mixing each new psi from its window.
-    Every iteration evaluates F(psi): the time march with the current
-    source history, whose states give the new source.  The iteration stops
+    Lagged: one march, each flow step seeing the two states before it.
+    Fixed and anderson: whole-simulation fixed-point iteration on the flow
+    source psi, anderson mixing each new psi from its window.  Every
+    iteration evaluates F(psi): the time march with the current source
+    history, whose states give the new flow source.  The iteration stops
     when the fixed-point residual F(psi) - psi, in the volume/dt weighted
     space-time L2 norm relative to F(psi), drops below scheme.tol; the
     residual is measured before any mixing, so the converged result is the
-    evaluation at an (almost) fixed psi.  The result holds the last image
-    F(psi).  The run keeps its own starts: each march gets a new
-    `MarchStarts` over the run's list of the last march's solutions, so a
-    pass starts from the one before it.
+    evaluation at an (almost) fixed psi.  The result holds the last
+    march's states and their coupling source.  The run keeps its own
+    starts: each march gets a new `MarchStarts` over the run's list of the
+    last march's solutions, so a pass starts from the one before it.
     """
     scheme = scheme or SchemeSpec()
     if scheme.kind == "lagged":
-        states, psi = engine.evaluate(None, MarchStarts())
+        states = engine.evaluate(None, MarchStarts())
+        pairs = zip(states[:1] + states[:-2], states[:-1])
+        psi = np.stack([engine.coupling_source(a, b) for a, b in pairs])
         return SimulationResult(states, psi, CouplingReport(scheme=scheme.kind))
     psi = np.zeros((engine.case.time.n_steps, engine.n_cells))
     last: list[np.ndarray] = []  # the last pass's elastic solutions
@@ -437,10 +490,8 @@ def simulate(
     converged = False
     for _ in range(scheme.max_iter):
         states = None  # free the last pass's states before the next one's solve
-        states, _ = engine.evaluate(psi, MarchStarts(last))
-        image = np.stack(
-            [engine.flow_source(a.p_hat, b.p_hat) for a, b in zip(states, states[1:])]
-        )
+        states = engine.evaluate(psi, MarchStarts(last))
+        image = np.stack([engine.flow_source(a, b) for a, b in zip(states, states[1:])])
         change = engine.weighted_norm(image - psi)
         scale = engine.weighted_norm(image)
         residual = change / scale if scale > 0.0 else (0.0 if change == 0.0 else np.inf)
@@ -460,7 +511,8 @@ def simulate(
             anderson.push(psi, image)
             psi = anderson.next_iterate()
     report = CouplingReport(scheme=scheme.kind, residuals=residuals, converged=converged)
-    return SimulationResult(states, image, report)
+    psi = np.stack([engine.coupling_source(a, b) for a, b in zip(states, states[1:])])
+    return SimulationResult(states, psi, report)
 
 
 def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:

@@ -34,8 +34,12 @@ from .blocks import SparseBlockSystem, cell_order, rescale
 from .krylov import SolveReport, bicgstab
 
 # systems with at most this many unknowns are factored, larger ones go
-# through the preconditioned Krylov solve (method "auto")
-DIRECT_THRESHOLD = 30_000
+# through the preconditioned Krylov solve (method "auto").  Set from the
+# n x n x 3 barrier study, all three schemes end to end at one BLAS thread:
+# the two paths cost about the same from 1,344 to 3,549 unknowns
+# (n = 8..13), and the Krylov path wins from 4,116 (n = 14) on, by 3.3x at
+# 14,196.  A tie goes to the LU, whose solves are exact
+DIRECT_THRESHOLD = 4_000
 
 log = logging.getLogger("biotfv")
 

@@ -43,7 +43,7 @@ from scipy.sparse import coo_matrix, csr_matrix, diags, hstack, identity, kron, 
 from scipy.sparse.linalg import splu
 
 from biotfv.app.config import _SECTIONS, _UNITS, _WELL
-from biotfv.coupling import CoupledSystem
+from biotfv.coupling import BiotState, CoupledSystem
 from biotfv.errors import GeometryError, SolverError
 from biotfv.linsolve.amg import CHEBYSHEV_DEGREE, CHEBYSHEV_RATIO
 from biotfv.linsolve.blocks import split_fields
@@ -563,20 +563,20 @@ def sequential_march(coupled, psi, warm, predict=True):
     package's `MarchStarts`: each column is handed its start through a
     `_GivenStart`.  Each solution is stored back in warm, a list of N+1
     entries the caller keeps across passes.  With psi None the source is
-    the lagged one, built from the two previous steps' p_hat
-    (p_hat(t_{-1}) := p_hat(t_0)).  Returns the N (dp, u, r, p_hat)
+    the lagged one, built from the two previous steps' states
+    (state(t_{-1}) := state(t_0)).  Returns the N (dp, u, r, p_hat)
     tuples of steps 1..N.
     """
     case = coupled.case
     volumes = case.mesh.cell_volumes
     initial = case.initial
     dp = initial.dp
-    p_hats = [initial.p_hat]
+    states = [initial]
     x_prev = guess_prev = None
     out = []
     for i in range(1, case.time.n_steps + 1):
         if psi is None:
-            source = coupled.flow_source(p_hats[max(i - 2, 0)], p_hats[i - 1])
+            source = coupled.flow_source(states[max(i - 2, 0)], states[i - 1])
         else:
             source = psi[i - 1]
         dp = coupled.flow.step(dp, case.sources[i - 1] + volumes * source)
@@ -592,7 +592,7 @@ def sequential_march(coupled, psi, warm, predict=True):
         warm[i] = x_prev = report.x
         guess_prev = guess
         u, r, p_hat = split_fields(report.x, coupled.n_cells)
-        p_hats.append(p_hat)
+        states.append(BiotState(dp=dp, u=u, r=r, p_hat=p_hat))
         out.append((dp, u, r, p_hat))
     return out
 
@@ -610,15 +610,18 @@ def monolithic_march(coupled):
           = [acc/dt dp_{i-1} + b V/dt p_hat_{i-1} + sources[i-1]]
             [body-force rhs                                     ]
 
-    with acc = (c0 + alpha^2/lam) V: the flow sees the coupling source
+    with acc = (c0 + alpha^2/lam) V from the material record, whatever
+    storage the engine's own flow holds: the flow sees the coupling source
     psi = -b (p_hat_i - p_hat_{i-1})/dt of its own step, and the pressure
     rows the load -b dp_i.  Returns the N (dp, u, r, p_hat) tuples of
     steps 1..N.
     """
     case = coupled.case
+    props = case.props
     n, dt = coupled.n_cells, case.time.dt
     coupling = coupled.alpha_over_lam * case.mesh.cell_volumes
-    flow = coupled.flow.operator + diags(coupled.flow.accumulation / dt)
+    accumulation = (props.c0 + props.alpha**2 / props.lam) * case.mesh.cell_volumes
+    flow = coupled.flow.operator + diags(accumulation / dt)
     to_flow = hstack([flow, csr_matrix((n, 6 * n)), diags(coupling / dt)])
     to_mech = vstack([csr_matrix((6 * n, n)), diags(coupling)])
     # the engine keeps only the rescaled operator: assemble it again
@@ -630,7 +633,7 @@ def monolithic_march(coupled):
     dp, p_hat = initial.dp, initial.p_hat
     out = []
     for rates in case.sources:
-        flow_rhs = coupled.flow.accumulation / dt * dp + coupling / dt * p_hat + rates
+        flow_rhs = accumulation / dt * dp + coupling / dt * p_hat + rates
         solution = lu.solve(np.concatenate([flow_rhs, body]))
         dp = solution[:n]
         u, r, p_hat = split_fields(solution[n:], n)

@@ -1,6 +1,7 @@
 """Splitting-scheme and coupling-source tests."""
 
 import gc
+import logging
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +35,9 @@ from biotfv.tpfa import FlowSystem
 from oracles import monolithic_march, sequential_march
 
 LAGGED = SchemeSpec(kind="lagged")
-BARRIER = (Path(__file__).resolve().parent.parent / "cases" / "barrier.cfg").read_text()
+CASES = Path(__file__).resolve().parent.parent / "cases"
+BARRIER = (CASES / "barrier.cfg").read_text()
+MANUFACTURED = (CASES / "manufactured.cfg").read_text()
 
 
 def _case(
@@ -90,19 +93,43 @@ def test_mech_rhs_zero_pressure(monkeypatch):
     assert np.all(_mech_row_source(monkeypatch, case, np.zeros(4)) == 0.0)
 
 
+def _state(dp, p_hat):
+    """A state of the four-cell `_case` with the given pressures, at rest."""
+    return BiotState(
+        dp=np.asarray(dp, float), u=np.zeros((4, 3)), r=np.zeros((4, 3)),
+        p_hat=np.asarray(p_hat, float),
+    )
+
+
 def test_flow_source_constant_effective_pressure():
     engine = CoupledSystem(_case(dt=7.0))
-    p_hat = np.array([3.0, -1.0, 0.5, 2.0])
-    assert np.all(engine.flow_source(p_hat, p_hat) == 0.0)
+    state = _state(np.ones(4), [3.0, -1.0, 0.5, 2.0])
+    assert np.all(engine.flow_source(state, state) == 0.0)
 
 
 def test_flow_source_unit_rise():
-    # p_hat rising by lam/alpha per step gives psi = -1/dt
+    # p_hat rising by lam/alpha per step gives psi = -1/dt; dp stays, so the
+    # drained flow's lagged storage adds nothing
     dt = 3.0
     engine = CoupledSystem(_case(alpha=0.5, lam=2.0, dt=dt))
-    p0 = np.zeros(4)
-    p1 = np.full(4, 2.0 / 0.5)
-    assert np.allclose(engine.flow_source(p0, p1), -1.0 / dt, rtol=1e-14)
+    assert engine.drained
+    before, after = _state(np.ones(4), np.zeros(4)), _state(np.ones(4), np.full(4, 4.0))
+    assert np.allclose(engine.flow_source(before, after), -1.0 / dt, rtol=1e-14)
+
+
+@pytest.mark.parametrize("c0, drained", [(1.0, True), (0.01, False)])
+def test_flow_source_takes_the_storage_the_drained_flow_leaves_out(c0, drained):
+    # alpha = 0.5, lam = 2, mu = 1: tau = 0.125 / (c0 * 8/3); a rise of dp
+    # by 1 and of p_hat by 4 per step of 3 s
+    engine = CoupledSystem(_case(alpha=0.5, lam=2.0, c0=c0, dt=3.0))
+    assert engine.drained == drained
+    before, after = _state(np.zeros(4), np.zeros(4)), _state(np.ones(4), np.full(4, 4.0))
+    psi = engine.coupling_source(before, after)
+    assert np.allclose(psi, -1.0 / 3.0, rtol=1e-14)  # -(alpha/lam) * 4 / 3
+    expected = psi - 0.125 / 3.0 if drained else psi
+    assert np.allclose(engine.flow_source(before, after), expected, rtol=1e-14)
+    storage = c0 if drained else c0 + 0.125
+    assert np.allclose(engine.flow.accumulation, storage * engine.case.mesh.cell_volumes)
 
 
 # --------------------------------------------------------------- anderson
@@ -333,9 +360,9 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
 
     def nan_evaluate(self, psi, starts):
         calls.append(psi)
-        states, psi = evaluate(self, psi, starts)
+        states = evaluate(self, psi, starts)
         states[-1].p_hat[:] = np.nan
-        return states, psi
+        return states
 
     monkeypatch.setattr(CoupledSystem, "evaluate", nan_evaluate)
     with pytest.raises(SolverError, match="not finite") as excinfo:
@@ -348,9 +375,10 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
 # ------------------------------------------------- block mechanics solve
 
 
-def _block_case():
+def _block_case(c0=0.5):
+    """A two-well case; tau = 0.24 / c0, so drained at the default c0."""
     return _case(
-        nx=4, ny=3, nz=2, alpha=0.8, c0=0.5, lam=2.0, n_steps=5,
+        nx=4, ny=3, nz=2, alpha=0.8, c0=c0, lam=2.0, n_steps=5,
         wells=[Well(cell=0, rate=0.5), Well(cell=17, rate=-0.2, t_end=3.0)],
     )
 
@@ -360,11 +388,9 @@ def _two_passes(case, options):
     coupled = CoupledSystem(case, options)
     last = []
     psi0 = np.zeros((case.time.n_steps, coupled.n_cells))
-    first, _ = coupled.evaluate(psi0, MarchStarts(last))
-    psi1 = np.stack(
-        [coupled.flow_source(a.p_hat, b.p_hat) for a, b in zip(first, first[1:])]
-    )
-    second, _ = coupled.evaluate(psi1, MarchStarts(last))
+    first = coupled.evaluate(psi0, MarchStarts(last))
+    psi1 = np.stack([coupled.flow_source(a, b) for a, b in zip(first, first[1:])])
+    second = coupled.evaluate(psi1, MarchStarts(last))
     return [first, second], [psi0, psi1]
 
 
@@ -427,13 +453,13 @@ def test_no_pass_outlives_the_pass_after_it(monkeypatch, method):
         gc.collect()
         if len(roots) >= 2:  # pass k-1 is done: pass k-2 must be gone
             assert roots[-2]() is None, f"pass {len(roots) - 1} outlived its successor"
-        states, psi = evaluate(self, psi, starts)
+        states = evaluate(self, psi, starts)
         root = states[1].u
         while root.base is not None:
             root = root.base
         roots.append(weakref.ref(root))
         kept.append(len(starts.last))
-        return states, psi
+        return states
 
     monkeypatch.setattr(CoupledSystem, "evaluate", spy)
     case = _block_case()
@@ -455,10 +481,11 @@ def test_lagged_iterative_run_warm_starts_each_step_from_the_last():
             assert np.array_equal(got, want)
 
 
-def _small_barrier():
+def _small_barrier(c0="1e-8"):
     """The shipped barrier case on an 8 x 8 x 3 grid, on the iterative path."""
     text = BARRIER
     for old, new in [
+        ("c0 = 1e-8 1/Pa", f"c0 = {c0} 1/Pa"),
         ("nx = 30", "nx = 8"),
         ("ny = 30", "ny = 8"),
         ("barrier_index = 15", "barrier_index = 4"),
@@ -531,8 +558,8 @@ def test_predicted_starts_take_fewer_iterations_than_the_previous_rule(monkeypat
     psi = np.zeros((n_steps, engine.n_cells))
     for _ in range(scheme.max_iter):
         fields = sequential_march(engine, psi, warm, predict=False)
-        p_hats = [case.initial.p_hat] + [f[3] for f in fields]
-        image = np.stack([engine.flow_source(a, b) for a, b in zip(p_hats, p_hats[1:])])
+        states = [case.initial] + [BiotState(*f) for f in fields]
+        image = np.stack([engine.flow_source(a, b) for a, b in zip(states, states[1:])])
         residual = engine.weighted_norm(image - psi) / engine.weighted_norm(image)
         psi = image
         if residual <= scheme.tol:
@@ -596,6 +623,7 @@ def _distance(states, reference, fields=range(4)):
 def test_fixed_stress_converges_to_the_monolithic_solution():
     case = _block_case()
     direct = SolverOptions(method="direct")
+    assert CoupledSystem(case, direct).drained  # tau = 0.48
     reference = monolithic_march(CoupledSystem(case, direct))
     for tol in (1e-6, 1e-8, 1e-10):
         for kind in ("fixed", "anderson"):
@@ -603,9 +631,59 @@ def test_fixed_stress_converges_to_the_monolithic_solution():
             result = simulate(CoupledSystem(case, direct), scheme)
             assert result.report.converged
             assert _distance(result.states, reference) <= 10 * tol, (tol, kind)
-    # the lagged scheme is a different time discretization: the oracle sees it
-    lagged = simulate(CoupledSystem(case, direct), LAGGED)
+
+
+def test_lagged_splitting_error_is_seen_by_the_oracle_and_falls_when_drained(
+    monkeypatch,
+):
+    # the lagged scheme is a different time discretization: the oracle sees
+    # it where the flow holds the Biot storage (tau = 1.2)
+    direct = SolverOptions(method="direct")
+    strong = _block_case(c0=0.2)
+    engine = CoupledSystem(strong, direct)
+    assert not engine.drained
+    reference = monolithic_march(engine)
+    lagged = simulate(engine, LAGGED)
     assert _distance(lagged.states, reference, fields=[0]) > 1e-2
+    # at tau = 0.48 the drained flow takes that storage from the two steps
+    # before, and its march lands closer than the same case run undrained
+    case = _block_case()
+    drained = CoupledSystem(case, direct)
+    reference = monolithic_march(drained)
+    gap = _distance(simulate(drained, LAGGED).states, reference, fields=[0])
+    monkeypatch.setattr(coupling, "coupling_strength", lambda props: np.inf)
+    undrained = CoupledSystem(case, direct)
+    assert drained.drained and not undrained.drained
+    undrained_gap = _distance(simulate(undrained, LAGGED).states, reference, fields=[0])
+    assert gap < undrained_gap / 10, (gap, undrained_gap)
+
+
+@pytest.mark.parametrize("c0, tau", [("1e-8", 0.012), ("1e-10", 1.2), ("0", np.inf)])
+def test_only_the_weakly_coupled_barrier_is_drained(caplog, c0, tau):
+    # tau = alpha^2 / (c0 (lam + 2 mu / 3)) with alpha = 0.87, lam = 4 GPa
+    # and mu = 3.5 GPa; without storativity the drained flow would be singular
+    case, options, _ = _small_barrier(c0)
+    assert np.allclose(coupling.coupling_strength(case.props), tau, rtol=0.01)
+    with caplog.at_level(logging.INFO, logger="biotfv"):
+        assert CoupledSystem(case, options).drained == (tau < 1.0)
+    storage = "c0, drained split" if tau < 1.0 else "c0 + alpha^2/lambda"
+    assert f"flow storage: {storage} (largest coupling strength tau {tau:.2g}" in caplog.text
+
+
+def test_manufactured_case_is_not_drained():
+    # c0 = 0.01 against alpha^2 / lam = 1: tau is about 99
+    config = parse_config_text(MANUFACTURED)
+    case = config.build_case(mesh=build_cartesian(3, 3, 3))
+    assert np.all(coupling.coupling_strength(case.props) > 90.0)
+    assert not CoupledSystem(case, config.solver).drained
+
+
+def test_uncoupled_flow_forms_no_lagged_storage_term():
+    # tau = 0, but there is no Biot storage to split off
+    engine = CoupledSystem(_case(alpha=0.0))
+    assert not engine.drained and engine.lagged_storage is None
+    before, after = _state(np.zeros(4), np.zeros(4)), _state(np.ones(4), np.full(4, 2.0))
+    assert np.all(engine.flow_source(before, after) == 0.0)
 
 
 # -------------------------------------------------------------- schemes
@@ -661,16 +739,24 @@ def test_fixed_stress_residuals_decrease():
     assert all(b < a for a, b in zip(res, res[1:]))
 
 
-def test_fixed_stress_history_consistent_with_states():
+@pytest.mark.parametrize("scheme", [LAGGED, SchemeSpec(tol=1e-10)], ids=["lagged", "fixed"])
+def test_source_history_is_the_physical_coupling_source(scheme):
+    # tau = 0.29: the flow also saw the lagged Biot storage, the history
+    # holds -(alpha/lam) * d(p_hat)/dt alone, over the step for fixed
+    # stress and over the step before it for the lagged scheme
     case = _case(alpha=0.7, n_steps=4, wells=[Well(cell=0, rate=0.4)])
-    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-10))
+    engine = CoupledSystem(case)
+    assert engine.drained
+    result = simulate(engine, scheme)
     alpha_over_lam = 0.7 / 1.0
     assert result.psi.shape == (case.time.n_steps, case.mesh.n_cells)
     assert np.all(result.states[0].p_hat == 0.0)
+    lag = 1 if scheme.kind == "lagged" else 0
     for i in range(case.time.n_steps):
-        p_prev, p_now = result.states[i].p_hat, result.states[i + 1].p_hat
+        p_prev = result.states[max(i - lag, 0)].p_hat
+        p_now = result.states[i + 1 - lag].p_hat
         expected = -alpha_over_lam * (p_now - p_prev) / case.time.dt
-        assert np.allclose(result.psi[i], expected, atol=1e-13)
+        assert np.allclose(result.psi[i], expected, rtol=0.0, atol=1e-13)
 
 
 def test_fixed_stress_hits_iteration_cap():

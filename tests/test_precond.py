@@ -252,7 +252,8 @@ def test_solver_names_the_first_nonfinite_column_before_solving(method, bad):
 def test_solver_threshold_switches_method(monkeypatch):
     mesh, props, system = _system(2, 2, 2)
     mu0 = mean_shear_modulus(mesh, props)
-    assert precond.DIRECT_THRESHOLD == 30_000
+    assert system.n_dof <= precond.DIRECT_THRESHOLD
+    assert TpsaSolver(system, mu0).direct
     monkeypatch.setattr(precond, "DIRECT_THRESHOLD", system.n_dof)
     small = TpsaSolver(system, mu0)
     monkeypatch.setattr(precond, "DIRECT_THRESHOLD", system.n_dof - 1)
@@ -347,7 +348,11 @@ def shipped(request):
     # clamped walls only on the shipped case, some traction-free faces on its copy
     assert np.isinf(case.props.w_out).any() == (request.param is ROBIN_FREE)
     system = assemble_tpsa(case.mesh, case.props)
-    solver = TpsaSolver(system, mean_shear_modulus(case.mesh, case.props))
+    solver = TpsaSolver(
+        system,
+        mean_shear_modulus(case.mesh, case.props),
+        SolverOptions(method="direct"),
+    )
     plain = splu(solver.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     return solver, plain
 
@@ -376,6 +381,7 @@ def test_solver_logs_its_path_and_why(caplog):
         TpsaSolver(system, mu0)
         TpsaSolver(system, mu0, SolverOptions(method="iterative"))
     text = caplog.text
-    assert f"sparse LU ({system.n_dof} unknowns <= DIRECT_THRESHOLD 30000)" in text
+    threshold = precond.DIRECT_THRESHOLD
+    assert f"sparse LU ({system.n_dof} unknowns <= DIRECT_THRESHOLD {threshold})" in text
     assert "factor entries stored, factored in" in text
     assert "BiCGStab (method = iterative)" in text
