@@ -369,7 +369,8 @@ class CoupledSystem:
             "c0, drained split" if self.drained else "c0 + alpha^2/lambda",
             strength,
         )
-        self.flow = FlowSystem(mesh, props, case.time.dt, drained=self.drained)
+        storage = props.c0 if self.drained else props.c0 + biot
+        self.flow = FlowSystem(mesh, props, case.time.dt, storage)
         self.lagged_storage = biot if self.drained else None
         if elastic is None:
             elastic = assemble_tpsa(mesh, props)

@@ -5,17 +5,17 @@ so the hydrostatic gradient never appears in the assembled operator.  All
 exterior boundaries are no-flow; sealing barriers are interior faces with
 zero transmissibility.  The operator is div diag(T) div^T with the signed
 cell-face incidence ``Mesh.divergence``, the same one the elastic
-balances use.  Time integration is backward Euler with the
-combined storage coefficient c0 + alpha^2/lambda, or c0 alone for the
-drained split, where `CoupledSystem` hands the flow the Biot storage
-alpha^2/lambda as a source taken from the previous iterate.  A step takes
-the total source per cell as one rate vector in m^3/s:
-`CoupledSystem.evaluate` adds the coupling density times the cell volumes
-to the step's row of `BiotCase.sources`, the record's fluid source
-density f_p times the cell volumes plus the active wells.  Every function
-reads the material record `PoroelasticProperties` after its `validate`,
-so permeability, viscosity, c0, alpha and lambda arrive as checked (n,)
-arrays; a flow-only problem sets alpha = 0.
+balances use.  Time integration is backward Euler with the per-cell
+storage coefficient the caller hands `FlowSystem`: `CoupledSystem`
+decides the split and passes c0 + alpha^2/lambda, or c0 alone for the
+drained split, where it hands the flow the Biot storage alpha^2/lambda
+as a source taken from the previous iterate.  A step takes the total
+source per cell as one rate vector in m^3/s: `CoupledSystem.evaluate`
+adds the coupling density times the cell volumes to the step's row of
+`BiotCase.sources`, the record's fluid source density f_p times the cell
+volumes plus the active wells.  Every function reads the material record
+`PoroelasticProperties` after its `validate`, so permeability and
+viscosity arrive as checked (n,) arrays.
 """
 
 from __future__ import annotations
@@ -77,17 +77,16 @@ class FlowSystem:
 
     The system matrix is constant for a fixed step size, so it is
     factorized once and reused for every step and splitting iteration.
-    Its storage coefficient is c0 + alpha^2/lambda, or c0 when drained.
+    storage is the (n,) storage coefficient in 1/Pa that it factors.
     """
 
     def __init__(
-        self, mesh: Mesh, props: PoroelasticProperties, dt: float, drained: bool = False
+        self, mesh: Mesh, props: PoroelasticProperties, dt: float, storage: np.ndarray
     ):
         if dt <= 0:
             raise ValueError("time step must be positive")
         self.dt = float(dt)
         self.operator = assemble_flow(mesh, props)
-        storage = props.c0 if drained else props.c0 + props.alpha**2 / props.lam
         self.accumulation = storage * mesh.cell_volumes
         # every coupled set of cells (split by barriers and zero-permeability
         # cells) needs storage somewhere, or its level is undetermined

@@ -27,7 +27,9 @@ the study's elastic-only probe.
 monolithic_march solves flow and mechanics of each step as one system,
 the limit the splitting schemes converge to.  read_csv reads back
 what the package's CSV writer wrote (np.load reads the .npy source
-histories) and read_vtk its legacy binary VTK files, material builds
+histories) and read_vtk its legacy binary VTK files; assert_same_history
+and assert_same_final check a written history and final state against
+the run's arrays bit for bit.  material builds
 the one validated material record every operator test assembles from,
 and serialize_config writes a parsed case back as the canonical SI-unit
 text the round-trip tests parse again.
@@ -54,8 +56,8 @@ from biotfv.tpsa import assemble_rhs, assemble_tpsa, stencil_arrays
 def material(
     mesh, mu=1.0, lam=1.0, alpha=0.0, c0=0.0, perm=1.0, fluid_viscosity=1.0, **kw
 ):
-    """The validated material record on mesh; alpha = 0 leaves the flow
-    without Biot storage, so flow-only tests need set nothing else."""
+    """The validated material record on mesh, without Biot coupling
+    (alpha = 0) unless asked; flow-only tests hand `FlowSystem` its c0."""
     return PoroelasticProperties(
         mu=mu, lam=lam, alpha=alpha, c0=c0, perm=perm,
         fluid_viscosity=fluid_viscosity, **kw,
@@ -125,6 +127,26 @@ def read_vtk(path):
         sections[keyword] = np.frombuffer(take(size), dtype=dtype).reshape(shape)
         assert take(1) == b"\n", f"no newline after the {word} data"
     return head, sections
+
+
+def assert_same_history(path, psi, cfg):
+    """The .npy file holds psi as finite float64 (n_steps, n_cells), bit for bit."""
+    written = np.load(path)
+    n_cells = cfg.mesh.nx * cfg.mesh.ny * cfg.mesh.nz
+    assert written.dtype == np.float64
+    assert written.shape == psi.shape == (cfg.time.n_steps, n_cells)
+    assert np.isfinite(written).all()
+    assert np.array_equal(written.view(np.int64), psi.view(np.int64))
+
+
+def assert_same_final(path, final):
+    """The VTK file holds the four fields of final, finite and bit for bit."""
+    _, sections = read_vtk(path)
+    for keyword, attr in VTK_FIELDS:
+        written, values = sections[keyword].astype(np.float64), getattr(final, attr)
+        assert written.shape == values.shape
+        assert np.isfinite(written).all()
+        assert np.array_equal(written.view(np.int64), values.view(np.int64))
 
 
 def orientation(mesh, cell, face):

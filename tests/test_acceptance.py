@@ -1,8 +1,10 @@
 """End-to-end acceptance checks, one test per headline requirement.
 
-Each test computes its verdict first and prints a single
+Each criterion test computes its verdict first and prints a single
 "criterion N: PASS/FAIL" line with the measured numbers (visible with
 pytest -s/-rA, or in the captured output on failure), then asserts.
+The last two tests gate the shipped barrier study: every file it writes
+read back against its runs, and the elastic solver path it takes.
 """
 
 from dataclasses import replace
@@ -14,10 +16,18 @@ import pytest
 from biotfv.app.config import parse_config
 from biotfv.app.drivers import run_barrier_case, run_convergence_study
 from biotfv.coupling import CoupledSystem
-from biotfv.linsolve.precond import SolverOptions, TpsaSolver
+from biotfv.linsolve.precond import DIRECT_THRESHOLD, SolverOptions, TpsaSolver
 from biotfv.mesh import build_cartesian
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
-from oracles import hand_assembled_two_cell, material
+from oracles import (
+    VTK_FIELDS,
+    assert_same_final,
+    assert_same_history,
+    hand_assembled_two_cell,
+    material,
+    read_csv,
+    read_vtk,
+)
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 VARIABLES = ("dp", "u", "r", "p_hat")
@@ -35,11 +45,15 @@ def study(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def barrier_runs(tmp_path_factory):
+def barrier_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("barrier")
+
+
+@pytest.fixture(scope="module")
+def barrier_runs(barrier_dir):
     config = parse_config(CASES / "barrier.cfg")
-    out = tmp_path_factory.mktemp("barrier")
     runs = run_barrier_case(
-        config, schemes=("lagged", "fixed", "anderson"), out_dir=out
+        config, schemes=("lagged", "fixed", "anderson"), out_dir=barrier_dir
     )
     return {run.scheme: run for run in runs}
 
@@ -267,3 +281,58 @@ def test_criterion_8_small_instances_match_dense_and_hand_assembly():
     )
     assert not failures, failures
     assert gap <= 1e-12
+
+
+def test_shipped_barrier_files_read_back_as_its_runs(barrier_dir, barrier_runs):
+    # every file of the shipped study: the summary lists each scheme in
+    # order, converged, with the mass defect gate of criterion 4 and the
+    # run's final averages; the per-step averages, psi histories and final
+    # VTK states hold the run's arrays bit for bit
+    config = parse_config(CASES / "barrier.cfg")
+    header, rows = read_csv(barrier_dir / "barrier_summary.csv")
+    summary = [dict(zip(header, row)) for row in rows]
+    assert [row["scheme"] for row in summary] == ["lagged", "fixed", "anderson"]
+    for row in summary:
+        run = barrier_runs[row["scheme"]]
+        prefix = f"barrier_{run.scheme}"
+        assert row["converged"] == "1"
+        assert float(row["mass_defect"]) <= 1e-8
+        assert int(row["iterations"]) == run.result.report.iterations
+        assert float(row["final_avg_dp_omega1"]) == run.avg_dp_omega1[-1]
+        assert float(row["final_avg_dp_omega2"]) == run.avg_dp_omega2[-1]
+        header, steps = read_csv(barrier_dir / f"{prefix}.csv")
+        assert header == ["step", "time", "avg_dp_omega1", "avg_dp_omega2"]
+        columns = np.array(steps, dtype=float).T
+        assert np.array_equal(columns[0], np.arange(config.time.n_steps + 1))
+        assert np.array_equal(columns[1], [state.t for state in run.result.states])
+        assert np.array_equal(columns[2], run.avg_dp_omega1)
+        assert np.array_equal(columns[3], run.avg_dp_omega2)
+        assert_same_history(barrier_dir / f"{prefix}_psi.npy", run.result.psi, config)
+        vtk = barrier_dir / f"{prefix}_final.vtk"
+        head, sections = read_vtk(vtk)
+        assert head == [
+            "# vtk DataFile Version 3.0",
+            f"barrier:{run.scheme}",
+            "BINARY",
+            "DATASET UNSTRUCTURED_GRID",
+        ]
+        assert list(sections) == [
+            "POINTS 3844 double",
+            "CELLS 2700 24300",
+            "CELL_TYPES 2700",
+            "CELL_DATA 2700",
+        ] + [keyword for keyword, _ in VTK_FIELDS]
+        assert np.all(sections["CELL_TYPES 2700"] == 12)  # hexahedra
+        assert_same_final(vtk, run.result.final)
+
+
+def test_shipped_barrier_takes_the_iterative_path_under_auto():
+    # CI runs no method = iterative copy of the shipped barrier, because
+    # auto already sends its 7 x 2,700 = 18,900 unknowns to AMG-BiCGStab
+    config = parse_config(CASES / "barrier.cfg")
+    n_dof = 7 * config.mesh.nx * config.mesh.ny * config.mesh.nz
+    assert config.solver.method == "auto"
+    assert n_dof > DIRECT_THRESHOLD, (
+        f"auto factors the shipped barrier's {n_dof} unknowns: restore the "
+        "method = iterative copy of cases/barrier.cfg in CI"
+    )

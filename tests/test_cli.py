@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import read_vtk
+from oracles import read_csv, read_vtk
 from scipy.io import mmread
 
 from biotfv import tpfa, tpsa
@@ -569,8 +569,8 @@ def test_barrier_names_files_after_the_normalized_scheme(barrier_cfg, tmp_path):
         "barrier_fixed_final.vtk",
         "barrier_fixed_psi.npy",
     ]
-    rows = (out / "barrier_summary.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["lagged", "fixed"]
+    _, rows = read_csv(out / "barrier_summary.csv")
+    assert [row[0] for row in rows] == ["lagged", "fixed"]
 
 
 @pytest.mark.parametrize(

@@ -713,7 +713,7 @@ def test_lagged_uncoupled_matches_flow_only():
     case = _case(alpha=0.0, n_steps=5, wells=[Well(cell=0, rate=0.3)])
     result = simulate(CoupledSystem(case), LAGGED)
     # alpha = 0: no Biot storage
-    flow = FlowSystem(case.mesh, case.props, case.time.dt)
+    flow = FlowSystem(case.mesh, case.props, case.time.dt, case.props.c0)
     dp = np.zeros(case.mesh.n_cells)
     rate = np.zeros(case.mesh.n_cells)
     rate[0] = 0.3

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import VTK_FIELDS, coupled_probe, read_vtk
+from oracles import assert_same_final, assert_same_history, coupled_probe, read_csv
 
 from biotfv import coupling
 from biotfv.app import drivers
@@ -185,24 +185,6 @@ def test_convergence_probe_failure_names_the_probe():
     assert len(err.value.trace) == 2  # the start and the one iteration allowed
 
 
-def _assert_same_history(path, psi, cfg):
-    """The .npy file holds psi as float64 (n_steps, n_cells), bit for bit."""
-    written = np.load(path)
-    n_cells = cfg.mesh.nx * cfg.mesh.ny * cfg.mesh.nz
-    assert written.dtype == np.float64
-    assert written.shape == psi.shape == (cfg.time.n_steps, n_cells)
-    assert np.array_equal(written.view(np.int64), psi.view(np.int64))
-
-
-def _assert_same_final(path, final):
-    """The VTK file holds the four fields of final, bit for bit."""
-    _, sections = read_vtk(path)
-    for keyword, attr in VTK_FIELDS:
-        written, values = sections[keyword].astype(np.float64), getattr(final, attr)
-        assert written.shape == values.shape
-        assert np.array_equal(written.view(np.int64), values.view(np.int64))
-
-
 def test_barrier_case_runs_and_reports(tmp_path):
     cfg = parse_config_text(TINY_BARRIER)
     runs = run_barrier_case(cfg, schemes=("lagged", "fixed"), out_dir=tmp_path)
@@ -215,9 +197,10 @@ def test_barrier_case_runs_and_reports(tmp_path):
         assert run.avg_dp_omega2[-1] > 0
         assert run.avg_dp_omega1[-1] > run.avg_dp_omega2[-1]
         assert (tmp_path / f"barrier_{run.scheme}.csv").exists()
-        _assert_same_final(tmp_path / f"barrier_{run.scheme}_final.vtk", run.result.final)
+        vtk_path = tmp_path / f"barrier_{run.scheme}_final.vtk"
+        assert_same_final(vtk_path, run.result.final)
         psi_path = tmp_path / f"barrier_{run.scheme}_psi.npy"
-        _assert_same_history(psi_path, run.result.psi, cfg)
+        assert_same_history(psi_path, run.result.psi, cfg)
         # the physical coupling source, not the drained flow's source
         states = run.result.states
         if run.scheme == "lagged":
@@ -260,9 +243,9 @@ def test_barrier_mass_defect_is_nan_unless_every_wall_is_clamped(tmp_path):
         cfg = parse_config_text(TINY_BARRIER + extra)
         out = tmp_path / walls
         runs[walls] = run_barrier_case(cfg, ("lagged", "fixed"), out_dir=out)
-        rows = (out / "barrier_summary.csv").read_text().splitlines()
-        column = rows[0].split(",").index("mass_defect")
-        written[walls] = [row.split(",")[column] for row in rows[1:]]
+        header, rows = read_csv(out / "barrier_summary.csv")
+        column = header.index("mass_defect")
+        written[walls] = [row[column] for row in rows]
         assert written[walls] == [str(run.mass_defect) for run in runs[walls]]
     assert all(np.isnan(run.mass_defect) for run in runs["robin"])
     assert written["robin"] == ["nan", "nan"]
@@ -303,8 +286,8 @@ def test_run_case_writes_artifacts(tmp_path):
     for p in artifacts.paths:
         assert p.exists()
     assert artifacts.mass_defect < 1e-8
-    _assert_same_history(tmp_path / "tiny_psi.npy", artifacts.result.psi, cfg)
-    _assert_same_final(tmp_path / "tiny_final.vtk", artifacts.result.final)
+    assert_same_history(tmp_path / "tiny_psi.npy", artifacts.result.psi, cfg)
+    assert_same_final(tmp_path / "tiny_final.vtk", artifacts.result.final)
     lines = (tmp_path / "tiny_series.csv").read_text().splitlines()
     assert lines[0] == "step,time,mean_dp,min_dp,max_dp,mean_p_hat"
     assert len(lines) == 2 + cfg.time.n_steps  # header + initial + steps

@@ -83,7 +83,8 @@ def test_step_two_cell_oracle():
     # acc|cell|/dt = 1 each, T = 1, dp_old = (1, 0) -> (2/3, 1/3)
     mesh = build_cartesian(2, 1, 1)
     props = material(mesh, perm=0.5, fluid_viscosity=1.0, c0=2.0)
-    new = FlowSystem(mesh, props, 1.0).step(np.array([1.0, 0.0]), np.zeros(2))
+    system = FlowSystem(mesh, props, 1.0, props.c0)
+    new = system.step(np.array([1.0, 0.0]), np.zeros(2))
     assert np.allclose(new, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-13)
 
 
@@ -91,7 +92,8 @@ def test_equilibrium_preserved():
     mesh = build_cartesian(3, 2, 2)
     props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=1e-8)
     dp = np.full(mesh.n_cells, 3.25e4)
-    new = FlowSystem(mesh, props, 86400.0).step(dp, np.zeros(mesh.n_cells))
+    system = FlowSystem(mesh, props, 86400.0, props.c0)
+    new = system.step(dp, np.zeros(mesh.n_cells))
     # tolerance reflects the conditioning of the storage-vs-flux scales
     assert np.allclose(new, dp, rtol=1e-9)
 
@@ -99,12 +101,10 @@ def test_equilibrium_preserved():
 def test_single_cell_well_closed_form():
     mesh = build_cartesian(1, 1, 1, lengths=(2.0, 2.0, 2.0))
     c0, sb, q, dt = 1e-8, 2e-9, 5e-4, 3600.0
-    # Biot storage alpha^2 / lambda = sb
-    props = material(
-        mesh, perm=1e-12, fluid_viscosity=1e-3, c0=c0, alpha=1.0, lam=1.0 / sb
-    )
+    props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=c0)
     rate = np.array([q])
-    system = FlowSystem(mesh, props, dt)
+    # the undrained storage c0 + alpha^2 / lambda, with Biot storage sb
+    system = FlowSystem(mesh, props, dt, props.c0 + sb)
     expected_increment = q * dt / (8.0 * (c0 + sb))
     dp = system.step(np.zeros(1), rate)
     assert dp[0] == pytest.approx(expected_increment, rel=1e-13)
@@ -120,14 +120,12 @@ def test_step_mass_balance_identity():
         perm=rng.uniform(0.5, 2.0, mesh.n_cells) * 1e-13,
         fluid_viscosity=1e-3,
         c0=rng.uniform(1e-9, 1e-8, mesh.n_cells),
-        alpha=1.0,
-        lam=5e9,  # Biot storage alpha^2 / lambda = 2e-10
     )
     rate = mesh.cell_volumes * rng.standard_normal(mesh.n_cells) * 1e-9
     rate[5] += 2e-6
     dt = 86400.0
     dp_old = rng.standard_normal(mesh.n_cells) * 1e3
-    system = FlowSystem(mesh, props, dt)
+    system = FlowSystem(mesh, props, dt, props.c0 + 2e-10)  # Biot storage 2e-10
     dp_new = system.step(dp_old, rate)
     lhs = np.sum(system.accumulation * (dp_new - dp_old))
     rhs = dt * rate.sum()
@@ -141,7 +139,7 @@ def test_barrier_compartments_decouple():
     well_cell = int(np.flatnonzero(comp == comp[0])[0])
     rate = np.zeros(mesh.n_cells)
     rate[well_cell] = 1e-5
-    system = FlowSystem(mesh, props, 3600.0)
+    system = FlowSystem(mesh, props, 3600.0, props.c0)
     dp = system.step(np.zeros(mesh.n_cells), rate)
     other = comp != comp[well_cell]
     assert np.all(dp[~other] > 0)
@@ -152,7 +150,7 @@ def test_singular_system_rejected():
     mesh = build_cartesian(2, 2, 1)
     props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=0.0)
     with pytest.raises(SolverError, match="constant pressure"):
-        FlowSystem(mesh, props, 1.0)
+        FlowSystem(mesh, props, 1.0, props.c0)
 
 
 @pytest.mark.parametrize("sealed_by", ["barrier", "zero-permeability"])
@@ -171,7 +169,7 @@ def test_compartment_without_storage_rejected(sealed_by):
         c0[5] = 0.0
         props = material(mesh, perm=perm, c0=c0)
     with pytest.raises(SolverError, match="constant pressure"):
-        FlowSystem(mesh, props, 1.0)
+        FlowSystem(mesh, props, 1.0, props.c0)
 
 
 def test_step_matches_spsolve_at_high_contrast():
@@ -181,7 +179,7 @@ def test_step_matches_spsolve_at_high_contrast():
     perm[7] = 0.0
     props = material(mesh, perm=perm, c0=1e-3)
     dt = 10.0
-    system = FlowSystem(mesh, props, dt)
+    system = FlowSystem(mesh, props, dt, props.c0)
     dp_old = rng.standard_normal(mesh.n_cells)
     rate = rng.standard_normal(mesh.n_cells)
     matrix = (system.operator + diags(system.accumulation / dt)).tocsc()
@@ -194,4 +192,4 @@ def test_nonpositive_dt_rejected():
     mesh = build_cartesian(2, 1, 1)
     props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=1e-8)
     with pytest.raises(ValueError):
-        FlowSystem(mesh, props, 0.0)
+        FlowSystem(mesh, props, 0.0, props.c0)
