@@ -2,14 +2,14 @@
 
 Classical SA setup: strength-of-connection filtering, greedy aggregation,
 a piecewise-constant tentative prolongator smoothed by one damped-Jacobi
-step, and Galerkin coarse operators.  The cycle is V(1,1) with the same
-degree-3 Chebyshev polynomial in D^-1 A as pre- and post-smoother, so the
-cycle operator is symmetric for symmetric matrices (Adams, Brezina, Hu &
-Tuminaro, JCP 188, 2003).  The polynomial targets the interval
-[lam_max/30, lam_max] with lam_max = 1.1 rho(D^-1 A), where rho is the
-power-iteration estimate that also damps the prolongator.  Setup and
-cycle are fully deterministic (fixed-seed power iteration, index-ordered
-aggregation).
+step, and Galerkin coarse operators.  The cycle is V(1,1) with one
+damped-Jacobi sweep x += w (b - A x) before and one after the coarse
+correction, both with the weight vector w = (JACOBI_SMOOTHING / rho) D^-1,
+so the cycle operator is symmetric for symmetric matrices.  rho is the
+power-iteration estimate of rho(D^-1 A) that also damps the prolongator;
+a sweep cannot raise the error's energy while JACOBI_SMOOTHING times
+rho(D^-1 A) / rho stays below 2.  Setup and cycle are fully
+deterministic (fixed-seed power iteration, index-ordered aggregation).
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ STRENGTH_THRESHOLD = 0.25
 MAX_COARSE = 64  # rows at which coarsening stops
 MAX_LEVELS = 25
 POWER_ITERATIONS = 15
-JACOBI_DAMPING = 2.0 / 3.0
-CHEBYSHEV_DEGREE = 3
-CHEBYSHEV_MARGIN = 1.1  # lam_max = margin * rho, covers a power-iteration underestimate
-CHEBYSHEV_RATIO = 30.0  # lam_min = lam_max / ratio, the part of the spectrum smoothed
+JACOBI_DAMPING = 2.0 / 3.0  # omega * rho of the prolongator smoothing
+JACOBI_SMOOTHING = 1.65  # omega * rho of the cycle's sweeps, set by a sweep
 
 
 def strength_graph(matrix: sp.csr_matrix, threshold: float) -> sp.csr_matrix:
@@ -147,8 +145,7 @@ class AmgLevel:
     """One level; the coarsest keeps only its matrix."""
 
     matrix: sp.csr_matrix
-    inv_diag: np.ndarray | None = None
-    lam_max: float = 0.0  # Chebyshev interval top, an upper bound on rho(D^-1 A)
+    weight: np.ndarray | None = None  # w = omega D^-1 of the Jacobi sweeps
     prolongator: sp.csr_matrix | None = None
     restriction: sp.csr_matrix | None = None
 
@@ -167,47 +164,21 @@ class AmgHierarchy:
         return self._cycle(0, rhs)
 
     def _cycle(self, depth: int, rhs: np.ndarray) -> np.ndarray:
-        """One V-cycle from zero on level `depth`."""
+        """One V-cycle from zero on level `depth`.
+
+        The pre-sweep from zero is w * rhs: A @ 0 is +0.0 throughout and
+        rhs - (+0.0) is rhs, and the coarse correction adds a +0.0 or a
+        nonzero to every entry, so skipping the product changes no bit
+        of the result.
+        """
         level = self.levels[depth]
         if level.prolongator is None:
             return self.coarse_inverse @ rhs
-        x = np.zeros_like(rhs)
-        chebyshev_smooth(level, rhs, x, zero_start=True)
+        x = level.weight * rhs
         coarse = self._cycle(depth + 1, level.restriction @ (rhs - level.matrix @ x))
         x += level.prolongator @ coarse
-        chebyshev_smooth(level, rhs, x)
+        x += level.weight * (rhs - level.matrix @ x)
         return x
-
-
-def chebyshev_smooth(
-    level: AmgLevel, rhs: np.ndarray, x: np.ndarray, zero_start: bool = False
-) -> None:
-    """Chebyshev iteration on D^-1 A x = D^-1 rhs, updating x in place.
-
-    Three-term recurrence of Saad, Iterative Methods, Alg. 12.1; the error
-    is multiplied by the degree-CHEBYSHEV_DEGREE polynomial p with p(0) = 1
-    whose largest magnitude on [lam_max/CHEBYSHEV_RATIO, lam_max] is
-    smallest.  p does not depend on x or rhs, so the smoother is one fixed
-    operator, symmetric in the A inner product.  With zero_start (x is
-    zero) the first residual is rhs itself: A @ 0 is +0.0 throughout and
-    rhs - (+0.0) is rhs, so skipping the product changes no bit.
-    """
-    lam_max = level.lam_max
-    lam_min = lam_max / CHEBYSHEV_RATIO
-    theta = 0.5 * (lam_max + lam_min)
-    delta = 0.5 * (lam_max - lam_min)
-    sigma = theta / delta
-    rho = 1.0 / sigma
-    r = level.inv_diag * (rhs if zero_start else rhs - level.matrix @ x)
-    d = r / theta
-    for _ in range(CHEBYSHEV_DEGREE - 1):
-        x += d
-        r -= level.inv_diag * (level.matrix @ d)
-        rho_next = 1.0 / (2.0 * sigma - rho)
-        d *= rho_next * rho
-        d += (2.0 * rho_next / delta) * r
-        rho = rho_next
-    x += d
 
 
 def build_amg(matrix: sp.spmatrix) -> AmgHierarchy:
@@ -231,8 +202,7 @@ def build_amg(matrix: sp.spmatrix) -> AmgHierarchy:
         levels.append(
             AmgLevel(
                 matrix=current,
-                inv_diag=inv_diag,
-                lam_max=CHEBYSHEV_MARGIN * rho,
+                weight=(JACOBI_SMOOTHING / rho) * inv_diag,
                 prolongator=prolongator,
                 restriction=restriction,
             )

@@ -46,6 +46,9 @@ def bicgstab(
 
     x0 is not copied: the iterate is only ever rebound, never written in
     place, so an x0 that already meets rtol comes back as report.x.
+    Without x0 the first residual is rhs itself: a sparse A @ 0 is +0.0
+    throughout and rhs - (+0.0) is rhs, so skipping the product changes
+    no bit.
     """
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
@@ -56,19 +59,20 @@ def bicgstab(
     if norm_b == 0.0:
         return SolveReport(x=np.zeros_like(rhs), trace=[0.0])
 
-    r = rhs - operator @ x
+    r = rhs if x0 is None else rhs - operator @ x
     trace = [float(np.linalg.norm(r))]
     if trace[0] <= rtol * norm_b:
         return SolveReport(x=x, trace=trace)
 
     shadow = r.copy()
+    norm_shadow = trace[0]
     rho = alpha = omega = 1.0
     v = np.zeros_like(rhs)
     p = np.zeros_like(rhs)
     restarted = False
 
     def restart_or_fail(reason: str):
-        nonlocal r, shadow, rho, alpha, omega, v, p, restarted
+        nonlocal r, shadow, norm_shadow, rho, alpha, omega, v, p, restarted
         if restarted:
             raise SolverError(
                 f"second breakdown after restart: {reason} "
@@ -78,6 +82,7 @@ def bicgstab(
         restarted = True
         r = rhs - operator @ x
         shadow = r.copy()
+        norm_shadow = np.linalg.norm(shadow)
         rho = alpha = omega = 1.0
         v = np.zeros_like(rhs)
         p = np.zeros_like(rhs)
@@ -95,9 +100,7 @@ def bicgstab(
 
     for _ in range(max_iter):
         rho_next = float(shadow @ r)
-        if abs(rho_next) < BREAKDOWN * max(
-            np.linalg.norm(shadow) * np.linalg.norm(r), 1e-300
-        ):
+        if abs(rho_next) < BREAKDOWN * max(norm_shadow * np.linalg.norm(r), 1e-300):
             restart_or_fail("shadow residual orthogonal to residual")
             continue
         beta = (rho_next / rho) * (alpha / omega)
@@ -106,9 +109,7 @@ def bicgstab(
         p_hat = apply_m(p)
         v = operator @ p_hat
         denom = float(shadow @ v)
-        if abs(denom) < BREAKDOWN * max(
-            np.linalg.norm(shadow) * np.linalg.norm(v), 1e-300
-        ):
+        if abs(denom) < BREAKDOWN * max(norm_shadow * np.linalg.norm(v), 1e-300):
             restart_or_fail("search direction collapsed")
             continue
         alpha = rho / denom

@@ -15,8 +15,8 @@ greedy_aggregate is the greedy aggregation written with one numpy
 call per node, the reference the package's list-based loops must match
 exactly; its last pass, which makes a singleton of any node the first
 two left unassigned, has no counterpart in the package.
-reference_vcycle is the V-cycle with every smoother residual formed
-explicitly, the reference the package's zero-start pre-smoother must
+reference_vcycle is the V-cycle with every sweep's residual formed
+explicitly, the reference the package's zero-start pre-sweep must
 match bit for bit.
 sequential_march is the fixed-stress time march with one
 mechanics solve per step, the reference for the package's block solve
@@ -29,7 +29,8 @@ the limit the splitting schemes converge to.  read_csv reads back
 what the package's CSV writer wrote (np.load reads the .npy source
 histories) and read_vtk its legacy binary VTK files; assert_same_history
 and assert_same_final check a written history and final state against
-the run's arrays bit for bit.  material builds
+the run's arrays bit for bit.  CountingOperator stands in for a
+sparse matrix and counts the products taken with it.  material builds
 the one validated material record every operator test assembles from,
 and serialize_config writes a parsed case back as the canonical SI-unit
 text the round-trip tests parse again.
@@ -47,7 +48,6 @@ from scipy.sparse.linalg import splu
 from biotfv.app.config import _SECTIONS, _UNITS, _WELL
 from biotfv.coupling import BiotState, CoupledSystem
 from biotfv.errors import GeometryError, SolverError
-from biotfv.linsolve.amg import CHEBYSHEV_DEGREE, CHEBYSHEV_RATIO
 from biotfv.linsolve.blocks import split_fields
 from biotfv.materials import PoroelasticProperties
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, stencil_arrays
@@ -491,37 +491,31 @@ def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100):
 
 
 def reference_vcycle(hier, rhs):
-    """One V(1,1) cycle from zero, each Chebyshev step from its explicit residual."""
-
-    def smooth(level, b, x):
-        lam_max = level.lam_max
-        lam_min = lam_max / CHEBYSHEV_RATIO
-        theta = 0.5 * (lam_max + lam_min)
-        delta = 0.5 * (lam_max - lam_min)
-        sigma = theta / delta
-        rho = 1.0 / sigma
-        r = level.inv_diag * (b - level.matrix @ x)
-        d = r / theta
-        for _ in range(CHEBYSHEV_DEGREE - 1):
-            x += d
-            r -= level.inv_diag * (level.matrix @ d)
-            rho_next = 1.0 / (2.0 * sigma - rho)
-            d = (rho_next * rho) * d + (2.0 * rho_next / delta) * r
-            rho = rho_next
-        x += d
+    """One V(1,1) cycle from zero, each Jacobi sweep from its explicit residual."""
 
     def cycle(depth, b):
         level = hier.levels[depth]
         if level.prolongator is None:
             return hier.coarse_inverse @ b
         x = np.zeros_like(b)
-        smooth(level, b, x)
+        x += level.weight * (b - level.matrix @ x)
         coarse = cycle(depth + 1, level.restriction @ (b - level.matrix @ x))
         x += level.prolongator @ coarse
-        smooth(level, b, x)
+        x += level.weight * (b - level.matrix @ x)
         return x
 
     return cycle(0, rhs)
+
+
+class CountingOperator:
+    """A sparse matrix's stand-in that counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, vector):
+        self.products += 1
+        return self.matrix @ vector
 
 
 def greedy_aggregate(strength):

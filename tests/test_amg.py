@@ -7,7 +7,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import greedy_aggregate, material, multigrid_solve, reference_vcycle
+from oracles import (
+    CountingOperator,
+    greedy_aggregate,
+    material,
+    multigrid_solve,
+    reference_vcycle,
+)
 from scipy.sparse.linalg import eigsh
 
 from biotfv.app.config import parse_config
@@ -19,7 +25,6 @@ from biotfv.linsolve.amg import (
     aggregate,
     aggregation_graph,
     build_amg,
-    chebyshev_smooth,
     smoothed_prolongator,
     strength_graph,
     tentative_prolongator,
@@ -134,8 +139,8 @@ def test_aggregation_matches_numpy_reference_on_every_level(make_blocks, monkeyp
 
 @BLOCK_SETS
 def test_vcycle_matches_the_explicit_residual_cycle_bit_for_bit(make_blocks):
-    # the zero-start pre-smoother skips A @ 0 and updates its direction in
-    # place; signed zeros in the right-hand side must come through too
+    # the zero-start pre-sweep skips A @ 0 and the zero it would add to;
+    # signed zeros in the right-hand side must come through too
     rng = np.random.default_rng(4)
     for block in make_blocks():
         hier = build_amg(block)
@@ -286,23 +291,43 @@ def contrast_displacement_block(n, contrast):
     [lambda: laplacian_3d(20), lambda: contrast_displacement_block(10, 1e4)],
     ids=["poisson-3d", "tpsa-mu-contrast"],
 )
-def test_chebyshev_smoothing_never_raises_energy_error(make_matrix):
-    # with rhs = 0 the iterate is the error; the smoother must not grow its
-    # A-norm, which fails if lam_max undershoots rho(D^-1 A), so the dominant
-    # mode is probed next to the random errors
+def test_jacobi_smoothing_never_raises_energy_error(make_matrix):
+    # with rhs = 0 the iterate is the error, and a sweep maps e to
+    # e - w A e; its A-norm must not grow, which fails if omega rho(D^-1 A)
+    # reaches 2, as it may when the power iteration underestimates rho, so
+    # the dominant mode is probed next to the random errors
     hier = build_amg(make_matrix())
     assert hier.n_levels >= 2
     rng = np.random.default_rng(21)
     for level in hier.levels[:-1]:
         a = level.matrix
-        half = sp.diags(np.sqrt(level.inv_diag))
+        half = sp.diags(1.0 / np.sqrt(a.diagonal()))
         start = rng.standard_normal(a.shape[0])
         _, top = eigsh(half @ a @ half, k=1, which="LA", v0=start)
         errors = [*rng.standard_normal((10, a.shape[0])), half @ top[:, 0]]
         for e in errors:
-            x = e.copy()
-            chebyshev_smooth(level, np.zeros_like(e), x)
+            x = e + level.weight * (0.0 - a @ e)
             assert x @ (a @ x) <= e @ (a @ e)
+
+
+def test_vcycle_makes_two_products_with_a_per_level():
+    # one Jacobi sweep before and one after the coarse correction: the
+    # residual before restriction and the post-sweep's take A, the pre-sweep
+    # from zero takes none
+    hier = build_amg(laplacian_3d(12))
+    assert hier.n_levels >= 3
+    want = hier.vcycle(np.ones(12**3))
+    counted = hier.levels[:-1]
+    for level in counted:
+        level.matrix = CountingOperator(level.matrix)
+        level.restriction = CountingOperator(level.restriction)
+        level.prolongator = CountingOperator(level.prolongator)
+    assert hier.vcycle(np.ones(12**3)).tobytes() == want.tobytes()
+    products = [
+        (lvl.matrix.products, lvl.restriction.products, lvl.prolongator.products)
+        for lvl in counted
+    ]
+    assert products == [(2, 1, 1)] * len(counted)
 
 
 def test_solve_reaches_tolerance_and_traces():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import CountingOperator
 
 from biotfv.errors import SolverError
 from biotfv.linsolve.amg import build_amg
@@ -65,6 +66,24 @@ def test_amg_preconditioned_laplacian():
     pre = bicgstab(a, rhs, preconditioner=hier.vcycle, rtol=1e-8, max_iter=2000)
     assert pre.iterations < plain.iterations
     assert pre.iterations <= 15
+
+
+def test_cold_start_skips_the_product_with_zero_bit_for_bit():
+    # r = rhs without forming rhs - A @ 0; signed zeros must come through
+    a = (sp.random(120, 120, density=0.05, random_state=3) + sp.eye(120) * 3.0).tocsr()
+    rng = np.random.default_rng(9)
+    rhs = rng.standard_normal(120)
+    rhs[::7] = 0.0
+    rhs[1::7] = -0.0
+    reports, products = [], []
+    for x0 in (None, np.zeros(120)):
+        counted = CountingOperator(a)
+        reports.append(bicgstab(counted, rhs, rtol=1e-10, x0=x0))
+        products.append(counted.products)
+    cold, zero = reports
+    assert cold.x.tobytes() == zero.x.tobytes()
+    assert cold.trace == zero.trace
+    assert products[0] == products[1] - 1
 
 
 def test_zero_rhs_returns_zero():
