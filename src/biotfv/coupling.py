@@ -64,7 +64,7 @@ import numpy as np
 from .errors import ConfigurationError, GeometryError, SolverError
 from .linsolve.blocks import SparseBlockSystem, split_fields
 from .linsolve.krylov import SolveReport
-from .linsolve.precond import MarchStarts, SolverOptions, TpsaSolver
+from .linsolve.precond import DIRECT_THRESHOLD, MarchStarts, SolverOptions, TpsaSolver
 from .materials import PoroelasticProperties
 from .mesh import Mesh
 from .tpfa import FlowSystem
@@ -349,7 +349,9 @@ class CoupledSystem:
     and passes it in as ``elastic``, so it is assembled once.  The flow is
     drained when every coupling strength is below 1 and alpha is not zero
     everywhere; it then takes the Biot storage ``lagged_storage`` from the
-    previous iterate, which is None otherwise.
+    previous iterate, which is None otherwise.  The flow is solved by
+    AMG-preconditioned CG only under ``method = iterative`` with more than
+    `DIRECT_THRESHOLD` cells, and factored otherwise.
     """
 
     def __init__(
@@ -359,6 +361,7 @@ class CoupledSystem:
         elastic: SparseBlockSystem | None = None,
     ):
         self.case = case
+        solver = solver or SolverOptions()
         mesh, props = case.mesh, case.props
         biot = props.alpha**2 / props.lam
         strength = float(np.max(coupling_strength(props)))
@@ -370,7 +373,23 @@ class CoupledSystem:
             strength,
         )
         storage = props.c0 if self.drained else props.c0 + biot
-        self.flow = FlowSystem(mesh, props, case.time.dt, storage)
+        # a factor reused over many steps beats CG's cost per step, so the
+        # flow leaves the LU only on an explicit iterative choice for a
+        # large mesh
+        n = mesh.n_cells
+        iterative = solver.method == "iterative" and n > DIRECT_THRESHOLD
+        why = f"method = {solver.method}"
+        if solver.method == "iterative":
+            bound = ">" if iterative else "<="
+            why = f"{n} cells {bound} DIRECT_THRESHOLD {DIRECT_THRESHOLD}, {why}"
+        log.info(
+            "flow solve: %s (%s)",
+            "AMG-preconditioned CG" if iterative else "sparse LU",
+            why,
+        )
+        self.flow = FlowSystem(
+            mesh, props, case.time.dt, storage, iterative, solver.max_iter
+        )
         self.lagged_storage = biot if self.drained else None
         if elastic is None:
             elastic = assemble_tpsa(mesh, props)

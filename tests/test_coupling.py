@@ -678,6 +678,31 @@ def test_manufactured_case_is_not_drained():
     assert not CoupledSystem(case, config.solver).drained
 
 
+@pytest.mark.parametrize("method", ["auto", "direct", "iterative"])
+def test_flow_leaves_the_lu_only_when_iterative_above_the_threshold(
+    monkeypatch, caplog, method
+):
+    # an 18-cell case against thresholds just below and at its size
+    case = _case(nx=3, ny=3, nz=2)
+    for threshold in (17, 18):
+        monkeypatch.setattr(coupling, "DIRECT_THRESHOLD", threshold)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="biotfv"):
+            flow = CoupledSystem(case, SolverOptions(method=method)).flow
+        iterative = method == "iterative" and threshold == 17
+        assert flow.iterative == iterative
+        if method != "iterative":
+            line = f"flow solve: sparse LU (method = {method})"
+        elif iterative:
+            line = (
+                "flow solve: AMG-preconditioned CG "
+                "(18 cells > DIRECT_THRESHOLD 17, method = iterative)"
+            )
+        else:
+            line = "flow solve: sparse LU (18 cells <= DIRECT_THRESHOLD 18, method = iterative)"
+        assert line in caplog.text
+
+
 def test_uncoupled_flow_forms_no_lagged_storage_term():
     # tau = 0, but there is no Biot storage to split off
     engine = CoupledSystem(_case(alpha=0.0))

@@ -2,7 +2,8 @@
 
 Oracle values are hand-computed from the two-point formulas: the
 distance-weighted harmonic conductivity, transmissibility |face| k / d,
-and the backward-Euler update on one or two cells.
+and the backward-Euler update on one or two cells.  The AMG-CG path is
+checked against the LU path on a cube just above DIRECT_THRESHOLD.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.sparse.linalg import spsolve
 from oracles import material
 
 from biotfv.errors import SolverError
+from biotfv.linsolve.precond import DIRECT_THRESHOLD
 from biotfv.mesh import build_barrier_mesh, build_cartesian
 from biotfv.tpfa import FlowSystem, assemble_flow, effective_conductivity
 
@@ -193,3 +195,43 @@ def test_nonpositive_dt_rejected():
     props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=1e-8)
     with pytest.raises(ValueError):
         FlowSystem(mesh, props, 0.0, props.c0)
+
+
+def test_cg_step_matches_the_lu_step_and_closes_each_step_mass_balance():
+    # 17^3 = 4,913 cells, the smallest cube on the CG path under iterative;
+    # the manufactured case's flow: 1 Darcy, c0 + alpha^2/lambda = 1.01
+    mesh = build_cartesian(17, 17, 17)
+    assert mesh.n_cells > DIRECT_THRESHOLD
+    rng = np.random.default_rng(3)
+    props = material(
+        mesh, perm=9.869233e-13 * rng.uniform(0.5, 2.0, mesh.n_cells),
+        fluid_viscosity=5e-4, c0=0.01,
+    )
+    dt = 50 * 86400.0
+    lu = FlowSystem(mesh, props, dt, props.c0 + 1.0)
+    runs = [FlowSystem(mesh, props, dt, props.c0 + 1.0, iterative=True) for _ in range(2)]
+    assert not lu.iterative and all(run.iterative for run in runs)
+    rates = mesh.cell_volumes * rng.standard_normal((3, mesh.n_cells)) * 1e-9
+    dp_lu = np.zeros(mesh.n_cells)
+    histories = [[np.zeros(mesh.n_cells)] for _ in runs]
+    for rate in rates:
+        dp_lu = lu.step(dp_lu, rate)
+        for run, history in zip(runs, histories):
+            history.append(run.step(history[-1], rate))
+        dp_old, dp = histories[0][-2:]
+        assert np.linalg.norm(dp - dp_lu) <= 1e-9 * np.linalg.norm(dp_lu)
+        stored = np.sum(runs[0].accumulation * (dp - dp_old))
+        assert abs(stored - dt * rate.sum()) <= 1e-9 * dt * np.abs(rate).sum()
+    for a, b in zip(*histories):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_cg_step_reports_a_capped_solve_as_a_flow_failure():
+    mesh = build_cartesian(6, 6, 6)
+    props = material(mesh, perm=1.0, c0=1e-6)
+    system = FlowSystem(mesh, props, 1.0, props.c0, iterative=True, max_iter=1)
+    rate = np.zeros(mesh.n_cells)
+    rate[0] = 1.0
+    with pytest.raises(SolverError, match="flow .TPFA. solve failed: no convergence") as err:
+        system.step(np.zeros(mesh.n_cells), rate)
+    assert len(err.value.trace) == 2
