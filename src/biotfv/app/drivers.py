@@ -279,8 +279,8 @@ def run_barrier_case(
     psi as .npy and the final state as VTK, named after the scheme, then a
     summary table with iteration counts and the global mass defect of each.
     Every name is checked before the first runs, and an unknown or repeated
-    one is rejected, so bad input writes no file.  The mass defect is NaN
-    unless every wall is clamped (`global_mass_check`).
+    one is rejected, so bad input writes no file.  The mass defect is the
+    fluid-content balance of `global_mass_check`, on every wall closure.
     """
     case = config.build_case()
     masks = compartment_masks(case)

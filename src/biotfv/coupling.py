@@ -8,11 +8,11 @@ and the elastic assembly as it is.  A `BiotCase` is complete once built:
 it holds the validated record, the wells placed on its mesh, its
 initial state (rest at t0 unless given) and its external source history
 `sources`, one row per step, built once.  The coupling needs no
-interpolation, only one coefficient per cell, alpha/lam: the pressure
-deviation dp enters the mechanics as the effective-pressure row source
--(alpha/lam) * dp, and the effective pressure p_hat = lam*div(u) -
-alpha*dp feeds the flow through the source psi = -(alpha/lam) *
-d(p_hat)/dt.
+interpolation, only one coefficient per cell, alpha/lam, which `BiotCase`
+forms once as `alpha_over_lam`: the pressure deviation dp enters the
+mechanics as the effective-pressure row source -(alpha/lam) * dp, and the
+effective pressure p_hat = lam*div(u) - alpha*dp feeds the flow through
+the source psi = -(alpha/lam) * d(p_hat)/dt.
 
 The flow's storage coefficient is c0 + L, with L = alpha^2/lam, and psi
 is all the flow needs from the mechanics, unless every cell's coupling
@@ -196,9 +196,11 @@ class BiotCase:
     initial: BiotState | None = None
     name: str = ""
     sources: np.ndarray = field(init=False, repr=False)
+    alpha_over_lam: np.ndarray = field(init=False, repr=False)  # per cell
 
     def __post_init__(self):
         self.props = self.props.validate(self.mesh)
+        self.alpha_over_lam = self.props.alpha / self.props.lam
         self.wells = [self._placed(well) for well in self.wells]
         times, dt = self.time.times[1:], self.time.dt
         self.sources = np.zeros((self.time.n_steps, self.mesh.n_cells))
@@ -324,9 +326,8 @@ def elastic_load(case: BiotCase, dps: np.ndarray) -> np.ndarray:
     """The (7n, k) elastic right-hand sides of a (k, n) block of pressure
     deviations, one row per step: the body force, and -(alpha/lam) * dp on
     the effective-pressure rows."""
-    props = case.props
     return assemble_rhs(
-        case.mesh, props, pressure_coupling=-(props.alpha / props.lam) * dps
+        case.mesh, case.props, pressure_coupling=-case.alpha_over_lam * dps
     )
 
 
@@ -363,7 +364,7 @@ class CoupledSystem:
         self.case = case
         solver = solver or SolverOptions()
         mesh, props = case.mesh, case.props
-        biot = props.alpha**2 / props.lam
+        biot = props.alpha * case.alpha_over_lam
         strength = float(np.max(coupling_strength(props)))
         # without Biot storage (alpha = 0) both splits build the same flow
         self.drained = bool(np.any(biot) and strength < 1.0)
@@ -395,12 +396,10 @@ class CoupledSystem:
             elastic = assemble_tpsa(mesh, props)
         self.mech = TpsaSolver(elastic, mean_shear_modulus(mesh, props), solver)
         self.n_cells = mesh.n_cells
-        # the one per-cell coupling coefficient; elastic_load forms it alike
-        self.alpha_over_lam = props.alpha / props.lam
 
     def coupling_source(self, prev: BiotState, now: BiotState) -> np.ndarray:
         """Coupling source psi = -(alpha/lam) * (p_hat_now - p_hat_prev)/dt."""
-        return -self.alpha_over_lam * (now.p_hat - prev.p_hat) / self.case.time.dt
+        return -self.case.alpha_over_lam * (now.p_hat - prev.p_hat) / self.case.time.dt
 
     def flow_source(self, prev: BiotState, now: BiotState) -> np.ndarray:
         """The source the flow takes from an iterate's states around a step.
@@ -536,23 +535,23 @@ def simulate(
 
 
 def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:
-    """Defect of c0 * integral(dp(T)) against the injected volume.
+    """Defect of the change in fluid content against the injected volume.
 
-    Defined only for clamped walls: there the coupling terms telescope away
-    and the boundary volume flux vanishes identically, so the defect is
-    exact to solver tolerances for converged coupled solves.  Any Robin or
-    traction-free boundary face (w_out != 0) lets volume cross the walls,
-    and the check gives NaN.  Normalized by the gross source volume, the
-    sum over steps of dt * sum |rate|, when there is one: a source that
-    injects and withdraws in equal parts nets roundoff, which would not
-    scale the defect.  With injection only, gross and net volume agree.
+    The Biot fluid content m = c0 * dp + alpha * div(u), with alpha * div(u)
+    = (alpha/lam) * (p_hat + alpha * dp) in TPSA unknowns, changes by the
+    injected volume on every mechanical closure, since no fluid crosses the
+    walls; the defect is the flow's and the coupling's (for the lagged
+    scheme, its last step's splitting term).  Normalized by the gross
+    source volume, the sum over steps of dt * sum |rate|, when there is
+    one: a source that injects and withdraws in equal parts nets roundoff,
+    which would not scale the defect.  With injection only, gross and net
+    volume agree.
     """
-    mesh, dt = case.mesh, case.time.dt
-    if not case.clamped:
-        return math.nan
-    stored = float(
-        np.sum(case.props.c0 * mesh.cell_volumes * (states[-1].dp - states[0].dp))
-    )
+    props, dt = case.props, case.time.dt
+    dp = states[-1].dp - states[0].dp
+    p_hat = states[-1].p_hat - states[0].p_hat
+    content = props.c0 * dp + case.alpha_over_lam * (p_hat + props.alpha * dp)
+    stored = float(np.sum(case.mesh.cell_volumes * content))
     # one step at a time: a 2-D or a compensated sum rounds differently
     injected = gross = 0.0
     for rates in case.sources:

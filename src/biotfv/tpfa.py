@@ -45,8 +45,8 @@ __all__ = [
 # relative residual of the iterative flow solve.  The flow solve is the
 # mass balance, so it does not follow the elastic rtol: each step's
 # storage change closes against its source volume only up to the summed
-# residual.  At the barrier's elastic rtol of 1e-5 an iterative flow
-# raised the clamped mass defect from 1.2e-10 to 5.8e-8
+# residual.  On the shipped barrier a CG flow at the elastic rtol 1e-5
+# balanced fixed stress's fluid content to 5.8e-8, against 4.4e-12 at 1e-10
 FLOW_RTOL = 1e-10
 
 

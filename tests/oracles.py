@@ -585,6 +585,7 @@ def sequential_march(coupled, psi, warm, predict=True):
     """
     case = coupled.case
     volumes = case.mesh.cell_volumes
+    alpha_over_lam = case.props.alpha / case.props.lam
     initial = case.initial
     dp = initial.dp
     states = [initial]
@@ -597,7 +598,7 @@ def sequential_march(coupled, psi, warm, predict=True):
             source = psi[i - 1]
         dp = coupled.flow.step(dp, case.sources[i - 1] + volumes * source)
         rhs = assemble_rhs(
-            case.mesh, case.props, pressure_coupling=-coupled.alpha_over_lam * dp
+            case.mesh, case.props, pressure_coupling=-alpha_over_lam * dp
         )
         guess = warm[i] if warm[i] is not None else x_prev
         start = guess
@@ -635,7 +636,7 @@ def monolithic_march(coupled):
     case = coupled.case
     props = case.props
     n, dt = coupled.n_cells, case.time.dt
-    coupling = coupled.alpha_over_lam * case.mesh.cell_volumes
+    coupling = props.alpha / props.lam * case.mesh.cell_volumes
     accumulation = (props.c0 + props.alpha**2 / props.lam) * case.mesh.cell_volumes
     flow = coupled.flow.operator + diags(accumulation / dt)
     to_flow = hstack([flow, csr_matrix((n, 6 * n)), diags(coupling / dt)])

@@ -130,8 +130,8 @@ def test_criterion_3_rescaled_solve_matches_dense_at_stiff_moduli():
 
 
 def test_criterion_4_converged_injection_obeys_global_mass_identity(barrier_runs):
-    # clamped boundaries: the coupling terms telescope away, so the stored
-    # volume c0 * integral(dp) must equal the injected volume
+    # the stored fluid content, c0 * dp + (alpha/lam) * (p_hat + alpha * dp)
+    # integrated over the cells, must equal the injected volume
     run = barrier_runs["fixed"]
     ok = run.result.report.converged and run.mass_defect <= 1e-8
     _criterion(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biotfv import coupling
-from biotfv.app.config import parse_config_text
+from biotfv.app.config import BoundarySpec, parse_config_text
 from biotfv.coupling import (
     AndersonState,
     BiotCase,
@@ -856,13 +856,42 @@ def test_mass_check_coupled_multicell():
 
 
 @pytest.mark.parametrize("w_out", [np.inf, 0.5])
-def test_mass_check_is_nan_unless_every_wall_is_clamped(w_out):
+def test_mass_check_closes_on_a_free_or_robin_face(w_out):
     case = _case(wells=[Well(cell=0, rate=0.5)])
-    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-12, max_iter=80))
-    assert global_mass_check(case, result.states) <= 1e-9
-    # one free or Robin face lets volume cross the walls
+    # one free or Robin face lets the solid's volume cross the walls
     case.props.w_out[case.mesh.boundary_faces[3]] = w_out
-    assert np.isnan(global_mass_check(case, result.states))
+    result = simulate(CoupledSystem(case), SchemeSpec(tol=1e-12, max_iter=80))
+    assert result.report.converged
+    assert global_mass_check(case, result.states) <= 1e-9
+    # c0 * dp alone misses the volume the coupling content took
+    injected = case.time.dt * case.sources.sum()
+    change = result.states[-1].dp - result.states[0].dp
+    stored = np.sum(case.props.c0 * case.mesh.cell_volumes * change)
+    assert abs(stored - injected) / injected > 1e-3
+
+
+def _open_block_case():
+    """`_block_case` with Robin walls and a traction-free top."""
+    case = _block_case()
+    walls = BoundarySpec(default="robin", robin_mu=2.0, z_max="free")
+    w_out = walls.build(case.mesh)
+    assert np.any(w_out == np.inf) and np.any((w_out > 0) & (w_out < np.inf))
+    return replace(case, props=replace(case.props, w_out=w_out))
+
+
+def test_mass_check_closes_on_robin_and_free_walls():
+    case = _open_block_case()
+    direct = SolverOptions(method="direct")
+    march = monolithic_march(CoupledSystem(case, direct))
+    states = [case.initial] + [
+        BiotState(dp=dp, u=u, r=r, p_hat=p_hat) for dp, u, r, p_hat in march
+    ]
+    assert global_mass_check(case, states) <= 1e-10
+    for kind in ("fixed", "anderson"):
+        scheme = SchemeSpec(kind=kind, tol=1e-10, max_iter=50)
+        result = simulate(CoupledSystem(case, direct), scheme)
+        assert result.report.converged
+        assert global_mass_check(case, result.states) <= 1e-9, kind
 
 
 def test_mass_check_lagged_has_visible_defect():

@@ -236,29 +236,28 @@ z_max = free
 """
 
 
-def test_barrier_mass_defect_is_nan_unless_every_wall_is_clamped(tmp_path):
-    # volume crosses Robin and traction-free walls; the identity needs clamped ones
-    runs, written = {}, {}
-    for walls, extra in (("fixed", ""), ("robin", ROBIN_AND_FREE)):
-        cfg = parse_config_text(TINY_BARRIER + extra)
-        out = tmp_path / walls
-        runs[walls] = run_barrier_case(cfg, ("lagged", "fixed"), out_dir=out)
-        header, rows = read_csv(out / "barrier_summary.csv")
-        column = header.index("mass_defect")
-        written[walls] = [row[column] for row in rows]
-        assert written[walls] == [str(run.mass_defect) for run in runs[walls]]
-    assert all(np.isnan(run.mass_defect) for run in runs["robin"])
-    assert written["robin"] == ["nan", "nan"]
-    # clamped walls keep the defect of the stored against the injected volume
+def test_barrier_mass_defect_balances_fluid_content_on_every_wall_set(tmp_path):
+    # volume crosses Robin and traction-free walls, the fluid content does not
     case = parse_config_text(TINY_BARRIER).build_case()
     injected = 0.0
     for rates in case.sources:  # step by step, as global_mass_check sums
         injected += case.time.dt * rates.sum()
-    for run in runs["fixed"]:
-        change = run.result.states[-1].dp - run.result.states[0].dp
-        stored = np.sum(case.props.c0 * case.mesh.cell_volumes * change)
-        assert run.mass_defect == abs(stored - injected) / abs(injected)
-    assert runs["fixed"][1].mass_defect < 1e-8
+    alpha, alpha_over_lam = case.props.alpha, case.props.alpha / case.props.lam
+    for walls, extra in (("fixed", ""), ("robin", ROBIN_AND_FREE)):
+        cfg = parse_config_text(TINY_BARRIER + extra)
+        out = tmp_path / walls
+        runs = run_barrier_case(cfg, ("lagged", "fixed"), out_dir=out)
+        header, rows = read_csv(out / "barrier_summary.csv")
+        column = header.index("mass_defect")
+        assert [row[column] for row in rows] == [str(run.mass_defect) for run in runs]
+        for run in runs:
+            first, last = run.result.states[0], run.result.states[-1]
+            dp, p_hat = last.dp - first.dp, last.p_hat - first.p_hat
+            content = case.props.c0 * dp + alpha_over_lam * (p_hat + alpha * dp)
+            stored = np.sum(case.mesh.cell_volumes * content)
+            assert run.mass_defect == abs(stored - injected) / abs(injected)
+        assert runs[1].result.report.converged
+        assert runs[1].mass_defect < 1e-8, walls
 
 
 def test_compartment_masks_requires_two_components():
