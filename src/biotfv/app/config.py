@@ -129,10 +129,15 @@ class BoundarySpec:
     robin_delta: float = 1.0
     robin_mu: float = 1.0
 
+    @property
+    def kinds(self) -> list[str]:
+        """The closure of each wall, in _SIDE_NAMES order."""
+        return [getattr(self, side) or self.default for side in _SIDE_NAMES]
+
     def build(self, mesh: Mesh) -> np.ndarray:
         """The outside weight w_out per face: on the boundary fixed 0, free
         inf and robin robin_delta / robin_mu, on interior faces 0."""
-        words = [getattr(self, side) or self.default for side in _SIDE_NAMES]
+        words = self.kinds
         weights = {"fixed": 0.0, "free": math.inf}
         if "robin" in words:
             if not all(

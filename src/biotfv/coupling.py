@@ -200,6 +200,13 @@ class BiotCase:
 
     def __post_init__(self):
         self.props = self.props.validate(self.mesh)
+        if np.all(np.isinf(self.props.w_out[self.mesh.boundary_faces])):
+            raise ConfigurationError(
+                "every wall (x_min, x_max, y_min, y_max, z_min, z_max) is "
+                "traction-free, which fixes the displacement only up to a rigid "
+                "motion: make at least one wall fixed or robin",
+                key="boundaries",
+            )
         self.alpha_over_lam = self.props.alpha / self.props.lam
         self.wells = [self._placed(well) for well in self.wells]
         times, dt = self.time.times[1:], self.time.dt
@@ -214,11 +221,6 @@ class BiotCase:
                 dp=np.zeros(n), u=np.zeros((n, 3)), r=np.zeros((n, 3)),
                 p_hat=np.zeros(n), t=self.time.t0,
             )
-
-    @property
-    def clamped(self) -> bool:
-        """True when every wall is clamped (w_out = 0 on every boundary face)."""
-        return not np.any(self.props.w_out[self.mesh.boundary_faces] != 0.0)
 
     def _placed(self, well: Well) -> Well:
         """The well with its cell resolved to a flat id on this mesh."""

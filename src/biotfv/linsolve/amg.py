@@ -30,40 +30,33 @@ JACOBI_DAMPING = 2.0 / 3.0  # omega * rho of the prolongator smoothing
 JACOBI_SMOOTHING = 1.65  # omega * rho of the cycle's sweeps, set by a sweep
 
 
-def strength_graph(matrix: sp.csr_matrix, threshold: float) -> sp.csr_matrix:
-    """Keep off-diagonal couplings with |a_ij| > threshold*sqrt(a_ii*a_jj)."""
-    a = matrix.tocoo()
-    d = np.sqrt(np.abs(matrix.diagonal()))
-    off = a.row != a.col
-    strong = np.abs(a.data) > threshold * d[a.row] * d[a.col]
-    keep = off & strong & (a.data != 0.0)
-    graph = sp.coo_matrix(
-        (np.abs(a.data[keep]), (a.row[keep], a.col[keep])), shape=matrix.shape
-    ).tocsr()
-    graph.sort_indices()
-    return graph
-
-
 def aggregation_graph(matrix: sp.csr_matrix, threshold: float) -> sp.csr_matrix:
     """Strength graph, with a fallback so no coupled node is left isolated.
 
-    Diagonally dominant stencils (a 7-point Laplacian has |a_ij|/a_ii = 1/6)
-    can fail the symmetric strength test everywhere; nodes whose strength
-    row is empty aggregate through all their nonzero couplings instead.
-    Truly decoupled rows stay empty, so diagonal matrices never coarsen.
+    Off-diagonal couplings with |a_ij| > threshold*sqrt(|a_ii a_jj|) are
+    strong.  Diagonally dominant stencils (a 7-point Laplacian has
+    |a_ij|/a_ii = 1/6) can fail that test everywhere; nodes whose strong
+    row is empty aggregate through all their nonzero couplings instead,
+    kept in the rows and columns of those nodes.  The graph holds |a_ij|,
+    doubled where a strong entry is also a fallback one (a strong a_ij
+    whose column node is lonely).  Truly decoupled rows stay empty, so
+    diagonal matrices never coarsen.  The entries are filtered in one pass
+    over the CSR arrays, so the graph keeps the matrix's column order:
+    `build_amg` hands it sorted and without duplicates.
     """
-    strong = strength_graph(matrix, threshold)
-    lonely = np.diff(strong.indptr) == 0
-    if not np.any(lonely):
-        return strong
-    a = matrix.tocoo()
-    keep = (a.row != a.col) & (a.data != 0.0) & (lonely[a.row] | lonely[a.col])
-    extra = sp.coo_matrix(
-        (np.abs(a.data[keep]), (a.row[keep], a.col[keep])), shape=matrix.shape
-    ).tocsr()
-    graph = (strong + extra).tocsr()
-    graph.sort_indices()
-    return graph
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    cols, values = matrix.indices, matrix.data
+    d = np.sqrt(np.abs(matrix.diagonal()))
+    linked = (rows != cols) & (values != 0.0)
+    magnitude = np.abs(values)
+    strong = linked & (magnitude > threshold * d[rows] * d[cols])
+    lonely = np.bincount(rows[strong], minlength=n) == 0
+    fallback = linked & (lonely[rows] | lonely[cols])
+    keep = strong | fallback
+    magnitude[strong & fallback] *= 2.0
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+    return sp.csr_matrix((magnitude[keep], cols[keep], indptr), shape=matrix.shape)
 
 
 def aggregate(strength: sp.csr_matrix) -> tuple[np.ndarray, int]:

@@ -70,8 +70,14 @@ def rescale(system: SparseBlockSystem, mu0: float) -> tuple[csr_matrix, np.ndarr
     scale = np.empty(7 * n)
     scale[: 3 * n] = mu0 ** -0.5
     scale[3 * n :] = mu0 ** 0.5
-    lam = diags(scale)
-    return (lam @ system.matrix @ lam).tocsr(), scale
+    # L M L entry by entry, rounded as (s_i m_ij) s_j like the two products
+    # with diag(L), in a new data array on M's index arrays: the two
+    # matrices share those, and nothing sorts or prunes either in place
+    m = system.matrix
+    data = np.repeat(scale, np.diff(m.indptr))
+    data *= m.data
+    data *= scale[m.indices]
+    return csr_matrix((data, m.indices, m.indptr), shape=m.shape), scale
 
 
 def cell_order(matrix: csr_matrix, n_cells: int) -> np.ndarray:

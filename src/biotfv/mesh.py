@@ -93,6 +93,14 @@ class Mesh:
             (signs, (cells, faces)), shape=(self.n_cells, self.n_faces)
         ).tocsr()
 
+    @cached_property
+    def normal_distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """`face_normal_distances` of this mesh, made once and read-only."""
+        distances = face_normal_distances(self)
+        for d in distances:
+            d.flags.writeable = False
+        return distances
+
     def flow_components(self) -> np.ndarray:
         """Connected-component label per cell of the flow adjacency.
 
@@ -146,7 +154,9 @@ class Mesh:
             )
 
     def _check_normal_distances(self) -> None:
-        d_in, d_out = face_normal_distances(self)
+        # the geometry may have changed since the distances were cached
+        self.__dict__.pop("normal_distances", None)
+        d_in, d_out = self.normal_distances
         if np.any(d_in <= 0):
             raise GeometryError("non-positive normal distance on primary side")
         # boundary faces carry d_out = inf and pass

@@ -34,7 +34,7 @@ from .errors import SolverError
 from .linsolve.amg import build_amg
 from .linsolve.krylov import cg
 from .materials import PoroelasticProperties
-from .mesh import Mesh, face_normal_distances
+from .mesh import Mesh
 
 __all__ = [
     "effective_conductivity",
@@ -57,7 +57,7 @@ def effective_conductivity(mesh: Mesh, props: PoroelasticProperties) -> np.ndarr
     permeability simply zeroes the conductivity of its faces.
     """
     perm, visc = props.perm, props.fluid_viscosity
-    d_in, d_out = face_normal_distances(mesh)
+    d_in, d_out = mesh.normal_distances
     cond = np.zeros(mesh.n_faces)
     inter = mesh.interior_faces
     i = mesh.face_cells[inter, 0]
@@ -79,7 +79,7 @@ def assemble_flow(mesh: Mesh, props: PoroelasticProperties) -> csr_matrix:
     entry.
     """
     cond = effective_conductivity(mesh, props)
-    d_in, d_out = face_normal_distances(mesh)
+    d_in, d_out = mesh.normal_distances
     # boundary faces: zero conductivity over an infinite distance
     trans = mesh.face_areas * cond / (d_in + d_out)
     div = mesh.divergence

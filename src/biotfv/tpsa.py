@@ -34,12 +34,12 @@ the (n_faces,) array w_out.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, diags, identity, kron
+from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from .errors import GeometryError
 from .linsolve.blocks import SparseBlockSystem
 from .materials import PoroelasticProperties
-from .mesh import Mesh, face_normal_distances
+from .mesh import Mesh
 
 __all__ = [
     "assemble_tpsa",
@@ -64,7 +64,7 @@ def stencil_arrays(mesh: Mesh, props: PoroelasticProperties):
     faces (w_out = inf) the coefficients carry their analytic limits:
     at_in 0, at_out 1, g_u 0, g_p w_in / 2.
     """
-    d_in, d_out = face_normal_distances(mesh)
+    d_in, d_out = mesh.normal_distances
     if np.any(d_in <= 0):
         raise GeometryError("degenerate geometry: non-positive normal distance")
     cin, cout = mesh.face_cells.T
@@ -145,6 +145,25 @@ def _face_dual_entries(mesh: Mesh, props: PoroelasticProperties):
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
+def _block_divergence(mesh: Mesh) -> csr_matrix:
+    """I_7 x div, the (7n x 7m) per-field cell balance, from div's CSR arrays.
+
+    Diagonal block k is div with its columns shifted by k m, so the arrays
+    are div's tiled seven times: the CSR that ``kron(identity(7), div,
+    format="csr")`` makes through COO, bit for bit and in its index dtype.
+    """
+    div = mesh.divergence
+    shift = np.arange(7)[:, None]
+    return csr_matrix(
+        (
+            np.tile(div.data, 7),
+            (div.indices + shift * mesh.n_faces).ravel(),
+            np.append((div.indptr[:-1] + shift * div.nnz).ravel(), 7 * div.nnz),
+        ),
+        shape=(7 * mesh.n_cells, 7 * mesh.n_faces),
+    )
+
+
 def mean_shear_modulus(mesh: Mesh, props: PoroelasticProperties) -> float:
     """Volume-weighted average shear modulus, the rescaling pivot."""
     return float(np.sum(props.mu * mesh.cell_volumes) / np.sum(mesh.cell_volumes))
@@ -162,9 +181,11 @@ def assemble_tpsa(mesh: Mesh, props: PoroelasticProperties) -> SparseBlockSystem
     mass = np.concatenate(
         [np.zeros(3 * n), np.tile(volumes / props.mu, 3), volumes / props.lam]
     )
-    balance = kron(identity(7), mesh.divergence, format="csr")
-    matrix = diags(mass) - balance @ _face_dual_map(mesh, props)
-    matrix = matrix.tocsr().sorted_indices()
+    dual = _face_dual_map(mesh, props)
+    product = _block_divergence(mesh) @ dual
+    del dual  # both operands go before the subtraction, which sets the peak
+    matrix = (diags(mass) - product).tocsr()
+    matrix.sort_indices()
     return SparseBlockSystem(matrix=matrix, rhs=assemble_rhs(mesh, props), n_cells=n)
 
 

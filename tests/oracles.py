@@ -5,7 +5,13 @@ time, deliberately separate from the package's vectorized code paths;
 face_duals is the face formulas vectorized over faces with np.cross,
 separate from the package's sparse face map; incidence_face_dual_map
 builds that map the plain way, every per-incidence entry array in full
-before the zeros go, and incidence_tpsa_matrix the operator on it.
+before the zeros go, and incidence_tpsa_matrix the operator on it by
+the kron formula.  product_rescale forms the rescaled
+operator as two sparse products with a diagonal matrix, and
+coo_strength_graph and coo_aggregation_graph the AMG strength graph and
+its lonely-node fallback through COO round trips and a CSR sum; the
+package makes the same CSR arrays, which assert_same_csr compares, from
+the stored entries in one pass each.
 local_face_operator and face_duals reuse only the package's per-face
 stencil coefficients.
 multigrid_solve iterates the package's V-cycle as a
@@ -443,7 +449,8 @@ def incidence_face_dual_map(mesh, props):
 
 
 def incidence_tpsa_matrix(mesh, props):
-    """The elastic operator M - (I_7 x div) G on incidence_face_dual_map."""
+    """The elastic operator M - (I_7 x div) G on incidence_face_dual_map,
+    with the balance made by kron and the result sorted into a copy."""
     volumes, n = mesh.cell_volumes, mesh.n_cells
     mass = np.concatenate(
         [np.zeros(3 * n), np.tile(volumes / props.mu, 3), volumes / props.lam]
@@ -451,6 +458,54 @@ def incidence_tpsa_matrix(mesh, props):
     balance = kron(identity(7), mesh.divergence, format="csr")
     matrix = diags(mass) - balance @ incidence_face_dual_map(mesh, props)
     return matrix.tocsr().sorted_indices()
+
+
+def product_rescale(system, mu0):
+    """The rescaled operator as two sparse products, L M L with L = diag(s):
+    s = mu0^(-1/2) on the displacement rows, mu0^(+1/2) on the rest."""
+    n = system.n_cells
+    lam = diags(np.repeat([mu0 ** -0.5, mu0 ** 0.5], [3 * n, 4 * n]))
+    return (lam @ system.matrix @ lam).tocsr()
+
+
+def coo_strength_graph(matrix, threshold):
+    """|a_ij| of the off-diagonal couplings with |a_ij| >
+    threshold*sqrt(|a_ii a_jj|), through COO, sorted."""
+    a = matrix.tocoo()
+    d = np.sqrt(np.abs(matrix.diagonal()))
+    off = a.row != a.col
+    strong = np.abs(a.data) > threshold * d[a.row] * d[a.col]
+    keep = off & strong & (a.data != 0.0)
+    graph = coo_matrix(
+        (np.abs(a.data[keep]), (a.row[keep], a.col[keep])), shape=matrix.shape
+    ).tocsr()
+    graph.sort_indices()
+    return graph
+
+
+def coo_aggregation_graph(matrix, threshold):
+    """coo_strength_graph plus |a_ij| of every nonzero coupling in the row or
+    column of a node with no strong coupling, added as a second CSR."""
+    strong = coo_strength_graph(matrix, threshold)
+    lonely = np.diff(strong.indptr) == 0
+    if not np.any(lonely):
+        return strong
+    a = matrix.tocoo()
+    keep = (a.row != a.col) & (a.data != 0.0) & (lonely[a.row] | lonely[a.col])
+    extra = coo_matrix(
+        (np.abs(a.data[keep]), (a.row[keep], a.col[keep])), shape=matrix.shape
+    ).tocsr()
+    graph = (strong + extra).tocsr()
+    graph.sort_indices()
+    return graph
+
+
+def assert_same_csr(got, want):
+    """Two CSR matrices hold the same arrays, dtypes included, bit for bit."""
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
 
 
 def coupled_probe(case, solver, dp):

@@ -9,6 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
     CountingOperator,
+    assert_same_csr,
+    coo_aggregation_graph,
+    coo_strength_graph,
     greedy_aggregate,
     material,
     multigrid_solve,
@@ -22,11 +25,11 @@ from biotfv.coupling import TimeGrid, mean_shear_modulus
 from biotfv.errors import SolverError
 from biotfv.linsolve import amg
 from biotfv.linsolve.amg import (
+    STRENGTH_THRESHOLD,
     aggregate,
     aggregation_graph,
     build_amg,
     smoothed_prolongator,
-    strength_graph,
     tentative_prolongator,
 )
 from biotfv.linsolve.blocks import rescale
@@ -50,21 +53,32 @@ def laplacian_3d(n):
 
 def test_strength_graph_keeps_laplacian_neighbors():
     a = laplacian_1d(5)
-    s = strength_graph(a, 0.25)
+    s = aggregation_graph(a, 0.25)
     assert s.diagonal().sum() == 0.0
     assert s.nnz == a.nnz - 5
 
 
 def test_strength_graph_drops_weak_entries():
-    a = sp.csr_matrix(np.array([[4.0, 0.1, -3.0], [0.1, 4.0, 0.0], [-3.0, 0.0, 4.0]]))
-    s = strength_graph(a, 0.25)
-    # |0.1| < 0.25*4 is weak, |-3| is strong
-    assert s[0, 1] == 0.0
-    assert s[0, 2] == 3.0
+    a = sp.csr_matrix(
+        np.array(
+            [
+                [4.0, 0.1, -3.0, 0.0],
+                [0.1, 4.0, 0.0, -3.0],
+                [-3.0, 0.0, 4.0, 0.0],
+                [0.0, -3.0, 0.0, 4.0],
+            ]
+        )
+    )
+    s = aggregation_graph(a, 0.25)
+    # |0.1| < 0.25*4 is weak, |-3| is strong; every row has a strong
+    # coupling, so no fallback brings the weak ones back
+    assert s[0, 1] == 0.0 and s[1, 0] == 0.0
+    assert s[0, 2] == 3.0 and s[1, 3] == 3.0
+    assert s.nnz == 4
 
 
 def test_greedy_aggregation_eight_point_line():
-    s = strength_graph(laplacian_1d(8), 0.25)
+    s = aggregation_graph(laplacian_1d(8), 0.25)
     assign, count = aggregate(s)
     assert count == 3
     assert np.array_equal(assign, [0, 0, 1, 1, 1, 2, 2, 2])
@@ -73,18 +87,18 @@ def test_greedy_aggregation_eight_point_line():
 def test_aggregation_graph_fallback_for_dominant_diagonals():
     # 7-point stencil fails the symmetric strength test (1/6 < 1/4)
     a = laplacian_3d(6)
-    assert strength_graph(a, 0.25).nnz == 0
+    assert coo_strength_graph(a, 0.25).nnz == 0
     graph = aggregation_graph(a, 0.25)
     assert graph.nnz == a.nnz - a.shape[0]
     assign, count = aggregate(graph)
     assert count < a.shape[0] // 3
     # the 1D case keeps its pure strength graph
     b = laplacian_1d(8)
-    assert (aggregation_graph(b, 0.25) != strength_graph(b, 0.25)).nnz == 0
+    assert (aggregation_graph(b, 0.25) != coo_strength_graph(b, 0.25)).nnz == 0
 
 
 def test_aggregation_isolated_nodes_become_singletons():
-    s = strength_graph(sp.eye(4, format="csr"), 0.25)
+    s = aggregation_graph(sp.eye(4, format="csr"), 0.25)
     assign, count = aggregate(s)
     assert count == 4
     assert np.array_equal(np.sort(assign), np.arange(4))
@@ -150,6 +164,70 @@ def test_vcycle_matches_the_explicit_residual_cycle_bit_for_bit(make_blocks):
         rhs[1::5] = -0.0
         got, want = hier.vcycle(rhs), reference_vcycle(hier, rhs)
         assert got.tobytes() == want.tobytes()
+
+
+def nonsymmetric_matrix():
+    """A random nonsymmetric matrix whose strong couplings are one-way."""
+    rng = np.random.default_rng(5)
+    a = sp.random(60, 60, density=0.08, random_state=rng, format="csr")
+    a.data -= 0.5
+    return (a + sp.diags(rng.uniform(0.5, 2.0, 60))).tocsr()
+
+
+GRAPH_MATRICES = pytest.mark.parametrize(
+    "make_matrix",
+    [
+        lambda: manufactured_blocks()[0],
+        lambda: manufactured_blocks()[3],
+        lambda: barrier_contrast_blocks()[0],
+        lambda: barrier_contrast_blocks()[3],
+        nonsymmetric_matrix,
+        lambda: laplacian_3d(4),  # every row all weak
+    ],
+    ids=["manufactured-u", "manufactured-p", "barrier-u", "barrier-p",
+         "nonsymmetric", "all-weak"],
+)
+
+
+@GRAPH_MATRICES
+def test_aggregation_graph_matches_the_coo_formula_bitwise(make_matrix):
+    matrix = make_matrix()
+    matrix.sort_indices()
+    assert_same_csr(
+        aggregation_graph(matrix, STRENGTH_THRESHOLD),
+        coo_aggregation_graph(matrix, STRENGTH_THRESHOLD),
+    )
+
+
+def test_aggregation_graph_doubles_a_strong_entry_into_a_lonely_node():
+    # row 0 -> 1 is strong, every coupling of rows 1 and 2 weak: the
+    # fallback adds |a_01| once more, as the CSR sum of the two graphs did
+    a = sp.csr_matrix(
+        np.array([[4.0, -3.0, 0.0], [-0.1, 4.0, -0.2], [0.0, -0.1, 4.0]])
+    )
+    graph = aggregation_graph(a, 0.25)
+    assert graph.toarray().tolist() == [
+        [0.0, 6.0, 0.0], [0.1, 0.0, 0.2], [0.0, 0.1, 0.0]
+    ]
+    assert_same_csr(graph, coo_aggregation_graph(a, 0.25))
+
+
+@pytest.mark.parametrize("field", [0, 3], ids=["u", "p"])
+def test_hierarchy_matches_the_coo_graph_hierarchy_bitwise(field, monkeypatch):
+    block = barrier_contrast_blocks()[field]
+    got = build_amg(block)
+    monkeypatch.setattr(amg, "aggregation_graph", coo_aggregation_graph)
+    want = build_amg(block)
+    assert got.n_levels == want.n_levels >= 2
+    for mine, theirs in zip(got.levels, want.levels):
+        assert_same_csr(mine.matrix, theirs.matrix)
+        if mine.prolongator is None:
+            assert theirs.prolongator is None
+            continue
+        assert mine.weight.tobytes() == theirs.weight.tobytes()
+        assert_same_csr(mine.prolongator, theirs.prolongator)
+        assert_same_csr(mine.restriction, theirs.restriction)
+    assert got.coarse_inverse.tobytes() == want.coarse_inverse.tobytes()
 
 
 @st.composite
@@ -218,7 +296,7 @@ def test_tentative_prolongator_partition_of_unity():
 
 def test_smoothed_prolongator_preserves_constants():
     a = laplacian_1d(8, dirichlet=False)  # constant vector in the kernel
-    s = strength_graph(a, 0.25)
+    s = aggregation_graph(a, 0.25)
     assign, count = aggregate(s)
     p0 = tentative_prolongator(assign, count)
     inv_diag = 1.0 / a.diagonal()

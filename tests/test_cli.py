@@ -308,6 +308,33 @@ def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):
         assert not (tmp_path / "out").exists()
 
 
+ALL_FREE = [
+    "mechanics = free",
+    "mechanics = robin\n" + "\n".join(f"{side} = free" for side in (
+        "x_min", "x_max", "y_min", "y_max", "z_min", "z_max"
+    )),
+]
+
+
+@pytest.mark.parametrize("walls", ALL_FREE, ids=["default", "every-side"])
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_all_free_walls_exit_2_without_outputs(tmp_path, capsys, walls, method):
+    # no wall holds the solid, so the displacement is fixed only up to a
+    # rigid motion, which each solver path used to resolve its own way
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text(
+        BARRIER_SMALL
+        + f"\n[boundaries]\n{walls}\n\n[solver]\nmethod = {method}\n"
+        + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    for command in ("run", "barrier"):
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: every wall (x_min, x_max, y_min, y_max, " in err
+        assert "is traction-free" in err and "key 'boundaries'" in err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, kind, method",
     [

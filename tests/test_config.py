@@ -438,7 +438,7 @@ def test_build_case_generic_resolves_well():
     assert well.t_end == pytest.approx(360 * 86400.0)
     assert np.array_equal(case.props.w_out, np.zeros(case.mesh.n_faces))  # clamped
     assert np.array_equal(case.props.f_p, np.zeros(2700))
-    assert case.clamped
+    assert cfg.boundaries.kinds == ["fixed"] * 6
 
 
 def test_build_case_manufactured_attaches_sources():

@@ -307,6 +307,22 @@ def test_case_rejects_well_cell_off_the_mesh(cell):
         _case(wells=[Well(cell=cell, rate=1.0)])
 
 
+def test_case_rejects_walls_that_hold_nothing():
+    # traction-free on every boundary face leaves the rigid motions free;
+    # one face of any other closure holds the solid
+    mesh = build_cartesian(2, 2, 1)
+    w_out = np.full(mesh.n_faces, np.inf)
+    props = PoroelasticProperties(
+        mu=1.0, lam=1.0, alpha=0.5, c0=1.0, perm=1.0, w_out=w_out
+    )
+    with pytest.raises(ConfigurationError, match="rigid motion") as excinfo:
+        BiotCase(mesh=mesh, props=props, time=TimeGrid(dt=1.0, n_steps=1))
+    assert excinfo.value.key == "boundaries"
+    for held in (0.0, 0.5):
+        w_out[mesh.boundary_faces[0]] = held
+        BiotCase(mesh=mesh, props=props, time=TimeGrid(dt=1.0, n_steps=1))
+
+
 def test_case_resolves_structured_well_cell():
     well = Well(cell=(1, 1, 0), rate=1.0, name="w")
     case = _case(wells=[well])

@@ -78,6 +78,20 @@ def test_rescale_conditioning_improvement_stiff_modulus():
     assert cond_raw / cond_scaled >= 1e6
 
 
+def test_rescale_leaves_its_input_unchanged():
+    # the scaled matrix shares the input's index arrays, and several
+    # solvers may rescale one assembled system
+    _, _, system = _system(3, 2, 2, mu=3.0, lam=8.0)
+    matrix = system.matrix
+    before = [a.copy() for a in (matrix.indptr, matrix.indices, matrix.data)]
+    first, _ = rescale(system, 3.0)
+    second, _ = rescale(system, 5.0)
+    assert system.matrix is matrix
+    for a, b in zip((matrix.indptr, matrix.indices, matrix.data), before):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert not np.array_equal(first.data, second.data)
+
+
 def test_rescale_rejects_nonpositive_modulus():
     _, _, system = _system(2, 1, 1)
     with pytest.raises(ConfigurationError):

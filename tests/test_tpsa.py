@@ -8,6 +8,7 @@ the per-face coefficient arrays the assembly itself uses.
 """
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    assert_same_csr,
     cell_faces,
     face_duals,
     hand_assembled_two_cell,
@@ -23,6 +25,7 @@ from oracles import (
     incidence_tpsa_matrix,
     local_face_operator,
     material,
+    product_rescale,
 )
 
 from biotfv.app.config import BoundarySpec, parse_config
@@ -313,9 +316,9 @@ def test_block_structure():
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
-def _shipped(name, cells=None, boundaries=None):
-    """A shipped case, optionally on (nx, ny, nz) cells or other walls;
-    wells are dropped, since they leave the elastic matrix alone."""
+def _shipped_config(name, cells=None, boundaries=None):
+    """A shipped case's config, optionally on (nx, ny, nz) cells or other
+    walls; wells are dropped, since they leave the elastic matrix alone."""
     cfg = parse_config(CASES / f"{name}.cfg")
     if cells is not None:
         cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.nz = cells
@@ -324,7 +327,7 @@ def _shipped(name, cells=None, boundaries=None):
     if boundaries is not None:
         cfg.boundaries = boundaries
     cfg.wells = []
-    return cfg.build_case()
+    return cfg
 
 
 ROBIN_FREE_TOP = BoundarySpec("robin", z_max="free", robin_delta=10.0, robin_mu=1e9)
@@ -343,7 +346,7 @@ ROBIN_FREE_TOP = BoundarySpec("robin", z_max="free", robin_delta=10.0, robin_mu=
 def test_rescaled_displacement_blocks_are_identical(name, cells, boundaries):
     # each displacement component sees the same scalar stencil, so one
     # multigrid hierarchy could serve all three blocks
-    case = _shipped(name, cells, boundaries)
+    case = _shipped_config(name, cells, boundaries).build_case()
     system = assemble_tpsa(case.mesh, case.props)
     matrix, _ = rescale(system, mean_shear_modulus(case.mesh, case.props))
     n = case.mesh.n_cells
@@ -361,31 +364,40 @@ def test_rescaled_displacement_blocks_are_identical(name, cells, boundaries):
         ("barrier", None, None, False),
         ("barrier", None, ROBIN_FREE_TOP, False),
         ("barrier", None, None, True),
+        ("manufactured", (3, 3, 3), None, False),
+        ("barrier", (6, 6, 2), None, False),
+        ("barrier", (6, 6, 2), ROBIN_FREE_TOP, False),
+        ("barrier", (6, 6, 2), BoundarySpec("free"), False),
     ],
-    ids=["manufactured-8", "barrier", "barrier-robin-free", "barrier-random-moduli"],
+    ids=[
+        "manufactured-8", "barrier", "barrier-robin-free", "barrier-random-moduli",
+        "manufactured-3", "barrier-6x6x2", "barrier-6x6x2-robin-free",
+        "barrier-6x6x2-free",
+    ],
 )
 def test_assembly_matches_the_incidence_oracle_bitwise(
     name, cells, boundaries, random_moduli
 ):
     # keeping each entry array's nonzeros as it is made gives the same
     # entries in the same order as dropping the zeros after concatenation,
-    # so G and the operator come out bit for bit the same CSR
-    case = _shipped(name, cells, boundaries)
-    mesh, props = case.mesh, case.props
+    # so G and the operator come out bit for bit the same CSR; the balance
+    # made from div's arrays gives kron(I_7, div)'s, and rescaling the
+    # stored entries the two products L M L.  All-free walls, which no
+    # case accepts, still assemble
+    cfg = _shipped_config(name, cells, boundaries)
+    mesh = cfg.build_mesh()
+    props = replace(cfg.props, w_out=cfg.boundaries.build(mesh)).validate(mesh)
     if random_moduli:  # per-cell moduli spanning two decades
         rng = np.random.default_rng(11)
         n = mesh.n_cells
         props = material(
             mesh, mu=10.0 ** rng.uniform(8, 10, n), lam=10.0 ** rng.uniform(8, 10, n)
         )
-    pairs = [
-        (_face_dual_map(mesh, props), incidence_face_dual_map(mesh, props)),
-        (assemble_tpsa(mesh, props).matrix, incidence_tpsa_matrix(mesh, props)),
-    ]
-    for got, want in pairs:
-        for part in ("indptr", "indices", "data"):
-            a, b = getattr(got, part), getattr(want, part)
-            assert a.dtype == b.dtype and np.array_equal(a, b), part
+    system = assemble_tpsa(mesh, props)
+    mu0 = mean_shear_modulus(mesh, props)
+    assert_same_csr(_face_dual_map(mesh, props), incidence_face_dual_map(mesh, props))
+    assert_same_csr(system.matrix, incidence_tpsa_matrix(mesh, props))
+    assert_same_csr(rescale(system, mu0)[0], product_rescale(system, mu0))
 
 
 def test_assembly_peak_memory_is_a_few_operators():
