@@ -298,16 +298,15 @@ def anderson_weights(residuals: list[np.ndarray]) -> np.ndarray:
 
 
 class AndersonState:
-    """Sliding window of the last m0 (psi, F(psi)) pairs, kept as given.
+    """Sliding window of the last ANDERSON_WINDOW (psi, F(psi)) pairs, kept
+    as given.
 
     The caller never writes into a pushed pair, so the window holds the
     arrays themselves.
     """
 
-    def __init__(self, m0: int):
-        if m0 < 1:
-            raise ConfigurationError("Anderson window must hold at least one pair")
-        self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=m0)
+    def __init__(self):
+        self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=ANDERSON_WINDOW)
 
     def push(self, psi: np.ndarray, image: np.ndarray) -> None:
         self.pairs.append((psi, image))
@@ -353,8 +352,8 @@ class CoupledSystem:
     drained when every coupling strength is below 1 and alpha is not zero
     everywhere; it then takes the Biot storage ``lagged_storage`` from the
     previous iterate, which is None otherwise.  The flow is solved by
-    AMG-preconditioned CG only under ``method = iterative`` with more than
-    `DIRECT_THRESHOLD` cells, and factored otherwise.
+    AMG-preconditioned BiCGStab only under ``method = iterative`` with more
+    than `DIRECT_THRESHOLD` cells, and factored otherwise.
     """
 
     def __init__(
@@ -376,7 +375,7 @@ class CoupledSystem:
             strength,
         )
         storage = props.c0 if self.drained else props.c0 + biot
-        # a factor reused over many steps beats CG's cost per step, so the
+        # a factor reused over many steps beats BiCGStab's cost per step, so the
         # flow leaves the LU only on an explicit iterative choice for a
         # large mesh
         n = mesh.n_cells
@@ -387,7 +386,7 @@ class CoupledSystem:
             why = f"{n} cells {bound} DIRECT_THRESHOLD {DIRECT_THRESHOLD}, {why}"
         log.info(
             "flow solve: %s (%s)",
-            "AMG-preconditioned CG" if iterative else "sparse LU",
+            "AMG-preconditioned BiCGStab" if iterative else "sparse LU",
             why,
         )
         self.flow = FlowSystem(
@@ -506,7 +505,7 @@ def simulate(
         return SimulationResult(states, psi, CouplingReport(scheme=scheme.kind))
     psi = np.zeros((engine.case.time.n_steps, engine.n_cells))
     last: list[np.ndarray] = []  # the last pass's elastic solutions
-    anderson = AndersonState(ANDERSON_WINDOW) if scheme.kind == "anderson" else None
+    anderson = AndersonState() if scheme.kind == "anderson" else None
     residuals: list[float] = []
     converged = False
     for _ in range(scheme.max_iter):

@@ -1,12 +1,10 @@
-"""Right-preconditioned BiCGStab and preconditioned CG with residual tracing.
+"""Right-preconditioned BiCGStab with residual tracing.
 
-Both declare convergence on the true residual norm relative to ||b||; the
+It declares convergence on the true residual norm relative to ||b||; the
 recursively updated residual only gates when the check runs.  Every
 breakdown test is relative, so a system and its rescaled copy take the
-same iterations.  In BiCGStab a breakdown of an inner product triggers
-one restart from the current iterate before the solve fails with its
-trace attached; CG, for symmetric positive definite systems, fails at
-once when a search direction has no positive curvature.
+same iterations.  A breakdown of an inner product triggers one restart
+from the current iterate before the solve fails with its trace attached.
 """
 
 from __future__ import annotations
@@ -134,70 +132,6 @@ def bicgstab(
         trace[-1] = float(np.linalg.norm(r))
         if trace[-1] <= rtol * norm_b and converged():
             return SolveReport(x=x, trace=trace, restarted=restarted)
-
-    raise SolverError(
-        f"no convergence in {max_iter} iterations "
-        f"(relative residual {trace[-1] / norm_b:.3e})",
-        trace=trace,
-    )
-
-
-def cg(
-    operator,
-    rhs: np.ndarray,
-    preconditioner=None,
-    rtol: float = 1e-5,
-    max_iter: int = 500,
-    x0: np.ndarray | None = None,
-) -> SolveReport:
-    """Solve operator @ x = rhs for a symmetric positive definite operator.
-
-    The preconditioner must be symmetric positive definite too (a
-    symmetric V-cycle is).  x0 is treated as in `bicgstab`: never written
-    in place, and handed back as report.x when it already meets rtol.  A
-    direction p with p.Ap <= 0 means the operator or the preconditioner is
-    not positive definite, and the solve fails with its trace.
-    """
-    if rtol <= 0.0:
-        raise ValueError("rtol must be positive")
-    apply_m = preconditioner if preconditioner is not None else (lambda v: v)
-    rhs = np.asarray(rhs, dtype=float)
-    norm_b = np.linalg.norm(rhs)
-    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
-    if norm_b == 0.0:
-        return SolveReport(x=np.zeros_like(rhs), trace=[0.0])
-
-    r = rhs if x0 is None else rhs - operator @ x
-    trace = [float(np.linalg.norm(r))]
-    if trace[0] <= rtol * norm_b:
-        return SolveReport(x=x, trace=trace)
-
-    z = apply_m(r)
-    rz = float(r @ z)
-    p = z
-    for _ in range(max_iter):
-        q = operator @ p
-        curvature = float(p @ q)
-        if not curvature > 0.0:
-            raise SolverError(
-                f"CG breakdown: search direction with p.Ap = {curvature:.3e} "
-                f"(relative residual {trace[-1] / norm_b:.3e})",
-                trace=trace,
-            )
-        alpha = rz / curvature
-        x = x + alpha * p
-        r = r - alpha * q
-        trace.append(float(np.linalg.norm(r)))
-        if trace[-1] <= rtol * norm_b:
-            # accept only on the true residual, refreshing r against drift
-            r = rhs - operator @ x
-            trace[-1] = float(np.linalg.norm(r))
-            if trace[-1] <= rtol * norm_b:
-                return SolveReport(x=x, trace=trace)
-        z = apply_m(r)
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
 
     raise SolverError(
         f"no convergence in {max_iter} iterations "

@@ -19,8 +19,8 @@ viscosity arrive as checked (n,) arrays.
 
 `FlowSystem` solves the backward-Euler matrix one of two ways, as
 `CoupledSystem` tells it: a sparse LU factored once, or, for large flows
-under ``method = iterative``, AMG-preconditioned CG from the previous
-step's pressure to the fixed relative tolerance `FLOW_RTOL`.
+under ``method = iterative``, AMG-preconditioned BiCGStab from the
+previous step's pressure to the fixed relative tolerance `FLOW_RTOL`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 from .linsolve.amg import build_amg
-from .linsolve.krylov import cg
+from .linsolve.krylov import bicgstab
 from .materials import PoroelasticProperties
 from .mesh import Mesh
 
@@ -45,8 +45,8 @@ __all__ = [
 # relative residual of the iterative flow solve.  The flow solve is the
 # mass balance, so it does not follow the elastic rtol: each step's
 # storage change closes against its source volume only up to the summed
-# residual.  On the shipped barrier a CG flow at the elastic rtol 1e-5
-# balanced fixed stress's fluid content to 5.8e-8, against 4.4e-12 at 1e-10
+# residual.  On the shipped barrier a Krylov flow at the elastic rtol 1e-5
+# balanced fixed stress's fluid content to 4.8e-7, against 1.0e-11 at 1e-10
 FLOW_RTOL = 1e-10
 
 
@@ -93,7 +93,7 @@ class FlowSystem:
     factorized once (or, with ``iterative``, given one AMG hierarchy) and
     reused for every step and splitting iteration.  storage is the (n,)
     storage coefficient in 1/Pa of that matrix; max_iter caps each step's
-    CG iterations on the iterative path.
+    BiCGStab iterations on the iterative path.
     """
 
     def __init__(
@@ -120,11 +120,11 @@ class FlowSystem:
             )
         # The matrix is symmetric with nonpositive off-diagonals and weakly
         # diagonally dominant, strictly in some row of every compartment (the
-        # check above).  So it is positive definite, as CG needs, and
-        # elimination in any symmetric order keeps positive pivots and needs
-        # no pivoting.  Threshold pivoting would swap rows and undo the
-        # minimum-degree ordering of A^T + A; without it the factors have
-        # about half the fill of COLAMD's.
+        # check above).  So it is positive definite, and elimination in any
+        # symmetric order keeps positive pivots and needs no pivoting.
+        # Threshold pivoting would swap rows and undo the minimum-degree
+        # ordering of A^T + A; without it the factors have about half the
+        # fill of COLAMD's.
         matrix = self.operator + diags(self.accumulation / self.dt)
         self.iterative, self.max_iter = iterative, max_iter
         self._lu = self._matrix = self._amg = None
@@ -148,7 +148,7 @@ class FlowSystem:
         if not self.iterative:
             return self._lu.solve(rhs)
         try:
-            report = cg(
+            report = bicgstab(
                 self._matrix,
                 rhs,
                 preconditioner=self._amg.vcycle,

@@ -2,8 +2,8 @@
 
 Oracle values are hand-computed from the two-point formulas: the
 distance-weighted harmonic conductivity, transmissibility |face| k / d,
-and the backward-Euler update on one or two cells.  The AMG-CG path is
-checked against the LU path on a cube just above DIRECT_THRESHOLD.
+and the backward-Euler update on one or two cells.  The AMG-BiCGStab path
+is checked against the LU path on a cube just above DIRECT_THRESHOLD.
 """
 
 import numpy as np
@@ -197,8 +197,8 @@ def test_nonpositive_dt_rejected():
         FlowSystem(mesh, props, 0.0, props.c0)
 
 
-def test_cg_step_matches_the_lu_step_and_closes_each_step_mass_balance():
-    # 17^3 = 4,913 cells, the smallest cube on the CG path under iterative;
+def test_krylov_step_matches_the_lu_step_and_closes_each_step_mass_balance():
+    # 17^3 = 4,913 cells, the smallest cube on the Krylov path under iterative;
     # the manufactured case's flow: 1 Darcy, c0 + alpha^2/lambda = 1.01
     mesh = build_cartesian(17, 17, 17)
     assert mesh.n_cells > DIRECT_THRESHOLD
@@ -226,7 +226,7 @@ def test_cg_step_matches_the_lu_step_and_closes_each_step_mass_balance():
         assert a.tobytes() == b.tobytes()
 
 
-def test_cg_step_reports_a_capped_solve_as_a_flow_failure():
+def test_krylov_step_reports_a_capped_solve_as_a_flow_failure():
     mesh = build_cartesian(6, 6, 6)
     props = material(mesh, perm=1.0, c0=1e-6)
     system = FlowSystem(mesh, props, 1.0, props.c0, iterative=True, max_iter=1)
