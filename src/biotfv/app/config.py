@@ -91,25 +91,25 @@ def parse_quantity(
 
 @dataclass
 class MeshSpec:
-    """Structured mesh request: builder name, cell counts and box lengths."""
+    """Structured mesh request: cell counts, box lengths and, if either
+    barrier key is set, a sealing plane (by default on x, mid-axis)."""
 
-    builder: str = "cartesian"
     nx: int = 1
     ny: int = 1
     nz: int = 1
     lx: float = 1.0
     ly: float = 1.0
     lz: float = 1.0
-    barrier_axis: str = "x"
+    barrier_axis: str | None = None
     barrier_index: int | None = None
 
     def build(self) -> Mesh:
         shape = (self.nx, self.ny, self.nz)
         lengths = (self.lx, self.ly, self.lz)
-        if self.builder == "barrier":
-            axis = "xyz".index(self.barrier_axis)
-            return build_barrier_mesh(*shape, lengths, axis, self.barrier_index)
-        return build_cartesian(*shape, lengths)
+        if self.barrier_axis is None and self.barrier_index is None:
+            return build_cartesian(*shape, lengths)
+        axis = "xyz".index(self.barrier_axis or "x")
+        return build_barrier_mesh(*shape, lengths, axis, self.barrier_index)
 
 
 @dataclass
@@ -210,7 +210,6 @@ _SECTIONS = {
         "mesh",
         MeshSpec,
         {
-            "builder": _Key(("cartesian", "barrier")),
             "nx": _Key(int, required=True),
             "ny": _Key(int, required=True),
             "nz": _Key(int, required=True),

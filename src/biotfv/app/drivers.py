@@ -142,6 +142,14 @@ def fit_orders(reports: list[ErrorReport]) -> dict[str, float]:
     }
 
 
+def _reject_repeats(items: list, what: str) -> None:
+    """Reject a list that names an item twice, naming each such item."""
+    repeated = sorted({item for item in items if items.count(item) > 1})
+    if repeated:
+        listed = ", ".join(map(str, repeated))
+        raise ConfigurationError(f"{what} listed twice: {listed}")
+
+
 def run_convergence_study(
     config: CaseConfig, grids, out_dir=None
 ) -> ConvergenceStudy:
@@ -160,11 +168,7 @@ def run_convergence_study(
             "convergence study needs at least 3 grids of distinct sizes"
         )
     # a repeated size would be solved, written and weighted in the fit twice
-    repeated = sorted({n for n in grids if grids.count(n) > 1})
-    if repeated:
-        raise ConfigurationError(
-            f"grid size listed twice: {', '.join(map(str, repeated))}"
-        )
+    _reject_repeats(grids, "grid size")
     if any(n < 2 for n in grids):
         raise ConfigurationError("convergence grids must have at least 2 cells")
     if config.problem != "manufactured":
@@ -263,7 +267,8 @@ def compartment_masks(case: BiotCase) -> tuple[np.ndarray, np.ndarray]:
     """Flow compartments; omega1 is the one holding the first well."""
     labels = case.mesh.flow_components()
     if len(np.unique(labels)) != 2:
-        raise ConfigurationError("barrier study needs exactly two flow compartments")
+        needs = "exactly two flow compartments: set [mesh] barrier_index"
+        raise ConfigurationError(f"barrier study needs {needs} to make a barrier")
     lab1 = labels[case.wells[0].cell] if case.wells else 0
     return labels == lab1, labels != lab1
 
@@ -288,9 +293,7 @@ def run_barrier_case(
     if not names:
         raise ConfigurationError("barrier study needs at least one scheme")
     # a repeated scheme would be run and written twice
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ConfigurationError(f"scheme listed twice: {', '.join(repeated)}")
+    _reject_repeats(names, "scheme")
     specs = [replace(config.scheme, kind=name) for name in names]
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output_directory)

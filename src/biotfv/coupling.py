@@ -144,7 +144,7 @@ class TimeGrid:
 
 
 SCHEME_KINDS = ("lagged", "fixed", "anderson")
-ANDERSON_WINDOW = 5  # (psi, F(psi)) pairs the anderson scheme mixes
+ANDERSON_WINDOW = 5  # (F(psi) - psi, F(psi)) pairs the anderson scheme mixes
 
 
 @dataclass(frozen=True)
@@ -298,8 +298,8 @@ def anderson_weights(residuals: list[np.ndarray]) -> np.ndarray:
 
 
 class AndersonState:
-    """Sliding window of the last ANDERSON_WINDOW (psi, F(psi)) pairs, kept
-    as given.
+    """Sliding window of the last ANDERSON_WINDOW (F(psi) - psi, F(psi))
+    pairs, kept as given.
 
     The caller never writes into a pushed pair, so the window holds the
     arrays themselves.
@@ -308,12 +308,12 @@ class AndersonState:
     def __init__(self):
         self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=ANDERSON_WINDOW)
 
-    def push(self, psi: np.ndarray, image: np.ndarray) -> None:
-        self.pairs.append((psi, image))
+    def push(self, residual: np.ndarray, image: np.ndarray) -> None:
+        self.pairs.append((residual, image))
 
     def next_iterate(self) -> np.ndarray:
         """The affine mix of the window's images with the smallest mixed residual."""
-        beta = anderson_weights([image - psi for psi, image in self.pairs])
+        beta = anderson_weights([residual for residual, _ in self.pairs])
         mixed = np.zeros_like(self.pairs[0][1])
         for weight, (_, image) in zip(beta, self.pairs):
             mixed += weight * image
@@ -509,10 +509,11 @@ def simulate(
     residuals: list[float] = []
     converged = False
     for _ in range(scheme.max_iter):
-        states = None  # free the last pass's states before the next one's solve
+        states = defect = None  # free the last pass's arrays before the next solve
         states = engine.evaluate(psi, MarchStarts(last))
         image = np.stack([engine.flow_source(a, b) for a, b in zip(states, states[1:])])
-        change = engine.weighted_norm(image - psi)
+        defect = image - psi  # the fixed-point residual, mixed by anderson
+        change = engine.weighted_norm(defect)
         scale = engine.weighted_norm(image)
         residual = change / scale if scale > 0.0 else (0.0 if change == 0.0 else np.inf)
         residuals.append(residual)
@@ -528,7 +529,7 @@ def simulate(
             # the zero start's pair never enters the window: the first step is plain
             psi = image
         else:
-            anderson.push(psi, image)
+            anderson.push(defect, image)
             psi = anderson.next_iterate()
     report = CouplingReport(scheme=scheme.kind, residuals=residuals, converged=converged)
     psi = np.stack([engine.coupling_source(a, b) for a, b in zip(states, states[1:])])

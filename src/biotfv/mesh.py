@@ -1,4 +1,4 @@
-"""Polyhedral cell-face mesh with Cartesian builders.
+"""Polyhedral cell-face mesh, built here as Cartesian grids.
 
 The data model is deliberately minimal: cells carry centers and volumes,
 faces carry centers, areas and one canonical unit normal each.  The
@@ -46,9 +46,9 @@ class Mesh:
         face_areas: (m,) positive face areas.
         face_cells: (m, 2) adjacent cell ids; column 1 is -1 on the boundary.
         barrier: (m,) bool, True on sealing interior faces.
-        vertices: optional (nv, 3) node coordinates (Cartesian builders only).
+        vertices: optional (nv, 3) node coordinates (Cartesian meshes only).
         cell_nodes: optional (n, 8) hexahedron corner ids in VTK order.
-        shape: optional (nx, ny, nz) for structured builders.
+        shape: optional (nx, ny, nz) for Cartesian meshes.
     """
 
     cell_centers: np.ndarray
@@ -116,7 +116,7 @@ class Mesh:
         return labels
 
     def cell_index(self, ix: int, iy: int, iz: int) -> int:
-        """Structured (ix, iy, iz) to cell id; builders only."""
+        """Structured (ix, iy, iz) to cell id; Cartesian meshes only."""
         if self.shape is None:
             raise GeometryError("mesh has no structured shape information")
         nx, ny, nz = self.shape
@@ -301,9 +301,9 @@ def build_barrier_mesh(
 ) -> Mesh:
     """Cartesian mesh with one sealing plane of interior faces.
 
-    The barrier sits between cell layers index-1 and index along the given
-    axis and splits the flow adjacency into exactly two components; the
-    elastic coupling across it is untouched.
+    The barrier is every interior face between cell layers index-1 and
+    index along the axis, read from the cell ids: it splits the flow into
+    exactly two components and leaves the elastic coupling untouched.
     """
     counts = (int(nx), int(ny), int(nz))
     if index is None:
@@ -313,12 +313,8 @@ def build_barrier_mesh(
             f"barrier plane index {index} must be interior, in [1, {counts[axis] - 1}]"
         )
     mesh = build_cartesian(nx, ny, nz, lengths)
-    plane = lengths[axis] * index / counts[axis]
-    on_plane = (np.abs(mesh.face_normals[:, axis]) > 0.5) & (
-        np.abs(mesh.face_centers[:, axis] - plane) < 1e-12 * max(lengths)
-    )
-    mesh.barrier = on_plane & ~mesh.is_boundary
-    n_comp = len(np.unique(mesh.flow_components()))
-    if n_comp != 2:
-        raise GeometryError(f"barrier mesh has {n_comp} flow components, expected 2")
+    stride = (1, counts[0], counts[0] * counts[1])[axis]
+    layer = np.arange(mesh.n_cells) // stride % counts[axis]
+    below, above = layer[mesh.face_cells].T  # a boundary face reads layer[-1]
+    mesh.barrier = (below == index - 1) & (above == index) & ~mesh.is_boundary
     return mesh

@@ -38,6 +38,8 @@ and assert_same_final check a written history and final state against
 the run's arrays bit for bit.  CountingOperator stands in for a
 sparse matrix and counts the products taken with it.  material builds
 the one validated material record every operator test assembles from,
+plane_barrier_faces finds a barrier plane by comparing face centres with
+its position, the rule the package replaced by reading cell layers,
 and serialize_config writes a parsed case back as the canonical SI-unit
 text the round-trip tests parse again.
 """
@@ -711,6 +713,16 @@ def monolithic_march(coupled):
         u, r, p_hat = split_fields(solution[n:], n)
         out.append((dp, u, r, p_hat))
     return out
+
+
+def plane_barrier_faces(mesh, lengths, axis, index):
+    """Interior faces normal to the axis whose centre lies on the plane
+    index / n of the way along it, to 1e-12 of the longest side."""
+    plane = lengths[axis] * index / mesh.shape[axis]
+    on_plane = (np.abs(mesh.face_normals[:, axis]) > 0.5) & (
+        np.abs(mesh.face_centers[:, axis] - plane) < 1e-12 * max(lengths)
+    )
+    return on_plane & ~mesh.is_boundary
 
 
 def _format(value, kind):

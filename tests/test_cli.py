@@ -23,7 +23,6 @@ BARRIER_SMALL = """
 name = small
 
 [mesh]
-builder = barrier
 nx = 6
 ny = 4
 nz = 2
@@ -270,7 +269,7 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
         (
             [("max_iter = 40", "max_iter = 40\nanderson_m0 = -1")],
             "unknown key 'anderson_m0' in section [scheme]: "
-            "key 'scheme.anderson_m0': line 30",
+            "key 'scheme.anderson_m0': line 29",
         ),
         # subnormal moduli, viscosity and lengths would make an operator singular
         ([("mu = 3.5 GPa", "mu = 1e-320 Pa")], "shear modulus must be positive and at"),

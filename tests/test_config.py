@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from biotfv.app.cli import main
 from biotfv.app.config import (
     _SECTIONS,
     _WELL,
@@ -24,7 +25,7 @@ from biotfv.coupling import SCHEME_KINDS, SchemeSpec, TimeGrid, Well
 from biotfv.errors import ConfigurationError
 from biotfv.linsolve.precond import SolverOptions
 from biotfv.materials import PoroelasticProperties
-from biotfv.mesh import build_cartesian
+from biotfv.mesh import build_barrier_mesh, build_cartesian
 
 from oracles import serialize_config
 
@@ -93,7 +94,6 @@ def test_minimal_config_defaults():
 def test_barrier_case_file_parses_with_si_values():
     cfg = parse_config(CASES / "barrier.cfg")
     assert cfg.name == "barrier"
-    assert cfg.mesh.builder == "barrier"
     assert (cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.nz) == (30, 30, 3)
     assert (cfg.mesh.lx, cfg.mesh.ly, cfg.mesh.lz) == (300.0, 300.0, 30.0)
     assert cfg.mesh.barrier_axis == "x"
@@ -243,16 +243,15 @@ def wells_named(draw, name):
 
 @st.composite
 def case_configs(draw):
-    """Any config the parser can produce, on either mesh builder."""
+    """Any config the parser can produce, with or without a barrier."""
     mesh = MeshSpec(
-        builder=draw(st.sampled_from(["cartesian", "barrier"])),
         nx=draw(counts),
         ny=draw(counts),
         nz=draw(counts),
         lx=draw(reals),
         ly=draw(reals),
         lz=draw(reals),
-        barrier_axis=draw(st.sampled_from("xyz")),
+        barrier_axis=draw(st.none() | st.sampled_from("xyz")),
         barrier_index=draw(st.none() | counts),
     )
     names = sorted(draw(st.sets(words, max_size=3)))
@@ -373,10 +372,46 @@ def test_anderson_window_is_no_scheme_key():
 
 
 def test_unknown_builder_and_problem_rejected():
+    # the barrier keys alone ask for a barrier: a mesh kind is no key at all
     text = MINIMAL.replace("[mesh]\n", "[mesh]\nbuilder = hexagonal\n")
-    _assert_word_rejected(text, "builder = hexagonal", "mesh.builder")
+    with pytest.raises(ConfigurationError, match="unknown key 'builder'") as excinfo:
+        parse_config_text(text)
+    assert excinfo.value.key == "mesh.builder"
+    assert excinfo.value.line == text.splitlines().index("builder = hexagonal") + 1
     text = MINIMAL + "\n[case]\nproblem = analytic\n"
     _assert_word_rejected(text, "problem = analytic", "case.problem")
+
+
+@pytest.mark.parametrize(
+    "keys, axis, index",
+    [("barrier_index = 1\n", 0, 1), ("barrier_axis = y\n", 1, 1), ("", None, None)],
+    ids=["index-alone", "axis-alone", "no-barrier-key"],
+)
+def test_barrier_keys_alone_ask_for_the_sealing_plane(keys, axis, index):
+    # either key seals a plane, the other at its default (axis x, the
+    # middle layer); without them the flow is one compartment
+    cfg = parse_config_text(MINIMAL.replace("[mesh]\n", "[mesh]\n" + keys))
+    mesh = cfg.build_mesh()
+    if axis is None:
+        assert not mesh.barrier.any()
+        assert len(np.unique(mesh.flow_components())) == 1
+        return
+    assert np.array_equal(mesh.barrier, build_barrier_mesh(2, 2, 2, axis=axis).barrier)
+    assert len(np.unique(mesh.flow_components())) == 2
+    assert mesh.barrier.sum() == 4
+    assert np.all(mesh.face_centers[mesh.barrier, axis] == 0.5 * index)
+
+
+def test_a_case_file_naming_the_mesh_kind_exits_2(tmp_path, capsys):
+    # the retired key that named the mesh kind, even agreeing with the
+    # barrier keys, is unknown, named with its line
+    text = MINIMAL.replace("[mesh]\n", "[mesh]\nbuilder = barrier\nbarrier_index = 1\n")
+    path = tmp_path / "old.cfg"
+    path.write_text(text)
+    line = text.splitlines().index("builder = barrier") + 1
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"key 'mesh.builder': line {line}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_indented_key_after_header_keeps_its_line():
@@ -536,7 +571,7 @@ def test_lines_are_counted_on_newlines_only(char, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot parse integer") as excinfo:
             parse(source)
         assert excinfo.value.key == "mesh.nx"
-        assert excinfo.value.line == text.split("\n").index("nx = thirty") + 1 == 11
+        assert excinfo.value.line == text.split("\n").index("nx = thirty") + 1 == 10
 
 
 def test_crlf_and_bom_case_file_parses_like_lf(tmp_path):

@@ -171,14 +171,14 @@ def test_anderson_state_first_steps_are_plain():
     # one pair in the window weighs 1: the mix is that pair's image exactly
     state = AndersonState()
     image = np.array([1.0, 2.0, 3.0])
-    state.push(np.array([0.5, 0.5, 0.5]), image)
+    state.push(image - 0.5, image)
     assert np.array_equal(state.next_iterate(), image)
 
 
 def test_anderson_state_oracle_combination():
     state = AndersonState()
-    state.push(np.array([0.0]), np.array([2.0]))  # residual 2
-    state.push(np.array([1.0]), np.array([0.0]))  # residual -1
+    state.push(np.array([2.0]), np.array([2.0]))  # residual 2: psi 0, image 2
+    state.push(np.array([-1.0]), np.array([0.0]))  # residual -1: psi 1, image 0
     # weights (1/3, 2/3) on the images 2 and 0
     assert state.next_iterate()[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
@@ -187,7 +187,7 @@ def test_anderson_state_window_cap():
     state = AndersonState()
     for k in range(ANDERSON_WINDOW + 2):
         state.push(np.full(2, float(k)), np.full(2, float(k + 1)))
-    kept = [psi[0] for psi, _ in state.pairs]
+    kept = [residual[0] for residual, _ in state.pairs]
     assert kept == [float(k) for k in range(2, ANDERSON_WINDOW + 2)]  # two dropped
 
 

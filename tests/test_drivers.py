@@ -30,7 +30,6 @@ TINY_BARRIER = """
 name = tiny
 
 [mesh]
-builder = barrier
 nx = 6
 ny = 4
 nz = 2
@@ -267,8 +266,9 @@ def test_compartment_masks_requires_two_components():
     assert m1.sum() == 3 * 4 * 2  # cell layers on the well side of the x split
     assert m1[case.wells[0].cell]
     assert not np.any(m1 & m2)
-    cfg.mesh.builder = "cartesian"
-    with pytest.raises(ConfigurationError, match="two flow compartments"):
+    cfg.mesh.barrier_axis = cfg.mesh.barrier_index = None
+    needs = "two flow compartments: set \\[mesh\\] barrier_index"
+    with pytest.raises(ConfigurationError, match=needs):
         compartment_masks(cfg.build_case())
 
 

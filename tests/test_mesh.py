@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cell_faces, normal_distance, orientation
+from oracles import cell_faces, normal_distance, orientation, plane_barrier_faces
 
 from biotfv.errors import ConfigurationError, GeometryError
 from biotfv.materials import PoroelasticProperties
@@ -227,6 +227,26 @@ def test_barrier_reservoir_shape():
     left = comp == comp[mesh.cell_index(0, 0, 0)]
     assert left.sum() == 1350
     assert mesh.barrier.sum() == 30 * 3
+
+
+@pytest.mark.parametrize(
+    "shape, lengths",
+    [
+        ((6, 6, 2), (60.0, 60.0, 20.0)),
+        ((5, 7, 4), (1.0, 3.5, 0.7)),
+        ((30, 30, 3), (300.0, 300.0, 30.0)),
+    ],
+)
+def test_barrier_layers_are_the_plane_found_by_position(shape, lengths):
+    # on every axis and interior index, the faces between cell layers
+    # index-1 and index are the interior faces centred on the plane
+    for axis in range(3):
+        for index in range(1, shape[axis]):
+            mesh = build_barrier_mesh(*shape, lengths, axis, index)
+            want = plane_barrier_faces(mesh, lengths, axis, index)
+            assert np.array_equal(mesh.barrier, want), (axis, index)
+            assert mesh.barrier.sum() == np.prod(shape) // shape[axis]
+            assert len(np.unique(mesh.flow_components())) == 2
 
 
 def test_barrier_rejects_boundary_plane():
