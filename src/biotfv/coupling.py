@@ -44,12 +44,15 @@ step.  They differ only in where the flow source psi of a step comes from:
 All reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
 `CoupledSystem` holds them, and `simulate(engine, scheme)` runs any
-scheme on it.  Each march hands its mechanics solves one start rule
-(`MarchStarts`), which only the elastic solver reads: each step starts
-from its base guess (the previous pass at that step, else the step
-before) plus the correction the step before took, so a march predicts by
-extrapolating in time and a later pass by carrying the previous pass's
-correction on.  A run keeps its last pass's solutions for the next one.
+scheme on it.  A run hands every march one start state (`MarchStarts`),
+which only the elastic solver reads and writes: each step starts from its
+base guess (the previous pass at that step, else the step before) plus the
+correction the step before took, so a march predicts by extrapolating in
+time and a later pass by carrying the previous pass's correction on.  On
+the iterative path the start state holds the run's one (7n, N) block of
+elastic solutions, and each pass solves over the one before it, column by
+column: a pass's states are views into that block, valid until the run's
+next pass.  The LU path solves each pass's loads in a block of its own.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -332,6 +336,20 @@ def elastic_load(case: BiotCase, dps: np.ndarray) -> np.ndarray:
     )
 
 
+class _ElasticLoads(Sequence):
+    """The elastic loads of a (k, n) block of pressure deviations, as a
+    sequence of k (7n,) columns, each formed by `elastic_load` when read."""
+
+    def __init__(self, case: BiotCase, dps: np.ndarray):
+        self.case, self.dps = case, dps
+
+    def __len__(self) -> int:
+        return len(self.dps)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return elastic_load(self.case, self.dps[j])
+
+
 def coupling_strength(props: PoroelasticProperties) -> np.ndarray:
     """Per-cell tau = alpha^2 / (c0 (lam + 2 mu/3)), infinite where c0 = 0."""
     drained_modulus = props.lam + 2.0 * props.mu / 3.0
@@ -418,13 +436,17 @@ class CoupledSystem:
     ) -> tuple[list[BiotState], list[SolveReport]]:
         """Mechanics of steps step, ..., step + k - 1, loaded by -(alpha/lam) * dp.
 
-        dps is a (k, n) block, one row per step (step >= 1), solved as one
-        block from `starts`; gives the k states and reports as two lists.
-        A failed solve is raised again naming its step.
+        dps is a (k, n) block, one row per step (step >= 1), solved from
+        `starts`; gives the k states and reports as two lists.  The LU path
+        forms the k loads in one block and solves it in place; the iterative
+        path forms each load as its column comes up, and its solutions land
+        in the block of `starts`.  A failed solve is raised again naming its
+        step.
         """
         case = self.case
+        loads = elastic_load(case, dps) if self.mech.direct else _ElasticLoads(case, dps)
         try:
-            reports = self.mech.solve(elastic_load(case, dps), starts)
+            reports = self.mech.solve(loads, starts)
         except SolverError as err:
             failed = step + (err.column or 0)
             raise SolverError(
@@ -447,7 +469,9 @@ class CoupledSystem:
         one block.  Lagged (psi None): step i's flow source is built from
         the two previous states, with state(t_{-1}) := state(t_0), so each
         flow step is followed by its own one-column mechanics solve.
-        Either way the N solves start, in step order, from `starts`.
+        Either way the N solves start, in step order, from `starts`, and on
+        the iterative path the states are views into its block, valid until
+        the next march on it.
         """
         case = self.case
         volumes = case.mesh.cell_volumes
@@ -494,23 +518,23 @@ def simulate(
     residual is measured before any mixing, so the converged result is the
     evaluation at an (almost) fixed psi.  The result holds the last
     march's states and their coupling source.  The run keeps its own
-    starts: each march gets a new `MarchStarts` over the run's list of the
-    last march's solutions, so a pass starts from the one before it.
+    starts: one `MarchStarts` serves all its marches, so a pass starts from
+    the one before it and, on the iterative path, solves over it in place.
     """
     scheme = scheme or SchemeSpec()
+    starts = MarchStarts(engine.case.time.n_steps)
     if scheme.kind == "lagged":
-        states = engine.evaluate(None, MarchStarts())
+        states = engine.evaluate(None, starts)
         pairs = zip(states[:1] + states[:-2], states[:-1])
         psi = np.stack([engine.coupling_source(a, b) for a, b in pairs])
         return SimulationResult(states, psi, CouplingReport(scheme=scheme.kind))
     psi = np.zeros((engine.case.time.n_steps, engine.n_cells))
-    last: list[np.ndarray] = []  # the last pass's elastic solutions
     anderson = AndersonState() if scheme.kind == "anderson" else None
     residuals: list[float] = []
     converged = False
     for _ in range(scheme.max_iter):
         states = defect = None  # free the last pass's arrays before the next solve
-        states = engine.evaluate(psi, MarchStarts(last))
+        states = engine.evaluate(psi, starts)
         image = np.stack([engine.flow_source(a, b) for a, b in zip(states, states[1:])])
         defect = image - psi  # the fixed-point residual, mixed by anderson
         change = engine.weighted_norm(defect)

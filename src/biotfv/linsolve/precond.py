@@ -9,18 +9,22 @@ its five blocks out of the rescaled matrix once, when it is built;
 nothing is assembled, the action is composed from those blocks.
 
 `TpsaSolver` factors or preconditions the rescaled matrix once and takes
-its right-hand sides only as a (7n, k) block, one column per step.  The
+its right-hand sides as a (7n, k) block, one column per step, or on the
+iterative path as a sequence of such columns, formed when read.  The
 factored matrix is the rescaled one permuted to `blocks.cell_order`, cell
 by cell; the solver's matrix, residuals and solutions stay field-major.
-`MarchStarts` is the iterative path's start rule, which only `solve`
-reads and updates: each column of a time march starts from its guess
-plus the correction the column before it took; the LU path ignores it.
+`MarchStarts` is the iterative path's start rule and the block its
+solutions land in, which only `solve` reads and writes: each column of a
+time march starts from its guess plus the correction the column before it
+took, and is then solved over the previous march's solution in that
+column; the LU path ignores it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -78,41 +82,58 @@ class BlockTriangularPreconditioner:
 
 
 class MarchStarts:
-    """Where the iterative elastic solves of one time march start, column by column.
+    """Where the iterative elastic solves of a run start, and where they land.
 
-    `last` is the run's list of the previous march's solutions, 0-indexed
-    by column (a new one when None); this march's solutions overwrite it.
-    Column j's base guess g_j is last[j] when there is one, else the
-    solution x_{j-1} of column j-1 in this march, else zero (None).
-    Column j starts from g_j + (x_{j-1} - g_{j-1}), evaluated in that
-    order, when column j-1 started from a nonzero guess, and from g_j
-    otherwise.  Without a previous march this is linear extrapolation in
-    time; with one, it is the previous march plus the correction column
-    j-1 just took.  The mechanics and each pass's correction to them
-    change smoothly from step to step, so the predicted start needs fewer
-    Krylov iterations.  Every solve still stops on its true residual; only
-    the start moves.  A rule serves one march: g_{j-1} may be a view into
-    the previous march's block, which must not outlive the march.
+    `block` is the (7n, columns) array the solutions go to, column j for
+    the j-th solve of a march; made by the first solution when None.  A
+    march is `columns` solves; the next solve after the last column starts
+    a new march over the same block.  Column j's base guess g_j is the
+    previous march's solution in column j when there was one, else this
+    march's solution x_{j-1} of column j-1, else zero (None).  Column j
+    starts from g_j + (x_{j-1} - g_{j-1}), evaluated in that order, when
+    column j-1 started from a nonzero guess, and from g_j otherwise.
+    Without a previous march this is linear extrapolation in time; with
+    one, it is the previous march plus the correction column j-1 just took.
+    The mechanics and each pass's correction to them change smoothly from
+    step to step, so the predicted start needs fewer Krylov iterations.
+    Every solve still stops on its true residual; only the start moves.
+
+    One block serves every march, so the solutions of a march, and the
+    views of them that `solved` gives, stay valid only until the next
+    march.  A start may be a view into the block, read before `solved`.
     """
 
-    def __init__(self, last: list[np.ndarray] | None = None):
-        self.last = [] if last is None else last
+    def __init__(self, columns: int, block: np.ndarray | None = None):
+        self.columns = columns
+        self.block = block
+        self.marched = False  # the block holds a whole earlier march
         self.column = 0  # j, the next column
-        self.solution = self.guess = None  # x_{j-1} and g_{j-1}
+        self.guess = None  # g_{j-1}, a copy: the block column is written over
 
     def start(self) -> np.ndarray | None:
         """The next column's start (None: zero)."""
         j = self.column
-        base = self.last[j] if j < len(self.last) else self.solution
-        start = base if self.guess is None else base + (self.solution - self.guess)
-        self.guess = base
+        if not (self.marched or j):
+            return None
+        base = self.block[:, j if self.marched else j - 1]
+        start = base
+        if j >= (1 if self.marched else 2):  # column j-1 started from g_{j-1}
+            start = base + (self.block[:, j - 1] - self.guess)
+        self.guess = base.copy()
         return start
 
-    def solved(self, x: np.ndarray) -> None:
-        """Record the solution of the column `start` was last asked for."""
+    def solved(self, x: np.ndarray) -> np.ndarray:
+        """Write the solution of the column `start` was last asked for over
+        its block column; gives that column."""
         j = self.column
-        self.last[j : j + 1] = [x]  # overwrites entry j, or appends it
-        self.solution, self.column = x, j + 1
+        if self.block is None:
+            # column-major, so every column is one contiguous vector
+            self.block = np.empty((self.columns, x.size)).T
+        self.block[:, j] = x
+        self.column = j + 1
+        if self.column == self.columns:  # the march is done
+            self.column, self.marched, self.guess = 0, True, None
+        return self.block[:, j]
 
 
 SOLVER_METHODS = ("auto", "direct", "iterative")
@@ -190,29 +211,34 @@ class TpsaSolver:
             self._precond = BlockTriangularPreconditioner(self.matrix, system.n_cells)
 
     def solve(
-        self, rhs: np.ndarray, starts: MarchStarts | None = None
+        self, rhs: np.ndarray | Sequence[np.ndarray], starts: MarchStarts | None = None
     ) -> list[SolveReport]:
-        """Solve a (7n, k) block of right-hand sides; one report per column.
+        """Solve k right-hand sides in order; one report per column.
 
-        The block is scaled in place and each column is overwritten with
-        its solution, which its report's x is a view of.  The direct path
-        solves the block with one multi-column LU solve, which runs at
-        BLAS-3 speed, and ignores starts.  The iterative path solves the
-        columns in order, since the columns of a time march are
-        consecutive steps: each starts from ``starts.start()`` and is
-        handed back through ``starts.solved(x)`` (a new `MarchStarts`
-        when None).  A SolverError on column j carries ``column = j``,
-        and a column with a non-finite entry fails before anything is
-        solved.
+        rhs is a (7n, k) block, or on the iterative path any sequence of k
+        (7n,) columns, each read once to check it and once to solve it, so
+        a caller can form each column when it is read.  A column with a
+        non-finite entry fails before anything is solved, and a SolverError
+        on column j carries ``column = j``.  The direct path scales the
+        block in place and overwrites each column with its solution, which
+        its report's x is a view of; it solves the block with one
+        multi-column LU solve, which runs at BLAS-3 speed, and ignores
+        starts.  The iterative path solves the columns in order, since the
+        columns of a time march are consecutive steps: each scales its
+        right-hand side into a new vector, starts from ``starts.start()``
+        and is handed to ``starts.solved(x)``, whose block column its
+        report's x is, valid until the next march on `starts`.  Without
+        starts the solutions overwrite the given block.
         """
-        finite = np.isfinite(rhs).all(axis=0)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise SolverError(
-                f"elastic right-hand side column {j} is not finite", column=j
-            )
-        rhs *= self.scale[:, None]
+        block = rhs if isinstance(rhs, np.ndarray) else None
+        columns = rhs if block is None else block.T
+        for j, column in enumerate(columns):
+            if not np.isfinite(column).all():
+                raise SolverError(
+                    f"elastic right-hand side column {j} is not finite", column=j
+                )
         if self.direct:
+            rhs *= self.scale[:, None]
             # the block is permuted to the factor's order and back in place,
             # so a solve holds no more blocks than an unpermuted one
             order = self._order
@@ -234,14 +260,14 @@ class TpsaSolver:
                 for j, res in enumerate(residuals)
             ]
         if starts is None:
-            starts = MarchStarts()
+            starts = MarchStarts(len(columns), block)
         reports: list[SolveReport] = []
-        for j in range(rhs.shape[1]):
+        for j, column in enumerate(columns):
             start = starts.start()
             try:
                 report = bicgstab(
                     self.matrix,
-                    rhs[:, j],
+                    self.scale * column,
                     preconditioner=self._precond.apply,
                     rtol=self.options.rtol,
                     max_iter=self.options.max_iter,
@@ -249,9 +275,6 @@ class TpsaSolver:
                 )
             except SolverError as err:
                 raise SolverError(str(err), trace=err.trace, column=j) from err
-            x = rhs[:, j]
-            np.multiply(self.scale, report.x, out=x)
-            report.x = x
-            starts.solved(x)
+            report.x = starts.solved(self.scale * report.x)
             reports.append(report)
         return reports

@@ -612,7 +612,8 @@ def greedy_aggregate(strength):
 
 
 class _GivenStart:
-    """A start state for one column: hands the solver the given start."""
+    """A start state for one column: hands the solver the given start, and
+    keeps the solution where the solver made it."""
 
     def __init__(self, x):
         self.x = x
@@ -621,7 +622,7 @@ class _GivenStart:
         return self.x
 
     def solved(self, x):
-        pass
+        return x
 
 
 def sequential_march(coupled, psi, warm, predict=True):

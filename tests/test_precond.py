@@ -198,8 +198,9 @@ def test_solver_warm_start_reuses_factorization():
         mean_shear_modulus(mesh, props),
         SolverOptions(method="iterative", rtol=1e-8),
     )
-    (first,) = solver.solve(system.rhs[:, None].copy())
-    (again,) = solver.solve(system.rhs[:, None].copy(), MarchStarts([first.x]))
+    starts = MarchStarts(1)
+    solver.solve(system.rhs[:, None].copy(), starts)
+    (again,) = solver.solve(system.rhs[:, None].copy(), starts)  # from the first
     assert again.iterations <= 1
 
 
@@ -226,24 +227,25 @@ def test_solver_leaves_each_solution_in_its_block_column(method):
 
 def test_march_starts_extrapolate_and_carry_the_last_correction():
     a, b, c, d, e = (np.array([v, 2.0 * v]) for v in (1.0, 3.0, 7.0, 10.0, 16.0))
-    last = []
-    march = MarchStarts(last)
+    march = MarchStarts(3)
     assert march.start() is None  # no previous march and no column before: zero
     march.solved(a)
-    assert march.start() is a  # column 0 started from zero: no correction
+    assert np.array_equal(march.start(), a)  # column 0 started from zero: no correction
     march.solved(b)
     assert np.array_equal(march.start(), b + (b - a))  # extrapolation
     march.solved(c)
-    assert last == [a, b, c]
+    block = march.block
+    assert np.array_equal(block, np.stack([a, b, c], axis=1))
     # the next march's base guesses are this one's solutions, each corrected
-    # by what the column before took from its own base guess
-    march = MarchStarts(last)
-    assert march.start() is a
+    # by what the column before took from its own base guess; each solution
+    # is written over its base guess, which the next column still reads
+    assert np.array_equal(march.start(), a)
     march.solved(d)
     assert np.array_equal(march.start(), b + (d - a))
     march.solved(e)
     assert np.array_equal(march.start(), c + (e - b))
-    assert last[0] is d and last[1] is e  # overwritten in place
+    assert march.block is block  # overwritten in place
+    assert np.array_equal(block[:, 0], d) and np.array_equal(block[:, 1], e)
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
