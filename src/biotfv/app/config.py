@@ -265,7 +265,6 @@ _SECTIONS = {
         SolverOptions,
         {
             "rtol": _Key("dimensionless"),
-            "max_iter": _Key(int),
             "method": _Key(SOLVER_METHODS),
         },
     ),

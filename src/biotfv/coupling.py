@@ -68,7 +68,7 @@ import numpy as np
 from .errors import ConfigurationError, GeometryError, SolverError
 from .linsolve.blocks import SparseBlockSystem, split_fields
 from .linsolve.krylov import SolveReport
-from .linsolve.precond import DIRECT_THRESHOLD, MarchStarts, SolverOptions, TpsaSolver
+from .linsolve.precond import MarchStarts, SolverOptions, TpsaSolver
 from .materials import PoroelasticProperties
 from .mesh import Mesh
 from .tpfa import FlowSystem
@@ -369,9 +369,8 @@ class CoupledSystem:
     and passes it in as ``elastic``, so it is assembled once.  The flow is
     drained when every coupling strength is below 1 and alpha is not zero
     everywhere; it then takes the Biot storage ``lagged_storage`` from the
-    previous iterate, which is None otherwise.  The flow is solved by
-    AMG-preconditioned BiCGStab only under ``method = iterative`` with more
-    than `DIRECT_THRESHOLD` cells, and factored otherwise.
+    previous iterate, which is None otherwise.  The flow and the elastic
+    solver each pick their own path from ``solver.method``.
     """
 
     def __init__(
@@ -393,23 +392,7 @@ class CoupledSystem:
             strength,
         )
         storage = props.c0 if self.drained else props.c0 + biot
-        # a factor reused over many steps beats BiCGStab's cost per step, so the
-        # flow leaves the LU only on an explicit iterative choice for a
-        # large mesh
-        n = mesh.n_cells
-        iterative = solver.method == "iterative" and n > DIRECT_THRESHOLD
-        why = f"method = {solver.method}"
-        if solver.method == "iterative":
-            bound = ">" if iterative else "<="
-            why = f"{n} cells {bound} DIRECT_THRESHOLD {DIRECT_THRESHOLD}, {why}"
-        log.info(
-            "flow solve: %s (%s)",
-            "AMG-preconditioned BiCGStab" if iterative else "sparse LU",
-            why,
-        )
-        self.flow = FlowSystem(
-            mesh, props, case.time.dt, storage, iterative, solver.max_iter
-        )
+        self.flow = FlowSystem(mesh, props, case.time.dt, storage, solver.method)
         self.lagged_storage = biot if self.drained else None
         if elastic is None:
             elastic = assemble_tpsa(mesh, props)

@@ -16,6 +16,8 @@ import numpy as np
 from ..errors import SolverError
 
 BREAKDOWN = 1e-30
+# every elastic and flow solve's cap; the shipped studies' take at most 22
+MAX_ITERATIONS = 500
 
 
 @dataclass
@@ -40,7 +42,7 @@ def bicgstab(
     rhs: np.ndarray,
     preconditioner=None,
     rtol: float = 1e-5,
-    max_iter: int = 500,
+    max_iter: int = MAX_ITERATIONS,
     x0: np.ndarray | None = None,
 ) -> SolveReport:
     """Solve operator @ x = rhs; operator is a sparse or dense matrix.

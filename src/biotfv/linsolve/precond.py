@@ -33,6 +33,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from ..errors import ConfigurationError, SolverError
+from . import krylov
 from .amg import build_amg
 from .blocks import SparseBlockSystem, cell_order, rescale
 from .krylov import SolveReport, bicgstab
@@ -141,10 +142,9 @@ SOLVER_METHODS = ("auto", "direct", "iterative")
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Elastic solve settings, checked when built; "auto" picks by DIRECT_THRESHOLD."""
+    """Solve settings, checked when built; each solver's own rule reads method."""
 
     rtol: float = 1e-5
-    max_iter: int = 500
     method: str = "auto"
 
     def __post_init__(self):
@@ -152,8 +152,6 @@ class SolverOptions:
             raise ConfigurationError(f"unknown solver method '{self.method}'")
         if not (math.isfinite(self.rtol) and self.rtol > 0):
             raise ConfigurationError("solver rtol must be positive and finite")
-        if self.max_iter < 1:
-            raise ConfigurationError("solver max_iter must be at least 1")
 
 
 class TpsaSolver:
@@ -270,7 +268,7 @@ class TpsaSolver:
                     self.scale * column,
                     preconditioner=self._precond.apply,
                     rtol=self.options.rtol,
-                    max_iter=self.options.max_iter,
+                    max_iter=krylov.MAX_ITERATIONS,
                     x0=None if start is None else start / self.scale,
                 )
             except SolverError as err:

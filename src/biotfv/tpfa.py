@@ -17,13 +17,15 @@ volumes plus the active wells.  Every function reads the material record
 `PoroelasticProperties` after its `validate`, so permeability and
 viscosity arrive as checked (n,) arrays.
 
-`FlowSystem` solves the backward-Euler matrix one of two ways, as
-`CoupledSystem` tells it: a sparse LU factored once, or, for large flows
-under ``method = iterative``, AMG-preconditioned BiCGStab from the
-previous step's pressure to the fixed relative tolerance `FLOW_RTOL`.
+`FlowSystem` solves the backward-Euler matrix one of two ways, by its own
+rule: a sparse LU factored once, or, under ``method = iterative`` above
+`FLOW_DIRECT_CELLS` cells, AMG-preconditioned BiCGStab from the previous
+step's pressure to the fixed relative tolerance `FLOW_RTOL`.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -31,8 +33,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
+from .linsolve import krylov
 from .linsolve.amg import build_amg
-from .linsolve.krylov import bicgstab
 from .materials import PoroelasticProperties
 from .mesh import Mesh
 
@@ -48,6 +50,15 @@ __all__ = [
 # residual.  On the shipped barrier a Krylov flow at the elastic rtol 1e-5
 # balanced fixed stress's fluid content to 4.8e-7, against 1.0e-11 at 1e-10
 FLOW_RTOL = 1e-10
+
+# only under method = iterative does a flow of more cells than this leave
+# the LU for AMG-BiCGStab: a factor reused over many steps (216 in a barrier
+# study) beats BiCGStab per step.  Manufactured cubes, one BLAS thread: at
+# 8^3 and 12^3 the LU costs about the AMG set-up alone; at 24^3 it takes
+# 0.49 s (4.06M entries), the AMG set-up 0.06 s and a step about 8 ms
+FLOW_DIRECT_CELLS = 4_000
+
+log = logging.getLogger("biotfv")
 
 
 def effective_conductivity(mesh: Mesh, props: PoroelasticProperties) -> np.ndarray:
@@ -90,10 +101,9 @@ class FlowSystem:
     """Backward-Euler flow stepper with a reusable factorization or hierarchy.
 
     The system matrix is constant for a fixed step size, so it is
-    factorized once (or, with ``iterative``, given one AMG hierarchy) and
-    reused for every step and splitting iteration.  storage is the (n,)
-    storage coefficient in 1/Pa of that matrix; max_iter caps each step's
-    BiCGStab iterations on the iterative path.
+    factorized once (or given one AMG hierarchy) and reused for every step
+    and splitting iteration.  storage is the (n,) storage coefficient in
+    1/Pa of that matrix; method (`SolverOptions.method`) picks the path.
     """
 
     def __init__(
@@ -102,17 +112,24 @@ class FlowSystem:
         props: PoroelasticProperties,
         dt: float,
         storage: np.ndarray,
-        iterative: bool = False,
-        max_iter: int = 500,
+        method: str = "auto",
     ):
         if dt <= 0:
             raise ValueError("time step must be positive")
+        n = mesh.n_cells
+        self.iterative = method == "iterative" and n > FLOW_DIRECT_CELLS
+        why = f"method = {method}"
+        if method == "iterative":
+            bound = ">" if self.iterative else "<="
+            why = f"{n} cells {bound} FLOW_DIRECT_CELLS {FLOW_DIRECT_CELLS}, {why}"
+        path = "AMG-preconditioned BiCGStab" if self.iterative else "sparse LU"
+        log.info("flow solve: %s (%s)", path, why)
         self.dt = float(dt)
-        self.operator = assemble_flow(mesh, props)
+        operator = assemble_flow(mesh, props)
         self.accumulation = storage * mesh.cell_volumes
         # every coupled set of cells (split by barriers and zero-permeability
         # cells) needs storage somewhere, or its level is undetermined
-        _, labels = connected_components(self.operator, directed=False)
+        _, labels = connected_components(operator, directed=False)
         if np.any(np.bincount(labels, weights=self.accumulation) == 0.0):
             raise SolverError(
                 "flow system is singular: a no-flow compartment without storage "
@@ -125,10 +142,9 @@ class FlowSystem:
         # Threshold pivoting would swap rows and undo the minimum-degree
         # ordering of A^T + A; without it the factors have about half the
         # fill of COLAMD's.
-        matrix = self.operator + diags(self.accumulation / self.dt)
-        self.iterative, self.max_iter = iterative, max_iter
+        matrix = operator + diags(self.accumulation / self.dt)
         self._lu = self._matrix = self._amg = None
-        if iterative:
+        if self.iterative:
             self._matrix = matrix.tocsr()
             self._amg = build_amg(self._matrix)
             return
@@ -148,12 +164,12 @@ class FlowSystem:
         if not self.iterative:
             return self._lu.solve(rhs)
         try:
-            report = bicgstab(
+            report = krylov.bicgstab(
                 self._matrix,
                 rhs,
                 preconditioner=self._amg.vcycle,
                 rtol=FLOW_RTOL,
-                max_iter=self.max_iter,
+                max_iter=krylov.MAX_ITERATIONS,
                 x0=dp_old,
             )
         except SolverError as err:

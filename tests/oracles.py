@@ -58,6 +58,7 @@ from biotfv.coupling import BiotState, CoupledSystem
 from biotfv.errors import GeometryError, SolverError
 from biotfv.linsolve.blocks import split_fields
 from biotfv.materials import PoroelasticProperties
+from biotfv.tpfa import assemble_flow
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, stencil_arrays
 
 
@@ -696,7 +697,7 @@ def monolithic_march(coupled):
     n, dt = coupled.n_cells, case.time.dt
     coupling = props.alpha / props.lam * case.mesh.cell_volumes
     accumulation = (props.c0 + props.alpha**2 / props.lam) * case.mesh.cell_volumes
-    flow = coupled.flow.operator + diags(accumulation / dt)
+    flow = assemble_flow(case.mesh, case.props) + diags(accumulation / dt)
     to_flow = hstack([flow, csr_matrix((n, 6 * n)), diags(coupling / dt)])
     to_mech = vstack([csr_matrix((6 * n, n)), diags(coupling)])
     # the engine keeps only the rescaled operator: assemble it again

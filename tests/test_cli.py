@@ -14,7 +14,7 @@ from biotfv import tpfa, tpsa
 from biotfv.app import cli
 from biotfv.app.cli import main
 from biotfv.errors import GeometryError
-from biotfv.linsolve import precond
+from biotfv.linsolve import krylov, precond
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -188,11 +188,12 @@ def test_bad_cli_overrides_exit_2(barrier_cfg, tmp_path):
     assert main(["convergence", str(barrier_cfg), "--grids", "a,b,c"]) == 2
 
 
-def test_solver_failure_exits_3(tmp_path, capsys):
+def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(krylov, "MAX_ITERATIONS", 1)
     cfg = tmp_path / "hard.cfg"
     cfg.write_text(
         BARRIER_SMALL
-        + "\n[solver]\nmethod = iterative\nmax_iter = 1\n"
+        + "\n[solver]\nmethod = iterative\n"
         + f"[output]\ndirectory = {tmp_path / 'o'}\n"
     )
     assert main(["run", str(cfg)]) == 3
@@ -451,12 +452,13 @@ def test_convergence_subcommand(manufactured_cfg, tmp_path, capsys):
     assert (out / "convergence_orders.csv").exists()
 
 
-def test_convergence_probe_failure_exits_3(tmp_path, capsys):
+def test_convergence_probe_failure_exits_3(tmp_path, monkeypatch, capsys):
     # the lagged march factors its operator; only the probe iterates, and fails
+    monkeypatch.setattr(krylov, "MAX_ITERATIONS", 1)
     cfg = tmp_path / "probe.cfg"
     cfg.write_text(
         MANUFACTURED_SMALL
-        + "\n[solver]\nmethod = direct\nmax_iter = 1\nrtol = 1e-12\n"
+        + "\n[solver]\nmethod = direct\nrtol = 1e-12\n"
         + f"[output]\ndirectory = {tmp_path / 'out'}\n"
     )
     assert main(["convergence", str(cfg), "--grids", "3,4,5"]) == 3

@@ -279,7 +279,6 @@ def case_configs(draw):
         ),
         solver=SolverOptions(
             draw(positive),
-            draw(st.integers(1, 10**6)),
             draw(st.sampled_from(["auto", "direct", "iterative"])),
         ),
         output_directory=draw(words),
@@ -300,7 +299,6 @@ def test_round_trip_property(cfg):
         ("scheme", "tol = nan", "tolerance"),
         ("scheme", "max_iter = 0", "iteration cap"),
         ("solver", "rtol = 0", "rtol"),
-        ("solver", "max_iter = 0", "max_iter"),
         ("well.w", "cell = 0\nrate = nan", "well rate"),
         ("well.w", "cell = 0\nrate = 1\nstart = 2 day\nstop = 2 day", "stop time"),
         ("well.w", "cell = 0\nrate = 1\nstart = 2 day\nstop = 1 day", "stop time"),
@@ -411,6 +409,20 @@ def test_a_case_file_naming_the_mesh_kind_exits_2(tmp_path, capsys):
     line = text.splitlines().index("builder = barrier") + 1
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"key 'mesh.builder': line {line}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_case_file_setting_the_krylov_cap_exits_2(tmp_path, capsys):
+    # the cap is krylov.MAX_ITERATIONS: the retired key is unknown, even at
+    # the value every case used to set, named with its line
+    text = MINIMAL + "\n[solver]\nrtol = 1e-6\nmax_iter = 500\n"
+    path = tmp_path / "old.cfg"
+    path.write_text(text)
+    line = text.splitlines().index("max_iter = 500") + 1
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'max_iter' in section [solver]" in err
+    assert f"key 'solver.max_iter': line {line}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biotfv import coupling
+from biotfv import coupling, tpfa
 from biotfv.app.config import BoundarySpec, parse_config_text
 from biotfv.coupling import (
     ANDERSON_WINDOW,
@@ -763,7 +763,7 @@ def test_flow_leaves_the_lu_only_when_iterative_above_the_threshold(
     # an 18-cell case against thresholds just below and at its size
     case = _case(nx=3, ny=3, nz=2)
     for threshold in (17, 18):
-        monkeypatch.setattr(coupling, "DIRECT_THRESHOLD", threshold)
+        monkeypatch.setattr(tpfa, "FLOW_DIRECT_CELLS", threshold)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="biotfv"):
             flow = CoupledSystem(case, SolverOptions(method=method)).flow
@@ -774,11 +774,27 @@ def test_flow_leaves_the_lu_only_when_iterative_above_the_threshold(
         elif iterative:
             line = (
                 "flow solve: AMG-preconditioned BiCGStab "
-                "(18 cells > DIRECT_THRESHOLD 17, method = iterative)"
+                "(18 cells > FLOW_DIRECT_CELLS 17, method = iterative)"
             )
         else:
-            line = "flow solve: sparse LU (18 cells <= DIRECT_THRESHOLD 18, method = iterative)"
+            line = "flow solve: sparse LU (18 cells <= FLOW_DIRECT_CELLS 18, method = iterative)"
         assert line in caplog.text
+
+
+@pytest.mark.parametrize("method", ["auto", "iterative"])
+def test_the_flow_and_elastic_rules_read_only_their_own_constants(monkeypatch, method):
+    # each constant just below and at the size it is compared with: the
+    # flow's path follows FLOW_DIRECT_CELLS alone, the elastic path
+    # DIRECT_THRESHOLD alone
+    case = _case(nx=3, ny=3, nz=2)
+    cells, unknowns = case.mesh.n_cells, 7 * case.mesh.n_cells
+    for flow_cells in (cells - 1, cells):
+        for elastic_unknowns in (unknowns - 1, unknowns):
+            monkeypatch.setattr(tpfa, "FLOW_DIRECT_CELLS", flow_cells)
+            monkeypatch.setattr(precond, "DIRECT_THRESHOLD", elastic_unknowns)
+            engine = CoupledSystem(case, SolverOptions(method=method))
+            assert engine.flow.iterative == (method == "iterative" and flow_cells < cells)
+            assert engine.mech.direct == (method == "auto" and elastic_unknowns == unknowns)
 
 
 @pytest.mark.parametrize("kind", ["fixed", "anderson"])
@@ -789,7 +805,7 @@ def test_coupling_passes_on_the_krylov_flow_match_the_lu_flow(monkeypatch, kind)
     case, options, scheme = _small_barrier()
     scheme = replace(scheme, kind=kind)
     lu = simulate(CoupledSystem(case, options), scheme)
-    monkeypatch.setattr(coupling, "DIRECT_THRESHOLD", case.mesh.n_cells - 1)
+    monkeypatch.setattr(tpfa, "FLOW_DIRECT_CELLS", case.mesh.n_cells - 1)
     runs = []
     for _ in range(2):
         engine = CoupledSystem(case, options)

@@ -20,6 +20,7 @@ from biotfv.app.drivers import (
 )
 from biotfv.coupling import SCHEME_KINDS, CoupledSystem, SchemeSpec, simulate
 from biotfv.errors import ConfigurationError, SolverError
+from biotfv.linsolve import krylov
 from biotfv.mesh import build_cartesian
 from pathlib import Path
 
@@ -173,10 +174,11 @@ def test_convergence_probe_matches_a_probe_on_a_coupled_engine(tmp_path):
         assert report.probe_trace == list(want.trace)
 
 
-def test_convergence_probe_failure_names_the_probe():
+def test_convergence_probe_failure_names_the_probe(monkeypatch):
     # the lagged march factors its operator; only the probe iterates
+    monkeypatch.setattr(krylov, "MAX_ITERATIONS", 1)
     cfg = parse_config(CASES / "manufactured.cfg")
-    cfg.solver = replace(cfg.solver, method="direct", max_iter=1)
+    cfg.solver = replace(cfg.solver, method="direct")
     failed = r"^convergence probe on the 3\^3 grid failed: "
     with pytest.raises(SolverError, match=failed) as err:
         run_convergence_study(cfg, [3, 4, 5], out_dir="unused")

@@ -290,7 +290,6 @@ def test_solver_rejects_unknown_method():
         dict(rtol=-1e-6),
         dict(rtol=float("nan")),
         dict(rtol=float("inf")),
-        dict(max_iter=0),
         dict(method="iterative", rtol=0.0),
     ],
 )
@@ -307,9 +306,10 @@ def test_small_instance_oracle_meshes():
         assert system.n_dof <= 200
         mu0 = mean_shear_modulus(mesh, props)
         solver = TpsaSolver(
-            system, mu0, SolverOptions(method="iterative", rtol=1e-11, max_iter=400)
+            system, mu0, SolverOptions(method="iterative", rtol=1e-11)
         )
         (report,) = solver.solve(system.rhs[:, None].copy())
+        assert report.iterations <= 400, dims
         expected = np.linalg.solve(system.matrix.toarray(), system.rhs)
         err = np.linalg.norm(report.x - expected) / np.linalg.norm(expected)
         assert err <= 1e-8, dims

@@ -3,7 +3,7 @@
 Oracle values are hand-computed from the two-point formulas: the
 distance-weighted harmonic conductivity, transmissibility |face| k / d,
 and the backward-Euler update on one or two cells.  The AMG-BiCGStab path
-is checked against the LU path on a cube just above DIRECT_THRESHOLD.
+is checked against the LU path on a cube just above FLOW_DIRECT_CELLS.
 """
 
 import numpy as np
@@ -13,8 +13,9 @@ from scipy.sparse.linalg import spsolve
 
 from oracles import material
 
+from biotfv import tpfa
 from biotfv.errors import SolverError
-from biotfv.linsolve.precond import DIRECT_THRESHOLD
+from biotfv.linsolve import krylov
 from biotfv.mesh import build_barrier_mesh, build_cartesian
 from biotfv.tpfa import FlowSystem, assemble_flow, effective_conductivity
 
@@ -184,7 +185,7 @@ def test_step_matches_spsolve_at_high_contrast():
     system = FlowSystem(mesh, props, dt, props.c0)
     dp_old = rng.standard_normal(mesh.n_cells)
     rate = rng.standard_normal(mesh.n_cells)
-    matrix = (system.operator + diags(system.accumulation / dt)).tocsc()
+    matrix = (assemble_flow(mesh, props) + diags(system.accumulation / dt)).tocsc()
     reference = spsolve(matrix, system.accumulation / dt * dp_old + rate)
     dp = system.step(dp_old, rate)
     assert np.linalg.norm(dp - reference) <= 1e-12 * np.linalg.norm(reference)
@@ -201,7 +202,7 @@ def test_krylov_step_matches_the_lu_step_and_closes_each_step_mass_balance():
     # 17^3 = 4,913 cells, the smallest cube on the Krylov path under iterative;
     # the manufactured case's flow: 1 Darcy, c0 + alpha^2/lambda = 1.01
     mesh = build_cartesian(17, 17, 17)
-    assert mesh.n_cells > DIRECT_THRESHOLD
+    assert mesh.n_cells > tpfa.FLOW_DIRECT_CELLS
     rng = np.random.default_rng(3)
     props = material(
         mesh, perm=9.869233e-13 * rng.uniform(0.5, 2.0, mesh.n_cells),
@@ -209,7 +210,7 @@ def test_krylov_step_matches_the_lu_step_and_closes_each_step_mass_balance():
     )
     dt = 50 * 86400.0
     lu = FlowSystem(mesh, props, dt, props.c0 + 1.0)
-    runs = [FlowSystem(mesh, props, dt, props.c0 + 1.0, iterative=True) for _ in range(2)]
+    runs = [FlowSystem(mesh, props, dt, props.c0 + 1.0, "iterative") for _ in range(2)]
     assert not lu.iterative and all(run.iterative for run in runs)
     rates = mesh.cell_volumes * rng.standard_normal((3, mesh.n_cells)) * 1e-9
     dp_lu = np.zeros(mesh.n_cells)
@@ -226,10 +227,13 @@ def test_krylov_step_matches_the_lu_step_and_closes_each_step_mass_balance():
         assert a.tobytes() == b.tobytes()
 
 
-def test_krylov_step_reports_a_capped_solve_as_a_flow_failure():
+def test_krylov_step_reports_a_capped_solve_as_a_flow_failure(monkeypatch):
     mesh = build_cartesian(6, 6, 6)
+    monkeypatch.setattr(tpfa, "FLOW_DIRECT_CELLS", mesh.n_cells - 1)
+    monkeypatch.setattr(krylov, "MAX_ITERATIONS", 1)
     props = material(mesh, perm=1.0, c0=1e-6)
-    system = FlowSystem(mesh, props, 1.0, props.c0, iterative=True, max_iter=1)
+    system = FlowSystem(mesh, props, 1.0, props.c0, "iterative")
+    assert system.iterative
     rate = np.zeros(mesh.n_cells)
     rate[0] = 1.0
     with pytest.raises(SolverError, match="flow .TPFA. solve failed: no convergence") as err:
