@@ -290,6 +290,7 @@ def test_solver_rejects_unknown_method():
         dict(rtol=-1e-6),
         dict(rtol=float("nan")),
         dict(rtol=float("inf")),
+        dict(method="direct", rtol=0.0),
         dict(method="iterative", rtol=0.0),
     ],
 )
