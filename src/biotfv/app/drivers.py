@@ -203,7 +203,7 @@ def run_convergence_study(
             replace(config.solver, method="iterative"),
         )
         try:
-            (probe_report,) = probe.solve(elastic_load(case, final.dp[None, :]))
+            probe_report = probe.solve(elastic_load(case, final.dp))
         except SolverError as err:
             raise SolverError(
                 f"convergence probe on the {n}^3 grid failed: {err}", trace=err.trace

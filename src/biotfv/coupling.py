@@ -35,9 +35,7 @@ step.  They differ only in where the flow source psi of a step comes from:
 * lagged: built from the two previous states (no inner iterations);
 * fixed: fixed stress, a given space-time field; one march maps it to
   F(psi), the flow source rebuilt from the states it produced, and the
-  scheme iterates psi <- F(psi).  A given psi frees the flow from the
-  mechanics, so the march runs the flow through every step first and then
-  solves the mechanics of all steps as one block, one load column per step;
+  scheme iterates psi <- F(psi);
 * anderson: fixed stress whose next psi mixes the last ANDERSON_WINDOW
   evaluations (`AndersonState`).
 
@@ -48,11 +46,11 @@ scheme on it.  A run hands every march one start state (`MarchStarts`),
 which only the elastic solver reads and writes: each step starts from its
 base guess (the previous pass at that step, else the step before) plus the
 correction the step before took, so a march predicts by extrapolating in
-time and a later pass by carrying the previous pass's correction on.  On
-the iterative path the start state holds the run's one (7n, N) block of
-elastic solutions, and each pass solves over the one before it, column by
-column: a pass's states are views into that block, valid until the run's
-next pass.  The LU path solves each pass's loads in a block of its own.
+time and a later pass by carrying the previous pass's correction on (the
+LU path reads no start).  On both paths the start state holds the run's
+one (7n, N) block of elastic solutions, and each pass solves over the one
+before it, step by step: a pass's states are views into that block, valid
+until the run's next pass.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -327,27 +324,12 @@ class AndersonState:
 # -------------------------------------------------------------- engine
 
 
-def elastic_load(case: BiotCase, dps: np.ndarray) -> np.ndarray:
-    """The (7n, k) elastic right-hand sides of a (k, n) block of pressure
-    deviations, one row per step: the body force, and -(alpha/lam) * dp on
-    the effective-pressure rows."""
+def elastic_load(case: BiotCase, dp: np.ndarray) -> np.ndarray:
+    """The (7n,) elastic right-hand side of a pressure deviation dp: the
+    body force, and -(alpha/lam) * dp on the effective-pressure rows."""
     return assemble_rhs(
-        case.mesh, case.props, pressure_coupling=-case.alpha_over_lam * dps
+        case.mesh, case.props, pressure_coupling=-case.alpha_over_lam * dp
     )
-
-
-class _ElasticLoads(Sequence):
-    """The elastic loads of a (k, n) block of pressure deviations, as a
-    sequence of k (7n,) columns, each formed by `elastic_load` when read."""
-
-    def __init__(self, case: BiotCase, dps: np.ndarray):
-        self.case, self.dps = case, dps
-
-    def __len__(self) -> int:
-        return len(self.dps)
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return elastic_load(self.case, self.dps[j])
 
 
 def coupling_strength(props: PoroelasticProperties) -> np.ndarray:
@@ -415,64 +397,47 @@ class CoupledSystem:
         return psi
 
     def mech_solve(
-        self, dps: np.ndarray, step: int, starts: MarchStarts | None = None
-    ) -> tuple[list[BiotState], list[SolveReport]]:
-        """Mechanics of steps step, ..., step + k - 1, loaded by -(alpha/lam) * dp.
+        self, dp: np.ndarray, step: int, starts: MarchStarts | None = None
+    ) -> tuple[BiotState, SolveReport]:
+        """Mechanics of step `step` (>= 1), loaded by -(alpha/lam) * dp.
 
-        dps is a (k, n) block, one row per step (step >= 1), solved from
-        `starts`; gives the k states and reports as two lists.  The LU path
-        forms the k loads in one block and solves it in place; the iterative
-        path forms each load as its column comes up, and its solutions land
-        in the block of `starts`.  A failed solve is raised again naming its
+        Solved from `starts`, whose block the solution lands in; gives the
+        state and the report.  A failed solve is raised again naming the
         step.
         """
-        case = self.case
-        loads = elastic_load(case, dps) if self.mech.direct else _ElasticLoads(case, dps)
         try:
-            reports = self.mech.solve(loads, starts)
+            report = self.mech.solve(elastic_load(self.case, dp), starts)
         except SolverError as err:
-            failed = step + (err.column or 0)
             raise SolverError(
-                f"coupled step {failed} failed: {err}", trace=err.trace
+                f"coupled step {step} failed: {err}", trace=err.trace
             ) from err
-        states = []
-        for s, (d, report) in enumerate(zip(dps, reports), step):
-            u, r, p_hat = split_fields(report.x, self.n_cells)
-            states.append(BiotState(dp=d, u=u, r=r, p_hat=p_hat, t=case.time.times[s]))
-        return states, reports
+        u, r, p_hat = split_fields(report.x, self.n_cells)
+        t = self.case.time.times[step]
+        return BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=t), report
 
     def evaluate(
         self, psi: np.ndarray | None, starts: MarchStarts
     ) -> list[BiotState]:
-        """March all N steps; return the N+1 states.
+        """March all N steps, one flow step and then its mechanics solve
+        each; return the N+1 states.
 
-        Fixed stress (psi given): the flow of step i sees the flow source
-        psi[i-1] and never waits on the mechanics, so the flow marches
-        through every step first and the N mechanics solves then run as
-        one block.  Lagged (psi None): step i's flow source is built from
-        the two previous states, with state(t_{-1}) := state(t_0), so each
-        flow step is followed by its own one-column mechanics solve.
-        Either way the N solves start, in step order, from `starts`, and on
-        the iterative path the states are views into its block, valid until
-        the next march on it.
+        The flow of step i sees the flow source psi[i-1] when psi is given
+        (fixed stress), and else (lagged) the one built from the two
+        previous states, with state(t_{-1}) := state(t_0).  The N solves
+        start, in step order, from `starts`, and the states are views into
+        its block, valid until the next march on it.
         """
         case = self.case
         volumes = case.mesh.cell_volumes
-        n_steps = case.time.n_steps
         states = [case.initial]
-        if psi is None:
-            for i in range(1, n_steps + 1):
+        for i in range(1, case.time.n_steps + 1):
+            if psi is None:
                 source = self.flow_source(states[max(i - 2, 0)], states[i - 1])
-                rate = case.sources[i - 1] + volumes * source
-                dp = self.flow.step(states[i - 1].dp, rate)
-                states += self.mech_solve(dp[None, :], i, starts)[0]
-            return states
-        dps = np.empty((n_steps, self.n_cells))
-        dp = states[0].dp
-        for i in range(1, n_steps + 1):
-            rate = case.sources[i - 1] + volumes * psi[i - 1]
-            dp = dps[i - 1] = self.flow.step(dp, rate)
-        states += self.mech_solve(dps, 1, starts)[0]
+            else:
+                source = psi[i - 1]
+            rate = case.sources[i - 1] + volumes * source
+            dp = self.flow.step(states[i - 1].dp, rate)
+            states.append(self.mech_solve(dp, i, starts)[0])
         return states
 
     def weighted_norm(self, psi: np.ndarray) -> float:
@@ -501,8 +466,8 @@ def simulate(
     residual is measured before any mixing, so the converged result is the
     evaluation at an (almost) fixed psi.  The result holds the last
     march's states and their coupling source.  The run keeps its own
-    starts: one `MarchStarts` serves all its marches, so a pass starts from
-    the one before it and, on the iterative path, solves over it in place.
+    starts: one `MarchStarts` serves all its marches, so a pass solves over
+    the one before it in place and, on the iterative path, starts from it.
     """
     scheme = scheme or SchemeSpec()
     starts = MarchStarts(engine.case.time.n_steps)

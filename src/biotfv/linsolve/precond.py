@@ -8,23 +8,22 @@ upper-diagonal coupling blocks are discarded.  The preconditioner slices
 its five blocks out of the rescaled matrix once, when it is built;
 nothing is assembled, the action is composed from those blocks.
 
-`TpsaSolver` factors or preconditions the rescaled matrix once and takes
-its right-hand sides as a (7n, k) block, one column per step, or on the
-iterative path as a sequence of such columns, formed when read.  The
+`TpsaSolver` factors or preconditions the rescaled matrix once and then
+solves one (7n,) right-hand side per call, one per time step.  The
 factored matrix is the rescaled one permuted to `blocks.cell_order`, cell
 by cell; the solver's matrix, residuals and solutions stay field-major.
-`MarchStarts` is the iterative path's start rule and the block its
-solutions land in, which only `solve` reads and writes: each column of a
-time march starts from its guess plus the correction the column before it
-took, and is then solved over the previous march's solution in that
-column; the LU path ignores it.
+`MarchStarts` is a run's one block of solutions, which only `solve` reads
+and writes: on either path each step's solution is written over the
+previous march's solution in that step's column.  It is also the
+iterative path's start rule: each column of a time march starts from its
+guess plus the correction the column before it took.  The LU path never
+reads a start.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -39,11 +38,12 @@ from .blocks import SparseBlockSystem, cell_order, rescale
 from .krylov import SolveReport, bicgstab
 
 # systems with at most this many unknowns are factored, larger ones go
-# through the preconditioned Krylov solve (method "auto").  Set from the
-# n x n x 3 barrier study, all three schemes end to end at one BLAS thread:
-# the two paths cost about the same from 1,344 to 3,549 unknowns
-# (n = 8..13), and the Krylov path wins from 4,116 (n = 14) on, by 3.3x at
-# 14,196.  A tie goes to the LU, whose solves are exact
+# through the preconditioned Krylov solve (method "auto").  Set on the
+# n x n x 3 barrier study, all three schemes end to end at one BLAS thread,
+# when the paths tied for n = 8..13.  Re-measured with one LU solve per
+# step, the Krylov path wins at every n = 8..14 (1,344 to 4,116 unknowns)
+# by 1.7x to 2.3x, so the crossover now lies below n = 8; moving the value
+# would change the path small cases take
 DIRECT_THRESHOLD = 4_000
 
 log = logging.getLogger("biotfv")
@@ -83,15 +83,17 @@ class BlockTriangularPreconditioner:
 
 
 class MarchStarts:
-    """Where the iterative elastic solves of a run start, and where they land.
+    """Where the elastic solves of a run land, and where the iterative ones
+    start.
 
     `block` is the (7n, columns) array the solutions go to, column j for
-    the j-th solve of a march; made by the first solution when None.  A
-    march is `columns` solves; the next solve after the last column starts
-    a new march over the same block.  Column j's base guess g_j is the
-    previous march's solution in column j when there was one, else this
-    march's solution x_{j-1} of column j-1, else zero (None).  Column j
-    starts from g_j + (x_{j-1} - g_{j-1}), evaluated in that order, when
+    the j-th solve of a march, made by the first solution.  A march is
+    `columns` solves; the next solve after the last column starts a new
+    march over the same block.  Both paths hand each solution to `solved`;
+    only the iterative path asks for a start.  Column j's base guess g_j is
+    the previous march's solution in column j when there was one, else
+    this march's solution x_{j-1} of column j-1, else zero (None).  Column
+    j starts from g_j + (x_{j-1} - g_{j-1}), evaluated in that order, when
     column j-1 started from a nonzero guess, and from g_j otherwise.
     Without a previous march this is linear extrapolation in time; with
     one, it is the previous march plus the correction column j-1 just took.
@@ -104,9 +106,9 @@ class MarchStarts:
     march.  A start may be a view into the block, read before `solved`.
     """
 
-    def __init__(self, columns: int, block: np.ndarray | None = None):
+    def __init__(self, columns: int):
         self.columns = columns
-        self.block = block
+        self.block = None
         self.marched = False  # the block holds a whole earlier march
         self.column = 0  # j, the next column
         self.guess = None  # g_{j-1}, a copy: the block column is written over
@@ -124,8 +126,8 @@ class MarchStarts:
         return start
 
     def solved(self, x: np.ndarray) -> np.ndarray:
-        """Write the solution of the column `start` was last asked for over
-        its block column; gives that column."""
+        """Write the next column's solution over its block column; gives
+        that column."""
         j = self.column
         if self.block is None:
             # column-major, so every column is one contiguous vector
@@ -155,7 +157,7 @@ class SolverOptions:
 
 
 class TpsaSolver:
-    """Factorize-or-precondition once, then solve block after block.
+    """Factorize-or-precondition once, then solve step after step.
 
     The elastic operator is constant in time, so the sparse LU (small
     systems) or the rescaled preconditioner (large systems) is built a
@@ -209,70 +211,41 @@ class TpsaSolver:
             self._precond = BlockTriangularPreconditioner(self.matrix, system.n_cells)
 
     def solve(
-        self, rhs: np.ndarray | Sequence[np.ndarray], starts: MarchStarts | None = None
-    ) -> list[SolveReport]:
-        """Solve k right-hand sides in order; one report per column.
+        self, rhs: np.ndarray, starts: MarchStarts | None = None
+    ) -> SolveReport:
+        """Solve one (7n,) right-hand side.
 
-        rhs is a (7n, k) block, or on the iterative path any sequence of k
-        (7n,) columns, each read once to check it and once to solve it, so
-        a caller can form each column when it is read.  A column with a
-        non-finite entry fails before anything is solved, and a SolverError
-        on column j carries ``column = j``.  The direct path scales the
-        block in place and overwrites each column with its solution, which
-        its report's x is a view of; it solves the block with one
-        multi-column LU solve, which runs at BLAS-3 speed, and ignores
-        starts.  The iterative path solves the columns in order, since the
-        columns of a time march are consecutive steps: each scales its
-        right-hand side into a new vector, starts from ``starts.start()``
-        and is handed to ``starts.solved(x)``, whose block column its
-        report's x is, valid until the next march on `starts`.  Without
-        starts the solutions overwrite the given block.
+        A right-hand side with a non-finite entry fails before anything is
+        solved, and is never written to: each path scales it into a new
+        vector.  The direct path solves by the LU, permuted to its cell
+        order and back, and never reads a start.  The iterative path starts
+        from ``starts.start()``.  With starts, the solution goes to
+        ``starts.solved(x)``, on either path, and the report's x is its
+        block column, valid until the next march on `starts`; without, x
+        is the solution itself, and the iterative path starts from zero.
         """
-        block = rhs if isinstance(rhs, np.ndarray) else None
-        columns = rhs if block is None else block.T
-        for j, column in enumerate(columns):
-            if not np.isfinite(column).all():
-                raise SolverError(
-                    f"elastic right-hand side column {j} is not finite", column=j
-                )
+        if not np.isfinite(rhs).all():
+            raise SolverError("elastic right-hand side is not finite")
+        b = self.scale * rhs
         if self.direct:
-            rhs *= self.scale[:, None]
-            # the block is permuted to the factor's order and back in place,
-            # so a solve holds no more blocks than an unpermuted one
             order = self._order
-            rhs[:] = rhs[order]
-            y = self._lu.solve(rhs)
-            b, x_tilde = np.empty(order.size), np.empty(order.size)
-            residuals = []
-            for j in range(rhs.shape[1]):
-                b[order], x_tilde[order] = rhs[:, j], y[:, j]
-                residuals.append(
-                    np.linalg.norm(b - self.matrix @ x_tilde)
-                    / max(np.linalg.norm(b), 1e-300)
-                )
-            x = rhs
-            x[order] = y
-            x *= self.scale[:, None]
-            return [
-                SolveReport(x=x[:, j], trace=[float(res)])
-                for j, res in enumerate(residuals)
-            ]
-        if starts is None:
-            starts = MarchStarts(len(columns), block)
-        reports: list[SolveReport] = []
-        for j, column in enumerate(columns):
-            start = starts.start()
-            try:
-                report = bicgstab(
-                    self.matrix,
-                    self.scale * column,
-                    preconditioner=self._precond.apply,
-                    rtol=self.options.rtol,
-                    max_iter=krylov.MAX_ITERATIONS,
-                    x0=None if start is None else start / self.scale,
-                )
-            except SolverError as err:
-                raise SolverError(str(err), trace=err.trace, column=j) from err
-            report.x = starts.solved(self.scale * report.x)
-            reports.append(report)
-        return reports
+            x_tilde = np.empty(order.size)
+            x_tilde[order] = self._lu.solve(b[order])
+            residual = np.linalg.norm(b - self.matrix @ x_tilde) / max(
+                np.linalg.norm(b), 1e-300
+            )
+            report = SolveReport(x=self.scale * x_tilde, trace=[float(residual)])
+        else:
+            start = None if starts is None else starts.start()
+            report = bicgstab(
+                self.matrix,
+                b,
+                preconditioner=self._precond.apply,
+                rtol=self.options.rtol,
+                max_iter=krylov.MAX_ITERATIONS,
+                x0=None if start is None else start / self.scale,
+            )
+            report.x = self.scale * report.x
+        if starts is not None:
+            report.x = starts.solved(report.x)
+        return report

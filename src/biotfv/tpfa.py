@@ -32,9 +32,10 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .errors import SolverError
+from .errors import ConfigurationError, SolverError
 from .linsolve import krylov
 from .linsolve.amg import build_amg
+from .linsolve.precond import SOLVER_METHODS
 from .materials import PoroelasticProperties
 from .mesh import Mesh
 
@@ -116,6 +117,11 @@ class FlowSystem:
     ):
         if dt <= 0:
             raise ValueError("time step must be positive")
+        if method not in SOLVER_METHODS:
+            raise ConfigurationError(
+                f"unknown flow solver method '{method}' "
+                f"(one of {', '.join(SOLVER_METHODS)})"
+            )
         n = mesh.n_cells
         self.iterative = method == "iterative" and n > FLOW_DIRECT_CELLS
         why = f"method = {method}"

@@ -194,17 +194,13 @@ def assemble_rhs(
     props: PoroelasticProperties,
     pressure_coupling: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Right-hand side: volume-scaled body force, zero rotation rows, and
-    optional volume-scaled densities on the pressure rows (the coupled
-    problem passes -(alpha/lambda) dp there).
-
-    An (n,) density or none gives the (7n,) vector; a (k, n) block, one
-    row per step, gives the (7n, k) block with one column per row.
-    """
+    """The (7n,) right-hand side: volume-scaled body force, zero rotation
+    rows, and an optional volume-scaled (n,) density on the pressure rows
+    (the coupled problem passes -(alpha/lambda) dp there)."""
     n = mesh.n_cells
     volumes = mesh.cell_volumes
     density = np.zeros(n) if pressure_coupling is None else pressure_coupling
-    rhs = np.zeros(density.shape[:-1] + (7 * n,))
-    rhs[..., : 3 * n] = (volumes[:, None] * props.f_u).T.ravel()  # u_x | u_y | u_z
-    rhs[..., 6 * n :] = volumes * density
-    return rhs.T
+    rhs = np.zeros(7 * n)
+    rhs[: 3 * n] = (volumes[:, None] * props.f_u).T.ravel()  # u_x | u_y | u_z
+    rhs[6 * n :] = volumes * density
+    return rhs

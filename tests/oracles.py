@@ -24,10 +24,10 @@ two left unassigned, has no counterpart in the package.
 reference_vcycle is the V-cycle with every sweep's residual formed
 explicitly, the reference the package's zero-start pre-sweep must
 match bit for bit.
-sequential_march is the fixed-stress time march with one
-mechanics solve per step, the reference for the package's block solve
-and its start rule, which it writes out on its own (with predict=False,
-the previous rule: no predicted correction), and coupled_probe the
+sequential_march is the time march with one mechanics solve per
+step, the reference for the package's march and its start rule, which
+it writes out on its own (with predict=False, the previous rule: no
+predicted correction), and coupled_probe the
 convergence probe run through a whole coupled engine, the reference for
 the study's elastic-only probe.
 monolithic_march solves flow and mechanics of each step as one system,
@@ -517,7 +517,7 @@ def coupled_probe(case, solver, dp):
     as the last step of a march of its own (no starts given, so from zero).
     Returns its SolveReport."""
     engine = CoupledSystem(case, replace(solver, method="iterative"))
-    _, (report,) = engine.mech_solve(dp[None, :], case.time.n_steps)
+    _, report = engine.mech_solve(dp, case.time.n_steps)
     return report
 
 
@@ -664,7 +664,7 @@ def sequential_march(coupled, psi, warm, predict=True):
         if predict and guess_prev is not None:
             correction = x_prev - guess_prev
             start = guess + correction
-        (report,) = coupled.mech.solve(rhs[:, None], _GivenStart(start))
+        report = coupled.mech.solve(rhs, _GivenStart(start))
         warm[i] = x_prev = report.x
         guess_prev = guess
         u, r, p_hat = split_fields(report.x, coupled.n_cells)

@@ -121,7 +121,7 @@ def test_criterion_3_rescaled_solve_matches_dense_at_stiff_moduli():
     solver = TpsaSolver(
         system, mean_shear_modulus(mesh, props), SolverOptions(method="direct")
     )
-    x = solver.solve(b[:, None].copy())[0].x
+    x = solver.solve(b).x
     dense = np.linalg.solve(system.matrix.toarray(), b)
     rel = float(np.linalg.norm(x - dense) / np.linalg.norm(dense))
     ok = rel <= 1e-8
@@ -209,7 +209,7 @@ def test_criterion_7_krylov_iteration_counts_stay_bounded(study, barrier_runs):
     coupled = CoupledSystem(case, options)
     assert coupled.mech.matrix.shape == (18_900, 18_900)
     dp = barrier_runs["fixed"].result.final.dp
-    _, (report,) = coupled.mech_solve(dp[None, :], case.time.n_steps)
+    _, report = coupled.mech_solve(dp, case.time.n_steps)
     probes = {r.n: r.probe_iterations for r in study.reports}
     ok = report.iterations <= 40 and probes[16] <= 2 * probes[8]
     _criterion(
@@ -256,7 +256,7 @@ def test_criterion_8_small_instances_match_dense_and_hand_assembly():
             mean_shear_modulus(mesh, props),
             SolverOptions(method="iterative", rtol=1e-11),
         )
-        (report,) = solver.solve(b[:, None].copy())
+        report = solver.solve(b)
         assert report.iterations <= 400, (nx, ny, nz)
         x = report.x
         dense = np.linalg.solve(system.matrix.toarray(), b)

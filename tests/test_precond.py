@@ -172,7 +172,7 @@ def test_solver_direct_path_matches_dense():
     mesh, props, system = _system(2, 2, 2, mu=2.0, lam=5.0)
     solver = TpsaSolver(system, mean_shear_modulus(mesh, props))
     assert solver.direct
-    (report,) = solver.solve(system.rhs[:, None].copy())
+    report = solver.solve(system.rhs)
     assert len(report.trace) == 1  # one LU solve, no Krylov iterations
     expected = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.allclose(report.x, expected, rtol=1e-9, atol=1e-12)
@@ -183,9 +183,9 @@ def test_solver_iterative_path_matches_direct():
     mu0 = mean_shear_modulus(mesh, props)
     direct = TpsaSolver(system, mu0, SolverOptions(method="direct"))
     iterative = TpsaSolver(system, mu0, SolverOptions(method="iterative", rtol=1e-10))
-    x_ref = direct.solve(system.rhs[:, None].copy())[0].x
+    x_ref = direct.solve(system.rhs).x
     assert direct.direct and not iterative.direct
-    (report,) = iterative.solve(system.rhs[:, None].copy())
+    report = iterative.solve(system.rhs)
     assert report.iterations >= 1
     err = np.linalg.norm(report.x - x_ref) / np.linalg.norm(x_ref)
     assert err <= 1e-8
@@ -199,28 +199,32 @@ def test_solver_warm_start_reuses_factorization():
         SolverOptions(method="iterative", rtol=1e-8),
     )
     starts = MarchStarts(1)
-    solver.solve(system.rhs[:, None].copy(), starts)
-    (again,) = solver.solve(system.rhs[:, None].copy(), starts)  # from the first
+    solver.solve(system.rhs, starts)
+    again = solver.solve(system.rhs, starts)  # from the first
     assert again.iterations <= 1
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
 def test_solver_leaves_each_solution_in_its_block_column(method):
+    # a march of three solves on one start state: each solution lands in its
+    # column of the start state's one block, on both paths, and the given
+    # right-hand sides stay as they were
     mesh, props, system = _system(4, 4, 4, mu=2.0, lam=5.0)
     solver = TpsaSolver(
         system,
         mean_shear_modulus(mesh, props),
         SolverOptions(method=method, rtol=1e-10),
     )
-    block = np.asfortranarray(
-        np.random.default_rng(7).standard_normal((system.n_dof, 3))
-    )
+    block = np.random.default_rng(7).standard_normal((system.n_dof, 3))
     given = block.copy()
-    reports = solver.solve(block)
+    march = MarchStarts(3)
+    reports = [solver.solve(column, march) for column in block.T]
+    assert np.array_equal(block, given)
     expected = np.linalg.solve(system.matrix.toarray(), given)
+    assert march.block.shape == (system.n_dof, 3)
     for j, report in enumerate(reports):
-        assert np.shares_memory(report.x, block)
-        assert np.array_equal(report.x, block[:, j])
+        assert np.shares_memory(report.x, march.block)
+        assert np.array_equal(report.x, march.block[:, j])
         err = np.linalg.norm(report.x - expected[:, j]) / np.linalg.norm(expected[:, j])
         assert err <= 1e-8
 
@@ -251,6 +255,10 @@ def test_march_starts_extrapolate_and_carry_the_last_correction():
 @pytest.mark.parametrize("method", ["direct", "iterative"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solver_names_the_first_nonfinite_column_before_solving(method, bad):
+    # a march whose second and third loads hold non-finite entries stops at
+    # the second, before solving it: the march stands at that column, and
+    # the load is left as given, not scaled.  The step it belongs to is
+    # named by CoupledSystem.mech_solve (test_coupling)
     mesh, props, system = _system(3, 3, 3)
     solver = TpsaSolver(
         system, mean_shear_modulus(mesh, props), SolverOptions(method=method)
@@ -259,9 +267,11 @@ def test_solver_names_the_first_nonfinite_column_before_solving(method, bad):
     block[5, 1] = bad
     block[0, 2] = np.nan
     given = block.copy()
-    with pytest.raises(SolverError, match="column 1 is not finite") as failure:
-        solver.solve(block)
-    assert failure.value.column == 1
+    march = MarchStarts(3)
+    solver.solve(block[:, 0], march)
+    with pytest.raises(SolverError, match="right-hand side is not finite"):
+        solver.solve(block[:, 1], march)
+    assert march.column == 1
     assert np.array_equal(block, given, equal_nan=True)  # not scaled
 
 
@@ -309,7 +319,7 @@ def test_small_instance_oracle_meshes():
         solver = TpsaSolver(
             system, mu0, SolverOptions(method="iterative", rtol=1e-11)
         )
-        (report,) = solver.solve(system.rhs[:, None].copy())
+        report = solver.solve(system.rhs)
         assert report.iterations <= 400, dims
         expected = np.linalg.solve(system.matrix.toarray(), system.rhs)
         err = np.linalg.norm(report.x - expected) / np.linalg.norm(expected)
@@ -336,7 +346,7 @@ def test_direct_solve_of_one_and_two_cells_matches_dense(dims):
     solver = TpsaSolver(system, mean_shear_modulus(mesh, props))
     assert solver.direct
     block = np.random.default_rng(5).standard_normal((system.n_dof, 3))
-    reports = solver.solve(block.copy())
+    reports = [solver.solve(column) for column in block.T]
     expected = np.linalg.solve(system.matrix.toarray(), block)
     for j, report in enumerate(reports):
         assert np.allclose(report.x, expected[:, j], rtol=1e-10, atol=1e-12)
@@ -385,7 +395,7 @@ def test_cell_order_solution_matches_plain_order(shipped):
     solver, plain = shipped
     block = np.random.default_rng(6).standard_normal((solver.matrix.shape[0], 4))
     expected = solver.scale[:, None] * plain.solve(solver.scale[:, None] * block)
-    reports = solver.solve(block.copy())
+    reports = [solver.solve(column) for column in block.T]
     for j, report in enumerate(reports):
         err = np.linalg.norm(report.x - expected[:, j]) / np.linalg.norm(expected[:, j])
         assert err <= 1e-12

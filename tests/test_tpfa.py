@@ -14,7 +14,7 @@ from scipy.sparse.linalg import spsolve
 from oracles import material
 
 from biotfv import tpfa
-from biotfv.errors import SolverError
+from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import krylov
 from biotfv.mesh import build_barrier_mesh, build_cartesian
 from biotfv.tpfa import FlowSystem, assemble_flow, effective_conductivity
@@ -196,6 +196,18 @@ def test_nonpositive_dt_rejected():
     props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=1e-8)
     with pytest.raises(ValueError):
         FlowSystem(mesh, props, 0.0, props.c0)
+
+
+def test_unknown_method_rejected_before_assembly(monkeypatch):
+    # a misspelt method is not silently factored: the 17^3 cube is above
+    # FLOW_DIRECT_CELLS, so "Iterative" would otherwise take the LU
+    assembled = []
+    monkeypatch.setattr(tpfa, "assemble_flow", lambda *args: assembled.append(args))
+    mesh = build_cartesian(17, 17, 17)
+    props = material(mesh, c0=1e-8)
+    with pytest.raises(ConfigurationError, match="unknown flow solver method 'Iterative'"):
+        FlowSystem(mesh, props, 1.0, props.c0, "Iterative")
+    assert assembled == []
 
 
 def test_krylov_step_matches_the_lu_step_and_closes_each_step_mass_balance():
