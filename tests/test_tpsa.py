@@ -546,7 +546,22 @@ def test_rhs_assembly():
         assert np.allclose(rhs[c * n : (c + 1) * n], vol * f_u[:, c])
     assert np.all(rhs[3 * n : 6 * n] == 0.0)
     assert np.allclose(rhs[6 * n :], vol * np.array([10.0, 20.0]))
-    # no density is a zero density, bit for bit
+
+
+def test_rhs_block_matches_single_columns_bitwise():
+    # the k single-column right-hand sides of a (k, n) block of densities,
+    # stacked, are the (7n, k) block: the body-force rows repeated and the
+    # volume-scaled densities on the pressure rows, bit for bit
+    rng = np.random.default_rng(3)
+    mesh = build_cartesian(3, 2, 2, lengths=(1.0, 0.7, 1.3))
+    n = mesh.n_cells
+    props = material(mesh, f_u=rng.standard_normal((n, 3)))
+    block = rng.standard_normal((4, n))
+    columns = [assemble_rhs(mesh, props, pressure_coupling=row) for row in block]
+    assert all(column.shape == (7 * n,) for column in columns)
+    expected = np.repeat(assemble_rhs(mesh, props)[:, None], 4, axis=1)
+    expected[6 * n :] = mesh.cell_volumes[:, None] * block.T
+    assert np.array_equal(np.stack(columns, axis=1), expected)
+    # no density is a zero density
     zero = assemble_rhs(mesh, props, pressure_coupling=np.zeros(n))
-    assert rhs.shape == zero.shape == (7 * n,)
     assert np.array_equal(assemble_rhs(mesh, props), zero)
