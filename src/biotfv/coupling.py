@@ -42,21 +42,17 @@ step.  They differ only in where the flow source psi of a step comes from:
 All reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
 `CoupledSystem` holds them, and `simulate(engine, scheme)` runs any
-scheme on it.  A run hands every march one start state (`MarchStarts`),
-which only the elastic solver reads and writes: each step starts from its
-base guess (the previous pass at that step, else the step before) plus the
-correction the step before took, so a march predicts by extrapolating in
-time and a later pass by carrying the previous pass's correction on (the
-LU path reads no start).  On both paths the start state holds the run's
-one (7n, N) block of elastic solutions, and each pass solves over the one
-before it, step by step: a pass's states are views into that block, valid
-until the run's next pass.
+scheme on it.  The march, not the elastic solver, owns a run's elastic
+solutions and the start of each solve (`CoupledSystem.evaluate`): each
+pass solves over the last in the run's one (7n, N) block, so a pass's
+states are views into that block, valid until the run's next pass.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -65,7 +61,7 @@ import numpy as np
 from .errors import ConfigurationError, GeometryError, SolverError
 from .linsolve.blocks import SparseBlockSystem, split_fields
 from .linsolve.krylov import SolveReport
-from .linsolve.precond import MarchStarts, SolverOptions, TpsaSolver
+from .linsolve.precond import SolverOptions, TpsaSolver
 from .materials import PoroelasticProperties
 from .mesh import Mesh
 from .tpfa import FlowSystem
@@ -91,6 +87,11 @@ __all__ = [
 _TINY = np.finfo(float).tiny
 
 log = logging.getLogger("biotfv")
+
+
+def _is_count(value) -> bool:
+    """An integer, and not a bool: a count field takes no 2.5 and no True."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,10 @@ class TimeGrid:
                 f"time step must be finite, positive and at least {_TINY:.4g} s "
                 "(not subnormal)"
             )
+        if not _is_count(self.n_steps):
+            raise ConfigurationError(
+                f"number of time steps must be an integer, not {self.n_steps!r}"
+            )
         if self.n_steps < 1:
             raise ConfigurationError("need at least one time step")
         if not math.isfinite(self.t0):
@@ -164,6 +169,10 @@ class SchemeSpec:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigurationError(
                 "fixed-stress tolerance must be positive and finite"
+            )
+        if not _is_count(self.max_iter):
+            raise ConfigurationError(
+                f"fixed-stress iteration cap must be an integer, not {self.max_iter!r}"
             )
         if self.max_iter < 1:
             raise ConfigurationError("fixed-stress iteration cap must be at least 1")
@@ -397,48 +406,64 @@ class CoupledSystem:
         return psi
 
     def mech_solve(
-        self, dp: np.ndarray, step: int, starts: MarchStarts | None = None
-    ) -> tuple[BiotState, SolveReport]:
-        """Mechanics of step `step` (>= 1), loaded by -(alpha/lam) * dp.
+        self, dp: np.ndarray, step: int, x0: np.ndarray | None = None
+    ) -> SolveReport:
+        """The elastic solve of step `step` (>= 1), loaded by
+        -(alpha/lam) * dp and started from x0 on the iterative path.
 
-        Solved from `starts`, whose block the solution lands in; gives the
-        state and the report.  A failed solve is raised again naming the
-        step.
+        A failed solve is raised again naming the step.
         """
         try:
-            report = self.mech.solve(elastic_load(self.case, dp), starts)
+            return self.mech.solve(elastic_load(self.case, dp), x0)
         except SolverError as err:
             raise SolverError(
                 f"coupled step {step} failed: {err}", trace=err.trace
             ) from err
-        u, r, p_hat = split_fields(report.x, self.n_cells)
-        t = self.case.time.times[step]
-        return BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=t), report
 
     def evaluate(
-        self, psi: np.ndarray | None, starts: MarchStarts
-    ) -> list[BiotState]:
+        self, psi: np.ndarray | None, block: np.ndarray | None = None
+    ) -> tuple[list[BiotState], np.ndarray]:
         """March all N steps, one flow step and then its mechanics solve
-        each; return the N+1 states.
+        each; return the N+1 states and the run's (7n, N) solution block.
 
         The flow of step i sees the flow source psi[i-1] when psi is given
         (fixed stress), and else (lagged) the one built from the two
-        previous states, with state(t_{-1}) := state(t_0).  The N solves
-        start, in step order, from `starts`, and the states are views into
-        its block, valid until the next march on it.
+        previous states, with state(t_{-1}) := state(t_0).  Step i's
+        solution goes over column i-1 of `block`, the last march's, or of a
+        new block; the states are views into it.
+
+        Step i's base guess g is the last march's column i-1, else step
+        i-1's solution x, else zero (None).  It starts from g + (x - g_prev),
+        evaluated in that order, when step i-1's base guess g_prev was not
+        zero, and from g otherwise: linear extrapolation in time on a first
+        march, the correction step i-1 just took carried on in a later one.
+        So fewer Krylov iterations are needed; each solve still stops on its
+        true residual.  The LU path reads no start.
         """
         case = self.case
+        n_steps, times = case.time.n_steps, case.time.times
         volumes = case.mesh.cell_volumes
+        marched = block is not None
+        if not marched:
+            # column-major, so every column is one contiguous vector
+            block = np.empty((n_steps, 7 * self.n_cells)).T
         states = [case.initial]
-        for i in range(1, case.time.n_steps + 1):
+        x = g_prev = None
+        for i in range(1, n_steps + 1):
             if psi is None:
                 source = self.flow_source(states[max(i - 2, 0)], states[i - 1])
             else:
                 source = psi[i - 1]
             rate = case.sources[i - 1] + volumes * source
             dp = self.flow.step(states[i - 1].dp, rate)
-            states.append(self.mech_solve(dp, i, starts)[0])
-        return states
+            g = block[:, i - 1] if marched else x
+            x0 = g if g_prev is None else g + (x - g_prev)
+            g_prev = None if g is None else g.copy()  # the column is written over
+            block[:, i - 1] = self.mech_solve(dp, i, x0).x
+            x = block[:, i - 1]
+            u, r, p_hat = split_fields(x, self.n_cells)
+            states.append(BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=times[i]))
+        return states, block
 
     def weighted_norm(self, psi: np.ndarray) -> float:
         """Space-time L2 norm with cell-volume and time-step weights."""
@@ -465,14 +490,13 @@ def simulate(
     space-time L2 norm relative to F(psi), drops below scheme.tol; the
     residual is measured before any mixing, so the converged result is the
     evaluation at an (almost) fixed psi.  The result holds the last
-    march's states and their coupling source.  The run keeps its own
-    starts: one `MarchStarts` serves all its marches, so a pass solves over
-    the one before it in place and, on the iterative path, starts from it.
+    march's states and their coupling source.  The run keeps its own (7n,
+    N) solution block: each pass solves over the one before it in place
+    and, on the iterative path, starts from it (`CoupledSystem.evaluate`).
     """
     scheme = scheme or SchemeSpec()
-    starts = MarchStarts(engine.case.time.n_steps)
     if scheme.kind == "lagged":
-        states = engine.evaluate(None, starts)
+        states, _ = engine.evaluate(None)
         pairs = zip(states[:1] + states[:-2], states[:-1])
         psi = np.stack([engine.coupling_source(a, b) for a, b in pairs])
         return SimulationResult(states, psi, CouplingReport(scheme=scheme.kind))
@@ -480,9 +504,10 @@ def simulate(
     anderson = AndersonState() if scheme.kind == "anderson" else None
     residuals: list[float] = []
     converged = False
+    block = None
     for _ in range(scheme.max_iter):
         states = defect = None  # free the last pass's arrays before the next solve
-        states = engine.evaluate(psi, starts)
+        states, block = engine.evaluate(psi, block)
         image = np.stack([engine.flow_source(a, b) for a, b in zip(states, states[1:])])
         defect = image - psi  # the fixed-point residual, mixed by anderson
         change = engine.weighted_norm(defect)

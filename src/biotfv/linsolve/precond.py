@@ -12,12 +12,9 @@ nothing is assembled, the action is composed from those blocks.
 solves one (7n,) right-hand side per call, one per time step.  The
 factored matrix is the rescaled one permuted to `blocks.cell_order`, cell
 by cell; the solver's matrix, residuals and solutions stay field-major.
-`MarchStarts` is a run's one block of solutions, which only `solve` reads
-and writes: on either path each step's solution is written over the
-previous march's solution in that step's column.  It is also the
-iterative path's start rule: each column of a time march starts from its
-guess plus the correction the column before it took.  The LU path never
-reads a start.
+The solver keeps no state of a run: the iterative path starts from the
+vector its caller hands it, and where a run's solutions live and where
+each solve starts are the time march's (`coupling.CoupledSystem.evaluate`).
 """
 
 from __future__ import annotations
@@ -80,63 +77,6 @@ class BlockTriangularPreconditioner:
         y_r = (r_r - self.rotation_displacement @ y_u) / self.rotation_diagonal
         y_p = self.pressure_hierarchy.vcycle(r_p - self.pressure_displacement @ y_u)
         return np.concatenate([y_u, y_r, y_p])
-
-
-class MarchStarts:
-    """Where the elastic solves of a run land, and where the iterative ones
-    start.
-
-    `block` is the (7n, columns) array the solutions go to, column j for
-    the j-th solve of a march, made by the first solution.  A march is
-    `columns` solves; the next solve after the last column starts a new
-    march over the same block.  Both paths hand each solution to `solved`;
-    only the iterative path asks for a start.  Column j's base guess g_j is
-    the previous march's solution in column j when there was one, else
-    this march's solution x_{j-1} of column j-1, else zero (None).  Column
-    j starts from g_j + (x_{j-1} - g_{j-1}), evaluated in that order, when
-    column j-1 started from a nonzero guess, and from g_j otherwise.
-    Without a previous march this is linear extrapolation in time; with
-    one, it is the previous march plus the correction column j-1 just took.
-    The mechanics and each pass's correction to them change smoothly from
-    step to step, so the predicted start needs fewer Krylov iterations.
-    Every solve still stops on its true residual; only the start moves.
-
-    One block serves every march, so the solutions of a march, and the
-    views of them that `solved` gives, stay valid only until the next
-    march.  A start may be a view into the block, read before `solved`.
-    """
-
-    def __init__(self, columns: int):
-        self.columns = columns
-        self.block = None
-        self.marched = False  # the block holds a whole earlier march
-        self.column = 0  # j, the next column
-        self.guess = None  # g_{j-1}, a copy: the block column is written over
-
-    def start(self) -> np.ndarray | None:
-        """The next column's start (None: zero)."""
-        j = self.column
-        if not (self.marched or j):
-            return None
-        base = self.block[:, j if self.marched else j - 1]
-        start = base
-        if j >= (1 if self.marched else 2):  # column j-1 started from g_{j-1}
-            start = base + (self.block[:, j - 1] - self.guess)
-        self.guess = base.copy()
-        return start
-
-    def solved(self, x: np.ndarray) -> np.ndarray:
-        """Write the next column's solution over its block column; gives
-        that column."""
-        j = self.column
-        if self.block is None:
-            # column-major, so every column is one contiguous vector
-            self.block = np.empty((self.columns, x.size)).T
-        self.block[:, j] = x
-        self.column = j + 1
-        if self.column == self.columns:  # the march is done
-            self.column, self.marched, self.guess = 0, True, None
-        return self.block[:, j]
 
 
 SOLVER_METHODS = ("auto", "direct", "iterative")
@@ -210,19 +150,14 @@ class TpsaSolver:
         else:
             self._precond = BlockTriangularPreconditioner(self.matrix, system.n_cells)
 
-    def solve(
-        self, rhs: np.ndarray, starts: MarchStarts | None = None
-    ) -> SolveReport:
-        """Solve one (7n,) right-hand side.
+    def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> SolveReport:
+        """Solve one (7n,) right-hand side; the report's x is a new vector.
 
         A right-hand side with a non-finite entry fails before anything is
         solved, and is never written to: each path scales it into a new
         vector.  The direct path solves by the LU, permuted to its cell
-        order and back, and never reads a start.  The iterative path starts
-        from ``starts.start()``.  With starts, the solution goes to
-        ``starts.solved(x)``, on either path, and the report's x is its
-        block column, valid until the next march on `starts`; without, x
-        is the solution itself, and the iterative path starts from zero.
+        order and back, and never reads x0.  The iterative path starts from
+        x0 (None: zero).
         """
         if not np.isfinite(rhs).all():
             raise SolverError("elastic right-hand side is not finite")
@@ -234,18 +169,14 @@ class TpsaSolver:
             residual = np.linalg.norm(b - self.matrix @ x_tilde) / max(
                 np.linalg.norm(b), 1e-300
             )
-            report = SolveReport(x=self.scale * x_tilde, trace=[float(residual)])
-        else:
-            start = None if starts is None else starts.start()
-            report = bicgstab(
-                self.matrix,
-                b,
-                preconditioner=self._precond.apply,
-                rtol=self.options.rtol,
-                max_iter=krylov.MAX_ITERATIONS,
-                x0=None if start is None else start / self.scale,
-            )
-            report.x = self.scale * report.x
-        if starts is not None:
-            report.x = starts.solved(report.x)
+            return SolveReport(x=self.scale * x_tilde, trace=[float(residual)])
+        report = bicgstab(
+            self.matrix,
+            b,
+            preconditioner=self._precond.apply,
+            rtol=self.options.rtol,
+            max_iter=krylov.MAX_ITERATIONS,
+            x0=None if x0 is None else x0 / self.scale,
+        )
+        report.x = self.scale * report.x
         return report

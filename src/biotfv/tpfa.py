@@ -26,6 +26,7 @@ step's pressure to the fixed relative tolerance `FLOW_RTOL`.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -115,8 +116,10 @@ class FlowSystem:
         storage: np.ndarray,
         method: str = "auto",
     ):
-        if dt <= 0:
-            raise ValueError("time step must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            # an infinite step drops the storage term and leaves the singular
+            # operator alone; a NaN one would fail only in the factorization
+            raise ConfigurationError(f"time step must be finite and positive, not {dt}")
         if method not in SOLVER_METHODS:
             raise ConfigurationError(
                 f"unknown flow solver method '{method}' "

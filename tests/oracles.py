@@ -514,11 +514,10 @@ def assert_same_csr(got, want):
 def coupled_probe(case, solver, dp):
     """The convergence probe as a coupled step: one cold iterative solve of
     the load of dp on a whole `CoupledSystem`, flow factorization included,
-    as the last step of a march of its own (no starts given, so from zero).
+    as the last step of a march of its own (no start given, so from zero).
     Returns its SolveReport."""
     engine = CoupledSystem(case, replace(solver, method="iterative"))
-    _, report = engine.mech_solve(dp, case.time.n_steps)
-    return report
+    return engine.mech_solve(dp, case.time.n_steps)
 
 
 def multigrid_solve(hier, rhs, rtol=1e-8, max_cycles=100):
@@ -612,20 +611,6 @@ def greedy_aggregate(strength):
     return assign, count
 
 
-class _GivenStart:
-    """A start state for one column: hands the solver the given start, and
-    keeps the solution where the solver made it."""
-
-    def __init__(self, x):
-        self.x = x
-
-    def start(self):
-        return self.x
-
-    def solved(self, x):
-        return x
-
-
 def sequential_march(coupled, psi, warm, predict=True):
     """One march with one single-column mechanics solve per step.
 
@@ -635,8 +620,8 @@ def sequential_march(coupled, psi, warm, predict=True):
     predict it starts from that guess plus the correction step i-1 took
     from its own base guess, when that was not zero, and without predict
     from the guess alone.  This rule is kept here, apart from the
-    package's `MarchStarts`: each column is handed its start through a
-    `_GivenStart`.  Each solution is stored back in warm, a list of N+1
+    package's (`CoupledSystem.evaluate`), and each solve is handed its
+    start as x0.  Each solution is stored back in warm, a list of N+1
     entries the caller keeps across passes.  With psi None the source is
     the lagged one, built from the two previous steps' states
     (state(t_{-1}) := state(t_0)).  Returns the N (dp, u, r, p_hat)
@@ -664,7 +649,7 @@ def sequential_march(coupled, psi, warm, predict=True):
         if predict and guess_prev is not None:
             correction = x_prev - guess_prev
             start = guess + correction
-        report = coupled.mech.solve(rhs, _GivenStart(start))
+        report = coupled.mech.solve(rhs, start)
         warm[i] = x_prev = report.x
         guess_prev = guess
         u, r, p_hat = split_fields(report.x, coupled.n_cells)

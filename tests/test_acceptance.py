@@ -209,7 +209,7 @@ def test_criterion_7_krylov_iteration_counts_stay_bounded(study, barrier_runs):
     coupled = CoupledSystem(case, options)
     assert coupled.mech.matrix.shape == (18_900, 18_900)
     dp = barrier_runs["fixed"].result.final.dp
-    _, report = coupled.mech_solve(dp, case.time.n_steps)
+    report = coupled.mech_solve(dp, case.time.n_steps)
     probes = {r.n: r.probe_iterations for r in study.reports}
     ok = report.iterations <= 40 and probes[16] <= 2 * probes[8]
     _criterion(

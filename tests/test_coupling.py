@@ -28,7 +28,7 @@ from biotfv.coupling import (
 )
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import precond
-from biotfv.linsolve.precond import MarchStarts, SolverOptions, TpsaSolver
+from biotfv.linsolve.precond import SolverOptions, TpsaSolver
 from biotfv.materials import PoroelasticProperties
 from biotfv.mesh import build_cartesian
 from biotfv.tpfa import FlowSystem
@@ -215,6 +215,9 @@ def test_time_grid_validation():
         (1.0, 1, np.inf),
         (1e-320, 1, 0.0),  # subnormal
         (5e-324, 1, 0.0),
+        (1.0, 2.5, 0.0),  # a count: no fraction, float or bool
+        (1.0, 2.0, 0.0),
+        (1.0, True, 0.0),
     ]:
         with pytest.raises(ConfigurationError):
             TimeGrid(dt=dt, n_steps=n_steps, t0=t0)
@@ -361,6 +364,9 @@ def test_fixed_stress_rejects_bad_tolerance(tol):
         (dict(kind="fixed_stress"), "unknown scheme 'fixed_stress'"),
         (dict(max_iter=0), "iteration cap"),
         (dict(kind="lagged", tol=np.nan), "tolerance"),
+        (dict(max_iter=2.5), "iteration cap must be an integer"),
+        (dict(max_iter=3.0), "iteration cap must be an integer"),
+        (dict(max_iter=True), "iteration cap must be an integer"),
     ],
 )
 def test_scheme_spec_rejects_bad_controls(controls, message):
@@ -373,11 +379,11 @@ def test_fixed_stress_stops_at_first_nonfinite_residual(monkeypatch):
     evaluate = CoupledSystem.evaluate
     calls = []
 
-    def nan_evaluate(self, psi, starts):
+    def nan_evaluate(self, psi, block=None):
         calls.append(psi)
-        states = evaluate(self, psi, starts)
+        states, block = evaluate(self, psi, block)
         states[-1].p_hat[:] = np.nan
-        return states
+        return states, block
 
     monkeypatch.setattr(CoupledSystem, "evaluate", nan_evaluate)
     with pytest.raises(SolverError, match="not finite") as excinfo:
@@ -408,14 +414,14 @@ def _kept(states):
 
 
 def _two_passes(case, options):
-    """States of two fixed-stress passes of evaluate on one start state, each
+    """States of two fixed-stress passes of evaluate over one block, each
     copied as its pass makes it, and the two sources."""
     coupled = CoupledSystem(case, options)
-    starts = MarchStarts(case.time.n_steps)
     psi0 = np.zeros((case.time.n_steps, coupled.n_cells))
-    first = _kept(coupled.evaluate(psi0, starts))
+    states, block = coupled.evaluate(psi0)
+    first = _kept(states)
     psi1 = np.stack([coupled.flow_source(a, b) for a, b in zip(first, first[1:])])
-    second = _kept(coupled.evaluate(psi1, starts))
+    second = _kept(coupled.evaluate(psi1, block)[0])
     return [first, second], [psi0, psi1]
 
 
@@ -443,7 +449,7 @@ def _assert_same_states(got, want):
 
 
 def test_runs_on_one_engine_match_runs_on_fresh_engines():
-    # each run keeps its own starts and solution block, so on the iterative
+    # each run keeps its own solution block and starts, so on the iterative
     # path neither the order of the schemes nor the runs before one change
     # its result, and no later run writes over an earlier run's states
     case = _block_case()
@@ -465,15 +471,16 @@ def test_runs_on_one_engine_match_runs_on_fresh_engines():
 @pytest.mark.parametrize("method", ["direct", "iterative"])
 def test_every_pass_of_a_run_solves_in_the_runs_one_block(monkeypatch, method):
     # on both paths each pass writes its solutions over the last pass's, in
-    # the one (7n, N) block of the run's start state, so a pass's states are
-    # views into that block
+    # the run's one (7n, N) block, so a pass's states are views into that
+    # block
     evaluate = CoupledSystem.evaluate
     seen = []
 
-    def spy(self, psi, starts):
-        states = evaluate(self, psi, starts)
-        seen.append((starts, starts.block, states[1:]))
-        return states
+    def spy(self, psi, block=None):
+        given = block
+        states, block = evaluate(self, psi, block)
+        seen.append((given, block, states[1:]))
+        return states, block
 
     monkeypatch.setattr(CoupledSystem, "evaluate", spy)
     case = _block_case()
@@ -481,10 +488,11 @@ def test_every_pass_of_a_run_solves_in_the_runs_one_block(monkeypatch, method):
     engine = CoupledSystem(case, options)
     simulate(engine, SchemeSpec(tol=1e-14, max_iter=3))
     assert len(seen) == 3
-    starts, block, _ = seen[0]
-    assert block.shape == (7 * engine.n_cells, case.time.n_steps)
-    for kept_starts, kept, states in seen:
-        assert kept_starts is starts and kept is block
+    given, block, _ = seen[0]
+    assert given is None and block.shape == (7 * engine.n_cells, case.time.n_steps)
+    assert block.flags.f_contiguous  # each column one contiguous vector
+    for k, (given, kept, states) in enumerate(seen):
+        assert kept is block and (k == 0 or given is block)
         for j, state in enumerate(states):
             for field in (state.u, state.r, state.p_hat):
                 assert np.shares_memory(field, block[:, j])
@@ -540,10 +548,9 @@ def test_every_predicted_start_solve_meets_rtol_on_its_true_residual(monkeypatch
     solve = TpsaSolver.solve
     solved = []
 
-    def spy(self, rhs, starts=None):
-        # a pass's solutions live only until the next pass solves over them
-        report = solve(self, rhs, starts)
-        solved.append((rhs.copy(), report.x.copy()))
+    def spy(self, rhs, x0=None):
+        report = solve(self, rhs, x0)
+        solved.append((rhs, report.x))  # each a new vector, never written to
         return report
 
     monkeypatch.setattr(TpsaSolver, "solve", spy)
@@ -559,10 +566,10 @@ def test_every_predicted_start_solve_meets_rtol_on_its_true_residual(monkeypatch
 
 # tracemalloc peak of a run on a warmed engine, in doubles per cell-step
 # above the engine, on the 12 x 12 x 3 copy below.  Measured at one BLAS
-# thread, iterative: lagged 10.29, fixed 13.58, anderson 17.62; when each
+# thread, iterative: lagged 10.32, fixed 13.61, anderson 17.62; when each
 # pass kept the last pass's (7n, N) block beside its own, fixed read 18.47
-# and anderson 22.50 (lagged 10.35).  Direct: lagged 10.29, fixed 13.59,
-# anderson 17.60; when each pass solved its loads as a block of its own,
+# and anderson 22.50 (lagged 10.35).  Direct: lagged 10.30, fixed 13.61,
+# anderson 17.62; when each pass solved its loads as a block of its own,
 # 10.35, 16.68 and 20.68.  The bounds sit about 5% above the readings.
 RUN_MEMORY_BUDGET = {
     "iterative": {"lagged": 11.0, "fixed": 14.5, "anderson": 18.5},
@@ -650,17 +657,22 @@ def test_each_scheme_makes_one_elastic_solve_per_step_in_step_order(
     # every march interleaves: flow step i, then at once the one elastic
     # solve of step i, for steps 1..N in order
     events = []
-    step, solve = FlowSystem.step, TpsaSolver.solve
+    step, mech_solve, solve = FlowSystem.step, CoupledSystem.mech_solve, TpsaSolver.solve
 
     def flow_spy(self, *args):
         events.append("flow")
         return step(self, *args)
 
-    def solve_spy(self, rhs, starts=None):
-        events.append(starts.column + 1)  # the step the next column belongs to
-        return solve(self, rhs, starts)
+    def mech_spy(self, dp, i, x0=None):
+        events.append(i)
+        return mech_solve(self, dp, i, x0)
+
+    def solve_spy(self, rhs, x0=None):
+        events.append("solve")
+        return solve(self, rhs, x0)
 
     monkeypatch.setattr(FlowSystem, "step", flow_spy)
+    monkeypatch.setattr(CoupledSystem, "mech_solve", mech_spy)
     monkeypatch.setattr(TpsaSolver, "solve", solve_spy)
     case = _block_case()
     options = SolverOptions(method=method, rtol=1e-8)
@@ -668,7 +680,7 @@ def test_each_scheme_makes_one_elastic_solve_per_step_in_step_order(
     assert result.report.converged
     passes = max(result.report.iterations, 1)
     assert kind == "lagged" or passes >= 3
-    march = [event for i in range(1, case.time.n_steps + 1) for event in ("flow", i)]
+    march = [e for i in range(1, case.time.n_steps + 1) for e in ("flow", i, "solve")]
     assert events == march * passes
 
 

@@ -9,15 +9,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from biotfv.app.config import parse_config_text
+from biotfv.coupling import BiotCase, CoupledSystem, SchemeSpec, TimeGrid, Well, simulate
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import precond
 from biotfv.linsolve.blocks import cell_order, rescale
-from biotfv.linsolve.precond import (
-    BlockTriangularPreconditioner,
-    MarchStarts,
-    SolverOptions,
-    TpsaSolver,
-)
+from biotfv.linsolve.precond import BlockTriangularPreconditioner, SolverOptions, TpsaSolver
 from biotfv.mesh import build_cartesian
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
 from oracles import material
@@ -198,17 +194,15 @@ def test_solver_warm_start_reuses_factorization():
         mean_shear_modulus(mesh, props),
         SolverOptions(method="iterative", rtol=1e-8),
     )
-    starts = MarchStarts(1)
-    solver.solve(system.rhs, starts)
-    again = solver.solve(system.rhs, starts)  # from the first
+    first = solver.solve(system.rhs)
+    again = solver.solve(system.rhs, first.x)  # from the first
     assert again.iterations <= 1
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
-def test_solver_leaves_each_solution_in_its_block_column(method):
-    # a march of three solves on one start state: each solution lands in its
-    # column of the start state's one block, on both paths, and the given
-    # right-hand sides stay as they were
+def test_solver_writes_into_no_caller_storage(method):
+    # three solves, each from the solution before it: every solution is a
+    # new vector, and the given right-hand sides and starts stay as they were
     mesh, props, system = _system(4, 4, 4, mu=2.0, lam=5.0)
     solver = TpsaSolver(
         system,
@@ -217,48 +211,70 @@ def test_solver_leaves_each_solution_in_its_block_column(method):
     )
     block = np.random.default_rng(7).standard_normal((system.n_dof, 3))
     given = block.copy()
-    march = MarchStarts(3)
-    reports = [solver.solve(column, march) for column in block.T]
-    assert np.array_equal(block, given)
     expected = np.linalg.solve(system.matrix.toarray(), given)
-    assert march.block.shape == (system.n_dof, 3)
-    for j, report in enumerate(reports):
-        assert np.shares_memory(report.x, march.block)
-        assert np.array_equal(report.x, march.block[:, j])
-        err = np.linalg.norm(report.x - expected[:, j]) / np.linalg.norm(expected[:, j])
+    x0 = None
+    for j, column in enumerate(block.T):
+        kept = None if x0 is None else x0.copy()
+        x = solver.solve(column, x0).x
+        assert not np.shares_memory(x, block)
+        assert x0 is None or (not np.shares_memory(x, x0) and np.array_equal(x0, kept))
+        err = np.linalg.norm(x - expected[:, j]) / np.linalg.norm(expected[:, j])
         assert err <= 1e-8
+        x0 = x
+    assert np.array_equal(block, given)
 
 
-def test_march_starts_extrapolate_and_carry_the_last_correction():
-    a, b, c, d, e = (np.array([v, 2.0 * v]) for v in (1.0, 3.0, 7.0, 10.0, 16.0))
-    march = MarchStarts(3)
-    assert march.start() is None  # no previous march and no column before: zero
-    march.solved(a)
-    assert np.array_equal(march.start(), a)  # column 0 started from zero: no correction
-    march.solved(b)
-    assert np.array_equal(march.start(), b + (b - a))  # extrapolation
-    march.solved(c)
-    block = march.block
-    assert np.array_equal(block, np.stack([a, b, c], axis=1))
-    # the next march's base guesses are this one's solutions, each corrected
-    # by what the column before took from its own base guess; each solution
-    # is written over its base guess, which the next column still reads
-    assert np.array_equal(march.start(), a)
-    march.solved(d)
-    assert np.array_equal(march.start(), b + (d - a))
-    march.solved(e)
-    assert np.array_equal(march.start(), c + (e - b))
-    assert march.block is block  # overwritten in place
-    assert np.array_equal(block[:, 0], d) and np.array_equal(block[:, 1], e)
+def test_direct_solve_ignores_its_start():
+    mesh, props, system = _system(3, 3, 3)
+    solver = TpsaSolver(
+        system, mean_shear_modulus(mesh, props), SolverOptions(method="direct")
+    )
+    x0 = np.random.default_rng(8).standard_normal(system.n_dof)
+    cold, warm = solver.solve(system.rhs), solver.solve(system.rhs, x0)
+    assert cold.x.tobytes() == warm.x.tobytes() and cold.trace == warm.trace
+
+
+def test_march_starts_extrapolate_and_carry_the_last_correction(monkeypatch):
+    # every start the march hands the solver over two fixed-stress passes,
+    # against the rule restated: step i's base guess g is the last pass's
+    # solution at step i, else step i-1's solution x; the first step of a
+    # pass starts from g alone (zero on the first pass), every later one
+    # from g + (x - g_prev), g_prev the base guess of step i-1
+    mesh = build_cartesian(4, 3, 2)
+    props = material(mesh, lam=2.0, alpha=0.8, c0=0.5)
+    case = BiotCase(mesh, props, TimeGrid(dt=1.0, n_steps=5), [Well(cell=0, rate=0.5)])
+    engine = CoupledSystem(case, SolverOptions(method="iterative"))
+    x0s, solutions = [], []
+    solve = TpsaSolver.solve
+
+    def spy(self, rhs, x0=None):
+        x0s.append(None if x0 is None else x0.copy())  # may view the block
+        report = solve(self, rhs, x0)
+        solutions.append(report.x)
+        return report
+
+    monkeypatch.setattr(TpsaSolver, "solve", spy)
+    simulate(engine, SchemeSpec(tol=1e-14, max_iter=2))
+    n_steps = case.time.n_steps
+    assert len(x0s) == 2 * n_steps
+    first, second = solutions[:n_steps], solutions[n_steps:]
+    assert x0s[0] is None
+    assert np.array_equal(x0s[1], first[0])
+    for i in range(2, n_steps):
+        assert np.array_equal(x0s[i], first[i - 1] + (first[i - 1] - first[i - 2]))
+    assert np.array_equal(x0s[n_steps], first[0])
+    for i in range(1, n_steps):
+        want = first[i] + (second[i - 1] - first[i - 1])
+        assert np.array_equal(x0s[n_steps + i], want)
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solver_names_the_first_nonfinite_column_before_solving(method, bad):
-    # a march whose second and third loads hold non-finite entries stops at
-    # the second, before solving it: the march stands at that column, and
-    # the load is left as given, not scaled.  The step it belongs to is
-    # named by CoupledSystem.mech_solve (test_coupling)
+    # of three loads, the second and third hold non-finite entries: the
+    # second fails before it is solved, and is left as given, not scaled.
+    # The step it belongs to is named by CoupledSystem.mech_solve
+    # (test_coupling)
     mesh, props, system = _system(3, 3, 3)
     solver = TpsaSolver(
         system, mean_shear_modulus(mesh, props), SolverOptions(method=method)
@@ -267,11 +283,9 @@ def test_solver_names_the_first_nonfinite_column_before_solving(method, bad):
     block[5, 1] = bad
     block[0, 2] = np.nan
     given = block.copy()
-    march = MarchStarts(3)
-    solver.solve(block[:, 0], march)
+    x = solver.solve(block[:, 0]).x
     with pytest.raises(SolverError, match="right-hand side is not finite"):
-        solver.solve(block[:, 1], march)
-    assert march.column == 1
+        solver.solve(block[:, 1], x)
     assert np.array_equal(block, given, equal_nan=True)  # not scaled
 
 

@@ -191,11 +191,19 @@ def test_step_matches_spsolve_at_high_contrast():
     assert np.linalg.norm(dp - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
-def test_nonpositive_dt_rejected():
-    mesh = build_cartesian(2, 1, 1)
-    props = material(mesh, perm=1e-12, fluid_viscosity=1e-3, c0=1e-8)
-    with pytest.raises(ValueError):
-        FlowSystem(mesh, props, 0.0, props.c0)
+def test_nonpositive_dt_rejected(monkeypatch):
+    # any step that is not finite and positive, before anything is
+    # factored: unchecked, a NaN step fails in SuperLU as "exactly
+    # singular", and an infinite one solves the operator without storage:
+    # on this case with unit sources, to -6.1e16 in every cell
+    factored = []
+    monkeypatch.setattr(tpfa, "splu", lambda *args, **kwargs: factored.append(args))
+    mesh = build_cartesian(3, 3, 3)
+    props = material(mesh, c0=1.0)
+    for dt in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="time step must be finite and positive"):
+            FlowSystem(mesh, props, dt, props.c0)
+    assert not factored
 
 
 def test_unknown_method_rejected_before_assembly(monkeypatch):
