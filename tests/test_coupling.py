@@ -175,6 +175,18 @@ def test_anderson_state_first_steps_are_plain():
     assert np.array_equal(state.next_iterate(), image)
 
 
+def test_anderson_one_pair_mix_is_the_image_bitwise():
+    # the plain step, so anderson's third pass evaluates fixed stress's
+    # psi bit for bit: a weighted sum over zeros would turn -0.0 into 0.0
+    state = AndersonState()
+    image = np.array([-0.0, 0.0, 2.5, -1e-300])
+    state.push(np.array([1.0, -2.0, 0.5, 3.0]), image)
+    mixed = state.next_iterate()
+    assert mixed.tobytes() == image.tobytes()
+    assert list(np.signbit(mixed)) == [True, False, False, True]
+    assert np.array_equal(anderson_weights([np.array([1.0, -2.0])]), [1.0])
+
+
 def test_anderson_state_oracle_combination():
     state = AndersonState()
     state.push(np.array([2.0]), np.array([2.0]))  # residual 2: psi 0, image 2

@@ -1,5 +1,6 @@
 """Experiment drivers: scheme dispatch, error fitting, study outputs."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ from oracles import assert_same_final, assert_same_history, coupled_probe, read_
 from biotfv import coupling
 from biotfv.app import drivers
 from biotfv.app.config import parse_config, parse_config_text
+from biotfv.app.cli import main
 from biotfv.app.drivers import (
+    VARIABLES,
     ErrorReport,
     compartment_masks,
     fit_orders,
@@ -67,18 +70,26 @@ stop = 20 day
 """
 
 def test_scheme_token_mapping(tmp_path, monkeypatch):
-    # each name runs the case's [scheme] settings as that kind
+    # each name runs the case's [scheme] settings as that kind: lagged
+    # through simulate, fixed and anderson through the study's shared head
     seen = []
+    shared = coupling.SharedHead.simulate
 
     def spy(engine, scheme):
-        seen.append(scheme)
+        seen.append(("simulate", scheme))
         return simulate(engine, scheme)
 
+    def head_spy(head, engine, scheme):
+        seen.append(("head", scheme))
+        return shared(head, engine, scheme)
+
     monkeypatch.setattr(drivers, "simulate", spy)
+    monkeypatch.setattr(coupling.SharedHead, "simulate", head_spy)
     cfg = parse_config_text(TINY_BARRIER.replace("tol = 1e-8", "tol = 1e-7"))
     runs = run_barrier_case(cfg, (" Lagged", "FIXED ", "anderson"), out_dir=tmp_path)
     assert seen == [
-        SchemeSpec(kind=kind, tol=1e-7, max_iter=40) for kind in SCHEME_KINDS
+        (via, SchemeSpec(kind=kind, tol=1e-7, max_iter=40))
+        for via, kind in zip(("simulate", "head", "head"), SCHEME_KINDS)
     ]
     assert [run.scheme for run in runs] == list(SCHEME_KINDS)
     assert [run.result.report.scheme for run in runs] == list(SCHEME_KINDS)
@@ -86,6 +97,105 @@ def test_scheme_token_mapping(tmp_path, monkeypatch):
     with pytest.raises(ConfigurationError, match="unknown scheme 'monolithic'"):
         run_barrier_case(cfg, ("lagged", "monolithic"), out_dir=tmp_path / "bad")
     assert seen == [] and not (tmp_path / "bad").exists()
+
+
+def _barrier_8(method="auto", tol="1e-6", max_iter="25"):
+    """The shipped barrier case on 8 x 8 x 3 cells, its well in the cell
+    that holds the shipped well's centre."""
+    text = (CASES / "barrier.cfg").read_text()
+    for old, new in [
+        ("nx = 30", "nx = 8"),
+        ("ny = 30", "ny = 8"),
+        ("barrier_index = 15", "barrier_index = 4"),
+        ("cell = 7 15 1", "cell = 2 4 1"),
+        ("tol = 1e-6", f"tol = {tol}"),
+        ("max_iter = 25", f"max_iter = {max_iter}"),
+        ("[solver]\n", f"[solver]\nmethod = {method}\n"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+# residuals on 8 x 8 x 3, both schemes alike for 3 passes: LU 1, 1.3e-3,
+# 1.7e-6, then fixed 2.2e-9 and anderson 1.6e-10; Krylov 1, 1.8e-3,
+# 8.8e-4, then fixed 3.7e-6, 3.0e-8 and anderson 2.0e-4, 2.2e-7
+STOPS = {
+    "shipped": {},
+    "converged_in_shared_passes": {"tol": "1e-2"},
+    "capped_at_2_passes": {"max_iter": "2"},
+}
+
+
+@pytest.mark.parametrize("stop", list(STOPS))
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_study_runs_equal_standalone_runs_bitwise(tmp_path, method, stop):
+    # the study shares fixed's and anderson's first passes; each run must
+    # still be the one simulate gives that scheme alone, so criterion 6's
+    # equal heads stay a property of the schemes, not of the sharing
+    cfg = parse_config_text(_barrier_8(method, **STOPS[stop]))
+    case = cfg.build_case()
+    alone = {
+        kind: simulate(CoupledSystem(case, cfg.solver), replace(cfg.scheme, kind=kind))
+        for kind in ("fixed", "anderson")
+    }
+    passes = alone["anderson"].report.iterations
+    assert passes == {"shipped": 4 if method == "direct" else 5}.get(stop, 2)
+    for schemes in [("fixed", "anderson"), ("anderson", "fixed"), ("anderson",)]:
+        runs = run_barrier_case(cfg, schemes, out_dir=tmp_path / "_".join(schemes))
+        for run in runs:
+            got, want = run.result, alone[run.scheme]
+            assert got.report.residuals == want.report.residuals
+            assert got.report.converged == want.report.converged == (stop != "capped_at_2_passes")
+            assert _bits(got.psi) == _bits(want.psi)
+            assert len(got.states) == len(want.states)
+            for a, b in zip(got.states, want.states):
+                assert a.t == b.t
+                assert all(_bits(getattr(a, v)) == _bits(getattr(b, v)) for v in VARIABLES)
+
+
+def test_cli_exits_3_when_the_shared_passes_stop_on_the_cap(tmp_path):
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(_barrier_8(max_iter="2"))
+    for schemes in ("fixed,anderson", "anderson,fixed"):
+        out = tmp_path / schemes.replace(",", "_")
+        assert main(["barrier", str(cfg), "--schemes", schemes, "--out", str(out)]) == 3
+        header, rows = read_csv(out / "barrier_summary.csv")
+        assert header[:3] == ["scheme", "iterations", "converged"]
+        assert [row[1:3] for row in rows] == [["2", "0"]] * 2
+
+
+def test_a_three_scheme_study_marches_the_shared_passes_once(tmp_path, monkeypatch):
+    # one lagged march, every fixed pass, and anderson's passes after the
+    # three it shares with fixed; before the sharing, anderson marched all
+    # of its passes
+    marches = []
+    evaluate = CoupledSystem.evaluate
+
+    def spy(engine, psi, block=None):
+        marches.append(psi is None)
+        return evaluate(engine, psi, block)
+
+    monkeypatch.setattr(CoupledSystem, "evaluate", spy)
+    cfg = parse_config_text(_barrier_8("iterative"))
+    runs = {run.scheme: run for run in run_barrier_case(cfg, SCHEME_KINDS, tmp_path)}
+    fixed, anderson = (runs[kind].result.report.iterations for kind in ("fixed", "anderson"))
+    assert anderson > 3
+    assert len(marches) == 1 + fixed + (anderson - 3)
+    assert marches.count(True) == 1  # the lagged march alone has no given source
+
+
+@pytest.mark.parametrize("first, second", [("fixed", "anderson"), ("anderson", "fixed")])
+def test_the_resuming_scheme_logs_the_passes_it_took(tmp_path, caplog, first, second):
+    cfg = parse_config_text(_barrier_8("direct"))
+    with caplog.at_level(logging.INFO, logger="biotfv"):
+        run_barrier_case(cfg, (first, second), out_dir=tmp_path)
+    assert f"scheme {second}: passes 1-3 taken from {first}" in caplog.messages
+    assert not any(f"scheme {first}: pass" in message for message in caplog.messages)
 
 
 def test_relative_l2_values():
