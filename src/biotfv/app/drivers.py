@@ -15,6 +15,7 @@ from ..coupling import (
     CoupledSystem,
     SCHEME_KINDS,
     SharedHead,
+    SharedOperators,
     SimulationResult,
     elastic_load,
     global_mass_check,
@@ -67,7 +68,11 @@ class RunArtifacts:
 def run_case(
     config: CaseConfig, out_dir=None, dump_system: bool = False
 ) -> RunArtifacts:
-    """Run one case per its configured scheme and write the outputs."""
+    """Run one case per its configured scheme and write the outputs.
+
+    With `dump_system` the engine builds its operators into a
+    `SharedOperators` holder, and the dump reads the assembly from it.
+    """
     case = config.build_case()
     out = Path(out_dir if out_dir is not None else config.output_directory)
     log.info(
@@ -78,8 +83,8 @@ def run_case(
         config.scheme.kind,
     )
     # the dump needs the assembled operator, which the engine keeps only rescaled
-    elastic = assemble_tpsa(case.mesh, case.props) if dump_system else None
-    engine = CoupledSystem(case, config.solver, elastic)
+    shared = SharedOperators() if dump_system else None
+    engine = CoupledSystem(case, config.solver, shared)
     result = simulate(engine, config.scheme)
     mass = global_mass_check(case, result.states)
     log.info(
@@ -111,7 +116,7 @@ def run_case(
     write_vtk(vtk_path, case.mesh, result.final, title=name)
     paths = [series, psi_path, vtk_path]
     if dump_system:
-        paths.append(dump_matrix(out / f"{name}_mech", elastic.matrix))
+        paths.append(dump_matrix(out / f"{name}_mech", shared.elastic.matrix))
     return RunArtifacts(case=case, result=result, mass_defect=mass, paths=paths)
 
 
@@ -288,12 +293,16 @@ def run_barrier_case(
     one is rejected, so bad input writes no file.  The mass defect is the
     fluid-content balance of `global_mass_check`, on every wall closure.
 
-    Each scheme builds its own engine.  When both fixed and anderson are
-    listed, they share their first three passes (`coupling.SharedHead`):
-    the first of them runs those passes and the second resumes from a copy,
-    with every file and report as if it had run alone.  On the seed-0
-    30x30x3 and 48x48x3 studies that saves 3 of the 9 marches and about a
-    quarter of the wall time.
+    The study builds one flow system and one elastic assembly, in the
+    first scheme's engine, and hands them to every later one through a
+    `coupling.SharedOperators` holder; each scheme's engine builds its own
+    elastic solver, and the holder is dropped once the last engine is
+    built, so the assembly is freed before the last run.  When both fixed
+    and anderson are listed, they share their first three passes
+    (`coupling.SharedHead`): the first of them runs those passes and the
+    second resumes from a copy, with every file and report as if it had
+    run alone.  On the seed-0 30x30x3 and 48x48x3 studies that saves 3 of
+    the 9 marches and about a quarter of the wall time.
     """
     case = config.build_case()
     masks = compartment_masks(case)
@@ -307,11 +316,15 @@ def run_barrier_case(
     out = Path(out_dir if out_dir is not None else config.output_directory)
     runs = []
     head = SharedHead() if {"fixed", "anderson"} <= set(names) else None
+    shared = SharedOperators()
     for name, scheme in zip(names, specs):
         log.info("barrier case, scheme %s", name)
         run_scheme = simulate if head is None or name == "lagged" else head.simulate
-        # the engine is a temporary: freed before the next scheme builds its own
-        result = run_scheme(CoupledSystem(case, config.solver), scheme)
+        engine = CoupledSystem(case, config.solver, shared)
+        if name == names[-1]:
+            shared = None  # the last engine has its solver: its run needs no assembly
+        result = run_scheme(engine, scheme)
+        del engine  # its elastic solver is freed before the next scheme builds its own
         averages = []
         for mask in masks:
             w = vol[mask]

@@ -42,10 +42,15 @@ step.  They differ only in where the flow source psi of a step comes from:
 All reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
 `CoupledSystem` holds them, and `simulate(engine, scheme)` runs any
-scheme on it.  The march, not the elastic solver, owns a run's elastic
-solutions and the start of each solve (`CoupledSystem.evaluate`): each
-pass solves over the last in the run's one (7n, N) block, so a pass's
-states are views into that block, valid until the run's next pass.
+scheme on it.  Neither the flow system nor the assembled elastic
+operator depends on the scheme, so a study builds them once into a
+`SharedOperators` holder and hands it to each scheme's engine; every
+engine still builds its own elastic solver (rescaling, then the LU or
+the AMG hierarchies).  The march, not the elastic solver, owns a run's
+elastic solutions and the start of each solve (`CoupledSystem.evaluate`):
+each pass solves over the last in the run's one (7n, N) block, so a
+pass's states are views into that block, valid until the run's next
+pass.
 
 A fixed-stress run is a `PassState` (psi's source, the block, the
 residuals, the Anderson window) that `advance` moves on by one pass, so
@@ -88,6 +93,7 @@ __all__ = [
     "anderson_weights",
     "elastic_load",
     "coupling_strength",
+    "SharedOperators",
     "CoupledSystem",
     "PassState",
     "advance",
@@ -367,42 +373,71 @@ def coupling_strength(props: PoroelasticProperties) -> np.ndarray:
     )
 
 
+class SharedOperators:
+    """The flow system and the assembled elastic operator of one case under
+    one solver method, for every engine of a study.
+
+    Neither depends on the coupling scheme.  The first `CoupledSystem`
+    handed an empty holder builds both into it; each later one takes them,
+    and refuses a holder filled for another case or method before it
+    builds anything.  The assembly stays unscaled for as long as the
+    caller keeps the holder; the engines keep neither.
+    """
+
+    def __init__(self):
+        self.case: BiotCase | None = None
+        self.method = ""
+        self.flow: FlowSystem | None = None
+        self.elastic: SparseBlockSystem | None = None
+
+
 class CoupledSystem:
     """Assembled, factorized operators of one case, reused across solves.
 
-    The elastic operator is kept only by its solver, rescaled.  A caller
-    that needs the assembled one too (``run --dump-matrix``) assembles it
-    and passes it in as ``elastic``, so it is assembled once.  The flow is
-    drained when every coupling strength is below 1 and alpha is not zero
-    everywhere; it then takes the Biot storage ``lagged_storage`` from the
-    previous iterate, which is None otherwise.  The flow and the elastic
-    solver each pick their own path from ``solver.method``.
+    The flow system and the elastic assembly come from ``shared``, built
+    there by the first engine handed it; without one, the engine builds
+    both for itself.  Each engine builds its own elastic solver, which
+    keeps the operator only rescaled, so the engine keeps no unscaled
+    assembly: a caller that needs it (``run --dump-matrix``) reads it
+    from the holder.  The flow is drained when every coupling strength is
+    below 1 and alpha is not zero everywhere; it then takes the Biot
+    storage ``lagged_storage`` from the previous iterate, which is None
+    otherwise.  The flow and the elastic solver each pick their own path
+    from ``solver.method``.
     """
 
     def __init__(
         self,
         case: BiotCase,
         solver: SolverOptions | None = None,
-        elastic: SparseBlockSystem | None = None,
+        shared: SharedOperators | None = None,
     ):
         self.case = case
         solver = solver or SolverOptions()
+        if shared is None:
+            shared = SharedOperators()  # dropped on return, and the assembly with it
+        elif shared.case is not None and (
+            shared.case is not case or shared.method != solver.method
+        ):
+            raise ValueError("shared operators belong to another case or solver method")
         mesh, props = case.mesh, case.props
         biot = props.alpha * case.alpha_over_lam
         strength = float(np.max(coupling_strength(props)))
         # without Biot storage (alpha = 0) both splits build the same flow
         self.drained = bool(np.any(biot) and strength < 1.0)
-        log.info(
-            "flow storage: %s (largest coupling strength tau %.3g)",
-            "c0, drained split" if self.drained else "c0 + alpha^2/lambda",
-            strength,
-        )
-        storage = props.c0 if self.drained else props.c0 + biot
-        self.flow = FlowSystem(mesh, props, case.time.dt, storage, solver.method)
+        if shared.case is None:
+            log.info(
+                "flow storage: %s (largest coupling strength tau %.3g)",
+                "c0, drained split" if self.drained else "c0 + alpha^2/lambda",
+                strength,
+            )
+            storage = props.c0 if self.drained else props.c0 + biot
+            shared.flow = FlowSystem(mesh, props, case.time.dt, storage, solver.method)
+            shared.elastic = assemble_tpsa(mesh, props)
+            shared.case, shared.method = case, solver.method
+        self.flow = shared.flow
         self.lagged_storage = biot if self.drained else None
-        if elastic is None:
-            elastic = assemble_tpsa(mesh, props)
-        self.mech = TpsaSolver(elastic, mean_shear_modulus(mesh, props), solver)
+        self.mech = TpsaSolver(shared.elastic, mean_shear_modulus(mesh, props), solver)
         self.n_cells = mesh.n_cells
 
     def coupling_source(self, prev: BiotState, now: BiotState) -> np.ndarray:

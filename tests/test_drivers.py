@@ -21,10 +21,18 @@ from biotfv.app.drivers import (
     run_case,
     run_convergence_study,
 )
-from biotfv.coupling import SCHEME_KINDS, CoupledSystem, SchemeSpec, simulate
+from biotfv.coupling import (
+    SCHEME_KINDS,
+    CoupledSystem,
+    SchemeSpec,
+    SharedOperators,
+    simulate,
+)
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import krylov
+from biotfv.linsolve.precond import TpsaSolver
 from biotfv.mesh import build_cartesian
+from biotfv.tpfa import FlowSystem
 from pathlib import Path
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -187,6 +195,38 @@ def test_a_three_scheme_study_marches_the_shared_passes_once(tmp_path, monkeypat
     assert anderson > 3
     assert len(marches) == 1 + fixed + (anderson - 3)
     assert marches.count(True) == 1  # the lagged march alone has no given source
+
+
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_a_study_builds_one_flow_and_one_assembly(tmp_path, monkeypatch, method):
+    # the schemes share the flow system and the assembled elastic operator;
+    # each scheme's engine still builds its own elastic solver
+    built = []
+
+    def counted(name, build):
+        def spy(*args, **kwargs):
+            built.append(name)
+            return build(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(FlowSystem, "__init__", counted("flow", FlowSystem.__init__))
+    monkeypatch.setattr(TpsaSolver, "__init__", counted("solver", TpsaSolver.__init__))
+    monkeypatch.setattr(coupling, "assemble_tpsa", counted("assembly", coupling.assemble_tpsa))
+    cfg = parse_config_text(_barrier_8(method))
+    runs = run_barrier_case(cfg, SCHEME_KINDS, tmp_path)
+    assert [run.result.report.converged for run in runs] == [True] * 3
+    assert built == ["flow", "assembly", "solver", "solver", "solver"]
+    # a holder filled for one case and method serves no other
+    case = cfg.build_case()
+    shared = SharedOperators()
+    CoupledSystem(case, cfg.solver, shared)
+    other = replace(cfg.solver, method="iterative" if method == "direct" else "direct")
+    built.clear()
+    for wrong_case, solver in [(cfg.build_case(), cfg.solver), (case, other)]:
+        with pytest.raises(ValueError, match="another case or solver method"):
+            CoupledSystem(wrong_case, solver, shared)
+    assert built == []
 
 
 @pytest.mark.parametrize("first, second", [("fixed", "anderson"), ("anderson", "fixed")])
