@@ -295,9 +295,11 @@ def run_barrier_case(
 
     The study builds one flow system and one elastic assembly, in the
     first scheme's engine, and hands them to every later one through a
-    `coupling.SharedOperators` holder; each scheme's engine builds its own
-    elastic solver, and the holder is dropped once the last engine is
-    built, so the assembly is freed before the last run.  When both fixed
+    `coupling.SharedOperators` holder.  On the Krylov path the elastic
+    solver (rescaling and four AMG hierarchies) travels the same way, so
+    the study builds it once; on the LU path each scheme's engine factors
+    its own.  The holder is dropped once the last engine is built, so the
+    assembly is freed before the last run.  When both fixed
     and anderson are listed, they share their first three passes
     (`coupling.SharedHead`): the first of them runs those passes and the
     second resumes from a copy, with every file and report as if it had
@@ -324,7 +326,9 @@ def run_barrier_case(
         if name == names[-1]:
             shared = None  # the last engine has its solver: its run needs no assembly
         result = run_scheme(engine, scheme)
-        del engine  # its elastic solver is freed before the next scheme builds its own
+        # an LU is freed before the next scheme factors its own; a Krylov
+        # solver lives on in the holder for the next engine
+        del engine
         averages = []
         for mask in masks:
             w = vol[mask]

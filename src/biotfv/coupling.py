@@ -42,11 +42,12 @@ step.  They differ only in where the flow source psi of a step comes from:
 All reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
 `CoupledSystem` holds them, and `simulate(engine, scheme)` runs any
-scheme on it.  Neither the flow system nor the assembled elastic
-operator depends on the scheme, so a study builds them once into a
-`SharedOperators` holder and hands it to each scheme's engine; every
-engine still builds its own elastic solver (rescaling, then the LU or
-the AMG hierarchies).  The march, not the elastic solver, owns a run's
+scheme on it.  Neither the flow system, nor the assembled elastic
+operator, nor the elastic solver depends on the scheme, so a study
+builds the first two once into a `SharedOperators` holder and hands it
+to each scheme's engine, and on the Krylov path the solver too (the
+rescaled operator and its four AMG hierarchies); an LU is still
+factored once per engine.  The march, not the elastic solver, owns a run's
 elastic solutions and the start of each solve (`CoupledSystem.evaluate`):
 each pass solves over the last in the run's one (7n, N) block, so a
 pass's states are views into that block, valid until the run's next
@@ -374,36 +375,41 @@ def coupling_strength(props: PoroelasticProperties) -> np.ndarray:
 
 
 class SharedOperators:
-    """The flow system and the assembled elastic operator of one case under
-    one solver method, for every engine of a study.
+    """The flow system, the assembled elastic operator and the Krylov
+    elastic solver of one case under one set of solver options, for every
+    engine of a study.
 
-    Neither depends on the coupling scheme.  The first `CoupledSystem`
-    handed an empty holder builds both into it; each later one takes them,
-    and refuses a holder filled for another case or method before it
-    builds anything.  The assembly stays unscaled for as long as the
-    caller keeps the holder; the engines keep neither.
+    None of them depends on the coupling scheme.  The first `CoupledSystem`
+    handed an empty holder builds them into it; each later one takes them,
+    and refuses a holder filled for another case or other solver options
+    (method or rtol) before it builds anything.  `mech` stays None on the
+    LU path, where each engine factors for itself.  The assembly stays
+    unscaled for as long as the caller keeps the holder; the engines keep
+    neither the holder nor the assembly.
     """
 
     def __init__(self):
         self.case: BiotCase | None = None
-        self.method = ""
+        self.solver: SolverOptions | None = None
         self.flow: FlowSystem | None = None
         self.elastic: SparseBlockSystem | None = None
+        self.mech: TpsaSolver | None = None
 
 
 class CoupledSystem:
     """Assembled, factorized operators of one case, reused across solves.
 
     The flow system and the elastic assembly come from ``shared``, built
-    there by the first engine handed it; without one, the engine builds
-    both for itself.  Each engine builds its own elastic solver, which
-    keeps the operator only rescaled, so the engine keeps no unscaled
-    assembly: a caller that needs it (``run --dump-matrix``) reads it
-    from the holder.  The flow is drained when every coupling strength is
-    below 1 and alpha is not zero everywhere; it then takes the Biot
-    storage ``lagged_storage`` from the previous iterate, which is None
-    otherwise.  The flow and the elastic solver each pick their own path
-    from ``solver.method``.
+    there by the first engine handed it, and so does a Krylov elastic
+    solver, which keeps no state of a run; without a holder, the engine
+    builds all of them for itself.  An engine on the LU path factors its
+    own.  The elastic solver keeps the operator only rescaled, so the
+    engine keeps no unscaled assembly: a caller that needs it
+    (``run --dump-matrix``) reads it from the holder.  The flow is drained
+    when every coupling strength is below 1 and alpha is not zero
+    everywhere; it then takes the Biot storage ``lagged_storage`` from the
+    previous iterate, which is None otherwise.  The flow and the elastic
+    solver each pick their own path from ``solver.method``.
     """
 
     def __init__(
@@ -417,9 +423,9 @@ class CoupledSystem:
         if shared is None:
             shared = SharedOperators()  # dropped on return, and the assembly with it
         elif shared.case is not None and (
-            shared.case is not case or shared.method != solver.method
+            shared.case is not case or shared.solver != solver
         ):
-            raise ValueError("shared operators belong to another case or solver method")
+            raise ValueError("shared operators belong to another case or solver options")
         mesh, props = case.mesh, case.props
         biot = props.alpha * case.alpha_over_lam
         strength = float(np.max(coupling_strength(props)))
@@ -434,10 +440,17 @@ class CoupledSystem:
             storage = props.c0 if self.drained else props.c0 + biot
             shared.flow = FlowSystem(mesh, props, case.time.dt, storage, solver.method)
             shared.elastic = assemble_tpsa(mesh, props)
-            shared.case, shared.method = case, solver.method
+            shared.case, shared.solver = case, solver
         self.flow = shared.flow
         self.lagged_storage = biot if self.drained else None
-        self.mech = TpsaSolver(shared.elastic, mean_shear_modulus(mesh, props), solver)
+        self.mech = shared.mech
+        if self.mech is None:
+            self.mech = TpsaSolver(shared.elastic, mean_shear_modulus(mesh, props), solver)
+            # the LU is not shared: perfbench's self-test barrier takes this
+            # path and pins one factorization per scheme, so sharing it waits
+            # for the change that moves that pin
+            if not self.mech.direct:
+                shared.mech = self.mech
         self.n_cells = mesh.n_cells
 
     def coupling_source(self, prev: BiotState, now: BiotState) -> np.ndarray:

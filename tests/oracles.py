@@ -30,10 +30,11 @@ it writes out on its own (with predict=False, the previous rule: no
 predicted correction), and coupled_probe the
 convergence probe run through a whole coupled engine, the reference for
 the study's elastic-only probe.
-monolithic_march solves flow and mechanics of each step as one system,
-the limit the splitting schemes converge to.  read_csv reads back
-what the package's CSV writer wrote (np.load reads the .npy source
-histories) and read_vtk its legacy binary VTK files; assert_same_history
+monolithic_march solves flow and mechanics of each step as one
+equilibrated system, the limit the splitting schemes converge to.
+read_csv reads back what the package's CSV writer wrote (np.load reads
+the .npy source histories) and read_vtk its legacy binary VTK files;
+assert_same_history
 and assert_same_final check a written history and final state against
 the run's arrays bit for bit.  CountingOperator stands in for a
 sparse matrix and counts the products taken with it.  material builds
@@ -676,6 +677,12 @@ def monolithic_march(coupled):
     psi = -b (p_hat_i - p_hat_{i-1})/dt of its own step, and the pressure
     rows the load -b dp_i.  Returns the N (dp, u, r, p_hat) tuples of
     steps 1..N.
+
+    The LU factors D M D, D = |diag M|^(-1/2), and each step solves
+    D M D y = D rhs for x = D y.  At field moduli the diagonal of M spans
+    twenty orders of magnitude (3e-9 to 6e11 on the shipped 30x30x3
+    barrier), and the unscaled LU put that case's worst-step dp 1.2e-4
+    from a tol 1e-12 Anderson run; equilibrated, 1.4e-12.
     """
     case = coupled.case
     props = case.props
@@ -687,15 +694,16 @@ def monolithic_march(coupled):
     to_mech = vstack([csr_matrix((6 * n, n)), diags(coupling)])
     # the engine keeps only the rescaled operator: assemble it again
     elastic = assemble_tpsa(case.mesh, case.props).matrix
-    matrix = vstack([to_flow, hstack([to_mech, elastic])]).tocsc()
-    lu = splu(matrix)
+    matrix = vstack([to_flow, hstack([to_mech, elastic])])
+    scale = np.abs(matrix.diagonal()) ** -0.5
+    lu = splu((diags(scale) @ matrix @ diags(scale)).tocsc())
     body = assemble_rhs(case.mesh, case.props)
     initial = case.initial
     dp, p_hat = initial.dp, initial.p_hat
     out = []
     for rates in case.sources:
         flow_rhs = accumulation / dt * dp + coupling / dt * p_hat + rates
-        solution = lu.solve(np.concatenate([flow_rhs, body]))
+        solution = scale * lu.solve(scale * np.concatenate([flow_rhs, body]))
         dp = solution[:n]
         u, r, p_hat = split_fields(solution[n:], n)
         out.append((dp, u, r, p_hat))

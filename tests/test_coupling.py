@@ -760,6 +760,20 @@ def test_fixed_stress_converges_to_the_monolithic_solution():
             assert _distance(result.states, reference) <= 10 * tol, (tol, kind)
 
 
+def test_the_oracle_holds_at_field_moduli():
+    # GPa stiffness and c0 = 1e-8 1/Pa put the oracle's diagonal twenty
+    # orders of magnitude apart; measured worst-step dp gap to a tight LU
+    # Anderson run on this 8 x 8 x 3 barrier: 1.1e-5 unscaled, 7.3e-13
+    # equilibrated
+    case, _, _ = _small_barrier()
+    direct = SolverOptions(method="direct")
+    reference = monolithic_march(CoupledSystem(case, direct))
+    scheme = SchemeSpec(kind="anderson", tol=1e-12, max_iter=50)
+    result = simulate(CoupledSystem(case, direct), scheme)
+    assert result.report.converged
+    assert _distance(result.states, reference, fields=[0]) <= 1e-11
+
+
 def test_lagged_splitting_error_is_seen_by_the_oracle_and_falls_when_drained(
     monkeypatch,
 ):

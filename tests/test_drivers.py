@@ -142,23 +142,32 @@ STOPS = {
 @pytest.mark.parametrize("stop", list(STOPS))
 @pytest.mark.parametrize("method", ["direct", "iterative"])
 def test_study_runs_equal_standalone_runs_bitwise(tmp_path, method, stop):
-    # the study shares fixed's and anderson's first passes; each run must
-    # still be the one simulate gives that scheme alone, so criterion 6's
-    # equal heads stay a property of the schemes, not of the sharing
+    # the study shares fixed's and anderson's first passes, and on the
+    # Krylov path one elastic solver; each run must still be the one
+    # simulate gives that scheme alone, so criterion 6's equal heads stay a
+    # property of the schemes, not of the sharing, and a solver carries
+    # nothing of one run into the next
     cfg = parse_config_text(_barrier_8(method, **STOPS[stop]))
     case = cfg.build_case()
     alone = {
         kind: simulate(CoupledSystem(case, cfg.solver), replace(cfg.scheme, kind=kind))
-        for kind in ("fixed", "anderson")
+        for kind in SCHEME_KINDS
     }
     passes = alone["anderson"].report.iterations
     assert passes == {"shipped": 4 if method == "direct" else 5}.get(stop, 2)
-    for schemes in [("fixed", "anderson"), ("anderson", "fixed"), ("anderson",)]:
+    orders = [
+        ("fixed", "anderson"),
+        ("anderson", "fixed"),
+        ("anderson",),
+        ("lagged", "fixed", "anderson"),  # fixed and anderson reuse lagged's solver
+    ]
+    for schemes in orders:
         runs = run_barrier_case(cfg, schemes, out_dir=tmp_path / "_".join(schemes))
         for run in runs:
             got, want = run.result, alone[run.scheme]
             assert got.report.residuals == want.report.residuals
-            assert got.report.converged == want.report.converged == (stop != "capped_at_2_passes")
+            assert got.report.converged == want.report.converged
+            assert got.report.converged == (stop != "capped_at_2_passes" or run.scheme == "lagged")
             assert _bits(got.psi) == _bits(want.psi)
             assert len(got.states) == len(want.states)
             for a, b in zip(got.states, want.states):
@@ -199,9 +208,10 @@ def test_a_three_scheme_study_marches_the_shared_passes_once(tmp_path, monkeypat
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
 def test_a_study_builds_one_flow_and_one_assembly(tmp_path, monkeypatch, method):
-    # the schemes share the flow system and the assembled elastic operator;
-    # each scheme's engine still builds its own elastic solver
-    built = []
+    # the schemes share the flow system and the assembled elastic operator,
+    # and on the Krylov path the elastic solver too; each scheme's engine
+    # still factors its own LU
+    built, engines = [], []
 
     def counted(name, build):
         def spy(*args, **kwargs):
@@ -210,21 +220,32 @@ def test_a_study_builds_one_flow_and_one_assembly(tmp_path, monkeypatch, method)
 
         return spy
 
+    init = CoupledSystem.__init__
+
+    def kept(engine, *args, **kwargs):
+        engines.append(engine)
+        return init(engine, *args, **kwargs)
+
     monkeypatch.setattr(FlowSystem, "__init__", counted("flow", FlowSystem.__init__))
     monkeypatch.setattr(TpsaSolver, "__init__", counted("solver", TpsaSolver.__init__))
     monkeypatch.setattr(coupling, "assemble_tpsa", counted("assembly", coupling.assemble_tpsa))
+    monkeypatch.setattr(CoupledSystem, "__init__", kept)
     cfg = parse_config_text(_barrier_8(method))
     runs = run_barrier_case(cfg, SCHEME_KINDS, tmp_path)
     assert [run.result.report.converged for run in runs] == [True] * 3
-    assert built == ["flow", "assembly", "solver", "solver", "solver"]
-    # a holder filled for one case and method serves no other
+    solvers = 3 if method == "direct" else 1
+    assert built == ["flow", "assembly"] + ["solver"] * solvers
+    assert len(engines) == 3 and len({id(engine.mech) for engine in engines}) == solvers
+    # a holder filled for one case and solver options serves no other
     case = cfg.build_case()
     shared = SharedOperators()
     CoupledSystem(case, cfg.solver, shared)
     other = replace(cfg.solver, method="iterative" if method == "direct" else "direct")
+    tighter = replace(cfg.solver, rtol=1e-8)
+    assert cfg.solver.rtol == 1e-5
     built.clear()
-    for wrong_case, solver in [(cfg.build_case(), cfg.solver), (case, other)]:
-        with pytest.raises(ValueError, match="another case or solver method"):
+    for wrong_case, solver in [(cfg.build_case(), cfg.solver), (case, other), (case, tighter)]:
+        with pytest.raises(ValueError, match="another case or solver options"):
             CoupledSystem(wrong_case, solver, shared)
     assert built == []
 
