@@ -262,6 +262,14 @@ def run_convergence_study(
 
 @dataclass
 class BarrierRun:
+    """One scheme's run of a barrier study.
+
+    `result` is trimmed (`SimulationResult.trimmed`): the report, psi,
+    every state's dp and t, and the first and final states whole.  The
+    interior states' elastic fields are None, so a finished run does not
+    keep its (7n, N) elastic block while the later schemes run.
+    """
+
     scheme: str
     result: SimulationResult
     avg_dp_omega1: np.ndarray
@@ -297,9 +305,13 @@ def run_barrier_case(
     first scheme's engine, and hands them to every later one through a
     `coupling.SharedOperators` holder.  On the Krylov path the elastic
     solver (rescaling and four AMG hierarchies) travels the same way, so
-    the study builds it once; on the LU path each scheme's engine factors
-    its own.  The holder is dropped once the last engine is built, so the
-    assembly is freed before the last run.  When both fixed
+    the study builds it once and drops the assembly after the first
+    engine; on the LU path each scheme's engine factors its own, and the
+    assembly is dropped once the last engine is built.  Each run is
+    trimmed as it returns (`SimulationResult.trimmed`) and its files are
+    written from the trimmed result, so a finished scheme keeps only what
+    its files, its summary row and the returned `BarrierRun` read, not
+    its (7n, N) elastic block.  When both fixed
     and anderson are listed, they share their first three passes
     (`coupling.SharedHead`): the first of them runs those passes and the
     second resumes from a copy, with every file and report as if it had
@@ -323,9 +335,13 @@ def run_barrier_case(
         log.info("barrier case, scheme %s", name)
         run_scheme = simulate if head is None or name == "lagged" else head.simulate
         engine = CoupledSystem(case, config.solver, shared)
-        if name == names[-1]:
-            shared = None  # the last engine has its solver: its run needs no assembly
-        result = run_scheme(engine, scheme)
+        if shared.mech is not None or name == names[-1]:
+            # no later engine reads the assembly: each takes the holder's
+            # Krylov solver, or none is left to factor its own LU
+            shared.elastic = None
+        # trimmed as it returns, so no local keeps the run's elastic block
+        # alive into the next run
+        result = run_scheme(engine, scheme).trimmed()
         # an LU is freed before the next scheme factors its own; a Krylov
         # solver lives on in the holder for the next engine
         del engine

@@ -199,12 +199,17 @@ class SchemeSpec:
 
 @dataclass
 class BiotState:
-    """Coupled fields at one time point."""
+    """Coupled fields at one time point.
+
+    A run's states hold u, r and p_hat as views into its (7n, N) elastic
+    block.  An interior state of a trimmed result (`SimulationResult.trimmed`)
+    holds dp and t alone, its u, r and p_hat None.
+    """
 
     dp: np.ndarray  # fluid pressure deviation (n,) [Pa]
-    u: np.ndarray  # displacement (n, 3) [m]
-    r: np.ndarray  # rotation (n, 3) [Pa]
-    p_hat: np.ndarray  # effective pressure lam*div(u) - alpha*dp (n,) [Pa]
+    u: np.ndarray | None  # displacement (n, 3) [m]
+    r: np.ndarray | None  # rotation (n, 3) [Pa]
+    p_hat: np.ndarray | None  # effective pressure lam*div(u) - alpha*dp (n,) [Pa]
     t: float = 0.0
 
 
@@ -278,6 +283,13 @@ class CouplingReport:
 
 @dataclass
 class SimulationResult:
+    """A run's N+1 states, its coupling source history and its report.
+
+    The states of a run are whole, their elastic fields views into the
+    run's (7n, N) block; a trimmed result keeps whole only the first and
+    the final state (`trimmed`).
+    """
+
     states: list[BiotState]
     # coupling source -(alpha/lam) * d(p_hat)/dt per step (N, n): from the
     # states of the step (fixed stress) or of the two steps before (lagged)
@@ -287,6 +299,20 @@ class SimulationResult:
     @property
     def final(self) -> BiotState:
         return self.states[-1]
+
+    def trimmed(self) -> SimulationResult:
+        """The result without the run's (7n, N) elastic block.
+
+        Keeps the report, psi, every state's dp and t, the first state (the
+        case's initial state) whole and a copy of the final one: what a
+        finished run's output files, mass defect and compartment averages
+        read.  The interior states' u, r and p_hat become None, so nothing
+        the trimmed result holds keeps the block alive.
+        """
+        first, final = self.states[0], self.states[-1]
+        interior = [replace(s, u=None, r=None, p_hat=None) for s in self.states[1:-1]]
+        final = replace(final, u=final.u.copy(), r=final.r.copy(), p_hat=final.p_hat.copy())
+        return SimulationResult([first, *interior, final], self.psi, self.report)
 
 
 # ------------------------------------------------------------- Anderson
