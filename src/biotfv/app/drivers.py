@@ -301,13 +301,21 @@ def run_barrier_case(
     one is rejected, so bad input writes no file.  The mass defect is the
     fluid-content balance of `global_mass_check`, on every wall closure.
 
+    The listed fixed and anderson run first, in their listed order, and
+    lagged after them; files, summary rows and the returned runs keep the
+    listed order.  The study's peak memory falls in fixed stress's fourth
+    pass, with its own (7n, N) block and the shared copy live, and no
+    finished run beside them: on 48x48x3, each step beyond the 24th adds
+    about 23 doubles per cell to the peak RSS.  A study that fails in fixed
+    stress stops before lagged runs.
+
     The study builds one flow system and one elastic assembly, in the
-    first scheme's engine, and hands them to every later one through a
+    first engine, and hands them to every later one through a
     `coupling.SharedOperators` holder.  On the Krylov path the elastic
     solver (rescaling and four AMG hierarchies) travels the same way, so
     the study builds it once and drops the assembly after the first
     engine; on the LU path each scheme's engine factors its own, and the
-    assembly is dropped once the last engine is built.  Each run is
+    assembly is dropped once the last engine to run is built.  Each run is
     trimmed as it returns (`SimulationResult.trimmed`) and its files are
     written from the trimmed result, so a finished scheme keeps only what
     its files, its summary row and the returned `BarrierRun` read, not
@@ -328,14 +336,18 @@ def run_barrier_case(
     specs = [replace(config.scheme, kind=name) for name in names]
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output_directory)
-    runs = []
+    # fixed stress runs first, so no finished run is live beside its two
+    # (7n, N) blocks; files, summary rows and runs keep the listed order
+    order = sorted(range(len(names)), key=lambda i: names[i] == "lagged")
+    runs = [None] * len(names)
     head = SharedHead() if {"fixed", "anderson"} <= set(names) else None
     shared = SharedOperators()
-    for name, scheme in zip(names, specs):
+    for i in order:
+        name, scheme = names[i], specs[i]
         log.info("barrier case, scheme %s", name)
         run_scheme = simulate if head is None or name == "lagged" else head.simulate
         engine = CoupledSystem(case, config.solver, shared)
-        if shared.mech is not None or name == names[-1]:
+        if shared.mech is not None or i == order[-1]:
             # no later engine reads the assembly: each takes the holder's
             # Krylov solver, or none is left to factor its own LU
             shared.elastic = None
@@ -358,7 +370,7 @@ def run_barrier_case(
             avg_dp_omega2=averages[1],
             mass_defect=global_mass_check(case, result.states),
         )
-        runs.append(run)
+        runs[i] = run
         write_csv(
             out / f"barrier_{name}.csv",
             ["step", "time", "avg_dp_omega1", "avg_dp_omega2"],

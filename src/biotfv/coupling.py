@@ -324,8 +324,9 @@ def anderson_weights(residuals: list[np.ndarray]) -> np.ndarray:
     Solves min ||sum beta_i g_i|| with sum beta_i = 1 through the
     difference reformulation (unconstrained in m-1 variables).  A rank
     deficient or ill-conditioned normal matrix is regularized by a 1e-12
-    diagonal shift; if the solve still degenerates, the weights fall back
-    to the plain step (all weight on the newest pair).
+    diagonal shift; if a residual is not finite or the solve still
+    degenerates, the weights fall back to the plain step (all weight on the
+    newest pair).
     """
     m = len(residuals)
     if m < 1:
@@ -338,13 +339,16 @@ def anderson_weights(residuals: list[np.ndarray]) -> np.ndarray:
     )
     gram = diffs.T @ diffs
     rhs = -diffs.T @ g_new
-    scale = float(np.max(np.abs(np.diag(gram)))) if gram.size else 0.0
-    if scale == 0.0 or np.linalg.cond(gram) > 1e14:
-        gram = gram + 1e-12 * max(scale, 1.0) * np.eye(m - 1)
-    try:
-        c = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        c = None
+    c = None
+    # a non-finite residual takes the plain step: np.linalg.cond fails on NaN
+    if np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs)):
+        scale = float(np.max(np.abs(np.diag(gram))))
+        if scale == 0.0 or np.linalg.cond(gram) > 1e14:
+            gram = gram + 1e-12 * max(scale, 1.0) * np.eye(m - 1)
+        try:
+            c = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            pass
     if c is None or not np.all(np.isfinite(c)):
         beta = np.zeros(m)
         beta[-1] = 1.0
@@ -554,12 +558,15 @@ class CoupledSystem:
             states.append(BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=times[i]))
         return states, block
 
-    def weighted_norm(self, psi: np.ndarray) -> float:
-        """Space-time L2 norm with cell-volume and time-step weights."""
-        volumes = self.case.mesh.cell_volumes
-        return float(
-            np.sqrt(self.case.time.dt * np.sum(volumes * psi**2))
-        )
+    def weighted_norm(self, psi: np.ndarray, out: np.ndarray | None = None) -> float:
+        """Space-time L2 norm with cell-volume and time-step weights.
+
+        The weighted squares go into `out`, an array of psi's shape and
+        layout (psi itself may be it), and else into one new array.
+        """
+        squares = np.square(psi, out=out)
+        squares *= self.case.mesh.cell_volumes
+        return float(np.sqrt(self.case.time.dt * np.sum(squares)))
 
 
 # -------------------------------------------------------------- schemes
@@ -636,8 +643,12 @@ def advance(engine: CoupledSystem, state: PassState, tol: float) -> None:
     states, state.block = engine.evaluate(psi, state.block)
     image = np.stack([engine.flow_source(a, b) for a, b in zip(states, states[1:])])
     defect = image - psi  # the fixed-point residual, mixed by anderson
-    change = engine.weighted_norm(defect)
-    scale = engine.weighted_norm(image)
+    # the zero start's pair never enters the window: the second pass is plain
+    keep = state.window is not None and len(state.residuals) > 0
+    # the norms square into one work array, the defect itself unless kept
+    work = np.empty_like(image) if keep else defect
+    change = engine.weighted_norm(defect, out=work)
+    scale = engine.weighted_norm(image, out=work)
     residual = change / scale if scale > 0.0 else (0.0 if change == 0.0 else np.inf)
     state.residuals.append(residual)
     if not math.isfinite(residual):
@@ -646,8 +657,7 @@ def advance(engine: CoupledSystem, state: PassState, tol: float) -> None:
             trace=state.residuals,
         )
     state.converged = residual <= tol
-    if state.window is not None and len(state.residuals) > 1:
-        # the zero start's pair never enters the window: the second pass is plain
+    if keep:
         state.window.push(defect, image)
     state.states, state.image = states, image
 

@@ -1,0 +1,208 @@
+"""Check that a tree writes the same output files as its merge base.
+
+    python tests/compare_outputs.py run TREE OUT
+    python tests/compare_outputs.py compare BASE_OUT HEAD_OUT [--declared FILE]
+
+`run` runs seven cases with the package in TREE/src on TREE's own case
+files, at one BLAS thread, into OUT, and writes OUT/outputs.sha256: one
+sha256 per output file, then, as comment lines, the convergence study's
+rotation order to 10 digits and its probe iteration count per grid.  The
+cases are the shipped barrier study, its `method = direct` copy, its
+48x48x3 copy under `method = auto` and under `method = iterative`, its
+Robin and traction-free copy, `run --dump-matrix` of the shipped barrier,
+and `convergence --grids 8,12,16,24` of the shipped manufactured case.
+
+`compare` prints both trees' figures and every file whose hash differs
+or that only one tree wrote.  It exits 1 naming each such file unless
+FILE declares it: a line of FILE that starts with the marker
+`OUTPUTS CHANGED:`, after a list bullet if any, and holds after it a word
+that is the file's path relative to OUT or a shell pattern matching it
+(`barrier/barrier_fixed.csv`, `barrier*/*.vtk`).
+Give as FILE the lines a change adds to CHANGES.md, so that only the
+change's own declarations count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import fnmatch
+import hashlib
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+MANIFEST = "outputs.sha256"
+MARKER = "OUTPUTS CHANGED:"
+CONVERGENCE = "convergence"
+
+# the CLI of the tree's own package, which must come from TREE/src
+LAUNCH = """
+import sys
+from pathlib import Path
+import biotfv
+from biotfv.app.cli import main
+src = Path(sys.argv[1]).resolve()
+if src not in Path(biotfv.__file__).resolve().parents:
+    sys.exit(f"biotfv imported from {biotfv.__file__}, not from {src}")
+sys.exit(main(sys.argv[2:]))
+"""
+
+BARRIER_48 = [
+    ("nx = 30", "nx = 48"),
+    ("ny = 30", "ny = 48"),
+    ("barrier_index = 15", "barrier_index = 24"),
+    ("cell = 7 15 1", "cell = 12 24 1"),
+]
+ROBIN_FREE = [
+    ("mechanics = fixed", "mechanics = robin\nrobin_delta = 10 m\nrobin_mu = 1 GPa\nz_max = free"),
+]
+
+
+def solver_method(method: str) -> list[tuple[str, str]]:
+    return [("[solver]", f"[solver]\nmethod = {method}")]
+
+
+# (output folder, subcommand, case file, line edits of the case, extra arguments)
+CASES = [
+    ("barrier", "barrier", "barrier.cfg", [], []),
+    ("barrier_direct", "barrier", "barrier.cfg", solver_method("direct"), []),
+    ("barrier_48", "barrier", "barrier.cfg", BARRIER_48, []),
+    ("barrier_48_krylov", "barrier", "barrier.cfg", BARRIER_48 + solver_method("iterative"), []),
+    ("barrier_robin", "barrier", "barrier.cfg", ROBIN_FREE, []),
+    ("dump", "run", "barrier.cfg", [], ["--dump-matrix"]),
+    (CONVERGENCE, "convergence", "manufactured.cfg", [], ["--grids", "8,12,16,24"]),
+]
+
+
+def edited(text: str, edits: list[tuple[str, str]]) -> str:
+    """The case text with each whole line `old` replaced by `new`; an edit
+    whose line is missing fails, so a renamed key cannot rerun the shipped case."""
+    lines = text.splitlines()
+    for old, new in edits:
+        if lines.count(old) != 1:
+            raise SystemExit(f"case line {old!r} is not there exactly once")
+        lines[lines.index(old)] = new
+    return "\n".join(lines) + "\n"
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def convergence_figures(folder: Path) -> list[str]:
+    """The rotation order to 10 digits and the probe iterations per grid."""
+    with open(folder / "convergence_orders.csv") as handle:
+        orders = {row["variable"]: float(row["order"]) for row in csv.DictReader(handle)}
+    probes: dict[str, int] = {}
+    with open(folder / "convergence_iterations.csv") as handle:
+        for row in csv.DictReader(handle):
+            probes[row["n"]] = int(row["iteration"])  # the trace's last row
+    counts = " ".join(f"{n}:{count}" for n, count in probes.items())
+    return [f"rotation order {orders['r']:.10f}", f"probe iterations {counts}"]
+
+
+def run(tree: Path, out: Path) -> None:
+    tree, out = tree.resolve(), out.resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    cases_dir = out / "cases"
+    cases_dir.mkdir(exist_ok=True)
+    start = time.perf_counter()
+    for folder, command, case, edits, extra in CASES:
+        cfg = cases_dir / f"{folder}.cfg"
+        cfg.write_text(edited((tree / "cases" / case).read_text(), edits))
+        args = [command, str(cfg), "--out", str(out / folder), "--log-level", "warning", *extra]
+        t0 = time.perf_counter()
+        # the working directory is OUT, so no package is imported from the caller's
+        done = subprocess.run(
+            [sys.executable, "-c", LAUNCH, str(tree / "src"), *args],
+            cwd=out, env=env, stdout=subprocess.DEVNULL,
+        )
+        # a run that stops unconverged exits 3 and still writes its files
+        if done.returncode not in (0, 3):
+            raise SystemExit(f"biotfv {' '.join(args)} exited {done.returncode}")
+        print(f"{folder}: {time.perf_counter() - t0:.1f} s (exit {done.returncode})")
+    lines = [
+        f"{sha256(path)}  {path.relative_to(out).as_posix()}"
+        for folder, *_ in CASES
+        for path in sorted((out / folder).rglob("*"))
+        if path.is_file()
+    ]
+    lines += [f"# {figure}" for figure in convergence_figures(out / CONVERGENCE)]
+    (out / MANIFEST).write_text("\n".join(lines) + "\n")
+    print(f"{tree}: {len(CASES)} cases in {time.perf_counter() - start:.1f} s")
+
+
+def read_manifest(out: Path) -> tuple[dict[str, str], list[str]]:
+    hashes, figures = {}, []
+    for line in (out / MANIFEST).read_text().splitlines():
+        if line.startswith("# "):
+            figures.append(line[2:])
+        else:
+            digest, name = line.split("  ", 1)
+            hashes[name] = digest
+    return hashes, figures
+
+
+def declared_patterns(text: str) -> list[str]:
+    """The words after the marker on each line that starts with it,
+    without the quotes and punctuation around them."""
+    lines = [line.lstrip("-* \t") for line in text.splitlines()]
+    return [
+        word.strip("`'\"(),;:.")
+        for line in lines
+        if line.startswith(MARKER)
+        for word in line[len(MARKER):].split()
+    ]
+
+
+def differing(base: dict[str, str], head: dict[str, str]) -> list[str]:
+    """Files whose hashes differ, or that only one tree wrote, sorted."""
+    return sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
+
+
+def is_declared(name: str, patterns: list[str]) -> bool:
+    return any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns)
+
+
+def compare(base_out: Path, head_out: Path, declared_path: Path | None) -> int:
+    base, base_figures = read_manifest(base_out)
+    head, head_figures = read_manifest(head_out)
+    for before, after in zip(base_figures, head_figures):
+        print(f"base {before}\nhead {after}")
+    changed = differing(base, head)
+    patterns = declared_patterns(declared_path.read_text()) if declared_path else []
+    for name in changed:
+        state = "declared" if is_declared(name, patterns) else "UNDECLARED"
+        print(f"{name}: {base.get(name, 'missing')[:12]} -> {head.get(name, 'missing')[:12]} ({state})")
+    print(f"{len(head)} files, {len(changed)} differ")
+    bad = [name for name in changed if not is_declared(name, patterns)]
+    if bad:
+        print(f"outputs differ from the merge base without an {MARKER} line: {', '.join(bad)}")
+        return 1
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_p = sub.add_parser("run", help="run the cases of one tree and hash their files")
+    run_p.add_argument("tree", type=Path)
+    run_p.add_argument("out", type=Path)
+    cmp_p = sub.add_parser("compare", help="compare two trees' hashes")
+    cmp_p.add_argument("base_out", type=Path)
+    cmp_p.add_argument("head_out", type=Path)
+    cmp_p.add_argument("--declared", type=Path, help="text holding OUTPUTS CHANGED: lines")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        run(args.tree, args.out)
+        return 0
+    return compare(args.base_out, args.head_out, args.declared)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,10 +20,12 @@ from biotfv.coupling import (
     BiotCase,
     BiotState,
     CoupledSystem,
+    PassState,
     SchemeSpec,
     SharedOperators,
     TimeGrid,
     Well,
+    advance,
     anderson_weights,
     global_mass_check,
     simulate,
@@ -210,6 +212,66 @@ def test_anderson_state_requires_pairs():
         AndersonState().next_iterate()
 
 
+def _least_squares_weights(residuals):
+    """Oracle affine weights, oldest first: unregularized least squares
+    on the differences to the newest residual."""
+    g_new = residuals[-1]
+    diffs = np.stack([g - g_new for g in residuals[:-1]], axis=1)
+    c = np.linalg.lstsq(diffs, -g_new, rcond=None)[0]
+    return np.append(c, 1.0 - c.sum())
+
+
+def test_anderson_mixes_only_the_last_five_of_seven_pairs():
+    rng = np.random.default_rng(7)
+    residuals = [rng.standard_normal(12) for _ in range(7)]
+    images = [rng.standard_normal(12) for _ in range(7)]
+    state = AndersonState()
+    for residual, image in zip(residuals, images):
+        state.push(residual, image)
+
+    def oracle(first):
+        beta = _least_squares_weights(residuals[first:])
+        return sum(w * image for w, image in zip(beta, images[first:]))
+
+    assert np.allclose(state.next_iterate(), oracle(2), rtol=1e-10, atol=1e-12)
+    # a two-pair window mixes something else
+    assert not np.allclose(oracle(5), oracle(2), rtol=1e-3)
+
+
+def test_anderson_weights_on_nearly_collinear_residuals_match_least_squares():
+    # differences with singular values 1 and 1e-5: Gram condition ~1e10,
+    # below the 1e14 at which the solve is regularized; a 1e-12 shift there
+    # moves the weights by about 1e-2
+    rng = np.random.default_rng(3)
+    g_new = rng.standard_normal(8)
+    basis, _ = np.linalg.qr(rng.standard_normal((8, 2)))
+    diffs = basis @ np.diag([1.0, 1e-5]) @ np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    residuals = [g_new + diffs[:, 0], g_new + diffs[:, 1], g_new]
+    gram = diffs.T @ diffs
+    assert 1e9 < np.linalg.cond(gram) < 1e11
+    want = _least_squares_weights(residuals)
+    got = anderson_weights(residuals)
+    assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
+
+
+def test_identical_residuals_take_the_plain_step():
+    g = np.array([1.0, -2.0, 0.5])
+    assert np.array_equal(anderson_weights([g, g.copy(), g.copy()]), [0.0, 0.0, 1.0])
+    state = AndersonState()
+    images = [np.full(3, float(k)) for k in (1, 2, 3)]
+    for image in images:
+        state.push(g.copy(), image)
+    assert np.array_equal(state.next_iterate(), images[-1])
+
+
+@pytest.mark.parametrize("newest", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nonfinite_residual_takes_the_plain_step(bad, newest):
+    residuals = [np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 2.0])]
+    residuals[-1 if newest else 0][1] = bad
+    assert np.array_equal(anderson_weights(residuals), [0.0, 1.0])
+
+
 # ------------------------------------------------------------ time grid
 
 
@@ -243,6 +305,17 @@ def test_well_schedule_half_open():
     assert well.active_at(15.0, 5.0)
     assert well.active_at(20.0, 5.0)
     assert not well.active_at(25.0, 5.0)
+
+
+def test_a_well_stays_on_for_a_step_that_ends_past_its_stop_by_rounding():
+    # step 3 ends at 3 * 0.1 = 0.30000000000000004 s, past the stop 0.3 s by
+    # rounding alone: the well is on for steps 1-3 and off after
+    well = Well(cell=0, rate=1.0, t_end=0.3)
+    case = _case(nx=1, ny=1, dt=0.1, n_steps=5, wells=[well])
+    times = case.time.times
+    assert times[3] == 0.30000000000000004
+    assert [well.active_at(t, 0.1) for t in times[1:]] == [True] * 3 + [False] * 2
+    assert case.sources[:, 0].tolist() == [1.0] * 3 + [0.0] * 2
 
 
 @pytest.mark.parametrize(
@@ -627,6 +700,50 @@ def test_a_run_holds_one_solution_block_per_cell_step_budget():
         for method, budget in RUN_MEMORY_BUDGET.items()
         for kind in SCHEME_KINDS
     ), used
+
+
+# tracemalloc peak of one pass after the first, above its start, in (N, n)
+# arrays, on the direct 12 x 12 x 3 copy below.  Measured at one BLAS
+# thread over passes 2-4: 3.59 without a window (the new dp of every step,
+# the image and its stacked rows, the defect squared in place) and 5.59
+# with one (the kept defect, one work array and, from pass 4, the mix).
+# When the norms took psi**2 and volumes * psi**2 as new arrays and the
+# defect was made whether kept or not, they read 5.59 and 6.59.
+PASS_TEMPORARIES = {"fixed": 3.8, "anderson": 5.8}
+
+
+def test_a_pass_takes_its_residual_norms_in_one_work_array():
+    text = BARRIER
+    for old, new in [
+        ("nx = 30", "nx = 12"),
+        ("ny = 30", "ny = 12"),
+        ("barrier_index = 15", "barrier_index = 6"),
+        ("cell = 7 15 1", "cell = 3 6 1"),
+        ("dt = 30 day", "dt = 15 day"),
+        ("n_steps = 24", "n_steps = 48"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    config = parse_config_text(text)
+    case = config.build_case()
+    field_size = 8 * case.mesh.n_cells * case.time.n_steps
+    engine = CoupledSystem(case, replace(config.solver, method="direct"))
+    used = {}
+    for kind, budget in PASS_TEMPORARIES.items():
+        state = PassState(window=AndersonState() if kind == "anderson" else None)
+        advance(engine, state, 0.0)  # allocates the run's block
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                advance(engine, state, 0.0)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert len(state.residuals) == 4
+        used[kind] = max(peaks) / field_size
+    assert all(used[kind] <= budget for kind, budget in PASS_TEMPORARIES.items()), used
 
 
 def test_predicted_starts_take_fewer_iterations_than_the_previous_rule(monkeypatch):

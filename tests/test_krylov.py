@@ -128,12 +128,38 @@ def test_max_iter_exceeded_carries_trace():
 
 
 def test_skew_system_breaks_down_after_one_restart():
-    # <shadow, A p> = 0 immediately; the restart reproduces the same state
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    rhs = np.array([1.0, 1.0])
+    # b = e1: A e1 = -e2 is orthogonal to the shadow residual e1, so the
+    # search direction collapses at once, and again after the restart from
+    # the same iterate
+    a = CountingOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(SolverError) as err:
-        bicgstab(a, rhs, rtol=1e-10)
-    assert "breakdown" in str(err.value)
+        bicgstab(a, np.array([1.0, 0.0]), rtol=1e-10)
+    assert str(err.value).startswith("second breakdown after restart: search direction collapsed")
+    assert err.value.trace == [1.0]
+    assert a.products == 3  # the search direction, the restart's residual, again
+
+
+class Float32Operator:
+    """A matrix whose products round through float32: the true residual
+    stalls near 1e-9 to 1e-7 of ||b||, above rtol 1e-10, while the
+    recursively updated residual can still fall below it."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix.astype(np.float32)
+
+    def __matmul__(self, vector):
+        return (self.matrix @ vector.astype(np.float32)).astype(float)
+
+
+def test_a_recursive_residual_below_rtol_is_not_accepted_without_the_true_one():
+    rng = np.random.default_rng(5)
+    a = np.eye(40) * 4.0 + rng.standard_normal((40, 40)) * 0.2
+    rhs = rng.standard_normal(40)
+    try:
+        report = bicgstab(Float32Operator(a), rhs, rtol=1e-10)
+    except SolverError:
+        return
+    assert np.linalg.norm(rhs - a @ report.x) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def _poisson(n=12):
