@@ -319,12 +319,12 @@ def run_barrier_case(
     trimmed as it returns (`SimulationResult.trimmed`) and its files are
     written from the trimmed result, so a finished scheme keeps only what
     its files, its summary row and the returned `BarrierRun` read, not
-    its (7n, N) elastic block.  When both fixed
-    and anderson are listed, they share their first three passes
-    (`coupling.SharedHead`): the first of them runs those passes and the
-    second resumes from a copy, with every file and report as if it had
-    run alone.  On the seed-0 30x30x3 and 48x48x3 studies that saves 3 of
-    the 9 marches and about a quarter of the wall time.
+    its (7n, N) elastic block.  Every scheme runs through
+    `simulate(engine, scheme, head)`.  When both fixed and anderson are
+    listed, the study's `coupling.SharedHead` runs their first three
+    passes once and the second resumes from a copy, with every file and
+    report as if it had run alone, saving 3 of 9 marches and about a
+    quarter of the wall time on the seed-0 30x30x3 and 48x48x3 studies.
     """
     case = config.build_case()
     masks = compartment_masks(case)
@@ -345,7 +345,6 @@ def run_barrier_case(
     for i in order:
         name, scheme = names[i], specs[i]
         log.info("barrier case, scheme %s", name)
-        run_scheme = simulate if head is None or name == "lagged" else head.simulate
         engine = CoupledSystem(case, config.solver, shared)
         if shared.mech is not None or i == order[-1]:
             # no later engine reads the assembly: each takes the holder's
@@ -353,7 +352,7 @@ def run_barrier_case(
             shared.elastic = None
         # trimmed as it returns, so no local keeps the run's elastic block
         # alive into the next run
-        result = run_scheme(engine, scheme).trimmed()
+        result = simulate(engine, scheme, head).trimmed()
         # an LU is freed before the next scheme factors its own; a Krylov
         # solver lives on in the holder for the next engine
         del engine

@@ -41,26 +41,26 @@ step.  They differ only in where the flow source psi of a step comes from:
 
 All reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
-`CoupledSystem` holds them, and `simulate(engine, scheme)` runs any
-scheme on it.  Neither the flow system, nor the assembled elastic
-operator, nor the elastic solver depends on the scheme, so a study
-builds the first two once into a `SharedOperators` holder and hands it
-to each scheme's engine, and on the Krylov path the solver too (the
-rescaled operator and its four AMG hierarchies); an LU is still
-factored once per engine.  The march, not the elastic solver, owns a run's
-elastic solutions and the start of each solve (`CoupledSystem.evaluate`):
-each pass solves over the last in the run's one (7n, N) block, so a
-pass's states are views into that block, valid until the run's next
-pass.
+`CoupledSystem` holds them, and `simulate(engine, scheme, head)`, the one
+run entry, runs any scheme on it to the end.  Neither the flow system,
+nor the assembled elastic operator, nor the elastic solver depends on
+the scheme, so a study builds the first two once into a
+`SharedOperators` holder and hands it to each scheme's engine, and on
+the Krylov path the solver too (the rescaled operator and its four AMG
+hierarchies); an LU is still factored once per engine.  The march, not
+the elastic solver, owns a run's elastic solutions and the start of each
+solve (`CoupledSystem.evaluate`): each pass solves over the last in the
+run's one (7n, N) block, so a pass's states are views into that block,
+valid until the run's next pass.
 
 A fixed-stress run is a `PassState` (psi's source, the block, the
 residuals, the Anderson window) that `advance` moves on by one pass, so
 a run can stop and resume.  Anderson's first mix needs two pairs, so
 fixed and anderson evaluate the same psi in their first SHARED_PASSES =
 3 passes, bit for bit; a study that runs both computes those passes once
-(`SharedHead`) and the second scheme resumes from a copy.  On the seed-0
-30x30x3 and 48x48x3 barrier studies that is 3 of 9 marches, and the
-study's wall time falls by about a quarter.
+(`SharedHead`), and `simulate` runs each on from there, the second from
+a copy.  On the seed-0 30x30x3 and 48x48x3 barrier studies that is 3 of
+9 marches, and the study's wall time falls by about a quarter.
 """
 
 from __future__ import annotations
@@ -613,15 +613,6 @@ class PassState:
             states=None,
         )
 
-    def result(self, engine: CoupledSystem, kind: str) -> SimulationResult:
-        """The last pass's states, their coupling source and the report."""
-        states = self.states
-        psi = np.stack([engine.coupling_source(a, b) for a, b in zip(states, states[1:])])
-        report = CouplingReport(
-            scheme=kind, residuals=list(self.residuals), converged=self.converged
-        )
-        return SimulationResult(states, psi, report)
-
 
 def advance(engine: CoupledSystem, state: PassState, tol: float) -> None:
     """Run the next fixed-stress pass of `state` in place.
@@ -663,29 +654,36 @@ def advance(engine: CoupledSystem, state: PassState, tol: float) -> None:
 
 
 def simulate(
-    engine: CoupledSystem, scheme: SchemeSpec | None = None
+    engine: CoupledSystem, scheme: SchemeSpec | None = None, head: SharedHead | None = None
 ) -> SimulationResult:
-    """Run the engine's case under one coupling scheme (default: fixed).
+    """Run the engine's case under one coupling scheme (default: fixed) to
+    the end: the one run entry, alone or in a study.
 
     Lagged: one march, each flow step seeing the two states before it.
     Fixed and anderson: whole-simulation fixed-point iteration on the flow
     source psi, anderson mixing each new psi from its window, one
     `advance` per pass until the residual is at most scheme.tol or
-    scheme.max_iter passes ran.  The result holds the last march's states
-    and their coupling source.  The run keeps its own (7n, N) solution
-    block: each pass solves over the one before it in place and, on the
-    iterative path, starts from it (`CoupledSystem.evaluate`).
+    scheme.max_iter passes ran, on from a study's `head` when given.  The
+    result holds the last march's states and their coupling source.  The
+    run keeps its own (7n, N) solution block: each pass solves over the
+    one before it in place and, on the iterative path, starts from it
+    (`CoupledSystem.evaluate`).
     """
     scheme = scheme or SchemeSpec()
+    report = CouplingReport(scheme=scheme.kind)
     if scheme.kind == "lagged":
         states, _ = engine.evaluate(None)
         pairs = zip(states[:1] + states[:-2], states[:-1])
-        psi = np.stack([engine.coupling_source(a, b) for a, b in pairs])
-        return SimulationResult(states, psi, CouplingReport(scheme=scheme.kind))
-    state = PassState(window=AndersonState() if scheme.kind == "anderson" else None)
-    while not state.done(scheme):
-        advance(engine, state, scheme.tol)
-    return state.result(engine, scheme.kind)
+    else:
+        window = AndersonState() if scheme.kind == "anderson" else None
+        state = PassState(window=window) if head is None else head.start(engine, scheme)
+        while not state.done(scheme):
+            advance(engine, state, scheme.tol)
+        states = state.states
+        pairs = zip(states, states[1:])
+        report.residuals, report.converged = list(state.residuals), state.converged
+    psi = np.stack([engine.coupling_source(a, b) for a, b in pairs])
+    return SimulationResult(states, psi, report)
 
 
 class SharedHead:
@@ -693,23 +691,25 @@ class SharedHead:
 
     Anderson's window holds one pair after its second pass, and a one-pair
     mix is the plain step, so both schemes evaluate the same psi in their
-    first three passes, bit for bit.  The first of the two to run here
-    runs those passes (fewer if it stops sooner) with a window, keeps a
-    copy of its state after them and finishes its own run; the second
-    resumes from that copy, on its own engine, so its result is the one
-    `simulate` gives it alone.  The copy holds one (7n, N) block and the
-    window's two pairs until the second run takes it over.  When the first
-    run stops within those passes, the second takes its final state as it
-    is: no later pass writes into it.  Both runs take the same tol and
-    max_iter, as a study's schemes do.
+    first three passes, bit for bit.  For the first of the two, `start`
+    runs those passes (fewer if the run stops sooner) with a window and
+    keeps a copy of the state after them; the second resumes from that
+    copy, on its own engine.  `simulate(engine, scheme, head)` runs each
+    on, so each result is the one `simulate` gives that scheme alone.  The
+    copy holds one (7n, N) block and the window's two pairs until the
+    second run takes it over.  When the first run stops within those
+    passes, the second takes its final state as it is: no later pass
+    writes into it.  Both runs take the same tol and max_iter, as a
+    study's schemes do.
     """
 
     def __init__(self):
         self.state: PassState | None = None
         self.taken_from = ""
 
-    def simulate(self, engine: CoupledSystem, scheme: SchemeSpec) -> SimulationResult:
-        """Run fixed or anderson as `simulate` does, sharing the first passes."""
+    def start(self, engine: CoupledSystem, scheme: SchemeSpec) -> PassState:
+        """The state fixed or anderson resumes from, after the shared passes:
+        the first scheme runs them here, the second takes the kept copy."""
         if self.state is None:
             state = PassState(window=AndersonState())
             while not state.done(scheme) and len(state.residuals) < SHARED_PASSES:
@@ -726,9 +726,7 @@ class SharedHead:
             )
         if scheme.kind != "anderson":
             state.window = None
-        while not state.done(scheme):
-            advance(engine, state, scheme.tol)
-        return state.result(engine, scheme.kind)
+        return state
 
 
 def global_mass_check(case: BiotCase, states: list[BiotState]) -> float:

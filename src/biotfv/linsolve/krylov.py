@@ -5,6 +5,8 @@ recursively updated residual only gates when the check runs.  Every
 breakdown test is relative, so a system and its rescaled copy take the
 same iterations.  A breakdown of an inner product triggers one restart
 from the current iterate before the solve fails with its trace attached.
+A solve whose residual trace sets no new minimum for STAGNATION
+iterations fails at once with its trace, rather than running out the cap.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import numpy as np
 from ..errors import SolverError
 
 BREAKDOWN = 1e-30
-# every elastic and flow solve's cap; the shipped studies' take at most 22
+# every elastic and flow solve's cap; the shipped studies' take at most 31
 MAX_ITERATIONS = 500
+# iterations without a new smallest residual after which a solve fails; no
+# tier-1 or shipped solve goes more than 8 without one
+STAGNATION = 30
 
 
 @dataclass
@@ -101,7 +106,17 @@ def bicgstab(
         r = true_res
         return False
 
+    best = 0  # trace index of the smallest residual so far
     for _ in range(max_iter):
+        if trace[-1] < trace[best]:
+            best = len(trace) - 1
+        elif len(trace) - 1 - best >= STAGNATION:
+            raise SolverError(
+                f"stagnated: no new residual minimum in {STAGNATION} iterations "
+                f"(relative residual {trace[-1] / norm_b:.3e}, "
+                f"smallest {trace[best] / norm_b:.3e})",
+                trace=trace,
+            )
         rho_next = float(shadow @ r)
         if abs(rho_next) < BREAKDOWN * max(norm_shadow * np.linalg.norm(r), 1e-300):
             restart_or_fail("shadow residual orthogonal to residual")

@@ -80,29 +80,25 @@ stop = 20 day
 """
 
 def test_scheme_token_mapping(tmp_path, monkeypatch):
-    # each name runs the case's [scheme] settings as that kind: lagged
-    # through simulate, fixed and anderson through the study's shared head.
-    # Fixed and anderson run first, in their listed order, and lagged after
-    # them; the runs and the summary rows keep the listed order
+    # each name runs the case's [scheme] settings as that kind, every one
+    # through simulate with the study's shared head, which lagged ignores.
+    # Fixed and anderson run first, in their listed
+    # order, and lagged after them; the runs and the summary rows keep the
+    # listed order
     seen = []
-    shared = coupling.SharedHead.simulate
 
-    def spy(engine, scheme):
-        seen.append(("simulate", scheme))
-        return simulate(engine, scheme)
-
-    def head_spy(head, engine, scheme):
-        seen.append(("head", scheme))
-        return shared(head, engine, scheme)
+    def spy(engine, scheme, head=None):
+        seen.append((scheme, head))
+        return simulate(engine, scheme, head)
 
     monkeypatch.setattr(drivers, "simulate", spy)
-    monkeypatch.setattr(coupling.SharedHead, "simulate", head_spy)
     cfg = parse_config_text(TINY_BARRIER.replace("tol = 1e-8", "tol = 1e-7"))
     runs = run_barrier_case(cfg, (" Lagged", "FIXED ", "anderson"), out_dir=tmp_path)
-    assert seen == [
-        (via, SchemeSpec(kind=kind, tol=1e-7, max_iter=40))
-        for via, kind in [("head", "fixed"), ("head", "anderson"), ("simulate", "lagged")]
+    assert [scheme for scheme, _ in seen] == [
+        SchemeSpec(kind=kind, tol=1e-7, max_iter=40) for kind in ("fixed", "anderson", "lagged")
     ]
+    heads = [head for _, head in seen]
+    assert isinstance(heads[0], coupling.SharedHead) and heads[2] is heads[1] is heads[0]
     assert [run.scheme for run in runs] == list(SCHEME_KINDS)
     assert [run.result.report.scheme for run in runs] == list(SCHEME_KINDS)
     _, rows = read_csv(tmp_path / "barrier_summary.csv")

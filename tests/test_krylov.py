@@ -7,6 +7,7 @@ from oracles import CountingOperator
 
 from biotfv.errors import SolverError
 from biotfv.linsolve.amg import build_amg
+from biotfv.linsolve import krylov
 from biotfv.linsolve.krylov import bicgstab
 
 
@@ -157,9 +158,43 @@ def test_a_recursive_residual_below_rtol_is_not_accepted_without_the_true_one():
     rhs = rng.standard_normal(40)
     try:
         report = bicgstab(Float32Operator(a), rhs, rtol=1e-10)
-    except SolverError:
+    except SolverError as err:
+        # the true residual stops falling within 40 iterations, so the
+        # solve fails once it has set no new minimum for STAGNATION
+        # iterations, not after all MAX_ITERATIONS = 500
+        assert len(err.trace) - 1 == int(np.argmin(err.trace)) + krylov.STAGNATION < 100
         return
     assert np.linalg.norm(rhs - a @ report.x) <= 1e-10 * np.linalg.norm(rhs)
+
+
+class PlateauThenExact:
+    """A preconditioner for the 2 x 2 identity that returns (1, 0) for its
+    first `plateau` + 1 iterations, then its input.  From b = (1, 1) the
+    first iteration takes the residual to (0, 1) and each later one back
+    to (0, 1) exactly, in small integers, so the trace ties its minimum
+    for `plateau` iterations; the exact preconditioner then converges in
+    one."""
+
+    def __init__(self, plateau):
+        self.calls = 2 * (plateau + 1)  # two applications per iteration
+
+    def __call__(self, vector):
+        self.calls -= 1
+        return np.array([1.0, 0.0]) if self.calls >= 0 else vector
+
+
+@pytest.mark.parametrize("plateau", [krylov.STAGNATION - 1, krylov.STAGNATION])
+def test_a_plateau_fails_only_once_it_spans_the_stagnation_window(plateau):
+    rhs = np.ones(2)
+    solve = lambda: bicgstab(np.eye(2), rhs, PlateauThenExact(plateau), rtol=1e-10)
+    if plateau < krylov.STAGNATION:
+        report = solve()
+        assert report.iterations == plateau + 2 and report.trace[1:-1] == [1.0] * (plateau + 1)
+        assert np.linalg.norm(rhs - report.x) <= 1e-10 * np.linalg.norm(rhs)
+        return
+    with pytest.raises(SolverError, match="stagnated") as err:
+        solve()
+    assert err.value.trace[1:] == [1.0] * (plateau + 1)
 
 
 def _poisson(n=12):
