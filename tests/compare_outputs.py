@@ -4,22 +4,30 @@
     python tests/compare_outputs.py compare BASE_OUT HEAD_OUT [--declared FILE]
 
 `run` runs seven cases with the package in TREE/src on TREE's own case
-files, at one BLAS thread, into OUT, and writes OUT/outputs.sha256: one
-sha256 per output file, then, as comment lines, the convergence study's
-rotation order to 10 digits and its probe iteration count per grid.  The
-cases are the shipped barrier study, its `method = direct` copy, its
-48x48x3 copy under `method = auto` and under `method = iterative`, its
-Robin and traction-free copy, `run --dump-matrix` of the shipped barrier,
-and `convergence --grids 8,12,16,24` of the shipped manufactured case.
+files, at one BLAS thread and `--log-level info`, into OUT, and writes
+OUT/outputs.sha256: one sha256 per output file, then one `exit/FOLDER`
+entry per case holding its exit status (0, or 3 for a run that stopped
+unconverged) in place of a hash, then, as comment lines, the convergence
+study's rotation order to 10 digits and its probe iteration count per
+grid.  The cases are the shipped barrier study, its `method = direct`
+copy, its 48x48x3 copy under `method = auto` and under
+`method = iterative`, its Robin and traction-free copy, `run
+--dump-matrix` of the shipped barrier, and `convergence --grids
+8,12,16,24` of the shipped manufactured case.  Each case's edited case
+file is kept as OUT/cases/FOLDER.cfg and its stdout and stderr as
+OUT/logs/FOLDER.log; neither is hashed (the logs hold timings and
+absolute paths).
 
-`compare` prints both trees' figures and every file whose hash differs
-or that only one tree wrote.  It exits 1 naming each such file unless
-FILE declares it: a line of FILE that starts with the marker
+`compare` prints both trees' figures and every file or exit status that
+differs or that only one tree wrote.  It exits 1 naming each such entry
+unless FILE declares it: a line of FILE that starts with the marker
 `OUTPUTS CHANGED:`, after a list bullet if any, and holds after it a word
-that is the file's path relative to OUT or a shell pattern matching it
-(`barrier/barrier_fixed.csv`, `barrier*/*.vtk`).
+that is the entry's name (a path relative to OUT, or `exit/FOLDER`) or a
+shell pattern matching it (`barrier/barrier_fixed.csv`, `barrier*/*.vtk`,
+`exit/dump`).
 Give as FILE the lines a change adds to CHANGES.md, so that only the
-change's own declarations count.
+change's own declarations count.  With no FILE, `compare` checks that
+two runs wrote the same entries, e.g. two runs of one tree.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from pathlib import Path
 MANIFEST = "outputs.sha256"
 MARKER = "OUTPUTS CHANGED:"
 CONVERGENCE = "convergence"
+EXIT = "exit/"  # the manifest names a case's exit status EXIT + its folder
 
 # the CLI of the tree's own package, which must come from TREE/src
 LAUNCH = """
@@ -109,22 +118,28 @@ def run(tree: Path, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
-    cases_dir = out / "cases"
+    cases_dir, logs_dir = out / "cases", out / "logs"
     cases_dir.mkdir(exist_ok=True)
+    logs_dir.mkdir(exist_ok=True)
+    exits = []
     start = time.perf_counter()
     for folder, command, case, edits, extra in CASES:
         cfg = cases_dir / f"{folder}.cfg"
         cfg.write_text(edited((tree / "cases" / case).read_text(), edits))
-        args = [command, str(cfg), "--out", str(out / folder), "--log-level", "warning", *extra]
+        args = [command, str(cfg), "--out", str(out / folder), "--log-level", "info", *extra]
+        log = logs_dir / f"{folder}.log"
         t0 = time.perf_counter()
         # the working directory is OUT, so no package is imported from the caller's
-        done = subprocess.run(
-            [sys.executable, "-c", LAUNCH, str(tree / "src"), *args],
-            cwd=out, env=env, stdout=subprocess.DEVNULL,
-        )
+        with open(log, "w") as handle:
+            done = subprocess.run(
+                [sys.executable, "-c", LAUNCH, str(tree / "src"), *args],
+                cwd=out, env=env, stdout=handle, stderr=subprocess.STDOUT,
+            )
         # a run that stops unconverged exits 3 and still writes its files
         if done.returncode not in (0, 3):
-            raise SystemExit(f"biotfv {' '.join(args)} exited {done.returncode}")
+            tail = "\n".join(log.read_text().splitlines()[-20:])
+            raise SystemExit(f"{tail}\nbiotfv {' '.join(args)} exited {done.returncode}")
+        exits.append(f"{done.returncode}  {EXIT}{folder}")
         print(f"{folder}: {time.perf_counter() - t0:.1f} s (exit {done.returncode})")
     lines = [
         f"{sha256(path)}  {path.relative_to(out).as_posix()}"
@@ -132,7 +147,9 @@ def run(tree: Path, out: Path) -> None:
         for path in sorted((out / folder).rglob("*"))
         if path.is_file()
     ]
-    lines += [f"# {figure}" for figure in convergence_figures(out / CONVERGENCE)]
+    lines += exits
+    if any(folder == CONVERGENCE for folder, *_ in CASES):
+        lines += [f"# {figure}" for figure in convergence_figures(out / CONVERGENCE)]
     (out / MANIFEST).write_text("\n".join(lines) + "\n")
     print(f"{tree}: {len(CASES)} cases in {time.perf_counter() - start:.1f} s")
 
@@ -161,7 +178,8 @@ def declared_patterns(text: str) -> list[str]:
 
 
 def differing(base: dict[str, str], head: dict[str, str]) -> list[str]:
-    """Files whose hashes differ, or that only one tree wrote, sorted."""
+    """Entries whose hashes or exit statuses differ, or that only one tree
+    wrote, sorted."""
     return sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
 
 
@@ -179,10 +197,13 @@ def compare(base_out: Path, head_out: Path, declared_path: Path | None) -> int:
     for name in changed:
         state = "declared" if is_declared(name, patterns) else "UNDECLARED"
         print(f"{name}: {base.get(name, 'missing')[:12]} -> {head.get(name, 'missing')[:12]} ({state})")
-    print(f"{len(head)} files, {len(changed)} differ")
+    exits = sum(name.startswith(EXIT) for name in head)
+    changed_exits = sum(name.startswith(EXIT) for name in changed)
+    print(f"{len(head) - exits} files, {len(changed) - changed_exits} differ; "
+          f"{exits} exit statuses, {changed_exits} differ")
     bad = [name for name in changed if not is_declared(name, patterns)]
     if bad:
-        print(f"outputs differ from the merge base without an {MARKER} line: {', '.join(bad)}")
+        print(f"outputs differ from {base_out} without an {MARKER} line: {', '.join(bad)}")
         return 1
     return 0
 
