@@ -70,8 +70,8 @@ def run_case(
 ) -> RunArtifacts:
     """Run one case per its configured scheme and write the outputs.
 
-    With `dump_system` the engine builds its operators into a
-    `SharedOperators` holder, and the dump reads the assembly from it.
+    With `dump_system` the assembled elastic operator is written too,
+    assembled again after the run, since the engine keeps it only rescaled.
     """
     case = config.build_case()
     out = Path(out_dir if out_dir is not None else config.output_directory)
@@ -82,10 +82,7 @@ def run_case(
         case.time.n_steps,
         config.scheme.kind,
     )
-    # the dump needs the assembled operator, which the engine keeps only rescaled
-    shared = SharedOperators() if dump_system else None
-    engine = CoupledSystem(case, config.solver, shared)
-    result = simulate(engine, config.scheme)
+    result = simulate(CoupledSystem(case, config.solver), config.scheme)
     mass = global_mass_check(case, result.states)
     log.info(
         "finished: %d coupling iterations, mass defect %.3e",
@@ -116,7 +113,8 @@ def run_case(
     write_vtk(vtk_path, case.mesh, result.final, title=name)
     paths = [series, psi_path, vtk_path]
     if dump_system:
-        paths.append(dump_matrix(out / f"{name}_mech", shared.elastic.matrix))
+        system = assemble_tpsa(case.mesh, case.props)
+        paths.append(dump_matrix(out / f"{name}_mech", system.matrix))
     return RunArtifacts(case=case, result=result, mass_defect=mass, paths=paths)
 
 

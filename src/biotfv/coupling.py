@@ -407,7 +407,7 @@ def coupling_strength(props: PoroelasticProperties) -> np.ndarray:
 class SharedOperators:
     """The flow system, the assembled elastic operator and the Krylov
     elastic solver of one case under one set of solver options, for every
-    engine of a study.
+    engine of a barrier study.
 
     None of them depends on the coupling scheme.  The first `CoupledSystem`
     handed an empty holder builds them into it; each later one takes them,
@@ -434,8 +434,7 @@ class CoupledSystem:
     solver, which keeps no state of a run; without a holder, the engine
     builds all of them for itself.  An engine on the LU path factors its
     own.  The elastic solver keeps the operator only rescaled, so the
-    engine keeps no unscaled assembly: a caller that needs it
-    (``run --dump-matrix``) reads it from the holder.  The flow is drained
+    engine keeps no unscaled assembly.  The flow is drained
     when every coupling strength is below 1 and alpha is not zero
     everywhere; it then takes the Biot storage ``lagged_storage`` from the
     previous iterate, which is None otherwise.  The flow and the elastic

@@ -1,7 +1,14 @@
-"""Check that a tree writes the same output files as its merge base.
+"""Build the barrier case copies, check that a tree writes the same
+output files as its merge base, and gate what the runs wrote.
 
     python tests/compare_outputs.py run TREE OUT
     python tests/compare_outputs.py compare BASE_OUT HEAD_OUT [--declared FILE]
+    python tests/compare_outputs.py gate OUT
+    python tests/compare_outputs.py case NAME DEST
+
+Every barrier copy the tests and CI run is the shipped case with whole
+lines replaced by `edited`, from `barrier_grid`, `solver_method`,
+`ROBIN_FREE` and `time_steps`.
 
 `run` runs seven cases with the package in TREE/src on TREE's own case
 files, at one BLAS thread and `--log-level info`, into OUT, and writes
@@ -28,6 +35,13 @@ shell pattern matching it (`barrier/barrier_fixed.csv`, `barrier*/*.vtk`,
 Give as FILE the lines a change adds to CHANGES.md, so that only the
 change's own declarations count.  With no FILE, `compare` checks that
 two runs wrote the same entries, e.g. two runs of one tree.
+
+`gate` exits 1 naming each failure of a `run` folder: in an AGREEING
+pair a scheme unconverged, over MAX_DEFECT or with final averages more
+than MAX_GAP apart; in the Robin/free study a scheme unconverged, or
+fixed or anderson over MAX_DEFECT; `elastic solve: ` log lines other
+than ELASTIC_SOLVE_LINES, or no `scheme fixed,` line in the dump's log.
+`case` writes one of the CI_COPIES, which only CI runs, to DEST.
 """
 
 from __future__ import annotations
@@ -37,11 +51,13 @@ import csv
 import fnmatch
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parents[1]
 MANIFEST = "outputs.sha256"
 MARKER = "OUTPUTS CHANGED:"
 CONVERGENCE = "convergence"
@@ -59,31 +75,53 @@ if src not in Path(biotfv.__file__).resolve().parents:
 sys.exit(main(sys.argv[2:]))
 """
 
-BARRIER_48 = [
-    ("nx = 30", "nx = 48"),
-    ("ny = 30", "ny = 48"),
-    ("barrier_index = 15", "barrier_index = 24"),
-    ("cell = 7 15 1", "cell = 12 24 1"),
-]
 ROBIN_FREE = [
     ("mechanics = fixed", "mechanics = robin\nrobin_delta = 10 m\nrobin_mu = 1 GPa\nz_max = free"),
 ]
+
+
+def barrier_grid(n: int, nz: int = 3, well: bool = True) -> list[tuple[str, str]]:
+    """The shipped barrier on an n x n x nz mesh, the barrier at n // 2 and,
+    with `well`, the well in the cell that holds the shipped well's centre
+    (perfbench's `barrier_case` rule)."""
+    edits = [
+        ("nx = 30", f"nx = {n}"),
+        ("ny = 30", f"ny = {n}"),
+        ("nz = 3", f"nz = {nz}"),
+        ("barrier_index = 15", f"barrier_index = {n // 2}"),
+    ]
+    if well:
+        cell = (int((c + 0.5) * m / k) for c, m, k in zip((7, 15, 1), (n, n, nz), (30, 30, 3)))
+        edits.append(("cell = 7 15 1", f"cell = {' '.join(map(str, cell))}"))
+    return edits
 
 
 def solver_method(method: str) -> list[tuple[str, str]]:
     return [("[solver]", f"[solver]\nmethod = {method}")]
 
 
+def time_steps(dt: str, n_steps: int) -> list[tuple[str, str]]:
+    return [("dt = 30 day", f"dt = {dt}"), ("n_steps = 24", f"n_steps = {n_steps}")]
+
+
 # (output folder, subcommand, case file, line edits of the case, extra arguments)
 CASES = [
     ("barrier", "barrier", "barrier.cfg", [], []),
     ("barrier_direct", "barrier", "barrier.cfg", solver_method("direct"), []),
-    ("barrier_48", "barrier", "barrier.cfg", BARRIER_48, []),
-    ("barrier_48_krylov", "barrier", "barrier.cfg", BARRIER_48 + solver_method("iterative"), []),
+    ("barrier_48", "barrier", "barrier.cfg", barrier_grid(48), []),
+    ("barrier_48_krylov", "barrier", "barrier.cfg", barrier_grid(48) + solver_method("iterative"), []),
     ("barrier_robin", "barrier", "barrier.cfg", ROBIN_FREE, []),
     ("dump", "run", "barrier.cfg", [], ["--dump-matrix"]),
     (CONVERGENCE, "convergence", "manufactured.cfg", [], ["--grids", "8,12,16,24"]),
 ]
+# barrier copies that CI runs on their own, written by `case NAME DEST`
+CI_COPIES = {
+    # 27,216 unknowns, so the LU path above precond.DIRECT_THRESHOLD; the
+    # well stays in the shipped cell
+    "barrier_36_direct": barrier_grid(36, well=False) + solver_method("direct"),
+    # the Krylov 48x48x3 copy at 7.5-day steps over the same 720 days
+    "barrier_48_long": barrier_grid(48) + solver_method("iterative") + time_steps("7.5 day", 96),
+}
 
 
 def edited(text: str, edits: list[tuple[str, str]]) -> str:
@@ -95,6 +133,11 @@ def edited(text: str, edits: list[tuple[str, str]]) -> str:
             raise SystemExit(f"case line {old!r} is not there exactly once")
         lines[lines.index(old)] = new
     return "\n".join(lines) + "\n"
+
+
+def barrier_copy(edits: list[tuple[str, str]]) -> str:
+    """This tree's shipped barrier case with `edits` applied."""
+    return edited((REPO / "cases" / "barrier.cfg").read_text(), edits)
 
 
 def sha256(path: Path) -> str:
@@ -208,6 +251,68 @@ def compare(base_out: Path, head_out: Path, declared_path: Path | None) -> int:
     return 0
 
 
+SUMMARY = "barrier_summary.csv"
+SCHEMES = ["lagged", "fixed", "anderson"]
+MAX_DEFECT = 1e-8  # fluid-content balance
+# final compartment averages, relative: twice the elastic rtol 1e-5.  The
+# rtol does not bound the gap: the shipped LU and Krylov studies read 1.3e-5
+MAX_GAP = 2e-5
+# (reference, other): LU against iterative elastic, factored against AMG-BiCGStab flow
+AGREEING = [("barrier_direct", "barrier"), ("barrier_48", "barrier_48_krylov")]
+# three engines share one Krylov elastic solver; each factors its own LU
+ELASTIC_SOLVE_LINES = {"barrier": 1, "barrier_direct": 3}
+
+
+def read_summary(path: Path) -> dict[str, dict[str, str]]:
+    with open(path) as handle:
+        return {row["scheme"]: row for row in csv.DictReader(handle)}
+
+
+def summary_problems(path: Path | str, schemes: list[str], gated) -> list[str]:
+    """The failures of one barrier summary: schemes other than `schemes`, in
+    that order, an unconverged scheme, or a scheme in `gated` whose mass
+    defect exceeds MAX_DEFECT.  Prints each scheme's figures."""
+    rows = read_summary(path)
+    bad = [] if list(rows) == schemes else [f"{path}: schemes {list(rows)}, not {schemes}"]
+    for scheme, row in rows.items():
+        defect = float(row["mass_defect"])
+        print(f"{path} {scheme}: converged {row['converged']}, mass defect {defect:.3e}")
+        if row["converged"] != "1":
+            bad.append(f"{path}: {scheme} unconverged")
+        if scheme in gated and not defect <= MAX_DEFECT:
+            bad.append(f"{path}: {scheme} mass defect {defect:.3e}")
+    return bad
+
+
+def gate(out: Path) -> int:
+    bad = []
+    for reference, other in AGREEING:
+        paths = [out / folder / SUMMARY for folder in (reference, other)]
+        bad += [problem for path in paths for problem in summary_problems(path, SCHEMES, SCHEMES)]
+        want, got = map(read_summary, paths)
+        for scheme in [s for s in want if s in got]:
+            for key in ("final_avg_dp_omega1", "final_avg_dp_omega2"):
+                a, b = float(want[scheme][key]), float(got[scheme][key])
+                gap = abs(b - a) / abs(a)
+                figure = f"{other} {scheme} {key}: relative gap {gap:.2e} to {reference}"
+                print(figure)
+                if not gap <= MAX_GAP:
+                    bad.append(figure)
+    # lagged's Robin/free defect is its splitting term (9.7e-9), printed only
+    bad += summary_problems(out / "barrier_robin" / SUMMARY, SCHEMES, ("fixed", "anderson"))
+    for folder, want in ELASTIC_SOLVE_LINES.items():
+        got = (out / "logs" / f"{folder}.log").read_text().count("elastic solve: ")
+        print(f"{folder}.log: {got} elastic solve lines")
+        if got != want:
+            bad.append(f"{folder}.log: {got} elastic solve lines, not {want}")
+    # perfbench reads its metrics by scheme name, so a renamed scheme fails here
+    if not re.search(r"^case .*, scheme fixed,", (out / "logs" / "dump.log").read_text(), re.M):
+        bad.append("dump.log: no 'scheme fixed,' report line")
+    for problem in bad:
+        print(f"FAILED {problem}")
+    return 1 if bad else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,9 +323,19 @@ def main(argv=None) -> int:
     cmp_p.add_argument("base_out", type=Path)
     cmp_p.add_argument("head_out", type=Path)
     cmp_p.add_argument("--declared", type=Path, help="text holding OUTPUTS CHANGED: lines")
+    gate_p = sub.add_parser("gate", help="check what a run's studies and logs wrote")
+    gate_p.add_argument("out", type=Path)
+    case_p = sub.add_parser("case", help="write a barrier copy that CI runs on its own")
+    case_p.add_argument("name", choices=list(CI_COPIES))
+    case_p.add_argument("dest", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
         run(args.tree, args.out)
+        return 0
+    if args.command == "gate":
+        return gate(args.out)
+    if args.command == "case":
+        args.dest.write_text(barrier_copy(CI_COPIES[args.name]))
         return 0
     return compare(args.base_out, args.head_out, args.declared)
 

@@ -11,7 +11,7 @@ from oracles import read_csv, read_vtk
 from scipy.io import mmread
 
 from biotfv import tpfa, tpsa
-from biotfv.app import cli
+from biotfv.app import cli, drivers
 from biotfv.app.cli import main
 from biotfv.errors import GeometryError
 from biotfv.linsolve import krylov, precond
@@ -125,8 +125,10 @@ def test_run_dump_matrix_keeps_a_dotted_case_name(tmp_path, file_name, name_line
     assert dumps == [f"{stem}_mech.mtx"]
 
 
-def test_run_dump_matrix_assembles_once(barrier_cfg, tmp_path, monkeypatch):
-    original = tpsa.assemble_tpsa
+def test_run_dump_matrix_assembles_after_the_run(barrier_cfg, tmp_path, monkeypatch):
+    # the engine keeps the operator only rescaled, so the dump assembles the
+    # one it writes once the run is done, through no holder of the study's
+    original, simulate = tpsa.assemble_tpsa, drivers.simulate
     built = []
 
     def spy(*args, **kwargs):
@@ -136,10 +138,12 @@ def test_run_dump_matrix_assembles_once(barrier_cfg, tmp_path, monkeypatch):
     for module in [m for k, m in sys.modules.items() if k.startswith("biotfv")]:
         if getattr(module, "assemble_tpsa", None) is original:
             monkeypatch.setattr(module, "assemble_tpsa", spy)
+    monkeypatch.setattr(drivers, "simulate", lambda *a: built.append("run") or simulate(*a))
+    monkeypatch.setattr(drivers, "SharedOperators", None)
     assert main(["run", str(barrier_cfg), "--dump-matrix"]) == 0
-    assert len(built) == 1
+    assert len(built) == 3 and built[1] == "run"
     dumped = mmread(tmp_path / "out" / "small_mech.mtx")
-    assert (dumped != built[0].matrix).nnz == 0
+    assert (dumped != built[0].matrix).nnz == 0 and (dumped != built[2].matrix).nnz == 0
 
 
 def test_run_is_deterministic(barrier_cfg, tmp_path):

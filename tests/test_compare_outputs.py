@@ -1,13 +1,37 @@
-"""The output comparison's gate: which differing files it lets through."""
+"""The output comparison's gate, which differing files it lets through,
+and the gate on what a run's studies and logs wrote."""
 
-from pathlib import Path
+import csv
+import shutil
 
 import pytest
 
 import compare_outputs
-from compare_outputs import MANIFEST, compare, edited
+from compare_outputs import (
+    MANIFEST,
+    REPO,
+    ROBIN_FREE,
+    barrier_grid,
+    compare,
+    edited,
+    gate,
+    solver_method,
+)
 
-REPO = Path(__file__).resolve().parents[1]
+SMALL = barrier_grid(6, nz=2)
+# the Krylov copies stop at rtol 1e-7: at the shipped 1e-5 the 6 x 6 x 2
+# Krylov and LU studies' final averages differ by 2.7e-5, above the gate's
+# 2e-5 (1.3e-5 on the shipped grid).  `method = auto` takes the LU on
+# 6 x 6 x 2, so the shipped study's copy asks for the Krylov path
+KRYLOV = solver_method("iterative") + [("rtol = 1e-5", "rtol = 1e-7")]
+SMALL_CASES = [
+    ("barrier", "barrier", "barrier.cfg", SMALL + KRYLOV, []),
+    ("barrier_direct", "barrier", "barrier.cfg", SMALL + solver_method("direct"), []),
+    ("barrier_48", "barrier", "barrier.cfg", SMALL, []),
+    ("barrier_48_krylov", "barrier", "barrier.cfg", SMALL + KRYLOV, []),
+    ("barrier_robin", "barrier", "barrier.cfg", SMALL + ROBIN_FREE, []),
+    ("dump", "run", "barrier.cfg", SMALL, ["--dump-matrix"]),
+]
 
 
 def _manifest(folder, hashes, figures=("rotation order 1.8001784867",)):
@@ -85,20 +109,79 @@ def test_a_changed_exit_status_passes_only_when_declared(tmp_path, capsys, decla
     assert "1 files, 0 differ; 1 exit statuses, 1 differ" in out
 
 
-def test_run_logs_each_case_beside_the_manifest_and_records_its_exit(tmp_path, monkeypatch):
-    small = [
-        ("nx = 30", "nx = 6"),
-        ("ny = 30", "ny = 6"),
-        ("nz = 3", "nz = 2"),
-        ("barrier_index = 15", "barrier_index = 3"),
-        ("cell = 7 15 1", "cell = 1 3 1"),
-    ]
-    monkeypatch.setattr(compare_outputs, "CASES", [("small", "barrier", "barrier.cfg", small, [])])
-    out = tmp_path / "out"
-    compare_outputs.run(REPO, out)
-    assert "elastic solve: " in (out / "logs" / "small.log").read_text()
-    hashes, figures = compare_outputs.read_manifest(out)
-    assert hashes["exit/small"] == "0"
-    assert "small/barrier_summary.csv" in hashes
-    assert all(name.startswith(("small/", "exit/")) for name in hashes)  # no log, no case file
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """`run` of the gated cases on small copies, shared by the module's tests."""
+    out = tmp_path_factory.mktemp("small") / "out"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compare_outputs, "CASES", SMALL_CASES)
+        compare_outputs.run(REPO, out)
+    return out
+
+
+def test_run_logs_each_case_beside_the_manifest_and_records_its_exit(small_run):
+    # barrier_48 is the shipped case on 6 x 6 x 2 cells, unchanged otherwise
+    assert "elastic solve: " in (small_run / "logs" / "barrier_48.log").read_text()
+    hashes, figures = compare_outputs.read_manifest(small_run)
+    folders = [folder for folder, *_ in SMALL_CASES]
+    assert all(hashes[f"exit/{folder}"] == "0" for folder in folders)
+    assert "barrier_48/barrier_summary.csv" in hashes
+    # no log, no case file
+    assert all(name.split("/")[0] in folders + ["exit"] for name in hashes)
     assert figures == []
+
+
+def test_case_writes_the_ci_copies(tmp_path):
+    # the 36 x 36 x 3 copy keeps the shipped well cell; barrier_grid moves it
+    for name, lines in [
+        ("barrier_36_direct", {"nx = 36", "barrier_index = 18", "cell = 7 15 1", "method = direct"}),
+        ("barrier_48_long", {"nx = 48", "cell = 12 24 1", "dt = 7.5 day", "n_steps = 96"}),
+    ]:
+        assert compare_outputs.main(["case", name, str(tmp_path / name)]) == 0
+        assert lines <= set((tmp_path / name).read_text().splitlines())
+
+
+def _doctor(out, name, scheme, key, value):
+    """Set `key` of `scheme` in folder `name`'s summary, or with no scheme,
+    replace the first line of file `name` holding `key` with `value` copies."""
+    if scheme is None:
+        lines = (out / name).read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if key in line)
+        lines[index : index + 1] = [lines[index]] * value
+        (out / name).write_text("\n".join(lines) + "\n")
+        return
+    with open(out / name / "barrier_summary.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    row = next(row for row in rows if row["scheme"] == scheme)
+    row[key] = repr(float(row[key]) * value) if isinstance(value, float) else value
+    with open(out / name / "barrier_summary.csv", "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "name, scheme, key, value, failure",
+    [
+        ("barrier", "anderson", "converged", "0", "barrier_summary.csv: anderson unconverged"),
+        ("barrier_robin", "fixed", "converged", "0", "robin/barrier_summary.csv: fixed unconverged"),
+        ("barrier_48_krylov", "lagged", "mass_defect", "2e-8", "lagged mass defect 2.000e-08"),
+        ("barrier_robin", "anderson", "mass_defect", "2e-8", "anderson mass defect 2.000e-08"),
+        ("barrier_robin", "lagged", "mass_defect", "2e-8", None),  # printed only
+        ("barrier", "fixed", "final_avg_dp_omega2", 1 + 3e-5, "fixed final_avg_dp_omega2: relative gap 3"),
+        ("barrier_48", "lagged", "final_avg_dp_omega1", 1 - 3e-5, "lagged final_avg_dp_omega1: relative gap 3"),
+        ("barrier_direct/barrier_summary.csv", None, "anderson,", 0, "['lagged', 'fixed'], not"),
+        ("logs/barrier.log", None, "elastic solve: ", 0, "barrier.log: 0 elastic solve lines, not 1"),
+        ("logs/barrier_direct.log", None, "elastic solve: ", 2, "4 elastic solve lines, not 3"),
+        ("logs/dump.log", None, "scheme fixed,", 0, "dump.log: no 'scheme fixed,' report line"),
+    ],
+)
+def test_the_gate_fails_a_doctored_run(small_run, tmp_path, capsys, name, scheme, key, value, failure):
+    assert gate(small_run) == 0  # the untouched run
+    out = tmp_path / "out"
+    shutil.copytree(small_run, out)
+    _doctor(out, name, scheme, key, value)
+    capsys.readouterr()
+    assert gate(out) == (failure is not None)
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAILED")]
+    assert len(failed) == (failure is not None) and all(failure in line for line in failed), failed

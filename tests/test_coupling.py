@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biotfv import coupling, tpfa
+from biotfv.app.cli import main
 from biotfv.app.config import BoundarySpec, parse_config_text
 from biotfv.coupling import (
     ANDERSON_WINDOW,
@@ -37,11 +38,13 @@ from biotfv.materials import PoroelasticProperties
 from biotfv.mesh import build_cartesian
 from biotfv.tpfa import FlowSystem
 
+from compare_outputs import barrier_copy, barrier_grid, solver_method, time_steps
 from oracles import monolithic_march, sequential_march
 
 LAGGED = SchemeSpec(kind="lagged")
 CASES = Path(__file__).resolve().parent.parent / "cases"
-BARRIER = (CASES / "barrier.cfg").read_text()
+# the shipped barrier on 12 x 12 x 3 cells, at 48 steps of 15 days
+BARRIER_12 = barrier_copy(barrier_grid(12) + time_steps("15 day", 48))
 MANUFACTURED = (CASES / "manufactured.cfg").read_text()
 
 
@@ -599,17 +602,8 @@ def test_lagged_iterative_run_warm_starts_each_step_from_the_last():
 
 def _small_barrier(c0="1e-8"):
     """The shipped barrier case on an 8 x 8 x 3 grid, on the iterative path."""
-    text = BARRIER
-    for old, new in [
-        ("c0 = 1e-8 1/Pa", f"c0 = {c0} 1/Pa"),
-        ("nx = 30", "nx = 8"),
-        ("ny = 30", "ny = 8"),
-        ("barrier_index = 15", "barrier_index = 4"),
-        ("cell = 7 15 1", "cell = 2 4 1"),
-    ]:
-        assert old in text
-        text = text.replace(old, new)
-    config = parse_config_text(text)
+    storage = [("c0 = 1e-8 1/Pa", f"c0 = {c0} 1/Pa")]
+    config = parse_config_text(barrier_copy(barrier_grid(8) + storage))
     options = replace(config.solver, method="iterative")
     return config.build_case(), options, config.scheme
 
@@ -665,18 +659,7 @@ RUN_MEMORY_BUDGET = {
 
 
 def test_a_run_holds_one_solution_block_per_cell_step_budget():
-    text = BARRIER
-    for old, new in [
-        ("nx = 30", "nx = 12"),
-        ("ny = 30", "ny = 12"),
-        ("barrier_index = 15", "barrier_index = 6"),
-        ("cell = 7 15 1", "cell = 3 6 1"),
-        ("dt = 30 day", "dt = 15 day"),
-        ("n_steps = 24", "n_steps = 48"),
-    ]:
-        assert old in text
-        text = text.replace(old, new)
-    config = parse_config_text(text)
+    config = parse_config_text(BARRIER_12)
     case = config.build_case()
     cell_steps = case.mesh.n_cells * case.time.n_steps
     used = {}
@@ -713,18 +696,7 @@ PASS_TEMPORARIES = {"fixed": 3.8, "anderson": 5.8}
 
 
 def test_a_pass_takes_its_residual_norms_in_one_work_array():
-    text = BARRIER
-    for old, new in [
-        ("nx = 30", "nx = 12"),
-        ("ny = 30", "ny = 12"),
-        ("barrier_index = 15", "barrier_index = 6"),
-        ("cell = 7 15 1", "cell = 3 6 1"),
-        ("dt = 30 day", "dt = 15 day"),
-        ("n_steps = 24", "n_steps = 48"),
-    ]:
-        assert old in text
-        text = text.replace(old, new)
-    config = parse_config_text(text)
+    config = parse_config_text(BARRIER_12)
     case = config.build_case()
     field_size = 8 * case.mesh.n_cells * case.time.n_steps
     engine = CoupledSystem(case, replace(config.solver, method="direct"))
@@ -889,6 +861,40 @@ def test_the_oracle_holds_at_field_moduli():
     result = simulate(CoupledSystem(case, direct), scheme)
     assert result.report.converged
     assert _distance(result.states, reference, fields=[0]) <= 1e-11
+
+
+# the shipped barrier on 6 x 6 x 3 cells, on the LU path, at c0 = 1e-11 1/Pa:
+# tau = 12, with the shipped tol 1e-6 and cap of 25 passes
+STRONG_BARRIER = barrier_copy(
+    barrier_grid(6) + solver_method("direct") + [("c0 = 1e-8 1/Pa", "c0 = 1e-11 1/Pa")]
+)
+
+
+def test_a_strongly_coupled_anderson_run_fills_and_slides_its_window(monkeypatch, tmp_path, capsys):
+    # measured: anderson converged in 8 passes, its mixes taking 1, 2, 3, 4,
+    # 5 and 5 pairs, with a worst-step gap of 1.2e-9 to the oracle; plain
+    # fixed stress stopped unconverged at 25 passes
+    windows = []
+    next_iterate = AndersonState.next_iterate
+
+    def mixing(window):
+        windows.append([id(residual) for residual, _ in window.pairs])
+        return next_iterate(window)
+
+    monkeypatch.setattr(AndersonState, "next_iterate", mixing)
+    config = parse_config_text(STRONG_BARRIER)
+    case = config.build_case()
+    assert np.allclose(coupling.coupling_strength(case.props), 12.0, rtol=0.01)
+    anderson = simulate(CoupledSystem(case, config.solver), replace(config.scheme, kind="anderson"))
+    assert anderson.report.converged and anderson.report.iterations == 8
+    assert [len(pairs) for pairs in windows] == [1, 2, 3, 4, 5, ANDERSON_WINDOW]
+    assert windows[-1][:-1] == windows[-2][1:]  # the oldest pair dropped
+    reference = monolithic_march(CoupledSystem(case, config.solver))
+    assert _distance(anderson.states, reference) <= 10 * config.scheme.tol
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text(STRONG_BARRIER)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "fixed coupling not converged after 25 iterations" in capsys.readouterr().err
 
 
 def test_lagged_splitting_error_is_seen_by_the_oracle_and_falls_when_drained(

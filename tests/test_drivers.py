@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from compare_outputs import barrier_copy, barrier_grid, solver_method, time_steps
 from oracles import assert_same_final, assert_same_history, coupled_probe, read_csv
 
 from biotfv import coupling
@@ -110,21 +111,9 @@ def test_scheme_token_mapping(tmp_path, monkeypatch):
 
 
 def _barrier_8(method="auto", tol="1e-6", max_iter="25"):
-    """The shipped barrier case on 8 x 8 x 3 cells, its well in the cell
-    that holds the shipped well's centre."""
-    text = (CASES / "barrier.cfg").read_text()
-    for old, new in [
-        ("nx = 30", "nx = 8"),
-        ("ny = 30", "ny = 8"),
-        ("barrier_index = 15", "barrier_index = 4"),
-        ("cell = 7 15 1", "cell = 2 4 1"),
-        ("tol = 1e-6", f"tol = {tol}"),
-        ("max_iter = 25", f"max_iter = {max_iter}"),
-        ("[solver]\n", f"[solver]\nmethod = {method}\n"),
-    ]:
-        assert old in text
-        text = text.replace(old, new)
-    return text
+    """The shipped barrier case on 8 x 8 x 3 cells."""
+    stops = [("tol = 1e-6", f"tol = {tol}"), ("max_iter = 25", f"max_iter = {max_iter}")]
+    return barrier_copy(barrier_grid(8) + solver_method(method) + stops)
 
 
 def _bits(array) -> bytes:
@@ -276,19 +265,8 @@ FINISHED_RUN_BUDGET = 0.25
 
 
 def test_a_finished_scheme_keeps_only_what_its_readers_need(tmp_path):
-    text = (CASES / "barrier.cfg").read_text()
-    for old, new in [
-        ("nx = 30", "nx = 12"),
-        ("ny = 30", "ny = 12"),
-        ("barrier_index = 15", "barrier_index = 6"),
-        ("cell = 7 15 1", "cell = 3 6 1"),
-        ("dt = 30 day", "dt = 15 day"),
-        ("n_steps = 24", "n_steps = 48"),
-        ("[solver]\n", "[solver]\nmethod = iterative\n"),
-    ]:
-        assert old in text
-        text = text.replace(old, new)
-    cfg = parse_config_text(text)
+    grid = barrier_grid(12) + time_steps("15 day", 48) + solver_method("iterative")
+    cfg = parse_config_text(barrier_copy(grid))
     case = cfg.build_case()
     cell_steps = case.mesh.n_cells * case.time.n_steps
     run_barrier_case(cfg, ("fixed", "anderson"), tmp_path / "warm")
@@ -398,6 +376,30 @@ def test_convergence_probe_matches_a_probe_on_a_coupled_engine(tmp_path):
         want = coupled_probe(case, cfg.solver, final.dp)
         assert report.probe_iterations == want.iterations > 0
         assert report.probe_trace == list(want.trace)
+
+
+def test_each_grids_march_starts_cold_and_takes_the_probe_iterations(tmp_path, monkeypatch):
+    # step 1 of each grid's lagged march is the probe's kind of solve, a
+    # Krylov solve of the same operator from zero, and takes its iteration
+    # count, so the march's step 1 can stand in for the probe only while no
+    # start is given to it
+    solves = []
+    solve = TpsaSolver.solve
+
+    def spy(solver, rhs, x0=None):
+        report = solve(solver, rhs, x0)
+        solves.append((solver, x0 is None, report.iterations))
+        return report
+
+    monkeypatch.setattr(TpsaSolver, "solve", spy)
+    cfg = parse_config(CASES / "manufactured.cfg")
+    cfg.time = replace(cfg.time, dt=25 * cfg.time.dt, n_steps=2)
+    study = run_convergence_study(cfg, [4, 6, 8], out_dir=tmp_path)
+    assert len(solves) == 3 * len(study.reports)  # two march steps and the probe per grid
+    for k, report in enumerate(study.reports):
+        (march, cold, iterations), (again, _, _), (probe, _, probed) = solves[3 * k : 3 * k + 3]
+        assert again is march and probe is not march
+        assert cold and iterations == probed == report.probe_iterations > 0
 
 
 def test_convergence_probe_failure_names_the_probe(monkeypatch):

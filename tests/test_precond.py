@@ -16,14 +16,12 @@ from biotfv.linsolve.blocks import cell_order, rescale
 from biotfv.linsolve.precond import BlockTriangularPreconditioner, SolverOptions, TpsaSolver
 from biotfv.mesh import build_cartesian
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
+from compare_outputs import ROBIN_FREE, barrier_copy
 from oracles import material
 
 BARRIER = (Path(__file__).resolve().parent.parent / "cases" / "barrier.cfg").read_text()
 # the CI copy with Robin walls and a traction-free top
-ROBIN_FREE = BARRIER.replace(
-    "mechanics = fixed\n",
-    "mechanics = robin\nrobin_delta = 10 m\nrobin_mu = 1 GPa\nz_max = free\n",
-)
+ROBIN_FREE_BARRIER = barrier_copy(ROBIN_FREE)
 
 def _system(nx, ny, nz, mu=1.0, lam=1.0, seed=0):
     mesh = build_cartesian(nx, ny, nz)
@@ -382,12 +380,12 @@ def test_factorization_is_the_one_precond_splu_call(monkeypatch):
     assert calls == ["NATURAL"]
 
 
-@pytest.fixture(scope="module", params=[BARRIER, ROBIN_FREE], ids=["clamped", "robin-free"])
+@pytest.fixture(scope="module", params=[BARRIER, ROBIN_FREE_BARRIER], ids=["clamped", "robin-free"])
 def shipped(request):
     """The shipped barrier operator's direct solver and a plain-order LU."""
     case = parse_config_text(request.param).build_case()
     # clamped walls only on the shipped case, some traction-free faces on its copy
-    assert np.isinf(case.props.w_out).any() == (request.param is ROBIN_FREE)
+    assert np.isinf(case.props.w_out).any() == (request.param is ROBIN_FREE_BARRIER)
     system = assemble_tpsa(case.mesh, case.props)
     solver = TpsaSolver(
         system,
