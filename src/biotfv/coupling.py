@@ -530,7 +530,9 @@ class CoupledSystem:
         zero, and from g otherwise: linear extrapolation in time on a first
         march, the correction step i-1 just took carried on in a later one.
         So fewer Krylov iterations are needed; each solve still stops on its
-        true residual.  The LU path reads no start.
+        true residual.  The LU path reads no start.  On the Krylov path the
+        march logs its Krylov iterations at INFO: 0 when every start already
+        met rtol, so that the march solved nothing.
         """
         case = self.case
         n_steps, times = case.time.n_steps, case.time.times
@@ -541,6 +543,7 @@ class CoupledSystem:
             block = np.empty((n_steps, 7 * self.n_cells)).T
         states = [case.initial]
         x = g_prev = None
+        krylov_iterations = 0
         for i in range(1, n_steps + 1):
             if psi is None:
                 source = self.flow_source(states[max(i - 2, 0)], states[i - 1])
@@ -551,10 +554,15 @@ class CoupledSystem:
             g = block[:, i - 1] if marched else x
             x0 = g if g_prev is None else g + (x - g_prev)
             g_prev = None if g is None else g.copy()  # the column is written over
-            block[:, i - 1] = self.mech_solve(dp, i, x0).x
+            report = self.mech_solve(dp, i, x0)
+            block[:, i - 1] = report.x
+            krylov_iterations += report.iterations
+            del report  # its x is in the block; it is not kept through the next solve
             x = block[:, i - 1]
             u, r, p_hat = split_fields(x, self.n_cells)
             states.append(BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=times[i]))
+        if not self.mech.direct:
+            log.info("march of %d steps: %d Krylov iterations", n_steps, krylov_iterations)
         return states, block
 
     def weighted_norm(self, psi: np.ndarray, out: np.ndarray | None = None) -> float:

@@ -1,47 +1,58 @@
-"""Build the barrier case copies, check that a tree writes the same
-output files as its merge base, and gate what the runs wrote.
+"""Build the case copies, run every study CI runs, check that a tree
+writes the same output files as its merge base, and gate what the runs
+wrote.
 
     python tests/compare_outputs.py run TREE OUT
     python tests/compare_outputs.py compare BASE_OUT HEAD_OUT [--declared FILE]
     python tests/compare_outputs.py gate OUT
-    python tests/compare_outputs.py case NAME DEST
 
 Every barrier copy the tests and CI run is the shipped case with whole
 lines replaced by `edited`, from `barrier_grid`, `solver_method`,
 `ROBIN_FREE` and `time_steps`.
 
-`run` runs seven cases with the package in TREE/src on TREE's own case
-files, at one BLAS thread and `--log-level info`, into OUT, and writes
-OUT/outputs.sha256: one sha256 per output file, then one `exit/FOLDER`
-entry per case holding its exit status (0, or 3 for a run that stopped
-unconverged) in place of a hash, then, as comment lines, the convergence
-study's rotation order to 10 digits and its probe iteration count per
-grid.  The cases are the shipped barrier study, its `method = direct`
-copy, its 48x48x3 copy under `method = auto` and under
-`method = iterative`, its Robin and traction-free copy, `run
---dump-matrix` of the shipped barrier, and `convergence --grids
-8,12,16,24` of the shipped manufactured case.  Each case's edited case
-file is kept as OUT/cases/FOLDER.cfg and its stdout and stderr as
-OUT/logs/FOLDER.log; neither is hashed (the logs hold timings and
-absolute paths).
+`run` runs the CASES with the package in TREE/src on TREE's own case
+files, at one BLAS thread and `--log-level info` unless a case says
+otherwise, into OUT, and writes OUT/outputs.sha256: one sha256 per
+output file, then one `exit/FOLDER` entry per case holding its exit
+status (0, or 3 for a run that stopped unconverged) in place of a hash,
+then, as comment lines, the convergence study's rotation order to 10
+digits, its probe iteration count per grid, and each case's wall time
+and peak RSS (`# FOLDER: 1.23 s, peak RSS 95.4 MB`, from `os.wait4`).
+The cases are the shipped barrier study, its `method = direct` copy,
+its 48x48x3 copy under `method = auto` and under `method = iterative`,
+its Robin and traction-free copy, `run --dump-matrix` of the shipped
+barrier, `convergence --grids 8,12,16,24` of the shipped manufactured
+case, a 36x36x3 `run` on the LU path, the shipped study under `--schemes
+lagged`, `fixed`, `anderson` and `anderson,fixed`, a 96-step 48x48x3
+Krylov copy under `--schemes fixed,anderson` and
+`lagged,fixed,anderson`, `run` of the shipped manufactured case, and the
+`method = direct` copy again at two BLAS threads and `--log-level
+warning`.  Each case's edited case file is kept as OUT/cases/FOLDER.cfg
+and its stdout and stderr as OUT/logs/FOLDER.log; neither is hashed
+(the logs hold timings and absolute paths).
 
-`compare` prints both trees' figures and every file or exit status that
-differs or that only one tree wrote.  It exits 1 naming each such entry
-unless FILE declares it: a line of FILE that starts with the marker
-`OUTPUTS CHANGED:`, after a list bullet if any, and holds after it a word
-that is the entry's name (a path relative to OUT, or `exit/FOLDER`) or a
-shell pattern matching it (`barrier/barrier_fixed.csv`, `barrier*/*.vtk`,
-`exit/dump`).
+`compare` prints both trees' figures, each case's wall time and peak RSS
+side by side, and every file or exit status that differs or that only
+one tree wrote.  It exits 1 naming each such entry unless FILE declares
+it: a line of FILE that starts with the marker `OUTPUTS CHANGED:`, after
+a list bullet if any, and holds after it a word that is the entry's name
+(a path relative to OUT, or `exit/FOLDER`) or a shell pattern matching
+it (`barrier/barrier_fixed.csv`, `barrier*/*.vtk`, `exit/dump`).
 Give as FILE the lines a change adds to CHANGES.md, so that only the
 change's own declarations count.  With no FILE, `compare` checks that
-two runs wrote the same entries, e.g. two runs of one tree.
+two runs wrote the same entries, e.g. two runs of one tree.  Times and
+peaks are printed only; `gate` bounds two of them.
 
 `gate` exits 1 naming each failure of a `run` folder: in an AGREEING
 pair a scheme unconverged, over MAX_DEFECT or with final averages more
-than MAX_GAP apart; in the Robin/free study a scheme unconverged, or
-fixed or anderson over MAX_DEFECT; `elastic solve: ` log lines other
-than ELASTIC_SOLVE_LINES, or no `scheme fixed,` line in the dump's log.
-`case` writes one of the CI_COPIES, which only CI runs, to DEST.
+than MAX_GAP apart; in the Robin/free study and the two 96-step studies
+a scheme unconverged, or fixed or anderson over MAX_DEFECT; a scheme run
+ALONE whose files differ from the shipped study's; a two-thread file
+that differs from its one-thread twin; lagged adding more than
+MAX_LAGGED_RSS to the 96-step study's peak RSS; the 36x36x3 LU run
+taking more than MAX_LU_WALL; a manufactured mass defect over
+MAX_DEFECT; `elastic solve: ` log lines other than ELASTIC_SOLVE_LINES,
+or no `scheme fixed,` line in the dump's log.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 REPO = Path(__file__).resolve().parents[1]
 MANIFEST = "outputs.sha256"
@@ -104,27 +116,59 @@ def time_steps(dt: str, n_steps: int) -> list[tuple[str, str]]:
     return [("dt = 30 day", f"dt = {dt}"), ("n_steps = 24", f"n_steps = {n_steps}")]
 
 
-# (output folder, subcommand, case file, line edits of the case, extra arguments)
+class Case(NamedTuple):
+    folder: str  # under OUT, and the case's name in the manifest
+    command: str  # the biotfv subcommand
+    case: str  # the case file under TREE/cases
+    edits: Sequence[tuple[str, str]] = ()  # applied by `edited`
+    extra: Sequence[str] = ()  # arguments after `--log-level info`, which a later one overrides
+    threads: int = 1  # BLAS threads
+
+
+# the log level of the cases that once ran in CI steps of their own; run
+# at it, the single-scheme and two-thread copies also check that the log
+# level changes no file
+WARNING = ["--log-level", "warning"]
+# --schemes of the shipped study's copies that run schemes alone.  The
+# study shares one flow system, one elastic assembly and fixed stress's
+# first three passes among its engines; run alone, each scheme builds its
+# own and anderson marches those passes itself.  Listed anderson first,
+# the study runs them in anderson's run
+ALONE = ["lagged", "fixed", "anderson", "anderson,fixed"]
+# the 48x48x3 Krylov copy at 7.5-day steps over the same 720 days, where
+# memory grows with cells x steps, run without and with lagged
+LONG = barrier_grid(48) + solver_method("iterative") + time_steps("7.5 day", 96)
+LONG_STUDIES = {"barrier_48_long": "fixed,anderson", "barrier_48_long_all": "lagged,fixed,anderson"}
+
+
+def alone_folder(schemes: str) -> str:
+    return "barrier_" + schemes.replace(",", "_")
+
+
 CASES = [
-    ("barrier", "barrier", "barrier.cfg", [], []),
-    ("barrier_direct", "barrier", "barrier.cfg", solver_method("direct"), []),
-    ("barrier_48", "barrier", "barrier.cfg", barrier_grid(48), []),
-    ("barrier_48_krylov", "barrier", "barrier.cfg", barrier_grid(48) + solver_method("iterative"), []),
-    ("barrier_robin", "barrier", "barrier.cfg", ROBIN_FREE, []),
-    ("dump", "run", "barrier.cfg", [], ["--dump-matrix"]),
-    (CONVERGENCE, "convergence", "manufactured.cfg", [], ["--grids", "8,12,16,24"]),
-]
-# barrier copies that CI runs on their own, written by `case NAME DEST`
-CI_COPIES = {
+    Case("barrier", "barrier", "barrier.cfg"),
+    Case("barrier_direct", "barrier", "barrier.cfg", solver_method("direct")),
+    Case("barrier_48", "barrier", "barrier.cfg", barrier_grid(48)),
+    Case("barrier_48_krylov", "barrier", "barrier.cfg", barrier_grid(48) + solver_method("iterative")),
+    Case("barrier_robin", "barrier", "barrier.cfg", ROBIN_FREE),
+    Case("dump", "run", "barrier.cfg", extra=["--dump-matrix"]),
+    Case(CONVERGENCE, "convergence", "manufactured.cfg", extra=["--grids", "8,12,16,24"]),
     # 27,216 unknowns, so the LU path above precond.DIRECT_THRESHOLD; the
     # well stays in the shipped cell
-    "barrier_36_direct": barrier_grid(36, well=False) + solver_method("direct"),
-    # the Krylov 48x48x3 copy at 7.5-day steps over the same 720 days
-    "barrier_48_long": barrier_grid(48) + solver_method("iterative") + time_steps("7.5 day", 96),
-}
+    Case("barrier_36_direct", "run", "barrier.cfg",
+         barrier_grid(36, well=False) + solver_method("direct"), WARNING),
+    *[Case(alone_folder(s), "barrier", "barrier.cfg", extra=["--schemes", s, *WARNING]) for s in ALONE],
+    *[Case(folder, "barrier", "barrier.cfg", LONG, ["--schemes", s, *WARNING])
+      for folder, s in LONG_STUDIES.items()],
+    # the shipped 16^3 case is iterative and above the flow's
+    # tpfa.FLOW_DIRECT_CELLS, so its flow runs AMG-BiCGStab, not an LU
+    Case("manufactured", "run", "manufactured.cfg", extra=WARNING),
+    # the LU path writes the same files at two BLAS threads and at warning level
+    Case("barrier_direct_2t", "barrier", "barrier.cfg", solver_method("direct"), WARNING, threads=2),
+]
 
 
-def edited(text: str, edits: list[tuple[str, str]]) -> str:
+def edited(text: str, edits: Sequence[tuple[str, str]]) -> str:
     """The case text with each whole line `old` replaced by `new`; an edit
     whose line is missing fails, so a renamed key cannot rerun the shipped case."""
     lines = text.splitlines()
@@ -156,43 +200,71 @@ def convergence_figures(folder: Path) -> list[str]:
     return [f"rotation order {orders['r']:.10f}", f"probe iterations {counts}"]
 
 
+def tree_hashes(folder: Path) -> dict[str, str]:
+    """The sha256 of every file under `folder`, by its path relative to it."""
+    return {
+        path.relative_to(folder).as_posix(): sha256(path)
+        for path in sorted(folder.rglob("*"))
+        if path.is_file()
+    }
+
+
+# a case's wall time and peak RSS, as a manifest comment
+USAGE = re.compile(r"(\S+): ([0-9.]+) s, peak RSS ([0-9.]+) MB")
+
+
+def usage_line(folder: str, wall: float, peak: float) -> str:
+    return f"{folder}: {wall:.2f} s, peak RSS {peak:.1f} MB"
+
+
+def usage(figures: list[str]) -> dict[str, tuple[float, float]]:
+    """Each case's wall time in s and peak RSS in MB, from the manifest's comments."""
+    found = map(USAGE.fullmatch, figures)
+    return {match[1]: (float(match[2]), float(match[3])) for match in found if match}
+
+
 def run(tree: Path, out: Path) -> None:
     tree, out = tree.resolve(), out.resolve()
     out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     cases_dir, logs_dir = out / "cases", out / "logs"
     cases_dir.mkdir(exist_ok=True)
     logs_dir.mkdir(exist_ok=True)
-    exits = []
+    exits, usages = [], []
     start = time.perf_counter()
-    for folder, command, case, edits, extra in CASES:
+    for folder, command, case, edits, extra, threads in CASES:
         cfg = cases_dir / f"{folder}.cfg"
         cfg.write_text(edited((tree / "cases" / case).read_text(), edits))
         args = [command, str(cfg), "--out", str(out / folder), "--log-level", "info", *extra]
+        blas = {name: str(threads) for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), **blas)
         log = logs_dir / f"{folder}.log"
         t0 = time.perf_counter()
         # the working directory is OUT, so no package is imported from the caller's
         with open(log, "w") as handle:
-            done = subprocess.run(
+            child = subprocess.Popen(
                 [sys.executable, "-c", LAUNCH, str(tree / "src"), *args],
                 cwd=out, env=env, stdout=handle, stderr=subprocess.STDOUT,
             )
+            # wait4 reports this child's own peak; getrusage's is the largest child's
+            _, status, resources = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+        wall, peak = time.perf_counter() - t0, resources.ru_maxrss / 1024  # KiB on Linux
         # a run that stops unconverged exits 3 and still writes its files
-        if done.returncode not in (0, 3):
+        if child.returncode not in (0, 3):
             tail = "\n".join(log.read_text().splitlines()[-20:])
-            raise SystemExit(f"{tail}\nbiotfv {' '.join(args)} exited {done.returncode}")
-        exits.append(f"{done.returncode}  {EXIT}{folder}")
-        print(f"{folder}: {time.perf_counter() - t0:.1f} s (exit {done.returncode})")
+            raise SystemExit(f"{tail}\nbiotfv {' '.join(args)} exited {child.returncode}")
+        exits.append(f"{child.returncode}  {EXIT}{folder}")
+        usages.append(usage_line(folder, wall, peak))
+        print(f"{usages[-1]} (exit {child.returncode})")
     lines = [
-        f"{sha256(path)}  {path.relative_to(out).as_posix()}"
+        f"{digest}  {folder}/{name}"
         for folder, *_ in CASES
-        for path in sorted((out / folder).rglob("*"))
-        if path.is_file()
+        for name, digest in tree_hashes(out / folder).items()
     ]
     lines += exits
-    if any(folder == CONVERGENCE for folder, *_ in CASES):
-        lines += [f"# {figure}" for figure in convergence_figures(out / CONVERGENCE)]
+    ran_convergence = any(folder == CONVERGENCE for folder, *_ in CASES)
+    figures = convergence_figures(out / CONVERGENCE) if ran_convergence else []
+    lines += [f"# {figure}" for figure in figures + usages]
     (out / MANIFEST).write_text("\n".join(lines) + "\n")
     print(f"{tree}: {len(CASES)} cases in {time.perf_counter() - start:.1f} s")
 
@@ -233,8 +305,14 @@ def is_declared(name: str, patterns: list[str]) -> bool:
 def compare(base_out: Path, head_out: Path, declared_path: Path | None) -> int:
     base, base_figures = read_manifest(base_out)
     head, head_figures = read_manifest(head_out)
-    for before, after in zip(base_figures, head_figures):
+    studies = [[f for f in figures if not USAGE.fullmatch(f)] for figures in (base_figures, head_figures)]
+    for before, after in zip(*studies):
         print(f"base {before}\nhead {after}")
+    base_usage, head_usage = usage(base_figures), usage(head_figures)
+    print("wall time and peak RSS per case, base -> head")
+    for folder in [folder for folder in head_usage if folder in base_usage]:
+        (base_wall, base_peak), (head_wall, head_peak) = base_usage[folder], head_usage[folder]
+        print(f"  {folder}: {base_wall:.2f} -> {head_wall:.2f} s, {base_peak:.1f} -> {head_peak:.1f} MB")
     changed = differing(base, head)
     patterns = declared_patterns(declared_path.read_text()) if declared_path else []
     for name in changed:
@@ -261,6 +339,21 @@ MAX_GAP = 2e-5
 AGREEING = [("barrier_direct", "barrier"), ("barrier_48", "barrier_48_krylov")]
 # three engines share one Krylov elastic solver; each factors its own LU
 ELASTIC_SOLVE_LINES = {"barrier": 1, "barrier_direct": 3}
+# Lagged runs after fixed stress whatever the listing, so no finished run
+# is live at fixed's pass-4 peak: listing it first added 0.0 MB over 2
+# runs of the 96-step study on a 2-core VM (207.2 MB both).  When lagged
+# ran first, its dp and psi, 2 N n doubles (10.1 MB there), added
+# 11.0-11.4 MB, and 46.2-46.6 MB when it kept its whole result.  The
+# peaks themselves are not gated
+MAX_LAGGED_RSS = 5.0  # MB
+# minimum degree on the 36x36x3 copy's 7n unknowns took over 70 s to
+# factor its matrix; ordered cell by cell, with one LU solve per step, the
+# run takes about 3 s
+MAX_LU_WALL = 30.0  # s
+
+
+def scheme_files(scheme: str) -> list[str]:
+    return [f"barrier_{scheme}.csv", f"barrier_{scheme}_psi.npy", f"barrier_{scheme}_final.vtk"]
 
 
 def read_summary(path: Path) -> dict[str, dict[str, str]]:
@@ -298,8 +391,37 @@ def gate(out: Path) -> int:
                 print(figure)
                 if not gap <= MAX_GAP:
                     bad.append(figure)
-    # lagged's Robin/free defect is its splitting term (9.7e-9), printed only
+    # lagged's Robin/free defect is its splitting term (9.7e-9), printed
+    # only, and so is its 96-step one
     bad += summary_problems(out / "barrier_robin" / SUMMARY, SCHEMES, ("fixed", "anderson"))
+    for folder, schemes in LONG_STUDIES.items():
+        bad += summary_problems(out / folder / SUMMARY, schemes.split(","), ("fixed", "anderson"))
+    study = tree_hashes(out / "barrier")
+    for schemes in ALONE:
+        folder = alone_folder(schemes)
+        alone = tree_hashes(out / folder)
+        names = [name for scheme in schemes.split(",") for name in scheme_files(scheme)]
+        print(f"{folder}: {len(names)} files against barrier/'s")
+        for name in names:
+            if name not in study or alone.get(name) != study[name]:
+                bad.append(f"{folder}/{name} differs from barrier/{name}")
+    twin = tree_hashes(out / "barrier_direct")
+    print(f"barrier_direct_2t: {len(twin)} files against barrier_direct/'s")
+    for name in differing(twin, tree_hashes(out / "barrier_direct_2t")):
+        bad.append(f"barrier_direct_2t/{name} differs from barrier_direct/{name}")
+    used = usage(read_manifest(out)[1])
+    lagged_rss = used["barrier_48_long_all"][1] - used["barrier_48_long"][1]
+    print(f"lagged adds {lagged_rss:.1f} MB to the 96-step study's peak RSS")
+    if not lagged_rss <= MAX_LAGGED_RSS:
+        bad.append(f"lagged adds {lagged_rss:.1f} MB to the 96-step study's peak RSS")
+    lu_wall = used["barrier_36_direct"][0]
+    print(f"barrier_36_direct: {lu_wall:.2f} s")
+    if not lu_wall <= MAX_LU_WALL:
+        bad.append(f"barrier_36_direct took {lu_wall:.2f} s")
+    defects = re.findall(r"mass defect ([^\s,]+)", (out / "logs" / "manufactured.log").read_text())
+    print(f"manufactured.log: mass defects {', '.join(defects)}")
+    if not defects or not all(float(defect) <= MAX_DEFECT for defect in defects):
+        bad.append(f"manufactured.log: mass defects {defects}")
     for folder, want in ELASTIC_SOLVE_LINES.items():
         got = (out / "logs" / f"{folder}.log").read_text().count("elastic solve: ")
         print(f"{folder}.log: {got} elastic solve lines")
@@ -325,18 +447,12 @@ def main(argv=None) -> int:
     cmp_p.add_argument("--declared", type=Path, help="text holding OUTPUTS CHANGED: lines")
     gate_p = sub.add_parser("gate", help="check what a run's studies and logs wrote")
     gate_p.add_argument("out", type=Path)
-    case_p = sub.add_parser("case", help="write a barrier copy that CI runs on its own")
-    case_p.add_argument("name", choices=list(CI_COPIES))
-    case_p.add_argument("dest", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
         run(args.tree, args.out)
         return 0
     if args.command == "gate":
         return gate(args.out)
-    if args.command == "case":
-        args.dest.write_text(barrier_copy(CI_COPIES[args.name]))
-        return 0
     return compare(args.base_out, args.head_out, args.declared)
 
 

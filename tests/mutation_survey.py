@@ -129,7 +129,9 @@ def tier1(work: Path, mutant: Mutant) -> subprocess.CompletedProcess:
 
 
 def first_failure(output: str) -> str:
-    found = re.search(r"^(FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    # pytest's summary names a test file; a gate's own FAILED lines in the
+    # captured output name none
+    found = re.search(r"^(FAILED|ERROR) (\S+\.py\b\S*)", output, re.MULTILINE)
     return found[2] if found else output.strip()[-200:]
 
 

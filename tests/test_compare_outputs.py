@@ -8,14 +8,20 @@ import pytest
 
 import compare_outputs
 from compare_outputs import (
+    CASES,
     MANIFEST,
     REPO,
     ROBIN_FREE,
+    WARNING,
+    Case,
     barrier_grid,
     compare,
     edited,
     gate,
     solver_method,
+    time_steps,
+    usage,
+    usage_line,
 )
 
 SMALL = barrier_grid(6, nz=2)
@@ -24,13 +30,24 @@ SMALL = barrier_grid(6, nz=2)
 # 2e-5 (1.3e-5 on the shipped grid).  `method = auto` takes the LU on
 # 6 x 6 x 2, so the shipped study's copy asks for the Krylov path
 KRYLOV = solver_method("iterative") + [("rtol = 1e-5", "rtol = 1e-7")]
+DIRECT = SMALL + solver_method("direct")
+SMALL_LONG = SMALL + KRYLOV + time_steps("120 day", 6)
+CUBE = [("nx = 16", "nx = 4"), ("ny = 16", "ny = 4"), ("nz = 16", "nz = 4"), ("n_steps = 50", "n_steps = 2")]
+# every case but the convergence study, on small copies
 SMALL_CASES = [
-    ("barrier", "barrier", "barrier.cfg", SMALL + KRYLOV, []),
-    ("barrier_direct", "barrier", "barrier.cfg", SMALL + solver_method("direct"), []),
-    ("barrier_48", "barrier", "barrier.cfg", SMALL, []),
-    ("barrier_48_krylov", "barrier", "barrier.cfg", SMALL + KRYLOV, []),
-    ("barrier_robin", "barrier", "barrier.cfg", SMALL + ROBIN_FREE, []),
-    ("dump", "run", "barrier.cfg", SMALL, ["--dump-matrix"]),
+    Case("barrier", "barrier", "barrier.cfg", SMALL + KRYLOV),
+    Case("barrier_direct", "barrier", "barrier.cfg", DIRECT),
+    Case("barrier_48", "barrier", "barrier.cfg", SMALL),
+    Case("barrier_48_krylov", "barrier", "barrier.cfg", SMALL + KRYLOV),
+    Case("barrier_robin", "barrier", "barrier.cfg", SMALL + ROBIN_FREE),
+    Case("dump", "run", "barrier.cfg", SMALL, ["--dump-matrix"]),
+    Case("barrier_36_direct", "run", "barrier.cfg", DIRECT, WARNING),
+    *[Case(compare_outputs.alone_folder(s), "barrier", "barrier.cfg", SMALL + KRYLOV,
+           ["--schemes", s, *WARNING]) for s in compare_outputs.ALONE],
+    *[Case(folder, "barrier", "barrier.cfg", SMALL_LONG, ["--schemes", s, *WARNING])
+      for folder, s in compare_outputs.LONG_STUDIES.items()],
+    Case("manufactured", "run", "manufactured.cfg", CUBE, WARNING),
+    Case("barrier_direct_2t", "barrier", "barrier.cfg", DIRECT, WARNING, threads=2),
 ]
 
 
@@ -128,26 +145,44 @@ def test_run_logs_each_case_beside_the_manifest_and_records_its_exit(small_run):
     assert "barrier_48/barrier_summary.csv" in hashes
     # no log, no case file
     assert all(name.split("/")[0] in folders + ["exit"] for name in hashes)
-    assert figures == []
+    # one wall time and peak RSS per case, and no other figure
+    assert list(usage(figures)) == folders and len(figures) == len(folders)
+    assert all(wall > 0.0 and peak > 0.0 for wall, peak in usage(figures).values())
 
 
-def test_case_writes_the_ci_copies(tmp_path):
+def test_the_cases_build_the_ci_copies():
     # the 36 x 36 x 3 copy keeps the shipped well cell; barrier_grid moves it
+    cases = {case.folder: case for case in CASES}
     for name, lines in [
         ("barrier_36_direct", {"nx = 36", "barrier_index = 18", "cell = 7 15 1", "method = direct"}),
         ("barrier_48_long", {"nx = 48", "cell = 12 24 1", "dt = 7.5 day", "n_steps = 96"}),
+        ("barrier_48_long_all", {"nx = 48", "cell = 12 24 1", "dt = 7.5 day", "n_steps = 96"}),
+        ("barrier_direct_2t", {"nx = 30", "cell = 7 15 1", "method = direct"}),
     ]:
-        assert compare_outputs.main(["case", name, str(tmp_path / name)]) == 0
-        assert lines <= set((tmp_path / name).read_text().splitlines())
+        assert lines <= set(compare_outputs.barrier_copy(cases[name].edits).splitlines())
+    assert [case.folder for case in CASES if case.threads != 1] == ["barrier_direct_2t"]
+    assert cases["barrier_anderson_fixed"].extra == ["--schemes", "anderson,fixed", "--log-level", "warning"]
+
+
+def test_compare_prints_each_case_usage_side_by_side(tmp_path, capsys):
+    figures = ["rotation order 1.8001784867", usage_line("barrier", 1.0, 80.0)]
+    base = _manifest(tmp_path / "base", {"x/a.csv": "11"}, figures)
+    head = _manifest(tmp_path / "head", {"x/a.csv": "11"}, [figures[0], usage_line("barrier", 1.5, 81.3)])
+    assert compare(base, head, None) == 0
+    out = capsys.readouterr().out
+    assert "base rotation order 1.8001784867\nhead rotation order 1.8001784867\n" in out
+    assert "  barrier: 1.00 -> 1.50 s, 80.0 -> 81.3 MB" in out
+    assert "base barrier:" not in out
 
 
 def _doctor(out, name, scheme, key, value):
     """Set `key` of `scheme` in folder `name`'s summary, or with no scheme,
-    replace the first line of file `name` holding `key` with `value` copies."""
+    replace the first line of file `name` holding `key` with `value` copies
+    of it, or with the line `value`."""
     if scheme is None:
         lines = (out / name).read_text().splitlines()
         index = next(i for i, line in enumerate(lines) if key in line)
-        lines[index : index + 1] = [lines[index]] * value
+        lines[index : index + 1] = [value] if isinstance(value, str) else [lines[index]] * value
         (out / name).write_text("\n".join(lines) + "\n")
         return
     with open(out / name / "barrier_summary.csv") as handle:
@@ -174,6 +209,14 @@ def _doctor(out, name, scheme, key, value):
         ("logs/barrier.log", None, "elastic solve: ", 0, "barrier.log: 0 elastic solve lines, not 1"),
         ("logs/barrier_direct.log", None, "elastic solve: ", 2, "4 elastic solve lines, not 3"),
         ("logs/dump.log", None, "scheme fixed,", 0, "dump.log: no 'scheme fixed,' report line"),
+        ("barrier_lagged/barrier_lagged.csv", None, ",", 2, "barrier_lagged.csv differs from barrier/"),
+        ("barrier_anderson_fixed/barrier_fixed.csv", None, ",", 2, "fixed/barrier_fixed.csv differs from"),
+        ("barrier_direct_2t/barrier_summary.csv", None, "anderson,", 0, "2t/barrier_summary.csv differs"),
+        ("barrier_48_long", "fixed", "converged", "0", "long/barrier_summary.csv: fixed unconverged"),
+        ("barrier_48_long_all", "anderson", "mass_defect", "2e-8", "anderson mass defect 2.000e-08"),
+        ("barrier_48_long_all", "lagged", "mass_defect", "2e-8", None),  # printed only
+        ("logs/manufactured.log", None, "mass defect", "mass defect 2.000e-08",
+         "manufactured.log: mass defects ['2.000e-08'"),
     ],
 )
 def test_the_gate_fails_a_doctored_run(small_run, tmp_path, capsys, name, scheme, key, value, failure):
@@ -181,7 +224,38 @@ def test_the_gate_fails_a_doctored_run(small_run, tmp_path, capsys, name, scheme
     out = tmp_path / "out"
     shutil.copytree(small_run, out)
     _doctor(out, name, scheme, key, value)
+    if name.split("/")[0] == "barrier_direct":  # and its two-thread twin alike, so only one gate fails
+        shutil.copytree(out / "barrier_direct", out / "barrier_direct_2t", dirs_exist_ok=True)
     capsys.readouterr()
     assert gate(out) == (failure is not None)
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAILED")]
     assert len(failed) == (failure is not None) and all(failure in line for line in failed), failed
+
+
+def _record(out, recorded):
+    """Write each case's recorded (wall, peak) over its manifest line."""
+    lines = (out / MANIFEST).read_text().splitlines()
+    for folder, (wall, peak) in recorded.items():
+        index = next(i for i, line in enumerate(lines) if line.startswith(f"# {folder}: "))
+        lines[index] = f"# {usage_line(folder, wall, peak)}"
+    (out / MANIFEST).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "recorded, failure",
+    [
+        ({"barrier_48_long": (1.0, 200.0), "barrier_48_long_all": (1.0, 205.1)},
+         "lagged adds 5.1 MB to the 96-step study's peak RSS"),
+        ({"barrier_48_long": (1.0, 200.0), "barrier_48_long_all": (1.0, 204.9)}, None),
+        ({"barrier_36_direct": (31.0, 100.0)}, "barrier_36_direct took 31.00 s"),
+        ({"barrier_36_direct": (29.0, 100.0)}, None),
+    ],
+)
+def test_the_gate_bounds_the_recorded_usage(small_run, tmp_path, capsys, recorded, failure):
+    out = tmp_path / "out"
+    shutil.copytree(small_run, out)
+    _record(out, recorded)
+    capsys.readouterr()
+    assert gate(out) == (failure is not None)
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAILED")]
+    assert failed == ([] if failure is None else [f"FAILED {failure}"])

@@ -292,6 +292,21 @@ def test_the_resuming_scheme_logs_the_passes_it_took(tmp_path, caplog, first, se
     assert not any(f"scheme {first}: pass" in message for message in caplog.messages)
 
 
+@pytest.mark.parametrize(
+    "method, iterations",
+    # the Krylov copy reads as the shipped 30 x 30 x 3 study (29, 16, 0, 0,
+    # 0 and 29): fixed stress's passes 3 and 4 and anderson's own pass 4
+    # solve nothing, and lagged marches once; the LU path logs no march
+    [("iterative", [27, 17, 0, 0, 0, 27]), ("direct", [])],
+)
+def test_each_krylov_march_logs_its_iterations(tmp_path, caplog, method, iterations):
+    cfg = parse_config_text(barrier_copy(barrier_grid(6, nz=2) + solver_method(method)))
+    with caplog.at_level(logging.INFO, logger="biotfv"):
+        run_barrier_case(cfg, SCHEME_KINDS, out_dir=tmp_path)
+    marches = [message for message in caplog.messages if message.startswith("march of ")]
+    assert marches == [f"march of 24 steps: {n} Krylov iterations" for n in iterations]
+
+
 def test_relative_l2_values():
     mesh = build_cartesian(2, 1, 1)
     exact = np.array([1.0, 1.0])
