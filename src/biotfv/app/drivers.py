@@ -264,8 +264,8 @@ class BarrierRun:
 
     `result` is trimmed (`SimulationResult.trimmed`): the report, psi,
     every state's dp and t, and the first and final states whole.  The
-    interior states' elastic fields are None, so a finished run does not
-    keep its (7n, N) elastic block while the later schemes run.
+    interior states' elastic fields are None, so a finished run keeps no
+    (n, N) p_hat history while the later schemes run.
     """
 
     scheme: str
@@ -301,11 +301,9 @@ def run_barrier_case(
 
     The listed fixed and anderson run first, in their listed order, and
     lagged after them; files, summary rows and the returned runs keep the
-    listed order.  The study's peak memory falls in fixed stress's fourth
-    pass, with its own (7n, N) block and the shared copy live, and no
-    finished run beside them: on 48x48x3, each step beyond the 24th adds
-    about 23 doubles per cell to the peak RSS.  A study that fails in fixed
-    stress stops before lagged runs.
+    listed order, so no finished run is live beside the fixed-stress
+    passes, which hold the study's largest arrays.  A study that fails in
+    fixed stress stops before lagged runs.
 
     The study builds one flow system and one elastic assembly, in the
     first engine, and hands them to every later one through a
@@ -317,7 +315,7 @@ def run_barrier_case(
     trimmed as it returns (`SimulationResult.trimmed`) and its files are
     written from the trimmed result, so a finished scheme keeps only what
     its files, its summary row and the returned `BarrierRun` read, not
-    its (7n, N) elastic block.  Every scheme runs through
+    its interior p_hat.  Every scheme runs through
     `simulate(engine, scheme, head)`.  When both fixed and anderson are
     listed, the study's `coupling.SharedHead` runs their first three
     passes once and the second resumes from a copy, with every file and
@@ -334,8 +332,8 @@ def run_barrier_case(
     specs = [replace(config.scheme, kind=name) for name in names]
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output_directory)
-    # fixed stress runs first, so no finished run is live beside its two
-    # (7n, N) blocks; files, summary rows and runs keep the listed order
+    # fixed stress runs first, so no finished run is live beside its
+    # passes; files, summary rows and runs keep the listed order
     order = sorted(range(len(names)), key=lambda i: names[i] == "lagged")
     runs = [None] * len(names)
     head = SharedHead() if {"fixed", "anderson"} <= set(names) else None
@@ -348,7 +346,7 @@ def run_barrier_case(
             # no later engine reads the assembly: each takes the holder's
             # Krylov solver, or none is left to factor its own LU
             shared.elastic = None
-        # trimmed as it returns, so no local keeps the run's elastic block
+        # trimmed as it returns, so no local keeps the run's interior p_hat
         # alive into the next run
         result = simulate(engine, scheme, head).trimmed()
         # an LU is freed before the next scheme factors its own; a Krylov

@@ -48,14 +48,16 @@ the scheme, so a study builds the first two once into a
 `SharedOperators` holder and hands it to each scheme's engine, and on
 the Krylov path the solver too (the rescaled operator and its four AMG
 hierarchies); an LU is still factored once per engine.  The march, not
-the elastic solver, owns a run's elastic solutions and the start of each
-solve (`CoupledSystem.evaluate`): each pass solves over the last in the
-run's one (7n, N) block, so a pass's states are views into that block,
-valid until the run's next pass.
+the elastic solver, owns the start of each solve
+(`CoupledSystem.evaluate`): every march, lagged or a fixed-stress pass,
+re-solves every step, from the minimal-residual combination of its own
+last START_WINDOW solutions (`linsolve.precond.StartWindow`), and keeps
+of each step only dp and p_hat, and the final step's whole solution.
+No march reads another's solutions, so no run keeps a (7n, N) block.
 
-A fixed-stress run is a `PassState` (psi's source, the block, the
-residuals, the Anderson window) that `advance` moves on by one pass, so
-a run can stop and resume.  Anderson's first mix needs two pairs, so
+A fixed-stress run is a `PassState` (psi's source, the residuals, the
+Anderson window) that `advance` moves on by one pass, so a run can stop
+and resume.  Anderson's first mix needs two pairs, so
 fixed and anderson evaluate the same psi in their first SHARED_PASSES =
 3 passes, bit for bit; a study that runs both computes those passes once
 (`SharedHead`), and `simulate` runs each on from there, the second from
@@ -76,7 +78,7 @@ import numpy as np
 from .errors import ConfigurationError, GeometryError, SolverError
 from .linsolve.blocks import SparseBlockSystem, split_fields
 from .linsolve.krylov import SolveReport
-from .linsolve.precond import SolverOptions, TpsaSolver
+from .linsolve.precond import SolverOptions, StartWindow, TpsaSolver
 from .materials import PoroelasticProperties
 from .mesh import Mesh
 from .tpfa import FlowSystem
@@ -201,9 +203,9 @@ class SchemeSpec:
 class BiotState:
     """Coupled fields at one time point.
 
-    A run's states hold u, r and p_hat as views into its (7n, N) elastic
-    block.  An interior state of a trimmed result (`SimulationResult.trimmed`)
-    holds dp and t alone, its u, r and p_hat None.
+    A run's interior states hold dp, p_hat and t, their u and r None; the
+    first and the final state are whole.  An interior state of a trimmed
+    result (`SimulationResult.trimmed`) holds dp and t alone.
     """
 
     dp: np.ndarray  # fluid pressure deviation (n,) [Pa]
@@ -285,9 +287,8 @@ class CouplingReport:
 class SimulationResult:
     """A run's N+1 states, its coupling source history and its report.
 
-    The states of a run are whole, their elastic fields views into the
-    run's (7n, N) block; a trimmed result keeps whole only the first and
-    the final state (`trimmed`).
+    The interior states hold no u or r (`BiotState`); a trimmed result's
+    hold no p_hat either (`trimmed`).
     """
 
     states: list[BiotState]
@@ -301,18 +302,16 @@ class SimulationResult:
         return self.states[-1]
 
     def trimmed(self) -> SimulationResult:
-        """The result without the run's (7n, N) elastic block.
+        """The result without the interior states' p_hat.
 
-        Keeps the report, psi, every state's dp and t, the first state (the
-        case's initial state) whole and a copy of the final one: what a
-        finished run's output files, mass defect and compartment averages
-        read.  The interior states' u, r and p_hat become None, so nothing
-        the trimmed result holds keeps the block alive.
+        Keeps the report, psi, every state's dp and t, and the first and
+        the final state whole: what a finished barrier run's output files,
+        mass defect and compartment averages read.
         """
-        first, final = self.states[0], self.states[-1]
-        interior = [replace(s, u=None, r=None, p_hat=None) for s in self.states[1:-1]]
-        final = replace(final, u=final.u.copy(), r=final.r.copy(), p_hat=final.p_hat.copy())
-        return SimulationResult([first, *interior, final], self.psi, self.report)
+        interior = [replace(s, p_hat=None) for s in self.states[1:-1]]
+        return SimulationResult(
+            [self.states[0], *interior, self.states[-1]], self.psi, self.report
+        )
 
 
 # ------------------------------------------------------------- Anderson
@@ -498,51 +497,43 @@ class CoupledSystem:
         return psi
 
     def mech_solve(
-        self, dp: np.ndarray, step: int, x0: np.ndarray | None = None
+        self, dp: np.ndarray, step: int, window: StartWindow | None = None
     ) -> SolveReport:
         """The elastic solve of step `step` (>= 1), loaded by
-        -(alpha/lam) * dp and started from x0 on the iterative path.
+        -(alpha/lam) * dp and started from the march's window on the
+        iterative path.
 
         A failed solve is raised again naming the step.
         """
         try:
-            return self.mech.solve(elastic_load(self.case, dp), x0)
+            return self.mech.solve(elastic_load(self.case, dp), window)
         except SolverError as err:
             raise SolverError(
                 f"coupled step {step} failed: {err}", trace=err.trace
             ) from err
 
-    def evaluate(
-        self, psi: np.ndarray | None, block: np.ndarray | None = None
-    ) -> tuple[list[BiotState], np.ndarray]:
+    def evaluate(self, psi: np.ndarray | None) -> list[BiotState]:
         """March all N steps, one flow step and then its mechanics solve
-        each; return the N+1 states and the run's (7n, N) solution block.
+        each; return the N+1 states.
 
         The flow of step i sees the flow source psi[i-1] when psi is given
         (fixed stress), and else (lagged) the one built from the two
-        previous states, with state(t_{-1}) := state(t_0).  Step i's
-        solution goes over column i-1 of `block`, the last march's, or of a
-        new block; the states are views into it.
+        previous states, with state(t_{-1}) := state(t_0).  An interior
+        state keeps its step's dp and a copy of its p_hat; the final state
+        is whole, its elastic fields views into the last solution.
 
-        Step i's base guess g is the last march's column i-1, else step
-        i-1's solution x, else zero (None).  It starts from g + (x - g_prev),
-        evaluated in that order, when step i-1's base guess g_prev was not
-        zero, and from g otherwise: linear extrapolation in time on a first
-        march, the correction step i-1 just took carried on in a later one.
-        So fewer Krylov iterations are needed; each solve still stops on its
-        true residual.  The LU path reads no start.  On the Krylov path the
-        march logs its Krylov iterations at INFO: 0 when every start already
-        met rtol, so that the march solved nothing.
+        On the Krylov path the march owns a `StartWindow`: step 1 starts
+        from zero, and step i from the combination of the march's last
+        START_WINDOW solutions with the smallest residual for its load.
+        Each solve still stops on its true residual.  The march pushes
+        every solution but the last, and logs its Krylov iterations at
+        INFO.  The LU path reads no start.
         """
         case = self.case
-        n_steps, times = case.time.n_steps, case.time.times
+        n, n_steps, times = self.n_cells, case.time.n_steps, case.time.times
         volumes = case.mesh.cell_volumes
-        marched = block is not None
-        if not marched:
-            # column-major, so every column is one contiguous vector
-            block = np.empty((n_steps, 7 * self.n_cells)).T
+        window = None if self.mech.direct else StartWindow()
         states = [case.initial]
-        x = g_prev = None
         krylov_iterations = 0
         for i in range(1, n_steps + 1):
             if psi is None:
@@ -551,19 +542,22 @@ class CoupledSystem:
                 source = psi[i - 1]
             rate = case.sources[i - 1] + volumes * source
             dp = self.flow.step(states[i - 1].dp, rate)
-            g = block[:, i - 1] if marched else x
-            x0 = g if g_prev is None else g + (x - g_prev)
-            g_prev = None if g is None else g.copy()  # the column is written over
-            report = self.mech_solve(dp, i, x0)
-            block[:, i - 1] = report.x
+            if window is not None:
+                window.last = i == n_steps
+            report = self.mech_solve(dp, i, window)
             krylov_iterations += report.iterations
-            del report  # its x is in the block; it is not kept through the next solve
-            x = block[:, i - 1]
-            u, r, p_hat = split_fields(x, self.n_cells)
-            states.append(BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=times[i]))
-        if not self.mech.direct:
+            if i < n_steps:
+                if window is not None:
+                    window.push(report.x, report.residual)
+                p_hat = report.x[6 * n :].copy()
+                states.append(BiotState(dp=dp, u=None, r=None, p_hat=p_hat, t=times[i]))
+            else:
+                u, r, p_hat = split_fields(report.x, n)
+                states.append(BiotState(dp=dp, u=u, r=r, p_hat=p_hat, t=times[i]))
+            del report  # not kept through the next solve
+        if window is not None:
             log.info("march of %d steps: %d Krylov iterations", n_steps, krylov_iterations)
-        return states, block
+        return states
 
     def weighted_norm(self, psi: np.ndarray, out: np.ndarray | None = None) -> float:
         """Space-time L2 norm with cell-volume and time-step weights.
@@ -589,11 +583,9 @@ class PassState:
     `image` is the last pass's F(psi), None before the first pass.  The
     next pass evaluates that image, or, when the `window` (anderson) holds
     a pair, the window's mix; every pass after the first pushes its
-    (F(psi) - psi, F(psi)) to the window.  `block` is the run's (7n, N)
-    elastic block and `states` the last pass's states, views into it.
+    (F(psi) - psi, F(psi)) to the window.  `states` are the last pass's.
     """
 
-    block: np.ndarray | None = None
     residuals: list[float] = field(default_factory=list)
     image: np.ndarray | None = None
     window: AndersonState | None = None
@@ -605,27 +597,21 @@ class PassState:
 
     def copy(self) -> PassState:
         """A copy to run more passes from, which later passes of either
-        leave alone: its own block, residual list and window, without the
-        last pass's states.  The pushed pairs and the image are shared,
-        since no pass writes into them."""
+        leave alone: its own residual list and window, without the last
+        pass's states.  The pushed pairs and the image are shared, since no
+        pass writes into them."""
         window = None
         if self.window is not None:
             window = AndersonState()
             window.pairs.extend(self.window.pairs)
-        return replace(
-            self,
-            block=self.block.copy(order="F"),  # column-major, as evaluate made it
-            residuals=list(self.residuals),
-            window=window,
-            states=None,
-        )
+        return replace(self, residuals=list(self.residuals), window=window, states=None)
 
 
 def advance(engine: CoupledSystem, state: PassState, tol: float) -> None:
     """Run the next fixed-stress pass of `state` in place.
 
     The pass evaluates F(psi), the time march under the flow source psi,
-    over the state's block, and records its residual F(psi) - psi in the
+    and records its residual F(psi) - psi in the
     volume/dt weighted space-time L2 norm relative to F(psi); it is
     converged at or below `tol`.  The residual is measured before any
     mixing, so a converged state's states are the evaluation at an
@@ -638,7 +624,7 @@ def advance(engine: CoupledSystem, state: PassState, tol: float) -> None:
     else:
         psi = state.image
     state.states = state.image = None  # free the last pass's arrays before the next solve
-    states, state.block = engine.evaluate(psi, state.block)
+    states = engine.evaluate(psi)
     image = np.stack([engine.flow_source(a, b) for a, b in zip(states, states[1:])])
     defect = image - psi  # the fixed-point residual, mixed by anderson
     # the zero start's pair never enters the window: the second pass is plain
@@ -671,15 +657,14 @@ def simulate(
     source psi, anderson mixing each new psi from its window, one
     `advance` per pass until the residual is at most scheme.tol or
     scheme.max_iter passes ran, on from a study's `head` when given.  The
-    result holds the last march's states and their coupling source.  The
-    run keeps its own (7n, N) solution block: each pass solves over the
-    one before it in place and, on the iterative path, starts from it
+    result holds the last march's states and their coupling source.  Each
+    march re-solves every step from starts of its own
     (`CoupledSystem.evaluate`).
     """
     scheme = scheme or SchemeSpec()
     report = CouplingReport(scheme=scheme.kind)
     if scheme.kind == "lagged":
-        states, _ = engine.evaluate(None)
+        states = engine.evaluate(None)
         pairs = zip(states[:1] + states[:-2], states[:-1])
     else:
         window = AndersonState() if scheme.kind == "anderson" else None
@@ -703,8 +688,8 @@ class SharedHead:
     keeps a copy of the state after them; the second resumes from that
     copy, on its own engine.  `simulate(engine, scheme, head)` runs each
     on, so each result is the one `simulate` gives that scheme alone.  The
-    copy holds one (7n, N) block and the window's two pairs until the
-    second run takes it over.  When the first run stops within those
+    copy holds the last image and the window's two pairs until the second
+    run takes it over.  When the first run stops within those
     passes, the second takes its final state as it is: no later pass
     writes into it.  Both runs take the same tol and max_iter, as a
     study's schemes do.

@@ -30,12 +30,15 @@ class SolveReport:
     """One solve's solution and residual trace.
 
     The trace holds the residual norm per Krylov iteration, or the single
-    relative residual of an LU solve.
+    relative residual of an LU solve.  A Krylov solve's `residual` is
+    rhs - operator @ x at the x it returns, the last true residual it
+    took; an LU solve's is None.
     """
 
     x: np.ndarray
     trace: list[float]
     restarted: bool = False
+    residual: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
@@ -65,12 +68,12 @@ def bicgstab(
     norm_b = np.linalg.norm(rhs)
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
     if norm_b == 0.0:
-        return SolveReport(x=np.zeros_like(rhs), trace=[0.0])
+        return SolveReport(x=np.zeros_like(rhs), trace=[0.0], residual=rhs)
 
     r = rhs if x0 is None else rhs - operator @ x
     trace = [float(np.linalg.norm(r))]
     if trace[0] <= rtol * norm_b:
-        return SolveReport(x=x, trace=trace)
+        return SolveReport(x=x, trace=trace, residual=r)
 
     shadow = r.copy()
     norm_shadow = trace[0]
@@ -96,15 +99,13 @@ def bicgstab(
         p = np.zeros_like(rhs)
 
     def converged() -> bool:
-        # accept only on the true residual, refreshing r against drift
+        # accept only on the true residual, refreshing r against drift; an
+        # accepted solve reports it
         nonlocal r
-        true_res = rhs - operator @ x
-        norm = float(np.linalg.norm(true_res))
+        r = rhs - operator @ x
+        norm = float(np.linalg.norm(r))
         trace[-1] = norm
-        if norm <= rtol * norm_b:
-            return True
-        r = true_res
-        return False
+        return norm <= rtol * norm_b
 
     best = 0  # trace index of the smallest residual so far
     for _ in range(max_iter):
@@ -136,7 +137,7 @@ def bicgstab(
         norm_s = float(np.linalg.norm(s))
         trace.append(norm_s)
         if norm_s <= rtol * norm_b and converged():
-            return SolveReport(x=x, trace=trace, restarted=restarted)
+            return SolveReport(x=x, trace=trace, restarted=restarted, residual=r)
         s_hat = apply_m(s)
         t = operator @ s_hat
         tt = float(t @ t)
@@ -148,7 +149,7 @@ def bicgstab(
         r = s - omega * t
         trace[-1] = float(np.linalg.norm(r))
         if trace[-1] <= rtol * norm_b and converged():
-            return SolveReport(x=x, trace=trace, restarted=restarted)
+            return SolveReport(x=x, trace=trace, restarted=restarted, residual=r)
 
     raise SolverError(
         f"no convergence in {max_iter} iterations "

@@ -12,15 +12,18 @@ nothing is assembled, the action is composed from those blocks.
 solves one (7n,) right-hand side per call, one per time step.  The
 factored matrix is the rescaled one permuted to `blocks.cell_order`, cell
 by cell; the solver's matrix, residuals and solutions stay field-major.
-The solver keeps no state of a run: the iterative path starts from the
-vector its caller hands it, and where a run's solutions live and where
-each solve starts are the time march's (`coupling.CoupledSystem.evaluate`).
+The solver keeps no state of a run.  The iterative path starts each solve
+from a `StartWindow` its caller hands it: the combination of the last
+START_WINDOW solutions with the smallest residual for the new right-hand
+side (Fischer, CMAME 163, 1998).  Each time march owns one window
+(`coupling.CoupledSystem.evaluate`).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -42,6 +45,14 @@ from .krylov import SolveReport, bicgstab
 # by 1.7x to 2.3x, so the crossover now lies below n = 8; moving the value
 # would change the path small cases take
 DIRECT_THRESHOLD = 4_000
+# solutions a march keeps to start its next solve from.  Krylov iterations
+# per march on the 30x30x3 / 48x48x3 barrier studies, 3 marches each: 2
+# keep 18 / 21, 3 keep 15 / 18, 4 keep 15 / 17 and 8 keep 14 / 17
+START_WINDOW = 4
+# the Gram matrix's diagonal shift, relative to its largest diagonal entry
+# (`start_weights`).  Fixed stress on the shipped barrier: unshifted, 25
+# passes, unconverged; 1e-14, 9 passes; 1e-13 to 1e-10, 3, as on the LU path
+START_SHIFT = 1e-12
 
 log = logging.getLogger("biotfv")
 
@@ -77,6 +88,97 @@ class BlockTriangularPreconditioner:
         y_r = (r_r - self.rotation_displacement @ y_u) / self.rotation_diagonal
         y_p = self.pressure_hierarchy.vcycle(r_p - self.pressure_displacement @ y_u)
         return np.concatenate([y_u, y_r, y_p])
+
+
+def start_weights(gram: np.ndarray, projections: np.ndarray) -> np.ndarray:
+    """The weights c of the window's solutions, oldest first, that solve
+    (gram + s I) c = projections + s e, e the newest solution's unit
+    vector and s = START_SHIFT times the largest diagonal entry; all
+    weight on the newest solution when the solve is singular (a zero Gram
+    matrix) or its weights are not finite.
+
+    The shift pulls the weights toward the newest solution, so a start's
+    residual is never above the newest solution's, and it keeps the solve
+    stable and each start a smooth function of its load.  Nearly equal
+    solutions, as after a well shuts in, give Gram matrices of condition
+    number 1e12 to 1e81 on the shipped barrier; solved unshifted, the
+    starts carried rounding noise that kept fixed stress there from
+    converging in 25 passes.
+    """
+    shift = START_SHIFT * np.max(np.diag(gram))
+    newest = np.zeros(projections.size)
+    newest[-1] = 1.0
+    try:
+        weights = np.linalg.solve(
+            gram + shift * np.eye(projections.size), projections + shift * newest
+        )
+    except np.linalg.LinAlgError:
+        weights = None
+    if weights is None or not np.all(np.isfinite(weights)):
+        weights = newest
+    return weights
+
+
+class StartWindow:
+    """The last START_WINDOW solutions of one time march, for
+    minimal-residual starts.
+
+    Each solution x_j is kept as the solve returned it, with its product
+    w_j = A~ x~_j in the solver's rescaled space (x~_j = x_j / scale),
+    taken as b~_j - r~_j from the solve's last true residual, so a start
+    costs no operator product.  The start for a new rescaled load b~ is
+    x~0 = X~ c, c minimizing ||b~ - W c|| through the normal equations of
+    the Gram matrix W^T W, which each push extends by one row.  A start
+    keeps its load for the push of the solution it starts, unless it is
+    the `last`: that start empties the window once it is formed, so the
+    march's last solve runs beside none of its kept vectors.
+    """
+
+    def __init__(self):
+        self.solutions: deque[np.ndarray] = deque()
+        self.products: deque[np.ndarray] = deque()
+        self.gram = np.empty((0, 0))
+        self.load: np.ndarray | None = None
+        self.last = False
+
+    def __len__(self) -> int:
+        return len(self.solutions)
+
+    def start(self, load: np.ndarray, scale: np.ndarray) -> np.ndarray | None:
+        """The rescaled start for the rescaled load, formed in one new
+        vector; None (a start from zero) while the window is empty."""
+        self.load = None if self.last else load
+        if not self.solutions:
+            return None
+        weights = start_weights(
+            self.gram, np.array([product @ load for product in self.products])
+        )
+        start = weights[0] * self.solutions[0]
+        for weight, solution in zip(weights[1:], list(self.solutions)[1:]):
+            start += weight * solution
+        start /= scale
+        if self.last:
+            self.solutions.clear()
+            self.products.clear()
+        return start
+
+    def push(self, solution: np.ndarray, residual: np.ndarray) -> None:
+        """Keep the solution of the last started solve and its product, the
+        load less its true residual; the oldest pair goes when
+        START_WINDOW are kept."""
+        product = self.load - residual
+        self.load = None
+        if len(self.solutions) == START_WINDOW:
+            self.solutions.popleft()
+            self.products.popleft()
+            self.gram = self.gram[1:, 1:]
+        self.solutions.append(solution)
+        self.products.append(product)
+        row = np.array([kept @ product for kept in self.products])
+        gram = np.empty((row.size, row.size))
+        gram[:-1, :-1] = self.gram
+        gram[-1] = gram[:, -1] = row
+        self.gram = gram
 
 
 SOLVER_METHODS = ("auto", "direct", "iterative")
@@ -150,14 +252,15 @@ class TpsaSolver:
         else:
             self._precond = BlockTriangularPreconditioner(self.matrix, system.n_cells)
 
-    def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> SolveReport:
+    def solve(self, rhs: np.ndarray, window: StartWindow | None = None) -> SolveReport:
         """Solve one (7n,) right-hand side; the report's x is a new vector.
 
         A right-hand side with a non-finite entry fails before anything is
         solved, and is never written to: each path scales it into a new
         vector.  The direct path solves by the LU, permuted to its cell
-        order and back, and never reads x0.  The iterative path starts from
-        x0 (None: zero).
+        order and back, and never reads the window.  The iterative path
+        starts from the window's minimal-residual combination (None or
+        empty: from zero); the caller pushes the solution to the window.
         """
         if not np.isfinite(rhs).all():
             raise SolverError("elastic right-hand side is not finite")
@@ -176,7 +279,7 @@ class TpsaSolver:
             preconditioner=self._precond.apply,
             rtol=self.options.rtol,
             max_iter=krylov.MAX_ITERATIONS,
-            x0=None if x0 is None else x0 / self.scale,
+            x0=None if window is None else window.start(b, self.scale),
         )
         report.x = self.scale * report.x
         return report

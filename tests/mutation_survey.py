@@ -50,9 +50,6 @@ MUTANTS = [
     Mutant("anderson off", "coupling.py",
            "elif state.window is not None and state.window.pairs:",
            "elif False:"),
-    Mutant("no correction carried in the start", "coupling.py",
-           "x0 = g if g_prev is None else g + (x - g_prev)",
-           "x0 = g"),
     Mutant("drained term's sign", "coupling.py",
            "psi -= self.lagged_storage * (now.dp - prev.dp) / self.case.time.dt",
            "psi += self.lagged_storage * (now.dp - prev.dp) / self.case.time.dt"),
@@ -78,7 +75,7 @@ MUTANTS = [
            "slack = 1e-6 * dt",
            "slack = 0.0"),
     Mutant("accepted on the recursive residual", "linsolve/krylov.py",
-           "# accept only on the true residual, refreshing r against drift",
+           "# accept only on the true residual, refreshing r against drift; an",
            "return True"),
     Mutant("omega = 1", "linsolve/krylov.py",
            "omega = float(t @ s) / tt",
@@ -95,6 +92,18 @@ MUTANTS = [
     Mutant("pressure-displacement coupling dropped", "linsolve/precond.py",
            "y_p = self.pressure_hierarchy.vcycle(r_p - self.pressure_displacement @ y_u)",
            "y_p = self.pressure_hierarchy.vcycle(r_p)"),
+    Mutant("start window 3", "linsolve/precond.py",
+           "START_WINDOW = 4",
+           "START_WINDOW = 3"),
+    Mutant("no Gram fallback", "linsolve/precond.py",
+           "weights = newest",
+           "pass"),
+    Mutant("unshifted Gram solve", "linsolve/precond.py",
+           "START_SHIFT = 1e-12",
+           "START_SHIFT = 0.0"),
+    Mutant("starts from the newest solution", "linsolve/precond.py",
+           "start /= scale",
+           "start = self.solutions[-1] / scale"),
 ]
 
 

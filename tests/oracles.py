@@ -25,13 +25,16 @@ reference_vcycle is the V-cycle with every sweep's residual formed
 explicitly, the reference the package's zero-start pre-sweep must
 match bit for bit.
 sequential_march is the time march with one mechanics solve per
-step, the reference for the package's march and its start rule, which
-it writes out on its own (with predict=False, the previous rule: no
-predicted correction), and coupled_probe the
+step, the reference for the package's march, which it writes out on its
+own, each solve started from a `StartWindow` the march keeps or, with
+extrapolate, by the previous rule, linear extrapolation in time, through
+GivenStart; coupled_probe is the
 convergence probe run through a whole coupled engine, the reference for
 the study's elastic-only probe.
 monolithic_march solves flow and mechanics of each step as one
-equilibrated system, the limit the splitting schemes converge to.
+equilibrated system, the limit the splitting schemes converge to, and
+TightReference is the trusted reference every state gap is measured
+against: an LU-path Anderson run at tol 1e-12.
 read_csv reads back what the package's CSV writer wrote (np.load reads
 the .npy source histories) and read_vtk its legacy binary VTK files;
 assert_same_history
@@ -55,9 +58,10 @@ from scipy.sparse import coo_matrix, csr_matrix, diags, hstack, identity, kron, 
 from scipy.sparse.linalg import splu
 
 from biotfv.app.config import _SECTIONS, _UNITS, _WELL
-from biotfv.coupling import BiotState, CoupledSystem
+from biotfv.coupling import BiotState, CoupledSystem, SchemeSpec, simulate
 from biotfv.errors import GeometryError, SolverError
 from biotfv.linsolve.blocks import split_fields
+from biotfv.linsolve.precond import SolverOptions, StartWindow
 from biotfv.materials import PoroelasticProperties
 from biotfv.tpfa import assemble_flow
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, stencil_arrays
@@ -612,21 +616,33 @@ def greedy_aggregate(strength):
     return assign, count
 
 
-def sequential_march(coupled, psi, warm, predict=True):
+class GivenStart:
+    """A stand-in for a march's `StartWindow` that starts the solve it is
+    handed to from a given unscaled vector (None: from zero) and keeps
+    nothing."""
+
+    def __init__(self, x0=None):
+        self.x0 = x0
+
+    def start(self, load, scale):
+        return None if self.x0 is None else self.x0 / scale
+
+    def push(self, solution, residual):
+        pass
+
+
+def sequential_march(coupled, psi, extrapolate=False):
     """One march with one single-column mechanics solve per step.
 
     Step i runs the flow under the source psi[i-1], then solves the
-    mechanics for its dp.  Its base guess is warm[i] (the previous pass at
-    that step), else step i-1's solution in this march, else zero; with
-    predict it starts from that guess plus the correction step i-1 took
-    from its own base guess, when that was not zero, and without predict
-    from the guess alone.  This rule is kept here, apart from the
-    package's (`CoupledSystem.evaluate`), and each solve is handed its
-    start as x0.  Each solution is stored back in warm, a list of N+1
-    entries the caller keeps across passes.  With psi None the source is
-    the lagged one, built from the two previous steps' states
-    (state(t_{-1}) := state(t_0)).  Returns the N (dp, u, r, p_hat)
-    tuples of steps 1..N.
+    mechanics for its dp.  On the Krylov path each solve starts from a
+    `StartWindow` the march keeps, every solution but the last pushed to
+    it; with extrapolate, by the previous rule instead: step 1 from zero,
+    step 2 from step 1's solution, every later step i from
+    2 x_{i-1} - x_{i-2}.  With psi None the source is the lagged one,
+    built from the two previous steps' states (state(t_{-1}) :=
+    state(t_0)).  Returns the N (dp, u, r, p_hat) tuples of steps 1..N,
+    every step's whole.
     """
     case = coupled.case
     volumes = case.mesh.cell_volumes
@@ -634,7 +650,8 @@ def sequential_march(coupled, psi, warm, predict=True):
     initial = case.initial
     dp = initial.dp
     states = [initial]
-    x_prev = guess_prev = None
+    window = StartWindow()
+    solutions = []
     out = []
     for i in range(1, case.time.n_steps + 1):
         if psi is None:
@@ -645,14 +662,16 @@ def sequential_march(coupled, psi, warm, predict=True):
         rhs = assemble_rhs(
             case.mesh, case.props, pressure_coupling=-alpha_over_lam * dp
         )
-        guess = warm[i] if warm[i] is not None else x_prev
-        start = guess
-        if predict and guess_prev is not None:
-            correction = x_prev - guess_prev
-            start = guess + correction
-        report = coupled.mech.solve(rhs, start)
-        warm[i] = x_prev = report.x
-        guess_prev = guess
+        if extrapolate:
+            start = solutions[-1] if i == 2 else None
+            if i > 2:
+                start = 2.0 * solutions[-1] - solutions[-2]
+            report = coupled.mech.solve(rhs, GivenStart(start))
+        else:
+            report = coupled.mech.solve(rhs, window)
+            if i < case.time.n_steps and not coupled.mech.direct:
+                window.push(report.x, report.residual)
+        solutions.append(report.x)
         u, r, p_hat = split_fields(report.x, coupled.n_cells)
         states.append(BiotState(dp=dp, u=u, r=r, p_hat=p_hat))
         out.append((dp, u, r, p_hat))
@@ -708,6 +727,41 @@ def monolithic_march(coupled):
         u, r, p_hat = split_fields(solution[n:], n)
         out.append((dp, u, r, p_hat))
     return out
+
+
+# the coupling tolerance of the trusted reference
+TIGHT_TOL = 1e-12
+
+
+class TightReference:
+    """The trusted reference every state gate reads: the case run on the
+    LU path under Anderson at tol TIGHT_TOL.  With kind "lagged", the
+    case's lagged march on the LU path instead, the limit of a lagged run,
+    which does not converge to the coupled solution.
+
+    `gap(states)` is a run's worst-step dp gap to it, max |dp - dp_ref|
+    over steps 1..N relative to the largest |dp_ref|, and `averages` its
+    final volume-weighted average dp in each flow compartment of a barrier
+    case (omega1, the first well's, first).
+    """
+
+    def __init__(self, case, kind="anderson", max_iter=50):
+        engine = CoupledSystem(case, SolverOptions(method="direct"))
+        scheme = SchemeSpec(kind=kind, tol=TIGHT_TOL, max_iter=max_iter)
+        result = simulate(engine, scheme)
+        assert result.report.converged, result.report.residuals
+        self.dp = np.stack([s.dp for s in result.states[1:]])
+        labels = case.mesh.flow_components()
+        first = labels[case.wells[0].cell] if case.wells else labels[0]
+        volumes, final = case.mesh.cell_volumes, self.dp[-1]
+        self.averages = tuple(
+            float(volumes[mask] @ final[mask] / volumes[mask].sum())
+            for mask in (labels == first, labels != first)
+        )
+
+    def gap(self, states):
+        got = np.stack([s.dp for s in states[1:]])
+        return float(np.max(np.abs(got - self.dp)) / np.max(np.abs(self.dp)))
 
 
 def plane_barrier_faces(mesh, lengths, axis, index):

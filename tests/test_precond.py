@@ -13,7 +13,14 @@ from biotfv.coupling import BiotCase, CoupledSystem, SchemeSpec, TimeGrid, Well,
 from biotfv.errors import ConfigurationError, SolverError
 from biotfv.linsolve import precond
 from biotfv.linsolve.blocks import cell_order, rescale
-from biotfv.linsolve.precond import BlockTriangularPreconditioner, SolverOptions, TpsaSolver
+from biotfv.linsolve.precond import (
+    START_WINDOW,
+    BlockTriangularPreconditioner,
+    SolverOptions,
+    StartWindow,
+    TpsaSolver,
+    start_weights,
+)
 from biotfv.mesh import build_cartesian
 from biotfv.tpsa import assemble_rhs, assemble_tpsa, mean_shear_modulus
 from compare_outputs import ROBIN_FREE, barrier_copy
@@ -192,15 +199,18 @@ def test_solver_warm_start_reuses_factorization():
         mean_shear_modulus(mesh, props),
         SolverOptions(method="iterative", rtol=1e-8),
     )
-    first = solver.solve(system.rhs)
-    again = solver.solve(system.rhs, first.x)  # from the first
+    window = StartWindow()
+    first = solver.solve(system.rhs, window)
+    window.push(first.x, first.residual)
+    again = solver.solve(system.rhs, window)  # from the first
     assert again.iterations <= 1
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
 def test_solver_writes_into_no_caller_storage(method):
-    # three solves, each from the solution before it: every solution is a
-    # new vector, and the given right-hand sides and starts stay as they were
+    # three solves, each from a window of the solutions before it: every
+    # solution is a new vector, and the given right-hand sides and the
+    # window's kept solutions and products stay as they were
     mesh, props, system = _system(4, 4, 4, mu=2.0, lam=5.0)
     solver = TpsaSolver(
         system,
@@ -210,60 +220,128 @@ def test_solver_writes_into_no_caller_storage(method):
     block = np.random.default_rng(7).standard_normal((system.n_dof, 3))
     given = block.copy()
     expected = np.linalg.solve(system.matrix.toarray(), given)
-    x0 = None
+    window = StartWindow()
     for j, column in enumerate(block.T):
-        kept = None if x0 is None else x0.copy()
-        x = solver.solve(column, x0).x
+        kept = [a.copy() for a in (*window.solutions, *window.products)]
+        report = solver.solve(column, window)
+        x = report.x
         assert not np.shares_memory(x, block)
-        assert x0 is None or (not np.shares_memory(x, x0) and np.array_equal(x0, kept))
+        for a, b in zip((*window.solutions, *window.products), kept, strict=True):
+            assert not np.shares_memory(x, a) and np.array_equal(a, b)
         err = np.linalg.norm(x - expected[:, j]) / np.linalg.norm(expected[:, j])
         assert err <= 1e-8
-        x0 = x
+        if not solver.direct:
+            window.push(x, report.residual)
     assert np.array_equal(block, given)
+    assert len(window) == (0 if method == "direct" else 3)
 
 
 def test_direct_solve_ignores_its_start():
     mesh, props, system = _system(3, 3, 3)
-    solver = TpsaSolver(
-        system, mean_shear_modulus(mesh, props), SolverOptions(method="direct")
-    )
-    x0 = np.random.default_rng(8).standard_normal(system.n_dof)
-    cold, warm = solver.solve(system.rhs), solver.solve(system.rhs, x0)
+    mu0 = mean_shear_modulus(mesh, props)
+    solver = TpsaSolver(system, mu0, SolverOptions(method="direct"))
+    # a window holding one solution of another load, from the Krylov path
+    iterative = TpsaSolver(system, mu0, SolverOptions(method="iterative"))
+    window = StartWindow()
+    other = iterative.solve(np.random.default_rng(8).standard_normal(system.n_dof), window)
+    window.push(other.x, other.residual)
+    gram = window.gram.copy()
+    cold, warm = solver.solve(system.rhs), solver.solve(system.rhs, window)
     assert cold.x.tobytes() == warm.x.tobytes() and cold.trace == warm.trace
+    assert len(window) == 1 and window.load is None and np.array_equal(window.gram, gram)
 
 
-def test_march_starts_extrapolate_and_carry_the_last_correction(monkeypatch):
-    # every start the march hands the solver over two fixed-stress passes,
-    # against the rule restated: step i's base guess g is the last pass's
-    # solution at step i, else step i-1's solution x; the first step of a
-    # pass starts from g alone (zero on the first pass), every later one
-    # from g + (x - g_prev), g_prev the base guess of step i-1
+def test_march_starts_minimize_the_residual_over_the_last_solutions(monkeypatch):
+    # every start the solver hands BiCGStab over two fixed-stress passes of
+    # seven steps, against the rule restated with explicit products: step 1
+    # of each pass starts from zero, every later step i from a combination
+    # of the pass's last min(i - 1, START_WINDOW) solutions, oldest first,
+    # whose residual is within 1e-6 ||b|| of the least-squares optimum
     mesh = build_cartesian(4, 3, 2)
     props = material(mesh, lam=2.0, alpha=0.8, c0=0.5)
-    case = BiotCase(mesh, props, TimeGrid(dt=1.0, n_steps=5), [Well(cell=0, rate=0.5)])
+    case = BiotCase(mesh, props, TimeGrid(dt=1.0, n_steps=7), [Well(cell=0, rate=0.5)])
     engine = CoupledSystem(case, SolverOptions(method="iterative"))
-    x0s, solutions = [], []
-    solve = TpsaSolver.solve
+    mech = engine.mech
+    seen, solutions = [], []
+    solve, bicgstab = TpsaSolver.solve, precond.bicgstab
 
-    def spy(self, rhs, x0=None):
-        x0s.append(None if x0 is None else x0.copy())  # may view the block
-        report = solve(self, rhs, x0)
+    def solve_spy(self, rhs, window=None):
+        kept = list(window.solutions)
+        report = solve(self, rhs, window)
+        seen[-1] += (kept,)
         solutions.append(report.x)
         return report
 
-    monkeypatch.setattr(TpsaSolver, "solve", spy)
+    def bicgstab_spy(operator, b, **kwargs):
+        x0 = kwargs["x0"]
+        seen.append((b, None if x0 is None else x0.copy()))
+        return bicgstab(operator, b, **kwargs)
+
+    monkeypatch.setattr(TpsaSolver, "solve", solve_spy)
+    monkeypatch.setattr(precond, "bicgstab", bicgstab_spy)
     simulate(engine, SchemeSpec(tol=1e-14, max_iter=2))
     n_steps = case.time.n_steps
-    assert len(x0s) == 2 * n_steps
-    first, second = solutions[:n_steps], solutions[n_steps:]
-    assert x0s[0] is None
-    assert np.array_equal(x0s[1], first[0])
-    for i in range(2, n_steps):
-        assert np.array_equal(x0s[i], first[i - 1] + (first[i - 1] - first[i - 2]))
-    assert np.array_equal(x0s[n_steps], first[0])
-    for i in range(1, n_steps):
-        want = first[i] + (second[i - 1] - first[i - 1])
-        assert np.array_equal(x0s[n_steps + i], want)
+    assert len(seen) == 2 * n_steps
+    for k, (b, x0, kept) in enumerate(seen):
+        i = k % n_steps  # steps before this one in its pass
+        march = solutions[k - i : k]
+        assert [id(x) for x in kept] == [id(x) for x in march[-START_WINDOW:]]
+        if i == 0:
+            assert x0 is None
+            continue
+        basis = np.stack([x / mech.scale for x in kept], axis=1)
+        products = mech.matrix @ basis
+        weights = np.linalg.lstsq(products, b, rcond=None)[0]
+        optimum = np.linalg.norm(b - products @ weights)
+        assert np.linalg.norm(b - mech.matrix @ x0) <= optimum + 1e-6 * np.linalg.norm(b)
+        coefficients = np.linalg.lstsq(basis, x0, rcond=None)[0]
+        assert np.allclose(basis @ coefficients, x0, rtol=0.0, atol=1e-12 * np.abs(x0).max())
+
+
+def test_the_start_window_keeps_at_most_start_window_solutions():
+    # each push adds one solution and one product and extends the Gram
+    # matrix by one row; from the (START_WINDOW + 1)-th the oldest pair goes
+    rng = np.random.default_rng(3)
+    window = StartWindow()
+    pushed = []
+    for k in range(START_WINDOW + 3):
+        load = rng.standard_normal(20)
+        assert (window.start(load, np.ones(20)) is None) == (k == 0)
+        solution, residual = rng.standard_normal(20), rng.standard_normal(20)
+        window.push(solution, residual)
+        pushed.append((solution, load - residual))
+        assert len(window) == len(window.products) == min(k + 1, START_WINDOW)
+        kept = pushed[-START_WINDOW:]
+        assert [id(x) for x in window.solutions] == [id(x) for x, _ in kept]
+        products = np.stack([w for _, w in kept], axis=1)
+        assert np.array_equal(np.stack(window.products, axis=1), products)
+        assert np.allclose(window.gram, products.T @ products, rtol=1e-14)
+        assert window.load is None
+    # the march's last start empties the window once it is formed: no push
+    # follows it
+    window.last = True
+    newest = pushed[-1][0]
+    start = window.start(rng.standard_normal(20), np.ones(20))
+    assert start.shape == newest.shape and not np.shares_memory(start, newest)
+    assert len(window) == len(window.products) == 0 and window.load is None
+
+
+@pytest.mark.parametrize("bad", ["nan", "zero"])
+def test_the_start_falls_back_to_the_newest_solution(bad):
+    # a Gram solve that is not finite (a NaN product) or singular (every
+    # product zero, as from zero loads) puts all weight on the newest
+    gram = np.full((3, 3), np.nan) if bad == "nan" else np.zeros((3, 3))
+    assert np.array_equal(start_weights(gram, np.ones(3)), [0.0, 0.0, 1.0])
+    window = StartWindow()
+    solutions = [np.full(4, float(k + 1)) for k in range(3)]
+    for k, solution in enumerate(solutions):
+        window.start(np.zeros(4), np.ones(4))
+        product = np.zeros(4)
+        if bad == "nan" and k == 1:
+            product[2] = np.nan
+        window.push(solution, -product)  # the product is load - residual
+    scale = np.full(4, 2.0)
+    assert np.array_equal(window.start(np.ones(4), scale), solutions[-1] / scale)
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
@@ -281,9 +359,12 @@ def test_solver_names_the_first_nonfinite_column_before_solving(method, bad):
     block[5, 1] = bad
     block[0, 2] = np.nan
     given = block.copy()
-    x = solver.solve(block[:, 0]).x
+    window = StartWindow()
+    first = solver.solve(block[:, 0], window)
+    if not solver.direct:
+        window.push(first.x, first.residual)
     with pytest.raises(SolverError, match="right-hand side is not finite"):
-        solver.solve(block[:, 1], x)
+        solver.solve(block[:, 1], window)
     assert np.array_equal(block, given, equal_nan=True)  # not scaled
 
 
