@@ -12,6 +12,7 @@ import numpy as np
 
 from ..coupling import (
     BiotCase,
+    BiotState,
     CoupledSystem,
     SCHEME_KINDS,
     SharedHead,
@@ -260,12 +261,13 @@ def run_convergence_study(
 
 @dataclass
 class BarrierRun:
-    """One scheme's run of a barrier study.
+    """One scheme's finished run of a barrier study, summarized.
 
-    `result` is trimmed (`SimulationResult.trimmed`): the report, psi,
-    every state's dp and t, and the first and final states whole.  The
-    interior states' elastic fields are None, so a finished run keeps no
-    (n, N) p_hat history while the later schemes run.
+    `result` holds the report, every state's t, and the first and final
+    states whole; its psi is None and its interior states hold t alone.
+    So a finished run keeps no array with a step axis but its compartment
+    averages while the later schemes run.  The psi history and every
+    step's averages are in the scheme's files.
     """
 
     scheme: str
@@ -299,11 +301,8 @@ def run_barrier_case(
     one is rejected, so bad input writes no file.  The mass defect is the
     fluid-content balance of `global_mass_check`, on every wall closure.
 
-    The listed fixed and anderson run first, in their listed order, and
-    lagged after them; files, summary rows and the returned runs keep the
-    listed order, so no finished run is live beside the fixed-stress
-    passes, which hold the study's largest arrays.  A study that fails in
-    fixed stress stops before lagged runs.
+    The schemes run in the listed order, and a scheme that raises stops
+    the study there, keeping the files of the schemes before it.
 
     The study builds one flow system and one elastic assembly, in the
     first engine, and hands them to every later one through a
@@ -311,11 +310,10 @@ def run_barrier_case(
     solver (rescaling and four AMG hierarchies) travels the same way, so
     the study builds it once and drops the assembly after the first
     engine; on the LU path each scheme's engine factors its own, and the
-    assembly is dropped once the last engine to run is built.  Each run is
-    trimmed as it returns (`SimulationResult.trimmed`) and its files are
-    written from the trimmed result, so a finished scheme keeps only what
-    its files, its summary row and the returned `BarrierRun` read, not
-    its interior p_hat.  Every scheme runs through
+    assembly is dropped once the last engine is built.  Once a scheme's
+    files are written and its averages and mass defect taken, its run is
+    summarized (`BarrierRun`), so the study holds one scheme's step
+    histories at a time.  Every scheme runs through
     `simulate(engine, scheme, head)`.  When both fixed and anderson are
     listed, the study's `coupling.SharedHead` runs their first three
     passes once and the second resumes from a copy, with every file and
@@ -332,23 +330,17 @@ def run_barrier_case(
     specs = [replace(config.scheme, kind=name) for name in names]
     vol = case.mesh.cell_volumes
     out = Path(out_dir if out_dir is not None else config.output_directory)
-    # fixed stress runs first, so no finished run is live beside its
-    # passes; files, summary rows and runs keep the listed order
-    order = sorted(range(len(names)), key=lambda i: names[i] == "lagged")
-    runs = [None] * len(names)
+    runs = []
     head = SharedHead() if {"fixed", "anderson"} <= set(names) else None
     shared = SharedOperators()
-    for i in order:
-        name, scheme = names[i], specs[i]
+    for name, scheme in zip(names, specs):
         log.info("barrier case, scheme %s", name)
         engine = CoupledSystem(case, config.solver, shared)
-        if shared.mech is not None or i == order[-1]:
+        if shared.mech is not None or name == names[-1]:
             # no later engine reads the assembly: each takes the holder's
             # Krylov solver, or none is left to factor its own LU
             shared.elastic = None
-        # trimmed as it returns, so no local keeps the run's interior p_hat
-        # alive into the next run
-        result = simulate(engine, scheme, head).trimmed()
+        result = simulate(engine, scheme, head)
         # an LU is freed before the next scheme factors its own; a Krylov
         # solver lives on in the holder for the next engine
         del engine
@@ -365,7 +357,7 @@ def run_barrier_case(
             avg_dp_omega2=averages[1],
             mass_defect=global_mass_check(case, result.states),
         )
-        runs[i] = run
+        runs.append(run)
         write_csv(
             out / f"barrier_{name}.csv",
             ["step", "time", "avg_dp_omega1", "avg_dp_omega2"],
@@ -389,6 +381,12 @@ def run_barrier_case(
             run.avg_dp_omega1[-1],
             run.avg_dp_omega2[-1],
         )
+        # summarized once its files are written, so no step history but
+        # the averages outlives the scheme's own run
+        first, *interior, final = result.states
+        interior = [BiotState(dp=None, u=None, r=None, p_hat=None, t=s.t) for s in interior]
+        run.result = SimulationResult([first, *interior, final], None, result.report)
+        del result
     write_csv(
         out / "barrier_summary.csv",
         [

@@ -204,11 +204,11 @@ class BiotState:
     """Coupled fields at one time point.
 
     A run's interior states hold dp, p_hat and t, their u and r None; the
-    first and the final state are whole.  An interior state of a trimmed
-    result (`SimulationResult.trimmed`) holds dp and t alone.
+    first and the final state are whole.  An interior state of a finished
+    barrier run (`app.drivers.BarrierRun`) holds t alone.
     """
 
-    dp: np.ndarray  # fluid pressure deviation (n,) [Pa]
+    dp: np.ndarray | None  # fluid pressure deviation (n,) [Pa]
     u: np.ndarray | None  # displacement (n, 3) [m]
     r: np.ndarray | None  # rotation (n, 3) [Pa]
     p_hat: np.ndarray | None  # effective pressure lam*div(u) - alpha*dp (n,) [Pa]
@@ -287,31 +287,19 @@ class CouplingReport:
 class SimulationResult:
     """A run's N+1 states, its coupling source history and its report.
 
-    The interior states hold no u or r (`BiotState`); a trimmed result's
-    hold no p_hat either (`trimmed`).
+    The interior states hold no u or r (`BiotState`).  A finished barrier
+    run's summary (`app.drivers.BarrierRun`) holds no psi either.
     """
 
     states: list[BiotState]
     # coupling source -(alpha/lam) * d(p_hat)/dt per step (N, n): from the
     # states of the step (fixed stress) or of the two steps before (lagged)
-    psi: np.ndarray
+    psi: np.ndarray | None
     report: CouplingReport
 
     @property
     def final(self) -> BiotState:
         return self.states[-1]
-
-    def trimmed(self) -> SimulationResult:
-        """The result without the interior states' p_hat.
-
-        Keeps the report, psi, every state's dp and t, and the first and
-        the final state whole: what a finished barrier run's output files,
-        mass defect and compartment averages read.
-        """
-        interior = [replace(s, p_hat=None) for s in self.states[1:-1]]
-        return SimulationResult(
-            [self.states[0], *interior, self.states[-1]], self.psi, self.report
-        )
 
 
 # ------------------------------------------------------------- Anderson

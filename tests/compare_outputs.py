@@ -48,8 +48,10 @@ pair a scheme unconverged, over MAX_DEFECT or with final averages more
 than MAX_GAP apart; in the Robin/free study and the two 96-step studies
 a scheme unconverged, or fixed or anderson over MAX_DEFECT; a scheme run
 ALONE whose files differ from the shipped study's; a two-thread file
-that differs from its one-thread twin; lagged adding more than
-MAX_LAGGED_RSS to the 96-step study's peak RSS; the 36x36x3 LU run
+that differs from its one-thread twin; lagged, which runs first in
+`lagged,fixed,anderson`, adding more than MAX_LAGGED_RSS to the 96-step
+study's peak RSS, which it would if its finished run kept a step
+history through fixed stress's passes; the 36x36x3 LU run
 taking more than MAX_LU_WALL; a manufactured mass defect over
 MAX_DEFECT; `elastic solve: ` log lines other than ELASTIC_SOLVE_LINES,
 or no `scheme fixed,` line in the dump's log.
@@ -339,12 +341,13 @@ MAX_GAP = 2e-5
 AGREEING = [("barrier_direct", "barrier"), ("barrier_48", "barrier_48_krylov")]
 # three engines share one Krylov elastic solver; each factors its own LU
 ELASTIC_SOLVE_LINES = {"barrier": 1, "barrier_direct": 3}
-# Lagged runs after fixed stress whatever the listing, so no finished run
-# is live at fixed's pass-4 peak: listing it first added 0.0 MB over 2
-# runs of the 96-step study on a 2-core VM (207.2 MB both).  When lagged
-# ran first, its dp and psi, 2 N n doubles (10.1 MB there), added
-# 11.0-11.4 MB, and 46.2-46.6 MB when it kept its whole result.  The
-# peaks themselves are not gated
+# The schemes run in the listed order, so lagged runs first in the
+# 96-step study and its finished run is live through fixed stress's
+# passes.  It keeps only its summary, its final state and averages, which
+# added 0.4 MB on a 2-core VM (152.0 and 152.4 MB).  When lagged ran first
+# and kept its dp and psi, 2 N n doubles (10.1 MB there), it added
+# 11.0-11.4 MB, and 46.2-46.6 MB when it kept its whole result.  The peaks
+# themselves are not gated
 MAX_LAGGED_RSS = 5.0  # MB
 # minimum degree on the 36x36x3 copy's 7n unknowns took over 70 s to
 # factor its matrix; ordered cell by cell, with one LU solve per step, the

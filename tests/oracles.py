@@ -39,7 +39,9 @@ read_csv reads back what the package's CSV writer wrote (np.load reads
 the .npy source histories) and read_vtk its legacy binary VTK files;
 assert_same_history
 and assert_same_final check a written history and final state against
-the run's arrays bit for bit.  CountingOperator stands in for a
+the run's arrays bit for bit, and assert_same_study_run checks a
+barrier study's summarized run and its files against the run
+`simulate` makes of that scheme alone.  CountingOperator stands in for a
 sparse matrix and counts the products taken with it.  material builds
 the one validated material record every operator test assembles from,
 plane_barrier_faces finds a barrier plane by comparing face centres with
@@ -58,7 +60,8 @@ from scipy.sparse import coo_matrix, csr_matrix, diags, hstack, identity, kron, 
 from scipy.sparse.linalg import splu
 
 from biotfv.app.config import _SECTIONS, _UNITS, _WELL
-from biotfv.coupling import BiotState, CoupledSystem, SchemeSpec, simulate
+from biotfv.app.drivers import compartment_masks
+from biotfv.coupling import BiotState, CoupledSystem, SchemeSpec, global_mass_check, simulate
 from biotfv.errors import GeometryError, SolverError
 from biotfv.linsolve.blocks import split_fields
 from biotfv.linsolve.precond import SolverOptions, StartWindow
@@ -161,6 +164,35 @@ def assert_same_final(path, final):
         assert written.shape == values.shape
         assert np.isfinite(written).all()
         assert np.array_equal(written.view(np.int64), values.view(np.int64))
+
+
+def assert_same_study_run(out, run, alone, cfg):
+    """A barrier study's `run` and the files it wrote under `out` hold the
+    standalone run `alone` of its scheme bit for bit: the report, every
+    state's t, the first and final states, the compartment averages of
+    every step's dp and the mass defect, the per-step CSV, the psi history
+    and the final VTK state."""
+    got, case = run.result, cfg.build_case()
+    assert got.report == alone.report
+    assert [s.t for s in got.states] == [s.t for s in alone.states]
+    for a, b in [(got.states[0], alone.states[0]), (got.final, alone.final)]:
+        for v in ("dp", "u", "r", "p_hat"):
+            assert np.array_equal(getattr(a, v).view(np.int64), getattr(b, v).view(np.int64))
+    volumes = case.mesh.cell_volumes
+    averages = [
+        np.array([float(volumes[m] @ s.dp[m] / volumes[m].sum()) for s in alone.states])
+        for m in compartment_masks(case)
+    ]
+    for average, want in zip((run.avg_dp_omega1, run.avg_dp_omega2), averages):
+        assert np.array_equal(average.view(np.int64), want.view(np.int64))
+    assert run.mass_defect == global_mass_check(case, alone.states)
+    prefix = Path(out) / f"barrier_{run.scheme}"
+    _, rows = read_csv(f"{prefix}.csv")
+    columns = np.array(rows, dtype=float).T
+    times = [s.t for s in alone.states]
+    assert np.array_equal(columns[1:].view(np.int64), np.array([times, *averages]).view(np.int64))
+    assert_same_history(f"{prefix}_psi.npy", alone.psi, cfg)
+    assert_same_final(f"{prefix}_final.vtk", alone.final)
 
 
 def orientation(mesh, cell, face):
