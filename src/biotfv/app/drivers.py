@@ -19,13 +19,13 @@ from ..coupling import (
     SharedOperators,
     SimulationResult,
     elastic_load,
+    elastic_solver,
     global_mass_check,
     simulate,
 )
 from ..errors import ConfigurationError, SolverError
-from ..linsolve.precond import TpsaSolver
 from ..mesh import Mesh, build_cartesian
-from ..tpsa import assemble_tpsa, mean_shear_modulus
+from ..tpsa import assemble_tpsa
 from .config import CaseConfig
 from .output import dump_matrix, save_source_history, write_csv, write_vtk
 
@@ -165,7 +165,7 @@ def run_convergence_study(
     error.  A probe then records the residual trace of one more mechanics
     solve per grid, forced through the preconditioned Krylov path: a cold
     solve of the final step's load.  It builds only what that solve reads,
-    an elastic solver on its own assembly, and no flow system.
+    an elastic solver (`coupling.elastic_solver`), and no flow system.
     """
     grids = [int(n) for n in grids]
     if len(set(grids)) < 3:
@@ -202,11 +202,7 @@ def run_convergence_study(
             v: relative_l2(mesh, getattr(final, v), getattr(exact, v))
             for v in VARIABLES
         }
-        probe = TpsaSolver(
-            assemble_tpsa(mesh, case.props),
-            mean_shear_modulus(mesh, case.props),
-            replace(config.solver, method="iterative"),
-        )
+        probe = elastic_solver(case, replace(config.solver, method="iterative"))
         try:
             probe_report = probe.solve(elastic_load(case, final.dp))
         except SolverError as err:
@@ -304,16 +300,15 @@ def run_barrier_case(
     The schemes run in the listed order, and a scheme that raises stops
     the study there, keeping the files of the schemes before it.
 
-    The study builds one flow system and one elastic assembly, in the
-    first engine, and hands them to every later one through a
-    `coupling.SharedOperators` holder.  On the Krylov path the elastic
-    solver (rescaling and four AMG hierarchies) travels the same way, so
-    the study builds it once and drops the assembly after the first
-    engine; on the LU path each scheme's engine factors its own, and the
-    assembly is dropped once the last engine is built.  Once a scheme's
-    files are written and its averages and mass defect taken, its run is
-    summarized (`BarrierRun`), so the study holds one scheme's step
-    histories at a time.  Every scheme runs through
+    The study builds one flow system, in the first engine, and hands it
+    to every later one through a `coupling.SharedOperators` holder.  On
+    the Krylov path the elastic solver (rescaling and four AMG
+    hierarchies) travels the same way, so the study builds it once; on
+    the LU path each scheme's engine assembles and factors its own
+    (`coupling.elastic_solver`).  Once a scheme's files are written and
+    its averages and mass defect taken, its run is summarized
+    (`BarrierRun`), so the study holds one scheme's step histories at a
+    time.  Every scheme runs through
     `simulate(engine, scheme, head)`.  When both fixed and anderson are
     listed, the study's `coupling.SharedHead` runs their first three
     passes once and the second resumes from a copy, with every file and
@@ -336,10 +331,6 @@ def run_barrier_case(
     for name, scheme in zip(names, specs):
         log.info("barrier case, scheme %s", name)
         engine = CoupledSystem(case, config.solver, shared)
-        if shared.mech is not None or name == names[-1]:
-            # no later engine reads the assembly: each takes the holder's
-            # Krylov solver, or none is left to factor its own LU
-            shared.elastic = None
         result = simulate(engine, scheme, head)
         # an LU is freed before the next scheme factors its own; a Krylov
         # solver lives on in the holder for the next engine

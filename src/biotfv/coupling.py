@@ -42,12 +42,13 @@ step.  They differ only in where the flow source psi of a step comes from:
 All reuse a single flow factorization and a single mechanics
 factorization/preconditioner, since the operators are constant in time;
 `CoupledSystem` holds them, and `simulate(engine, scheme, head)`, the one
-run entry, runs any scheme on it to the end.  Neither the flow system,
-nor the assembled elastic operator, nor the elastic solver depends on
-the scheme, so a study builds the first two once into a
-`SharedOperators` holder and hands it to each scheme's engine, and on
-the Krylov path the solver too (the rescaled operator and its four AMG
-hierarchies); an LU is still factored once per engine.  The march, not
+run entry, runs any scheme on it to the end.  `elastic_solver` builds a
+case's elastic solver from its TPSA assembly, which lives only inside
+that call.  Neither the flow system nor the elastic solver depends on
+the scheme, so a study builds the flow once into a `SharedOperators`
+holder and hands it to each scheme's engine, and on the Krylov path the
+solver too (the rescaled operator and its four AMG hierarchies); on the
+LU path each engine assembles and factors its own.  The march, not
 the elastic solver, owns the start of each solve
 (`CoupledSystem.evaluate`): every march, lagged or a fixed-stress pass,
 re-solves every step, from the minimal-residual combination of its own
@@ -76,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, SolverError
-from .linsolve.blocks import SparseBlockSystem, split_fields
+from .linsolve.blocks import split_fields
 from .linsolve.krylov import SolveReport
 from .linsolve.precond import SolverOptions, StartWindow, TpsaSolver
 from .materials import PoroelasticProperties
@@ -96,6 +97,7 @@ __all__ = [
     "anderson_weights",
     "elastic_load",
     "coupling_strength",
+    "elastic_solver",
     "SharedOperators",
     "CoupledSystem",
     "PassState",
@@ -187,9 +189,9 @@ class SchemeSpec:
             raise ConfigurationError(
                 f"unknown scheme '{self.kind}' (one of {', '.join(SCHEME_KINDS)})"
             )
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not 0 < self.tol < 1:
             raise ConfigurationError(
-                "fixed-stress tolerance must be positive and finite"
+                "fixed-stress tolerance must be positive and below 1"
             )
         if not _is_count(self.max_iter):
             raise ConfigurationError(
@@ -391,37 +393,44 @@ def coupling_strength(props: PoroelasticProperties) -> np.ndarray:
     )
 
 
-class SharedOperators:
-    """The flow system, the assembled elastic operator and the Krylov
-    elastic solver of one case under one set of solver options, for every
-    engine of a barrier study.
+def elastic_solver(case: BiotCase, solver: SolverOptions) -> TpsaSolver:
+    """The case's elastic solver under `solver`: its TPSA operator,
+    assembled here and rescaled by its mean shear modulus, factored or
+    preconditioned.  The solver keeps the operator only rescaled, so the
+    unscaled assembly is freed on return."""
+    mesh, props = case.mesh, case.props
+    return TpsaSolver(assemble_tpsa(mesh, props), mean_shear_modulus(mesh, props), solver)
 
-    None of them depends on the coupling scheme.  The first `CoupledSystem`
+
+class SharedOperators:
+    """The flow system and the Krylov elastic solver of one case under one
+    set of solver options, for every engine of a barrier study.
+
+    Neither depends on the coupling scheme.  The first `CoupledSystem`
     handed an empty holder builds them into it; each later one takes them,
     and refuses a holder filled for another case or other solver options
     (method or rtol) before it builds anything.  `mech` stays None on the
-    LU path, where each engine factors for itself.  The assembly stays
-    unscaled for as long as the caller keeps the holder; the engines keep
-    neither the holder nor the assembly.
+    LU path, where each engine assembles and factors for itself.  The
+    holder keeps no assembly (`elastic_solver`), and the engines do not
+    keep the holder.
     """
 
     def __init__(self):
         self.case: BiotCase | None = None
         self.solver: SolverOptions | None = None
         self.flow: FlowSystem | None = None
-        self.elastic: SparseBlockSystem | None = None
         self.mech: TpsaSolver | None = None
 
 
 class CoupledSystem:
     """Assembled, factorized operators of one case, reused across solves.
 
-    The flow system and the elastic assembly come from ``shared``, built
-    there by the first engine handed it, and so does a Krylov elastic
-    solver, which keeps no state of a run; without a holder, the engine
-    builds all of them for itself.  An engine on the LU path factors its
-    own.  The elastic solver keeps the operator only rescaled, so the
-    engine keeps no unscaled assembly.  The flow is drained
+    The flow system comes from ``shared``, built there by the first engine
+    handed it, and so does a Krylov elastic solver, which keeps no state
+    of a run; without a holder, the engine builds both for itself.  An
+    engine on the LU path builds its own elastic solver, assembly
+    included (`elastic_solver`), so no engine keeps an unscaled
+    assembly.  The flow is drained
     when every coupling strength is below 1 and alpha is not zero
     everywhere; it then takes the Biot storage ``lagged_storage`` from the
     previous iterate, which is None otherwise.  The flow and the elastic
@@ -437,7 +446,7 @@ class CoupledSystem:
         self.case = case
         solver = solver or SolverOptions()
         if shared is None:
-            shared = SharedOperators()  # dropped on return, and the assembly with it
+            shared = SharedOperators()  # dropped on return
         elif shared.case is not None and (
             shared.case is not case or shared.solver != solver
         ):
@@ -455,18 +464,15 @@ class CoupledSystem:
             )
             storage = props.c0 if self.drained else props.c0 + biot
             shared.flow = FlowSystem(mesh, props, case.time.dt, storage, solver.method)
-            shared.elastic = assemble_tpsa(mesh, props)
             shared.case, shared.solver = case, solver
         self.flow = shared.flow
         self.lagged_storage = biot if self.drained else None
-        self.mech = shared.mech
-        if self.mech is None:
-            self.mech = TpsaSolver(shared.elastic, mean_shear_modulus(mesh, props), solver)
-            # the LU is not shared: perfbench's self-test barrier takes this
-            # path and pins one factorization per scheme, so sharing it waits
-            # for the change that moves that pin
-            if not self.mech.direct:
-                shared.mech = self.mech
+        self.mech = shared.mech or elastic_solver(case, solver)
+        # the LU is not shared: perfbench's self-test barrier takes this
+        # path and pins one factorization per scheme, so sharing it waits
+        # for the change that moves that pin
+        if not self.mech.direct:
+            shared.mech = self.mech
         self.n_cells = mesh.n_cells
 
     def coupling_source(self, prev: BiotState, now: BiotState) -> np.ndarray:

@@ -22,7 +22,6 @@ side (Fischer, CMAME 163, 1998).  Each time march owns one window
 from __future__ import annotations
 
 import logging
-import math
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
@@ -194,8 +193,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in SOLVER_METHODS:
             raise ConfigurationError(f"unknown solver method '{self.method}'")
-        if not (math.isfinite(self.rtol) and self.rtol > 0):
-            raise ConfigurationError("solver rtol must be positive and finite")
+        if not 0 < self.rtol < 1:
+            raise ConfigurationError("solver rtol must be positive and below 1")
 
 
 class TpsaSolver:

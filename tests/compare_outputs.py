@@ -132,9 +132,9 @@ class Case(NamedTuple):
 # level changes no file
 WARNING = ["--log-level", "warning"]
 # --schemes of the shipped study's copies that run schemes alone.  The
-# study shares one flow system, one elastic assembly and fixed stress's
-# first three passes among its engines; run alone, each scheme builds its
-# own and anderson marches those passes itself.  Listed anderson first,
+# study, on the Krylov path, shares one flow system, one elastic solver
+# and fixed stress's first three passes among its engines; run alone,
+# each scheme builds its own and anderson marches those passes itself.  Listed anderson first,
 # the study runs them in anderson's run
 ALONE = ["lagged", "fixed", "anderson", "anderson,fixed"]
 # the 48x48x3 Krylov copy at 7.5-day steps over the same 720 days, where

@@ -74,6 +74,12 @@ MUTANTS = [
     Mutant("well window without slack", "coupling.py",
            "slack = 1e-6 * dt",
            "slack = 0.0"),
+    Mutant("LU shared across engines", "coupling.py",
+           "if not self.mech.direct:",
+           "if True:"),
+    Mutant("no upper bound on tol", "coupling.py",
+           "if not 0 < self.tol < 1:",
+           "if not 0 < self.tol:"),
     Mutant("accepted on the recursive residual", "linsolve/krylov.py",
            "# accept only on the true residual, refreshing r against drift; an",
            "return True"),

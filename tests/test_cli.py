@@ -289,13 +289,19 @@ NAN_RATE = ("rate = 5 m3/day", "rate = nan m3/day")
         ([("lz = 20 m", "lz = 1e-310 m")], "domain lengths must be positive and at"),
         # a subnormal step overflows the storage term accumulation / dt
         ([("dt = 10 day", "dt = 1e-320 s")], "time step must be finite, positive and at"),
+        # a tolerance of 1 stops every pass or solve at once, with no coupling
+        ([("tol = 1e-8", "tol = 1")], "tolerance must be positive and below 1: key 'scheme'"),
+        (
+            [("[time]", "[solver]\nrtol = 1\n\n[time]")],
+            "rtol must be positive and below 1: key 'solver'",
+        ),
     ],
     ids=[
         "nan-rate", "nan-rate-lagged", "nan-start", "nan-stop", "zero-rtol",
         "zero-max-iter", "nan-robin-delta", "nan-tol", "nan-t0", "stop-before-start",
         "nan-length", "inf-length", "negative-anderson",
         "subnormal-mu", "subnormal-lambda", "subnormal-viscosity", "subnormal-lz",
-        "subnormal-dt",
+        "subnormal-dt", "unit-tol", "unit-rtol",
     ],
 )
 def test_bad_input_exits_2_without_outputs(tmp_path, capsys, edits, message):

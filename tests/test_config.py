@@ -220,7 +220,8 @@ def test_round_trip_minimal():
 
 words = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
 reals = st.floats(allow_nan=False, allow_infinity=False)
-positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# a tolerance of 1 or more stops every solve or pass before it does anything
+below_one = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 normal = st.floats(min_value=np.finfo(float).tiny, allow_infinity=False)
 counts = st.integers(-5, 10**6)
 side = st.none() | st.sampled_from(["fixed", "free", "robin"])
@@ -274,11 +275,11 @@ def case_configs(draw):
         ),
         scheme=SchemeSpec(
             draw(st.sampled_from(SCHEME_KINDS)),
-            draw(positive),
+            draw(below_one),
             draw(st.integers(1, 10**6)),
         ),
         solver=SolverOptions(
-            draw(positive),
+            draw(below_one),
             draw(st.sampled_from(["auto", "direct", "iterative"])),
         ),
         output_directory=draw(words),
@@ -297,8 +298,10 @@ def test_round_trip_property(cfg):
     "section, entries, message",
     [
         ("scheme", "tol = nan", "tolerance"),
+        ("scheme", "tol = 1", "tolerance must be positive and below 1"),
         ("scheme", "max_iter = 0", "iteration cap"),
         ("solver", "rtol = 0", "rtol"),
+        ("solver", "rtol = 1", "rtol must be positive and below 1"),
         ("well.w", "cell = 0\nrate = nan", "well rate"),
         ("well.w", "cell = 0\nrate = 1\nstart = 2 day\nstop = 2 day", "stop time"),
         ("well.w", "cell = 0\nrate = 1\nstart = 2 day\nstop = 1 day", "stop time"),

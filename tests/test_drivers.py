@@ -202,13 +202,12 @@ def test_a_three_scheme_study_marches_the_shared_passes_once(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
-def test_a_study_builds_one_flow_and_one_assembly(tmp_path, monkeypatch, method):
-    # the schemes share the flow system and the assembled elastic operator,
-    # and on the Krylov path the elastic solver too; each scheme's engine
-    # still factors its own LU.  The study drops the assembly once no later
-    # engine reads it: after the first engine on the Krylov path, once the
-    # last engine is built on the LU path
-    built, engines, assembled, assemblies = [], [], [], []
+def test_a_study_builds_one_flow_and_one_krylov_solver(tmp_path, monkeypatch, method):
+    # the schemes share the flow system, and on the Krylov path the elastic
+    # solver too; on the LU path each scheme's engine assembles and factors
+    # its own.  No engine and no holder keeps an assembly: each is freed by
+    # the time the engine it was built for is
+    built, engines, assemblies, freed = [], [], [], []
 
     def counted(name, build):
         def spy(*args, **kwargs):
@@ -217,28 +216,35 @@ def test_a_study_builds_one_flow_and_one_assembly(tmp_path, monkeypatch, method)
 
         return spy
 
+    assemble = coupling.assemble_tpsa
+
+    def assembled(mesh, props):
+        built.append("assembly")
+        system = assemble(mesh, props)
+        assemblies.append(weakref.ref(system))
+        return system
+
     init = CoupledSystem.__init__
 
     def kept(engine, case, solver, shared):
         engines.append(engine)
-        assembled.append(shared.elastic is not None)
         init(engine, case, solver, shared)
-        if shared.elastic is not None:
-            assemblies.append(weakref.ref(shared.elastic))
+        freed.append(all(assembly() is None for assembly in assemblies))
 
     monkeypatch.setattr(FlowSystem, "__init__", counted("flow", FlowSystem.__init__))
     monkeypatch.setattr(TpsaSolver, "__init__", counted("solver", TpsaSolver.__init__))
-    monkeypatch.setattr(coupling, "assemble_tpsa", counted("assembly", coupling.assemble_tpsa))
+    monkeypatch.setattr(coupling, "assemble_tpsa", assembled)
     monkeypatch.setattr(CoupledSystem, "__init__", kept)
     cfg = parse_config_text(_barrier_8(method))
     runs = run_barrier_case(cfg, SCHEME_KINDS, tmp_path)
     assert [run.result.report.converged for run in runs] == [True] * 3
     solvers = 3 if method == "direct" else 1
-    assert built == ["flow", "assembly"] + ["solver"] * solvers
-    assert len(engines) == 3 and len({id(engine.mech) for engine in engines}) == solvers
-    assert assembled == [False] + [method == "direct"] * 2
-    # the dropped assembly is freed: no engine keeps it
-    assert assemblies and all(assembly() is None for assembly in assemblies)
+    assert built == ["flow"] + ["assembly", "solver"] * solvers
+    assert len(assemblies) == solvers and freed == [True] * 3
+    # every engine reads the one flow; Krylov engines share one solver, LU
+    # engines each factor their own
+    assert len(engines) == 3 and len({id(engine.flow) for engine in engines}) == 1
+    assert len({id(engine.mech) for engine in engines}) == solvers
     # a holder filled for one case and solver options serves no other
     case = cfg.build_case()
     shared = SharedOperators()

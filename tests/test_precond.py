@@ -395,6 +395,7 @@ def test_solver_rejects_unknown_method():
         dict(rtol=float("inf")),
         dict(method="direct", rtol=0.0),
         dict(method="iterative", rtol=0.0),
+        dict(rtol=1.0),
     ],
 )
 def test_solver_rejects_bad_tolerance_and_cap(options):
